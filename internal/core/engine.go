@@ -8,6 +8,8 @@ package core
 import (
 	"fmt"
 	"io"
+	"reflect"
+	"slices"
 	"sync"
 
 	"emptyheaded/internal/datalog"
@@ -49,6 +51,34 @@ type Engine struct {
 	// order is the apply order, which is what makes replay
 	// deterministic.
 	upd updState
+	// memo holds the plans of the query texts Run saw last (see prepared).
+	memo planMemo
+}
+
+// planMemoSize bounds the plan memo: an embedder loops over a handful of
+// query texts, and one that falls out is just planned again.
+const planMemoSize = 16
+
+// planMemo holds Run's last preparations by exact query text, first in
+// first out. Restore drops them and advances gen, so that a preparation
+// begun before the restore is not stored after it.
+type planMemo struct {
+	mu    sync.Mutex
+	gen   uint64
+	next  int
+	plans [planMemoSize]*memoPlan
+}
+
+// memoPlan is a preparation and what it is valid for: the options a plan
+// bakes in, the epochs of the relations the rule reads, and the
+// dictionary epoch (selection constants are compiled to codes).
+type memoPlan struct {
+	text      string
+	prep      *exec.Prepared
+	opts      exec.Options
+	reads     []string
+	epochs    []uint64
+	dictEpoch uint64
 }
 
 // New returns an engine with the full optimizer enabled.
@@ -193,11 +223,62 @@ func (e *Engine) Alias(alias, target string) error {
 // final rule group. Intermediate head relations stay registered in the
 // database.
 func (e *Engine) Run(query string) (*exec.Result, error) {
+	pr, err := e.prepared(query)
+	if err != nil {
+		return nil, err
+	}
+	return pr.RunWith(e.DB, exec.RunParams{Limit: e.Opts.Limit, Ctx: e.Opts.Ctx})
+}
+
+// prepared returns the preparation of query, parsing and planning only
+// when the memo has none that is still valid. A single-rule program is
+// valid for the relations its body and annotation expression read — not
+// its head, which every Run registers anew; a rule that reads its own
+// head is therefore planned on every call. Multi-rule and recursive
+// programs keep only the parse (see exec.Prepare) and read nothing here.
+func (e *Engine) prepared(query string) (*exec.Prepared, error) {
+	// LayoutName stands for Layout, as in the relation index cache; Limit
+	// and Ctx go to each run, not into the plan.
+	opts := e.Opts
+	opts.Layout, opts.LayoutName, opts.Limit, opts.Ctx = nil, e.layoutName(), 0, nil
+	m := &e.memo
+	m.mu.Lock()
+	gen := m.gen
+	for _, p := range m.plans {
+		if p == nil || p.text != query || !reflect.DeepEqual(p.opts, opts) {
+			continue
+		}
+		if eps, de := e.DB.EpochsWithDict(p.reads); de == p.dictEpoch && slices.Equal(eps, p.epochs) {
+			m.mu.Unlock()
+			return p.prep, nil
+		}
+	}
+	m.mu.Unlock()
+
 	prog, err := datalog.Parse(query)
 	if err != nil {
 		return nil, err
 	}
-	return exec.RunProgram(e.DB, prog, e.Opts)
+	p := &memoPlan{text: query, opts: opts}
+	if len(prog.Rules) == 1 {
+		p.reads = prog.Rules[0].Reads()
+	}
+	// Epochs before planning: a load that lands in between leaves the
+	// entry stale, never a stale plan stamped fresh.
+	p.epochs, p.dictEpoch = e.DB.EpochsWithDict(p.reads)
+	if p.prep, err = exec.Prepare(e.DB, prog, e.Opts); err != nil {
+		return nil, err
+	}
+	m.mu.Lock()
+	if m.gen == gen {
+		slot := slices.IndexFunc(m.plans[:], func(q *memoPlan) bool { return q != nil && q.text == query })
+		if slot < 0 {
+			slot, m.next = m.next, (m.next+1)%planMemoSize
+		}
+		m.plans[slot] = p
+	}
+	m.mu.Unlock()
+	return p.prep, nil
 }
 
 // RunAnalyze executes a query with the EXPLAIN ANALYZE counters enabled
@@ -206,11 +287,7 @@ func (e *Engine) Run(query string) (*exec.Result, error) {
 // exec.Plan.ExplainAnalyze). Multi-rule and recursive programs execute
 // without a pinned plan and return an empty annotation.
 func (e *Engine) RunAnalyze(query string) (*exec.Result, string, error) {
-	prog, err := datalog.Parse(query)
-	if err != nil {
-		return nil, "", err
-	}
-	pr, err := exec.Prepare(e.DB, prog, e.Opts)
+	pr, err := e.prepared(query)
 	if err != nil {
 		return nil, "", err
 	}

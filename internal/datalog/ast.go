@@ -126,28 +126,41 @@ func FindAgg(e Expr) *AggExpr {
 }
 
 // Relations returns the sorted distinct relation names the program
-// touches: every body atom, every head (a head may shadow — or, before
-// its rule runs, read — a stored relation of the same name), and every
-// scalar relation referenced inside annotation expressions (e.g. N in
-// PageRank's 1/N). This is the conservative read set the query service
-// keys result-cache entries on: a cached result stays valid exactly
-// while none of these relations (nor the dictionary) change.
+// touches: every head (a head may shadow — or, before its rule runs,
+// read — a stored relation of the same name) and everything its rules
+// read (see Rule.Reads). This is the conservative read set the query
+// service keys result-cache entries on: a cached result stays valid
+// exactly while none of these relations (nor the dictionary) change.
 func (p *Program) Relations() []string {
 	seen := map[string]bool{}
 	var out []string
-	add := func(name string) {
-		if name != "" && !seen[name] {
-			seen[name] = true
-			out = append(out, name)
+	for _, r := range p.Rules {
+		for _, name := range append(r.Reads(), r.Head.Name) {
+			if name != "" && !seen[name] {
+				seen[name] = true
+				out = append(out, name)
+			}
 		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// Reads returns the relation names r reads, duplicates included: every
+// body atom and every scalar relation referenced inside the annotation
+// expression (e.g. N in PageRank's 1/N) — not the head, which r writes.
+func (r *Rule) Reads() []string {
+	var out []string
+	for _, a := range r.Atoms {
+		out = append(out, a.Pred)
 	}
 	var walkExpr func(e Expr)
 	walkExpr = func(e Expr) {
 		switch x := e.(type) {
 		case RefExpr:
-			add(x.Name)
+			out = append(out, x.Name)
 		case *RefExpr:
-			add(x.Name)
+			out = append(out, x.Name)
 		case BinExpr:
 			walkExpr(x.L)
 			walkExpr(x.R)
@@ -156,16 +169,9 @@ func (p *Program) Relations() []string {
 			walkExpr(x.R)
 		}
 	}
-	for _, r := range p.Rules {
-		add(r.Head.Name)
-		for _, a := range r.Atoms {
-			add(a.Pred)
-		}
-		if r.Assign != nil {
-			walkExpr(r.Assign.Expr)
-		}
+	if r.Assign != nil {
+		walkExpr(r.Assign.Expr)
 	}
-	sort.Strings(out)
 	return out
 }
 

@@ -1,0 +1,85 @@
+package exec
+
+import (
+	"testing"
+
+	"emptyheaded/internal/gen"
+	"emptyheaded/internal/graph"
+	"emptyheaded/internal/trie"
+)
+
+// padded puts g behind three triangle-free copies of itself (u–v becomes
+// 2u–2v+1, so every edge joins an even and an odd id): seven times the
+// nodes and four times the edges to probe through, the same triangles
+// and 4-cliques to find, and the same first rows for a limited listing.
+func padded(g *graph.Graph) *graph.Graph {
+	var edges [][2]uint32
+	n, off := uint32(g.N), uint32(0)
+	for range 3 {
+		for u, ns := range g.Adj {
+			for _, v := range ns {
+				edges = append(edges, [2]uint32{off + 2*uint32(u), off + 2*v + 1})
+			}
+		}
+		off += 2 * n
+	}
+	for u, ns := range g.Adj {
+		for _, v := range ns {
+			edges = append(edges, [2]uint32{off + uint32(u), off + v})
+		}
+	}
+	return graph.FromEdges(int(off+n), edges, true)
+}
+
+// The loop nest allocates per run and per output row, never per probe or
+// per intersection: a plan clone, the cursors, one worker, scratch
+// buffers that grow a few times to the largest intersection. The padded
+// graph makes several times the probes for the same output, so anything
+// that escapes to the heap inside the nest — the trap of passing *set.Set
+// operands or the scratch result through an interface (docs/KERNELS.md,
+// "Calling convention") — shows as thousands of extra allocations on it.
+func TestLoopNestAllocationsIndependentOfGraphSize(t *testing.T) {
+	// allocSlack covers a few extra doublings of the scratch buffers and
+	// the first level's candidate set, built once per bag in its own
+	// layout (a composite set has a block per 256 ids).
+	const allocSlack = 32
+	queries := []struct {
+		name, text string
+		limit      int
+	}{
+		{"triangle", qKernelTriangle, 0},
+		{"k4", qKernel4Clique, 0},
+		{"listing", `L(x,y,z) :- R(x,y),S(y,z),T(x,z).`, 50},
+	}
+	layouts := []struct {
+		name string
+		f    trie.LayoutFunc
+	}{
+		{"uint", trie.UintLayout},
+		{"bitset", trie.BitsetLayout},
+		{"composite", trie.CompositeLayout},
+	}
+	g := gen.ErdosRenyi(150, 900, 7)
+	small, large := dbWithGraph(g), dbWithGraph(padded(g))
+	for _, l := range layouts {
+		for _, q := range queries {
+			t.Run(l.name+"/"+q.name, func(t *testing.T) {
+				allocs := func(db *DB) float64 {
+					pr := prepareQOpts(t, db, q.text, Options{Layout: l.f, LayoutName: l.name, Parallelism: 1})
+					fork := db.Fork()
+					run := func() {
+						if _, err := pr.RunWith(fork, RunParams{Limit: q.limit}); err != nil {
+							t.Fatal(err)
+						}
+					}
+					run() // builds the layout's indexes
+					return testing.AllocsPerRun(5, run)
+				}
+				s, lg := allocs(small), allocs(large)
+				if lg > s+allocSlack {
+					t.Errorf("allocations per run grow with the graph: %.0f on the graph, %.0f on the padded graph", s, lg)
+				}
+			})
+		}
+	}
+}

@@ -175,8 +175,8 @@ type bagExec struct {
 	// analyze path kerns holds one counting kernel per loop level, each
 	// tallying routes into the matching lc[lvl].Kernel (per-worker, no
 	// atomics — see kernelAt).
-	kern      set.Kernel
-	kerns     []set.Kernel
+	kern      *set.Kernel
+	kerns     []*set.Kernel
 	countTail bool // last level computable via kernel Count
 	// scalarFactor is the ⊗-product of zero-arity participants (scalar
 	// child bags from disconnected components, e.g. the second triangle
@@ -448,7 +448,7 @@ func (ex *bagExec) emptyResult() *trie.Trie {
 // set; each worker clone calls this on its private lc, so the counters
 // stay contention-free and merge through LevelStats.add.
 func (ex *bagExec) initCountingKernels() {
-	ex.kerns = make([]set.Kernel, len(ex.lc))
+	ex.kerns = make([]*set.Kernel, len(ex.lc))
 	for i := range ex.kerns {
 		ex.kerns[i] = set.NewCountingKernel(ex.cfg, &ex.lc[i].Kernel)
 	}
@@ -456,7 +456,7 @@ func (ex *bagExec) initCountingKernels() {
 
 // kernelAt returns the kernel executing level lvl's pairwise set ops: the
 // shared plain kernel normally, the level's counting kernel under analyze.
-func (ex *bagExec) kernelAt(lvl int) set.Kernel {
+func (ex *bagExec) kernelAt(lvl int) *set.Kernel {
 	if ex.kerns != nil {
 		return ex.kerns[lvl]
 	}
@@ -484,7 +484,10 @@ type worker struct {
 	scratch []scratchLevel
 }
 
+// scratchBuf is one intersection result and the buffers it aliases; the
+// loop nest hands out pointers to s instead of copying the 120-byte Set.
 type scratchBuf struct {
+	s set.Set
 	u []uint32
 	w []uint64
 }
@@ -496,18 +499,19 @@ func (w *worker) initScratch(levels int) {
 }
 
 // intersectionAtBuf is intersectionAt using the worker's per-level
-// scratch buffers.
-func (w *worker) intersectionAtBuf(lvl int) set.Set {
-	s := w.intersectionAtBufInner(lvl)
+// scratch buffers; the result points into them or into a trie node.
+func (w *worker) intersectionAtBuf(lvl int) *set.Set {
+	s := w.intersectPrefix(lvl, w.ex.perLevel[lvl])
 	if w.ex.lc != nil {
 		w.ex.noteIntersect(lvl, s.Card())
 	}
 	return s
 }
 
-func (w *worker) intersectionAtBufInner(lvl int) set.Set {
+// intersectPrefix intersects the level sets of refs left to right,
+// ping-ponging between the level's two scratch buffers.
+func (w *worker) intersectPrefix(lvl int, refs []curRef) *set.Set {
 	ex := w.ex
-	refs := ex.perLevel[lvl]
 	cur := ex.levelSet(refs[0])
 	flip := 0
 	for _, r := range refs[1:] {
@@ -515,7 +519,8 @@ func (w *worker) intersectionAtBufInner(lvl int) set.Set {
 			return cur
 		}
 		sb := &w.scratch[lvl][flip]
-		cur, sb.u, sb.w = ex.kernelAt(lvl).IntersectBuf(cur, ex.levelSet(r), sb.u, sb.w)
+		sb.u, sb.w = ex.kernelAt(lvl).IntersectInto(&sb.s, cur, ex.levelSet(r), sb.u, sb.w)
+		cur = &sb.s
 		flip ^= 1
 	}
 	return cur
@@ -533,23 +538,11 @@ func (w *worker) countAtBuf(lvl int) int {
 func (w *worker) countAtBufInner(lvl int) int {
 	ex := w.ex
 	refs := ex.perLevel[lvl]
-	if len(refs) == 1 {
+	last := len(refs) - 1
+	if last == 0 {
 		return ex.levelSet(refs[0]).Card()
 	}
-	cur := ex.levelSet(refs[0])
-	flip := 0
-	for i := 1; i < len(refs)-1; i++ {
-		if cur.IsEmpty() {
-			return 0
-		}
-		sb := &w.scratch[lvl][flip]
-		cur, sb.u, sb.w = ex.kernelAt(lvl).IntersectBuf(cur, ex.levelSet(refs[i]), sb.u, sb.w)
-		flip ^= 1
-	}
-	if cur.IsEmpty() {
-		return 0
-	}
-	return ex.kernelAt(lvl).Count(cur, ex.levelSet(refs[len(refs)-1]))
+	return ex.kernelAt(lvl).CountOf(w.intersectPrefix(lvl, refs[:last]), ex.levelSet(refs[last]))
 }
 
 // stealBlockMax bounds the work-stealing block size: small enough that a
@@ -582,7 +575,7 @@ func (ex *bagExec) runParallel() ([][]uint32, []float64, float64, error) {
 		_ = fault.Hit("exec.worker")
 		w := ex.newWorker()
 		w.initScratch(len(ex.bp.Attrs))
-		w.levelValues(0, first, ex.scalarFactor)
+		w.levelValues(0, &first, ex.scalarFactor)
 		if ex.lc != nil {
 			ex.mergeCounters(w)
 		}
@@ -638,7 +631,8 @@ func (ex *bagExec) runParallel() ([][]uint32, []float64, float64, error) {
 				if hi > len(vals) {
 					hi = len(vals)
 				}
-				w.levelValues(0, set.FromSorted(vals[lo:hi]), w.ex.scalarFactor)
+				blk := set.FromSorted(vals[lo:hi])
+				w.levelValues(0, &blk, w.ex.scalarFactor)
 			}
 		}(w)
 	}
@@ -718,39 +712,31 @@ func (ex *bagExec) intersectionAt(lvl int) set.Set {
 
 func (ex *bagExec) intersectionAtInner(lvl int) set.Set {
 	refs := ex.perLevel[lvl]
-	cur := ex.levelSet(refs[0])
+	cur := *ex.levelSet(refs[0])
 	for _, r := range refs[1:] {
 		if cur.IsEmpty() {
 			return cur
 		}
-		cur = ex.kernelAt(lvl).Intersect(cur, ex.levelSet(r))
+		cur = ex.kernelAt(lvl).Intersect(cur, *ex.levelSet(r))
 	}
 	return cur
 }
 
-func (ex *bagExec) levelSet(r curRef) set.Set {
-	n := r.c.nodes[r.atomLevel]
-	if n == nil {
-		return set.Empty()
-	}
-	return n.Set
-}
+// emptySet stands in for the level set of a nil trie node.
+var emptySet set.Set
 
-// levelCard is levelSet(r).Card() without copying the ~90-byte Set
-// struct out of the trie node — the analyze counters read participant
-// cardinalities on every intersection, and the full-struct copy showed
-// up as a third of the profile.
-func (ex *bagExec) levelCard(r curRef) int {
-	n := r.c.nodes[r.atomLevel]
-	if n == nil {
-		return 0
+// levelSet returns the set a participant contributes at its level, by
+// pointer into the trie node: a probe never copies a Set.
+func (ex *bagExec) levelSet(r curRef) *set.Set {
+	if n := r.c.nodes[r.atomLevel]; n != nil {
+		return &n.Set
 	}
-	return set.CardOf(&n.Set)
+	return &emptySet
 }
 
 // levelValues iterates the candidate values of a level and recurses.
 // ann carries the ⊗-product of annotations collected so far.
-func (w *worker) levelValues(lvl int, candidates set.Set, ann float64) {
+func (w *worker) levelValues(lvl int, candidates *set.Set, ann float64) {
 	ex := w.ex
 	bp := ex.bp
 	last := lvl == len(bp.Attrs)-1
@@ -795,7 +781,8 @@ func (w *worker) levelValues(lvl int, candidates set.Set, ann float64) {
 	if ex.lc != nil {
 		lvlStats = &ex.lc[lvl]
 	}
-	candidates.ForEachUntil(func(_ int, v uint32) bool {
+	ncand := candidates.Card()
+	candidates.ForEachUntil(func(i int, v uint32) bool {
 		if lvlStats != nil {
 			lvlStats.Probes++
 		}
@@ -817,19 +804,24 @@ func (w *worker) levelValues(lvl int, candidates set.Set, ann float64) {
 		}
 		a := ann
 		ok := true
-		// Descend every atom participating at this level, tracking
-		// monotone rank hints; collect annotations of atoms fully bound
-		// here. v ∈ n.Set by construction (candidates ⊆ every
-		// participant), so the rank lookup almost always succeeds.
+		// Descend every atom participating at this level; collect
+		// annotations of atoms fully bound here. candidates ⊆ every
+		// participant's set, so a participant of the same cardinality *is*
+		// the candidate set and v's rank in it is the iteration index;
+		// otherwise look v up, tracking monotone rank hints.
 		for _, r := range ex.perLevel[lvl] {
 			c := r.c
 			al := r.atomLevel
 			n := c.nodes[al]
-			rank, found := n.Set.RankNext(v, c.hints[al])
-			c.hints[al] = rank
-			if !found {
-				ok = false
-				break
+			rank := i
+			if n.Set.Card() != ncand {
+				var found bool
+				rank, found = n.Set.RankNext(v, c.hints[al])
+				c.hints[al] = rank
+				if !found {
+					ok = false
+					break
+				}
 			}
 			if al == c.atom.LastLevel {
 				if c.atom.Annotated && !c.atom.SemijoinOnly && n.Ann != nil {

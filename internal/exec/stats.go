@@ -102,7 +102,7 @@ func (ex *bagExec) noteIntersect(lvl int, out int) {
 	l := &ex.lc[lvl]
 	l.Intersections++
 	for _, r := range ex.perLevel[lvl] {
-		l.InputCard += int64(ex.levelCard(r))
+		l.InputCard += int64(ex.levelSet(r).Card())
 	}
 	l.OutputCard += int64(out)
 }

@@ -322,7 +322,7 @@ func countGalloping(a, b []uint32) int {
 
 // --- bitset ∩ bitset ------------------------------------------------------
 
-func bitsetOverlap(a, b Set) (base uint32, wa, wb []uint64, n int) {
+func bitsetOverlap(a, b *Set) (base uint32, wa, wb []uint64, n int) {
 	loA, loB := a.base, b.base
 	base = loA
 	if loB > base {
@@ -343,22 +343,6 @@ func bitsetOverlap(a, b Set) (base uint32, wa, wb []uint64, n int) {
 	return base, wa, wb, n
 }
 
-func intersectBitsetBitset(a, b Set, bitByBit bool) Set {
-	base, wa, wb, n := bitsetOverlap(a, b)
-	if n == 0 {
-		return Set{}
-	}
-	out := make([]uint64, n)
-	if bitByBit {
-		bitByBitAnd(out, wa, wb, n)
-	} else {
-		for i := 0; i < n; i++ {
-			out[i] = wa[i] & wb[i]
-		}
-	}
-	return fromBitsetWords(base, out)
-}
-
 // bitByBitAnd is the "-S" ablation: per-bit processing, no word-level
 // parallelism.
 func bitByBitAnd(out, wa, wb []uint64, n int) {
@@ -375,7 +359,7 @@ func bitByBitAnd(out, wa, wb []uint64, n int) {
 	}
 }
 
-func intersectCountBitsetBitset(a, b Set, bitByBit bool) int {
+func intersectCountBitsetBitset(a, b *Set, bitByBit bool) int {
 	_, wa, wb, n := bitsetOverlap(a, b)
 	c := 0
 	if bitByBit {
@@ -401,7 +385,7 @@ func intersectCountBitsetBitset(a, b Set, bitByBit bool) int {
 // intersectUintBitset probes each uint key against the bitset words; the
 // running time is bounded by the uint side, preserving the min property
 // up to the block-size constant (§4.2).
-func intersectUintBitset(a []uint32, b Set, out []uint32) []uint32 {
+func intersectUintBitset(a []uint32, b *Set, out []uint32) []uint32 {
 	lo := b.base
 	hi := lo + uint32(len(b.words)*64)
 	// Skip uint values below the bitset range.
@@ -419,7 +403,7 @@ func intersectUintBitset(a []uint32, b Set, out []uint32) []uint32 {
 	return out
 }
 
-func intersectCountUintBitset(a []uint32, b Set) int {
+func intersectCountUintBitset(a []uint32, b *Set) int {
 	lo := b.base
 	hi := lo + uint32(len(b.words)*64)
 	n := 0
@@ -442,7 +426,7 @@ func intersectCountUintBitset(a []uint32, b Set) int {
 // intersectCompositeComposite merges the block lists, intersecting
 // aligned blocks word-parallel (dense·dense), by probe (sparse·dense)
 // or by branch-free merge (sparse·sparse), appending values to out.
-func intersectCompositeComposite(a, b Set, out []uint32) []uint32 {
+func intersectCompositeComposite(a, b *Set, out []uint32) []uint32 {
 	i, j := 0, 0
 	for i < len(a.blocks) && j < len(b.blocks) {
 		ba, bb := &a.blocks[i], &b.blocks[j]
@@ -496,7 +480,7 @@ func intersectCompositeComposite(a, b Set, out []uint32) []uint32 {
 
 // intersectCountCompositeComposite merges the block lists and counts per
 // block without materialization (word-parallel on dense blocks).
-func intersectCountCompositeComposite(a, b Set) int {
+func intersectCountCompositeComposite(a, b *Set) int {
 	n := 0
 	i, j := 0, 0
 	for i < len(a.blocks) && j < len(b.blocks) {

@@ -171,51 +171,28 @@ func (st *KernelStats) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// Kernel is the layout-polymorphic set-operation interface: one object
+// Kernel is the layout-polymorphic set-operation entry point: one object
 // per intersection configuration, dispatching each call on the operand
-// layouts. Implementations are cheap value-like objects; the execution
-// engine holds one per worker (counting kernels are not safe for
-// concurrent use — each worker counts into its own KernelStats).
-type Kernel interface {
-	// Intersect computes a ∩ b, allocating the result. The result layout
-	// follows the paper: uint∩uint→uint, bitset∩bitset→bitset,
-	// uint∩bitset→uint (§4.2 fn. 6), composite∩composite→composite.
-	Intersect(a, b Set) Set
-	// IntersectBuf is Intersect with caller-provided scratch: uint-valued
-	// results land in buf, bitset results in wbuf (both grown as needed
-	// and returned for reuse). Results alias the buffers, so the caller
-	// owns their lifetime. This is the allocation-free fast path of the
-	// generated loop nests (§3.3); it covers every layout pair.
-	IntersectBuf(a, b Set, buf []uint32, wbuf []uint64) (Set, []uint32, []uint64)
-	// Count computes |a ∩ b| without materializing the result.
-	Count(a, b Set) int
-	// Union computes a ∪ b (word-parallel OR on bitset pairs); the
-	// recursion executor grows recursive relations with it.
-	Union(a, b Set) Set
-	// Difference computes a \ b (word-parallel ANDNOT on bitset pairs);
-	// the seminaive executor forms delta frontiers with it.
-	Difference(a, b Set) Set
-	// Merge3 computes (base \ del) ∪ ins as a sorted value slice — the
-	// per-level operation of the delta-trie overlay merge. Bitset bases
-	// take a word-parallel ANDNOT/OR path regardless of the overlay
-	// layouts; everything else decodes and merges.
-	Merge3(base, ins, del Set) []uint32
-	// Build materializes a strictly increasing value slice in the given
-	// layout (the trie builders' construction entry point).
-	Build(vals []uint32, l Layout) Set
-	// Config reports the kernel's configuration.
-	Config() Config
+// layouts. It is a concrete type, not an interface: the loop nest passes
+// operands by pointer, and through an interface those pointers (and the
+// scratch result they land in) would escape to the heap (docs/KERNELS.md,
+// "Calling convention"). The execution engine holds one per worker
+// (counting kernels are not safe for concurrent use — each worker counts
+// into its own KernelStats).
+type Kernel struct {
+	cfg Config
+	st  *KernelStats
 }
 
 // NewKernel returns the kernel for cfg. The zero Config is the fully
 // optimized EmptyHeaded kernel set.
-func NewKernel(cfg Config) Kernel { return &kernel{cfg: cfg} }
+func NewKernel(cfg Config) *Kernel { return &Kernel{cfg: cfg} }
 
 // NewCountingKernel returns a kernel that additionally tallies each
 // dispatch into st. Not safe for concurrent use — give each worker its
 // own stats block and merge with KernelStats.Add.
-func NewCountingKernel(cfg Config, st *KernelStats) Kernel {
-	return &kernel{cfg: cfg, st: st}
+func NewCountingKernel(cfg Config, st *KernelStats) *Kernel {
+	return &Kernel{cfg: cfg, st: st}
 }
 
 // DefaultKernel is the shared fully-optimized kernel (zero Config, no
@@ -228,14 +205,7 @@ func Intersect(a, b Set) Set { return DefaultKernel.Intersect(a, b) }
 // IntersectCount computes |a ∩ b| with the default configuration.
 func IntersectCount(a, b Set) int { return DefaultKernel.Count(a, b) }
 
-type kernel struct {
-	cfg Config
-	st  *KernelStats
-}
-
-func (k *kernel) Config() Config { return k.cfg }
-
-func (k *kernel) note(r Route) {
+func (k *Kernel) note(r Route) {
 	if k.st != nil {
 		k.st.Counts[r]++
 	}
@@ -253,57 +223,49 @@ func routeOfAlgo(a Algo) Route {
 	}
 }
 
-func (k *kernel) Intersect(a, b Set) Set {
-	if a.card == 0 || b.card == 0 {
-		return Set{}
+// Intersect computes a ∩ b, allocating the result. The result layout
+// follows the paper: uint∩uint→uint, bitset∩bitset→bitset,
+// uint∩bitset→uint (§4.2 fn. 6), composite∩composite→composite.
+func (k *Kernel) Intersect(a, b Set) Set {
+	var s Set
+	k.IntersectInto(&s, &a, &b, nil, nil)
+	if a.layout == Composite && b.layout == Composite {
+		return NewComposite(s.data)
 	}
-	switch {
-	case a.layout == Uint && b.layout == Uint:
-		algo := pickAlgo(a.data, b.data, k.cfg)
-		k.note(routeOfAlgo(algo))
-		return FromSorted(intersectUintUint(a.data, b.data, algo, nil))
-	case a.layout == Bitset && b.layout == Bitset:
-		k.note(RouteBitsetWord)
-		return intersectBitsetBitset(a, b, k.cfg.BitByBit)
-	case a.layout == Uint && b.layout == Bitset:
-		k.note(RouteUintBitset)
-		return FromSorted(intersectUintBitset(a.data, b, nil))
-	case a.layout == Bitset && b.layout == Uint:
-		k.note(RouteUintBitset)
-		return FromSorted(intersectUintBitset(b.data, a, nil))
-	case a.layout == Composite && b.layout == Composite:
-		k.note(RouteBlockBlock)
-		return NewComposite(intersectCompositeComposite(a, b, nil))
-	default:
-		k.note(RouteMixedProbe)
-		return FromSorted(intersectMixedProbe(a, b, nil))
-	}
+	return s
 }
 
-func (k *kernel) IntersectBuf(a, b Set, buf []uint32, wbuf []uint64) (Set, []uint32, []uint64) {
+// IntersectBuf is IntersectInto for value operands.
+func (k *Kernel) IntersectBuf(a, b Set, buf []uint32, wbuf []uint64) (s Set, _ []uint32, _ []uint64) {
+	buf, wbuf = k.IntersectInto(&s, &a, &b, buf, wbuf)
+	return s, buf, wbuf
+}
+
+// IntersectInto stores a ∩ b in *dst (which must not be a or b) using
+// caller-provided scratch: uint-valued results land in buf, bitset
+// results in wbuf (both grown as needed and returned for reuse). The
+// result aliases the buffers, so the caller owns their lifetime. This is
+// the allocation-free, copy-free fast path of the generated loop nests
+// (§3.3); it covers every layout pair, with composite∩composite→uint.
+func (k *Kernel) IntersectInto(dst, a, b *Set, buf []uint32, wbuf []uint64) ([]uint32, []uint64) {
+	*dst = Set{} // filled in place below: no Set is built elsewhere and copied in
 	if a.card == 0 || b.card == 0 {
-		return Set{}, buf, wbuf
+		return buf, wbuf
 	}
 	switch {
 	case a.layout == Uint && b.layout == Uint:
 		algo := pickAlgo(a.data, b.data, k.cfg)
 		k.note(routeOfAlgo(algo))
-		out := intersectUintUint(a.data, b.data, algo, buf[:0])
-		return FromSorted(out), out, wbuf
+		buf = intersectUintUint(a.data, b.data, algo, buf[:0])
 	case a.layout == Uint && b.layout == Bitset:
 		k.note(RouteUintBitset)
-		out := intersectUintBitset(a.data, b, buf[:0])
-		return FromSorted(out), out, wbuf
+		buf = intersectUintBitset(a.data, b, buf[:0])
 	case a.layout == Bitset && b.layout == Uint:
 		k.note(RouteUintBitset)
-		out := intersectUintBitset(b.data, a, buf[:0])
-		return FromSorted(out), out, wbuf
+		buf = intersectUintBitset(b.data, a, buf[:0])
 	case a.layout == Bitset && b.layout == Bitset:
 		k.note(RouteBitsetWord)
 		base, wa, wb, n := bitsetOverlap(a, b)
-		if n == 0 {
-			return Set{}, buf, wbuf
-		}
 		if cap(wbuf) < n {
 			wbuf = make([]uint64, n)
 		}
@@ -315,19 +277,26 @@ func (k *kernel) IntersectBuf(a, b Set, buf []uint32, wbuf []uint64) (Set, []uin
 				wbuf[i] = wa[i] & wb[i]
 			}
 		}
-		return fromBitsetWords(base, wbuf), buf, wbuf
+		dst.setBitsetWords(base, wbuf)
+		return buf, wbuf
 	case a.layout == Composite && b.layout == Composite:
 		k.note(RouteBlockBlock)
-		out := intersectCompositeComposite(a, b, buf[:0])
-		return FromSorted(out), out, wbuf
+		buf = intersectCompositeComposite(a, b, buf[:0])
 	default:
 		k.note(RouteMixedProbe)
-		out := intersectMixedProbe(a, b, buf[:0])
-		return FromSorted(out), out, wbuf
+		buf = intersectMixedProbe(a, b, buf[:0])
 	}
+	if len(buf) > 0 {
+		dst.card, dst.data = len(buf), buf
+	}
+	return buf, wbuf
 }
 
-func (k *kernel) Count(a, b Set) int {
+// Count computes |a ∩ b| without materializing the result.
+func (k *Kernel) Count(a, b Set) int { return k.CountOf(&a, &b) }
+
+// CountOf is Count for operands held by pointer (the loop nest's tail).
+func (k *Kernel) CountOf(a, b *Set) int {
 	if a.card == 0 || b.card == 0 {
 		return 0
 	}
@@ -350,13 +319,12 @@ func (k *kernel) Count(a, b Set) int {
 		return intersectCountCompositeComposite(a, b)
 	default:
 		k.note(RouteMixedProbe)
-		n := 0
-		x, y := a, b
-		if y.card < x.card {
-			x, y = y, x
+		if b.card < a.card {
+			a, b = b, a
 		}
-		x.ForEach(func(_ int, v uint32) {
-			if y.containsOnly(v) {
+		n := 0
+		a.ForEach(func(_ int, v uint32) {
+			if b.containsOnly(v) {
 				n++
 			}
 		})
@@ -364,18 +332,23 @@ func (k *kernel) Count(a, b Set) int {
 	}
 }
 
-func (k *kernel) Union(a, b Set) Set      { return unionSets(a, b) }
-func (k *kernel) Difference(a, b Set) Set { return differenceSets(a, b) }
-func (k *kernel) Merge3(base, ins, del Set) []uint32 {
-	return merge3(base, ins, del)
-}
-func (k *kernel) Build(vals []uint32, l Layout) Set { return BuildLayout(vals, l) }
+// Union computes a ∪ b (word-parallel OR on bitset pairs); the recursion
+// executor grows recursive relations with it.
+func (k *Kernel) Union(a, b Set) Set { return unionSets(a, b) }
+
+// Difference computes a \ b (word-parallel ANDNOT on bitset pairs); the
+// seminaive executor forms delta frontiers with it.
+func (k *Kernel) Difference(a, b Set) Set { return differenceSets(a, b) }
+
+// Merge3 computes (base \ del) ∪ ins as a sorted value slice — the
+// per-level operation of the delta-trie overlay merge (see merge3).
+func (k *Kernel) Merge3(base, ins, del Set) []uint32 { return merge3(base, ins, del) }
 
 // intersectMixedProbe handles layout pairs without a specialized kernel
 // (composite against uint or bitset): the smaller side streams in order
 // and probes the larger, so the output stays sorted and the cost is
 // bounded by the smaller cardinality times a membership probe.
-func intersectMixedProbe(a, b Set, out []uint32) []uint32 {
+func intersectMixedProbe(a, b *Set, out []uint32) []uint32 {
 	if b.card < a.card {
 		a, b = b, a
 	}

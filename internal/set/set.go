@@ -14,12 +14,13 @@
 // The paper exploits 256-bit AVX registers; Go has no stable SIMD
 // intrinsics, so dense operations here are word-parallel over uint64
 // (64 lanes per op instead of 256 — same algorithmic shape, smaller
-// constant; see DESIGN.md "Substitutions").
+// constant; see docs/KERNELS.md).
 package set
 
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -76,7 +77,11 @@ func (b *block) card() int {
 }
 
 // Set is an immutable sorted set of uint32 keys.
-// The zero value is the empty set (Uint layout).
+// The zero value is the empty set (Uint layout). The struct is 120 bytes,
+// so the methods the loop nest calls per probe (Card, IsEmpty, Contains,
+// Rank, RankNext, ForEach, ForEachUntil) take pointer receivers: callers
+// hold a *Set into the trie node instead of copying it (docs/KERNELS.md,
+// "Calling convention").
 type Set struct {
 	layout Layout
 	card   int
@@ -144,29 +149,32 @@ func NewBitset(vals []uint32) Set {
 }
 
 // fromBitsetWords wraps raw words (base must be 64-aligned).
-func fromBitsetWords(base uint32, words []uint64) Set {
+func fromBitsetWords(base uint32, words []uint64) (s Set) {
+	s.setBitsetWords(base, words)
+	return s
+}
+
+// setBitsetWords is fromBitsetWords into s, which must be the zero Set.
+func (s *Set) setBitsetWords(base uint32, words []uint64) {
 	// Trim leading/trailing zero words so range reflects actual content.
 	lo := 0
 	for lo < len(words) && words[lo] == 0 {
 		lo++
 	}
 	if lo == len(words) {
-		return Set{}
+		return
 	}
 	hi := len(words)
 	for words[hi-1] == 0 {
 		hi--
 	}
-	words = words[lo:hi]
-	base += uint32(lo * 64)
-	card := 0
-	for _, w := range words {
-		card += bits.OnesCount64(w)
-	}
 	// cum stays nil: intersection results are usually only iterated, and
 	// Rank falls back to a word scan when cum is absent. Stored sets
 	// (NewBitset) build cum eagerly.
-	return Set{layout: Bitset, card: card, base: base, words: words}
+	s.layout, s.base, s.words = Bitset, base+uint32(lo*64), words[lo:hi]
+	for _, w := range s.words {
+		s.card += bits.OnesCount64(w)
+	}
 }
 
 func (s *Set) buildCum() {
@@ -296,15 +304,10 @@ func BuildLayout(vals []uint32, l Layout) Set {
 func (s Set) Layout() Layout { return s.layout }
 
 // Card reports the number of members.
-func (s Set) Card() int { return s.card }
-
-// CardOf reports the number of members through a pointer, so callers that
-// only need the cardinality of a stored Set (e.g. trie node sets read by
-// the execution counters) skip copying the struct.
-func CardOf(s *Set) int { return s.card }
+func (s *Set) Card() int { return s.card }
 
 // IsEmpty reports whether the set has no members.
-func (s Set) IsEmpty() bool { return s.card == 0 }
+func (s *Set) IsEmpty() bool { return s.card == 0 }
 
 // Min returns the smallest member. It panics on the empty set.
 func (s Set) Min() uint32 {
@@ -357,7 +360,7 @@ func (s Set) Max() uint32 {
 }
 
 // Contains reports whether v is a member.
-func (s Set) Contains(v uint32) bool {
+func (s *Set) Contains(v uint32) bool {
 	_, ok := s.Rank(v)
 	return ok
 }
@@ -367,7 +370,7 @@ func (s Set) Contains(v uint32) bool {
 // probe). Uint sets gallop from the hint, making a monotone probe sequence
 // amortized O(1) per probe — the trie-descent fast path of the generated
 // loop nests.
-func (s Set) RankNext(v uint32, hint int) (int, bool) {
+func (s *Set) RankNext(v uint32, hint int) (int, bool) {
 	if s.layout == Uint {
 		if hint < 0 {
 			hint = 0
@@ -379,14 +382,10 @@ func (s Set) RankNext(v uint32, hint int) (int, bool) {
 }
 
 // Rank returns the index of v in sorted order and whether v is a member.
-func (s Set) Rank(v uint32) (int, bool) {
+func (s *Set) Rank(v uint32) (int, bool) {
 	switch s.layout {
 	case Uint:
-		i := sort.Search(len(s.data), func(i int) bool { return s.data[i] >= v })
-		if i < len(s.data) && s.data[i] == v {
-			return i, true
-		}
-		return i, false
+		return slices.BinarySearch(s.data, v)
 	case Bitset:
 		if v < s.base {
 			return 0, false
@@ -416,7 +415,7 @@ func (s Set) Rank(v uint32) (int, bool) {
 		id := v / BlockBits
 		// Binary search the block (blocks are sorted by id), then sum the
 		// cardinalities of the blocks before it.
-		bi := sort.Search(len(s.blocks), func(i int) bool { return s.blocks[i].id >= id })
+		bi := s.searchBlock(id)
 		rank := 0
 		for i := 0; i < bi; i++ {
 			rank += s.blocks[i].card()
@@ -435,23 +434,21 @@ func (s Set) Rank(v uint32) (int, bool) {
 			rank += bits.OnesCount64(b.words[w] & ((1 << bit) - 1))
 			return rank, b.words[w]&(1<<bit) != 0
 		}
-		o16 := uint16(off)
-		k := sort.Search(len(b.sparse), func(k int) bool { return b.sparse[k] >= o16 })
-		rank += k
-		return rank, k < len(b.sparse) && b.sparse[k] == o16
+		k, ok := slices.BinarySearch(b.sparse, uint16(off))
+		return rank + k, ok
 	}
 	return 0, false
 }
 
 // containsOnly is Contains without rank computation (fast membership for
 // Composite, where rank needs a prefix scan).
-func (s Set) containsOnly(v uint32) bool {
+func (s *Set) containsOnly(v uint32) bool {
 	if s.layout != Composite {
 		_, ok := s.Rank(v)
 		return ok
 	}
 	id := v / BlockBits
-	bi := sort.Search(len(s.blocks), func(i int) bool { return s.blocks[i].id >= id })
+	bi := s.searchBlock(id)
 	if bi == len(s.blocks) || s.blocks[bi].id != id {
 		return false
 	}
@@ -460,19 +457,35 @@ func (s Set) containsOnly(v uint32) bool {
 	if b.dense {
 		return b.words[off/64]&(1<<(off%64)) != 0
 	}
-	o16 := uint16(off)
-	k := sort.Search(len(b.sparse), func(k int) bool { return b.sparse[k] >= o16 })
-	return k < len(b.sparse) && b.sparse[k] == o16
+	_, ok := slices.BinarySearch(b.sparse, uint16(off))
+	return ok
+}
+
+// searchBlock returns the index of the first block with an id >= id
+// (len(s.blocks) if none): slices.BinarySearch over the block ids, and
+// like it — unlike sort.Search — without a closure call per step on the
+// probe path (preDescend, trie.Node.Child, bitset-side probes).
+func (s *Set) searchBlock(id uint32) int {
+	lo, hi := 0, len(s.blocks)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if s.blocks[mid].id < id {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // ForEach calls f for each member in increasing order with its rank.
-func (s Set) ForEach(f func(i int, v uint32)) {
+func (s *Set) ForEach(f func(i int, v uint32)) {
 	s.ForEachUntil(func(i int, v uint32) bool { f(i, v); return true })
 }
 
 // ForEachUntil calls f for each member in increasing order with its rank,
 // stopping early if f returns false.
-func (s Set) ForEachUntil(f func(i int, v uint32) bool) {
+func (s *Set) ForEachUntil(f func(i int, v uint32) bool) {
 	switch s.layout {
 	case Uint:
 		for i, v := range s.data {

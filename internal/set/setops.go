@@ -3,7 +3,7 @@ package set
 import "math/bits"
 
 // Union, Difference and Merge3 implementations behind the Kernel
-// interface (kernel.go). Dense pairs run word-parallel (OR / ANDNOT);
+// methods (kernel.go). Dense pairs run word-parallel (OR / ANDNOT);
 // mixed pairs merge decoded streams.
 
 func unionSets(a, b Set) Set {
