@@ -12,8 +12,8 @@
 //
 // Every request is traced through its lifecycle phases; /metrics serves
 // latency histograms, /debug/queries lists recent traces, and
-// -slow-query-ms enables a structured slow-query log (see
-// docs/OBSERVABILITY.md). -pprof-addr serves net/http/pprof on a
+// -slow-query-ms adds slow_query events to the structured event log
+// (-event-log; see docs/OBSERVABILITY.md). -pprof-addr serves net/http/pprof on a
 // separate listener, off by default.
 //
 // Usage:
@@ -36,7 +36,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net"
 	"net/http"
@@ -80,33 +79,18 @@ func main() {
 	retryAfter := flag.Duration("retry-after", 0, "Retry-After hint on 503 shed/degraded responses (0 = default 1s)")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this separate listener (e.g. 127.0.0.1:6060; empty = disabled)")
 	slowQueryMS := flag.Int("slow-query-ms", 0, "log requests slower than this many milliseconds as slow_query events (0 = disabled)")
-	slowQueryLog := flag.String("slow-query-log", "", "slow-query log file, appended (default stderr); superseded by -event-log")
-	eventLog := flag.String("event-log", "", "unified structured event log file, appended (default: the -slow-query-log file, else stderr)")
+	eventLog := flag.String("event-log", "", "unified structured event log file, appended (default stderr)")
 	eventLogMaxMB := flag.Int("event-log-max-mb", 64, "rotate the event log when it exceeds this many MiB (0 = never)")
 	eventLogKeep := flag.Int("event-log-keep", 3, "rotated event-log files retained")
-	workloadCap := flag.Int("workload-cap", 0, "fingerprints retained in the workload registry (0 = default 256)")
-	noWorkload := flag.Bool("no-workload-stats", false, "disable the workload profiler (per-fingerprint stats, relation heat, default kernel-counter collection)")
-	traceRing := flag.Int("trace-ring", 0, "completed request traces retained for /debug/queries (0 = default 128)")
-	provRing := flag.Int("prov-ring", 0, "provenance records retained for /debug/provenance (0 = default 256)")
 	auditFraction := flag.Float64("audit-fraction", 0, "fraction of cached serves re-executed and compared by the background result-cache auditor (0 disables; POST /debug/audit sweeps on demand)")
-	noProvenance := flag.Bool("no-provenance", false, "disable determination-provenance recording (/debug/provenance, result lineage)")
 	flag.Parse()
 
 	eng := core.New()
 	eng.Opts.Timeout = *timeout
 
-	var slowW io.Writer
-	if *slowQueryMS > 0 && *slowQueryLog != "" {
-		f, err := os.OpenFile(*slowQueryLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			fatal(fmt.Errorf("slow-query log %s: %w", *slowQueryLog, err))
-		}
-		defer f.Close()
-		slowW = f
-	}
 	// The unified event log: -event-log gets a size-rotated file; without
-	// it, events share the slow-query writer (or stderr), unrotated.
-	var events *obs.EventLog
+	// it, events go to stderr, unrotated.
+	events := obs.NewEventLog(os.Stderr)
 	if *eventLog != "" {
 		el, err := obs.OpenEventLog(*eventLog, int64(*eventLogMaxMB)<<20, *eventLogKeep)
 		if err != nil {
@@ -114,10 +98,6 @@ func main() {
 		}
 		defer el.Close()
 		events = el
-	} else if slowW != nil {
-		events = obs.NewEventLog(slowW)
-	} else {
-		events = obs.NewEventLog(os.Stderr)
 	}
 
 	// The server and its listener come up before the data loads: /healthz
@@ -126,25 +106,19 @@ func main() {
 	// or WAL replay runs, so orchestrators can distinguish a slow boot
 	// from a dead process.
 	s := server.New(eng, server.Config{
-		Workers:              *workers,
-		QueueDepth:           *queue,
-		QueueWait:            *queueWait,
-		PlanCacheSize:        *planCache,
-		ResultCacheSize:      *resultCache,
-		DataDir:              *dataDir,
-		TraceRing:            *traceRing,
-		SlowQueryThreshold:   time.Duration(*slowQueryMS) * time.Millisecond,
-		SlowQueryLog:         slowW,
-		QueryDeadline:        *queryDeadline,
-		RetryAfter:           *retryAfter,
-		BreakerThreshold:     *breakerThreshold,
-		BreakerProbe:         *breakerProbe,
-		WorkloadCap:          *workloadCap,
-		DisableWorkloadStats: *noWorkload,
-		Events:               events,
-		ProvenanceRing:       *provRing,
-		AuditFraction:        *auditFraction,
-		DisableProvenance:    *noProvenance,
+		Workers:            *workers,
+		QueueDepth:         *queue,
+		QueueWait:          *queueWait,
+		PlanCacheSize:      *planCache,
+		ResultCacheSize:    *resultCache,
+		DataDir:            *dataDir,
+		SlowQueryThreshold: time.Duration(*slowQueryMS) * time.Millisecond,
+		QueryDeadline:      *queryDeadline,
+		RetryAfter:         *retryAfter,
+		BreakerThreshold:   *breakerThreshold,
+		BreakerProbe:       *breakerProbe,
+		Events:             events,
+		AuditFraction:      *auditFraction,
 	})
 	s.SetBootPhase("loading")
 	httpSrv := &http.Server{Addr: *addr, Handler: s.Handler()}

@@ -11,7 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"emptyheaded/internal/quantile"
+	"emptyheaded/internal/obs"
 )
 
 // LoadConfig drives the server load generator: Concurrency workers replay
@@ -214,9 +214,9 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 	}
 	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
 	if n := len(lats); n > 0 {
-		rep.P50 = lats[quantile.Index(n, 0.50)]
-		rep.P95 = lats[quantile.Index(n, 0.95)]
-		rep.P99 = lats[quantile.Index(n, 0.99)]
+		rep.P50 = lats[obs.QuantileIndex(n, 0.50)]
+		rep.P95 = lats[obs.QuantileIndex(n, 0.95)]
+		rep.P99 = lats[obs.QuantileIndex(n, 0.99)]
 		rep.Max = lats[n-1]
 	}
 	if haveStats {

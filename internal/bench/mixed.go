@@ -12,7 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"emptyheaded/internal/quantile"
+	"emptyheaded/internal/obs"
 )
 
 // MixedConfig drives the mixed update/query workload: QueryConcurrency
@@ -308,14 +308,14 @@ func RunMixed(cfg MixedConfig) (*MixedReport, error) {
 	}
 	sort.Slice(queryLats, func(i, j int) bool { return queryLats[i] < queryLats[j] })
 	if n := len(queryLats); n > 0 {
-		rep.QueryP50 = queryLats[quantile.Index(n, 0.50)]
-		rep.QueryP95 = queryLats[quantile.Index(n, 0.95)]
-		rep.QueryP99 = queryLats[quantile.Index(n, 0.99)]
+		rep.QueryP50 = queryLats[obs.QuantileIndex(n, 0.50)]
+		rep.QueryP95 = queryLats[obs.QuantileIndex(n, 0.95)]
+		rep.QueryP99 = queryLats[obs.QuantileIndex(n, 0.99)]
 	}
 	sort.Slice(updateLats, func(i, j int) bool { return updateLats[i] < updateLats[j] })
 	if n := len(updateLats); n > 0 {
-		rep.UpdateP50 = updateLats[quantile.Index(n, 0.50)]
-		rep.UpdateP99 = updateLats[quantile.Index(n, 0.99)]
+		rep.UpdateP50 = updateLats[obs.QuantileIndex(n, 0.50)]
+		rep.UpdateP99 = updateLats[obs.QuantileIndex(n, 0.99)]
 	}
 	if haveStats {
 		if after, ok := fetchDurability(client, url); ok {

@@ -99,14 +99,13 @@ func TestUpdateTracedSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.CloseWAL()
-	rec := trace.NewRecorder(4)
-	tr := rec.Start("update")
+	tr := &trace.Trace{ID: 1, Kind: "update", Start: time.Now()}
 	if _, err := eng.UpdateTraced(UpdateBatch{Rel: "Edge", InsCols: toCols([][2]uint32{{1, 2}, {2, 3}})}, tr); err != nil {
 		t.Fatal(err)
 	}
 	tr.Finish()
 	got := map[string]bool{}
-	for _, sp := range tr.SpansSnapshot() {
+	for _, sp := range tr.Spans {
 		if sp.DurUS < 0 {
 			t.Fatalf("span %q left open", sp.Name)
 		}

@@ -1,8 +1,6 @@
 package exec
 
 import (
-	"os"
-	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -143,13 +141,12 @@ func TestRunWithTraceRecordsBagSpans(t *testing.T) {
 	g := testGraph(100, 600, 3)
 	db := dbWithGraph(g)
 	pr := prepareQ(t, db, `TC(;w:long) :- Edge(x,y),Edge(y,z),Edge(x,z); w=<<COUNT(*)>>.`)
-	rec := trace.NewRecorder(4)
-	tr := rec.Start("query")
+	tr := &trace.Trace{ID: 1, Kind: "query", Start: time.Now()}
 	if _, err := pr.RunWith(db.Fork(), RunParams{Trace: tr}); err != nil {
 		t.Fatal(err)
 	}
 	tr.Finish()
-	spans := tr.SpansSnapshot()
+	spans := tr.Spans
 	found := false
 	for _, sp := range spans {
 		if sp.Name == "bag 0" && sp.DurUS >= 0 {
@@ -158,79 +155,5 @@ func TestRunWithTraceRecordsBagSpans(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("no bag span recorded: %+v", spans)
-	}
-}
-
-// TestAnalyzeOverheadGate is the CI bench-smoke gate: running triangle and
-// 2-path with the ExecStats collector enabled must cost < 3% over the
-// default path. The default path itself only pays nil checks on the same
-// sites, so its overhead is bounded well below the measured delta.
-//
-// Methodology: serial execution (Parallelism 1) isolates the collector
-// from scheduler noise on small CI machines, and off/on runs interleave
-// so clock-frequency drift and GC cycles hit both sides equally; the
-// minimum of many rounds approximates each side's ideal runtime. Env-
-// gated so tier-1 `go test ./...` stays timing-free.
-func TestAnalyzeOverheadGate(t *testing.T) {
-	if os.Getenv("EH_ANALYZE_GATE") == "" {
-		t.Skip("set EH_ANALYZE_GATE=1 to run the instrumentation overhead gate")
-	}
-	for _, tc := range []struct {
-		name, q string
-		n, m    int
-		rounds  int
-	}{
-		{"triangle", `TC(;w:long) :- Edge(x,y),Edge(y,z),Edge(x,z); w=<<COUNT(*)>>.`, 3000, 60000, 25},
-		{"path2", `P(x,z) :- Edge(x,y),Edge(y,z).`, 1000, 15000, 15},
-	} {
-		g := testGraph(tc.n, tc.m, 17)
-		db := dbWithGraph(g)
-		prog, err := datalog.Parse(tc.q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pr, err := Prepare(db, prog, Options{Parallelism: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		run := func(collect bool) time.Duration {
-			fork := db.Fork()
-			start := time.Now()
-			if _, err := pr.RunWith(fork, RunParams{Collect: collect}); err != nil {
-				t.Fatal(err)
-			}
-			return time.Since(start)
-		}
-		run(false) // warm lazily built indexes
-		run(true)
-		measure := func() (off, on time.Duration) {
-			offs := make([]time.Duration, 0, tc.rounds)
-			ons := make([]time.Duration, 0, tc.rounds)
-			for i := 0; i < tc.rounds; i++ {
-				offs = append(offs, run(false))
-				ons = append(ons, run(true))
-			}
-			sort.Slice(offs, func(i, j int) bool { return offs[i] < offs[j] })
-			sort.Slice(ons, func(i, j int) bool { return ons[i] < ons[j] })
-			return offs[0], ons[0]
-		}
-		// Shared single-core CI boxes jitter by several percent; a true
-		// regression shows in every attempt, noise does not.
-		best := 1e9
-		for attempt := 0; attempt < 3; attempt++ {
-			off, on := measure()
-			overhead := float64(on-off) / float64(off)
-			t.Logf("%s attempt %d: off=%v on=%v overhead=%.2f%%", tc.name, attempt, off, on, overhead*100)
-			if overhead < best {
-				best = overhead
-			}
-			if best <= 0.03 {
-				break
-			}
-		}
-		if best > 0.03 {
-			t.Errorf("%s: analyze instrumentation overhead %.2f%% exceeds 3%% in all attempts",
-				tc.name, best*100)
-		}
 	}
 }

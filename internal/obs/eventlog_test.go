@@ -9,6 +9,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"emptyheaded/internal/exec"
 )
 
 func TestEventLogEnvelope(t *testing.T) {
@@ -262,13 +264,19 @@ func TestEventLogNilSafe(t *testing.T) {
 
 func TestRelHeatSnapshot(t *testing.T) {
 	h := NewRelHeat()
-	h.NoteRead("Edge", false)
-	h.NoteRead("Edge", true)
-	h.NoteLevel("Edge", 0, 10, 5, 1, 3)
-	h.NoteLevel("Edge", 1, 20, 8, 2, 0)
-	h.NoteLevel("Edge", 1, 5, 1, 0, 1)
-	h.NoteUpdate("Edge", 3, 24)
-	h.NoteRead("Tri", false)
+	h.Observe(&Request{
+		Reads: []RelRead{{Rel: "Edge"}},
+		Levels: []exec.RelLevelStat{
+			{Rel: "Edge", Col: 0, Probes: 10, Intersections: 5, Skipped: 1, WordParallel: 3},
+			{Rel: "Edge", Col: 1, Probes: 20, Intersections: 8, Skipped: 2},
+		},
+	})
+	h.Observe(&Request{
+		Reads:  []RelRead{{Rel: "Edge", Overlay: true}, {Rel: "Tri"}},
+		Levels: []exec.RelLevelStat{{Rel: "Edge", Col: 1, Probes: 5, Intersections: 1, WordParallel: 1}},
+	})
+	h.Observe(&Request{UpdateRel: "Edge", UpdateRows: 3, UpdateBytes: 24})
+	h.Observe(&Request{}) // read nothing, updated nothing: no row
 
 	snap := h.Snapshot()
 	if len(snap) != 2 {
@@ -295,14 +303,6 @@ func TestRelHeatSnapshot(t *testing.T) {
 	}
 	if snap[1].Relation != "Tri" || snap[1].Reads != 1 || snap[1].LastUpdate != "" {
 		t.Fatalf("second relation: %+v", snap[1])
-	}
-
-	var nilHeat *RelHeat
-	nilHeat.NoteRead("X", false)
-	nilHeat.NoteLevel("X", 0, 1, 1, 1, 1)
-	nilHeat.NoteUpdate("X", 1, 1)
-	if s := nilHeat.Snapshot(); s != nil {
-		t.Fatalf("nil heat snapshot: %v", s)
 	}
 }
 

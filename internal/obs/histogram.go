@@ -1,9 +1,9 @@
-// Package metrics provides the hand-rolled measurement primitives the
-// server exposes over /metrics: fixed-bucket latency histograms in the
-// Prometheus cumulative style. The stdlib-only constraint rules out the
-// official client library; the exposition format (text version 0.0.4) is
-// small enough to render by hand.
-package metrics
+package obs
+
+// Fixed-bucket latency histograms in the Prometheus cumulative style,
+// as the server exposes them over /metrics. The stdlib-only constraint
+// rules out the official client library; the exposition format (text
+// version 0.0.4) is small enough to render by hand.
 
 import (
 	"fmt"
@@ -44,11 +44,11 @@ type Histogram struct {
 // (seconds). The bounds slice is not copied and must not be mutated.
 func NewHistogram(bounds []float64) *Histogram {
 	if len(bounds) == 0 {
-		panic("metrics: histogram needs at least one bucket bound")
+		panic("obs: histogram needs at least one bucket bound")
 	}
 	for i := 1; i < len(bounds); i++ {
 		if bounds[i] <= bounds[i-1] {
-			panic("metrics: histogram bounds must be strictly ascending")
+			panic("obs: histogram bounds must be strictly ascending")
 		}
 	}
 	return &Histogram{bounds: bounds, counts: make([]atomic.Uint64, len(bounds)+1)}
@@ -72,18 +72,10 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.total.Add(1)
 }
 
-// ObserveSeconds records one observation given in seconds.
-func (h *Histogram) ObserveSeconds(s float64) {
-	if h == nil {
-		return
-	}
-	h.Observe(time.Duration(s * float64(time.Second)))
-}
-
-// Snapshot is a consistent-enough copy of a histogram for rendering and
-// JSON stats. Counts are per-bucket (non-cumulative), with the final
-// entry counting observations above the last bound (+Inf bucket).
-type Snapshot struct {
+// HistogramSnapshot is a consistent-enough copy of a histogram for
+// rendering and JSON stats. Counts are per-bucket (non-cumulative), with
+// the final entry counting observations above the last bound (+Inf bucket).
+type HistogramSnapshot struct {
 	Bounds     []float64 `json:"bounds_s,omitempty"`
 	Counts     []uint64  `json:"counts,omitempty"`
 	SumSeconds float64   `json:"sum_s"`
@@ -93,11 +85,11 @@ type Snapshot struct {
 // Snapshot copies the current state. Individual loads are atomic but the
 // set is not taken under a lock; concurrent observers can skew a bucket
 // by a count or two, which is fine for monitoring.
-func (h *Histogram) Snapshot() Snapshot {
+func (h *Histogram) Snapshot() HistogramSnapshot {
 	if h == nil {
-		return Snapshot{}
+		return HistogramSnapshot{}
 	}
-	s := Snapshot{
+	s := HistogramSnapshot{
 		Bounds:     h.bounds,
 		Counts:     make([]uint64, len(h.counts)),
 		SumSeconds: float64(h.sumNanos.Load()) / 1e9,
@@ -109,17 +101,11 @@ func (h *Histogram) Snapshot() Snapshot {
 	return s
 }
 
-// WritePromHeader emits the HELP/TYPE preamble for a histogram family.
-// Call once per family, then WriteProm for each labeled series.
-func WritePromHeader(w io.Writer, name, help string) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
-}
-
-// WriteProm renders one series of a histogram family in the Prometheus
-// text format: cumulative `_bucket{le=...}` lines, then `_sum` and
-// `_count`. labels is the inner label list without braces (e.g.
+// WriteProm renders one series of a histogram family (after the
+// caller's HELP/TYPE preamble) in the Prometheus text format: cumulative
+// `_bucket{le=...}` lines, then `_sum` and `_count`. labels is the inner label list without braces (e.g.
 // `phase="execute"`) or "" for an unlabeled series.
-func (s Snapshot) WriteProm(w io.Writer, name, labels string) {
+func (s HistogramSnapshot) WriteProm(w io.Writer, name, labels string) {
 	sep := ""
 	if labels != "" {
 		sep = ","
@@ -129,7 +115,7 @@ func (s Snapshot) WriteProm(w io.Writer, name, labels string) {
 		if i < len(s.Counts) {
 			cum += s.Counts[i]
 		}
-		fmt.Fprintf(w, "%s_bucket{%s%sle=%q} %d\n", name, labels, sep, formatBound(b), cum)
+		fmt.Fprintf(w, "%s_bucket{%s%sle=\"%g\"} %d\n", name, labels, sep, b, cum)
 	}
 	if n := len(s.Bounds); n < len(s.Counts) {
 		cum += s.Counts[n]
@@ -140,8 +126,4 @@ func (s Snapshot) WriteProm(w io.Writer, name, labels string) {
 	} else {
 		fmt.Fprintf(w, "%s_sum{%s} %g\n%s_count{%s} %d\n", name, labels, s.SumSeconds, name, labels, s.Count)
 	}
-}
-
-func formatBound(b float64) string {
-	return fmt.Sprintf("%g", b)
 }

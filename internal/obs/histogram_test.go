@@ -1,4 +1,4 @@
-package metrics
+package obs
 
 import (
 	"strings"
@@ -66,11 +66,9 @@ func TestWriteProm(t *testing.T) {
 	h.Observe(5 * time.Second)
 
 	var sb strings.Builder
-	WritePromHeader(&sb, "test_seconds", "A test histogram.")
 	h.Snapshot().WriteProm(&sb, "test_seconds", "")
 	text := sb.String()
 	for _, want := range []string{
-		"# TYPE test_seconds histogram",
 		`test_seconds_bucket{le="0.001"} 1`,
 		`test_seconds_bucket{le="0.01"} 2`,
 		`test_seconds_bucket{le="+Inf"} 3`,

@@ -1,8 +1,16 @@
-// Package prov implements determination provenance for query results:
-// the minimal lineage a deployment needs to decide whether two results
-// were determined by the same inputs in the same admissible order.
+package obs
+
+import (
+	"fmt"
+	"sort"
+	"time"
+)
+
+// Determination provenance for query results: the minimal lineage a
+// deployment needs to decide whether two results were determined by the
+// same inputs in the same admissible order.
 //
-// A Record captures, for one query execution, the plan fingerprint and
+// A Lineage captures, for one query execution, the plan fingerprint and
 // per-relation lineage triple (mutation epoch, overlay generation, WAL
 // applied-seq watermark). The epoch says *whether* the relation changed,
 // the overlay generation says *how many* streamed batches shaped its
@@ -10,17 +18,11 @@
 // admissible update order* the relation's visible state reflects — the
 // same sequence every replica must agree on (see docs/PROVENANCE.md).
 //
-// The package is deliberately engine-agnostic: the serving layer builds
-// Records at result time, retains them in a Ring keyed by trace id, and
-// feeds pairs to Diff to answer "why did this result change?".
-package prov
-
-import (
-	"fmt"
-	"sort"
-	"sync"
-	"time"
-)
+// Lineage is a property of the output, so it is a field of the request
+// record (Request.Lineage), not a store of its own: the executing
+// request builds it, the result-cache entry keeps it, and every later
+// hit points at the same immutable value. Diff answers "why did this
+// result change?" from two of them.
 
 // RelLineage is one relation's determination lineage at result time.
 type RelLineage struct {
@@ -40,10 +42,11 @@ type RelLineage struct {
 	OverlayRows int `json:"overlay_rows,omitempty"`
 }
 
-// Record is the determination-provenance record of one query result.
-type Record struct {
-	// TraceID links the record to its query-lifecycle trace (and through
-	// it to the workload registry); the Ring indexes on it.
+// Lineage is the determination-provenance record of one query result.
+// Immutable once built: result-cache hits share the fill-time value.
+type Lineage struct {
+	// TraceID is the id of the request record the lineage is read from
+	// (see Request.Provenance for how a cache hit re-labels it).
 	TraceID uint64 `json:"trace_id"`
 	// Fingerprint is the normalized plan fingerprint of the query.
 	Fingerprint string `json:"fingerprint"`
@@ -61,107 +64,6 @@ type Record struct {
 	// Relations is the per-relation lineage of the query's read set,
 	// sorted by relation name.
 	Relations []RelLineage `json:"relations"`
-}
-
-// Clone returns a deep copy of r (rings hand out aliases; consumers that
-// mutate — e.g. to mark a cache hit — copy first).
-func (r *Record) Clone() *Record {
-	if r == nil {
-		return nil
-	}
-	out := *r
-	out.Relations = append([]RelLineage(nil), r.Relations...)
-	return &out
-}
-
-// Ring retains the most recent provenance records in a bounded buffer
-// with O(1) lookup by trace id. All methods are safe for concurrent use
-// and degrade to no-ops on a nil receiver.
-type Ring struct {
-	mu      sync.Mutex
-	buf     []*Record
-	next    int
-	total   uint64
-	byTrace map[uint64]*Record
-}
-
-// NewRing returns a ring retaining the last n records; n <= 0 yields a
-// nil (disabled) ring.
-func NewRing(n int) *Ring {
-	if n <= 0 {
-		return nil
-	}
-	return &Ring{buf: make([]*Record, n), byTrace: make(map[uint64]*Record, n)}
-}
-
-// Add retains rec, evicting the oldest record once the ring is full.
-func (g *Ring) Add(rec *Record) {
-	if g == nil || rec == nil {
-		return
-	}
-	g.mu.Lock()
-	if old := g.buf[g.next]; old != nil && g.byTrace[old.TraceID] == old {
-		delete(g.byTrace, old.TraceID)
-	}
-	g.buf[g.next] = rec
-	if rec.TraceID != 0 {
-		g.byTrace[rec.TraceID] = rec
-	}
-	g.next = (g.next + 1) % len(g.buf)
-	g.total++
-	g.mu.Unlock()
-}
-
-// Get returns the retained record for a trace id.
-func (g *Ring) Get(traceID uint64) (*Record, bool) {
-	if g == nil {
-		return nil, false
-	}
-	g.mu.Lock()
-	rec, ok := g.byTrace[traceID]
-	g.mu.Unlock()
-	return rec, ok
-}
-
-// Recent returns up to max retained records, newest first.
-func (g *Ring) Recent(max int) []*Record {
-	if g == nil || max <= 0 {
-		return nil
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	out := make([]*Record, 0, max)
-	for i := 1; i <= len(g.buf) && len(out) < max; i++ {
-		rec := g.buf[(g.next-i+len(g.buf))%len(g.buf)]
-		if rec == nil {
-			break
-		}
-		out = append(out, rec)
-	}
-	return out
-}
-
-// Stats reports the ring's occupancy.
-type Stats struct {
-	Capacity int    `json:"capacity"`
-	Retained int    `json:"retained"`
-	Total    uint64 `json:"total"`
-}
-
-// StatsSnapshot returns point-in-time occupancy counters.
-func (g *Ring) StatsSnapshot() Stats {
-	if g == nil {
-		return Stats{}
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	retained := 0
-	for _, rec := range g.buf {
-		if rec != nil {
-			retained++
-		}
-	}
-	return Stats{Capacity: len(g.buf), Retained: retained, Total: g.total}
 }
 
 // RelDrift reports one relation whose lineage differs between two
@@ -207,12 +109,12 @@ type DiffReport struct {
 // relations' epochs/watermarks drifted between the executions, with the
 // overlay row delta as the cardinality attribution. Records with
 // different fingerprints are not comparable.
-func Diff(from, to *Record) (*DiffReport, error) {
+func Diff(from, to *Lineage) (*DiffReport, error) {
 	if from == nil || to == nil {
-		return nil, fmt.Errorf("prov: diff needs two records")
+		return nil, fmt.Errorf("obs: diff needs two records")
 	}
 	if from.Fingerprint != to.Fingerprint {
-		return nil, fmt.Errorf("prov: fingerprints differ (%s vs %s); records are not comparable",
+		return nil, fmt.Errorf("obs: fingerprints differ (%s vs %s); records are not comparable",
 			from.Fingerprint, to.Fingerprint)
 	}
 	rep := &DiffReport{

@@ -1,56 +1,12 @@
-package prov
+package obs
 
 import (
 	"fmt"
 	"testing"
 )
 
-func rec(trace uint64, fp string, card int, rels ...RelLineage) *Record {
-	return &Record{TraceID: trace, Fingerprint: fp, Cardinality: card, Relations: rels}
-}
-
-func TestRingAddGetEvict(t *testing.T) {
-	g := NewRing(3)
-	for i := uint64(1); i <= 5; i++ {
-		g.Add(rec(i, "fp", int(i)))
-	}
-	if _, ok := g.Get(1); ok {
-		t.Fatal("trace 1 should have been evicted")
-	}
-	if _, ok := g.Get(2); ok {
-		t.Fatal("trace 2 should have been evicted")
-	}
-	for i := uint64(3); i <= 5; i++ {
-		r, ok := g.Get(i)
-		if !ok || r.TraceID != i {
-			t.Fatalf("trace %d: got %+v, ok=%v", i, r, ok)
-		}
-	}
-	recent := g.Recent(10)
-	if len(recent) != 3 || recent[0].TraceID != 5 || recent[2].TraceID != 3 {
-		t.Fatalf("recent (newest first): %+v", recent)
-	}
-	st := g.StatsSnapshot()
-	if st.Capacity != 3 || st.Retained != 3 || st.Total != 5 {
-		t.Fatalf("stats: %+v", st)
-	}
-}
-
-func TestRingNilSafe(t *testing.T) {
-	var g *Ring
-	g.Add(rec(1, "fp", 1))
-	if _, ok := g.Get(1); ok {
-		t.Fatal("nil ring returned a record")
-	}
-	if g.Recent(5) != nil {
-		t.Fatal("nil ring returned recent records")
-	}
-	if st := g.StatsSnapshot(); st.Capacity != 0 {
-		t.Fatalf("nil ring stats: %+v", st)
-	}
-	if NewRing(0) != nil {
-		t.Fatal("NewRing(0) should be nil (disabled)")
-	}
+func rec(trace uint64, fp string, card int, rels ...RelLineage) *Lineage {
+	return &Lineage{TraceID: trace, Fingerprint: fp, Cardinality: card, Relations: rels}
 }
 
 func TestDiffDetectsDrift(t *testing.T) {
@@ -108,28 +64,6 @@ func TestDiffRejectsMismatchedFingerprints(t *testing.T) {
 	}
 	if _, err := Diff(nil, rec(1, "a", 0)); err == nil {
 		t.Fatal("nil record should error")
-	}
-}
-
-func TestRecordClone(t *testing.T) {
-	r := rec(1, "fp", 2, RelLineage{Relation: "Edge", Epoch: 3})
-	c := r.Clone()
-	c.Relations[0].Epoch = 99
-	c.Cached = true
-	if r.Relations[0].Epoch != 3 || r.Cached {
-		t.Fatalf("clone aliased the original: %+v", r)
-	}
-	if (*Record)(nil).Clone() != nil {
-		t.Fatal("nil clone should be nil")
-	}
-}
-
-func BenchmarkRingAdd(b *testing.B) {
-	g := NewRing(256)
-	rels := []RelLineage{{Relation: "Edge", Epoch: 1, WALSeq: 1}}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		g.Add(&Record{TraceID: uint64(i + 1), Fingerprint: "fp", Relations: rels})
 	}
 }
 

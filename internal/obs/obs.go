@@ -1,15 +1,19 @@
-// Package obs is the workload-statistics subsystem behind the server's
-// /debug/workload, /debug/relations and event-log surfaces: cumulative
-// per-query-fingerprint aggregates (Workload), per-relation heat
-// counters fed from the exec loop nest and the update path (RelHeat),
-// and a unified JSON-lines structured event log (EventLog) that pins
-// one admissible order of the system's state-changing events.
+// Package obs is the serving stack's observability spine. One record
+// (Request) is built per /query, /update or audit request — spans,
+// fingerprint, cache route, outcome, one elapsed time, phase totals,
+// kernel-counter totals and the lineage that determined the result —
+// and one Spine.Finish hands the finished record to consumers that only
+// read it: the id-indexed ring behind /debug/queries, /debug/trace and
+// /debug/provenance, the per-fingerprint workload registry (Workload),
+// the per-relation heat map (RelHeat), the /metrics latency histograms
+// (Histogram), and the unified JSON-lines event log (EventLog), which
+// also pins one admissible order of the system's state-changing events.
 //
-// Everything here is designed for the serving hot path: Workload.Observe
-// is one short mutex hold per finished request (not per tuple), RelHeat
-// uses the same atomic-counter discipline as internal/metrics, and the
-// event log only writes on events (slow queries, WAL rotations,
-// compactions, breaker transitions) — never per request.
+// Everything here is sized for the serving hot path: a finished request
+// costs one ring insert and one short mutex hold per consumer (not per
+// tuple), histogram observations are atomic, and the event log only
+// writes on events (executions, slow queries, WAL rotations,
+// compactions, breaker transitions) — never per cache hit.
 package obs
 
 import (

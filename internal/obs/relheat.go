@@ -3,128 +3,8 @@ package obs
 import (
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 )
-
-// relHeat is one relation's hot counters. Everything is atomic — the
-// exec loop nest attribution and the update path both write here
-// without locks, the same discipline as internal/metrics — except the
-// per-level probe slice, which grows under the owning RelHeat's mutex
-// (growth is rare: only when a query binds a deeper trie level than any
-// before it).
-type relHeat struct {
-	// reads counts query executions that read the relation;
-	// overlayReads the subset served through a delta-overlay merged
-	// view (reads-overlayReads went straight to a compacted base).
-	reads        atomic.Int64
-	overlayReads atomic.Int64
-
-	// Loop-nest attribution: totals across all levels, plus per
-	// original-column counters (participation counts — a level probing
-	// a 3-atom intersection books the level's probes to all three
-	// relations).
-	probes        atomic.Int64
-	intersections atomic.Int64
-	skipped       atomic.Int64
-	// wordParallel counts pairwise kernel dispatches attributed to the
-	// relation that ran a word-parallel dense route (bitset∩bitset or
-	// block∩block) — the adaptive-layout engagement signal per relation.
-	wordParallel atomic.Int64
-
-	mu          sync.Mutex
-	levelProbes []*atomic.Int64 // index = original column of the relation
-
-	// Update-path counters.
-	updateBatches atomic.Int64
-	updateRows    atomic.Int64
-	updateBytes   atomic.Int64
-
-	lastReadUnixNano   atomic.Int64
-	lastUpdateUnixNano atomic.Int64
-}
-
-func (h *relHeat) levelCounter(col int) *atomic.Int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for len(h.levelProbes) <= col {
-		h.levelProbes = append(h.levelProbes, &atomic.Int64{})
-	}
-	return h.levelProbes[col]
-}
-
-// RelHeat maps relation name → heat counters. The map itself is guarded
-// by an RWMutex (reads on the hot path, writes only on first touch of a
-// new relation); the counters inside are atomics.
-type RelHeat struct {
-	mu   sync.RWMutex
-	rels map[string]*relHeat
-}
-
-// NewRelHeat builds an empty heat map.
-func NewRelHeat() *RelHeat {
-	return &RelHeat{rels: map[string]*relHeat{}}
-}
-
-func (m *RelHeat) rel(name string) *relHeat {
-	m.mu.RLock()
-	h, ok := m.rels[name]
-	m.mu.RUnlock()
-	if ok {
-		return h
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if h, ok = m.rels[name]; ok {
-		return h
-	}
-	h = &relHeat{}
-	m.rels[name] = h
-	return h
-}
-
-// NoteRead books one query execution that read the relation; overlay
-// reports whether the read went through a delta-overlay merged view.
-// Nil-safe.
-func (m *RelHeat) NoteRead(name string, overlay bool) {
-	if m == nil {
-		return
-	}
-	h := m.rel(name)
-	h.reads.Add(1)
-	if overlay {
-		h.overlayReads.Add(1)
-	}
-	h.lastReadUnixNano.Store(time.Now().UnixNano())
-}
-
-// NoteLevel attributes one loop-nest level's kernel counters to the
-// relation at the given original column. Nil-safe.
-func (m *RelHeat) NoteLevel(name string, col int, probes, intersections, skipped, wordParallel int64) {
-	if m == nil {
-		return
-	}
-	h := m.rel(name)
-	h.probes.Add(probes)
-	h.intersections.Add(intersections)
-	h.skipped.Add(skipped)
-	h.wordParallel.Add(wordParallel)
-	if col >= 0 {
-		h.levelCounter(col).Add(probes)
-	}
-}
-
-// NoteUpdate books one applied update batch. Nil-safe.
-func (m *RelHeat) NoteUpdate(name string, rows, bytes int64) {
-	if m == nil {
-		return
-	}
-	h := m.rel(name)
-	h.updateBatches.Add(1)
-	h.updateRows.Add(rows)
-	h.updateBytes.Add(bytes)
-	h.lastUpdateUnixNano.Store(time.Now().UnixNano())
-}
 
 // RelationHeat is one relation's JSON row for /debug/relations.
 type RelationHeat struct {
@@ -135,7 +15,9 @@ type RelationHeat struct {
 	Reads               int64   `json:"reads"`
 	OverlayReads        int64   `json:"overlay_reads,omitempty"`
 	OverlayReadFraction float64 `json:"overlay_read_fraction"`
-	// Loop-nest attribution (participation counts across all queries).
+	// Loop-nest attribution (participation counts across all queries: a
+	// level probing a 3-atom intersection books its probes to all three
+	// relations).
 	Probes        int64 `json:"probes,omitempty"`
 	Intersections int64 `json:"intersections,omitempty"`
 	Skipped       int64 `json:"skipped,omitempty"`
@@ -153,53 +35,92 @@ type RelationHeat struct {
 	LastUpdate    string `json:"last_update,omitempty"`
 }
 
-// Snapshot returns every relation's heat row, sorted by name. Nil-safe.
-func (m *RelHeat) Snapshot() []RelationHeat {
-	if m == nil {
-		return nil
+// relHeat is one relation's live row plus the recency stamps Snapshot
+// renders.
+type relHeat struct {
+	RelationHeat
+	lastRead, lastUpdate time.Time
+}
+
+// RelHeat maps relation name → heat counters. One short mutex hold per
+// finished request that read or updated a relation.
+type RelHeat struct {
+	mu   sync.Mutex
+	rels map[string]*relHeat
+}
+
+// NewRelHeat builds an empty heat map.
+func NewRelHeat() *RelHeat {
+	return &RelHeat{rels: map[string]*relHeat{}}
+}
+
+func (m *RelHeat) rel(name string) *relHeat {
+	h, ok := m.rels[name]
+	if !ok {
+		h = &relHeat{RelationHeat: RelationHeat{Relation: name}}
+		m.rels[name] = h
 	}
-	m.mu.RLock()
-	names := make([]string, 0, len(m.rels))
-	for name := range m.rels {
-		names = append(names, name)
+	return h
+}
+
+// Observe books one finished record: each relation of its read set,
+// the loop-nest cells of its execution, and the update batch it applied.
+func (m *RelHeat) Observe(r *Request) {
+	if len(r.Reads) == 0 && len(r.Levels) == 0 && r.UpdateRel == "" {
+		return
 	}
-	m.mu.RUnlock()
-	sort.Strings(names)
-	out := make([]RelationHeat, 0, len(names))
-	for _, name := range names {
-		m.mu.RLock()
-		h := m.rels[name]
-		m.mu.RUnlock()
-		r := RelationHeat{
-			Relation:      name,
-			Reads:         h.reads.Load(),
-			OverlayReads:  h.overlayReads.Load(),
-			Probes:        h.probes.Load(),
-			Intersections: h.intersections.Load(),
-			Skipped:       h.skipped.Load(),
-			WordParallel:  h.wordParallel.Load(),
-			UpdateBatches: h.updateBatches.Load(),
-			UpdateRows:    h.updateRows.Load(),
-			UpdateBytes:   h.updateBytes.Load(),
+	now := time.Now()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, rd := range r.Reads {
+		h := m.rel(rd.Rel)
+		h.Reads++
+		if rd.Overlay {
+			h.OverlayReads++
 		}
+		h.lastRead = now
+	}
+	for _, c := range r.Levels {
+		h := m.rel(c.Rel)
+		h.Probes += c.Probes
+		h.Intersections += c.Intersections
+		h.Skipped += c.Skipped
+		h.WordParallel += c.WordParallel
+		if c.Col >= 0 {
+			for len(h.LevelProbes) <= c.Col {
+				h.LevelProbes = append(h.LevelProbes, 0)
+			}
+			h.LevelProbes[c.Col] += c.Probes
+		}
+	}
+	if r.UpdateRel != "" {
+		h := m.rel(r.UpdateRel)
+		h.UpdateBatches++
+		h.UpdateRows += r.UpdateRows
+		h.UpdateBytes += r.UpdateBytes
+		h.lastUpdate = now
+	}
+}
+
+// Snapshot returns every relation's heat row, sorted by name.
+func (m *RelHeat) Snapshot() []RelationHeat {
+	m.mu.Lock()
+	out := make([]RelationHeat, 0, len(m.rels))
+	for _, h := range m.rels {
+		r := h.RelationHeat
+		r.LevelProbes = append([]int64(nil), h.LevelProbes...)
 		if r.Reads > 0 {
 			r.OverlayReadFraction = float64(r.OverlayReads) / float64(r.Reads)
 		}
-		h.mu.Lock()
-		if len(h.levelProbes) > 0 {
-			r.LevelProbes = make([]int64, len(h.levelProbes))
-			for i, c := range h.levelProbes {
-				r.LevelProbes[i] = c.Load()
-			}
+		if !h.lastRead.IsZero() {
+			r.LastRead = h.lastRead.UTC().Format(time.RFC3339Nano)
 		}
-		h.mu.Unlock()
-		if ns := h.lastReadUnixNano.Load(); ns > 0 {
-			r.LastRead = time.Unix(0, ns).UTC().Format(time.RFC3339Nano)
-		}
-		if ns := h.lastUpdateUnixNano.Load(); ns > 0 {
-			r.LastUpdate = time.Unix(0, ns).UTC().Format(time.RFC3339Nano)
+		if !h.lastUpdate.IsZero() {
+			r.LastUpdate = h.lastUpdate.UTC().Format(time.RFC3339Nano)
 		}
 		out = append(out, r)
 	}
+	m.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].Relation < out[j].Relation })
 	return out
 }

@@ -1,0 +1,124 @@
+package obs
+
+import (
+	"slices"
+	"time"
+
+	"emptyheaded/internal/exec"
+	"emptyheaded/internal/trace"
+)
+
+// QueryPhases are the top-level /query lifecycle spans; each gets its
+// own latency histogram in /metrics and a slot in every phases_us map.
+// (Nested spans — per-bag execution, WAL fsync attribution — live only
+// in the trace itself.)
+var QueryPhases = []string{"admission", "plan", "execute", "render", "cache_fill"}
+
+// Cache routes a finished query can have taken; a record carries
+// exactly one. A request that failed before its plan resolved books as
+// RouteMiss.
+const (
+	RouteResultHit = "result_hit"
+	RoutePlanHit   = "plan_hit"
+	RouteMiss      = "miss"
+)
+
+// RelRead is one relation of a query's read set, classified by whether
+// the read went through a delta-overlay merged view.
+type RelRead struct {
+	Rel     string
+	Overlay bool
+}
+
+// Request is the one observation record of a /query, /update or audit
+// request. The handler creates it (Spine.Start), it is written while the
+// request runs — by exactly the writers named below — and one
+// Spine.Finish fans it out to the consumers, which only read it: the
+// id-indexed ring behind /debug/*, the workload registry, the relation
+// heat map, the /metrics histograms and the event log. After Finish the
+// record is immutable.
+type Request struct {
+	// Trace holds ID, Kind and Start (set by Start), the spans (written
+	// by the handler, exec's loop nest and core's update path), the
+	// trace attributes, Fingerprint and Error (handler), and TotalUS
+	// (Stop).
+	trace.Trace
+
+	// Written by the handler as the request proceeds.
+	Query string // one spelling of the query text ("" for updates)
+	Route string // RouteResultHit / RoutePlanHit / RouteMiss once the plan resolved
+	// Cancelled marks a client disconnect or deadline trip: Error is set,
+	// but the registry books a cancel, not a query failure.
+	Cancelled bool
+	Rows      int64     // response cardinality
+	Reads     []RelRead // the read set of an executed or cache-served query
+	// Loop-nest totals and their per-relation attribution (zero on
+	// cached serves and in the overhead gate's baseline).
+	Intersections, Probes, Skipped int64
+	Levels                         []exec.RelLevelStat
+	// Lineage is what determined the result: built by the executing
+	// request, or — Cached — the fill-time value of the served entry,
+	// shared and never copied. CacheAge is that entry's age at serve.
+	Lineage  *Lineage
+	Cached   bool
+	CacheAge time.Duration
+	// UpdateRel/Rows/Bytes describe one applied /update batch.
+	UpdateRel               string
+	UpdateRows, UpdateBytes int64
+
+	// Written once by Stop: the request's single clock reading and the
+	// per-phase totals folded from the top-level spans (nil when the
+	// request recorded none).
+	Elapsed  time.Duration
+	PhasesUS map[string]int64
+	stopped  bool
+
+	// live is false for the inert records a nil Spine starts (the
+	// overhead gate's baseline): T hands out no trace, Finish drops them.
+	live bool
+}
+
+// T is the trace to thread through admission, exec and core: the
+// record's own, or nil (every trace.Trace method no-ops) when the
+// record is inert.
+func (r *Request) T() *trace.Trace {
+	if !r.live {
+		return nil
+	}
+	return &r.Trace
+}
+
+// Stop reads the request clock — once. The first call fixes Elapsed,
+// TotalUS and PhasesUS; later calls (Finish, after a handler already
+// stamped its response) return the same reading, so the response's
+// elapsed_us, the latency histogram, the registry and the ring agree.
+// Call it only after execution returned: no span writer may be running.
+func (r *Request) Stop() time.Duration {
+	if r.stopped {
+		return r.Elapsed
+	}
+	r.stopped = true
+	r.Elapsed = r.Trace.Finish()
+	for i := range r.Spans {
+		if sp := &r.Spans[i]; slices.Contains(QueryPhases, sp.Name) {
+			if r.PhasesUS == nil {
+				r.PhasesUS = make(map[string]int64, len(QueryPhases))
+			}
+			r.PhasesUS[sp.Name] += sp.DurUS
+		}
+	}
+	return r.Elapsed
+}
+
+// Provenance is the record's lineage in its wire shape: the executing
+// request's own, or, for a result-cache hit, the fill-time lineage —
+// the state that determined the bytes served — under this request's
+// trace id with cached:true. Nil when the request resolved no lineage.
+func (r *Request) Provenance() *Lineage {
+	if r.Lineage == nil || !r.Cached {
+		return r.Lineage
+	}
+	v := *r.Lineage // shallow: Relations stays shared
+	v.TraceID, v.Cached, v.At = r.ID, true, r.Start
+	return &v
+}

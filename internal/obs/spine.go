@@ -1,0 +1,212 @@
+package obs
+
+import (
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"emptyheaded/internal/trace"
+)
+
+// ringSize is how many finished request records /debug/* can still
+// resolve; registryCap bounds the per-fingerprint workload registry.
+const (
+	ringSize    = 256
+	registryCap = 256
+)
+
+// Spine is the observability spine: it starts each request's record,
+// and one Finish hands the finished record to every consumer. The
+// consumers only read the record; nothing upstream re-derives what it
+// already holds.
+//
+// A nil *Spine is the overhead gate's baseline: Start returns an inert
+// record (no id, no trace) and Finish drops it. Nothing else is
+// nil-safe — a server without a spine serves /query and nothing that
+// reads the spine.
+type Spine struct {
+	lastID atomic.Uint64
+	// Ring retains the most recently finished records for /debug/*.
+	Ring *Ring
+
+	// Workload is the per-fingerprint registry behind /debug/workload;
+	// Heat the per-relation counters behind /debug/relations.
+	Workload *Workload
+	Heat     *RelHeat
+
+	// The /metrics histograms. Query, Phases, Update and CacheAge are fed
+	// from finished records; Fsync and Compact by core's observers.
+	Query, Update, CacheAge, Fsync, Compact *Histogram
+	Phases                                  map[string]*Histogram
+
+	events        *EventLog
+	slowThreshold time.Duration
+}
+
+// NewSpine builds the spine. events (nil drops them) receives one
+// query_provenance event per execution and one slow_query event per
+// finished request at or above slowThreshold (0 disables those).
+func NewSpine(events *EventLog, slowThreshold time.Duration) *Spine {
+	s := &Spine{
+		Ring:          newRing(ringSize),
+		Workload:      NewWorkload(registryCap),
+		Heat:          NewRelHeat(),
+		Query:         NewHistogram(LatencyBuckets),
+		Update:        NewHistogram(LatencyBuckets),
+		CacheAge:      NewHistogram(AgeBuckets),
+		Fsync:         NewHistogram(FsyncBuckets),
+		Compact:       NewHistogram(LatencyBuckets),
+		Phases:        make(map[string]*Histogram, len(QueryPhases)),
+		events:        events,
+		slowThreshold: slowThreshold,
+	}
+	for _, p := range QueryPhases {
+		s.Phases[p] = NewHistogram(LatencyBuckets)
+	}
+	return s
+}
+
+// Start opens the record of one request of the given kind ("query",
+// "update", "audit"); query is its text, if it has one. Every started
+// record must be handed to Finish exactly once.
+func (s *Spine) Start(kind, query string) *Request {
+	r := &Request{Query: query, live: s != nil}
+	r.Kind, r.Start = kind, time.Now()
+	if s != nil {
+		r.ID = s.lastID.Add(1)
+		r.Spans = make([]trace.Span, 0, 8)
+	}
+	return r
+}
+
+// Finish stops the record's clock (if the handler has not already) and
+// fans the record out: ring, phase and latency histograms, registry,
+// heat map, event log.
+func (s *Spine) Finish(r *Request) {
+	if s == nil {
+		return
+	}
+	r.Stop()
+	s.Ring.add(r)
+	for name, us := range r.PhasesUS {
+		s.Phases[name].Observe(time.Duration(us) * time.Microsecond)
+	}
+	switch r.Kind {
+	case "query":
+		s.Query.Observe(r.Elapsed)
+		s.Workload.Observe(r)
+	case "update":
+		s.Update.Observe(r.Elapsed)
+	}
+	if r.Cached {
+		s.CacheAge.Observe(r.CacheAge)
+	}
+	s.Heat.Observe(r)
+	// Only executions emit their lineage: a cached serve would repeat
+	// the fill's per hit, and the hit itself is already in the ring.
+	if lin := r.Lineage; lin != nil && !r.Cached {
+		s.events.Emit("query_provenance", r.ID, map[string]any{
+			"fingerprint": lin.Fingerprint,
+			"generation":  lin.Generation,
+			"cardinality": lin.Cardinality,
+			"relations":   lin.Relations,
+		})
+	}
+	if s.slowThreshold > 0 && r.Elapsed >= s.slowThreshold {
+		s.events.Emit("slow_query", r.ID, slowFields(r))
+	}
+}
+
+// slowFields is the slow_query event body; the ts/seq/trace_id envelope
+// is stamped by the event log.
+func slowFields(r *Request) map[string]any {
+	fields := map[string]any{"request": r.Kind, "total_us": r.TotalUS}
+	if r.Fingerprint != "" {
+		fields["fingerprint"] = r.Fingerprint
+	}
+	if len(r.PhasesUS) > 0 {
+		fields["phases_us"] = r.PhasesUS
+	}
+	if len(r.Attrs) > 0 {
+		attrs := make(map[string]string, len(r.Attrs))
+		for _, a := range r.Attrs {
+			attrs[a.Key] = a.Val
+		}
+		fields["attrs"] = attrs
+	}
+	if r.Error != "" {
+		fields["error"] = r.Error
+	}
+	return fields
+}
+
+// RingStats is the record ring's occupancy: slots, slots in use, and
+// records filed since boot.
+type RingStats struct {
+	Capacity int    `json:"capacity"`
+	Retained int    `json:"retained"`
+	Total    uint64 `json:"total"`
+}
+
+// Ring retains the most recently finished records in finish order, with
+// O(1) lookup by id (ids are handed out at Start, so finish order is not
+// id order: a slow request must stay resolvable after faster, younger
+// ones finished around it).
+type Ring struct {
+	mu    sync.Mutex
+	buf   []*Request
+	next  int // buf[next] is the oldest slot
+	total uint64
+	byID  map[uint64]*Request
+}
+
+func newRing(n int) *Ring {
+	return &Ring{buf: make([]*Request, n), byID: make(map[uint64]*Request, n)}
+}
+
+func (g *Ring) add(r *Request) {
+	g.mu.Lock()
+	if old := g.buf[g.next]; old != nil {
+		delete(g.byID, old.ID)
+	}
+	g.buf[g.next] = r
+	g.byID[r.ID] = r
+	g.next = (g.next + 1) % len(g.buf)
+	g.total++
+	g.mu.Unlock()
+}
+
+// Get returns the finished record with the given id while it is retained.
+func (g *Ring) Get(id uint64) (*Request, bool) {
+	g.mu.Lock()
+	r, ok := g.byID[id]
+	g.mu.Unlock()
+	return r, ok
+}
+
+// Recent returns up to max records, newest first (max <= 0: every
+// retained one).
+func (g *Ring) Recent(max int) []*Request {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	n := g.retained()
+	if max > 0 && max < n {
+		n = max
+	}
+	out := make([]*Request, n)
+	for i := range out {
+		out[i] = g.buf[(g.next-1-i+len(g.buf))%len(g.buf)]
+	}
+	return out
+}
+
+func (g *Ring) retained() int {
+	return int(min(g.total, uint64(len(g.buf))))
+}
+
+// Stats reports the ring's occupancy.
+func (g *Ring) Stats() RingStats {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return RingStats{Capacity: len(g.buf), Retained: g.retained(), Total: g.total}
+}

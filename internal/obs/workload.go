@@ -2,98 +2,26 @@ package obs
 
 import (
 	"container/list"
+	"maps"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
-
-	"emptyheaded/internal/metrics"
-	"emptyheaded/internal/quantile"
 )
 
-// Cache routes a finished query can have taken; every Observe books
-// exactly one.
-const (
-	RouteResultHit = "result_hit"
-	RoutePlanHit   = "plan_hit"
-	RouteMiss      = "miss"
-)
-
-// fpSampleWindow bounds the per-fingerprint exact-quantile sample ring.
+// fpSampleWindow bounds the per-fingerprint exact-quantile window.
 // 256 samples × 8 bytes × the registry capacity bounds the memory
-// (512 KiB at the default 256-entry registry); p50/p99 are computed over
-// the most recent window, matching the endpoint latency windows.
+// (512 KiB at the 256-entry registry); p50/p99 are computed over the
+// most recent window, like the endpoint latency windows.
 const fpSampleWindow = 256
 
-// DefaultWorkloadCap is the default fingerprint-registry capacity.
-const DefaultWorkloadCap = 256
-
-// QueryObs is one finished /query request's contribution to the
-// workload registry: the identity (fingerprint + a sample spelling),
-// the outcome, and the kernel counters when they were collected.
-type QueryObs struct {
-	Fingerprint string
-	Query       string
-	TraceID     uint64
-	Latency     time.Duration
-	// PhasesUS is the request's per-lifecycle-phase breakdown.
-	PhasesUS map[string]int64
-	// Route is how the response was produced: RouteResultHit (served
-	// from the result cache), RoutePlanHit (executed under a cached
-	// plan) or RouteMiss (parsed and compiled from scratch).
-	Route string
-	// Rows is the response cardinality; Intersections/Probes/Skipped
-	// are the run's loop-nest totals (zero on cached serves and when
-	// collection was disabled).
-	Rows          int64
-	Intersections int64
-	Probes        int64
-	Skipped       int64
-	Err           bool
-	Cancelled     bool
-}
-
-// fpStat is one fingerprint's cumulative aggregate. All fields are
-// guarded by the owning Workload's mutex.
+// fpStat is one fingerprint's cumulative aggregate: the wire row, kept
+// up to date except for the fields snapshot derives (averages,
+// quantiles, rendered timestamps). Guarded by the owning Workload's
+// mutex.
 type fpStat struct {
-	fp    string
-	query string
-
-	firstSeen   time.Time
-	lastSeen    time.Time
-	lastTraceID uint64
-
-	count   int64
-	errors  int64
-	cancels int64
-	routes  [3]int64 // result_hit, plan_hit, miss
-
-	totalUS  int64
-	maxUS    int64
-	phasesUS map[string]int64
-
-	rows          int64
-	intersections int64
-	probes        int64
-	skipped       int64
-
-	// hist accumulates the lifetime latency distribution; ring holds the
-	// most recent samples for exact nearest-rank quantiles.
-	hist   *metrics.Histogram
-	ring   []time.Duration
-	idx    int
-	filled bool
-}
-
-func routeIndex(route string) int {
-	switch route {
-	case RouteResultHit:
-		return 0
-	case RoutePlanHit:
-		return 1
-	default:
-		return 2
-	}
+	FingerprintStats
+	firstSeen, lastSeen time.Time
+	window              Window
 }
 
 // Workload is the bounded per-fingerprint registry: an LRU-evicted map
@@ -104,106 +32,85 @@ type Workload struct {
 	capacity int
 	ll       *list.List // front = most recently observed
 	items    map[string]*list.Element
-
-	evictions atomic.Int64
-	observed  atomic.Int64
-	// Global route/outcome counters are atomics so /metrics scrapes read
-	// them without taking the registry mutex.
-	resultHits atomic.Int64
-	planHits   atomic.Int64
-	misses     atomic.Int64
-	errs       atomic.Int64
-	cancels    atomic.Int64
+	totals   WorkloadTotals
 }
 
-// NewWorkload builds a registry holding at most capacity fingerprints
-// (<= 0 selects DefaultWorkloadCap).
+// NewWorkload builds a registry holding at most capacity fingerprints.
 func NewWorkload(capacity int) *Workload {
-	if capacity <= 0 {
-		capacity = DefaultWorkloadCap
-	}
 	return &Workload{capacity: capacity, ll: list.New(), items: map[string]*list.Element{}}
 }
 
-// Observe merges one finished query into its fingerprint's aggregate.
-// Nil-safe: a nil registry (workload stats disabled) drops it.
-func (w *Workload) Observe(q QueryObs) {
-	if w == nil || q.Fingerprint == "" {
+// Observe merges one finished query record into its fingerprint's
+// aggregate. Records that never resolved a fingerprint (parse errors,
+// sheds before the plan lookup) are dropped.
+func (w *Workload) Observe(r *Request) {
+	if r.Fingerprint == "" {
 		return
 	}
-	w.observed.Add(1)
-	switch routeIndex(q.Route) {
-	case 0:
-		w.resultHits.Add(1)
-	case 1:
-		w.planHits.Add(1)
-	default:
-		w.misses.Add(1)
+	route := r.Route
+	if route == "" {
+		route = RouteMiss
 	}
-	if q.Err {
-		w.errs.Add(1)
-	}
-	if q.Cancelled {
-		w.cancels.Add(1)
-	}
+	failed := r.Error != "" && !r.Cancelled
 
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	w.totals.Observed++
+	switch route {
+	case RouteResultHit:
+		w.totals.ResultHits++
+	case RoutePlanHit:
+		w.totals.PlanHits++
+	default:
+		w.totals.Misses++
+	}
 	var st *fpStat
-	if el, ok := w.items[q.Fingerprint]; ok {
+	if el, ok := w.items[r.Fingerprint]; ok {
 		w.ll.MoveToFront(el)
 		st = el.Value.(*fpStat)
 	} else {
-		st = &fpStat{
-			fp:        q.Fingerprint,
-			query:     q.Query,
-			firstSeen: time.Now(),
-			phasesUS:  map[string]int64{},
-			hist:      metrics.NewHistogram(metrics.LatencyBuckets),
-			ring:      make([]time.Duration, fpSampleWindow),
-		}
-		w.items[q.Fingerprint] = w.ll.PushFront(st)
+		st = &fpStat{firstSeen: time.Now(), window: NewWindow(fpSampleWindow)}
+		st.Fingerprint = r.Fingerprint
+		st.Routes = map[string]int64{RouteResultHit: 0, RoutePlanHit: 0, RouteMiss: 0}
+		w.items[r.Fingerprint] = w.ll.PushFront(st)
 		for w.ll.Len() > w.capacity {
 			last := w.ll.Back()
 			w.ll.Remove(last)
-			delete(w.items, last.Value.(*fpStat).fp)
-			w.evictions.Add(1)
+			delete(w.items, last.Value.(*fpStat).Fingerprint)
+			w.totals.Evictions++
 		}
 	}
 	st.lastSeen = time.Now()
-	if q.TraceID != 0 {
-		st.lastTraceID = q.TraceID
+	if r.ID != 0 {
+		st.LastTraceID = r.ID
 	}
-	if st.query == "" {
-		st.query = q.Query
+	if st.Query == "" {
+		st.Query = r.Query
 	}
-	st.count++
-	if q.Err {
-		st.errors++
+	st.Count++
+	if failed {
+		st.Errors++
+		w.totals.Errors++
 	}
-	if q.Cancelled {
-		st.cancels++
+	if r.Cancelled {
+		st.Cancels++
+		w.totals.Cancels++
 	}
-	st.routes[routeIndex(q.Route)]++
-	us := q.Latency.Microseconds()
-	st.totalUS += us
-	if us > st.maxUS {
-		st.maxUS = us
+	st.Routes[route]++
+	us := r.Elapsed.Microseconds()
+	st.TotalUS += us
+	st.MaxUS = max(st.MaxUS, us)
+	for p, v := range r.PhasesUS {
+		if st.PhasesUS == nil {
+			st.PhasesUS = map[string]int64{}
+		}
+		st.PhasesUS[p] += v
 	}
-	for p, v := range q.PhasesUS {
-		st.phasesUS[p] += v
-	}
-	st.rows += q.Rows
-	st.intersections += q.Intersections
-	st.probes += q.Probes
-	st.skipped += q.Skipped
-	st.hist.Observe(q.Latency)
-	st.ring[st.idx] = q.Latency
-	st.idx++
-	if st.idx == len(st.ring) {
-		st.idx = 0
-		st.filled = true
-	}
+	st.Rows += r.Rows
+	st.Intersections += r.Intersections
+	st.Probes += r.Probes
+	st.Skipped += r.Skipped
+	st.window.Add(r.Elapsed)
 }
 
 // FingerprintStats is one registry row, JSON-shaped for /debug/workload.
@@ -217,7 +124,7 @@ type FingerprintStats struct {
 	// Routes breaks Count down by cache route.
 	Routes map[string]int64 `json:"routes"`
 	// Latency aggregates: lifetime total/avg/max, windowed p50/p99
-	// (nearest-rank over the recent sample ring).
+	// (nearest-rank over the recent sample window).
 	TotalUS int64   `json:"total_us"`
 	AvgUS   float64 `json:"avg_us"`
 	P50US   float64 `json:"p50_us"`
@@ -225,8 +132,8 @@ type FingerprintStats struct {
 	MaxUS   int64   `json:"max_us"`
 	// PhasesUS sums the lifecycle-phase breakdowns across runs.
 	PhasesUS map[string]int64 `json:"phases_us,omitempty"`
-	// Cumulative kernel counters (executed runs only: cached serves and
-	// collection-off runs contribute rows but no loop-nest counters).
+	// Cumulative kernel counters (executed runs only: cached serves
+	// contribute rows but no loop-nest counters).
 	Rows          int64  `json:"rows"`
 	Intersections int64  `json:"intersections,omitempty"`
 	Probes        int64  `json:"probes,omitempty"`
@@ -236,47 +143,16 @@ type FingerprintStats struct {
 	LastSeen      string `json:"last_seen"`
 }
 
+// snapshot copies the row out from under the mutex and fills in the
+// derived fields.
 func (st *fpStat) snapshot() FingerprintStats {
-	out := FingerprintStats{
-		Fingerprint: st.fp,
-		Query:       st.query,
-		Count:       st.count,
-		Errors:      st.errors,
-		Cancels:     st.cancels,
-		Routes: map[string]int64{
-			RouteResultHit: st.routes[0],
-			RoutePlanHit:   st.routes[1],
-			RouteMiss:      st.routes[2],
-		},
-		TotalUS:       st.totalUS,
-		MaxUS:         st.maxUS,
-		Rows:          st.rows,
-		Intersections: st.intersections,
-		Probes:        st.probes,
-		Skipped:       st.skipped,
-		LastTraceID:   st.lastTraceID,
-		FirstSeen:     st.firstSeen.UTC().Format(time.RFC3339Nano),
-		LastSeen:      st.lastSeen.UTC().Format(time.RFC3339Nano),
-	}
-	if st.count > 0 {
-		out.AvgUS = float64(st.totalUS) / float64(st.count)
-	}
-	if len(st.phasesUS) > 0 {
-		out.PhasesUS = make(map[string]int64, len(st.phasesUS))
-		for p, v := range st.phasesUS {
-			out.PhasesUS[p] = v
-		}
-	}
-	n := st.idx
-	if st.filled {
-		n = len(st.ring)
-	}
-	if n > 0 {
-		samples := append([]time.Duration(nil), st.ring[:n]...)
-		sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-		out.P50US = float64(samples[quantile.Index(n, 0.50)].Microseconds())
-		out.P99US = float64(samples[quantile.Index(n, 0.99)].Microseconds())
-	}
+	out := st.FingerprintStats
+	out.Routes = maps.Clone(st.Routes)
+	out.PhasesUS = maps.Clone(st.PhasesUS)
+	out.AvgUS = float64(st.TotalUS) / float64(st.Count)
+	out.P50US, out.P99US = st.window.P50P99US()
+	out.FirstSeen = st.firstSeen.UTC().Format(time.RFC3339Nano)
+	out.LastSeen = st.lastSeen.UTC().Format(time.RFC3339Nano)
 	return out
 }
 
@@ -291,9 +167,6 @@ const (
 // key (SortCount by default; ties break by fingerprint so repeated
 // snapshots are stable). k <= 0 returns every retained fingerprint.
 func (w *Workload) TopK(sortKey string, k int) []FingerprintStats {
-	if w == nil {
-		return nil
-	}
 	w.mu.Lock()
 	rows := make([]FingerprintStats, 0, w.ll.Len())
 	for el := w.ll.Front(); el != nil; el = el.Next() {
@@ -322,7 +195,8 @@ func (w *Workload) TopK(sortKey string, k int) []FingerprintStats {
 	return rows
 }
 
-// WorkloadTotals is the registry's global counter snapshot for /metrics.
+// WorkloadTotals is the registry's global counter snapshot for /stats
+// and /metrics.
 type WorkloadTotals struct {
 	Fingerprints int   `json:"fingerprints"`
 	Capacity     int   `json:"capacity"`
@@ -335,24 +209,11 @@ type WorkloadTotals struct {
 	Cancels      int64 `json:"cancels"`
 }
 
-// Totals snapshots the global counters. Nil-safe.
+// Totals snapshots the global counters.
 func (w *Workload) Totals() WorkloadTotals {
-	if w == nil {
-		return WorkloadTotals{}
-	}
 	w.mu.Lock()
-	n := w.ll.Len()
-	capacity := w.capacity
-	w.mu.Unlock()
-	return WorkloadTotals{
-		Fingerprints: n,
-		Capacity:     capacity,
-		Observed:     w.observed.Load(),
-		Evictions:    w.evictions.Load(),
-		ResultHits:   w.resultHits.Load(),
-		PlanHits:     w.planHits.Load(),
-		Misses:       w.misses.Load(),
-		Errors:       w.errs.Load(),
-		Cancels:      w.cancels.Load(),
-	}
+	defer w.mu.Unlock()
+	t := w.totals
+	t.Fingerprints, t.Capacity = w.ll.Len(), w.capacity
+	return t
 }

@@ -7,34 +7,38 @@ import (
 	"testing"
 	"time"
 
-	"emptyheaded/internal/quantile"
+	"emptyheaded/internal/exec"
 )
 
-func obsFor(fp string, latency time.Duration) QueryObs {
-	return QueryObs{
-		Fingerprint:   fp,
+// q builds a finished query record the way the spine hands one to the
+// registry: fingerprint, id and outcome in the trace, the rest beside it.
+func q(fp string, id uint64, latency time.Duration, r *Request) *Request {
+	r.Fingerprint, r.ID, r.Elapsed = fp, id, latency
+	return r
+}
+
+func obsFor(fp string, latency time.Duration) *Request {
+	return q(fp, 7, latency, &Request{
 		Query:         "Q(x) :- " + fp + "(x).",
-		TraceID:       7,
-		Latency:       latency,
 		Route:         RoutePlanHit,
 		Rows:          3,
 		Intersections: 10,
 		Probes:        20,
 		Skipped:       5,
-	}
+	})
 }
 
 func TestWorkloadAggregates(t *testing.T) {
 	w := NewWorkload(8)
-	w.Observe(QueryObs{Fingerprint: "fpA", Query: "A", Latency: 100 * time.Microsecond,
-		Route: RouteMiss, Rows: 10, Probes: 7, TraceID: 1})
-	w.Observe(QueryObs{Fingerprint: "fpA", Latency: 300 * time.Microsecond,
-		Route: RouteResultHit, Rows: 10, TraceID: 2})
-	w.Observe(QueryObs{Fingerprint: "fpA", Latency: 200 * time.Microsecond,
-		Route: RoutePlanHit, Err: true, TraceID: 3})
-	w.Observe(QueryObs{Fingerprint: "fpB", Latency: 50 * time.Microsecond,
-		Route: RouteMiss, Cancelled: true})
-	w.Observe(QueryObs{Fingerprint: ""}) // no fingerprint: dropped
+	w.Observe(q("fpA", 1, 100*time.Microsecond, &Request{Query: "A", Route: RouteMiss, Rows: 10, Probes: 7}))
+	w.Observe(q("fpA", 2, 300*time.Microsecond, &Request{Route: RouteResultHit, Rows: 10}))
+	failed := q("fpA", 3, 200*time.Microsecond, &Request{Route: RoutePlanHit})
+	failed.Error = "boom"
+	w.Observe(failed)
+	cancelled := q("fpB", 0, 50*time.Microsecond, &Request{Route: RouteMiss, Cancelled: true})
+	cancelled.Error = "context canceled"
+	w.Observe(cancelled)
+	w.Observe(&Request{}) // no fingerprint: dropped
 
 	rows := w.TopK(SortCount, 0)
 	if len(rows) != 2 {
@@ -128,7 +132,7 @@ func TestWorkloadQuantiles(t *testing.T) {
 		for i := range latencies {
 			// Deterministic, unsorted spread.
 			latencies[i] = time.Duration((i*7919)%(n*13)+1) * time.Microsecond
-			w.Observe(QueryObs{Fingerprint: "fp", Latency: latencies[i]})
+			w.Observe(q("fp", 0, latencies[i], &Request{}))
 		}
 		window := latencies
 		if n > fpSampleWindow {
@@ -136,8 +140,8 @@ func TestWorkloadQuantiles(t *testing.T) {
 		}
 		sorted := append([]time.Duration(nil), window...)
 		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		wantP50 := float64(sorted[quantile.Index(len(sorted), 0.50)].Microseconds())
-		wantP99 := float64(sorted[quantile.Index(len(sorted), 0.99)].Microseconds())
+		wantP50 := float64(sorted[QuantileIndex(len(sorted), 0.50)].Microseconds())
+		wantP99 := float64(sorted[QuantileIndex(len(sorted), 0.99)].Microseconds())
 
 		rows := w.TopK(SortCount, 1)
 		if len(rows) != 1 {
@@ -152,11 +156,11 @@ func TestWorkloadQuantiles(t *testing.T) {
 
 func TestWorkloadTopKSort(t *testing.T) {
 	w := NewWorkload(8)
-	w.Observe(QueryObs{Fingerprint: "many", Latency: time.Microsecond, Rows: 1})
-	w.Observe(QueryObs{Fingerprint: "many", Latency: time.Microsecond, Rows: 1})
-	w.Observe(QueryObs{Fingerprint: "many", Latency: time.Microsecond, Rows: 1})
-	w.Observe(QueryObs{Fingerprint: "slow", Latency: time.Second, Rows: 2})
-	w.Observe(QueryObs{Fingerprint: "wide", Latency: time.Microsecond, Rows: 1000})
+	w.Observe(q("many", 0, time.Microsecond, &Request{Rows: 1}))
+	w.Observe(q("many", 0, time.Microsecond, &Request{Rows: 1}))
+	w.Observe(q("many", 0, time.Microsecond, &Request{Rows: 1}))
+	w.Observe(q("slow", 0, time.Second, &Request{Rows: 2}))
+	w.Observe(q("wide", 0, time.Microsecond, &Request{Rows: 1000}))
 
 	if rows := w.TopK(SortCount, 1); rows[0].Fingerprint != "many" {
 		t.Fatalf("count sort: %+v", rows[0])
@@ -210,40 +214,29 @@ func TestWorkloadConcurrent(t *testing.T) {
 	}
 }
 
-func TestWorkloadNilSafe(t *testing.T) {
-	var w *Workload
-	w.Observe(obsFor("fp", time.Millisecond))
-	if rows := w.TopK(SortCount, 5); rows != nil {
-		t.Fatalf("nil registry returned rows: %v", rows)
-	}
-	if tot := w.Totals(); tot.Observed != 0 {
-		t.Fatalf("nil registry totals: %+v", tot)
-	}
-}
-
 func BenchmarkWorkloadObserve(b *testing.B) {
 	w := NewWorkload(256)
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
 		for pb.Next() {
-			w.Observe(QueryObs{
-				Fingerprint: fmt.Sprintf("fp%d", i%64),
-				Latency:     time.Duration(i%1000) * time.Microsecond,
-				Route:       RoutePlanHit,
-				Rows:        int64(i % 100),
-			})
+			w.Observe(q(fmt.Sprintf("fp%d", i%64), 0, time.Duration(i%1000)*time.Microsecond,
+				&Request{Route: RoutePlanHit, Rows: int64(i % 100)}))
 			i++
 		}
 	})
 }
 
-func BenchmarkRelHeatNoteLevel(b *testing.B) {
+func BenchmarkRelHeatObserve(b *testing.B) {
 	h := NewRelHeat()
+	r := &Request{
+		Reads:  []RelRead{{Rel: "Edge"}},
+		Levels: []exec.RelLevelStat{{Rel: "Edge", Col: 1, Probes: 100, Intersections: 50, Skipped: 10, WordParallel: 25}},
+	}
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			h.NoteLevel("Edge", 1, 100, 50, 10, 25)
+			h.Observe(r)
 		}
 	})
 }

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"emptyheaded/internal/core"
+	"emptyheaded/internal/obs"
 	"emptyheaded/internal/semiring"
 	"emptyheaded/internal/wal"
 )
@@ -197,7 +198,7 @@ func TestKillAndRestartDurability(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _, err := refSrv.runQuery(context.Background(), &QueryRequest{Query: q, Limit: 10000}, 10000, nil)
+		want, err := refSrv.runQuery(context.Background(), &QueryRequest{Query: q, Limit: 10000}, 10000, nil, &obs.Request{})
 		if err != nil {
 			t.Fatal(err)
 		}

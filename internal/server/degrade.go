@@ -120,7 +120,7 @@ func (b *breaker) close() {
 // "ready" and never need to call this.
 func (s *Server) SetBootPhase(phase string) {
 	s.bootPhase.Store(phase)
-	s.obs.events.Emit("boot_phase", 0, map[string]any{"phase": phase})
+	s.events.Emit("boot_phase", 0, map[string]any{"phase": phase})
 }
 
 // handleReady is /readyz: readiness for load balancers and orchestration.

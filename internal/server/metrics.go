@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strings"
 
-	"emptyheaded/internal/metrics"
 	"emptyheaded/internal/obs"
 )
 
@@ -18,11 +17,20 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	st := s.StatsSnapshot()
 	var sb strings.Builder
 
-	gauge := func(name, help string, v float64) {
-		fmt.Fprintf(&sb, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
+	// header opens a family; gauge and counter are families of one
+	// unlabeled sample (an integer count, or float seconds).
+	header := func(name, kind, help string) {
+		fmt.Fprintf(&sb, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, kind)
 	}
-	counterHeader := func(name, help string) {
-		fmt.Fprintf(&sb, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
+	gaugeHeader := func(name, help string) { header(name, "gauge", help) }
+	counterHeader := func(name, help string) { header(name, "counter", help) }
+	gauge := func(name, help string, v float64) {
+		gaugeHeader(name, help)
+		fmt.Fprintf(&sb, "%s %g\n", name, v)
+	}
+	counter := func(name, help string, v any) {
+		counterHeader(name, help)
+		fmt.Fprintf(&sb, "%s %v\n", name, v)
 	}
 
 	gauge("emptyheaded_uptime_seconds", "Seconds since the server started.", st.UptimeS)
@@ -44,8 +52,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for _, p := range paths {
 		fmt.Fprintf(&sb, "emptyheaded_request_errors_total{endpoint=%q} %d\n", p, st.Endpoints[p].Errors)
 	}
-	fmt.Fprintf(&sb, "# HELP %s Request latency over the recent window, in microseconds.\n# TYPE %s gauge\n",
-		"emptyheaded_request_latency_us", "emptyheaded_request_latency_us")
+	gaugeHeader("emptyheaded_request_latency_us", "Request latency over the recent window, in microseconds.")
 	for _, p := range paths {
 		ep := st.Endpoints[p]
 		fmt.Fprintf(&sb, "emptyheaded_request_latency_us{endpoint=%q,quantile=\"0.5\"} %g\n", p, ep.P50US)
@@ -56,53 +63,37 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	cache := func(prefix string, cs CacheStats) {
 		gauge(prefix+"_size", "Entries currently cached.", float64(cs.Size))
 		gauge(prefix+"_capacity", "Cache capacity.", float64(cs.Capacity))
-		counterHeader(prefix+"_hits_total", "Cache hits.")
-		fmt.Fprintf(&sb, "%s_hits_total %d\n", prefix, cs.Hits)
-		counterHeader(prefix+"_misses_total", "Cache misses.")
-		fmt.Fprintf(&sb, "%s_misses_total %d\n", prefix, cs.Misses)
-		counterHeader(prefix+"_evictions_total", "Cache evictions.")
-		fmt.Fprintf(&sb, "%s_evictions_total %d\n", prefix, cs.Evictions)
+		counter(prefix+"_hits_total", "Cache hits.", cs.Hits)
+		counter(prefix+"_misses_total", "Cache misses.", cs.Misses)
+		counter(prefix+"_evictions_total", "Cache evictions.", cs.Evictions)
 	}
 	cache("emptyheaded_plan_cache", st.PlanCache.CacheStats)
-	counterHeader("emptyheaded_plan_cache_text_hits_total", "Exact-text alias hits that skipped parsing.")
-	fmt.Fprintf(&sb, "emptyheaded_plan_cache_text_hits_total %d\n", st.PlanCache.TextHits)
-	counterHeader("emptyheaded_plan_cache_parses_total", "datalog parses taken on the miss path.")
-	fmt.Fprintf(&sb, "emptyheaded_plan_cache_parses_total %d\n", st.PlanCache.Parses)
-	counterHeader("emptyheaded_plan_cache_recompiles_total", "Epoch-invalidated plan recompilations.")
-	fmt.Fprintf(&sb, "emptyheaded_plan_cache_recompiles_total %d\n", st.PlanCache.Recompiles)
+	counter("emptyheaded_plan_cache_text_hits_total", "Exact-text alias hits that skipped parsing.", st.PlanCache.TextHits)
+	counter("emptyheaded_plan_cache_parses_total", "datalog parses taken on the miss path.", st.PlanCache.Parses)
+	counter("emptyheaded_plan_cache_recompiles_total", "Epoch-invalidated plan recompilations.", st.PlanCache.Recompiles)
 	cache("emptyheaded_result_cache", st.ResultCache)
 
 	// Streaming-update subsystem: WAL, overlays, compaction, replay.
 	d := st.Durability
-	counterHeader("emptyheaded_updates_total", "Streaming update batches applied.")
-	fmt.Fprintf(&sb, "emptyheaded_updates_total %d\n", d.Updates)
-	counterHeader("emptyheaded_update_rows_total", "Inserted + deleted rows across update batches.")
-	fmt.Fprintf(&sb, "emptyheaded_update_rows_total %d\n", d.UpdateRows)
+	counter("emptyheaded_updates_total", "Streaming update batches applied.", d.Updates)
+	counter("emptyheaded_update_rows_total", "Inserted + deleted rows across update batches.", d.UpdateRows)
 	if d.WAL.Enabled {
-		counterHeader("emptyheaded_wal_records_total", "Records appended to the write-ahead log.")
-		fmt.Fprintf(&sb, "emptyheaded_wal_records_total %d\n", d.WAL.Records)
-		counterHeader("emptyheaded_wal_bytes_total", "Payload bytes appended to the write-ahead log.")
-		fmt.Fprintf(&sb, "emptyheaded_wal_bytes_total %d\n", d.WAL.Bytes)
-		counterHeader("emptyheaded_wal_fsyncs_total", "Explicit WAL fsyncs.")
-		fmt.Fprintf(&sb, "emptyheaded_wal_fsyncs_total %d\n", d.WAL.Fsyncs)
-		counterHeader("emptyheaded_wal_fsync_seconds_total", "Total WAL fsync latency in seconds.")
-		fmt.Fprintf(&sb, "emptyheaded_wal_fsync_seconds_total %g\n", float64(d.WAL.FsyncNanos)/1e9)
+		counter("emptyheaded_wal_records_total", "Records appended to the write-ahead log.", d.WAL.Records)
+		counter("emptyheaded_wal_bytes_total", "Payload bytes appended to the write-ahead log.", d.WAL.Bytes)
+		counter("emptyheaded_wal_fsyncs_total", "Explicit WAL fsyncs.", d.WAL.Fsyncs)
+		counter("emptyheaded_wal_fsync_seconds_total", "Total WAL fsync latency in seconds.", float64(d.WAL.FsyncNanos)/1e9)
 		gauge("emptyheaded_wal_segments", "Live WAL segment files.", float64(d.WAL.Segments))
 		gauge("emptyheaded_wal_seq", "Last assigned WAL sequence number.", float64(d.WAL.Seq))
 		gauge("emptyheaded_wal_replay_records", "Records replayed from the WAL on boot.", float64(d.Replay.Records))
 		gauge("emptyheaded_wal_replay_duration_seconds", "WAL replay duration on boot, in seconds.", float64(d.Replay.DurationUS)/1e6)
 	}
-	counterHeader("emptyheaded_compactions_total", "Delta-overlay compactions run.")
-	fmt.Fprintf(&sb, "emptyheaded_compactions_total %d\n", d.Compactions)
-	counterHeader("emptyheaded_compact_seconds_total", "Total compaction wall time in seconds.")
-	fmt.Fprintf(&sb, "emptyheaded_compact_seconds_total %g\n", float64(d.CompactTotalUS)/1e6)
-	fmt.Fprintf(&sb, "# HELP %s Live delta-overlay rows (pending inserts + tombstones) per relation.\n# TYPE %s gauge\n",
-		"emptyheaded_overlay_rows", "emptyheaded_overlay_rows")
+	counter("emptyheaded_compactions_total", "Delta-overlay compactions run.", d.Compactions)
+	counter("emptyheaded_compact_seconds_total", "Total compaction wall time in seconds.", float64(d.CompactTotalUS)/1e6)
+	gaugeHeader("emptyheaded_overlay_rows", "Live delta-overlay rows (pending inserts + tombstones) per relation.")
 	for _, ov := range d.Overlays {
 		fmt.Fprintf(&sb, "emptyheaded_overlay_rows{relation=%q} %d\n", ov.Relation, ov.Rows)
 	}
-	fmt.Fprintf(&sb, "# HELP %s Estimated delta-overlay bytes per relation and side (ins/del).\n# TYPE %s gauge\n",
-		"emptyheaded_overlay_bytes", "emptyheaded_overlay_bytes")
+	gaugeHeader("emptyheaded_overlay_bytes", "Estimated delta-overlay bytes per relation and side (ins/del).")
 	for _, ov := range d.Overlays {
 		fmt.Fprintf(&sb, "emptyheaded_overlay_bytes{relation=%q,side=\"ins\"} %d\n", ov.Relation, ov.InsBytes)
 		fmt.Fprintf(&sb, "emptyheaded_overlay_bytes{relation=%q,side=\"del\"} %d\n", ov.Relation, ov.DelBytes)
@@ -110,49 +101,43 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	// Latency histograms. Phase histograms share one family under a
 	// phase label; the rest are unlabeled single-series families.
-	histogram := func(name, help string, h *metrics.Histogram) {
-		metrics.WritePromHeader(&sb, name, help)
+	histogram := func(name, help string, h *obs.Histogram) {
+		header(name, "histogram", help)
 		h.Snapshot().WriteProm(&sb, name, "")
 	}
-	histogram("emptyheaded_query_seconds", "End-to-end /query latency (cached serves included).", s.obs.query)
-	metrics.WritePromHeader(&sb, "emptyheaded_query_phase_seconds", "Per-phase /query latency breakdown.")
-	for _, p := range queryPhases {
-		s.obs.phases[p].Snapshot().WriteProm(&sb, "emptyheaded_query_phase_seconds", fmt.Sprintf("phase=%q", p))
+	histogram("emptyheaded_query_seconds", "End-to-end /query latency (cached serves included).", s.obs.Query)
+	header("emptyheaded_query_phase_seconds", "histogram", "Per-phase /query latency breakdown.")
+	for _, p := range obs.QueryPhases {
+		s.obs.Phases[p].Snapshot().WriteProm(&sb, "emptyheaded_query_phase_seconds", fmt.Sprintf("phase=%q", p))
 	}
-	histogram("emptyheaded_update_seconds", "End-to-end /update latency.", s.obs.update)
-	histogram("emptyheaded_result_cache_age_seconds", "Result-cache entry age at serve time.", s.obs.cacheAge)
+	histogram("emptyheaded_update_seconds", "End-to-end /update latency.", s.obs.Update)
+	histogram("emptyheaded_result_cache_age_seconds", "Result-cache entry age at serve time.", s.obs.CacheAge)
 	if d.WAL.Enabled {
-		histogram("emptyheaded_wal_fsync_seconds", "WAL fsync latency.", s.obs.fsync)
+		histogram("emptyheaded_wal_fsync_seconds", "WAL fsync latency.", s.obs.Fsync)
 	}
-	histogram("emptyheaded_compaction_seconds", "Delta-overlay compaction duration.", s.obs.compact)
+	histogram("emptyheaded_compaction_seconds", "Delta-overlay compaction duration.", s.obs.Compact)
 
 	gauge("emptyheaded_admission_workers", "Worker slots.", float64(st.Admission.Workers))
 	gauge("emptyheaded_admission_queue_depth", "Admission queue capacity.", float64(st.Admission.QueueDepth))
 	gauge("emptyheaded_admission_active", "Queries executing now.", float64(st.Admission.Active))
 	gauge("emptyheaded_admission_queued", "Requests waiting for a worker slot.", float64(st.Admission.Queued))
-	counterHeader("emptyheaded_admission_admitted_total", "Requests admitted to a worker slot.")
-	fmt.Fprintf(&sb, "emptyheaded_admission_admitted_total %d\n", st.Admission.Admitted)
+	counter("emptyheaded_admission_admitted_total", "Requests admitted to a worker slot.", st.Admission.Admitted)
 	counterHeader("emptyheaded_admission_rejected_total", "Requests rejected by the admission controller.")
 	fmt.Fprintf(&sb, "emptyheaded_admission_rejected_total{reason=\"queue_full\"} %d\n", st.Admission.RejectedFull)
 	fmt.Fprintf(&sb, "emptyheaded_admission_rejected_total{reason=\"queue_timeout\"} %d\n", st.Admission.RejectedTimeout)
 
 	// Failure contract: panics survived, clients that hung up, budgets
 	// blown, and the durability breaker behind degraded read-only mode.
-	counterHeader("emptyheaded_recovered_panics_total", "Panics recovered at the request and executor boundaries.")
-	fmt.Fprintf(&sb, "emptyheaded_recovered_panics_total %d\n", s.res.recoveredPanics.Load())
-	counterHeader("emptyheaded_query_cancelled_total", "Queries abandoned by their client before completion.")
-	fmt.Fprintf(&sb, "emptyheaded_query_cancelled_total %d\n", s.res.cancelledClients.Load())
-	counterHeader("emptyheaded_query_deadline_exceeded_total", "Queries stopped by the per-request deadline budget.")
-	fmt.Fprintf(&sb, "emptyheaded_query_deadline_exceeded_total %d\n", s.res.deadlineExceeded.Load())
-	counterHeader("emptyheaded_breaker_trips_total", "Durability circuit-breaker trips into degraded mode.")
-	fmt.Fprintf(&sb, "emptyheaded_breaker_trips_total %d\n", s.brk.trips.Load())
+	counter("emptyheaded_recovered_panics_total", "Panics recovered at the request and executor boundaries.", s.res.recoveredPanics.Load())
+	counter("emptyheaded_query_cancelled_total", "Queries abandoned by their client before completion.", s.res.cancelledClients.Load())
+	counter("emptyheaded_query_deadline_exceeded_total", "Queries stopped by the per-request deadline budget.", s.res.deadlineExceeded.Load())
+	counter("emptyheaded_breaker_trips_total", "Durability circuit-breaker trips into degraded mode.", s.brk.trips.Load())
 	degraded := 0.0
 	if !s.brk.allow() {
 		degraded = 1
 	}
 	gauge("emptyheaded_degraded", "1 while the server is in degraded read-only mode, else 0.", degraded)
-	counterHeader("emptyheaded_degraded_rejected_total", "Writes fast-failed while degraded.")
-	fmt.Fprintf(&sb, "emptyheaded_degraded_rejected_total %d\n", s.res.degradedRejected.Load())
+	counter("emptyheaded_degraded_rejected_total", "Writes fast-failed while degraded.", s.res.degradedRejected.Load())
 
 	// Cache effectiveness as ready-made ratios (hits/(hits+misses); 0
 	// before any lookup), plus the workload profiler's route breakdown.
@@ -162,8 +147,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 		return 0
 	}
-	fmt.Fprintf(&sb, "# HELP %s Cache hit ratio (hits/(hits+misses)) per cache.\n# TYPE %s gauge\n",
-		"emptyheaded_cache_hit_ratio", "emptyheaded_cache_hit_ratio")
+	gaugeHeader("emptyheaded_cache_hit_ratio", "Cache hit ratio (hits/(hits+misses)) per cache.")
 	fmt.Fprintf(&sb, "emptyheaded_cache_hit_ratio{cache=\"plan\"} %g\n", ratio(st.PlanCache.CacheStats))
 	fmt.Fprintf(&sb, "emptyheaded_cache_hit_ratio{cache=\"result\"} %g\n", ratio(st.ResultCache))
 	wl := st.Workload
@@ -172,20 +156,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(&sb, "emptyheaded_query_route_total{route=\"plan_hit\"} %d\n", wl.PlanHits)
 	fmt.Fprintf(&sb, "emptyheaded_query_route_total{route=\"miss\"} %d\n", wl.Misses)
 	gauge("emptyheaded_workload_fingerprints", "Fingerprints retained in the workload registry.", float64(wl.Fingerprints))
-	counterHeader("emptyheaded_workload_observed_total", "Queries merged into the workload registry.")
-	fmt.Fprintf(&sb, "emptyheaded_workload_observed_total %d\n", wl.Observed)
-	counterHeader("emptyheaded_workload_evictions_total", "Fingerprints LRU-evicted from the workload registry.")
-	fmt.Fprintf(&sb, "emptyheaded_workload_evictions_total %d\n", wl.Evictions)
+	counter("emptyheaded_workload_observed_total", "Queries merged into the workload registry.", wl.Observed)
+	counter("emptyheaded_workload_evictions_total", "Fingerprints LRU-evicted from the workload registry.", wl.Evictions)
 	ev := st.Events
-	counterHeader("emptyheaded_events_total", "Events written to the unified event log.")
-	fmt.Fprintf(&sb, "emptyheaded_events_total %d\n", ev.Events)
-	counterHeader("emptyheaded_event_log_rotations_total", "Size-triggered event-log rotations.")
-	fmt.Fprintf(&sb, "emptyheaded_event_log_rotations_total %d\n", ev.Rotations)
-	counterHeader("emptyheaded_event_log_dropped_total", "Events dropped on marshal/write failure.")
-	fmt.Fprintf(&sb, "emptyheaded_event_log_dropped_total %d\n", ev.Dropped)
+	counter("emptyheaded_events_total", "Events written to the unified event log.", ev.Events)
+	counter("emptyheaded_event_log_rotations_total", "Size-triggered event-log rotations.", ev.Rotations)
+	counter("emptyheaded_event_log_dropped_total", "Events dropped on marshal/write failure.", ev.Dropped)
 
 	// Relation heat: which relations the workload actually touches.
-	if heat := s.heat.Snapshot(); len(heat) > 0 {
+	if heat := s.obs.Heat.Snapshot(); len(heat) > 0 {
 		counterHeader("emptyheaded_relation_reads_total", "Query executions reading each relation.")
 		for _, h := range heat {
 			fmt.Fprintf(&sb, "emptyheaded_relation_reads_total{relation=%q} %d\n", h.Relation, h.Reads)
@@ -200,24 +179,16 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// Determination provenance: ring occupancy and the result-cache
-	// self-auditor's counters. eh_audit_mismatch_total is the alerting
-	// signal — any nonzero value means the cache served bytes the current
-	// data no longer determines.
+	// The result-cache self-auditor's counters. eh_audit_mismatch_total is
+	// the alerting signal — any nonzero value means the cache served bytes
+	// the current data no longer determines.
 	pv := st.Provenance
-	gauge("eh_provenance_ring_records", "Provenance records currently retained in the ring.", float64(pv.Ring.Retained))
-	gauge("eh_provenance_ring_capacity", "Provenance ring capacity (0 = provenance disabled).", float64(pv.Ring.Capacity))
-	counterHeader("eh_provenance_records_total", "Provenance records built since boot (executions + cached serves).")
-	fmt.Fprintf(&sb, "eh_provenance_records_total %d\n", pv.Ring.Total)
-	counterHeader("eh_audit_checks_total", "Result-cache audit re-executions (sampled + on-demand sweeps).")
-	fmt.Fprintf(&sb, "eh_audit_checks_total %d\n", pv.Audit.Checks)
-	counterHeader("eh_audit_mismatch_total", "Cache audits whose re-execution disagreed with the served bytes.")
-	fmt.Fprintf(&sb, "eh_audit_mismatch_total %d\n", pv.Audit.Mismatches)
-	counterHeader("eh_audit_evicted_total", "Cache entries evicted by the auditor.")
-	fmt.Fprintf(&sb, "eh_audit_evicted_total %d\n", pv.Audit.Evicted)
+	counter("eh_audit_checks_total", "Result-cache audit re-executions (sampled + on-demand sweeps).", pv.Audit.Checks)
+	counter("eh_audit_mismatch_total", "Cache audits whose re-execution disagreed with the served bytes.", pv.Audit.Mismatches)
+	counter("eh_audit_evicted_total", "Cache entries evicted by the auditor.", pv.Audit.Evicted)
 
 	// Standard build-info gauge: constant 1, metadata in the labels.
-	fmt.Fprintf(&sb, "# HELP eh_build_info Build metadata of the serving binary.\n# TYPE eh_build_info gauge\n")
+	gaugeHeader("eh_build_info", "Build metadata of the serving binary.")
 	sb.WriteString(obs.ReadBuildInfo().PromLine())
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

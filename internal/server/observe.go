@@ -7,125 +7,13 @@ import (
 	"time"
 
 	"emptyheaded/internal/exec"
-	"emptyheaded/internal/metrics"
 	"emptyheaded/internal/obs"
-	"emptyheaded/internal/prov"
 	"emptyheaded/internal/trace"
 )
 
-// queryPhases are the top-level /query lifecycle spans; each gets its
-// own latency histogram in /metrics and a slot in AnalyzeInfo.Phases.
-// (Nested spans — per-bag execution, WAL fsync attribution — live only
-// in the trace itself.)
-var queryPhases = []string{"admission", "plan", "execute", "render", "cache_fill"}
-
-// observability bundles the server's latency histograms and the
-// unified structured event log (which absorbed the PR 6 slow-query
-// log: slow requests are now slow_query events alongside rotations,
-// compactions, breaker transitions and panics, in one sequenced
-// stream). Histograms are fixed-bucket and lock-free on Observe; the
-// event log serializes line writes under its own mutex.
-type observability struct {
-	query    *metrics.Histogram
-	phases   map[string]*metrics.Histogram
-	update   *metrics.Histogram
-	cacheAge *metrics.Histogram
-	fsync    *metrics.Histogram
-	compact  *metrics.Histogram
-
-	slowThreshold time.Duration
-	events        *obs.EventLog
-}
-
-func newObservability(cfg Config) *observability {
-	o := &observability{
-		query:         metrics.NewHistogram(metrics.LatencyBuckets),
-		phases:        make(map[string]*metrics.Histogram, len(queryPhases)),
-		update:        metrics.NewHistogram(metrics.LatencyBuckets),
-		cacheAge:      metrics.NewHistogram(metrics.AgeBuckets),
-		fsync:         metrics.NewHistogram(metrics.FsyncBuckets),
-		compact:       metrics.NewHistogram(metrics.LatencyBuckets),
-		slowThreshold: cfg.SlowQueryThreshold,
-		events:        cfg.Events,
-	}
-	if o.events == nil {
-		// Back-compat: a configured slow-query writer becomes the event
-		// sink, so existing deployments keep their JSON lines (now with
-		// the seq/kind envelope) in the same place.
-		o.events = obs.NewEventLog(cfg.SlowQueryLog)
-	}
-	for _, p := range queryPhases {
-		o.phases[p] = metrics.NewHistogram(metrics.LatencyBuckets)
-	}
-	return o
-}
-
-// phasesOf folds a trace's spans into total microseconds per top-level
-// phase (nested and unknown spans are skipped).
-func phasesOf(tr *trace.Trace) map[string]int64 {
-	if tr == nil {
-		return nil
-	}
-	out := make(map[string]int64, len(queryPhases))
-	for _, sp := range tr.SpansSnapshot() {
-		if sp.DurUS < 0 {
-			continue
-		}
-		for _, p := range queryPhases {
-			if sp.Name == p {
-				out[p] += sp.DurUS
-				break
-			}
-		}
-	}
-	return out
-}
-
-// finishTrace closes the trace, books its phases into the histograms,
-// and emits a slow-query line when the request crossed the threshold.
-func (o *observability) finishTrace(tr *trace.Trace) {
-	if tr == nil {
-		return
-	}
-	tr.Finish()
-	for name, us := range phasesOf(tr) {
-		o.phases[name].Observe(time.Duration(us) * time.Microsecond)
-	}
-	o.maybeLogSlow(tr)
-}
-
-// maybeLogSlow emits a slow_query event for requests that crossed the
-// configured threshold. The fields mirror the PR 6 slow-query line;
-// the ts/seq/trace_id envelope is stamped by the event log.
-func (o *observability) maybeLogSlow(tr *trace.Trace) {
-	if o.slowThreshold <= 0 || tr == nil {
-		return
-	}
-	if time.Duration(tr.TotalUS)*time.Microsecond < o.slowThreshold {
-		return
-	}
-	fields := map[string]any{
-		"request":  tr.Kind,
-		"total_us": tr.TotalUS,
-	}
-	if tr.Fingerprint != "" {
-		fields["fingerprint"] = tr.Fingerprint
-	}
-	if ph := phasesOf(tr); len(ph) > 0 {
-		fields["phases_us"] = ph
-	}
-	if len(tr.Attrs) > 0 {
-		attrs := make(map[string]string, len(tr.Attrs))
-		for _, a := range tr.Attrs {
-			attrs[a.Key] = a.Val
-		}
-		fields["attrs"] = attrs
-	}
-	if tr.Error != "" {
-		fields["error"] = tr.Error
-	}
-	o.events.Emit("slow_query", tr.ID, fields)
-}
+// The debug endpoints in this file, workload.go and provenance.go are
+// views over the finished request records the spine retains
+// (obs.Request; see docs/OBSERVABILITY.md "The request record").
 
 // AnalyzeInfo is the /query "analyze": true payload: the request's
 // phase breakdown plus the live kernel counters and the annotated plan
@@ -149,14 +37,6 @@ type AnalyzeInfo struct {
 	Kernel string `json:"kernel,omitempty"`
 }
 
-// analyzeData carries the execution-side analyze payload out of
-// runQuery (the phase timings are stamped by the handler, which owns
-// the request clock).
-type analyzeData struct {
-	plan string
-	bags []*exec.BagStats
-}
-
 // traceSummary is one row of /debug/queries.
 type traceSummary struct {
 	ID          uint64 `json:"id"`
@@ -168,47 +48,51 @@ type traceSummary struct {
 	Error       string `json:"error,omitempty"`
 }
 
-// handleDebugQueries lists recently completed traces, newest first
+// handleDebugQueries lists recently finished requests, newest first
 // (GET /debug/queries?n=50).
 func (s *Server) handleDebugQueries(w http.ResponseWriter, r *http.Request) {
 	n, _ := strconv.Atoi(r.URL.Query().Get("n"))
-	trs := s.rec.Completed(n)
-	out := make([]traceSummary, 0, len(trs))
-	for _, tr := range trs {
+	recs := s.obs.Ring.Recent(n)
+	out := make([]traceSummary, 0, len(recs))
+	for _, rec := range recs {
 		out = append(out, traceSummary{
-			ID:          tr.ID,
-			Kind:        tr.Kind,
-			Fingerprint: tr.Fingerprint,
-			Start:       tr.Start.UTC().Format(time.RFC3339Nano),
-			TotalUS:     tr.TotalUS,
-			Spans:       len(tr.Spans),
-			Error:       tr.Error,
+			ID:          rec.ID,
+			Kind:        rec.Kind,
+			Fingerprint: rec.Fingerprint,
+			Start:       rec.Start.UTC().Format(time.RFC3339Nano),
+			TotalUS:     rec.TotalUS,
+			Spans:       len(rec.Spans),
+			Error:       rec.Error,
 		})
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"traces": out})
 }
 
-// handleDebugTrace serves one full trace (GET /debug/trace/<id>): every
-// span with offsets, durations and attributes.
-func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
-	idStr := strings.TrimPrefix(r.URL.Path, "/debug/trace/")
+// recordByID resolves a trace id from the URL to its retained record.
+func (s *Server) recordByID(idStr string) (*obs.Request, error) {
 	id, err := strconv.ParseUint(idStr, 10, 64)
 	if err != nil {
-		s.writeErr(w, badRequest("bad trace id %q", idStr))
-		return
+		return nil, badRequest("bad trace id %q", idStr)
 	}
-	tr, ok := s.rec.Get(id)
+	rec, ok := s.obs.Ring.Get(id)
 	if !ok {
-		s.writeErr(w, &httpError{http.StatusNotFound, "trace not retained (ring buffer wrapped or id never finished)"})
+		return nil, &httpError{http.StatusNotFound, "trace " + idStr + " not retained (ring wrapped or id never finished)"}
+	}
+	return rec, nil
+}
+
+// handleDebugTrace serves one full trace (GET /debug/trace/<id>): every
+// span with offsets, durations and attributes, and the lineage when the
+// request resolved one.
+func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
+	rec, err := s.recordByID(strings.TrimPrefix(r.URL.Path, "/debug/trace/"))
+	if err != nil {
+		s.writeErr(w, err)
 		return
 	}
-	// The embedded struct keeps the JSON flat (same shape as before);
-	// the provenance record rides along when the ring still retains one
-	// for this trace.
-	out := struct {
+	// The embedded struct keeps the trace's JSON flat.
+	writeJSON(w, http.StatusOK, struct {
 		*trace.Trace
-		Provenance *prov.Record `json:"provenance,omitempty"`
-	}{Trace: tr}
-	out.Provenance, _ = s.prov.Get(id)
-	writeJSON(w, http.StatusOK, out)
+		Provenance *obs.Lineage `json:"provenance,omitempty"`
+	}{&rec.Trace, rec.Provenance()})
 }

@@ -11,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"emptyheaded/internal/obs"
 )
 
 func TestQueryAnalyzeResponse(t *testing.T) {
@@ -183,15 +185,15 @@ type slowQueryEvent struct {
 
 func TestSlowQueryLog(t *testing.T) {
 	log := &syncWriter{}
-	_, ts := newTestService(t, Config{SlowQueryThreshold: time.Nanosecond, SlowQueryLog: log})
+	_, ts := newTestService(t, Config{SlowQueryThreshold: time.Nanosecond, Events: obs.NewEventLog(log)})
 
 	qr := runQuery(t, ts.URL, triangleQ)
 	out := strings.TrimSpace(log.String())
 	if out == "" {
 		t.Fatal("no slow-query event written")
 	}
-	// The slow-query writer is now the unified event sink; find our
-	// request's slow_query event among whatever else was emitted.
+	// Slow queries land in the unified event log; find our request's
+	// slow_query event among whatever else was emitted.
 	var line slowQueryEvent
 	found := false
 	for _, raw := range strings.Split(out, "\n") {

@@ -4,22 +4,20 @@ import (
 	"context"
 	"math/rand"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
 
-	"emptyheaded/internal/prov"
-	"emptyheaded/internal/trace"
+	"emptyheaded/internal/obs"
 )
 
 // Determination provenance (see docs/PROVENANCE.md): every executed
-// query gets a prov.Record stamping the lineage that determined its
-// result — plan fingerprint, restore generation, and the per-relation
-// (epoch, overlay generation, WAL applied-seq watermark) triple. The
-// records feed three consumers: the /query response (opt-in via
-// "provenance": true), the /debug/provenance ring + /debug/diff
-// why-changed differ, and the result-cache self-auditor below.
+// query's record carries the lineage that determined its result — plan
+// fingerprint, restore generation, and the per-relation (epoch, overlay
+// generation, WAL applied-seq watermark) triple (Server.lineage). It is
+// read in three places: the /query response (opt-in via "provenance":
+// true), the /debug/provenance + /debug/diff views below, and the
+// result-cache self-auditor.
 
 // auditCounters books the self-auditor's lifetime totals.
 type auditCounters struct {
@@ -41,17 +39,18 @@ type AuditStats struct {
 	Errors     int64 `json:"errors"`
 }
 
-// ProvenanceStats is the provenance section of /stats.
+// ProvenanceStats is the provenance section of /stats: the occupancy of
+// the request-record ring the lineage lives in, and the auditor.
 type ProvenanceStats struct {
-	Enabled bool       `json:"enabled"`
-	Ring    prov.Stats `json:"ring"`
-	Audit   AuditStats `json:"audit"`
+	Enabled bool          `json:"enabled"`
+	Ring    obs.RingStats `json:"ring"`
+	Audit   AuditStats    `json:"audit"`
 }
 
 func (s *Server) provenanceStats() ProvenanceStats {
 	return ProvenanceStats{
-		Enabled: s.prov != nil,
-		Ring:    s.prov.StatsSnapshot(),
+		Enabled: true,
+		Ring:    s.obs.Ring.Stats(),
 		Audit: AuditStats{
 			Sampled:    s.audit.sampled.Load(),
 			Checks:     s.audit.checks.Load(),
@@ -60,67 +59,6 @@ func (s *Server) provenanceStats() ProvenanceStats {
 			Errors:     s.audit.errors.Load(),
 		},
 	}
-}
-
-// noteProvenance builds, retains and logs the provenance record of one
-// executed query. relEpochs/dictEpoch are the fork's epochs the
-// execution actually ran against; the overlay/watermark coordinates are
-// read from the engine's live lineage. Returns nil when provenance is
-// disabled.
-func (s *Server) noteProvenance(tr *trace.Trace, fp string, gen uint64, reads []string, relEpochs []uint64, dictEpoch uint64, cardinality int) *prov.Record {
-	if s.prov == nil {
-		return nil
-	}
-	var tid uint64
-	if tr != nil { // internal callers (crash drills) run without a trace
-		tid = tr.ID
-	}
-	lin := s.eng.Lineage(reads)
-	rec := &prov.Record{
-		TraceID:     tid,
-		Fingerprint: fp,
-		Generation:  gen,
-		DictEpoch:   dictEpoch,
-		Cardinality: cardinality,
-		At:          time.Now(),
-		Relations:   make([]prov.RelLineage, len(reads)),
-	}
-	for i, name := range reads {
-		p := lin[name]
-		rec.Relations[i] = prov.RelLineage{
-			Relation:    name,
-			Epoch:       relEpochs[i],
-			OverlayGen:  p.OverlayGen,
-			WALSeq:      p.WALSeq,
-			OverlayRows: p.OverlayRows,
-		}
-	}
-	s.prov.Add(rec)
-	// Only executions emit: cached serves would repeat the same lineage
-	// per hit, and the hit itself is already visible in the trace.
-	s.obs.events.Emit("query_provenance", tid, map[string]any{
-		"fingerprint": fp,
-		"generation":  gen,
-		"cardinality": cardinality,
-		"relations":   rec.Relations,
-	})
-	return rec
-}
-
-// provOnServe records a cached serve: the fill-time record — the state
-// that determined the bytes being served — cloned and re-stamped with
-// this request's trace id and Cached: true, so /debug/trace/<id> and
-// /debug/provenance/<id> resolve for hits too.
-func (s *Server) provOnServe(cr *cachedResult, tr *trace.Trace) *prov.Record {
-	if s.prov == nil || cr.prov == nil || tr == nil {
-		return nil
-	}
-	rec := cr.prov.Clone()
-	rec.TraceID = tr.ID
-	rec.Cached = true
-	rec.At = time.Now()
-	s.prov.Add(rec)
-	return rec
 }
 
 // maybeSampleAudit flips the AuditFraction coin on a cached serve and,
@@ -157,24 +95,24 @@ func (s *Server) maybeSampleAudit(key string) {
 // Returns whether a mismatch was found.
 func (s *Server) auditOne(ctx context.Context, key string, cr *cachedResult) (bool, error) {
 	s.audit.checks.Add(1)
-	tr := s.rec.Start("audit")
-	req := &QueryRequest{Query: cr.query, Limit: cr.limit, NoCache: true, Columns: cr.columns}
-	release, err := s.adm.acquire(ctx)
+	rec := s.obs.Start("audit", cr.query)
+	resp, err := func() (QueryResponse, error) {
+		release, err := s.adm.acquire(ctx)
+		if err != nil {
+			return QueryResponse{}, err
+		}
+		defer release()
+		req := &QueryRequest{Query: cr.query, Limit: cr.limit, NoCache: true, Columns: cr.columns}
+		return s.runQuery(ctx, req, cr.limit, nil, rec)
+	}()
 	if err != nil {
-		tr.SetError(err.Error())
-		s.obs.finishTrace(tr)
+		rec.Error = err.Error()
+	}
+	s.obs.Finish(rec)
+	if err != nil {
 		s.audit.errors.Add(1)
 		return false, err
 	}
-	resp, _, err := s.runQuery(ctx, req, cr.limit, tr)
-	release()
-	if err != nil {
-		tr.SetError(err.Error())
-		s.obs.finishTrace(tr)
-		s.audit.errors.Add(1)
-		return false, err
-	}
-	s.obs.finishTrace(tr)
 	if respContentEqual(&cr.resp, &resp) {
 		return false, nil
 	}
@@ -187,17 +125,13 @@ func (s *Server) auditOne(ctx context.Context, key string, cr *cachedResult) (bo
 		"cached_cardinality": cr.resp.Cardinality,
 		"actual_cardinality": resp.Cardinality,
 	}
-	// Attribute the drift: diff the entry's fill-time record against the
+	// Attribute the drift: diff the entry's fill-time lineage against the
 	// re-execution's (same fingerprint by construction).
-	if cr.prov != nil {
-		if fresh, ok := s.prov.Get(tr.ID); ok {
-			if d, derr := prov.Diff(cr.prov, fresh); derr == nil {
-				fields["cardinality_delta"] = d.CardinalityDelta
-				fields["drifted"] = d.Drifted
-			}
-		}
+	if d, derr := obs.Diff(cr.prov, rec.Lineage); derr == nil {
+		fields["cardinality_delta"] = d.CardinalityDelta
+		fields["drifted"] = d.Drifted
 	}
-	s.obs.events.Emit("audit_mismatch", tr.ID, fields)
+	s.events.Emit("audit_mismatch", rec.ID, fields)
 	return true, nil
 }
 
@@ -247,75 +181,62 @@ func rowsEqual(a, b [][]int64) bool {
 	return true
 }
 
-// handleDebugProvenance serves the ring: /debug/provenance lists recent
-// records (?n=, default 50) with occupancy stats; /debug/provenance/<id>
-// resolves one trace id.
-func (s *Server) handleDebugProvenance(w http.ResponseWriter, r *http.Request) {
-	if s.prov == nil {
-		s.writeErr(w, &httpError{http.StatusNotFound, "provenance disabled"})
-		return
-	}
-	rest := strings.Trim(strings.TrimPrefix(r.URL.Path, "/debug/provenance"), "/")
-	if rest == "" {
-		n := 50
-		if v := r.URL.Query().Get("n"); v != "" {
-			p, err := strconv.Atoi(v)
-			if err != nil || p <= 0 {
-				s.writeErr(w, badRequest("bad n: %q", v))
-				return
-			}
-			n = p
-		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"stats":   s.prov.StatsSnapshot(),
-			"records": s.prov.Recent(n),
-		})
-		return
-	}
-	id, err := strconv.ParseUint(rest, 10, 64)
+// lineageByID resolves a trace id to the wire lineage of its record.
+func (s *Server) lineageByID(idStr string) (*obs.Lineage, error) {
+	rec, err := s.recordByID(idStr)
 	if err != nil {
-		s.writeErr(w, badRequest("bad trace id: %q", rest))
+		return nil, err
+	}
+	lin := rec.Provenance()
+	if lin == nil {
+		return nil, &httpError{http.StatusNotFound, "no provenance record for trace " + idStr}
+	}
+	return lin, nil
+}
+
+// handleDebugProvenance serves the lineage of retained records:
+// /debug/provenance lists the most recent ones (?n=, default 50) with
+// the ring's occupancy; /debug/provenance/<id> resolves one trace id.
+func (s *Server) handleDebugProvenance(w http.ResponseWriter, r *http.Request) {
+	rest := strings.Trim(strings.TrimPrefix(r.URL.Path, "/debug/provenance"), "/")
+	if rest != "" {
+		lin, err := s.lineageByID(rest)
+		if err != nil {
+			s.writeErr(w, err)
+			return
+		}
+		writeJSON(w, http.StatusOK, lin)
 		return
 	}
-	rec, ok := s.prov.Get(id)
-	if !ok {
-		s.writeErr(w, &httpError{http.StatusNotFound, "no provenance record for trace " + rest})
+	n, err := queryN(r, 50)
+	if err != nil {
+		s.writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, rec)
+	records := make([]*obs.Lineage, 0, n)
+	for _, rec := range s.obs.Ring.Recent(0) {
+		if lin := rec.Provenance(); lin != nil && len(records) < n {
+			records = append(records, lin)
+		}
+	}
+	writeJSON(w, http.StatusOK, map[string]any{"stats": s.obs.Ring.Stats(), "records": records})
 }
 
 // handleDebugDiff answers "why did this result change?": given two trace
 // ids of the same fingerprint (?a=&?b=), it reports which relations'
 // lineage drifted between the executions.
 func (s *Server) handleDebugDiff(w http.ResponseWriter, r *http.Request) {
-	if s.prov == nil {
-		s.writeErr(w, &httpError{http.StatusNotFound, "provenance disabled"})
-		return
-	}
-	parse := func(name string) (*prov.Record, error) {
-		v := r.URL.Query().Get(name)
-		id, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			return nil, badRequest("bad %s: %q", name, v)
-		}
-		rec, ok := s.prov.Get(id)
-		if !ok {
-			return nil, &httpError{http.StatusNotFound, "no provenance record for trace " + v}
-		}
-		return rec, nil
-	}
-	from, err := parse("a")
+	from, err := s.lineageByID(r.URL.Query().Get("a"))
 	if err != nil {
 		s.writeErr(w, err)
 		return
 	}
-	to, err := parse("b")
+	to, err := s.lineageByID(r.URL.Query().Get("b"))
 	if err != nil {
 		s.writeErr(w, err)
 		return
 	}
-	d, err := prov.Diff(from, to)
+	d, err := obs.Diff(from, to)
 	if err != nil {
 		s.writeErr(w, badRequest("%v", err))
 		return

@@ -1,23 +1,16 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
-	"os"
-	"sort"
 	"strings"
 	"testing"
 	"time"
 
-	"emptyheaded/internal/core"
 	"emptyheaded/internal/fault"
-	"emptyheaded/internal/gen"
 	"emptyheaded/internal/obs"
-	"emptyheaded/internal/prov"
 )
 
 // queryWithProv posts a /query with the provenance flag set.
@@ -76,8 +69,8 @@ func TestProvenanceInlineAndRing(t *testing.T) {
 
 	// Ring listing: both triangle records plus the path one.
 	var list struct {
-		Stats   prov.Stats     `json:"stats"`
-		Records []*prov.Record `json:"records"`
+		Stats   obs.RingStats  `json:"stats"`
+		Records []*obs.Lineage `json:"records"`
 	}
 	if code := getJSON(t, ts.URL+"/debug/provenance", &list); code != http.StatusOK {
 		t.Fatalf("/debug/provenance: %d", code)
@@ -87,7 +80,7 @@ func TestProvenanceInlineAndRing(t *testing.T) {
 	}
 
 	// Point lookup by trace id, and 404 for an unknown one.
-	var got prov.Record
+	var got obs.Lineage
 	if code := getJSON(t, fmt.Sprintf("%s/debug/provenance/%d", ts.URL, qr1.TraceID), &got); code != http.StatusOK {
 		t.Fatalf("/debug/provenance/<id>: %d", code)
 	}
@@ -102,7 +95,7 @@ func TestProvenanceInlineAndRing(t *testing.T) {
 	// The trace links its provenance record.
 	var trOut struct {
 		ID         uint64       `json:"id"`
-		Provenance *prov.Record `json:"provenance"`
+		Provenance *obs.Lineage `json:"provenance"`
 	}
 	getJSON(t, fmt.Sprintf("%s/debug/trace/%d", ts.URL, qr1.TraceID), &trOut)
 	if trOut.ID != qr1.TraceID || trOut.Provenance == nil || trOut.Provenance.Fingerprint != rec.Fingerprint {
@@ -113,7 +106,7 @@ func TestProvenanceInlineAndRing(t *testing.T) {
 	var wl struct {
 		Fingerprints []struct {
 			Fingerprint string       `json:"fingerprint"`
-			Provenance  *prov.Record `json:"provenance"`
+			Provenance  *obs.Lineage `json:"provenance"`
 		} `json:"fingerprints"`
 	}
 	getJSON(t, ts.URL+"/debug/workload", &wl)
@@ -135,7 +128,7 @@ func TestProvenanceInlineAndRing(t *testing.T) {
 		ResultCache struct {
 			Entries []struct {
 				Key        string       `json:"key"`
-				Provenance *prov.Record `json:"provenance"`
+				Provenance *obs.Lineage `json:"provenance"`
 			} `json:"entries"`
 		} `json:"result_cache"`
 	}
@@ -148,21 +141,6 @@ func TestProvenanceInlineAndRing(t *testing.T) {
 	st := s.StatsSnapshot()
 	if !st.Provenance.Enabled || st.Provenance.Ring.Total < 3 {
 		t.Fatalf("stats provenance: %+v", st.Provenance)
-	}
-}
-
-func TestProvenanceDisabled(t *testing.T) {
-	_, ts := newTestService(t, Config{DisableProvenance: true})
-	qr := queryWithProv(t, ts.URL, triangleQ)
-	if qr.Provenance != nil {
-		t.Fatalf("disabled provenance still attached: %+v", qr.Provenance)
-	}
-	var out map[string]any
-	if code := getJSON(t, ts.URL+"/debug/provenance", &out); code != http.StatusNotFound {
-		t.Fatalf("/debug/provenance while disabled: %d", code)
-	}
-	if code := getJSON(t, ts.URL+"/debug/diff?a=1&b=2", &out); code != http.StatusNotFound {
-		t.Fatalf("/debug/diff while disabled: %d", code)
 	}
 }
 
@@ -185,7 +163,7 @@ func TestProvenanceDiffWhyChanged(t *testing.T) {
 	}
 
 	var out struct {
-		Diff prov.DiffReport `json:"diff"`
+		Diff obs.DiffReport `json:"diff"`
 	}
 	url := fmt.Sprintf("%s/debug/diff?a=%d&b=%d", ts.URL, qr1.TraceID, qr2.TraceID)
 	if code := getJSON(t, url, &out); code != http.StatusOK {
@@ -350,99 +328,5 @@ func TestAuditSamplerRuns(t *testing.T) {
 			t.Fatalf("sampled audit never completed: %+v", st)
 		}
 		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-func benchServeProvenance(b *testing.B, disable bool) {
-	eng := core.New()
-	eng.Opts.Parallelism = 1
-	eng.LoadGraph("Edge", gen.PowerLaw(1000, 15000, 2.1, 17))
-	s := New(eng, Config{Workers: 1, DisableProvenance: disable})
-	defer s.Close()
-	h := s.Handler()
-	body, _ := json.Marshal(QueryRequest{Query: triangleQ, NoCache: true})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		req := httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(body))
-		w := httptest.NewRecorder()
-		h.ServeHTTP(w, req)
-		if w.Code != http.StatusOK {
-			b.Fatalf("status %d: %s", w.Code, w.Body.String())
-		}
-	}
-}
-
-func BenchmarkServeProvenanceOn(b *testing.B)  { benchServeProvenance(b, false) }
-func BenchmarkServeProvenanceOff(b *testing.B) { benchServeProvenance(b, true) }
-
-// TestProvenanceOverheadGate is this PR's CI gate: the serving path with
-// provenance recording on (the default) must cost < 3% over the
-// provenance-off path on triangle + 2-path. Env-gated so tier-1
-// `go test ./...` stays timing-free; methodology mirrors the workload
-// profiler's gate (interleaved runs, min-of-N, best of 5 attempts).
-func TestProvenanceOverheadGate(t *testing.T) {
-	if os.Getenv("EH_PROV_GATE") == "" {
-		t.Skip("set EH_PROV_GATE=1 to run the provenance overhead gate")
-	}
-	for _, tc := range []struct {
-		name, q string
-		rounds  int
-	}{
-		{"triangle", triangleQ, 25},
-		{"path2", pathQ, 15},
-	} {
-		newSrv := func(disable bool) (*Server, http.Handler) {
-			eng := core.New()
-			eng.Opts.Parallelism = 1
-			eng.LoadGraph("Edge", gen.PowerLaw(3000, 60000, 2.1, 17))
-			s := New(eng, Config{Workers: 1, DisableProvenance: disable})
-			return s, s.Handler()
-		}
-		sOn, hOn := newSrv(false)
-		sOff, hOff := newSrv(true)
-		defer sOn.Close()
-		defer sOff.Close()
-		body, _ := json.Marshal(QueryRequest{Query: tc.q, NoCache: true})
-		run := func(h http.Handler) time.Duration {
-			req := httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(body))
-			w := httptest.NewRecorder()
-			start := time.Now()
-			h.ServeHTTP(w, req)
-			d := time.Since(start)
-			if w.Code != http.StatusOK {
-				t.Fatalf("%s: status %d: %s", tc.name, w.Code, w.Body.String())
-			}
-			return d
-		}
-		run(hOff) // warm indexes + plan caches on both sides
-		run(hOn)
-		measure := func() (off, on time.Duration) {
-			offs := make([]time.Duration, 0, tc.rounds)
-			ons := make([]time.Duration, 0, tc.rounds)
-			for i := 0; i < tc.rounds; i++ {
-				offs = append(offs, run(hOff))
-				ons = append(ons, run(hOn))
-			}
-			sort.Slice(offs, func(i, j int) bool { return offs[i] < offs[j] })
-			sort.Slice(ons, func(i, j int) bool { return ons[i] < ons[j] })
-			return offs[0], ons[0]
-		}
-		best := 1e9
-		for attempt := 0; attempt < 5; attempt++ {
-			off, on := measure()
-			overhead := float64(on-off) / float64(off)
-			t.Logf("%s attempt %d: off=%v on=%v overhead=%.2f%%", tc.name, attempt, off, on, overhead*100)
-			if overhead < best {
-				best = overhead
-			}
-			if best <= 0.03 {
-				break
-			}
-		}
-		if best > 0.03 {
-			t.Errorf("%s: provenance overhead %.2f%% exceeds 3%% in all attempts",
-				tc.name, best*100)
-		}
 	}
 }

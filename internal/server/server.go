@@ -40,7 +40,6 @@ import (
 	"emptyheaded/internal/fault"
 	"emptyheaded/internal/graph"
 	"emptyheaded/internal/obs"
-	"emptyheaded/internal/prov"
 	"emptyheaded/internal/semiring"
 	"emptyheaded/internal/set"
 	"emptyheaded/internal/storage"
@@ -72,15 +71,9 @@ type Config struct {
 	// auto-restores from on boot / snapshots to on SIGTERM). Empty means
 	// requests must name a directory explicitly.
 	DataDir string
-	// TraceRing is how many completed query/update traces /debug/queries
-	// retains (default 128).
-	TraceRing int
 	// SlowQueryThreshold: finished requests at or above it are written
-	// to SlowQueryLog as one JSON line each (0 disables the log).
+	// to Events as one slow_query event each (0 disables them).
 	SlowQueryThreshold time.Duration
-	// SlowQueryLog receives the slow-query JSON lines (default
-	// os.Stderr when SlowQueryThreshold is set).
-	SlowQueryLog io.Writer
 	// QueryDeadline bounds one /query request end to end — admission
 	// wait, plan, execute, and render all share the budget — via a
 	// context deadline that trips the loop nest's cooperative stop
@@ -96,34 +89,16 @@ type Config struct {
 	// BreakerProbe paces the tripped breaker's background disk probes
 	// (default 1s).
 	BreakerProbe time.Duration
-	// WorkloadCap bounds the per-fingerprint workload registry (default
-	// obs.DefaultWorkloadCap; least-recently-observed fingerprints
-	// evict).
-	WorkloadCap int
-	// DisableWorkloadStats turns the workload profiler off: no
-	// fingerprint registry, no relation heat, and queries stop
-	// collecting kernel counters by default (Analyze requests still
-	// do). The zero value keeps it on — profiling is the default.
-	DisableWorkloadStats bool
-	// Events is the unified structured event log (slow queries, WAL
-	// rotations, compactions, snapshots, breaker transitions, panics,
-	// boot phases). Nil falls back to wrapping SlowQueryLog when that
-	// is set, else events are dropped.
+	// Events is the unified structured event log (query provenance,
+	// slow queries, WAL rotations, compactions, snapshots, breaker
+	// transitions, panics, boot phases). Nil drops them.
 	Events *obs.EventLog
-	// ProvenanceRing is how many query provenance records
-	// /debug/provenance retains (default 256).
-	ProvenanceRing int
 	// AuditFraction is the probability that one result-cache serve
 	// triggers a background self-audit of the served entry (the entry's
 	// query re-executes uncached and the responses are compared; a
 	// mismatch evicts the entry and emits an audit_mismatch event). 0
 	// disables sampling — POST /debug/audit still sweeps on demand.
 	AuditFraction float64
-	// DisableProvenance turns determination provenance off: no records,
-	// no ring, no query_provenance events. The zero value keeps it on —
-	// provenance is the default (its cost is bounded by the <3% CI
-	// gate); the off switch exists for that gate's baseline.
-	DisableProvenance bool
 }
 
 func (c Config) withDefaults() Config {
@@ -148,12 +123,6 @@ func (c Config) withDefaults() Config {
 	if c.DefaultLimit <= 0 {
 		c.DefaultLimit = 1000
 	}
-	if c.TraceRing <= 0 {
-		c.TraceRing = 128
-	}
-	if c.SlowQueryThreshold > 0 && c.SlowQueryLog == nil {
-		c.SlowQueryLog = os.Stderr
-	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
 	}
@@ -162,9 +131,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BreakerProbe <= 0 {
 		c.BreakerProbe = time.Second
-	}
-	if c.ProvenanceRing <= 0 {
-		c.ProvenanceRing = 256
 	}
 	return c
 }
@@ -179,10 +145,14 @@ type Server struct {
 	adm     *admission
 	start   time.Time
 
-	// rec retains completed request traces for the debug endpoints; obs
-	// owns the latency histograms and the slow-query log.
-	rec *trace.Recorder
-	obs *observability
+	// obs starts every /query, /update and audit request's record and
+	// fans the finished record out to the ring, registry, heat map,
+	// histograms and event log. The overhead gate's baseline nils it (see
+	// obs.Spine). events is the same event log, for the events that
+	// belong to no request (breaker, boot, core's WAL/compaction/snapshot
+	// events, panics).
+	obs    *obs.Spine
+	events *obs.EventLog
 
 	// gen is the database generation: it advances on every /restore.
 	// Result-cache keys embed it because snapshot epochs are adopted
@@ -199,18 +169,7 @@ type Server struct {
 	res       resilience
 	bootPhase atomic.Value
 
-	// workload is the per-fingerprint aggregate registry behind
-	// /debug/workload; heat the per-relation counters behind
-	// /debug/relations. Both nil when Config.DisableWorkloadStats.
-	workload *obs.Workload
-	heat     *obs.RelHeat
-
-	// prov retains recent determination-provenance records (one per
-	// served query: fingerprint + per-relation epoch/overlay/WAL-seq
-	// lineage) for /debug/provenance and /debug/diff; nil when
-	// Config.DisableProvenance. audit holds the result-cache
-	// self-auditor's counters.
-	prov  *prov.Ring
+	// audit holds the result-cache self-auditor's counters.
 	audit auditCounters
 
 	endpoints map[string]*latencyWindow
@@ -235,8 +194,8 @@ func New(eng *core.Engine, cfg Config) *Server {
 		results: newLRUCache(cfg.ResultCacheSize),
 		adm:     newAdmission(cfg.Workers, cfg.QueueDepth, cfg.QueueWait),
 		start:   time.Now(),
-		rec:     trace.NewRecorder(cfg.TraceRing),
-		obs:     newObservability(cfg),
+		obs:     obs.NewSpine(cfg.Events, cfg.SlowQueryThreshold),
+		events:  cfg.Events,
 		endpoints: map[string]*latencyWindow{
 			"/query":     newLatencyWindow(),
 			"/explain":   newLatencyWindow(),
@@ -249,24 +208,17 @@ func New(eng *core.Engine, cfg Config) *Server {
 			"/stats":     newLatencyWindow(),
 		},
 	}
-	if !cfg.DisableWorkloadStats {
-		s.workload = obs.NewWorkload(cfg.WorkloadCap)
-		s.heat = obs.NewRelHeat()
-	}
-	if !cfg.DisableProvenance {
-		s.prov = prov.NewRing(cfg.ProvenanceRing)
-	}
 	s.brk = newBreaker(cfg.BreakerThreshold, cfg.BreakerProbe, eng.ProbeDurability)
 	// Breaker transitions land in the event log as paired breaker +
 	// degraded-mode events.
 	s.brk.notify = func(kind string, fields map[string]any) {
 		switch kind {
 		case "breaker_trip":
-			s.obs.events.Emit(kind, 0, fields)
-			s.obs.events.Emit("degraded_enter", 0, nil)
+			s.events.Emit(kind, 0, fields)
+			s.events.Emit("degraded_enter", 0, nil)
 		case "breaker_recover":
-			s.obs.events.Emit(kind, 0, fields)
-			s.obs.events.Emit("degraded_exit", 0, nil)
+			s.events.Emit(kind, 0, fields)
+			s.events.Emit("degraded_exit", 0, nil)
 		}
 	}
 	// Embedders serve a pre-loaded engine: ready from the start.
@@ -277,9 +229,9 @@ func New(eng *core.Engine, cfg Config) *Server {
 	// events (rotations, compactions, snapshots, replay) into the
 	// unified event log.
 	eng.SetObservers(core.Observers{
-		WALFsync:   s.obs.fsync.Observe,
-		Compaction: s.obs.compact.Observe,
-		Event:      func(kind string, fields map[string]any) { s.obs.events.Emit(kind, 0, fields) },
+		WALFsync:   s.obs.Fsync.Observe,
+		Compaction: s.obs.Compact.Observe,
+		Event:      func(kind string, fields map[string]any) { s.events.Emit(kind, 0, fields) },
 	})
 	return s
 }
@@ -348,7 +300,7 @@ func (s *Server) instrument(path string, h http.HandlerFunc) http.HandlerFunc {
 		defer func() {
 			if v := recover(); v != nil {
 				s.res.recoveredPanics.Add(1)
-				s.obs.events.Emit("panic", 0, map[string]any{
+				s.events.Emit("panic", 0, map[string]any{
 					"endpoint": path, "error": fmt.Sprintf("%v", v),
 				})
 				if !rec.wrote {
@@ -408,7 +360,7 @@ func (s *Server) errStatus(err error) int {
 		return http.StatusGatewayTimeout
 	case errors.Is(err, exec.ErrExecPanic):
 		s.res.recoveredPanics.Add(1)
-		s.obs.events.Emit("panic", 0, map[string]any{
+		s.events.Emit("panic", 0, map[string]any{
 			"boundary": "executor", "error": err.Error(),
 		})
 		return http.StatusInternalServerError
@@ -423,8 +375,8 @@ func (s *Server) writeErr(w http.ResponseWriter, err error) {
 // writeErrTrace renders err with its mapped status; shed responses
 // (503) carry the Retry-After hint that defines the client side of the
 // failure contract, and a non-zero trace ID rides along so a failed
-// request can be pulled from /debug/trace/<id>.
-func (s *Server) writeErrTrace(w http.ResponseWriter, err error, traceID uint64) {
+// request can be pulled from /debug/trace/<id>. Returns the status.
+func (s *Server) writeErrTrace(w http.ResponseWriter, err error, traceID uint64) int {
 	code := s.errStatus(err)
 	if code == http.StatusServiceUnavailable {
 		w.Header().Set("Retry-After", s.retryAfterValue())
@@ -434,6 +386,16 @@ func (s *Server) writeErrTrace(w http.ResponseWriter, err error, traceID uint64)
 		body["trace_id"] = traceID
 	}
 	writeJSON(w, code, body)
+	return code
+}
+
+// fail renders err and books it as the outcome of the request's record.
+// Client disconnects (499) and deadline trips (504) are cancellations,
+// not query failures: the registry counts them apart.
+func (s *Server) fail(w http.ResponseWriter, rec *obs.Request, err error) {
+	rec.Error = err.Error()
+	code := s.writeErrTrace(w, err, rec.ID)
+	rec.Cancelled = code == statusClientClosedRequest || code == http.StatusGatewayTimeout
 }
 
 // retryAfterValue renders the configured Retry-After hint in whole
@@ -474,8 +436,8 @@ type QueryRequest struct {
 	// Provenance attaches the result's determination-provenance record
 	// (fingerprint, generation and per-relation epoch / overlay-gen /
 	// WAL-watermark lineage) to the response. Cached serves return the
-	// fill-time record — the state that determined the bytes served —
-	// re-stamped with this request's trace id and Cached: true.
+	// fill-time lineage — the state that determined the bytes served —
+	// under this request's trace id with Cached: true.
 	Provenance bool `json:"provenance,omitempty"`
 	// Kernel optionally pins the set-kernel configuration for this
 	// request. Results are identical under any kernel — only the dispatch
@@ -534,9 +496,9 @@ type QueryResponse struct {
 	// Analyze carries the EXPLAIN ANALYZE payload when requested.
 	Analyze *AnalyzeInfo `json:"analyze,omitempty"`
 	// Provenance carries the determination-provenance record when
-	// requested (QueryRequest.Provenance; nil when provenance is
-	// disabled). Also retrievable later via /debug/provenance/<trace_id>.
-	Provenance *prov.Record `json:"provenance,omitempty"`
+	// requested (QueryRequest.Provenance). Also retrievable later via
+	// /debug/provenance/<trace_id>.
+	Provenance *obs.Lineage `json:"provenance,omitempty"`
 }
 
 // cachedResult is one result-cache slot. Instead of the retired global
@@ -555,13 +517,13 @@ type cachedResult struct {
 	createdAt time.Time
 	// query/fp/limit/columns reconstruct the request that filled the
 	// entry, so the self-auditor can re-execute it; prov is the
-	// fill-time determination-provenance record (nil when provenance is
-	// disabled). All immutable after construction.
+	// fill-time lineage, which every hit's record points at. All
+	// immutable after construction.
 	query   string
 	fp      string
 	limit   int
 	columns bool
-	prov    *prov.Record
+	prov    *obs.Lineage
 }
 
 // fresh reports whether cr is still valid against db's current epochs.
@@ -605,8 +567,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if limit <= 0 {
 		limit = s.cfg.DefaultLimit
 	}
-	t0 := time.Now()
-	tr := s.rec.Start("query")
+	// The request's one record. Everything below writes into it, and
+	// this deferred Finish — the only one, run on every exit path, panics
+	// included — is all the ring, registry, heat map, histograms and
+	// event log ever see of the request.
+	rec := s.obs.Start("query", req.Query)
+	defer s.obs.Finish(rec)
+	tr := rec.T()
 
 	// The request context cancels on client disconnect; a configured
 	// query deadline shares the same cooperative-stop mechanism and
@@ -622,20 +589,20 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer func() {
 		if v := recover(); v != nil {
 			s.res.recoveredPanics.Add(1)
-			tr.SetError(fmt.Sprintf("panic: %v", v))
-			s.obs.finishTrace(tr)
-			s.obs.events.Emit("panic", tr.ID, map[string]any{
+			rec.Error = fmt.Sprintf("panic: %v", v)
+			s.events.Emit("panic", rec.ID, map[string]any{
 				"endpoint": "/query", "error": fmt.Sprintf("%v", v),
 			})
-			if rec, ok := w.(*statusRecorder); !ok || !rec.wrote {
+			if sr, ok := w.(*statusRecorder); !ok || !sr.wrote {
 				writeJSON(w, http.StatusInternalServerError,
-					map[string]any{"error": fmt.Sprintf("internal panic: %v", v), "trace_id": tr.ID})
+					map[string]any{"error": fmt.Sprintf("internal panic: %v", v), "trace_id": rec.ID})
 			}
 		}
 	}()
 
-	if _, _, err := req.kernelConfig(); err != nil {
-		s.writeErr(w, badRequest("%v", err))
+	kcfg, kecho, err := req.kernelConfig()
+	if err != nil {
+		s.fail(w, rec, badRequest("%v", err))
 		return
 	}
 	// Fast path: an exact-text repeat whose result is cached is served
@@ -643,58 +610,35 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// heavy joins. Analyze requests skip it (a cached serve has no
 	// counters to report); kernel-hinted requests too (the hint steers
 	// execution, so they must execute).
+	var resp QueryResponse
+	served := false
 	if !req.NoCache && !req.Analyze && req.Kernel == nil {
-		if resp, ok := s.cachedByText(&req, limit, tr); ok {
-			resp.ElapsedUS = time.Since(t0).Microseconds()
-			resp.TraceID = tr.ID
-			tr.Annot("served", "result_cache_fast_path")
-			s.obs.finishTrace(tr)
-			s.obs.query.Observe(time.Since(t0))
-			s.noteQuery(tr, &req, &resp, &runMeta{route: obs.RouteResultHit}, time.Since(t0), nil)
-			writeJSON(w, http.StatusOK, resp)
+		resp, served = s.cachedByText(&req, limit, rec)
+	}
+	if !served {
+		// The admission gate bounds all remaining per-query work — parsing
+		// and GHD compilation included, since on a cache miss the optimizer
+		// is the expensive step the plan cache exists to amortize.
+		sp := tr.Begin("admission")
+		release, err := s.adm.acquire(ctx)
+		tr.End(sp)
+		if err != nil {
+			s.fail(w, rec, err)
+			return
+		}
+		resp, err = s.runQuery(ctx, &req, limit, kcfg, rec)
+		release()
+		if err != nil {
+			s.fail(w, rec, err)
 			return
 		}
 	}
-
-	// The admission gate bounds all remaining per-query work — parsing
-	// and GHD compilation included, since on a cache miss the optimizer
-	// is the expensive step the plan cache exists to amortize.
-	sp := tr.Begin("admission")
-	release, err := s.adm.acquire(ctx)
-	tr.End(sp)
-	if err != nil {
-		tr.SetError(err.Error())
-		s.obs.finishTrace(tr)
-		s.writeErrTrace(w, err, tr.ID)
-		return
+	rec.Rows = int64(resp.Cardinality)
+	resp.ElapsedUS = rec.Stop().Microseconds()
+	resp.TraceID = rec.ID
+	if az := resp.Analyze; az != nil {
+		az.TraceID, az.TotalUS, az.PhasesUS, az.Kernel = rec.ID, resp.ElapsedUS, rec.PhasesUS, kecho
 	}
-	resp, meta, err := s.runQuery(ctx, &req, limit, tr)
-	release()
-	if err != nil {
-		tr.SetError(err.Error())
-		s.obs.finishTrace(tr)
-		s.noteQuery(tr, &req, nil, meta, time.Since(t0), err)
-		s.writeErrTrace(w, err, tr.ID)
-		return
-	}
-	resp.ElapsedUS = time.Since(t0).Microseconds()
-	resp.TraceID = tr.ID
-	if req.Analyze {
-		_, kecho, _ := req.kernelConfig()
-		resp.Analyze = &AnalyzeInfo{
-			TraceID:  tr.ID,
-			TotalUS:  resp.ElapsedUS,
-			PhasesUS: phasesOf(tr),
-			Kernel:   kecho,
-		}
-		if meta != nil && meta.az != nil {
-			resp.Analyze.Plan = meta.az.plan
-			resp.Analyze.Bags = meta.az.bags
-		}
-	}
-	s.obs.finishTrace(tr)
-	s.obs.query.Observe(time.Since(t0))
-	s.noteQuery(tr, &req, &resp, meta, time.Since(t0), nil)
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -702,13 +646,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // parsing) and serves a fresh result-cache entry, re-labeled with this
 // spelling's attribute names. All lookups use peek so the full path's
 // accounting isn't double-booked when this misses.
-func (s *Server) cachedByText(req *QueryRequest, limit int, tr *trace.Trace) (QueryResponse, bool) {
+func (s *Server) cachedByText(req *QueryRequest, limit int, rec *obs.Request) (QueryResponse, bool) {
 	av, ok := s.plans.aliases.peek(req.Query)
 	if !ok {
 		return QueryResponse{}, false
 	}
 	alias := av.(*aliasEntry)
-	tr.SetFingerprint(alias.fp)
+	rec.Fingerprint = alias.fp
 	resultKey := resultCacheKey(s.gen.Load(), alias.fp, limit, req.Columns)
 	rv, ok := s.results.peek(resultKey)
 	if !ok {
@@ -718,29 +662,52 @@ func (s *Server) cachedByText(req *QueryRequest, limit int, tr *trace.Trace) (Qu
 	if !cr.fresh(s.eng.DB) {
 		return QueryResponse{}, false
 	}
-	s.obs.cacheAge.Observe(time.Since(cr.createdAt))
-	resp := cr.resp
-	resp.Attrs = mapAttrs(resp.Attrs, alias.canonToClient)
-	resp.ResultCached = true
-	resp.PlanCached = true
 	// peek skipped the accounting; book the served hits explicitly. A
 	// fast-path serve is a plan-cache hit too: the cached plan's result
 	// is what made skipping execution possible.
 	s.plans.aliases.noteHit(req.Query)
 	s.plans.plans.noteHit(alias.fp)
 	s.results.noteHit(resultKey)
-	s.noteHeatReads(s.eng.DB, cr.reads)
-	if rec := s.provOnServe(cr, tr); rec != nil && req.Provenance {
-		resp.Provenance = rec
-	}
-	s.maybeSampleAudit(resultKey)
+	rec.T().Annot("served", "result_cache_fast_path")
+	resp := s.serveCached(rec, req, cr, alias, s.eng.DB, resultKey)
+	resp.PlanCached = true
 	return resp, true
 }
 
+// serveCached renders a fresh cache entry under this spelling's
+// attribute names and books the hit into the record: the route, the
+// read set, the entry's age, and its fill-time lineage — pointed at,
+// never copied. Cached responses carry canonical (fingerprint-namespace)
+// attribute names, so any spelling can be served from any fill.
+func (s *Server) serveCached(rec *obs.Request, req *QueryRequest, cr *cachedResult, alias *aliasEntry, db *exec.DB, resultKey string) QueryResponse {
+	rec.Route, rec.Cached, rec.CacheAge = obs.RouteResultHit, true, time.Since(cr.createdAt)
+	rec.Reads = readSet(db, cr.reads)
+	rec.Lineage = cr.prov
+	resp := cr.resp
+	resp.Attrs = mapAttrs(resp.Attrs, alias.canonToClient)
+	resp.ResultCached = true
+	if req.Provenance {
+		resp.Provenance = rec.Provenance()
+	}
+	s.maybeSampleAudit(resultKey)
+	return resp
+}
+
+// readSet classifies each relation a query read as overlay (served
+// through a delta-overlay merged view) or base, for the heat map.
+func readSet(db *exec.DB, reads []string) []obs.RelRead {
+	out := make([]obs.RelRead, len(reads))
+	for i, name := range reads {
+		out[i].Rel = name
+		if rel, ok := db.Relation(name); ok {
+			out[i].Overlay = rel.HasOverlay()
+		}
+	}
+	return out
+}
+
 // mapAttrs relabels result attributes through m, keeping names m doesn't
-// cover. Cached responses carry canonical (fingerprint-namespace) names,
-// so a serve maps canonical → client spelling regardless of which
-// spelling originally computed the result.
+// cover.
 func mapAttrs(attrs []string, m map[string]string) []string {
 	if len(attrs) == 0 {
 		return attrs
@@ -756,22 +723,10 @@ func mapAttrs(attrs []string, m map[string]string) []string {
 	return out
 }
 
-// runMeta carries execution metadata out of runQuery for the workload
-// registry and the EXPLAIN ANALYZE payload: which cache route produced
-// the response, the run's kernel counters (when collected), and the
-// analyze rendering. The phase timings are stamped by the handler,
-// which owns the request clock.
-type runMeta struct {
-	// route is the cache route: obs.RouteResultHit / RoutePlanHit /
-	// RouteMiss.
-	route string
-	stats *exec.ExecStats
-	az    *analyzeData
-}
-
-// runQuery executes one admitted /query request. ctx cancels execution
-// cooperatively (client disconnect, query deadline).
-func (s *Server) runQuery(ctx context.Context, req *QueryRequest, limit int, tr *trace.Trace) (QueryResponse, *runMeta, error) {
+// runQuery executes one admitted /query (or audit) request into its
+// record. ctx cancels execution cooperatively (client disconnect, query
+// deadline); kcfg is the request's resolved kernel hint, if any.
+func (s *Server) runQuery(ctx context.Context, req *QueryRequest, limit int, kcfg *set.Config, rec *obs.Request) (QueryResponse, error) {
 	// Fork per request: the query runs against a consistent snapshot of
 	// relations + dictionary (a concurrent /load can't swap data mid
 	// query), and intermediate head relations stay session-local. The
@@ -783,19 +738,19 @@ func (s *Server) runQuery(ctx context.Context, req *QueryRequest, limit int, tr 
 	gen := s.gen.Load()
 	fork := s.eng.DB.Fork()
 	epoch := fork.Version()
+	tr := rec.T()
 	sp := tr.Begin("plan")
 	entry, alias, planHit, err := s.prepared(req.Query, fork, epoch)
 	if err != nil {
 		tr.End(sp)
-		return QueryResponse{}, nil, err
+		return QueryResponse{}, err
 	}
-	tr.SetFingerprint(entry.fp)
+	rec.Fingerprint, rec.Route = entry.fp, obs.RouteMiss
+	if planHit {
+		rec.Route = obs.RoutePlanHit
+	}
 	relEpochs, dictEpoch := fork.EpochsWithDict(entry.reads)
 	annotReadSet(tr, entry.reads, relEpochs, dictEpoch)
-	meta := &runMeta{route: obs.RouteMiss}
-	if planHit {
-		meta.route = obs.RoutePlanHit
-	}
 
 	resultKey := resultCacheKey(gen, entry.fp, limit, req.Columns)
 	if !req.NoCache && !req.Analyze && req.Kernel == nil {
@@ -804,18 +759,9 @@ func (s *Server) runQuery(ctx context.Context, req *QueryRequest, limit int, tr 
 			if cr.fresh(fork) {
 				tr.End(sp)
 				tr.Annot("served", "result_cache")
-				s.obs.cacheAge.Observe(time.Since(cr.createdAt))
-				s.noteHeatReads(fork, cr.reads)
-				resp := cr.resp // copy; attrs re-labeled per spelling
-				resp.Attrs = mapAttrs(resp.Attrs, alias.canonToClient)
-				resp.ResultCached = true
+				resp := s.serveCached(rec, req, cr, alias, fork, resultKey)
 				resp.PlanCached = planHit
-				if rec := s.provOnServe(cr, tr); rec != nil && req.Provenance {
-					resp.Provenance = rec
-				}
-				s.maybeSampleAudit(resultKey)
-				meta.route = obs.RouteResultHit
-				return resp, meta, nil
+				return resp, nil
 			}
 			s.results.remove(resultKey) // some read relation (or the dict) moved on
 		}
@@ -827,7 +773,7 @@ func (s *Server) runQuery(ctx context.Context, req *QueryRequest, limit int, tr 
 		// Recompile against the fork failed (e.g. a relation vanished
 		// since the entry was cached).
 		s.plans.plans.remove(entry.fp)
-		return QueryResponse{}, meta, badRequest("compile: %v", err)
+		return QueryResponse{}, badRequest("compile: %v", err)
 	}
 	// Push the response limit into execution with one row of headroom.
 	// For all-output listings the budget counts distinct tuples, so a
@@ -836,34 +782,25 @@ func (s *Server) runQuery(ctx context.Context, req *QueryRequest, limit int, tr 
 	// smaller truncated sample (see exec.Options.Limit). Aggregates and
 	// other non-listing shapes run to completion.
 	//
-	// Kernel counters are collected whenever the workload profiler is on
-	// (the default), not just for Analyze requests: the per-fingerprint
-	// registry and relation heat map aggregate them. The collection cost
-	// is bounded by the same <3% CI gate as EXPLAIN ANALYZE.
-	collect := req.Analyze || s.workload != nil
-	kcfg, _, kerr := req.kernelConfig()
-	if kerr != nil {
-		return QueryResponse{}, meta, badRequest("%v", kerr)
-	}
+	// Kernel counters are collected for every recorded request, not just
+	// Analyze ones: the per-fingerprint registry and relation heat map
+	// aggregate them. The collection cost sits under the spine's <3% CI
+	// gate, whose baseline (an inert record: no trace) collects nothing.
 	sp = tr.Begin("execute")
-	res, err := prep.RunWith(fork, exec.RunParams{Limit: limit + 1, Collect: collect, Trace: tr, Ctx: ctx, Kernel: kcfg})
+	res, err := prep.RunWith(fork, exec.RunParams{
+		Limit: limit + 1, Collect: req.Analyze || tr != nil, Trace: tr, Ctx: ctx, Kernel: kcfg,
+	})
 	tr.End(sp)
 	if err != nil {
 		if !errors.Is(err, exec.ErrTimeout) && !errors.Is(err, exec.ErrCanceled) &&
 			!errors.Is(err, exec.ErrExecPanic) {
 			err = badRequest("%v", err)
 		}
-		return QueryResponse{}, meta, err
+		return QueryResponse{}, err
 	}
-	s.noteHeatReads(fork, entry.reads)
-	if res.Stats != nil {
-		meta.stats = res.Stats
-		if s.heat != nil && res.Plan != nil {
-			for _, cell := range res.Plan.RelationLevelStats(res.Stats) {
-				s.heat.NoteLevel(cell.Rel, cell.Col, cell.Probes, cell.Intersections, cell.Skipped, cell.WordParallel)
-			}
-		}
-	}
+	rec.Reads = readSet(fork, entry.reads)
+	rec.Intersections, rec.Probes, rec.Skipped = res.Stats.Totals()
+	rec.Levels = res.Plan.RelationLevelStats(res.Stats)
 
 	sp = tr.Begin("render")
 	resp := s.render(res, limit, fork.Dict(), req.Columns)
@@ -873,11 +810,10 @@ func (s *Server) runQuery(ctx context.Context, req *QueryRequest, limit int, tr 
 	// Canonicalize attribute names before caching so a future serve (or a
 	// recreated plan entry) can re-label them for any spelling.
 	resp.Attrs = mapAttrs(resp.Attrs, entry.attrToCanon)
-	// The provenance record stamps the lineage this execution ran
-	// against (relEpochs/dictEpoch were read from the fork before the
-	// run); it is recorded before the cache fill so the cached entry can
-	// carry it.
-	rec := s.noteProvenance(tr, entry.fp, gen, entry.reads, relEpochs, dictEpoch, resp.Cardinality)
+	// The lineage this execution ran against (relEpochs/dictEpoch were
+	// read from the fork before the run) goes into the record before the
+	// cache fill, so the cached entry can carry it.
+	rec.Lineage = s.lineage(rec, gen, entry.reads, relEpochs, dictEpoch, resp.Cardinality)
 	if !req.NoCache && res.Trie.Cardinality() <= s.cfg.MaxCachedTuples {
 		// Analyze requests fill the cache too — with the plain response:
 		// trace and counters are per-request, not part of the result.
@@ -909,21 +845,56 @@ func (s *Server) runQuery(ctx context.Context, req *QueryRequest, limit int, tr 
 			fp:        entry.fp,
 			limit:     limit,
 			columns:   req.Columns,
-			prov:      rec,
+			prov:      rec.Lineage,
 		})
 		tr.End(sp)
 	}
 	resp.Attrs = mapAttrs(resp.Attrs, alias.canonToClient)
-	if rec != nil && req.Provenance {
-		resp.Provenance = rec
+	if req.Provenance {
+		resp.Provenance = rec.Lineage
 	}
-	if req.Analyze && res.Stats != nil {
-		meta.az = &analyzeData{bags: res.Stats.Bags}
-		if res.Plan != nil {
-			meta.az.plan = res.Plan.ExplainAnalyze(res.Stats)
+	if req.Analyze {
+		// The handler, which owns the request clock, stamps the timings.
+		resp.Analyze = &AnalyzeInfo{}
+		if res.Stats != nil {
+			resp.Analyze.Bags = res.Stats.Bags
+			if res.Plan != nil {
+				resp.Analyze.Plan = res.Plan.ExplainAnalyze(res.Stats)
+			}
 		}
 	}
-	return resp, meta, nil
+	return resp, nil
+}
+
+// lineage stamps what determined an executed result: plan fingerprint,
+// restore generation, and per relation of the read set the epoch the
+// fork ran against plus the engine's live overlay generation / WAL
+// watermark coordinates. An inert record resolves none.
+func (s *Server) lineage(rec *obs.Request, gen uint64, reads []string, relEpochs []uint64, dictEpoch uint64, cardinality int) *obs.Lineage {
+	if rec.T() == nil {
+		return nil
+	}
+	live := s.eng.Lineage(reads)
+	lin := &obs.Lineage{
+		TraceID:     rec.ID,
+		Fingerprint: rec.Fingerprint,
+		Generation:  gen,
+		DictEpoch:   dictEpoch,
+		Cardinality: cardinality,
+		At:          time.Now(),
+		Relations:   make([]obs.RelLineage, len(reads)),
+	}
+	for i, name := range reads {
+		p := live[name]
+		lin.Relations[i] = obs.RelLineage{
+			Relation:    name,
+			Epoch:       relEpochs[i],
+			OverlayGen:  p.OverlayGen,
+			WALSeq:      p.WALSeq,
+			OverlayRows: p.OverlayRows,
+		}
+	}
+	return lin
 }
 
 // annotReadSet records the query's read set and the epochs it executed
@@ -941,7 +912,7 @@ func annotReadSet(tr *trace.Trace, reads []string, relEpochs []uint64, dictEpoch
 		fmt.Fprintf(&b, "%s@%d", r, relEpochs[i])
 	}
 	tr.Annot("read_epochs", b.String())
-	tr.AnnotInt("dict_epoch", int64(dictEpoch))
+	tr.Annot("dict_epoch", strconv.FormatUint(dictEpoch, 10))
 }
 
 // prepared resolves query text to a cached plan entry: exact text hit (no
@@ -1322,15 +1293,14 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, err)
 		return
 	}
-	t0 := time.Now()
-	tr := s.rec.Start("update")
+	rec := s.obs.Start("update", "")
+	defer s.obs.Finish(rec)
+	tr := rec.T()
 	tr.Annot("relation", req.Name)
 	// Degraded read-only mode fails writes fast — before admission, so a
 	// broken disk doesn't let updates queue behind healthy queries.
 	if !s.brk.allow() {
-		tr.SetError(errDegraded.Error())
-		s.obs.finishTrace(tr)
-		s.writeErrTrace(w, errDegraded, tr.ID)
+		s.fail(w, rec, errDegraded)
 		return
 	}
 	// Mini-trie builds and the merged-view install are bounded by the
@@ -1339,25 +1309,21 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	release, err := s.adm.acquire(r.Context())
 	tr.End(sp)
 	if err != nil {
-		tr.SetError(err.Error())
-		s.obs.finishTrace(tr)
-		s.writeErrTrace(w, err, tr.ID)
+		s.fail(w, rec, err)
 		return
 	}
 	res, err := s.eng.UpdateTraced(b, tr)
 	release()
 	if err != nil {
-		tr.SetError(err.Error())
-		s.obs.finishTrace(tr)
 		if errors.Is(err, core.ErrDurability) {
 			// The WAL could not persist the batch (disk full, I/O error):
 			// a server-side, retryable failure — not a bad request. Book
 			// it with the breaker; enough in a row trip read-only mode.
 			s.brk.failure()
-			s.writeErrTrace(w, err, tr.ID)
-			return
+		} else {
+			err = badRequest("%v", err)
 		}
-		s.writeErrTrace(w, badRequest("%v", err), tr.ID)
+		s.fail(w, rec, err)
 		return
 	}
 	s.brk.success()
@@ -1365,12 +1331,10 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	if arity == 0 {
 		arity = len(b.DelCols)
 	}
-	rows := int64(res.Inserted + res.Deleted)
 	// Bytes are estimated from the columnar payload (4-byte codes per
 	// cell); annotation floats aren't counted.
-	s.heat.NoteUpdate(res.Rel, rows, rows*int64(arity)*4)
-	s.obs.finishTrace(tr)
-	s.obs.update.Observe(time.Since(t0))
+	rec.UpdateRel, rec.UpdateRows = res.Rel, int64(res.Inserted+res.Deleted)
+	rec.UpdateBytes = rec.UpdateRows * int64(arity) * 4
 	writeJSON(w, http.StatusOK, map[string]any{
 		"name":         res.Rel,
 		"seq":          res.Seq,
@@ -1378,8 +1342,8 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		"deleted":      res.Deleted,
 		"cardinality":  res.Cardinality,
 		"overlay_rows": res.OverlayRows,
-		"trace_id":     tr.ID,
-		"elapsed_us":   time.Since(t0).Microseconds(),
+		"trace_id":     rec.ID,
+		"elapsed_us":   rec.Stop().Microseconds(),
 	})
 }
 
@@ -1562,12 +1526,12 @@ type Stats struct {
 	Admission   AdmissionStats           `json:"admission"`
 	Durability  core.DurabilityStats     `json:"durability"`
 	Resilience  ResilienceStats          `json:"resilience"`
-	// Workload summarizes the fingerprint registry (zero when workload
-	// stats are disabled); Events the unified event log.
+	// Workload summarizes the fingerprint registry; Events the unified
+	// event log.
 	Workload obs.WorkloadTotals `json:"workload"`
 	Events   obs.EventLogStats  `json:"events"`
-	// Provenance summarizes the determination-provenance ring and the
-	// result-cache auditor (zero-valued when provenance is disabled).
+	// Provenance summarizes the request-record ring and the result-cache
+	// auditor.
 	Provenance ProvenanceStats `json:"provenance"`
 }
 
@@ -1605,8 +1569,8 @@ func (s *Server) StatsSnapshot() Stats {
 			Degraded:         !s.brk.allow(),
 			DegradedRejected: s.res.degradedRejected.Load(),
 		},
-		Workload:   s.workload.Totals(),
-		Events:     s.obs.events.Stats(),
+		Workload:   s.obs.Workload.Totals(),
+		Events:     s.events.Stats(),
 		Provenance: s.provenanceStats(),
 	}
 }

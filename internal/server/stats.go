@@ -1,34 +1,28 @@
 package server
 
 import (
-	"sort"
 	"sync"
 	"time"
 
-	"emptyheaded/internal/quantile"
+	"emptyheaded/internal/obs"
 )
 
 // latencyWindow aggregates request latencies for one endpoint: exact
-// count/error/sum/max over the process lifetime plus a sliding window of
-// recent samples for percentile estimates (p50/p99 are computed over the
-// last windowSize observations, which is what an operator watching a live
-// service wants — a process-lifetime p99 would never recover from one
-// cold start).
+// count/error/sum/max over the process lifetime plus a sliding window
+// of the last windowSize observations for p50/p99.
 type latencyWindow struct {
 	mu     sync.Mutex
 	count  int64
 	errors int64
 	sum    time.Duration
 	max    time.Duration
-	ring   []time.Duration
-	idx    int
-	filled bool
+	recent obs.Window
 }
 
 const windowSize = 2048
 
 func newLatencyWindow() *latencyWindow {
-	return &latencyWindow{ring: make([]time.Duration, windowSize)}
+	return &latencyWindow{recent: obs.NewWindow(windowSize)}
 }
 
 func (l *latencyWindow) observe(d time.Duration, isErr bool) {
@@ -42,12 +36,7 @@ func (l *latencyWindow) observe(d time.Duration, isErr bool) {
 	if d > l.max {
 		l.max = d
 	}
-	l.ring[l.idx] = d
-	l.idx++
-	if l.idx == len(l.ring) {
-		l.idx = 0
-		l.filled = true
-	}
+	l.recent.Add(d)
 }
 
 // EndpointStats is the JSON rendering of one endpoint's counters.
@@ -69,13 +58,6 @@ func (l *latencyWindow) snapshot() EndpointStats {
 	}
 	s.AvgUS = float64(l.sum.Microseconds()) / float64(l.count)
 	s.MaxUS = float64(l.max.Microseconds())
-	n := l.idx
-	if l.filled {
-		n = len(l.ring)
-	}
-	samples := append([]time.Duration(nil), l.ring[:n]...)
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-	s.P50US = float64(samples[quantile.Index(len(samples), 0.50)].Microseconds())
-	s.P99US = float64(samples[quantile.Index(len(samples), 0.99)].Microseconds())
+	s.P50US, s.P99US = l.recent.P50P99US()
 	return s
 }

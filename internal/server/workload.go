@@ -1,82 +1,31 @@
 package server
 
 import (
-	"context"
-	"errors"
 	"net/http"
 	"strconv"
 	"time"
 
 	"emptyheaded/internal/core"
-	"emptyheaded/internal/exec"
 	"emptyheaded/internal/obs"
-	"emptyheaded/internal/prov"
-	"emptyheaded/internal/trace"
 	"emptyheaded/internal/trie"
 )
 
-// noteQuery merges one finished /query request into the workload
-// registry. Called on every terminal path of the handler — fast-path
-// serve, full-path success, and error — exactly once each; requests
-// that never resolved a fingerprint (parse errors, admission shed) are
-// dropped by the registry.
-func (s *Server) noteQuery(tr *trace.Trace, req *QueryRequest, resp *QueryResponse, meta *runMeta, elapsed time.Duration, err error) {
-	if s.workload == nil || tr == nil {
-		return
+// queryN reads the ?n= row limit of a debug listing (def when absent).
+func queryN(r *http.Request, def int) (int, error) {
+	v := r.URL.Query().Get("n")
+	if v == "" {
+		return def, nil
 	}
-	q := obs.QueryObs{
-		Fingerprint: tr.Fingerprint,
-		Query:       req.Query,
-		TraceID:     tr.ID,
-		Latency:     elapsed,
-		PhasesUS:    phasesOf(tr),
-		Route:       obs.RouteMiss,
+	n, err := strconv.Atoi(v)
+	if err != nil || n <= 0 {
+		return 0, badRequest("bad n %q", v)
 	}
-	if meta != nil {
-		q.Route = meta.route
-		if meta.stats != nil {
-			q.Intersections, q.Probes, q.Skipped = meta.stats.Totals()
-		}
-	}
-	if resp != nil {
-		q.Rows = int64(resp.Cardinality)
-	}
-	if err != nil {
-		// Client disconnects and deadline trips are cancellations, not
-		// query failures; everything else books as an error.
-		if errors.Is(err, exec.ErrCanceled) || errors.Is(err, context.Canceled) ||
-			errors.Is(err, exec.ErrTimeout) || errors.Is(err, context.DeadlineExceeded) {
-			q.Cancelled = true
-		} else {
-			q.Err = true
-		}
-	}
-	s.workload.Observe(q)
-}
-
-// noteHeatReads books one query execution's read set into the relation
-// heat map, classifying each read as overlay (served through a
-// delta-overlay merged view) or base.
-func (s *Server) noteHeatReads(db *exec.DB, reads []string) {
-	if s.heat == nil {
-		return
-	}
-	for _, name := range reads {
-		overlay := false
-		if rel, ok := db.Relation(name); ok {
-			overlay = rel.HasOverlay()
-		}
-		s.heat.NoteRead(name, overlay)
-	}
+	return n, nil
 }
 
 // handleDebugWorkload serves the per-fingerprint registry
 // (GET /debug/workload?sort=count|latency|rows&n=20).
 func (s *Server) handleDebugWorkload(w http.ResponseWriter, r *http.Request) {
-	if s.workload == nil {
-		s.writeErr(w, &httpError{http.StatusNotFound, "workload stats disabled"})
-		return
-	}
 	sortKey := r.URL.Query().Get("sort")
 	switch sortKey {
 	case "", obs.SortCount:
@@ -86,30 +35,28 @@ func (s *Server) handleDebugWorkload(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, badRequest("bad sort %q (count|latency|rows)", sortKey))
 		return
 	}
-	n := 20
-	if v := r.URL.Query().Get("n"); v != "" {
-		parsed, err := strconv.Atoi(v)
-		if err != nil || parsed <= 0 {
-			s.writeErr(w, badRequest("bad n %q", v))
-			return
-		}
-		n = parsed
+	n, err := queryN(r, 20)
+	if err != nil {
+		s.writeErr(w, err)
+		return
 	}
-	// Each fingerprint row links the provenance record of its last
-	// observed execution (when the ring still retains it) — one click
-	// from "this query is hot" to "this is the lineage it last ran on".
+	// Each fingerprint row links the lineage of its last observed request
+	// (when the ring still retains that record) — one click from "this
+	// query is hot" to "this is the lineage it last ran on".
 	type workloadRow struct {
 		obs.FingerprintStats
-		Provenance *prov.Record `json:"provenance,omitempty"`
+		Provenance *obs.Lineage `json:"provenance,omitempty"`
 	}
-	top := s.workload.TopK(sortKey, n)
+	top := s.obs.Workload.TopK(sortKey, n)
 	rows := make([]workloadRow, len(top))
 	for i, fs := range top {
 		rows[i] = workloadRow{FingerprintStats: fs}
-		rows[i].Provenance, _ = s.prov.Get(fs.LastTraceID)
+		if rec, ok := s.obs.Ring.Get(fs.LastTraceID); ok {
+			rows[i].Provenance = rec.Provenance()
+		}
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"totals":       s.workload.Totals(),
+		"totals":       s.obs.Workload.Totals(),
 		"sort":         sortKey,
 		"fingerprints": rows,
 	})
@@ -123,7 +70,7 @@ type relationHeatRow struct {
 	// delta-overlay merged view (pending streaming updates).
 	HasOverlay bool `json:"has_overlay"`
 	// Heat carries the workload counters; nil when the relation has
-	// never been read or updated since boot (or stats are disabled).
+	// never been read or updated since boot.
 	Heat *obs.RelationHeat `json:"heat,omitempty"`
 	// LayoutProfile is the per-level physical layout mix the adaptive
 	// layout optimizer chose for the relation's canonical trie (sets and
@@ -137,11 +84,9 @@ type relationHeatRow struct {
 // catalog fields.
 func (s *Server) handleDebugRelations(w http.ResponseWriter, r *http.Request) {
 	heat := map[string]*obs.RelationHeat{}
-	if s.heat != nil {
-		snap := s.heat.Snapshot()
-		for i := range snap {
-			heat[snap[i].Relation] = &snap[i]
-		}
+	snap := s.obs.Heat.Snapshot()
+	for i := range snap {
+		heat[snap[i].Relation] = &snap[i]
 	}
 	rows := make([]relationHeatRow, 0, len(heat))
 	seen := map[string]bool{}
@@ -190,9 +135,8 @@ type resultCacheEntry struct {
 	// ApproxBytes estimates the cached payload (8 bytes per rendered
 	// cell plus annotations).
 	ApproxBytes int64 `json:"approx_bytes"`
-	// Provenance is the record of the execution that filled the entry
-	// (nil when provenance is disabled).
-	Provenance *prov.Record `json:"provenance,omitempty"`
+	// Provenance is the lineage of the execution that filled the entry.
+	Provenance *obs.Lineage `json:"provenance,omitempty"`
 }
 
 // handleDebugCache serves the plan and result caches' live contents

@@ -1,19 +1,17 @@
-// Package trace is a lightweight span recorder for query-lifecycle
+// Package trace is the dependency-free span type of query-lifecycle
 // observability. A Trace is a flat list of named spans (phase begin/end
-// with microsecond offsets from trace start) plus trace-level attributes;
-// a Recorder hands out traces with monotonically increasing IDs and keeps
-// a ring buffer of the last N completed ones for /debug/queries.
+// with microsecond offsets from trace start) plus trace-level attributes.
+// The serving layer embeds one in each per-request record (obs.Request),
+// which assigns the ID and retains finished records; exec and core only
+// ever see the *Trace.
 //
-// Every method is safe on a nil receiver: a nil *Recorder starts nil
-// *Traces, and all *Trace methods no-op on nil. Instrumentation sites can
-// therefore call Begin/End/Annot unconditionally; the disabled path costs
-// one nil check.
+// Every method is safe on a nil receiver, so instrumentation sites call
+// Begin/End/Annot unconditionally; the disabled path costs one nil check.
 package trace
 
 import (
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -34,11 +32,12 @@ type Span struct {
 }
 
 // SpanID indexes a span within its trace; -1 (from Begin on a nil trace)
-// is ignored by End and SpanAttr.
+// is ignored by End and SpanAttrInt.
 type SpanID int
 
-// Trace records one request's phases. Exported fields are read by the
-// debug endpoints after Finish; during recording they are guarded by mu.
+// Trace records one request's phases; the creator sets ID, Kind and
+// Start. Exported fields are read by the debug endpoints after Finish;
+// during recording they are guarded by mu.
 type Trace struct {
 	ID          uint64    `json:"id"`
 	Kind        string    `json:"kind"`
@@ -49,8 +48,7 @@ type Trace struct {
 	Spans       []Span    `json:"spans"`
 	Attrs       []Attr    `json:"attrs,omitempty"`
 
-	mu  sync.Mutex
-	rec *Recorder
+	mu sync.Mutex
 }
 
 // Begin opens a named span and returns its ID.
@@ -80,25 +78,18 @@ func (t *Trace) End(id SpanID) {
 	t.mu.Unlock()
 }
 
-// SpanAttr attaches a key/value annotation to an open or closed span.
-func (t *Trace) SpanAttr(id SpanID, key, val string) {
+// SpanAttrInt attaches an integer key/value annotation to an open or
+// closed span.
+func (t *Trace) SpanAttrInt(id SpanID, key string, v int64) {
 	if t == nil || id < 0 {
 		return
 	}
 	t.mu.Lock()
 	if int(id) < len(t.Spans) {
 		sp := &t.Spans[id]
-		sp.Attrs = append(sp.Attrs, Attr{Key: key, Val: val})
+		sp.Attrs = append(sp.Attrs, Attr{Key: key, Val: strconv.FormatInt(v, 10)})
 	}
 	t.mu.Unlock()
-}
-
-// SpanAttrInt is SpanAttr for integer values.
-func (t *Trace) SpanAttrInt(id SpanID, key string, v int64) {
-	if t == nil {
-		return
-	}
-	t.SpanAttr(id, key, strconv.FormatInt(v, 10))
 }
 
 // Annot attaches a trace-level key/value annotation.
@@ -111,69 +102,14 @@ func (t *Trace) Annot(key, val string) {
 	t.mu.Unlock()
 }
 
-// AnnotInt is Annot for integer values.
-func (t *Trace) AnnotInt(key string, v int64) {
-	if t == nil {
-		return
-	}
-	t.Annot(key, strconv.FormatInt(v, 10))
-}
-
-// SetFingerprint records the query's structural fingerprint.
-func (t *Trace) SetFingerprint(fp string) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.Fingerprint = fp
-	t.mu.Unlock()
-}
-
-// SetError records a request-level error.
-func (t *Trace) SetError(msg string) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.Error = msg
-	t.mu.Unlock()
-}
-
-// SpansSnapshot returns a copy of the spans recorded so far.
-func (t *Trace) SpansSnapshot() []Span {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	out := make([]Span, len(t.Spans))
-	copy(out, t.Spans)
-	t.mu.Unlock()
-	return out
-}
-
-// PhaseUS sums the duration of every closed span with the given name.
-func (t *Trace) PhaseUS(name string) int64 {
+// Finish reads the clock once, stamps that reading as the total
+// duration, closes any still-open spans, and returns it.
+func (t *Trace) Finish() time.Duration {
 	if t == nil {
 		return 0
 	}
-	var total int64
-	t.mu.Lock()
-	for i := range t.Spans {
-		if t.Spans[i].Name == name && t.Spans[i].DurUS >= 0 {
-			total += t.Spans[i].DurUS
-		}
-	}
-	t.mu.Unlock()
-	return total
-}
-
-// Finish stamps the total duration, closes any still-open spans, and
-// files the trace into its recorder's ring buffer. Call exactly once.
-func (t *Trace) Finish() {
-	if t == nil {
-		return
-	}
-	at := time.Since(t.Start).Microseconds()
+	total := time.Since(t.Start)
+	at := total.Microseconds()
 	t.mu.Lock()
 	t.TotalUS = at
 	for i := range t.Spans {
@@ -181,88 +117,6 @@ func (t *Trace) Finish() {
 			t.Spans[i].DurUS = at - t.Spans[i].StartUS
 		}
 	}
-	rec := t.rec
-	t.rec = nil
 	t.mu.Unlock()
-	if rec != nil {
-		rec.file(t)
-	}
-}
-
-// Recorder assigns trace IDs and retains the last N finished traces.
-type Recorder struct {
-	lastID atomic.Uint64
-
-	mu   sync.Mutex
-	ring []*Trace // ring[next] is the oldest slot
-	next int
-	n    int // traces filed so far, saturating at len(ring)
-}
-
-// NewRecorder keeps the most recent n completed traces (default 128).
-func NewRecorder(n int) *Recorder {
-	if n <= 0 {
-		n = 128
-	}
-	return &Recorder{ring: make([]*Trace, n)}
-}
-
-// Start begins a new trace of the given kind. Returns nil (a valid,
-// inert trace) when the recorder itself is nil.
-func (r *Recorder) Start(kind string) *Trace {
-	if r == nil {
-		return nil
-	}
-	return &Trace{
-		ID:    r.lastID.Add(1),
-		Kind:  kind,
-		Start: time.Now(),
-		Spans: make([]Span, 0, 8),
-		rec:   r,
-	}
-}
-
-func (r *Recorder) file(t *Trace) {
-	r.mu.Lock()
-	r.ring[r.next] = t
-	r.next = (r.next + 1) % len(r.ring)
-	if r.n < len(r.ring) {
-		r.n++
-	}
-	r.mu.Unlock()
-}
-
-// Completed returns up to max finished traces, newest first. max <= 0
-// means all retained traces.
-func (r *Recorder) Completed(max int) []*Trace {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if max <= 0 || max > r.n {
-		max = r.n
-	}
-	out := make([]*Trace, 0, max)
-	for i := 1; i <= max; i++ {
-		idx := (r.next - i + len(r.ring)) % len(r.ring)
-		out = append(out, r.ring[idx])
-	}
-	return out
-}
-
-// Get returns the retained trace with the given ID, if still in the ring.
-func (r *Recorder) Get(id uint64) (*Trace, bool) {
-	if r == nil {
-		return nil, false
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i := 1; i <= r.n; i++ {
-		idx := (r.next - i + len(r.ring)) % len(r.ring)
-		if tr := r.ring[idx]; tr != nil && tr.ID == id {
-			return tr, true
-		}
-	}
-	return nil, false
+	return total
 }
