@@ -1,22 +1,14 @@
 // Command eh-bench regenerates the tables and figures of the paper's
-// evaluation (§5, Appendices A-B) on the synthetic dataset stand-ins, and
-// doubles as a load generator against a live eh-server.
+// evaluation (§5, Appendices A-B) on the synthetic dataset stand-ins.
+// It prints the paper's tables and nothing else: anything compared
+// across commits (throughput, latency, per-layer costs) is measured by
+// `bash benchmark/run.sh` — see benchmark/README.md.
 //
 // Usage:
 //
 //	eh-bench [-exp table5,fig7] [-quick] [-reps 3]
-//	eh-bench -serve-url http://localhost:8080 [-serve-duration 5s] [-serve-concurrency 8] [-serve-mix queries.txt]
-//	eh-bench -serve-url http://localhost:8080 -mixed [-update-concurrency 2] [-update-batch 64] [-delete-frac 0.5]
 //
-// With no -exp flag every experiment runs in paper order. With -serve-url
-// the experiments are skipped: the query mix (one datalog program per
-// line of -serve-mix, or the built-in triangle/path/degree mix over Edge)
-// is replayed against the server and throughput plus latency percentiles
-// are reported. Adding -mixed interleaves a streaming-update workload
-// (random insert/delete batches against /update) with the query replay
-// and additionally reports update throughput, update latency, and the
-// server's WAL/compaction counters over the run — query p50/p99 under
-// churn is the headline number.
+// With no -exp flag every experiment runs in paper order.
 package main
 
 import (
@@ -24,7 +16,6 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"emptyheaded/internal/bench"
 )
@@ -33,84 +24,7 @@ func main() {
 	exp := flag.String("exp", "all", "comma-separated experiment ids ("+strings.Join(bench.IDs(), ",")+") or 'all'")
 	quick := flag.Bool("quick", false, "smaller sweeps for fast runs")
 	reps := flag.Int("reps", 3, "repetitions per measurement (fastest kept)")
-	serveURL := flag.String("serve-url", "", "load-generator mode: replay a query mix against this eh-server base URL")
-	serveDuration := flag.Duration("serve-duration", 5*time.Second, "load-generator measurement window")
-	serveConcurrency := flag.Int("serve-concurrency", 8, "load-generator client workers")
-	serveMix := flag.String("serve-mix", "", "file with one datalog program per line (default: built-in triangle/path/degree mix)")
-	serveRelation := flag.String("serve-relation", "Edge", "edge relation name used by the built-in mix")
-	serveNoCache := flag.Bool("serve-nocache", false, "set no_cache on requests (measure execution, not result-cache hits)")
-	mixed := flag.Bool("mixed", false, "mixed workload: stream /update batches alongside the query replay (needs -serve-url)")
-	updateConcurrency := flag.Int("update-concurrency", 2, "update workers for -mixed")
-	updateBatch := flag.Int("update-batch", 64, "rows per update batch for -mixed")
-	deleteFrac := flag.Float64("delete-frac", 0.5, "fraction of -mixed update batches that delete a previously inserted batch")
-	keySpace := flag.Int("keyspace", 1<<20, "vertex id space for -mixed random edges")
-	seed := flag.Int64("update-seed", 1, "seed for the -mixed update stream")
-	serveRetries := flag.Int("serve-retries", 3, "total attempts per shed (503/429) request, first included; 1 disables retries")
 	flag.Parse()
-
-	// Resolve the query mix once; both serve modes honor -serve-mix.
-	queries := bench.DefaultQueryMix(*serveRelation)
-	if *serveURL != "" && *serveMix != "" {
-		data, err := os.ReadFile(*serveMix)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "eh-bench:", err)
-			os.Exit(1)
-		}
-		queries = queries[:0]
-		for _, line := range strings.Split(string(data), "\n") {
-			if line = strings.TrimSpace(line); line != "" && !strings.HasPrefix(line, "#") {
-				queries = append(queries, line)
-			}
-		}
-		if len(queries) == 0 {
-			fmt.Fprintf(os.Stderr, "eh-bench: %s contains no queries\n", *serveMix)
-			os.Exit(2)
-		}
-	}
-
-	if *mixed {
-		if *serveURL == "" {
-			fmt.Fprintln(os.Stderr, "eh-bench: -mixed requires -serve-url")
-			os.Exit(2)
-		}
-		rep, err := bench.RunMixed(bench.MixedConfig{
-			URL:               *serveURL,
-			Queries:           queries,
-			Relation:          *serveRelation,
-			QueryConcurrency:  *serveConcurrency,
-			UpdateConcurrency: *updateConcurrency,
-			Duration:          *serveDuration,
-			BatchRows:         *updateBatch,
-			DeleteFrac:        *deleteFrac,
-			KeySpace:          *keySpace,
-			Seed:              *seed,
-			NoResultCache:     *serveNoCache,
-			Retry:             bench.RetryPolicy{MaxAttempts: *serveRetries},
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "eh-bench:", err)
-			os.Exit(1)
-		}
-		fmt.Println(rep.Format())
-		return
-	}
-
-	if *serveURL != "" {
-		rep, err := bench.RunLoad(bench.LoadConfig{
-			URL:           *serveURL,
-			Queries:       queries,
-			Concurrency:   *serveConcurrency,
-			Duration:      *serveDuration,
-			NoResultCache: *serveNoCache,
-			Retry:         bench.RetryPolicy{MaxAttempts: *serveRetries},
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "eh-bench:", err)
-			os.Exit(1)
-		}
-		fmt.Println(rep.Format())
-		return
-	}
 
 	cfg := bench.DefaultConfig
 	cfg.Quick = *quick

@@ -1,5 +1,5 @@
 // Command eh-gen emits synthetic graphs as edge lists: Chung-Lu power-law
-// graphs (the dataset stand-ins of DESIGN.md) or Erdős–Rényi graphs, or a
+// graphs (the dataset stand-ins of internal/datasets) or Erdős–Rényi graphs, or a
 // named dataset preset from Table 3.
 //
 // Usage:

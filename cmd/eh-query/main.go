@@ -12,8 +12,8 @@
 // counters and prints the plan annotated with actuals (EXPLAIN ANALYZE)
 // — including the per-level kernel routes (layout pair + algorithm) the
 // adaptive set layouts dispatched to — before the results. -algo pins
-// the uint∩uint intersection algorithm (auto|merge|shuffle|galloping);
-// with -serve-url it travels as the /query "kernel" hint.
+// the uint∩uint intersection algorithm (auto|merge|shuffle|galloping)
+// of the local engine; it cannot be combined with -serve-url.
 //
 // With -serve-url the query is POSTed to the server's /query endpoint
 // instead of executing locally. Shed responses (503 overload or
@@ -43,7 +43,6 @@ import (
 	"time"
 
 	"emptyheaded"
-	"emptyheaded/internal/bench"
 	"emptyheaded/internal/core"
 	"emptyheaded/internal/set"
 )
@@ -67,6 +66,10 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	if *algoName != "" && *serveURL != "" {
+		fmt.Fprintln(os.Stderr, "eh-query: -algo pins the local engine's kernels; it cannot be combined with -serve-url")
+		os.Exit(2)
+	}
 
 	if *top {
 		if *serveURL == "" || flag.NArg() != 0 {
@@ -89,7 +92,7 @@ func main() {
 		if *why != "" {
 			fatal(fmt.Errorf("-why probes locally; it cannot be combined with -serve-url"))
 		}
-		remote(*serveURL, query, *limit, *serveRetries, *algoName, *analyze)
+		remote(*serveURL, query, *limit, *serveRetries, *analyze)
 		return
 	}
 
@@ -165,26 +168,17 @@ func main() {
 
 // remote posts the query to a live eh-server with the shed-retry policy
 // applied and renders the JSON response in the local output format.
-func remote(baseURL, query string, limit, retries int, algoName string, analyze bool) {
-	req := struct {
+func remote(baseURL, query string, limit, retries int, analyze bool) {
+	body, err := json.Marshal(struct {
 		Query   string `json:"query"`
 		Limit   int    `json:"limit,omitempty"`
 		Analyze bool   `json:"analyze,omitempty"`
-		Kernel  *struct {
-			Algo string `json:"algo"`
-		} `json:"kernel,omitempty"`
-	}{Query: query, Limit: limit, Analyze: analyze}
-	if algoName != "" {
-		req.Kernel = &struct {
-			Algo string `json:"algo"`
-		}{Algo: algoName}
-	}
-	body, err := json.Marshal(req)
+	}{Query: query, Limit: limit, Analyze: analyze})
 	if err != nil {
 		fatal(err)
 	}
-	rc := bench.NewRetryClient(&http.Client{Timeout: 60 * time.Second},
-		bench.RetryPolicy{MaxAttempts: retries})
+	rc := NewRetryClient(&http.Client{Timeout: 60 * time.Second},
+		RetryPolicy{MaxAttempts: retries})
 	t0 := time.Now()
 	resp, err := rc.Post(baseURL+"/query", "application/json", body)
 	if err != nil {
@@ -217,15 +211,13 @@ func remote(baseURL, query string, limit, retries int, algoName string, analyze 
 		Anns        []float64 `json:"anns"`
 		Truncated   bool      `json:"truncated"`
 		Analyze     *struct {
-			Kernel string `json:"kernel"`
-			Plan   string `json:"plan"`
+			Plan string `json:"plan"`
 		} `json:"analyze"`
 	}
 	if err := json.Unmarshal(raw, &qr); err != nil {
 		fatal(fmt.Errorf("decode response: %w", err))
 	}
 	if qr.Analyze != nil && qr.Analyze.Plan != "" {
-		fmt.Printf("-- kernel: %s\n", qr.Analyze.Kernel)
 		fmt.Print(qr.Analyze.Plan)
 		fmt.Println()
 	}
@@ -254,8 +246,8 @@ func remote(baseURL, query string, limit, retries int, algoName string, analyze 
 // workloadTop fetches /debug/workload and renders the hottest
 // fingerprints as a table.
 func workloadTop(baseURL, sortKey string, n, retries int) {
-	rc := bench.NewRetryClient(&http.Client{Timeout: 30 * time.Second},
-		bench.RetryPolicy{MaxAttempts: retries})
+	rc := NewRetryClient(&http.Client{Timeout: 30 * time.Second},
+		RetryPolicy{MaxAttempts: retries})
 	resp, err := rc.Get(fmt.Sprintf("%s/debug/workload?sort=%s&n=%d", baseURL, sortKey, n))
 	if err != nil {
 		fatal(err)

@@ -1,4 +1,4 @@
-package bench
+package main
 
 import (
 	"bytes"
@@ -68,7 +68,7 @@ func NewRetryClient(c *http.Client, pol RetryPolicy) *RetryClient {
 }
 
 // Retries returns how many backoff-and-resend cycles the client has
-// taken across all requests — the bench report's retry count.
+// taken across all requests.
 func (rc *RetryClient) Retries() int64 { return rc.retries.Load() }
 
 // Post sends body until it gets a non-shed response or attempts run
@@ -76,46 +76,37 @@ func (rc *RetryClient) Retries() int64 { return rc.retries.Load() }
 // an error so callers can account the 503 exactly like an unwrapped
 // client would.
 func (rc *RetryClient) Post(url, contentType string, body []byte) (*http.Response, error) {
+	return rc.do(func() (*http.Response, error) {
+		return rc.c.Post(url, contentType, bytes.NewReader(body))
+	})
+}
+
+// Get fetches url under the same shed-retry policy as Post.
+func (rc *RetryClient) Get(url string) (*http.Response, error) {
+	return rc.do(func() (*http.Response, error) { return rc.c.Get(url) })
+}
+
+func (rc *RetryClient) do(send func() (*http.Response, error)) (*http.Response, error) {
 	for attempt := 1; ; attempt++ {
-		resp, err := rc.c.Post(url, contentType, bytes.NewReader(body))
+		resp, err := send()
 		if err != nil {
 			return nil, err
 		}
 		if !shedStatus(resp.StatusCode) || attempt >= rc.pol.MaxAttempts {
 			return resp, nil
 		}
-		floor := retryAfter(resp)
+		d := rc.delay(attempt, resp)
 		_, _ = io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
-		d := rc.backoff(attempt)
-		if floor > d {
-			d = floor
-		}
 		rc.retries.Add(1)
 		time.Sleep(d)
 	}
 }
 
-// Get fetches url under the same shed-retry policy as Post.
-func (rc *RetryClient) Get(url string) (*http.Response, error) {
-	for attempt := 1; ; attempt++ {
-		resp, err := rc.c.Get(url)
-		if err != nil {
-			return nil, err
-		}
-		if !shedStatus(resp.StatusCode) || attempt >= rc.pol.MaxAttempts {
-			return resp, nil
-		}
-		floor := retryAfter(resp)
-		_, _ = io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		d := rc.backoff(attempt)
-		if floor > d {
-			d = floor
-		}
-		rc.retries.Add(1)
-		time.Sleep(d)
-	}
+// delay is the wait before resending after shed response resp: the
+// jittered backoff, raised (never lowered) to the server's Retry-After.
+func (rc *RetryClient) delay(attempt int, resp *http.Response) time.Duration {
+	return max(rc.backoff(attempt), retryAfter(resp))
 }
 
 func shedStatus(code int) bool {

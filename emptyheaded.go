@@ -18,10 +18,10 @@
 //
 // To serve queries over HTTP with plan/result caching and admission
 // control, run cmd/eh-server (see internal/server and the README's curl
-// quickstart); cmd/eh-bench -serve-url load-tests a running server.
+// quickstart).
 //
-// See DESIGN.md for the architecture and EXPERIMENTS.md for the paper
-// reproduction results.
+// See README.md for the architecture; cmd/eh-bench prints the paper's
+// tables and benchmark/README.md describes the engine's benchmark.
 package emptyheaded
 
 import (

@@ -1,7 +1,8 @@
 // Package bench regenerates every table and figure of the paper's
 // evaluation (§5, Appendices A and B). Each experiment returns a Table of
-// measured values; cmd/eh-bench prints them and bench_test.go wraps them
-// as Go benchmarks. EXPERIMENTS.md records measured-vs-paper shapes.
+// measured values; cmd/eh-bench prints them. The tables are for reading
+// against the paper's; numbers compared across commits come from
+// benchmark/ (see benchmark/README.md).
 package bench
 
 import (
@@ -160,39 +161,32 @@ func (c Config) budget() int64 {
 	return c.PairwiseBudget
 }
 
-// All runs every experiment, in paper order.
-func All(cfg Config) []*Table {
-	return []*Table{
-		Table3(cfg),
-		Figure5(cfg),
-		Figure6(cfg),
-		Figure7(cfg),
-		Table4(cfg),
-		Table5(cfg),
-		Table6(cfg),
-		Table7(cfg),
-		Table8(cfg),
-		Table9(cfg),
-		Table10(cfg),
-		Table11(cfg),
-		Table13(cfg),
-	}
+// experiments lists every experiment, in paper order.
+var experiments = []struct {
+	id  string
+	run func(Config) *Table
+}{
+	{"table3", Table3}, {"fig5", Figure5}, {"fig6", Figure6}, {"fig7", Figure7},
+	{"table4", Table4}, {"table5", Table5}, {"table6", Table6}, {"table7", Table7},
+	{"table8", Table8}, {"table9", Table9}, {"table10", Table10},
+	{"table11", Table11}, {"table13", Table13},
 }
 
 // ByID returns the experiment function for an id.
 func ByID(id string) (func(Config) *Table, bool) {
-	m := map[string]func(Config) *Table{
-		"table3": Table3, "fig5": Figure5, "fig6": Figure6, "fig7": Figure7,
-		"table4": Table4, "table5": Table5, "table6": Table6, "table7": Table7,
-		"table8": Table8, "table9": Table9, "table10": Table10,
-		"table11": Table11, "table13": Table13,
+	for _, e := range experiments {
+		if e.id == id {
+			return e.run, true
+		}
 	}
-	f, ok := m[id]
-	return f, ok
+	return nil, false
 }
 
 // IDs lists experiment ids in paper order.
 func IDs() []string {
-	return []string{"table3", "fig5", "fig6", "fig7", "table4", "table5",
-		"table6", "table7", "table8", "table9", "table10", "table11", "table13"}
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.id
+	}
+	return ids
 }

@@ -1,9 +1,12 @@
 package bench
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
+
+	"emptyheaded/internal/datasets"
 )
 
 func TestCellFormatting(t *testing.T) {
@@ -44,49 +47,50 @@ func TestTableFormatAligned(t *testing.T) {
 	}
 }
 
-func TestByIDCoversAllExperiments(t *testing.T) {
-	for _, id := range IDs() {
-		if _, ok := ByID(id); !ok {
-			t.Fatalf("experiment %s unmapped", id)
-		}
+// TestEveryExperimentProducesATable is the tier-1 smoke of the table
+// code: every experiment id resolves, runs in Quick mode with one
+// repetition, and returns a non-empty table whose rows match its header
+// and whose cells all format to finite values. It reads no cell against
+// another: what the numbers are is eh-bench's output, for a person to
+// hold against the paper. The dataset presets are shrunk first, before
+// anything loads and caches them — edges harder than nodes, so the
+// single-bag barbell of tables 8 and 13 finishes instead of running into
+// its 20 s "t/o" cap cell after cell; at full size Quick mode takes minutes.
+func TestEveryExperimentProducesATable(t *testing.T) {
+	for i := range datasets.Presets {
+		datasets.Presets[i].Nodes /= 10
+		datasets.Presets[i].UndirEdges /= 200
 	}
 	if _, ok := ByID("nope"); ok {
 		t.Fatal("unknown id accepted")
 	}
-}
-
-// TestFigure5Quick smoke-runs one figure experiment end to end and checks
-// the expected crossover property: at the highest density the bitset
-// layout beats uint.
-func TestFigure5Quick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("bench experiment in -short mode")
+	if len(IDs()) != 13 {
+		t.Fatalf("%d experiments, the paper's evaluation has 13: %v", len(IDs()), IDs())
 	}
-	cfg := Config{Reps: 3, Quick: true}
-	tbl := Figure5(cfg)
-	if len(tbl.Rows) == 0 {
-		t.Fatal("no rows")
-	}
-	last := tbl.Rows[len(tbl.Rows)-1] // density 1e-1
-	uintT, bitsetT := last.Cells[0].Value, last.Cells[1].Value
-	if bitsetT >= uintT {
-		t.Errorf("at density 0.1 bitset (%v) should beat uint (%v)", bitsetT, uintT)
-	}
-}
-
-// TestTable4Quick checks the set-level optimizer is never the worst
-// granularity (its Table 4 property).
-func TestTable4Quick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("bench experiment in -short mode")
-	}
-	cfg := Config{Reps: 1, Quick: true}
-	tbl := Table4(cfg)
-	for _, r := range tbl.Rows {
-		rel, set, blk := r.Cells[0].Value, r.Cells[1].Value, r.Cells[2].Value
-		if set > rel && set > blk {
-			t.Errorf("%s: set-level (%.2fx) worst of (rel %.2fx, block %.2fx)",
-				r.Label, set, rel, blk)
+	for _, id := range IDs() {
+		run, ok := ByID(id)
+		if !ok {
+			t.Fatalf("experiment %s unmapped", id)
+		}
+		tbl := run(Config{Reps: 1, Quick: true})
+		if tbl.ID != id || tbl.Title == "" || len(tbl.Columns) == 0 || len(tbl.Rows) == 0 {
+			t.Fatalf("%s: malformed table %+v", id, tbl)
+		}
+		for _, r := range tbl.Rows {
+			if r.Label == "" || len(r.Cells) != len(tbl.Columns) {
+				t.Fatalf("%s: row %q has %d cells for %d columns", id, r.Label, len(r.Cells), len(tbl.Columns))
+			}
+			for ci, c := range r.Cells {
+				if c.Note == "" && (math.IsNaN(c.Value) || math.IsInf(c.Value, 0) || c.Value < 0) {
+					t.Fatalf("%s: row %q column %q holds %v", id, r.Label, tbl.Columns[ci], c.Value)
+				}
+				if c.String() == "" {
+					t.Fatalf("%s: row %q column %q formats empty", id, r.Label, tbl.Columns[ci])
+				}
+			}
+		}
+		if lines := strings.Count(tbl.Format(), "\n"); lines != len(tbl.Rows)+2 {
+			t.Fatalf("%s: formatted to %d lines for %d rows:\n%s", id, lines, len(tbl.Rows), tbl.Format())
 		}
 	}
 }

@@ -15,7 +15,7 @@ import (
 func Table3(cfg Config) *Table {
 	t := &Table{
 		ID:      "table3",
-		Title:   "Graph datasets (synthetic stand-ins; see DESIGN.md)",
+		Title:   "Graph datasets (synthetic stand-ins; see internal/datasets)",
 		Columns: []string{"nodes", "dir-edges", "skew", "bitset-frac", "paper-skew"},
 	}
 	names := datasets.Names()

@@ -13,7 +13,8 @@ import (
 // Table4 compares the relation-, set-, and block-level layout optimizers
 // against the oracle on triangle counting (§4.4). The oracle lower bound
 // is approximated as the fastest of all whole-relation layout policies
-// plus the set-level optimizer (see EXPERIMENTS.md for the caveat).
+// plus the set-level optimizer — a lower bound on the policies tried, not
+// the true per-set oracle.
 func Table4(cfg Config) *Table {
 	t := &Table{
 		ID:      "table4",

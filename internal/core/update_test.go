@@ -3,11 +3,14 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
 	"emptyheaded/internal/datalog"
+	"emptyheaded/internal/gen"
 	"emptyheaded/internal/semiring"
 )
 
@@ -186,86 +189,128 @@ func TestUpdateAnnotatedReplace(t *testing.T) {
 	}
 }
 
+// TestUpdateDifferentialRandom replays random insert/delete batches and
+// checks every query over the live base+overlay view against a rebuild
+// of the model, then that compaction changes no answer: the overlay
+// listing and the compacted listing agree in cardinality and tuples.
+// (What the overlay costs in time is the benchmark's
+// delta.overlay_read_penalty.) Two fixtures: a 25-vertex domain where
+// every set is dense, and a skewed power-law graph whose hubs and leaves
+// land in different set layouts, with tombstones aimed at live edges
+// (without the 2-path listing there: its output is quadratic in hub
+// degree and would be most of the package's test time).
 func TestUpdateDifferentialRandom(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	eng := New()
-	model := edgeSet{}
-	var rows [][2]uint32
-	for i := 0; i < 150; i++ {
-		e := [2]uint32{uint32(rng.Intn(25)), uint32(rng.Intn(25))}
-		rows = append(rows, e)
-		model[e] = true
-	}
-	eng.AddRelationColumns("Edge", toCols(rows), nil, semiring.None)
-
-	live := func() [][2]uint32 {
-		out := make([][2]uint32, 0, len(model))
-		for k := range model {
-			out = append(out, k)
-		}
-		return out
-	}
-	for batch := 0; batch < 20; batch++ {
-		var ins, del [][2]uint32
-		for i := 0; i < rng.Intn(8); i++ {
-			ins = append(ins, [2]uint32{uint32(rng.Intn(25)), uint32(rng.Intn(25))})
-		}
-		if l := live(); len(l) > 0 {
-			for i := 0; i < rng.Intn(6); i++ {
-				del = append(del, l[rng.Intn(len(l))])
+	for _, fx := range []struct {
+		name                            string
+		base                            func(rng *rand.Rand) [][2]uint32
+		domain, batches, maxIns, maxDel int
+		queries                         []string
+	}{
+		{"dense25", func(rng *rand.Rand) [][2]uint32 {
+			rows := make([][2]uint32, 150)
+			for i := range rows {
+				rows[i] = [2]uint32{uint32(rng.Intn(25)), uint32(rng.Intn(25))}
 			}
-		}
-		b := UpdateBatch{Rel: "Edge"}
-		if len(ins) > 0 {
-			b.InsCols = toCols(ins)
-		}
-		if len(del) > 0 {
-			b.DelCols = toCols(del)
-		}
-		if b.InsCols == nil && b.DelCols == nil {
-			continue
-		}
-		if _, err := eng.Update(b); err != nil {
-			t.Fatalf("batch %d: %v", batch, err)
-		}
-		for _, e := range del {
-			delete(model, e)
-		}
-		for _, e := range ins {
-			model[e] = true
-		}
-		ref := referenceEngine(model)
-		for _, q := range updateQueries {
-			if got, want := queryKey(t, eng, q), queryKey(t, ref, q); got != want {
-				t.Fatalf("batch %d, %q: overlay view diverges from rebuild\n got %s\nwant %s", batch, q, got, want)
+			return rows
+		}, 25, 20, 8, 6, updateQueries},
+		{"powerlaw", func(*rand.Rand) [][2]uint32 {
+			var rows [][2]uint32
+			for u, ns := range gen.PowerLaw(4000, 8000, 2.2, 3).Adj {
+				for _, v := range ns {
+					rows = append(rows, [2]uint32{uint32(u), v})
+				}
 			}
-		}
-	}
+			return rows
+		}, 4000, 6, 48, 24, slices.DeleteFunc(slices.Clone(updateQueries), func(q string) bool { return strings.HasPrefix(q, "P2(") })},
+	} {
+		t.Run(fx.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(11))
+			eng := New()
+			eng.SetAutoCompact(0, 0) // the overlay stays live until the explicit Compact
+			model := edgeSet{}
+			rows := fx.base(rng)
+			for _, e := range rows {
+				model[e] = true
+			}
+			eng.AddRelationColumns("Edge", toCols(rows), nil, semiring.None)
 
-	// Compaction is invisible to queries and resets the overlay.
-	if did, err := eng.Compact("Edge"); err != nil || !did {
-		t.Fatalf("compact: did=%v err=%v", did, err)
-	}
-	ref := referenceEngine(model)
-	for _, q := range updateQueries {
-		if got, want := queryKey(t, eng, q), queryKey(t, ref, q); got != want {
-			t.Fatalf("after compaction, %q diverges", q)
-		}
-	}
-	st := eng.Durability()
-	if st.Compactions != 1 || len(st.Overlays) != 0 {
-		t.Fatalf("durability after compaction: %+v", st)
-	}
-	// Updates keep working on the compacted base.
-	if _, err := eng.Update(UpdateBatch{Rel: "Edge", InsCols: toCols([][2]uint32{{1, 24}})}); err != nil {
-		t.Fatal(err)
-	}
-	model[[2]uint32{1, 24}] = true
-	ref = referenceEngine(model)
-	for _, q := range updateQueries {
-		if got, want := queryKey(t, eng, q), queryKey(t, ref, q); got != want {
-			t.Fatalf("after post-compaction update, %q diverges", q)
-		}
+			live := func() [][2]uint32 {
+				out := make([][2]uint32, 0, len(model))
+				for k := range model {
+					out = append(out, k)
+				}
+				slices.SortFunc(out, func(a, b [2]uint32) int { return slices.Compare(a[:], b[:]) })
+				return out
+			}
+			for batch := 0; batch < fx.batches; batch++ {
+				var ins, del [][2]uint32
+				for i := 0; i < rng.Intn(fx.maxIns); i++ {
+					ins = append(ins, [2]uint32{uint32(rng.Intn(fx.domain)), uint32(rng.Intn(fx.domain))})
+				}
+				if l := live(); len(l) > 0 {
+					for i := 0; i < rng.Intn(fx.maxDel); i++ {
+						del = append(del, l[rng.Intn(len(l))])
+					}
+				}
+				b := UpdateBatch{Rel: "Edge"}
+				if len(ins) > 0 {
+					b.InsCols = toCols(ins)
+				}
+				if len(del) > 0 {
+					b.DelCols = toCols(del)
+				}
+				if b.InsCols == nil && b.DelCols == nil {
+					continue
+				}
+				if _, err := eng.Update(b); err != nil {
+					t.Fatalf("batch %d: %v", batch, err)
+				}
+				for _, e := range del {
+					delete(model, e)
+				}
+				for _, e := range ins {
+					model[e] = true
+				}
+				ref := referenceEngine(model)
+				for _, q := range fx.queries {
+					if got, want := queryKey(t, eng, q), queryKey(t, ref, q); got != want {
+						t.Fatalf("batch %d, %q: overlay view diverges from rebuild\n got %s\nwant %s", batch, q, got, want)
+					}
+				}
+			}
+
+			// Compaction is invisible to queries and resets the overlay.
+			if len(eng.Durability().Overlays) == 0 {
+				t.Fatal("no live overlay before compaction")
+			}
+			overlay := make([]string, len(fx.queries))
+			for i, q := range fx.queries {
+				overlay[i] = queryKey(t, eng, q)
+			}
+			if did, err := eng.Compact("Edge"); err != nil || !did {
+				t.Fatalf("compact: did=%v err=%v", did, err)
+			}
+			for i, q := range fx.queries {
+				if got := queryKey(t, eng, q); got != overlay[i] {
+					t.Fatalf("%q: compacted answer differs from the overlay's", q)
+				}
+			}
+			st := eng.Durability()
+			if st.Compactions != 1 || len(st.Overlays) != 0 {
+				t.Fatalf("durability after compaction: %+v", st)
+			}
+			// Updates keep working on the compacted base.
+			if _, err := eng.Update(UpdateBatch{Rel: "Edge", InsCols: toCols([][2]uint32{{1, 24}})}); err != nil {
+				t.Fatal(err)
+			}
+			model[[2]uint32{1, 24}] = true
+			ref := referenceEngine(model)
+			for _, q := range fx.queries {
+				if got, want := queryKey(t, eng, q), queryKey(t, ref, q); got != want {
+					t.Fatalf("after post-compaction update, %q diverges", q)
+				}
+			}
+		})
 	}
 }
 

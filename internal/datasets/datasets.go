@@ -4,7 +4,7 @@
 // whose parameters are chosen to preserve the property the experiments
 // depend on — the *relative density-skew ordering* (Google+ ≫ Higgs ≫
 // LiveJournal ≈ Orkut ≈ Patents) and relative scale — at roughly 100×
-// reduced node count so benchmarks run on one machine. See DESIGN.md.
+// reduced node count so benchmarks run on one machine.
 package datasets
 
 import (

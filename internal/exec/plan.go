@@ -485,7 +485,7 @@ func levelOf(bp *BagPlan, a *AtomRef, atomLevel int) int {
 }
 
 // assemblyPlan joins the materialized bag results to produce the full
-// output listing (replacing the classical top-down pass; see DESIGN.md).
+// output listing (replacing the classical top-down pass).
 // The loop nest iterates every attribute any bag materialized — join keys
 // included — and projects the output to the head variables.
 func (p *Plan) assemblyPlan(root *BagPlan, headVars []string, order []string, spanning bool) *BagPlan {

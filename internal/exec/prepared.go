@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"emptyheaded/internal/datalog"
-	"emptyheaded/internal/set"
 	"emptyheaded/internal/trace"
 )
 
@@ -73,12 +72,6 @@ type RunParams struct {
 	// Ctx cancels execution cooperatively (client disconnect, request
 	// deadline — see Options.Ctx); nil runs without a watcher.
 	Ctx context.Context
-	// Kernel overrides the set-kernel configuration for this run (the
-	// /query "kernel" hint): pin the uint∩uint algorithm, or force
-	// bit-by-bit dense ops. Results are identical under any configuration
-	// — only the dispatch routes change — so plan and result caches stay
-	// valid across hints. nil keeps the prepared options.
-	Kernel *set.Config
 }
 
 // RunWith executes the prepared query with per-run parameters.
@@ -87,17 +80,11 @@ func (pr *Prepared) RunWith(db *DB, rp RunParams) (*Result, error) {
 		opts := pr.opts
 		opts.Limit = rp.Limit
 		opts.Ctx = rp.Ctx
-		if rp.Kernel != nil {
-			opts.Intersect = *rp.Kernel
-		}
 		return RunProgram(db, pr.Prog, opts)
 	}
 	p := pr.plan.Clone(db)
 	p.opts.Limit = rp.Limit
 	p.opts.Ctx = rp.Ctx
-	if rp.Kernel != nil {
-		p.opts.Intersect = *rp.Kernel
-	}
 	if rp.Collect {
 		p.stats = &ExecStats{}
 	}

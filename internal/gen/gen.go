@@ -1,6 +1,6 @@
 // Package gen produces the synthetic inputs of the reproduction: power-law
 // (Chung-Lu) and Erdős–Rényi random graphs standing in for the paper's
-// datasets (see DESIGN.md "Substitutions"), plus the synthetic set
+// datasets (see internal/datasets), plus the synthetic set
 // distributions used by the layout experiments (Figures 5 and 6).
 package gen
 

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"fmt"
 	"testing"
 )
 
@@ -64,21 +63,5 @@ func TestDiffRejectsMismatchedFingerprints(t *testing.T) {
 	}
 	if _, err := Diff(nil, rec(1, "a", 0)); err == nil {
 		t.Fatal("nil record should error")
-	}
-}
-
-func BenchmarkDiff(b *testing.B) {
-	var fromRels, toRels []RelLineage
-	for i := 0; i < 8; i++ {
-		fromRels = append(fromRels, RelLineage{Relation: fmt.Sprintf("R%d", i), Epoch: uint64(i), WALSeq: uint64(i)})
-		toRels = append(toRels, RelLineage{Relation: fmt.Sprintf("R%d", i), Epoch: uint64(i + 1), WALSeq: uint64(i + 2)})
-	}
-	from := rec(1, "fp", 10, fromRels...)
-	to := rec(2, "fp", 20, toRels...)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Diff(from, to); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

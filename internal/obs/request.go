@@ -53,7 +53,7 @@ type Request struct {
 	Rows      int64     // response cardinality
 	Reads     []RelRead // the read set of an executed or cache-served query
 	// Loop-nest totals and their per-relation attribution (zero on
-	// cached serves and in the overhead gate's baseline).
+	// cached serves).
 	Intersections, Probes, Skipped int64
 	Levels                         []exec.RelLevelStat
 	// Lineage is what determined the result: built by the executing
@@ -72,20 +72,6 @@ type Request struct {
 	Elapsed  time.Duration
 	PhasesUS map[string]int64
 	stopped  bool
-
-	// live is false for the inert records a nil Spine starts (the
-	// overhead gate's baseline): T hands out no trace, Finish drops them.
-	live bool
-}
-
-// T is the trace to thread through admission, exec and core: the
-// record's own, or nil (every trace.Trace method no-ops) when the
-// record is inert.
-func (r *Request) T() *trace.Trace {
-	if !r.live {
-		return nil
-	}
-	return &r.Trace
 }
 
 // Stop reads the request clock — once. The first call fixes Elapsed,

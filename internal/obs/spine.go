@@ -19,11 +19,6 @@ const (
 // and one Finish hands the finished record to every consumer. The
 // consumers only read the record; nothing upstream re-derives what it
 // already holds.
-//
-// A nil *Spine is the overhead gate's baseline: Start returns an inert
-// record (no id, no trace) and Finish drops it. Nothing else is
-// nil-safe — a server without a spine serves /query and nothing that
-// reads the spine.
 type Spine struct {
 	lastID atomic.Uint64
 	// Ring retains the most recently finished records for /debug/*.
@@ -70,12 +65,9 @@ func NewSpine(events *EventLog, slowThreshold time.Duration) *Spine {
 // "update", "audit"); query is its text, if it has one. Every started
 // record must be handed to Finish exactly once.
 func (s *Spine) Start(kind, query string) *Request {
-	r := &Request{Query: query, live: s != nil}
-	r.Kind, r.Start = kind, time.Now()
-	if s != nil {
-		r.ID = s.lastID.Add(1)
-		r.Spans = make([]trace.Span, 0, 8)
-	}
+	r := &Request{Query: query}
+	r.ID, r.Kind, r.Start = s.lastID.Add(1), kind, time.Now()
+	r.Spans = make([]trace.Span, 0, 8)
 	return r
 }
 
@@ -83,9 +75,6 @@ func (s *Spine) Start(kind, query string) *Request {
 // fans the record out: ring, phase and latency histograms, registry,
 // heat map, event log.
 func (s *Spine) Finish(r *Request) {
-	if s == nil {
-		return
-	}
 	r.Stop()
 	s.Ring.add(r)
 	for name, us := range r.PhasesUS {

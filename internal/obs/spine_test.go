@@ -63,7 +63,7 @@ func TestSpineFinishFansOut(t *testing.T) {
 	var sink bytes.Buffer
 	s := NewSpine(NewEventLog(&sink), time.Nanosecond)
 	r := s.Start("query", "Q")
-	tr := r.T()
+	tr := &r.Trace
 	sp := tr.Begin("execute")
 	bag := tr.Begin("bag 0") // nested: not a phase
 	time.Sleep(time.Millisecond)
@@ -128,19 +128,4 @@ func TestSpineFinishFansOut(t *testing.T) {
 	if s.CacheAge.Snapshot().Count != 1 {
 		t.Fatal("hit did not book the entry's age")
 	}
-}
-
-// TestNilSpineIsInert is the overhead gate's seam: a nil spine starts
-// records that carry a clock and nothing else.
-func TestNilSpineIsInert(t *testing.T) {
-	var s *Spine
-	r := s.Start("query", "Q")
-	if r.ID != 0 || r.T() != nil {
-		t.Fatalf("inert record has id %d / a trace", r.ID)
-	}
-	r.Fingerprint, r.Rows = "fp", 1 // handlers write fields unconditionally
-	if r.Stop() <= 0 {
-		t.Fatal("inert record has no clock")
-	}
-	s.Finish(r)
 }

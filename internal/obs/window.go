@@ -5,11 +5,10 @@ import (
 	"time"
 )
 
-// QuantileIndex returns the nearest-rank index of the p-quantile
+// quantileIndex returns the nearest-rank index of the p-quantile
 // (0 < p <= 1) in n ascending-sorted samples; callers index their sorted
-// slice with it. Shared with the bench load generator, so the client-
-// and server-side percentiles of one run use one definition.
-func QuantileIndex(n int, p float64) int {
+// slice with it.
+func quantileIndex(n int, p float64) int {
 	i := int(p*float64(n)+0.5) - 1
 	if i < 0 {
 		i = 0
@@ -57,6 +56,6 @@ func (w *Window) P50P99US() (p50, p99 float64) {
 	}
 	samples := slices.Clone(w.ring[:n])
 	slices.Sort(samples)
-	return float64(samples[QuantileIndex(n, 0.50)].Microseconds()),
-		float64(samples[QuantileIndex(n, 0.99)].Microseconds())
+	return float64(samples[quantileIndex(n, 0.50)].Microseconds()),
+		float64(samples[quantileIndex(n, 0.99)].Microseconds())
 }

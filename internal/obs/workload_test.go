@@ -6,8 +6,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"emptyheaded/internal/exec"
 )
 
 // q builds a finished query record the way the spine hands one to the
@@ -140,8 +138,8 @@ func TestWorkloadQuantiles(t *testing.T) {
 		}
 		sorted := append([]time.Duration(nil), window...)
 		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		wantP50 := float64(sorted[QuantileIndex(len(sorted), 0.50)].Microseconds())
-		wantP99 := float64(sorted[QuantileIndex(len(sorted), 0.99)].Microseconds())
+		wantP50 := float64(sorted[quantileIndex(len(sorted), 0.50)].Microseconds())
+		wantP99 := float64(sorted[quantileIndex(len(sorted), 0.99)].Microseconds())
 
 		rows := w.TopK(SortCount, 1)
 		if len(rows) != 1 {
@@ -212,31 +210,4 @@ func TestWorkloadConcurrent(t *testing.T) {
 	if count > goroutines*perG {
 		t.Fatalf("retained count %d exceeds observed %d", count, goroutines*perG)
 	}
-}
-
-func BenchmarkWorkloadObserve(b *testing.B) {
-	w := NewWorkload(256)
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			w.Observe(q(fmt.Sprintf("fp%d", i%64), 0, time.Duration(i%1000)*time.Microsecond,
-				&Request{Route: RoutePlanHit, Rows: int64(i % 100)}))
-			i++
-		}
-	})
-}
-
-func BenchmarkRelHeatObserve(b *testing.B) {
-	h := NewRelHeat()
-	r := &Request{
-		Reads:  []RelRead{{Rel: "Edge"}},
-		Levels: []exec.RelLevelStat{{Rel: "Edge", Col: 1, Probes: 100, Intersections: 50, Skipped: 10, WordParallel: 25}},
-	}
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			h.Observe(r)
-		}
-	})
 }

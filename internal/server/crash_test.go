@@ -198,7 +198,7 @@ func TestKillAndRestartDurability(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := refSrv.runQuery(context.Background(), &QueryRequest{Query: q, Limit: 10000}, 10000, nil, &obs.Request{})
+		want, err := refSrv.runQuery(context.Background(), &QueryRequest{Query: q, Limit: 10000}, 10000, &obs.Request{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -28,13 +28,10 @@ type AnalyzeInfo struct {
 	// Plan is the physical plan annotated with actuals
 	// (exec.Plan.ExplainAnalyze).
 	Plan string `json:"plan,omitempty"`
-	// Bags holds the raw per-bag, per-level execution counters.
+	// Bags holds the raw per-bag, per-level execution counters; the
+	// kernel routes taken are in Bags[].Levels[].Kernel and on the
+	// annotated Plan's kernels[...] columns.
 	Bags []*exec.BagStats `json:"bags,omitempty"`
-	// Kernel echoes the request's kernel hint as resolved ("auto" when
-	// none was sent); the per-level routes actually taken are in
-	// Bags[].Levels[].Kernel and on the annotated Plan's kernels[...]
-	// columns.
-	Kernel string `json:"kernel,omitempty"`
 }
 
 // traceSummary is one row of /debug/queries.

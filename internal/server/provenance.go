@@ -103,7 +103,7 @@ func (s *Server) auditOne(ctx context.Context, key string, cr *cachedResult) (bo
 		}
 		defer release()
 		req := &QueryRequest{Query: cr.query, Limit: cr.limit, NoCache: true, Columns: cr.columns}
-		return s.runQuery(ctx, req, cr.limit, nil, rec)
+		return s.runQuery(ctx, req, cr.limit, rec)
 	}()
 	if err != nil {
 		rec.Error = err.Error()

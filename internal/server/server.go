@@ -41,7 +41,6 @@ import (
 	"emptyheaded/internal/graph"
 	"emptyheaded/internal/obs"
 	"emptyheaded/internal/semiring"
-	"emptyheaded/internal/set"
 	"emptyheaded/internal/storage"
 	"emptyheaded/internal/trace"
 )
@@ -439,32 +438,6 @@ type QueryRequest struct {
 	// fill-time lineage — the state that determined the bytes served —
 	// under this request's trace id with Cached: true.
 	Provenance bool `json:"provenance,omitempty"`
-	// Kernel optionally pins the set-kernel configuration for this
-	// request. Results are identical under any kernel — only the dispatch
-	// routes change — but hinted requests always execute (cache reads are
-	// skipped) so the hint demonstrably steers the kernels; pair with
-	// "analyze": true to see the routes taken per trie level.
-	Kernel *KernelHint `json:"kernel,omitempty"`
-}
-
-// KernelHint is the /query "kernel" object: algo pins the uint∩uint
-// intersection algorithm ("auto"|"merge"|"shuffle"|"galloping"; "auto"
-// and "" keep the paper's skew-based hybrid rule).
-type KernelHint struct {
-	Algo string `json:"algo"`
-}
-
-// kernelConfig resolves the request's kernel hint to an exec override
-// (nil when no hint was sent) plus its echo string for AnalyzeInfo.
-func (req *QueryRequest) kernelConfig() (*set.Config, string, error) {
-	if req.Kernel == nil {
-		return nil, "auto", nil
-	}
-	algo, err := set.ParseAlgo(req.Kernel.Algo)
-	if err != nil {
-		return nil, "", err
-	}
-	return &set.Config{Algo: algo}, algo.String(), nil
 }
 
 // QueryResponse is the /query reply.
@@ -573,7 +546,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// event log ever see of the request.
 	rec := s.obs.Start("query", req.Query)
 	defer s.obs.Finish(rec)
-	tr := rec.T()
+	tr := &rec.Trace
 
 	// The request context cancels on client disconnect; a configured
 	// query deadline shares the same cooperative-stop mechanism and
@@ -600,19 +573,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 	}()
 
-	kcfg, kecho, err := req.kernelConfig()
-	if err != nil {
-		s.fail(w, rec, badRequest("%v", err))
-		return
-	}
 	// Fast path: an exact-text repeat whose result is cached is served
 	// without taking a worker slot — a map lookup shouldn't queue behind
 	// heavy joins. Analyze requests skip it (a cached serve has no
-	// counters to report); kernel-hinted requests too (the hint steers
-	// execution, so they must execute).
+	// counters to report).
 	var resp QueryResponse
 	served := false
-	if !req.NoCache && !req.Analyze && req.Kernel == nil {
+	if !req.NoCache && !req.Analyze {
 		resp, served = s.cachedByText(&req, limit, rec)
 	}
 	if !served {
@@ -626,7 +593,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			s.fail(w, rec, err)
 			return
 		}
-		resp, err = s.runQuery(ctx, &req, limit, kcfg, rec)
+		resp, err = s.runQuery(ctx, &req, limit, rec)
 		release()
 		if err != nil {
 			s.fail(w, rec, err)
@@ -637,7 +604,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	resp.ElapsedUS = rec.Stop().Microseconds()
 	resp.TraceID = rec.ID
 	if az := resp.Analyze; az != nil {
-		az.TraceID, az.TotalUS, az.PhasesUS, az.Kernel = rec.ID, resp.ElapsedUS, rec.PhasesUS, kecho
+		az.TraceID, az.TotalUS, az.PhasesUS = rec.ID, resp.ElapsedUS, rec.PhasesUS
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -668,7 +635,7 @@ func (s *Server) cachedByText(req *QueryRequest, limit int, rec *obs.Request) (Q
 	s.plans.aliases.noteHit(req.Query)
 	s.plans.plans.noteHit(alias.fp)
 	s.results.noteHit(resultKey)
-	rec.T().Annot("served", "result_cache_fast_path")
+	rec.Annot("served", "result_cache_fast_path")
 	resp := s.serveCached(rec, req, cr, alias, s.eng.DB, resultKey)
 	resp.PlanCached = true
 	return resp, true
@@ -725,8 +692,8 @@ func mapAttrs(attrs []string, m map[string]string) []string {
 
 // runQuery executes one admitted /query (or audit) request into its
 // record. ctx cancels execution cooperatively (client disconnect, query
-// deadline); kcfg is the request's resolved kernel hint, if any.
-func (s *Server) runQuery(ctx context.Context, req *QueryRequest, limit int, kcfg *set.Config, rec *obs.Request) (QueryResponse, error) {
+// deadline).
+func (s *Server) runQuery(ctx context.Context, req *QueryRequest, limit int, rec *obs.Request) (QueryResponse, error) {
 	// Fork per request: the query runs against a consistent snapshot of
 	// relations + dictionary (a concurrent /load can't swap data mid
 	// query), and intermediate head relations stay session-local. The
@@ -738,7 +705,7 @@ func (s *Server) runQuery(ctx context.Context, req *QueryRequest, limit int, kcf
 	gen := s.gen.Load()
 	fork := s.eng.DB.Fork()
 	epoch := fork.Version()
-	tr := rec.T()
+	tr := &rec.Trace
 	sp := tr.Begin("plan")
 	entry, alias, planHit, err := s.prepared(req.Query, fork, epoch)
 	if err != nil {
@@ -753,7 +720,7 @@ func (s *Server) runQuery(ctx context.Context, req *QueryRequest, limit int, kcf
 	annotReadSet(tr, entry.reads, relEpochs, dictEpoch)
 
 	resultKey := resultCacheKey(gen, entry.fp, limit, req.Columns)
-	if !req.NoCache && !req.Analyze && req.Kernel == nil {
+	if !req.NoCache && !req.Analyze {
 		if v, ok := s.results.get(resultKey); ok {
 			cr := v.(*cachedResult)
 			if cr.fresh(fork) {
@@ -782,13 +749,12 @@ func (s *Server) runQuery(ctx context.Context, req *QueryRequest, limit int, kcf
 	// smaller truncated sample (see exec.Options.Limit). Aggregates and
 	// other non-listing shapes run to completion.
 	//
-	// Kernel counters are collected for every recorded request, not just
-	// Analyze ones: the per-fingerprint registry and relation heat map
-	// aggregate them. The collection cost sits under the spine's <3% CI
-	// gate, whose baseline (an inert record: no trace) collects nothing.
+	// Kernel counters are collected for every request, not just Analyze
+	// ones: the per-fingerprint registry and relation heat map aggregate
+	// them (their cost is the benchmark's trace.overhead_frac).
 	sp = tr.Begin("execute")
 	res, err := prep.RunWith(fork, exec.RunParams{
-		Limit: limit + 1, Collect: req.Analyze || tr != nil, Trace: tr, Ctx: ctx, Kernel: kcfg,
+		Limit: limit + 1, Collect: true, Trace: tr, Ctx: ctx,
 	})
 	tr.End(sp)
 	if err != nil {
@@ -869,11 +835,8 @@ func (s *Server) runQuery(ctx context.Context, req *QueryRequest, limit int, kcf
 // lineage stamps what determined an executed result: plan fingerprint,
 // restore generation, and per relation of the read set the epoch the
 // fork ran against plus the engine's live overlay generation / WAL
-// watermark coordinates. An inert record resolves none.
+// watermark coordinates.
 func (s *Server) lineage(rec *obs.Request, gen uint64, reads []string, relEpochs []uint64, dictEpoch uint64, cardinality int) *obs.Lineage {
-	if rec.T() == nil {
-		return nil
-	}
 	live := s.eng.Lineage(reads)
 	lin := &obs.Lineage{
 		TraceID:     rec.ID,
@@ -901,7 +864,7 @@ func (s *Server) lineage(rec *obs.Request, gen uint64, reads []string, relEpochs
 // against — the slow-query log carries them so a stale-cache or
 // epoch-churn incident can be diagnosed from the log alone.
 func annotReadSet(tr *trace.Trace, reads []string, relEpochs []uint64, dictEpoch uint64) {
-	if tr == nil || len(reads) == 0 {
+	if len(reads) == 0 {
 		return
 	}
 	var b strings.Builder
@@ -1295,7 +1258,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	}
 	rec := s.obs.Start("update", "")
 	defer s.obs.Finish(rec)
-	tr := rec.T()
+	tr := &rec.Trace
 	tr.Annot("relation", req.Name)
 	// Degraded read-only mode fails writes fast — before admission, so a
 	// broken disk doesn't let updates queue behind healthy queries.

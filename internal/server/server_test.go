@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"emptyheaded/internal/bench"
 	"emptyheaded/internal/core"
 	"emptyheaded/internal/gen"
 )
@@ -300,42 +299,6 @@ func TestConcurrentMixedQueries(t *testing.T) {
 	}
 	if got := st.Endpoints["/query"].Errors; got != 0 {
 		t.Errorf("stress run recorded %d query errors", got)
-	}
-}
-
-// TestLoadGenerator drives the bench package's load-generator mode (the
-// eh-bench -serve-url path) against a live service.
-func TestLoadGenerator(t *testing.T) {
-	_, ts := newTestService(t, Config{Workers: 4})
-
-	rep, err := bench.RunLoad(bench.LoadConfig{
-		URL:         ts.URL,
-		Concurrency: 4,
-		Duration:    400 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Requests == 0 {
-		t.Fatal("load generator sent no requests")
-	}
-	if rep.Errors != 0 {
-		t.Errorf("load generator saw %d errors", rep.Errors)
-	}
-	if rep.Throughput <= 0 {
-		t.Errorf("throughput %f, want > 0", rep.Throughput)
-	}
-	if rep.P99 <= 0 || rep.P99 < rep.P50 {
-		t.Errorf("percentiles inconsistent: p50=%v p99=%v", rep.P50, rep.P99)
-	}
-	if rep.PlanHits == 0 {
-		t.Errorf("load run produced no plan-cache hits")
-	}
-	out := rep.Format()
-	for _, want := range []string{"throughput", "p99 latency", "plan-cache hits"} {
-		if !bytes.Contains([]byte(out), []byte(want)) {
-			t.Errorf("report missing %q:\n%s", want, out)
-		}
 	}
 }
 

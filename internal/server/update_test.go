@@ -4,9 +4,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
-	"emptyheaded/internal/bench"
 	"emptyheaded/internal/core"
 	"emptyheaded/internal/semiring"
 	"emptyheaded/internal/wal"
@@ -180,45 +178,6 @@ func TestUpdateWALRestartViaServer(t *testing.T) {
 	for i := range want.Tuples {
 		if got.Tuples[i][0] != want.Tuples[i][0] || got.Tuples[i][1] != want.Tuples[i][1] {
 			t.Fatalf("restart tuple %d: %v != %v", i, got.Tuples[i], want.Tuples[i])
-		}
-	}
-}
-
-// TestMixedWorkloadGenerator drives the bench package's mixed mode (the
-// eh-bench -mixed path): queries and streaming updates against one live
-// service, with update throughput and query latency both reported.
-func TestMixedWorkloadGenerator(t *testing.T) {
-	_, ts := newTestService(t, Config{Workers: 4})
-
-	rep, err := bench.RunMixed(bench.MixedConfig{
-		URL:               ts.URL,
-		Relation:          "Edge",
-		QueryConcurrency:  3,
-		UpdateConcurrency: 2,
-		Duration:          400 * time.Millisecond,
-		BatchRows:         16,
-		KeySpace:          200,
-		Seed:              3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.QueryRequests == 0 || rep.UpdateBatches == 0 {
-		t.Fatalf("mixed run idle: %+v", rep)
-	}
-	if rep.QueryErrors != 0 || rep.UpdateErrors != 0 {
-		t.Fatalf("mixed run saw errors: %+v", rep)
-	}
-	if rep.UpdatesPerSecond <= 0 || rep.RowsPerSecond <= 0 {
-		t.Fatalf("update throughput not reported: %+v", rep)
-	}
-	if rep.UpdateP99 < rep.UpdateP50 || rep.QueryP99 < rep.QueryP50 {
-		t.Fatalf("percentiles inconsistent: %+v", rep)
-	}
-	out := rep.Format()
-	for _, want := range []string{"updates/s", "query p99 latency", "update p99 latency", "overlay rows"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("mixed report missing %q:\n%s", want, out)
 		}
 	}
 }

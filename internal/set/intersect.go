@@ -38,8 +38,8 @@ func (a Algo) String() string {
 }
 
 // ParseAlgo maps an algorithm name ("auto", "merge", "shuffle",
-// "galloping"; "" means auto) to its Algo — the /query kernel hint and
-// the CLI flags resolve through it.
+// "galloping"; "" means auto) to its Algo — eh-query -algo resolves
+// through it.
 func ParseAlgo(s string) (Algo, error) {
 	switch s {
 	case "", "auto":

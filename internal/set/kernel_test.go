@@ -368,43 +368,3 @@ func FuzzIntersectKernels(f *testing.F) {
 		}
 	})
 }
-
-// --- pairwise kernel micro-benchmarks (CI bench-kernels step) -----------
-
-func benchIntersectPair(b *testing.B, a, c Set) {
-	k := NewKernel(Config{})
-	var buf []uint32
-	var wbuf []uint64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, buf, wbuf = k.IntersectBuf(a, c, buf, wbuf)
-	}
-}
-
-func benchPairInputs() (dense, noise []uint32) {
-	rng := rand.New(rand.NewSource(77))
-	dense = clusteredSet(rng, 16, 200, 500, 1<<16)
-	noise = clusteredSet(rng, 16, 200, 500, 1<<16)
-	return
-}
-
-func BenchmarkIntersectPairUintUint(b *testing.B) {
-	av, bv := benchPairInputs()
-	benchIntersectPair(b, FromSorted(av), FromSorted(bv))
-}
-
-func BenchmarkIntersectPairUintBitset(b *testing.B) {
-	av, bv := benchPairInputs()
-	benchIntersectPair(b, FromSorted(av), NewBitset(bv))
-}
-
-func BenchmarkIntersectPairBitsetBitset(b *testing.B) {
-	av, bv := benchPairInputs()
-	benchIntersectPair(b, NewBitset(av), NewBitset(bv))
-}
-
-func BenchmarkIntersectPairCompositeComposite(b *testing.B) {
-	av, bv := benchPairInputs()
-	benchIntersectPair(b, NewComposite(av), NewComposite(bv))
-}

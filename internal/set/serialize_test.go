@@ -40,24 +40,38 @@ func roundTripSet(t *testing.T, s Set) Set {
 }
 
 func TestSetSerializeRoundTrip(t *testing.T) {
-	inputs := [][]uint32{
-		nil,
-		{7},
-		{0, 1, 2, 3, 63, 64, 65, 127, 128},
-		{5, 1000, 2000, 1 << 20, 1<<31 + 3},
-		gen.UniformSet(500, 4096, 3),  // dense-ish
-		gen.UniformSet(300, 1<<24, 4), // sparse
-		gen.DenseSparseSet(256, 64, 1<<22, 5),
+	// wide spans 2³¹ values: the interesting case for the offset-based
+	// layouts, but a forced bitset of it is 256 MB of words. The bitset
+	// leg gets wideBounded instead: a non-zero base and a span just under
+	// 2²² bits, with members on both sides of word (64) and block (256)
+	// boundaries.
+	wide := []uint32{5, 1000, 2000, 1 << 20, 1<<31 + 3}
+	const base = 1<<20 + 5
+	wideBounded := []uint32{base, base + 58, base + 59, base + 250, base + 251, base + 1000, base + 1<<22 - 7}
+	inputs := []struct {
+		vals     []uint32
+		noBitset bool
+	}{
+		{vals: nil},
+		{vals: []uint32{7}},
+		{vals: []uint32{0, 1, 2, 3, 63, 64, 65, 127, 128}},
+		{vals: wide, noBitset: true},
+		{vals: wideBounded},
+		{vals: gen.UniformSet(500, 4096, 3)},  // dense-ish
+		{vals: gen.UniformSet(300, 1<<24, 4)}, // sparse
+		{vals: gen.DenseSparseSet(256, 64, 1<<22, 5)},
 	}
-	for _, vals := range inputs {
+	for _, in := range inputs {
 		for _, layout := range []Layout{Uint, Bitset, Composite} {
-			if len(vals) == 0 && layout != Uint {
+			if len(in.vals) == 0 && layout != Uint {
 				continue // empty set always stores as Uint
 			}
-			s := BuildLayout(vals, layout)
-			roundTripSet(t, s)
+			if layout == Bitset && in.noBitset {
+				continue
+			}
+			roundTripSet(t, BuildLayout(in.vals, layout))
 		}
-		roundTripSet(t, BuildAuto(vals))
+		roundTripSet(t, BuildAuto(in.vals))
 	}
 }
 

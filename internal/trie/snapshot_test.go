@@ -25,7 +25,7 @@ func randomTuples(n, arity int, span uint32, seed int64) [][]uint32 {
 
 func buildTrie(tuples [][]uint32, anns []float64, op semiring.Op, layout LayoutFunc) *Trie {
 	arity := len(tuples[0])
-	b := NewBuilder(arity, op, layout)
+	b := NewColumnarBuilder(arity, op, layout)
 	for i, tp := range tuples {
 		if anns != nil {
 			b.AddAnn(anns[i], tp...)
@@ -96,7 +96,7 @@ func TestTrieSnapshotScalarAndEmpty(t *testing.T) {
 	roundTripTrie(t, NewScalar(42.5, semiring.Sum))
 	roundTripTrie(t, NewScalar(0, semiring.Min))
 	// Empty relation of arity 2.
-	b := NewBuilder(2, semiring.None, nil)
+	b := NewColumnarBuilder(2, semiring.None, nil)
 	roundTripTrie(t, b.Build())
 }
 

@@ -6,8 +6,7 @@
 // Tries are materialized through ColumnarBuilder: flat per-attribute
 // columns ordered by a parallel MSD radix sort, deduplicated in place
 // under ⊕, and assembled level by level from column runs (leaf sets and
-// annotations alias the sorted columns). The row-at-a-time Builder is a
-// thin adapter over the same path.
+// annotations alias the sorted columns).
 package trie
 
 import (
@@ -203,43 +202,6 @@ func (t *Trie) LayoutProfile() []LevelLayoutProfile {
 	}
 	walk(t.Root, 0)
 	return prof
-}
-
-// Builder accumulates tuples row-at-a-time and materializes a Trie. It is
-// a thin adapter over ColumnarBuilder: each Add scatters the tuple into
-// per-attribute columns (amortized appends, no per-row allocation), so
-// callers that must stay on the row API still get the columnar sort and
-// build path.
-type Builder struct {
-	cb *ColumnarBuilder
-}
-
-// NewBuilder returns a builder for relations of the given arity. op governs
-// how duplicate-tuple annotations combine; layout picks per-set layouts
-// (nil means the set-level auto optimizer).
-//
-// Deprecated: use NewColumnarBuilder directly — it exposes the same
-// Add/AddAnn/Build API without the extra indirection, and every engine
-// call site has moved to it. The adapter remains only for external code
-// still on the row API.
-func NewBuilder(arity int, op semiring.Op, layout LayoutFunc) *Builder {
-	return &Builder{cb: NewColumnarBuilder(arity, op, layout)}
-}
-
-// Add appends one un-annotated tuple. The tuple is copied, so callers may
-// reuse their buffer.
-func (b *Builder) Add(tuple ...uint32) { b.cb.Add(tuple...) }
-
-// AddAnn appends one annotated tuple. The tuple is copied, so callers may
-// reuse their buffer.
-func (b *Builder) AddAnn(ann float64, tuple ...uint32) { b.cb.AddAnn(ann, tuple...) }
-
-// Build sorts, deduplicates (combining annotations under the semiring) and
-// materializes the trie. The builder must not be reused afterwards.
-// Rows appended in lexicographic order (the natural emission order of the
-// engine's loop nests) skip the sort entirely.
-func (b *Builder) Build() *Trie {
-	return b.cb.Build()
 }
 
 // FromAdjacency builds a 2-level trie directly from an adjacency structure:

@@ -14,7 +14,7 @@ import (
 func TestBuildAndLookup(t *testing.T) {
 	// The Fig. 2 example: (managerID, employeeID) annotated with ratings,
 	// after dictionary encoding.
-	b := NewBuilder(2, semiring.Sum, nil)
+	b := NewColumnarBuilder(2, semiring.Sum, nil)
 	b.AddAnn(1.7, 0, 4)
 	b.AddAnn(3.8, 1, 0)
 	b.AddAnn(9.5, 0, 3)
@@ -46,7 +46,7 @@ func TestBuildAndLookup(t *testing.T) {
 }
 
 func TestDuplicateAnnotationsCombine(t *testing.T) {
-	b := NewBuilder(1, semiring.Sum, nil)
+	b := NewColumnarBuilder(1, semiring.Sum, nil)
 	b.AddAnn(2, 7)
 	b.AddAnn(5, 7)
 	b.AddAnn(1, 9)
@@ -58,7 +58,7 @@ func TestDuplicateAnnotationsCombine(t *testing.T) {
 		t.Fatalf("SUM dedup ann=%v want 7", ann)
 	}
 
-	bm := NewBuilder(1, semiring.Min, nil)
+	bm := NewColumnarBuilder(1, semiring.Min, nil)
 	bm.AddAnn(5, 7)
 	bm.AddAnn(2, 7)
 	trm := bm.Build()
@@ -72,7 +72,7 @@ func TestScalarTrie(t *testing.T) {
 	if s.Arity != 0 || s.Scalar != 42 || s.Cardinality() != 1 {
 		t.Fatalf("scalar trie wrong: %+v", s)
 	}
-	b := NewBuilder(0, semiring.Count, nil)
+	b := NewColumnarBuilder(0, semiring.Count, nil)
 	b.AddAnn(1)
 	b.AddAnn(1)
 	b.AddAnn(1)
@@ -83,7 +83,7 @@ func TestScalarTrie(t *testing.T) {
 }
 
 func TestForEachTupleOrder(t *testing.T) {
-	b := NewBuilder(3, semiring.None, nil)
+	b := NewColumnarBuilder(3, semiring.None, nil)
 	tuples := [][]uint32{{2, 1, 1}, {0, 0, 0}, {0, 1, 5}, {0, 1, 2}, {2, 0, 9}}
 	for _, tp := range tuples {
 		b.Add(tp...)
@@ -149,10 +149,10 @@ func TestLayoutPolicies(t *testing.T) {
 }
 
 func TestMemBytesGrowsWithData(t *testing.T) {
-	small := NewBuilder(2, semiring.None, nil)
+	small := NewColumnarBuilder(2, semiring.None, nil)
 	small.Add(0, 1)
 	st := small.Build()
-	big := NewBuilder(2, semiring.None, nil)
+	big := NewColumnarBuilder(2, semiring.None, nil)
 	for i := uint32(0); i < 100; i++ {
 		big.Add(i, i+1)
 	}
@@ -167,7 +167,7 @@ func TestMemBytesGrowsWithData(t *testing.T) {
 func TestQuickTrieRoundTrip(t *testing.T) {
 	type pair struct{ A, B uint8 }
 	f := func(ps []pair) bool {
-		b := NewBuilder(2, semiring.None, nil)
+		b := NewColumnarBuilder(2, semiring.None, nil)
 		seen := map[[2]uint32]bool{}
 		for _, p := range ps {
 			tp := [2]uint32{uint32(p.A), uint32(p.B)}
@@ -204,7 +204,7 @@ func TestQuickTrieRoundTrip(t *testing.T) {
 
 func TestLargeRandomTrie(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	b := NewBuilder(2, semiring.None, nil)
+	b := NewColumnarBuilder(2, semiring.None, nil)
 	ref := map[[2]uint32]bool{}
 	for i := 0; i < 20000; i++ {
 		x, y := uint32(rng.Intn(500)), uint32(rng.Intn(500))
