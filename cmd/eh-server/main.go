@@ -42,6 +42,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"runtime/debug"
 	"syscall"
 	"time"
 
@@ -84,6 +85,18 @@ func main() {
 	eventLogKeep := flag.Int("event-log-keep", 3, "rotated event-log files retained")
 	auditFraction := flag.Float64("audit-fraction", 0, "fraction of cached serves re-executed and compared by the background result-cache auditor (0 disables; POST /debug/audit sweeps on demand)")
 	flag.Parse()
+
+	// A serving engine's live heap is small (tries are compact: ~10 MB for
+	// a 40k-edge graph) beside what its queries allocate and drop —
+	// materialised bags, merged views, some 230 MB/s under mixed traffic —
+	// so at the runtime's default pacing the collector starts some 30
+	// cycles a second and the heaviest queries pay in assists and lost
+	// processor time (serve_mixed op_p95_ms 17 -> 21 ms). Half as much
+	// headroom again takes a third of the cycles away for ~10 MB. A GOGC
+	// in the environment still decides.
+	if os.Getenv("GOGC") == "" {
+		debug.SetGCPercent(150)
+	}
 
 	eng := core.New()
 	eng.Opts.Timeout = *timeout

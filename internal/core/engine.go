@@ -23,8 +23,8 @@ import (
 // Engine is an EmptyHeaded instance: a database of trie-stored relations
 // plus execution options. Loading and querying are safe for concurrent
 // use; Run mutates the shared database (head relations persist), while
-// RunIsolated / RunPrepared execute against a session-local fork so
-// concurrent queries never observe each other's intermediates.
+// RunIsolated executes against a session-local fork so concurrent queries
+// never observe each other's intermediates.
 type Engine struct {
 	DB   *exec.DB
 	Opts exec.Options
@@ -60,25 +60,21 @@ type Engine struct {
 const planMemoSize = 16
 
 // planMemo holds Run's last preparations by exact query text, first in
-// first out. Restore drops them and advances gen, so that a preparation
-// begun before the restore is not stored after it.
+// first out. No load, update or restore touches it: what a plan takes
+// from the database is checked each time it is bound to one (see
+// exec.Prepared).
 type planMemo struct {
 	mu    sync.Mutex
-	gen   uint64
 	next  int
 	plans [planMemoSize]*memoPlan
 }
 
-// memoPlan is a preparation and what it is valid for: the options a plan
-// bakes in, the epochs of the relations the rule reads, and the
-// dictionary epoch (selection constants are compiled to codes).
+// memoPlan is a preparation and the options it bakes in — Opts is a
+// public field an embedder may change between calls.
 type memoPlan struct {
-	text      string
-	prep      *exec.Prepared
-	opts      exec.Options
-	reads     []string
-	epochs    []uint64
-	dictEpoch uint64
+	text string
+	opts exec.Options
+	prep *exec.Prepared
 }
 
 // New returns an engine with the full optimizer enabled.
@@ -231,11 +227,9 @@ func (e *Engine) Run(query string) (*exec.Result, error) {
 }
 
 // prepared returns the preparation of query, parsing and planning only
-// when the memo has none that is still valid. A single-rule program is
-// valid for the relations its body and annotation expression read — not
-// its head, which every Run registers anew; a rule that reads its own
-// head is therefore planned on every call. Multi-rule and recursive
-// programs keep only the parse (see exec.Prepare) and read nothing here.
+// when the memo has none under the current options. A hit plans nothing,
+// for any program shape: every rule's plan, the starred rule of a
+// recursion included, is derived once per preparation.
 func (e *Engine) prepared(query string) (*exec.Prepared, error) {
 	// LayoutName stands for Layout, as in the relation index cache; Limit
 	// and Ctx go to each run, not into the plan.
@@ -243,12 +237,8 @@ func (e *Engine) prepared(query string) (*exec.Prepared, error) {
 	opts.Layout, opts.LayoutName, opts.Limit, opts.Ctx = nil, e.layoutName(), 0, nil
 	m := &e.memo
 	m.mu.Lock()
-	gen := m.gen
 	for _, p := range m.plans {
-		if p == nil || p.text != query || !reflect.DeepEqual(p.opts, opts) {
-			continue
-		}
-		if eps, de := e.DB.EpochsWithDict(p.reads); de == p.dictEpoch && slices.Equal(eps, p.epochs) {
+		if p != nil && p.text == query && reflect.DeepEqual(p.opts, opts) {
 			m.mu.Unlock()
 			return p.prep, nil
 		}
@@ -259,33 +249,25 @@ func (e *Engine) prepared(query string) (*exec.Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &memoPlan{text: query, opts: opts}
-	if len(prog.Rules) == 1 {
-		p.reads = prog.Rules[0].Reads()
-	}
-	// Epochs before planning: a load that lands in between leaves the
-	// entry stale, never a stale plan stamped fresh.
-	p.epochs, p.dictEpoch = e.DB.EpochsWithDict(p.reads)
-	if p.prep, err = exec.Prepare(e.DB, prog, e.Opts); err != nil {
+	prep, err := exec.Prepare(e.DB, prog, e.Opts)
+	if err != nil {
 		return nil, err
 	}
 	m.mu.Lock()
-	if m.gen == gen {
-		slot := slices.IndexFunc(m.plans[:], func(q *memoPlan) bool { return q != nil && q.text == query })
-		if slot < 0 {
-			slot, m.next = m.next, (m.next+1)%planMemoSize
-		}
-		m.plans[slot] = p
+	slot := slices.IndexFunc(m.plans[:], func(q *memoPlan) bool { return q != nil && q.text == query })
+	if slot < 0 {
+		slot, m.next = m.next, (m.next+1)%planMemoSize
 	}
+	m.plans[slot] = &memoPlan{text: query, opts: opts, prep: prep}
 	m.mu.Unlock()
-	return p.prep, nil
+	return prep, nil
 }
 
 // RunAnalyze executes a query with the EXPLAIN ANALYZE counters enabled
 // and returns the result together with the physical plan annotated with
 // actuals (per-level intersection counts, cardinalities, wall time; see
-// exec.Plan.ExplainAnalyze). Multi-rule and recursive programs execute
-// without a pinned plan and return an empty annotation.
+// exec.Plan.ExplainAnalyze). The counters describe one plan's bags:
+// multi-rule and recursive programs return an empty annotation.
 func (e *Engine) RunAnalyze(query string) (*exec.Result, string, error) {
 	pr, err := e.prepared(query)
 	if err != nil {
@@ -306,26 +288,12 @@ func (e *Engine) RunAnalyze(query string) (*exec.Result, string, error) {
 // database: intermediate and final head relations stay session-local, so
 // any number of RunIsolated calls may proceed concurrently with each
 // other (and with loads). Embedders serving concurrent queries should
-// use this (or RunPrepared) instead of Run.
+// use this instead of Run. It plans afresh on every call.
 func (e *Engine) RunIsolated(prog *datalog.Program) (*exec.Result, error) {
 	return exec.RunProgram(e.DB.Fork(), prog, e.Opts)
 }
 
-// Prepare compiles a parsed program into a reusable Prepared query (see
-// exec.Prepare); the service's plan cache stores these.
-func (e *Engine) Prepare(prog *datalog.Program) (*exec.Prepared, error) {
-	return exec.Prepare(e.DB, prog, e.Opts)
-}
-
-// RunPrepared executes a prepared query against a fresh fork. Callers
-// that need the fork afterwards (e.g. its dictionary snapshot, as the
-// query service does for decoding) should fork explicitly and call
-// Prepared.Run themselves.
-func (e *Engine) RunPrepared(pr *exec.Prepared) (*exec.Result, error) {
-	return pr.Run(e.DB.Fork())
-}
-
-// Version exposes the database mutation counter for cache invalidation.
+// Version exposes the database mutation counter (/stats "epoch").
 func (e *Engine) Version() uint64 { return e.DB.Version() }
 
 // RelationInfo is a catalog row describing one stored relation.

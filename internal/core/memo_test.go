@@ -15,11 +15,13 @@ import (
 	"emptyheaded/internal/trie"
 )
 
-// Engine.Run memoises plans by query text. A stale plan still looks every
-// relation up at run time, so what it can get wrong is what it bakes in:
-// selection constants as dictionary codes, each atom's arity and
-// annotation, and the options. The tests below change exactly those under
-// a memoised text and hold Run to RunIsolated, which always plans afresh.
+// Engine.Run memoises plans by query text, and no data event drops one: a
+// plan looks every relation up at run time, so what it could get wrong is
+// what it bakes in — selection constants as dictionary codes, each atom's
+// arity and annotation, and the options. The first two are checked where
+// a plan is bound to the database (exec.Plan.Clone), the options by the
+// memo. The tests below change exactly those under a memoised text and
+// hold Run to RunIsolated, which always plans afresh.
 
 // resultKey renders an outcome — rows, scalar or error — for comparison.
 func resultKey(res *exec.Result, err error) string {
@@ -72,7 +74,8 @@ func triangleEdges(t *testing.T, e *Engine) {
 }
 
 // TestRunMemoHitsAndInvalidation pins down, one event at a time, what
-// keeps a memoised plan and what drops it.
+// keeps a memoised plan — every data event — and what drops it: an option
+// a plan bakes in.
 func TestRunMemoHitsAndInvalidation(t *testing.T) {
 	e := New()
 	triangleEdges(t, e)
@@ -111,13 +114,16 @@ func TestRunMemoHitsAndInvalidation(t *testing.T) {
 	if _, err := e.Update(UpdateBatch{Rel: "Edge", InsCols: [][]uint32{{0}, {3}}}); err != nil {
 		t.Fatal(err)
 	}
-	fresh("after an insert into Edge")
+	same("after an insert into Edge")
 	if did, err := e.Compact("Edge"); err != nil || !did {
 		t.Fatalf("compact: did=%v err=%v", did, err)
 	}
 	same("after a compaction (same content, same epoch)")
 	triangleEdges(t, e)
-	fresh("after a load replaced Edge and the dictionary")
+	same("after a load replaced Edge and the dictionary")
+	if res, err := e.Run(memoTriangle); err != nil || res.Scalar() != 6 {
+		t.Fatalf("after the load: %v, %v", res, err)
+	}
 
 	for _, change := range []func(){
 		func() { e.Opts.SingleBag = true },
@@ -139,7 +145,31 @@ func TestRunMemoHitsAndInvalidation(t *testing.T) {
 	if _, err := e.Restore(dir); err != nil {
 		t.Fatal(err)
 	}
-	fresh("after a restore")
+	same("after a restore")
+}
+
+// TestRunMemoKeepsRecursivePrograms: multi-rule and recursive texts are
+// memoised like any other — the second Run parses and prepares nothing
+// (exec's TestPreparedDerivesEachRuleOnce shows a kept preparation plans
+// nothing either), across an update of the relation every rule reads.
+func TestRunMemoKeepsRecursivePrograms(t *testing.T) {
+	e := New()
+	e.AddRelation("Edge", 2, [][]uint32{{0, 1}, {1, 2}, {2, 0}, {2, 3}, {3, 4}})
+	for _, text := range []string{
+		"N(;w:int) :- Edge(x,y); w=<<COUNT(x)>>.\nInvDeg(x;d:float) :- Edge(x,y); d=1/<<COUNT(*)>>.\n" +
+			"PageRank(x;y:float) :- Edge(x,z); y=1/N.\nPageRank(x;y:float)*[i=5] :- Edge(x,z),PageRank(z),InvDeg(z); y=0.15+0.85*<<SUM(z)>>.",
+		"SSSP(x;y:int) :- Edge(0,x); y=1.\nSSSP(x;y:int)* :- Edge(w,x),SSSP(w); y=<<MIN(w)>>+1.",
+	} {
+		checkRun(t, e, text, "first run")
+		pr := mustPrepared(t, e, text)
+		if _, err := e.Update(UpdateBatch{Rel: "Edge", InsCols: [][]uint32{{4}, {0}}}); err != nil {
+			t.Fatal(err)
+		}
+		checkRun(t, e, text, "second run, after an insert into Edge")
+		if mustPrepared(t, e, text) != pr {
+			t.Fatalf("%.20s…: the preparation was dropped", text)
+		}
+	}
 }
 
 // TestRunMemoOwnHead: a rule whose body reads its own head name sees a
@@ -196,9 +226,9 @@ func TestRunMemoConstantEntersDictionary(t *testing.T) {
 	}
 }
 
-// TestRunMemoForeignRestore: a snapshot written by another engine carries
-// epochs that mean nothing here — they may equal the ones the memo
-// stamped — so Restore must drop the memo.
+// TestRunMemoForeignRestore: a snapshot written by another engine brings
+// another dictionary under a memoised selection — the kept plan must
+// answer under the restored codes.
 func TestRunMemoForeignRestore(t *testing.T) {
 	const text = `Nb(y) :- Edge("7",y).`
 	a, b := New(), New()

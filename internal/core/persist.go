@@ -147,12 +147,7 @@ func (e *Engine) Restore(dir string) (*storage.Catalog, error) {
 	// fully, follow a runtime restore with a snapshot to the WAL's
 	// paired directory — eh-server's SIGTERM path does.)
 	e.upd.mu.Lock()
-	// Restored epochs are not comparable with the ones the plan memo
-	// stamped, so its entries go in the same step as the install.
-	e.memo.mu.Lock()
 	e.DB.InstallSnapshot(db.Tries, db.Epochs, db.Dict, db.Catalog.DictEpoch)
-	e.memo.plans, e.memo.gen = [planMemoSize]*memoPlan{}, e.memo.gen+1
-	e.memo.mu.Unlock()
 	e.upd.deltas = map[string]*relDelta{}
 	// Adopt the snapshot's watermarks wholesale: the restored state
 	// reflects exactly the WAL prefixes the catalog recorded. A

@@ -396,16 +396,12 @@ func (ex *bagExec) preDescend(c *cursor) bool {
 	if c.t.Arity == 0 {
 		return true
 	}
-	for al := 0; al < len(c.atom.Attrs); al++ {
-		v, isConst := c.atom.Consts[al]
-		if !isConst {
-			return true
-		}
+	for al, k := range c.atom.consts {
 		n := c.nodes[al]
-		if n == nil || !n.Set.Contains(v) {
+		if n == nil || !n.Set.Contains(k.code) {
 			return false
 		}
-		c.nodes[al+1] = n.Child(v)
+		c.nodes[al+1] = n.Child(k.code)
 	}
 	return true
 }
@@ -498,9 +494,11 @@ func (w *worker) initScratch(levels int) {
 	w.scratch = make([]scratchLevel, levels)
 }
 
-// intersectionAtBuf is intersectionAt using the worker's per-level
-// scratch buffers; the result points into them or into a trie node.
-func (w *worker) intersectionAtBuf(lvl int) *set.Set {
+// intersectionAt computes the set of candidate values at a bag level from
+// the current cursor nodes (the ∩ of Algorithm 1) in the worker's
+// per-level scratch buffers; the result points into them or into a trie
+// node, valid until the worker next intersects at lvl.
+func (w *worker) intersectionAt(lvl int) *set.Set {
 	s := w.intersectPrefix(lvl, w.ex.perLevel[lvl])
 	if w.ex.lc != nil {
 		w.ex.noteIntersect(lvl, s.Card())
@@ -562,7 +560,11 @@ func (ex *bagExec) runParallel() ([][]uint32, []float64, float64, error) {
 	if nw <= 0 {
 		nw = runtime.GOMAXPROCS(0)
 	}
-	first := ex.intersectionAt(0)
+	// The coordinator's own worker computes the first level; it also runs
+	// the whole nest when one worker suffices.
+	w0 := ex.newWorker()
+	w0.initScratch(len(ex.bp.Attrs))
+	first := w0.intersectionAt(0)
 	if first.IsEmpty() {
 		return make([][]uint32, len(ex.bp.OutAttrs)), nil, ex.op.Zero(), nil
 	}
@@ -573,13 +575,11 @@ func (ex *bagExec) runParallel() ([][]uint32, []float64, float64, error) {
 		// Chaos hook (Latency/PanicKind); the inline path's panics are
 		// recovered by execBag.
 		_ = fault.Hit("exec.worker")
-		w := ex.newWorker()
-		w.initScratch(len(ex.bp.Attrs))
-		w.levelValues(0, &first, ex.scalarFactor)
+		w0.levelValues(0, first, ex.scalarFactor)
 		if ex.lc != nil {
-			ex.mergeCounters(w)
+			ex.mergeCounters(w0)
 		}
-		return w.cols, w.anns, w.scalar, nil
+		return w0.cols, w0.anns, w0.scalar, nil
 	}
 	vals := first.Slice()
 	block := len(vals) / (nw * 8)
@@ -700,28 +700,6 @@ func (w *worker) withPrivateCursors() *worker {
 	return &worker{ex: ex, outBuf: w.outBuf, cols: w.cols, anns: w.anns, scalar: w.scalar}
 }
 
-// intersectionAt computes the set of candidate values at a bag level from
-// the current cursor nodes (the ∩ of Algorithm 1).
-func (ex *bagExec) intersectionAt(lvl int) set.Set {
-	s := ex.intersectionAtInner(lvl)
-	if ex.lc != nil {
-		ex.noteIntersect(lvl, s.Card())
-	}
-	return s
-}
-
-func (ex *bagExec) intersectionAtInner(lvl int) set.Set {
-	refs := ex.perLevel[lvl]
-	cur := *ex.levelSet(refs[0])
-	for _, r := range refs[1:] {
-		if cur.IsEmpty() {
-			return cur
-		}
-		cur = ex.kernelAt(lvl).Intersect(cur, *ex.levelSet(r))
-	}
-	return cur
-}
-
 // emptySet stands in for the level set of a nil trie node.
 var emptySet set.Set
 
@@ -751,7 +729,7 @@ func (w *worker) levelValues(lvl int, candidates *set.Set, ann float64) {
 	}
 	// Existence tail: all remaining levels only need one witness.
 	if lvl >= bp.ExistsFrom {
-		if ex.exists(lvl) {
+		if w.exists(lvl) {
 			w.emit(ann)
 		}
 		return
@@ -861,7 +839,7 @@ func (w *worker) levelValues(lvl int, candidates *set.Set, ann float64) {
 			}
 			return true
 		}
-		next := w.intersectionAtBuf(lvl + 1)
+		next := w.intersectionAt(lvl + 1)
 		if !next.IsEmpty() {
 			w.levelValues(lvl+1, next, a)
 		}
@@ -877,8 +855,9 @@ func (w *worker) levelValues(lvl int, candidates *set.Set, ann float64) {
 }
 
 // exists reports whether any full binding exists from lvl on.
-func (ex *bagExec) exists(lvl int) bool {
-	candidates := ex.intersectionAt(lvl)
+func (w *worker) exists(lvl int) bool {
+	ex := w.ex
+	candidates := w.intersectionAt(lvl)
 	if candidates.IsEmpty() {
 		return false
 	}
@@ -898,7 +877,7 @@ func (ex *bagExec) exists(lvl int) bool {
 				r.c.nodes[r.atomLevel+1] = child
 			}
 		}
-		if ok && ex.exists(lvl+1) {
+		if ok && w.exists(lvl+1) {
 			found = true
 			return false
 		}

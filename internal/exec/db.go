@@ -37,14 +37,16 @@ type DB struct {
 	// codes used inside tries; selection constants in queries are
 	// expressed as original identifiers. Guarded by mu (see Dict/SetDict).
 	dict *graph.Dictionary
-	// version counts mutations (AddTrie, Drop, SetDict); it remains the
-	// coarse invalidation epoch for compiled plans.
+	// version counts mutations (AddTrie, Drop, SetDict) and is the source
+	// of the per-relation epochs below. No cache keys on it: a compiled
+	// plan depends on no data (see Plan), a cached result on the epochs of
+	// exactly the relations it read.
 	version atomic.Uint64
 	// epochs carries one mutation epoch per relation name (guarded by
 	// mu): a relation's epoch advances exactly when that relation is
-	// added, replaced, dropped, or installed from a snapshot. Caches that
-	// know a query's read set key on these instead of the global version,
-	// so loading relation R never evicts results that never read R.
+	// added, replaced, dropped, or installed from a snapshot. The result
+	// cache keys on the epochs of a query's read set, so loading relation
+	// R never evicts results that never read R.
 	epochs map[string]uint64
 	// dictEpoch advances when the identifier dictionary changes; every
 	// decoded (rendered) result depends on it.
@@ -112,9 +114,9 @@ func (db *DB) SetDict(d *graph.Dictionary) {
 }
 
 // Version is a monotone mutation counter: it advances whenever a relation
-// is added, replaced or dropped, or the dictionary changes. The plan
-// cache keys compilations on it; the result cache uses the finer
-// per-relation epochs (EpochsOf) instead.
+// is added, replaced or dropped, or the dictionary changes (/stats
+// reports it as "epoch"). Caches use the finer per-relation epochs
+// (EpochsWithDict) instead.
 func (db *DB) Version() uint64 { return db.version.Load() }
 
 // EpochOf returns relation name's mutation epoch (0 when the relation
@@ -124,18 +126,6 @@ func (db *DB) EpochOf(name string) uint64 {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	return db.epochs[name]
-}
-
-// EpochsOf returns the epochs of the given relation names, aligned with
-// names, read under one lock so the vector is a consistent snapshot.
-func (db *DB) EpochsOf(names []string) []uint64 {
-	out := make([]uint64, len(names))
-	db.mu.RLock()
-	for i, n := range names {
-		out[i] = db.epochs[n]
-	}
-	db.mu.RUnlock()
-	return out
 }
 
 // EpochsWithDict returns the epochs of the given relation names plus the
@@ -170,8 +160,8 @@ func (db *DB) DictEpoch() uint64 {
 // so later mutations stay strictly monotone. Epoch numbering is NOT
 // comparable across an install — the snapshot may come from another
 // process — so holders of epoch-keyed caches must flush them when they
-// trigger a restore; version-keyed caches (compiled plans) invalidate
-// automatically via the version jump.
+// trigger a restore. Compiled plans need no flush: each execution binds
+// its plan to the database it runs on (Plan.Clone).
 func (db *DB) InstallSnapshot(tries map[string]*trie.Trie, epochs map[string]uint64, dict *graph.Dictionary, dictEpoch uint64) {
 	rels := make(map[string]*Relation, len(tries))
 	eps := make(map[string]uint64, len(tries))

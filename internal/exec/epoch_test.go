@@ -54,10 +54,10 @@ func TestPerRelationEpochs(t *testing.T) {
 		t.Fatal("Drop did not advance the dropped relation's epoch")
 	}
 
-	// EpochsOf returns a consistent aligned vector.
-	got := db.EpochsOf([]string{"S", "R", "missing"})
-	if got[0] != sEpoch || got[1] != db.EpochOf("R") || got[2] != 0 {
-		t.Fatalf("EpochsOf vector %v inconsistent", got)
+	// EpochsWithDict returns a consistent aligned vector.
+	got, de := db.EpochsWithDict([]string{"S", "R", "missing"})
+	if got[0] != sEpoch || got[1] != db.EpochOf("R") || got[2] != 0 || de != db.DictEpoch() {
+		t.Fatalf("EpochsWithDict vector %v, dict %d inconsistent", got, de)
 	}
 }
 

@@ -62,10 +62,8 @@ func (p *Plan) explain(st *ExecStats) string {
 		indent := "  "
 		// Selection pre-descent.
 		for _, a := range bp.Atoms {
-			for lvl := 0; lvl < len(a.Attrs); lvl++ {
-				if c, ok := a.Consts[lvl]; ok {
-					fmt.Fprintf(&sb, "%s%s := %s[%d]  // selection\n", indent, a.Rel, a.Rel, c)
-				}
+			for _, k := range a.consts {
+				fmt.Fprintf(&sb, "%s%s := %s[%d]  // selection\n", indent, a.Rel, a.Rel, k.code)
 			}
 		}
 		for lvl, attr := range bp.Attrs {

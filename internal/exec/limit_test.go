@@ -119,7 +119,7 @@ func TestLimitPreparedPerRunOverride(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	limited, err := pr.RunLimit(db.Fork(), 10)
+	limited, err := pr.RunWith(db.Fork(), RunParams{Limit: 10})
 	if err != nil {
 		t.Fatalf("run limited: %v", err)
 	}

@@ -8,13 +8,20 @@ import (
 
 	"emptyheaded/internal/datalog"
 	"emptyheaded/internal/ghd"
+	"emptyheaded/internal/graph"
 	"emptyheaded/internal/hypergraph"
 	"emptyheaded/internal/semiring"
 	"emptyheaded/internal/trace"
 	"emptyheaded/internal/trie"
 )
 
-// Plan is a compiled physical plan for one rule.
+// Plan is a compiled physical plan for one rule. It is a function of the
+// rule, the options and the schema (arity, annotation, semiring) of the
+// relations the body reads — never of their contents: the optimizer
+// minimises fractional hypertree width, a property of the query
+// hypergraph alone (§3.2). What a plan takes from a particular database
+// is checked, and its selection constants re-encoded, where the plan is
+// bound to one (Plan.Clone).
 type Plan struct {
 	Rule *datalog.Rule
 	GHD  *ghd.GHD
@@ -70,9 +77,10 @@ type AtomRef struct {
 	Attrs []string
 	// Perm maps trie level → original column of the relation.
 	Perm []int
-	// Consts maps trie level → the dictionary-encoded constant bound at
-	// that level (selection constants, §B.1).
-	Consts map[int]uint32
+	// consts are the selection constants (§B.1) bound at the atom's
+	// leading trie levels — constant columns sort before variable ones, so
+	// level i < len(consts) is bound to consts[i].
+	consts []selConst
 	// Annotated relations contribute their annotation (⊗) when fully
 	// bound.
 	Annotated bool
@@ -82,6 +90,13 @@ type AtomRef struct {
 	LastLevel int
 
 	child *BagPlan // non-nil for "@bag" atoms
+}
+
+// selConst is one selection constant: the constant as the query wrote it
+// and its code under the dictionary of the database the plan is bound to.
+type selConst struct {
+	src  *datalog.Const
+	code uint32
 }
 
 // BagPlan is the physical plan of one GHD bag: a Generic-Join loop nest.
@@ -150,7 +165,6 @@ func Compile(db *DB, rule *datalog.Rule, opts Options) (*Plan, error) {
 			Name: fmt.Sprintf("%s#%d", atom.Pred, i),
 			Rel:  atom.Pred,
 			Vars: vars,
-			Size: float64(rel.Cardinality()),
 		})
 		if hasConst {
 			selEdges = append(selEdges, i)
@@ -372,18 +386,18 @@ func (p *Plan) atomRef(atom *datalog.Atom, bagAttrs []string) (*AtomRef, error) 
 		Rel:       atom.Pred,
 		Annotated: rel.Annotated,
 		Op:        rel.Op,
-		Consts:    map[int]uint32{},
 		LastLevel: -1,
 	}
+	dict := p.db.Dict()
 	for lvl, cl := range cols {
 		ar.Perm = append(ar.Perm, cl.orig)
 		if cl.c != nil {
-			code, err := p.encodeConst(cl.c)
+			code, err := encodeConst(dict, cl.c)
 			if err != nil {
 				return nil, err
 			}
 			ar.Attrs = append(ar.Attrs, "")
-			ar.Consts[lvl] = code
+			ar.consts = append(ar.consts, selConst{src: cl.c, code: code})
 		} else {
 			ar.Attrs = append(ar.Attrs, cl.v)
 			ar.LastLevel = lvl
@@ -394,8 +408,8 @@ func (p *Plan) atomRef(atom *datalog.Atom, bagAttrs []string) (*AtomRef, error) 
 
 // encodeConst maps a query constant to its dictionary code. String
 // constants name original vertex identifiers; numbers are used directly
-// when no dictionary is attached.
-func (p *Plan) encodeConst(c *datalog.Const) (uint32, error) {
+// when no dictionary is attached (dict nil).
+func encodeConst(dict *graph.Dictionary, c *datalog.Const) (uint32, error) {
 	var orig int64
 	if c.IsString {
 		var v int64
@@ -406,7 +420,7 @@ func (p *Plan) encodeConst(c *datalog.Const) (uint32, error) {
 	} else {
 		orig = int64(c.Num)
 	}
-	if dict := p.db.Dict(); dict != nil {
+	if dict != nil {
 		code, ok := dict.Lookup(orig)
 		if !ok {
 			return 0, fmt.Errorf("exec: constant %d not in dictionary", orig)
@@ -421,7 +435,6 @@ func childAtom(cp *BagPlan) *AtomRef {
 	ar := &AtomRef{
 		Rel:       fmt.Sprintf("@bag%d", cp.ID),
 		Annotated: true, // child results always carry a semiring value
-		Consts:    map[int]uint32{},
 		LastLevel: len(cp.OutAttrs) - 1,
 		child:     cp,
 	}

@@ -72,6 +72,41 @@ func TestPreparedConcurrentRunsMatchSequential(t *testing.T) {
 	}
 }
 
+// TestPreparedConcurrentFirstRuns: the plan slots of a recursive program
+// fill on first execution; many first executions at once (run under
+// -race) each get every rule planned and agree on the answer.
+func TestPreparedConcurrentFirstRuns(t *testing.T) {
+	db := dbWithGraph(testGraph(100, 600, 15))
+	prog, err := datalog.Parse(qPageRank)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := RunProgram(db.Fork(), prog, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, err := Prepare(db, prog, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 16; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := pr.RunWith(db.Fork(), RunParams{})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if !triesEqual(res.Trie, want.Trie) {
+				t.Error("concurrent first run diverges from a sequential one")
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 func TestForkIsolation(t *testing.T) {
 	db := k4DB()
 	f := db.Fork()

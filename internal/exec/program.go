@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"emptyheaded/internal/datalog"
 	"emptyheaded/internal/semiring"
@@ -13,97 +14,21 @@ import (
 // recursion on finite graphs terminates well before this).
 const maxFixpointIters = 100000
 
-// RunProgram executes a parsed program rule by rule, registering each head
-// relation in the database so later rules (and the caller) can use it.
-// Rules sharing a head name form a group; a group containing a starred
-// rule runs the recursion executor (§3.3 "Recursion"). The result of the
-// final group is returned.
+// tracedIters bounds what a fixpoint leaves in a trace: the base rule and
+// this many iterations record their bag spans, later ones run untraced and
+// are counted in the trace's untraced_iterations. SSSP over a long path
+// iterates once per hop, and a finished trace stays in the server's
+// record ring and renders whole.
+const tracedIters = 16
+
+// RunProgram prepares and executes a parsed program in one call; callers
+// that run a program more than once keep the Prepared instead.
 func RunProgram(db *DB, prog *datalog.Program, opts Options) (*Result, error) {
-	// Limit pushdown only applies to the final rule group: intermediate
-	// head relations feed later rules and recursion rounds feed each
-	// other, so both must materialize fully.
-	interOpts := opts
-	interOpts.Limit = 0
-	var last *Result
-	i := 0
-	for i < len(prog.Rules) {
-		j := i + 1
-		for j < len(prog.Rules) && prog.Rules[j].Head.Name == prog.Rules[i].Head.Name {
-			j++
-		}
-		ropts := interOpts
-		if j == len(prog.Rules) && !groupRecursive(prog.Rules[i:j]) {
-			ropts = opts
-		}
-		res, err := runGroup(db, prog.Rules[i:j], ropts)
-		if err != nil {
-			return nil, err
-		}
-		db.AddTrie(res.Name, res.Trie)
-		last = res
-		i = j
-	}
-	return last, nil
-}
-
-func groupRecursive(group []*datalog.Rule) bool {
-	for _, r := range group {
-		if r.Head.Recursive {
-			return true
-		}
-	}
-	return false
-}
-
-func runGroup(db *DB, group []*datalog.Rule, opts Options) (*Result, error) {
-	var base []*datalog.Rule
-	var rec []*datalog.Rule
-	for _, r := range group {
-		if r.Head.Recursive {
-			rec = append(rec, r)
-		} else {
-			base = append(base, r)
-		}
-	}
-	if len(rec) == 0 {
-		if len(base) != 1 {
-			return nil, fmt.Errorf("exec: %d non-recursive rules for head %s (union heads unsupported)",
-				len(base), group[0].Head.Name)
-		}
-		return runRule(db, base[0], opts)
-	}
-	if len(rec) != 1 || len(base) != 1 {
-		return nil, fmt.Errorf("exec: recursion requires exactly one base and one starred rule for %s",
-			group[0].Head.Name)
-	}
-	return runRecursive(db, base[0], rec[0], opts)
-}
-
-// runRule compiles and executes one non-recursive rule, applying the
-// annotation expression to the raw semiring fold.
-func runRule(db *DB, rule *datalog.Rule, opts Options) (*Result, error) {
-	p, err := Compile(db, rule, opts)
+	pr, err := Prepare(db, prog, opts)
 	if err != nil {
 		return nil, err
 	}
-	return runCompiled(db, p, rule)
-}
-
-// runCompiled executes an already compiled plan (freshly compiled, or a
-// Clone of a cached Prepared plan) and applies the rule's annotation
-// expression.
-func runCompiled(db *DB, p *Plan, rule *datalog.Rule) (*Result, error) {
-	res, err := p.Run()
-	if err != nil {
-		return nil, err
-	}
-	if rule.Assign != nil {
-		if err := applyExpr(db, res.Trie, rule.Assign.Expr); err != nil {
-			return nil, err
-		}
-	}
-	res.Name = rule.Head.Name
-	return res, nil
+	return pr.RunWith(db, RunParams{Limit: opts.Limit, Ctx: opts.Ctx})
 }
 
 // applyExpr rewrites every annotation a ↦ expr(a), resolving scalar
@@ -191,13 +116,18 @@ func compileExpr(db *DB, e datalog.Expr) (func(float64) float64, error) {
 	return nil, fmt.Errorf("exec: unsupported expression %v", e)
 }
 
-// runRecursive evaluates base once, then iterates the starred rule.
-// Monotone aggregates (MIN/MAX) use seminaive evaluation over delta
-// frontiers; others use naive re-evaluation with replace semantics, for a
-// fixed iteration count or until fixpoint (§3.3 "Recursion").
-func runRecursive(db *DB, base, rec *datalog.Rule, opts Options) (*Result, error) {
+// runRecursive evaluates the group's base rule once, then iterates its
+// starred rule. Monotone aggregates (MIN/MAX) use seminaive evaluation
+// over delta frontiers; others use naive re-evaluation with replace
+// semantics, for a fixed iteration count or until fixpoint (§3.3
+// "Recursion"). The fixpoint drivers receive the starred rule as step —
+// one more pass of Prepared.runRule over whatever the driver registered
+// under the head name — so an iteration binds the rule's one plan; it
+// cannot plan.
+func (pr *Prepared) runRecursive(db *DB, g ruleGroup, rp RunParams) (*Result, error) {
+	rec := pr.Prog.Rules[g.rec]
 	name := rec.Head.Name
-	baseRes, err := runRule(db, base, opts)
+	baseRes, err := pr.runRule(db, g.base, rp)
 	if err != nil {
 		return nil, err
 	}
@@ -212,13 +142,26 @@ func runRecursive(db *DB, base, rec *datalog.Rule, opts Options) (*Result, error
 	// Ensure the base result carries the recursion's semiring so delta
 	// joins combine correctly.
 	current := retag(baseRes.Trie, op)
-
-	defer db.Drop(name) // RunProgram re-registers the final result
-
-	if op.Monotone() && rec.Head.Iterations == 0 && !opts.NaiveRecursion {
-		return runSeminaive(db, rec, current, op, opts)
+	iters := 0
+	step := func() (*Result, error) {
+		it := rp
+		if iters++; iters > tracedIters {
+			it.Trace = nil
+		}
+		return pr.runRule(db, g.rec, it)
 	}
-	return runNaive(db, rec, current, op, opts)
+
+	defer db.Drop(name) // RunWith re-registers the final result
+
+	drive := runNaive
+	if op.Monotone() && rec.Head.Iterations == 0 && !pr.opts.NaiveRecursion {
+		drive = runSeminaive
+	}
+	res, err := drive(db, rec, current, op, step)
+	if iters > tracedIters {
+		rp.Trace.Annot("untraced_iterations", strconv.Itoa(iters-tracedIters))
+	}
+	return res, err
 }
 
 // retag rebuilds a trie under a different semiring op (annotation values
@@ -240,7 +183,7 @@ func retag(t *trie.Trie, op semiring.Op) *trie.Trie {
 // are ⊕-combined with existing tuples ("new tuples are added to R",
 // §2.3), so naive SSSP converges to the same fixpoint as seminaive, just
 // wastefully.
-func runNaive(db *DB, rec *datalog.Rule, current *trie.Trie, op semiring.Op, opts Options) (*Result, error) {
+func runNaive(db *DB, rec *datalog.Rule, current *trie.Trie, op semiring.Op, step func() (*Result, error)) (*Result, error) {
 	name := rec.Head.Name
 	iters := rec.Head.Iterations
 	bounded := iters > 0
@@ -250,7 +193,7 @@ func runNaive(db *DB, rec *datalog.Rule, current *trie.Trie, op semiring.Op, opt
 	var attrs []string
 	for it := 0; it < iters; it++ {
 		db.AddTrie(name, current)
-		res, err := runRule(db, rec, opts)
+		res, err := step()
 		if err != nil {
 			return nil, err
 		}
@@ -277,7 +220,7 @@ func runNaive(db *DB, rec *datalog.Rule, current *trie.Trie, op semiring.Op, opt
 // tuples improved in the previous round, and a round's improvements form
 // the next frontier. This is the engine's SSSP execution mode, selected
 // automatically because MIN is monotone (§3.3).
-func runSeminaive(db *DB, rec *datalog.Rule, base *trie.Trie, op semiring.Op, opts Options) (*Result, error) {
+func runSeminaive(db *DB, rec *datalog.Rule, base *trie.Trie, op semiring.Op, step func() (*Result, error)) (*Result, error) {
 	name := rec.Head.Name
 	best := map[uint32]float64{}
 	var attrs []string
@@ -296,7 +239,7 @@ func runSeminaive(db *DB, rec *datalog.Rule, base *trie.Trie, op semiring.Op, op
 			break
 		}
 		db.AddTrie(name, delta)
-		res, err := runRule(db, rec, opts)
+		res, err := step()
 		if err != nil {
 			return nil, err
 		}

@@ -8,47 +8,47 @@ import (
 	"emptyheaded/internal/hypergraph"
 )
 
-func edge(name, rel string, size float64, vars ...string) hypergraph.Edge {
-	return hypergraph.Edge{Name: name, Rel: rel, Vars: vars, Size: size}
+func edge(name, rel string, vars ...string) hypergraph.Edge {
+	return hypergraph.Edge{Name: name, Rel: rel, Vars: vars}
 }
 
 func triangleH() *hypergraph.Hypergraph {
 	return hypergraph.New([]hypergraph.Edge{
-		edge("R#0", "R", 100, "x", "y"),
-		edge("S#1", "S", 100, "y", "z"),
-		edge("T#2", "T", 100, "x", "z"),
+		edge("R#0", "R", "x", "y"),
+		edge("S#1", "S", "y", "z"),
+		edge("T#2", "T", "x", "z"),
 	})
 }
 
 func barbellH() *hypergraph.Hypergraph {
 	return hypergraph.New([]hypergraph.Edge{
-		edge("R#0", "R", 100, "x", "y"),
-		edge("S#1", "S", 100, "y", "z"),
-		edge("T#2", "T", 100, "x", "z"),
-		edge("U#3", "U", 100, "x", "x2"),
-		edge("R2#4", "R", 100, "x2", "y2"),
-		edge("S2#5", "S", 100, "y2", "z2"),
-		edge("T2#6", "T", 100, "x2", "z2"),
+		edge("R#0", "R", "x", "y"),
+		edge("S#1", "S", "y", "z"),
+		edge("T#2", "T", "x", "z"),
+		edge("U#3", "U", "x", "x2"),
+		edge("R2#4", "R", "x2", "y2"),
+		edge("S2#5", "S", "y2", "z2"),
+		edge("T2#6", "T", "x2", "z2"),
 	})
 }
 
 func lollipopH() *hypergraph.Hypergraph {
 	return hypergraph.New([]hypergraph.Edge{
-		edge("R#0", "R", 100, "x", "y"),
-		edge("S#1", "S", 100, "y", "z"),
-		edge("T#2", "T", 100, "x", "z"),
-		edge("U#3", "U", 100, "x", "w"),
+		edge("R#0", "R", "x", "y"),
+		edge("S#1", "S", "y", "z"),
+		edge("T#2", "T", "x", "z"),
+		edge("U#3", "U", "x", "w"),
 	})
 }
 
 func fourCliqueH() *hypergraph.Hypergraph {
 	return hypergraph.New([]hypergraph.Edge{
-		edge("R#0", "R", 100, "x", "y"),
-		edge("S#1", "S", 100, "y", "z"),
-		edge("T#2", "T", 100, "x", "z"),
-		edge("U#3", "U", 100, "x", "w"),
-		edge("V#4", "V", 100, "y", "w"),
-		edge("Q#5", "Q", 100, "z", "w"),
+		edge("R#0", "R", "x", "y"),
+		edge("S#1", "S", "y", "z"),
+		edge("T#2", "T", "x", "z"),
+		edge("U#3", "U", "x", "w"),
+		edge("V#4", "V", "y", "w"),
+		edge("Q#5", "Q", "z", "w"),
 	})
 }
 
@@ -169,13 +169,13 @@ func TestSelectionPushdown(t *testing.T) {
 	// pushed below the clique bag when pushdown is enabled, and grafted
 	// above it (executed last) when disabled.
 	h := hypergraph.New([]hypergraph.Edge{
-		edge("R#0", "R", 1000, "x", "y"),
-		edge("S#1", "S", 1000, "y", "z"),
-		edge("T#2", "T", 1000, "x", "z"),
-		edge("U#3", "U", 1000, "x", "w"),
-		edge("V#4", "V", 1000, "y", "w"),
-		edge("Q#5", "Q", 1000, "z", "w"),
-		edge("P#6", "P", 10, "x"),
+		edge("R#0", "R", "x", "y"),
+		edge("S#1", "S", "y", "z"),
+		edge("T#2", "T", "x", "z"),
+		edge("U#3", "U", "x", "w"),
+		edge("V#4", "V", "y", "w"),
+		edge("Q#5", "Q", "z", "w"),
+		edge("P#6", "P", "x"),
 	})
 	selEdges := []int{6}
 	g := Decompose(h, Options{SelectionEdges: selEdges})
@@ -213,14 +213,14 @@ func TestBarbellSelectionPushdown(t *testing.T) {
 	// Barbell selection (Table 12): U(x,'node'), V('node',x2) become unary
 	// selection atoms; with pushdown each hangs under its triangle.
 	h := hypergraph.New([]hypergraph.Edge{
-		edge("R#0", "R", 1000, "x", "y"),
-		edge("S#1", "S", 1000, "y", "z"),
-		edge("T#2", "T", 1000, "x", "z"),
-		edge("U#3", "U", 20, "x"),
-		edge("V#4", "V", 20, "x2"),
-		edge("R2#5", "R", 1000, "x2", "y2"),
-		edge("S2#6", "S", 1000, "y2", "z2"),
-		edge("T2#7", "T", 1000, "x2", "z2"),
+		edge("R#0", "R", "x", "y"),
+		edge("S#1", "S", "y", "z"),
+		edge("T#2", "T", "x", "z"),
+		edge("U#3", "U", "x"),
+		edge("V#4", "V", "x2"),
+		edge("R2#5", "R", "x2", "y2"),
+		edge("S2#6", "S", "y2", "z2"),
+		edge("T2#7", "T", "x2", "z2"),
 	})
 	selEdges := []int{3, 4}
 	g := Decompose(h, Options{SelectionEdges: selEdges})
@@ -252,9 +252,9 @@ func TestValidateCatchesBadGHD(t *testing.T) {
 	}
 	// Running-intersection violation: x in two leaves but not the root.
 	h2 := hypergraph.New([]hypergraph.Edge{
-		edge("A#0", "A", 10, "x", "y"),
-		edge("B#1", "B", 10, "x", "z"),
-		edge("C#2", "C", 10, "y", "z"),
+		edge("A#0", "A", "x", "y"),
+		edge("B#1", "B", "x", "z"),
+		edge("C#2", "C", "y", "z"),
 	})
 	bad2 := &GHD{H: h2, Root: &Bag{
 		Edges: []int{2}, Vars: []string{"y", "z"},
@@ -271,9 +271,9 @@ func TestValidateCatchesBadGHD(t *testing.T) {
 func TestPathQueryGHD(t *testing.T) {
 	// Acyclic 3-path R(a,b),S(b,c),T(c,d): fhw = 1.
 	h := hypergraph.New([]hypergraph.Edge{
-		edge("R#0", "R", 100, "a", "b"),
-		edge("S#1", "S", 100, "b", "c"),
-		edge("T#2", "T", 100, "c", "d"),
+		edge("R#0", "R", "a", "b"),
+		edge("S#1", "S", "b", "c"),
+		edge("T#2", "T", "c", "d"),
 	})
 	g := Decompose(h, Options{})
 	if err := g.Validate(); err != nil {

@@ -1,6 +1,8 @@
 // Package hypergraph models conjunctive queries as hypergraphs (§2.1):
 // one vertex per query variable, one hyperedge per body atom. It computes
-// fractional edge covers and AGM bounds via the lp package.
+// fractional edge covers via the lp package. A hypergraph carries the
+// query's shape and nothing of the instance: no relation size reaches the
+// optimizer.
 package hypergraph
 
 import (
@@ -19,8 +21,6 @@ type Edge struct {
 	Rel string
 	// Vars are the distinct variables the atom binds.
 	Vars []string
-	// Size is the cardinality estimate |R_e| (≥ 1).
-	Size float64
 }
 
 // Hypergraph is a query hypergraph.
@@ -59,24 +59,15 @@ func (e Edge) HasVar(v string) bool {
 
 // FractionalCover solves the fractional edge cover LP for covering the
 // given variables using the edges with the given indices: minimize
-// Σ x_e·w_e subject to, for each variable, Σ_{e∋v} x_e ≥ 1, x ≥ 0.
-// Uniform weights (w=1) give the fractional edge cover number used as the
-// GHD width; w_e = log|R_e| gives the log of the AGM bound.
-func (h *Hypergraph) FractionalCover(vars []string, edgeIdx []int, weighted bool) (cover []float64, obj float64, err error) {
+// Σ x_e subject to, for each variable, Σ_{e∋v} x_e ≥ 1, x ≥ 0. The
+// objective is the fractional edge cover number used as the GHD width.
+func (h *Hypergraph) FractionalCover(vars []string, edgeIdx []int) (cover []float64, obj float64, err error) {
 	if len(vars) == 0 {
 		return make([]float64, len(edgeIdx)), 0, nil
 	}
 	c := make([]float64, len(edgeIdx))
-	for i, ei := range edgeIdx {
-		if weighted {
-			sz := h.Edges[ei].Size
-			if sz < 2 {
-				sz = 2 // avoid zero-cost edges making the LP degenerate
-			}
-			c[i] = math.Log(sz)
-		} else {
-			c[i] = 1
-		}
+	for i := range c {
+		c[i] = 1
 	}
 	A := make([][]float64, len(vars))
 	b := make([]float64, len(vars))
@@ -92,36 +83,16 @@ func (h *Hypergraph) FractionalCover(vars []string, edgeIdx []int, weighted bool
 	return lp.Minimize(c, A, b)
 }
 
-// Width returns the fractional edge cover number of vars using the given
-// edges (the AGM exponent with uniform relation sizes). It returns +Inf
-// when the edges cannot cover vars.
+// Width returns the fractional edge cover number ρ* of vars using the
+// given edges: the exponent of the worst-case output size when every
+// relation has the same size. It returns +Inf when the edges cannot cover
+// vars.
 func (h *Hypergraph) Width(vars []string, edgeIdx []int) float64 {
-	_, w, err := h.FractionalCover(vars, edgeIdx, false)
+	_, w, err := h.FractionalCover(vars, edgeIdx)
 	if err != nil {
 		return math.Inf(1)
 	}
 	return w
-}
-
-// AGM returns the AGM bound on the output size of joining the given edges
-// over all their variables: the minimum of Π|R_e|^{x_e} over feasible
-// fractional covers (Eq. 1 of the paper).
-func (h *Hypergraph) AGM(edgeIdx []int) float64 {
-	vars := map[string]bool{}
-	var vlist []string
-	for _, ei := range edgeIdx {
-		for _, v := range h.Edges[ei].Vars {
-			if !vars[v] {
-				vars[v] = true
-				vlist = append(vlist, v)
-			}
-		}
-	}
-	_, logBound, err := h.FractionalCover(vlist, edgeIdx, true)
-	if err != nil {
-		return math.Inf(1)
-	}
-	return math.Exp(logBound)
 }
 
 // ConnectedComponents partitions the given edges into components, where

@@ -7,9 +7,9 @@ import (
 
 func triangle() *Hypergraph {
 	return New([]Edge{
-		{Name: "R#0", Rel: "R", Vars: []string{"x", "y"}, Size: 100},
-		{Name: "S#1", Rel: "S", Vars: []string{"y", "z"}, Size: 100},
-		{Name: "T#2", Rel: "T", Vars: []string{"x", "z"}, Size: 100},
+		{Name: "R#0", Rel: "R", Vars: []string{"x", "y"}},
+		{Name: "S#1", Rel: "S", Vars: []string{"y", "z"}},
+		{Name: "T#2", Rel: "T", Vars: []string{"x", "z"}},
 	})
 }
 
@@ -37,43 +37,16 @@ func TestTriangleWidth(t *testing.T) {
 	}
 }
 
-func TestAGMBound(t *testing.T) {
-	h := triangle()
-	// AGM for the triangle with |R|=|S|=|T|=100 is 100^{3/2} = 1000
-	// (Example 2.1 of the paper).
-	agm := h.AGM([]int{0, 1, 2})
-	if math.Abs(agm-1000) > 1 {
-		t.Fatalf("AGM=%v want 1000", agm)
-	}
-	// A single binary edge: AGM = |R|.
-	agm1 := h.AGM([]int{0})
-	if math.Abs(agm1-100) > 1e-6 {
-		t.Fatalf("AGM single=%v want 100", agm1)
-	}
-}
-
-func TestAGMUnequalSizes(t *testing.T) {
-	// Path query R(x,y) ⋈ S(y,z): AGM = |R|·|S|.
-	h := New([]Edge{
-		{Name: "R#0", Rel: "R", Vars: []string{"x", "y"}, Size: 50},
-		{Name: "S#1", Rel: "S", Vars: []string{"y", "z"}, Size: 20},
-	})
-	agm := h.AGM([]int{0, 1})
-	if math.Abs(agm-1000) > 1 {
-		t.Fatalf("AGM=%v want 1000", agm)
-	}
-}
-
 func TestConnectedComponents(t *testing.T) {
 	// Barbell: removing x (the separator of the U bag) splits the two
 	// triangles.
 	h := New([]Edge{
-		{Name: "R#0", Rel: "R", Vars: []string{"x", "y"}, Size: 10},
-		{Name: "S#1", Rel: "S", Vars: []string{"y", "z"}, Size: 10},
-		{Name: "T#2", Rel: "T", Vars: []string{"x", "z"}, Size: 10},
-		{Name: "R2#3", Rel: "R", Vars: []string{"x2", "y2"}, Size: 10},
-		{Name: "S2#4", Rel: "S", Vars: []string{"y2", "z2"}, Size: 10},
-		{Name: "T2#5", Rel: "T", Vars: []string{"x2", "z2"}, Size: 10},
+		{Name: "R#0", Rel: "R", Vars: []string{"x", "y"}},
+		{Name: "S#1", Rel: "S", Vars: []string{"y", "z"}},
+		{Name: "T#2", Rel: "T", Vars: []string{"x", "z"}},
+		{Name: "R2#3", Rel: "R", Vars: []string{"x2", "y2"}},
+		{Name: "S2#4", Rel: "S", Vars: []string{"y2", "z2"}},
+		{Name: "T2#5", Rel: "T", Vars: []string{"x2", "z2"}},
 	})
 	comps := h.ConnectedComponents([]int{0, 1, 2, 3, 4, 5}, map[string]bool{})
 	if len(comps) != 2 {
@@ -89,7 +62,7 @@ func TestConnectedComponents(t *testing.T) {
 
 func TestFractionalCoverVector(t *testing.T) {
 	h := triangle()
-	cover, obj, err := h.FractionalCover([]string{"x", "y", "z"}, []int{0, 1, 2}, false)
+	cover, obj, err := h.FractionalCover([]string{"x", "y", "z"}, []int{0, 1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}

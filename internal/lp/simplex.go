@@ -1,11 +1,11 @@
 // Package lp provides a small dense two-phase simplex solver.
 //
-// EmptyHeaded's query compiler needs to solve the fractional edge cover
-// linear program to compute AGM bounds and fractional hypertree widths
-// (§2.1, §3.1 of the paper: "One can find the best bound, AGM(Q), in
-// polynomial time: take the log of Eq. 1 and solve the linear program").
-// Query hypergraphs have at most a handful of vertices and edges, so a
-// dense tableau solver is entirely adequate.
+// EmptyHeaded's query compiler solves the fractional edge cover linear
+// program with uniform weights to compute fractional hypertree widths
+// (§2.1, §3.1 of the paper) — a function of the query hypergraph alone;
+// the size-weighted program of the AGM bound (Eq. 1) is not used by the
+// optimizer. Query hypergraphs have at most a handful of vertices and
+// edges, so a dense tableau solver is entirely adequate.
 package lp
 
 import (

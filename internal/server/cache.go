@@ -3,8 +3,8 @@ package server
 import (
 	"container/list"
 	"sync"
+	"sync/atomic"
 
-	"emptyheaded/internal/datalog"
 	"emptyheaded/internal/exec"
 )
 
@@ -146,19 +146,18 @@ func (c *lruCache) stats() CacheStats {
 	}
 }
 
-// planEntry is one plan-cache slot: the parsed program plus its prepared
-// (compiled) form and the database epoch the compilation is valid for.
-// Constants in compiled plans are dictionary-encoded, so a load that
-// swaps the dictionary invalidates the compilation (but never the parse:
-// the entry recompiles in place on epoch mismatch). attrToCanon maps the
-// entry's final-rule variable names to their canonical (fingerprint)
-// names, so results can be re-labeled for alpha-renamed spellings.
+// planEntry is one plan-cache slot: a fingerprint's prepared (compiled)
+// program. It is valid for as long as it is cached — a plan depends on
+// the query, the schema and the options, not on the data, and what it
+// takes from a database is checked each time it is bound to one (see
+// exec.Prepared) — so no load, update or restore touches an entry.
+// attrToCanon maps the entry's final-rule variable names to their
+// canonical (fingerprint) names, so results can be re-labeled for
+// alpha-renamed spellings.
 type planEntry struct {
 	fp          string
-	prog        *datalog.Program
 	attrToCanon map[string]string
 	prep        *exec.Prepared
-	epoch       uint64
 	// reads is the program's conservative relation read set (sorted);
 	// result-cache entries computed under this plan stamp their validity
 	// with the epochs of exactly these relations.
@@ -181,12 +180,8 @@ type aliasEntry struct {
 type planCache struct {
 	aliases *lruCache // raw query text -> fingerprint
 	plans   *lruCache // fingerprint   -> *planEntry
-	mu      sync.Mutex
-	// recompiles counts epoch-invalidated entries that kept their parse
-	// but rebuilt the physical plan.
-	recompiles int64
 	// parses counts datalog.Parse calls taken on the miss path.
-	parses int64
+	parses atomic.Int64
 }
 
 func newPlanCache(capacity int) *planCache {
@@ -201,20 +196,14 @@ func newPlanCache(capacity int) *planCache {
 // PlanCacheStats extends CacheStats with plan-specific counters.
 type PlanCacheStats struct {
 	CacheStats
-	TextHits   int64 `json:"text_hits"`
-	Parses     int64 `json:"parses"`
-	Recompiles int64 `json:"recompiles"`
+	TextHits int64 `json:"text_hits"`
+	Parses   int64 `json:"parses"`
 }
 
 func (pc *planCache) stats() PlanCacheStats {
-	pc.mu.Lock()
-	recompiles, parses := pc.recompiles, pc.parses
-	pc.mu.Unlock()
-	a := pc.aliases.stats()
 	return PlanCacheStats{
 		CacheStats: pc.plans.stats(),
-		TextHits:   a.Hits,
-		Parses:     parses,
-		Recompiles: recompiles,
+		TextHits:   pc.aliases.stats().Hits,
+		Parses:     pc.parses.Load(),
 	}
 }

@@ -70,7 +70,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	cache("emptyheaded_plan_cache", st.PlanCache.CacheStats)
 	counter("emptyheaded_plan_cache_text_hits_total", "Exact-text alias hits that skipped parsing.", st.PlanCache.TextHits)
 	counter("emptyheaded_plan_cache_parses_total", "datalog parses taken on the miss path.", st.PlanCache.Parses)
-	counter("emptyheaded_plan_cache_recompiles_total", "Epoch-invalidated plan recompilations.", st.PlanCache.Recompiles)
 	cache("emptyheaded_result_cache", st.ResultCache)
 
 	// Streaming-update subsystem: WAL, overlays, compaction, replay.

@@ -108,35 +108,66 @@ func TestDebugQueryEndpoints(t *testing.T) {
 		t.Fatalf("trace %d not listed in %+v", qr.TraceID, list.Traces)
 	}
 
-	resp2, err := http.Get(ts.URL + "/debug/trace/" + strconv.FormatUint(qr.TraceID, 10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	var full struct {
-		ID    uint64 `json:"id"`
-		Spans []struct {
-			Name  string `json:"name"`
-			DurUS int64  `json:"dur_us"`
-		} `json:"spans"`
-	}
-	if err := json.NewDecoder(resp2.Body).Decode(&full); err != nil {
-		t.Fatal(err)
-	}
-	if full.ID != qr.TraceID {
-		t.Fatalf("trace id %d, want %d", full.ID, qr.TraceID)
-	}
-	names := map[string]bool{}
-	for _, sp := range full.Spans {
-		if sp.DurUS < 0 {
-			t.Fatalf("span %q left open", sp.Name)
+	// A recursive program runs its rules the way a single rule runs, so
+	// its trace carries bag spans too.
+	rec := runQuery(t, ts.URL, "SSSP(x;y:int) :- Edge(0,x); y=1.\nSSSP(x;y:int)* :- Edge(w,x),SSSP(w); y=<<MIN(w)>>+1.")
+	for _, id := range []uint64{qr.TraceID, rec.TraceID} {
+		var full struct {
+			ID    uint64 `json:"id"`
+			Spans []struct {
+				Name  string `json:"name"`
+				DurUS int64  `json:"dur_us"`
+			} `json:"spans"`
 		}
-		names[sp.Name] = true
-	}
-	for _, want := range []string{"admission", "plan", "execute", "render", "bag 0"} {
-		if !names[want] {
-			t.Fatalf("trace missing span %q: %v", want, names)
+		if code := getJSON(t, ts.URL+"/debug/trace/"+strconv.FormatUint(id, 10), &full); code != http.StatusOK {
+			t.Fatalf("/debug/trace/%d: status %d", id, code)
 		}
+		if full.ID != id {
+			t.Fatalf("trace id %d, want %d", full.ID, id)
+		}
+		names := map[string]bool{}
+		for _, sp := range full.Spans {
+			if sp.DurUS < 0 {
+				t.Fatalf("span %q left open", sp.Name)
+			}
+			names[sp.Name] = true
+		}
+		for _, want := range []string{"admission", "plan", "execute", "render", "bag 0"} {
+			if !names[want] {
+				t.Fatalf("trace %d missing span %q: %v", id, want, names)
+			}
+		}
+	}
+
+	// A fixpoint of many iterations leaves a bounded trace: SSSP down a
+	// 200-hop path records its first iterations and counts the rest.
+	hops := make([][2]int64, 200)
+	for i := range hops {
+		hops[i] = [2]int64{1000 + int64(i), 1001 + int64(i)}
+	}
+	if code, body := postJSON(t, ts.URL+"/load", LoadRequest{Name: "Hop", Edges: hops}, nil); code != http.StatusOK {
+		t.Fatalf("load Hop: status %d body %s", code, body)
+	}
+	long := runQuery(t, ts.URL, "Far(x;y:int) :- Hop(1000,x); y=1.\nFar(x;y:int)* :- Hop(w,x),Far(w); y=<<MIN(w)>>+1.")
+	if long.Cardinality != len(hops) {
+		t.Fatalf("Far reached %d vertices, want %d", long.Cardinality, len(hops))
+	}
+	var bounded struct {
+		Spans []json.RawMessage `json:"spans"`
+		Attrs []struct {
+			Key string `json:"key"`
+		} `json:"attrs"`
+	}
+	if code := getJSON(t, ts.URL+"/debug/trace/"+strconv.FormatUint(long.TraceID, 10), &bounded); code != http.StatusOK {
+		t.Fatalf("/debug/trace/%d: status %d", long.TraceID, code)
+	}
+	untraced := false
+	for _, a := range bounded.Attrs {
+		untraced = untraced || a.Key == "untraced_iterations"
+	}
+	if len(bounded.Spans) > 100 || !untraced {
+		t.Fatalf("a %d-iteration fixpoint left %d spans, attrs %+v: want a bounded trace that counts the rest",
+			len(hops), len(bounded.Spans), bounded.Attrs)
 	}
 
 	if resp3, err := http.Get(ts.URL + "/debug/trace/999999"); err != nil {

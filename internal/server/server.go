@@ -459,8 +459,8 @@ type QueryResponse struct {
 	Anns      []float64 `json:"anns,omitempty"`
 	Truncated bool      `json:"truncated,omitempty"`
 	ElapsedUS int64     `json:"elapsed_us"`
-	// PlanCached: the compiled plan (or at least the parse) came from
-	// the plan cache. ResultCached: the whole response did.
+	// PlanCached: the preparation — the parse and each rule's plan — came
+	// from the plan cache. ResultCached: the whole response did.
 	PlanCached   bool `json:"plan_cached"`
 	ResultCached bool `json:"result_cached"`
 	// TraceID names this request's lifecycle trace, retrievable via
@@ -697,19 +697,18 @@ func (s *Server) runQuery(ctx context.Context, req *QueryRequest, limit int, rec
 	// Fork per request: the query runs against a consistent snapshot of
 	// relations + dictionary (a concurrent /load can't swap data mid
 	// query), and intermediate head relations stay session-local. The
-	// fork's global version gates plan recompilation; the fork's
-	// per-relation epochs stamp result-cache entries. The generation is
+	// fork's per-relation epochs stamp result-cache entries; the plan
+	// needs no stamp (see planEntry). The generation is
 	// read before the fork: a restore between the two strands this
 	// request's cache fill under the old generation (harmless), never
 	// files a pre-restore result under the new one.
 	gen := s.gen.Load()
 	fork := s.eng.DB.Fork()
-	epoch := fork.Version()
 	tr := &rec.Trace
 	sp := tr.Begin("plan")
-	entry, alias, planHit, err := s.prepared(req.Query, fork, epoch)
+	entry, alias, planHit, err := s.prepared(req.Query, fork)
+	tr.End(sp)
 	if err != nil {
-		tr.End(sp)
 		return QueryResponse{}, err
 	}
 	rec.Fingerprint, rec.Route = entry.fp, obs.RouteMiss
@@ -724,7 +723,6 @@ func (s *Server) runQuery(ctx context.Context, req *QueryRequest, limit int, rec
 		if v, ok := s.results.get(resultKey); ok {
 			cr := v.(*cachedResult)
 			if cr.fresh(fork) {
-				tr.End(sp)
 				tr.Annot("served", "result_cache")
 				resp := s.serveCached(rec, req, cr, alias, fork, resultKey)
 				resp.PlanCached = planHit
@@ -734,14 +732,6 @@ func (s *Server) runQuery(ctx context.Context, req *QueryRequest, limit int, rec
 		}
 	}
 
-	prep, err := s.freshPrep(entry, fork, epoch)
-	tr.End(sp)
-	if err != nil {
-		// Recompile against the fork failed (e.g. a relation vanished
-		// since the entry was cached).
-		s.plans.plans.remove(entry.fp)
-		return QueryResponse{}, badRequest("compile: %v", err)
-	}
 	// Push the response limit into execution with one row of headroom.
 	// For all-output listings the budget counts distinct tuples, so a
 	// result of exactly `limit` tuples is not flagged truncated; listings
@@ -753,7 +743,7 @@ func (s *Server) runQuery(ctx context.Context, req *QueryRequest, limit int, rec
 	// ones: the per-fingerprint registry and relation heat map aggregate
 	// them (their cost is the benchmark's trace.overhead_frac).
 	sp = tr.Begin("execute")
-	res, err := prep.RunWith(fork, exec.RunParams{
+	res, err := entry.prep.RunWith(fork, exec.RunParams{
 		Limit: limit + 1, Collect: true, Trace: tr, Ctx: ctx,
 	})
 	tr.End(sp)
@@ -881,8 +871,9 @@ func annotReadSet(tr *trace.Trace, reads []string, relEpochs []uint64, dictEpoch
 // prepared resolves query text to a cached plan entry: exact text hit (no
 // parse), fingerprint hit (re-parse, reuse compilation), or full prepare
 // against the request's fork. Returns the entry, the alias carrying this
-// spelling's attribute renaming, and whether the plan cache hit.
-func (s *Server) prepared(query string, fork *exec.DB, epoch uint64) (*planEntry, *aliasEntry, bool, error) {
+// spelling's attribute renaming, and whether the plan cache hit — a hit
+// plans nothing.
+func (s *Server) prepared(query string, fork *exec.DB) (*planEntry, *aliasEntry, bool, error) {
 	lookup := func(fp string) *planEntry {
 		if v, ok := s.plans.plans.get(fp); ok {
 			return v.(*planEntry)
@@ -903,9 +894,7 @@ func (s *Server) prepared(query string, fork *exec.DB, epoch uint64) (*planEntry
 		if err != nil {
 			return nil, nil, false, badRequest("parse: %v", err)
 		}
-		s.plans.mu.Lock()
-		s.plans.parses++
-		s.plans.mu.Unlock()
+		s.plans.parses.Add(1)
 		varMap := prog.FinalVarMap()
 		alias = &aliasEntry{fp: prog.Fingerprint(), canonToClient: invert(varMap)}
 		entry = lookup(alias.fp)
@@ -916,38 +905,14 @@ func (s *Server) prepared(query string, fork *exec.DB, epoch uint64) (*planEntry
 				return nil, nil, false, badRequest("compile: %v", err)
 			}
 			entry = &planEntry{
-				fp: alias.fp, prog: prog, attrToCanon: varMap,
-				prep: prep, epoch: epoch, reads: prog.Relations(),
+				fp: alias.fp, attrToCanon: varMap,
+				prep: prep, reads: prog.Relations(),
 			}
 			s.plans.plans.put(alias.fp, entry)
 		}
 		s.plans.aliases.put(query, alias)
 	}
 	return entry, alias, hit, nil
-}
-
-// freshPrep returns the entry's prepared plan, recompiling against the
-// request's fork when the cached compilation belongs to another epoch
-// (compiled constants are dictionary-encoded and GHD width estimates
-// reflect cardinalities). entry.prep/epoch are guarded by plans.mu; a
-// Prepared itself is immutable and safe to share.
-func (s *Server) freshPrep(entry *planEntry, fork *exec.DB, epoch uint64) (*exec.Prepared, error) {
-	s.plans.mu.Lock()
-	prep, stale := entry.prep, entry.epoch != epoch
-	s.plans.mu.Unlock()
-	if !stale {
-		return prep, nil
-	}
-	fresh, err := exec.Prepare(fork, entry.prog, s.eng.Opts)
-	if err != nil {
-		return nil, err
-	}
-	s.plans.mu.Lock()
-	entry.prep = fresh
-	entry.epoch = epoch
-	s.plans.recompiles++
-	s.plans.mu.Unlock()
-	return fresh, nil
 }
 
 // invert flips a var→canonical map into canonical→var.
@@ -1140,7 +1105,7 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 	// of their read sets, so entries that read req.Name (or that decode
 	// through a dictionary this load replaced) invalidate lazily on their
 	// next lookup, while unrelated queries keep serving from cache.
-	// Plan-cache entries recompile lazily via the version check.
+	// Plan-cache entries stay: a plan does not depend on the data.
 	rel, _ := s.eng.DB.Relation(req.Name)
 	writeJSON(w, http.StatusOK, map[string]any{
 		"name":        req.Name,

@@ -2,10 +2,13 @@ package server
 
 import (
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
 	"emptyheaded/internal/core"
+	"emptyheaded/internal/exec"
+	"emptyheaded/internal/ghd"
 	"emptyheaded/internal/semiring"
 	"emptyheaded/internal/wal"
 )
@@ -209,5 +212,77 @@ func TestMetricsIncludeDurability(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Fatalf("metrics missing %q in:\n%s", want, body)
 		}
+	}
+}
+
+// TestPlanSurvivesUpdates: a plan does not depend on the data, so 100
+// rounds of /update — half of them on a relation the query does not read
+// — and /query derive the triangle plan once, every reply marked
+// plan_cached planned nothing, and every answer is the no_cache answer of
+// a freshly loaded server.
+func TestPlanSurvivesUpdates(t *testing.T) {
+	edges := [][]uint32{{0, 1, 0, 3}, {1, 2, 2, 4}}
+	serve := func(cols [][]uint32) (*Server, *httptest.Server) {
+		eng := core.New()
+		if err := eng.AddRelationColumns("Edge", [][]uint32{slices.Clone(cols[0]), slices.Clone(cols[1])}, nil, semiring.None); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.AddRelationColumns("Other", [][]uint32{{5}, {6}}, nil, semiring.None); err != nil {
+			t.Fatal(err)
+		}
+		s := New(eng, Config{})
+		return s, httptest.NewServer(s.Handler())
+	}
+	s, ts := serve(edges)
+	defer s.Close()
+	defer ts.Close()
+	triCount(t, ts.URL)
+	entries := s.plans.plans.entries()
+	if len(entries) != 1 {
+		t.Fatalf("%d plan entries after one query", len(entries))
+	}
+	// Every derivation creates a GHD, every execution's plan shares it.
+	derivation := func() *ghd.GHD {
+		res, err := entries[0].val.(*planEntry).prep.RunWith(s.eng.DB.Fork(), exec.RunParams{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Plan.GHD
+	}
+	first := derivation()
+
+	for i := uint32(0); i < 100; i++ {
+		req := UpdateRequest{Name: "Other", Inserts: [][]uint32{{i, i + 1}}}
+		if i%2 == 0 {
+			// A fresh triangle hanging off vertex 0.
+			a, b := 10+2*i, 11+2*i
+			req = UpdateRequest{Name: "Edge", Inserts: [][]uint32{{0, a}, {a, b}, {0, b}}}
+			edges[0] = append(edges[0], 0, a, 0)
+			edges[1] = append(edges[1], a, b, b)
+		}
+		if code, body := postJSON(t, ts.URL+"/update", req, nil); code != 200 {
+			t.Fatalf("round %d: update: %d %s", i, code, body)
+		}
+		got := runQuery(t, ts.URL, triangleQ)
+		if !got.PlanCached {
+			t.Fatalf("round %d: plan_cached false", i)
+		}
+		fs, fts := serve(edges)
+		var want QueryResponse
+		code, body := postJSON(t, fts.URL+"/query", QueryRequest{Query: triangleQ, NoCache: true}, &want)
+		fts.Close()
+		fs.Close()
+		if code != 200 || want.Scalar == nil || got.Scalar == nil || *got.Scalar != *want.Scalar {
+			t.Fatalf("round %d: got %+v, a fresh server says %d %s", i, got, code, body)
+		}
+		if i%2 == 0 && *got.Scalar != float64(2+i/2) {
+			t.Fatalf("round %d: %g triangles, want %d", i, *got.Scalar, 2+i/2)
+		}
+	}
+	if st := s.plans.stats(); st.Parses != 1 {
+		t.Fatalf("%d parses in 100 update+query rounds of one text, want 1", st.Parses)
+	}
+	if derivation() != first {
+		t.Fatal("the triangle plan was derived again across 100 update+query rounds")
 	}
 }

@@ -114,9 +114,7 @@ func (s *Server) handleDebugRelations(w http.ResponseWriter, r *http.Request) {
 type planCacheEntry struct {
 	Fingerprint string   `json:"fingerprint"`
 	Reads       []string `json:"reads,omitempty"`
-	// Epoch is the database version the cached compilation is valid for.
-	Epoch uint64 `json:"epoch"`
-	Hits  int64  `json:"hits"`
+	Hits        int64    `json:"hits"`
 }
 
 // resultCacheEntry is one /debug/cache result row.
@@ -151,7 +149,6 @@ func (s *Server) handleDebugCache(w http.ResponseWriter, r *http.Request) {
 		plans = append(plans, planCacheEntry{
 			Fingerprint: pe.fp,
 			Reads:       pe.reads,
-			Epoch:       pe.epoch,
 			Hits:        ent.hits,
 		})
 	}

@@ -187,7 +187,6 @@ func TestDebugCacheEndpoint(t *testing.T) {
 			Entries []struct {
 				Fingerprint string   `json:"fingerprint"`
 				Reads       []string `json:"reads"`
-				Epoch       uint64   `json:"epoch"`
 				Hits        int64    `json:"hits"`
 			} `json:"entries"`
 		} `json:"plan_cache"`

@@ -235,12 +235,6 @@ func (k *Kernel) Intersect(a, b Set) Set {
 	return s
 }
 
-// IntersectBuf is IntersectInto for value operands.
-func (k *Kernel) IntersectBuf(a, b Set, buf []uint32, wbuf []uint64) (s Set, _ []uint32, _ []uint64) {
-	buf, wbuf = k.IntersectInto(&s, &a, &b, buf, wbuf)
-	return s, buf, wbuf
-}
-
 // IntersectInto stores a ∩ b in *dst (which must not be a or b) using
 // caller-provided scratch: uint-valued results land in buf, bitset
 // results in wbuf (both grown as needed and returned for reuse). The

@@ -29,7 +29,7 @@ func clusteredSet(rng *rand.Rand, runs, runLen, noise, span int) []uint32 {
 }
 
 // TestKernelDifferential drives every kernel entry point (Intersect,
-// IntersectBuf, Count) across the full layout matrix × every algorithm
+// IntersectInto, Count) across the full layout matrix × every algorithm
 // × the bit-by-bit ablation, against the scalar merge oracle.
 func TestKernelDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
@@ -67,7 +67,8 @@ func TestKernelDifferential(t *testing.T) {
 						t.Fatalf("trial %d cfg %+v %s∩%s: count %d want %d",
 							trial, cfg, sa.Layout(), sb.Layout(), n, len(want))
 					}
-					bufGot, _, _ := k.IntersectBuf(sa, sb, nil, nil)
+					var bufGot Set
+					k.IntersectInto(&bufGot, &sa, &sb, nil, nil)
 					if !sliceEq(bufGot.Slice(), want) {
 						t.Fatalf("trial %d cfg %+v %s∩%s buffered:\n got %v\nwant %v",
 							trial, cfg, sa.Layout(), sb.Layout(), bufGot.Slice(), want)
@@ -78,10 +79,10 @@ func TestKernelDifferential(t *testing.T) {
 	}
 }
 
-// TestIntersectBufReusesBuffers checks the buffered path is allocation
+// TestIntersectIntoReusesBuffers checks the buffered path is allocation
 // free once warm: results alias the returned scratch slices for every
 // layout pair, including composite∩composite and the mixed probe.
-func TestIntersectBufReusesBuffers(t *testing.T) {
+func TestIntersectIntoReusesBuffers(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	av := clusteredSet(rng, 4, 50, 50, 1<<15)
 	bv := clusteredSet(rng, 4, 50, 50, 1<<15)
@@ -89,9 +90,10 @@ func TestIntersectBufReusesBuffers(t *testing.T) {
 	for _, sa := range allLayouts(av) {
 		for _, sb := range allLayouts(bv) {
 			// Warm the buffers, then re-run and require zero growth.
-			_, buf, wbuf := k.IntersectBuf(sa, sb, nil, nil)
+			var dst Set
+			buf, wbuf := k.IntersectInto(&dst, &sa, &sb, nil, nil)
 			allocs := testing.AllocsPerRun(10, func() {
-				_, buf, wbuf = k.IntersectBuf(sa, sb, buf, wbuf)
+				buf, wbuf = k.IntersectInto(&dst, &sa, &sb, buf, wbuf)
 			})
 			if allocs != 0 {
 				t.Errorf("%s∩%s buffered: %.1f allocs/op, want 0",
@@ -141,9 +143,10 @@ func TestKernelStatsRoutes(t *testing.T) {
 			t.Errorf("%s Count: stats %v, want one %s", tc.name, st.String(), tc.route)
 		}
 		st = KernelStats{}
-		k.IntersectBuf(tc.a, tc.b, nil, nil)
+		var dst Set
+		k.IntersectInto(&dst, &tc.a, &tc.b, nil, nil)
 		if st.Counts[tc.route] != 1 {
-			t.Errorf("%s IntersectBuf: stats %v, want one %s", tc.name, st.String(), tc.route)
+			t.Errorf("%s IntersectInto: stats %v, want one %s", tc.name, st.String(), tc.route)
 		}
 	}
 
