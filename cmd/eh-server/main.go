@@ -73,7 +73,6 @@ func main() {
 	queueWait := flag.Duration("queue-wait", 2*time.Second, "max time a request waits for a worker slot")
 	planCache := flag.Int("plan-cache", 256, "plan cache entries")
 	resultCache := flag.Int("result-cache", 128, "result cache entries")
-	timeout := flag.Duration("query-timeout", 0, "per-query execution timeout (0 = none)")
 	queryDeadline := flag.Duration("query-deadline", 30*time.Second, "per-request wall-clock deadline: queries past it get 504 (0 = none)")
 	breakerThreshold := flag.Int("breaker-threshold", 0, "consecutive durability failures before entering read-only degraded mode (0 = default 3, <0 disables)")
 	breakerProbe := flag.Duration("breaker-probe", 0, "degraded-mode recovery probe interval (0 = default 1s)")
@@ -99,7 +98,6 @@ func main() {
 	}
 
 	eng := core.New()
-	eng.Opts.Timeout = *timeout
 
 	// The unified event log: -event-log gets a size-rotated file; without
 	// it, events go to stderr, unrotated.

@@ -25,7 +25,7 @@ func Table6(cfg Config) *Table {
 		pg := timedBest(cfg.reps(), func() { baseline.VertexCentricPageRank(g, 5) })
 		sr := timedBest(cfg.reps(), func() { baseline.ScalarMergePageRank(g, 5) })
 		sl := timedBest(cfg.reps(), func() { baseline.PairwisePageRank(g, 5) })
-		lb := measureQuery(1, g, withTimeout(engineLB, benchTimeout), qPageRank)
+		lb := measureQuery(1, g, engineLB, qPageRank)
 		t.Rows = append(t.Rows, Row{Label: name, Cells: []Cell{
 			eh, Seconds(gt), Seconds(pg), Seconds(sr), Seconds(sl), lb,
 		}})
@@ -54,7 +54,7 @@ func Table7(cfg Config) *Table {
 		gt := timedBest(cfg.reps(), func() { baseline.LowLevelSSSP(g, start) })
 		pg := timedBest(cfg.reps(), func() { baseline.VertexCentricSSSP(g, start) })
 		sl := timedBest(cfg.reps(), func() { baseline.PairwiseSSSP(g, start) })
-		lb := measureQuery(1, g, withTimeout(engineLB, benchTimeout), query)
+		lb := measureQuery(1, g, engineLB, query)
 		t.Rows = append(t.Rows, Row{Label: name, Cells: []Cell{
 			eh, Seconds(gt), Seconds(pg), Seconds(sl), lb,
 		}})

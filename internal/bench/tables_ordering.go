@@ -30,8 +30,8 @@ func Table10(cfg Config) *Table {
 				gd, gr = deg.Prune(), rnd.Prune()
 			}
 			for _, opts := range []exec.Options{uintOpts, engineDefault} {
-				td := measureQuery(cfg.reps(), gd, withTimeout(opts, benchTimeout), qTriangle)
-				tr := measureQuery(cfg.reps(), gr, withTimeout(opts, benchTimeout), qTriangle)
+				td := measureQuery(cfg.reps(), gd, opts, qTriangle)
+				tr := measureQuery(cfg.reps(), gr, opts, qTriangle)
 				if td.Note != "" || tr.Note != "" {
 					cells = append(cells, Note("t/o"))
 					continue
@@ -67,7 +67,7 @@ func Table11(cfg Config) *Table {
 		for _, g := range []*graph.Graph{full, pruned} {
 			base := measureQuery(cfg.reps(), g, engineDefault, qTriangle)
 			for _, opts := range []exec.Options{noS, noR, noSR} {
-				c := measureQuery(cfg.reps(), g, withTimeout(opts, benchTimeout), qTriangle)
+				c := measureQuery(cfg.reps(), g, opts, qTriangle)
 				cells = append(cells, relOrTO(c, base))
 			}
 		}

@@ -76,7 +76,7 @@ func Table5(cfg Config) *Table {
 		if _, err := baseline.PairwiseTriangleCount(g, cfg.budget()); err == nil {
 			slCell = Ratio(time.Since(t0).Seconds() / eh.Value)
 		}
-		lb := measureQuery(cfg.reps(), g, withTimeout(engineLB, benchTimeout), qTriangle)
+		lb := measureQuery(cfg.reps(), g, engineLB, qTriangle)
 		row := Row{Label: name, Cells: []Cell{
 			eh,
 			Ratio(pg.Seconds() / eh.Value),
@@ -130,10 +130,10 @@ func Table8(cfg Config) *Table {
 			} else {
 				g = datasets.Load(name)
 			}
-			eh := measureQuery(cfg.reps(), g, withTimeout(engineDefault, benchTimeout), qq.query)
-			noR := measureQuery(1, g, withTimeout(engineNoR, benchTimeout), qq.query)
-			noRA := measureQuery(1, g, withTimeout(engineNoRA, benchTimeout), qq.query)
-			noGHD := measureQuery(1, g, withTimeout(engineNoGHD, benchTimeout), qq.query)
+			eh := measureQuery(cfg.reps(), g, engineDefault, qq.query)
+			noR := measureQuery(1, g, engineNoR, qq.query)
+			noRA := measureQuery(1, g, engineNoRA, qq.query)
+			noGHD := measureQuery(1, g, engineNoGHD, qq.query)
 			sl := Note("t/o")
 			t0 := time.Now()
 			if _, err := baseline.PairwisePatternCount(g, qq.pattern, cfg.budget()); err == nil {
@@ -143,7 +143,7 @@ func Table8(cfg Config) *Table {
 					sl = Seconds(time.Since(t0))
 				}
 			}
-			lb := measureQuery(1, g, withTimeout(engineLB, benchTimeout), qq.query)
+			lb := measureQuery(1, g, engineLB, qq.query)
 			if eh.Note != "" {
 				t.Rows = append(t.Rows, Row{Label: name + "/" + qq.name,
 					Cells: []Cell{Note(qq.name), eh, noR, noRA, noGHD, sl, lb}})
@@ -185,10 +185,9 @@ func Table13(cfg Config) *Table {
 				v     uint32
 			}{{"high", hi}, {"low", lo}} {
 				query := sel.build(node.v)
-				eh := measureQuery(cfg.reps(), g, withTimeout(engineDefault, benchTimeout), query)
-				noPush := measureQuery(1, g,
-					withTimeout(exec.Options{NoPushdown: true}, benchTimeout), query)
-				lb := measureQuery(1, g, withTimeout(engineLB, benchTimeout), query)
+				eh := measureQuery(cfg.reps(), g, engineDefault, query)
+				noPush := measureQuery(1, g, exec.Options{NoPushdown: true}, query)
+				lb := measureQuery(1, g, engineLB, query)
 				label := name + "/" + sel.qname + "/" + node.label
 				if eh.Note != "" {
 					t.Rows = append(t.Rows, Row{Label: label,

@@ -28,12 +28,9 @@ import (
 type Engine struct {
 	DB   *exec.DB
 	Opts exec.Options
-	// mu guards graphs and restored; the DB carries its own
+	// mu guards restored and lastSnaps; the DB carries its own
 	// synchronization.
 	mu sync.RWMutex
-	// graphs remembers loaded graphs by relation name for the
-	// benchmark harness and examples.
-	graphs map[string]*graph.Graph
 	// restored holds the storage handle of every Restore, keeping their
 	// mmap'd segments alive for the tries that alias them (see
 	// Engine.Restore for the lifecycle discussion).
@@ -81,7 +78,6 @@ type memoPlan struct {
 func New() *Engine {
 	e := &Engine{
 		DB:        exec.NewDB(),
-		graphs:    map[string]*graph.Graph{},
 		lastSnaps: map[string]*storage.Catalog{},
 	}
 	e.upd.deltas = map[string]*relDelta{}
@@ -102,9 +98,6 @@ func NewWithOptions(opts exec.Options) *Engine {
 // LoadGraph registers a graph as the binary edge relation `name`.
 func (e *Engine) LoadGraph(name string, g *graph.Graph) {
 	e.DB.AddGraph(name, g, e.Opts.Layout, e.layoutName())
-	e.mu.Lock()
-	e.graphs[name] = g
-	e.mu.Unlock()
 }
 
 func (e *Engine) layoutName() string {
@@ -114,22 +107,11 @@ func (e *Engine) layoutName() string {
 	return e.Opts.LayoutName
 }
 
-// Graph returns a previously loaded graph.
-func (e *Engine) Graph(name string) (*graph.Graph, bool) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	g, ok := e.graphs[name]
-	return g, ok
-}
-
 // LoadGraphWithDict registers a graph and its identifier dictionary as
 // one atomic installation: concurrent forks never observe the new
 // dictionary paired with the old relation (or vice versa).
 func (e *Engine) LoadGraphWithDict(name string, g *graph.Graph, dict *graph.Dictionary) {
 	e.DB.ReplaceGraph(name, g, dict, e.Opts.Layout, e.layoutName())
-	e.mu.Lock()
-	e.graphs[name] = g
-	e.mu.Unlock()
 }
 
 // LoadEdgeList reads a "src dst" edge list, dictionary-encodes it, and
@@ -207,11 +189,6 @@ func (e *Engine) Alias(alias, target string) error {
 		return fmt.Errorf("core: unknown relation %s", target)
 	}
 	e.DB.AddTrie(alias, rel.Canonical())
-	e.mu.Lock()
-	if g, ok := e.graphs[target]; ok {
-		e.graphs[alias] = g
-	}
-	e.mu.Unlock()
 	return nil
 }
 
@@ -223,7 +200,7 @@ func (e *Engine) Run(query string) (*exec.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return pr.RunWith(e.DB, exec.RunParams{Limit: e.Opts.Limit, Ctx: e.Opts.Ctx})
+	return pr.Run(e.DB)
 }
 
 // prepared returns the preparation of query, parsing and planning only
@@ -231,10 +208,9 @@ func (e *Engine) Run(query string) (*exec.Result, error) {
 // for any program shape: every rule's plan, the starred rule of a
 // recursion included, is derived once per preparation.
 func (e *Engine) prepared(query string) (*exec.Prepared, error) {
-	// LayoutName stands for Layout, as in the relation index cache; Limit
-	// and Ctx go to each run, not into the plan.
+	// LayoutName stands for Layout, as in the relation index cache.
 	opts := e.Opts
-	opts.Layout, opts.LayoutName, opts.Limit, opts.Ctx = nil, e.layoutName(), 0, nil
+	opts.Layout, opts.LayoutName = nil, e.layoutName()
 	m := &e.memo
 	m.mu.Lock()
 	for _, p := range m.plans {
@@ -273,7 +249,7 @@ func (e *Engine) RunAnalyze(query string) (*exec.Result, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	res, err := pr.RunWith(e.DB, exec.RunParams{Limit: e.Opts.Limit, Collect: true})
+	res, err := pr.RunWith(e.DB, exec.RunParams{Collect: true})
 	if err != nil {
 		return nil, "", err
 	}

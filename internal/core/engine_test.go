@@ -13,9 +13,6 @@ func TestEngineEndToEnd(t *testing.T) {
 	g := gen.ErdosRenyi(150, 900, 41)
 	e := New()
 	e.LoadGraph("Edge", g)
-	if _, ok := e.Graph("Edge"); !ok {
-		t.Fatal("graph not tracked")
-	}
 	res, err := e.Run(`TC(;w:long) :- Edge(x,y),Edge(y,z),Edge(x,z); w=<<COUNT(*)>>.`)
 	if err != nil {
 		t.Fatal(err)

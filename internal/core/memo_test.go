@@ -42,13 +42,38 @@ func resultKey(res *exec.Result, err error) string {
 // registers its head in the database.
 func checkRun(t *testing.T, e *Engine, text, when string) {
 	t.Helper()
+	checkRunLimit(t, e, text, 0, when)
+}
+
+// checkRunLimit is checkRun under a listing row budget. A budget goes to
+// each run (exec.RunParams), never into a plan: the memoised preparation
+// runs with it against a preparation made afresh on a fork.
+func checkRunLimit(t *testing.T, e *Engine, text string, limit int, when string) {
+	t.Helper()
 	prog, err := datalog.Parse(text)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := resultKey(e.RunIsolated(prog))
-	if got := resultKey(e.Run(text)); got != want {
-		t.Fatalf("%s: Run(%q) diverges from a fresh plan\n got %s\nwant %s", when, text, got, want)
+	var want, got string
+	if limit == 0 {
+		want = resultKey(e.RunIsolated(prog))
+		got = resultKey(e.Run(text))
+	} else {
+		rp := exec.RunParams{Limit: limit}
+		fork := e.DB.Fork()
+		if fresh, err := exec.Prepare(fork, prog, e.Opts); err != nil {
+			want = resultKey(nil, err)
+		} else {
+			want = resultKey(fresh.RunWith(fork, rp))
+		}
+		if pr, err := e.prepared(text); err != nil {
+			got = resultKey(nil, err)
+		} else {
+			got = resultKey(pr.RunWith(e.DB, rp))
+		}
+	}
+	if got != want {
+		t.Fatalf("%s: Run(%q), limit %d, diverges from a fresh plan\n got %s\nwant %s", when, text, limit, got, want)
 	}
 }
 
@@ -134,8 +159,6 @@ func TestRunMemoHitsAndInvalidation(t *testing.T) {
 		change()
 		fresh("after an option a plan bakes in changed")
 	}
-	e.Opts.Limit = 3
-	same("after Limit changed (handed to each run)")
 
 	dir := t.TempDir()
 	if _, err := e.Snapshot(dir); err != nil {
@@ -341,6 +364,7 @@ func TestRunMemoDifferential(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			e := New()
 			var snapshot string
+			limit := 0 // of the checked runs; the options change below sets it
 			pairs := func(n, span int) [][2]uint32 {
 				out := make([][2]uint32, n)
 				for i := range out {
@@ -433,9 +457,10 @@ func TestRunMemoDifferential(t *testing.T) {
 					if rng.Intn(2) == 0 {
 						e.Opts.Intersect = set.Config{Algo: set.AlgoMerge}
 					}
+					limit = 0
 					if rng.Intn(3) == 0 {
 						// One worker makes a limited listing's rows repeat.
-						e.Opts.Limit, e.Opts.Parallelism = 1+rng.Intn(5), 1
+						limit, e.Opts.Parallelism = 1+rng.Intn(5), 1
 					}
 					return "options"
 				},
@@ -446,7 +471,7 @@ func TestRunMemoDifferential(t *testing.T) {
 					last = ops[rng.Intn(len(ops))]()
 					continue
 				}
-				checkRun(t, e, texts[rng.Intn(len(texts))], fmt.Sprintf("step %d, last change %q", step, last))
+				checkRunLimit(t, e, texts[rng.Intn(len(texts))], limit, fmt.Sprintf("step %d, last change %q", step, last))
 			}
 		})
 	}

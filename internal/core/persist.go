@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"path/filepath"
 
-	"emptyheaded/internal/graph"
 	"emptyheaded/internal/storage"
 )
 
@@ -181,7 +180,6 @@ func (e *Engine) Restore(dir string) (*storage.Catalog, error) {
 		})
 	}
 	e.mu.Lock()
-	e.graphs = map[string]*graph.Graph{}
 	e.restored = append(e.restored, db)
 	e.lastSnaps[snapKey(dir)] = db.Catalog
 	e.mu.Unlock()

@@ -6,7 +6,9 @@
 // path-copying merge: only nodes on overlay-touched paths are rebuilt
 // ((base \ del) ∪ ins at every trie level, see set.Merge3), everything
 // else is shared with the base, so an update to a 256k-edge relation
-// re-links a handful of nodes instead of re-sorting the base.
+// re-links a handful of nodes instead of re-sorting the base. That merge
+// is the package's only tree operation: folding a batch into the overlay
+// (Apply) is the same merge with an overlay side in the base position.
 //
 // When the overlay grows past a size ratio, a compactor folds the merged
 // view into a fresh flat base through the columnar build path (the
@@ -72,21 +74,17 @@ func (o *Overlay) IsEmpty() bool { return o.rows == 0 }
 // Apply folds one update batch into the overlay and returns the new
 // overlay (o is unchanged). Batch semantics: deletes apply first, then
 // inserts — a tuple both deleted and inserted in one batch ends
-// present. ins may be nil or empty; same for del.
+// present. ins may be nil or empty; same for del. Both sides are
+// instances of the one merge (x \ d) ∪ i that MergedView computes:
 //
 //	Ins' = (Ins \ del) ∪ ins        (ins annotations win)
 //	Del' = (Del ∪ del) \ ins
+//
+// Del' takes two merges: a single (Del \ ins) ∪ del would keep the
+// tombstone of a tuple the same batch re-inserts.
 func (o *Overlay) Apply(ins, del *trie.Trie, layout trie.LayoutFunc) *Overlay {
-	layout = ensureLayout(layout)
-	newIns, newDel := o.Ins, o.Del
-	if del != nil && del.Cardinality() > 0 {
-		newIns = Difference(newIns, del, layout)
-		newDel = Union(newDel, del, false, layout)
-	}
-	if ins != nil && ins.Cardinality() > 0 {
-		newDel = Difference(newDel, ins, layout)
-		newIns = Union(newIns, ins, true, layout)
-	}
+	newIns := MergedView(o.Ins, ins, del, layout)
+	newDel := MergedView(MergedView(o.Del, del, nil, layout), nil, ins, layout)
 	return &Overlay{
 		Ins:      newIns,
 		Del:      newDel,
@@ -96,37 +94,43 @@ func (o *Overlay) Apply(ins, del *trie.Trie, layout trie.LayoutFunc) *Overlay {
 	}
 }
 
-// MergedView returns the query-visible relation (base \ del) ∪ ins as a
-// regular trie. Nodes on overlay-touched paths are rebuilt; all other
-// nodes are shared with base, so the cost is proportional to the
-// overlay (plus the width of touched nodes), not the base. ins and del
-// may be nil or empty; when both are, base itself is returned.
+// MergedView returns (base \ del) ∪ ins as a regular trie, an inserted
+// tuple's annotation replacing the base's: the relation a query sees
+// over (base, overlay), and each side of the overlay after a batch (see
+// Apply). Nodes on overlay-touched paths are rebuilt; all other nodes
+// are shared — with base, or with ins where base holds nothing under
+// that prefix — so the cost is proportional to the overlay (plus the
+// width of touched nodes), not the base. ins and del may be nil or
+// empty; when both are, base itself is returned. The result takes its
+// shape (annotatedness, op) from base.
 func MergedView(base, ins, del *trie.Trie, layout trie.LayoutFunc) *trie.Trie {
-	insEmpty := ins == nil || ins.Cardinality() == 0
-	delEmpty := del == nil || del.Cardinality() == 0
-	if insEmpty && delEmpty {
+	insRoot := overlayRoot(base, ins, "insert")
+	delRoot := overlayRoot(base, del, "tombstone")
+	if insRoot == nil && delRoot == nil {
 		return base
 	}
-	layout = ensureLayout(layout)
-	var insRoot, delRoot *trie.Node
-	if !insEmpty {
-		if ins.Arity != base.Arity {
-			panic(fmt.Sprintf("delta: insert overlay arity %d over base arity %d", ins.Arity, base.Arity))
-		}
-		insRoot = ins.Root
+	baseRoot := base.Root
+	if baseRoot.Set.IsEmpty() {
+		baseRoot = nil // lets an insert-only merge share ins whole
 	}
-	if !delEmpty {
-		if del.Arity != base.Arity {
-			panic(fmt.Sprintf("delta: tombstone overlay arity %d over base arity %d", del.Arity, base.Arity))
-		}
-		delRoot = del.Root
-	}
-	m := &merger{arity: base.Arity, annotated: base.Annotated, op: base.Op, layout: layout}
-	root := m.merge(base.Root, insRoot, delRoot, 0)
+	m := &merger{arity: base.Arity, annotated: base.Annotated, op: base.Op, layout: ensureLayout(layout)}
+	root := m.merge(baseRoot, insRoot, delRoot, 0)
 	if root == nil {
 		root = &trie.Node{}
 	}
 	return &trie.Trie{Arity: base.Arity, Annotated: base.Annotated, Op: base.Op, Root: root}
+}
+
+// overlayRoot returns the root of one overlay side, nil when the side is
+// absent or empty.
+func overlayRoot(base, side *trie.Trie, name string) *trie.Node {
+	if side == nil || side.Cardinality() == 0 {
+		return nil
+	}
+	if side.Arity != base.Arity {
+		panic(fmt.Sprintf("delta: %s overlay arity %d over base arity %d", name, side.Arity, base.Arity))
+	}
+	return side.Root
 }
 
 // Compact folds a merged view into a fresh flat trie through the
@@ -205,13 +209,14 @@ func lookupTuple(t *trie.Trie, tuple []uint32) (float64, bool) {
 	return 0, false
 }
 
-// Permute rebuilds a (small) trie with its columns permuted: level i of
-// the result stores column perm[i] of t. The overlay index path uses it
-// to carry an overlay into a relation's permuted indexes without
-// re-sorting the base.
+// Permute rebuilds a trie with its columns permuted: level i of the
+// result stores column perm[i] of t — one bulk column read, then the
+// columnar builder's radix sort. It builds a relation's permuted indexes,
+// and carries an overlay into them without re-sorting the base. A nil
+// trie or a scalar (no columns) is returned as it is.
 func Permute(t *trie.Trie, perm []int, layout trie.LayoutFunc) *trie.Trie {
-	if t == nil {
-		return nil
+	if t == nil || t.Arity == 0 {
+		return t
 	}
 	if len(perm) != t.Arity {
 		panic(fmt.Sprintf("delta: permutation %v for arity-%d trie", perm, t.Arity))

@@ -14,6 +14,12 @@ import (
 // buildTrie materializes tuples (with optional anns) into a trie.
 func buildTrie(t *testing.T, arity int, op semiring.Op, rows [][]uint32, anns []float64) *trie.Trie {
 	t.Helper()
+	return buildTrieLayout(t, arity, op, rows, anns, nil)
+}
+
+// buildTrieLayout is buildTrie with a pinned per-set layout.
+func buildTrieLayout(t *testing.T, arity int, op semiring.Op, rows [][]uint32, anns []float64, layout trie.LayoutFunc) *trie.Trie {
+	t.Helper()
 	cols := make([][]uint32, arity)
 	for c := range cols {
 		cols[c] = make([]uint32, len(rows))
@@ -21,7 +27,7 @@ func buildTrie(t *testing.T, arity int, op semiring.Op, rows [][]uint32, anns []
 			cols[c][i] = r[c]
 		}
 	}
-	return trie.FromColumns(cols, anns, op, nil)
+	return trie.FromColumns(cols, anns, op, layout)
 }
 
 // tupleKey packs a tuple for map-model bookkeeping.
@@ -370,9 +376,9 @@ func TestMergedViewMixedLayouts(t *testing.T) {
 	names := []string{"uint", "bitset", "composite", "auto"}
 	for _, bn := range names {
 		for _, on := range names {
-			base := buildTrieLayout(t, 2, baseRows, layouts[bn])
-			ins := buildTrieLayout(t, 2, insRows, layouts[on])
-			del := buildTrieLayout(t, 2, delRows, layouts[on])
+			base := buildTrieLayout(t, 2, semiring.None, baseRows, nil, layouts[bn])
+			ins := buildTrieLayout(t, 2, semiring.None, insRows, nil, layouts[on])
+			del := buildTrieLayout(t, 2, semiring.None, delRows, nil, layouts[on])
 			for _, vn := range names {
 				view := MergedView(base, ins, del, layouts[vn])
 				if got := dump(view); !reflect.DeepEqual(got, model) {
@@ -384,54 +390,148 @@ func TestMergedViewMixedLayouts(t *testing.T) {
 	}
 }
 
-// buildTrieLayout is buildTrie with a pinned per-set layout.
-func buildTrieLayout(t *testing.T, arity int, rows [][]uint32, layout trie.LayoutFunc) *trie.Trie {
-	t.Helper()
-	cols := make([][]uint32, arity)
-	for c := range cols {
-		cols[c] = make([]uint32, len(rows))
-		for i, r := range rows {
-			cols[c][i] = r[c]
+// TestApplyMixedLayouts drives an annotated relation through batches that
+// hit every rule of state = (base \ Del) ∪ Ins — same-batch
+// delete-then-insert, re-insert after delete, annotation replacement, a
+// subtree deleted whole, a tombstone for an absent tuple — with the base,
+// the batches and the merge pinned to every combination of set layout,
+// and checks both overlay sides and the merged view against map models
+// after each batch. Dense runs make bitset / composite load-bearing.
+func TestApplyMixedLayouts(t *testing.T) {
+	type row struct {
+		tp  []uint32
+		ann float64
+	}
+	var baseRows []row
+	for d := uint32(0); d < 280; d++ {
+		baseRows = append(baseRows, row{[]uint32{1, d}, float64(d)})
+	}
+	for d := uint32(0); d < 100; d++ {
+		baseRows = append(baseRows, row{[]uint32{3, d}, 0.5})
+	}
+	baseRows = append(baseRows, row{[]uint32{2, 9}, 29})
+
+	type batch struct{ del, ins []row }
+	var batches [3]batch
+	// 1: tombstone every third destination of source 1 plus {2,9} and an
+	// absent tuple; insert 270..299 under source 1 — 270..279 replace
+	// base annotations, and 270/273/276/279 are deleted and inserted in
+	// this one batch.
+	for d := uint32(0); d < 280; d += 3 {
+		batches[0].del = append(batches[0].del, row{tp: []uint32{1, d}})
+	}
+	batches[0].del = append(batches[0].del, row{tp: []uint32{2, 9}}, row{tp: []uint32{7, 7}})
+	for d := uint32(270); d < 300; d++ {
+		batches[0].ins = append(batches[0].ins, row{[]uint32{1, d}, 1000 + float64(d)})
+	}
+	batches[0].ins = append(batches[0].ins, row{[]uint32{5, 5}, 55})
+	// 2: re-insert tombstoned tuples with new annotations; delete an
+	// overlay-only tuple and all of source 3.
+	batches[1].ins = []row{{[]uint32{1, 0}, -1}, {[]uint32{1, 3}, -3}, {[]uint32{2, 9}, -29}}
+	batches[1].del = []row{{tp: []uint32{5, 5}}}
+	for d := uint32(0); d < 100; d++ {
+		batches[1].del = append(batches[1].del, row{tp: []uint32{3, d}})
+	}
+	// 3: delete a re-inserted tuple again; bring one of source 3 back.
+	batches[2].del = []row{{tp: []uint32{1, 0}}}
+	batches[2].ins = []row{{[]uint32{3, 50}, 350}}
+
+	split := func(rows []row) (tps [][]uint32, anns []float64) {
+		for _, r := range rows {
+			tps = append(tps, r.tp)
+			anns = append(anns, r.ann)
+		}
+		return tps, anns
+	}
+	layouts := []trie.LayoutFunc{trie.UintLayout, trie.BitsetLayout, trie.CompositeLayout, trie.AutoLayout}
+	for bi, bl := range layouts {
+		for oi, ol := range layouts {
+			for mi, ml := range layouts {
+				tag := fmt.Sprintf("base=%d batch=%d merge=%d", bi, oi, mi)
+				tps, anns := split(baseRows)
+				base := buildTrieLayout(t, 2, semiring.Sum, tps, anns, bl)
+				model, modelIns, modelDel := dump(base), map[string]float64{}, map[string]float64{}
+				ov := NewOverlay(2, true, semiring.Sum)
+				for n, b := range batches {
+					delTps, _ := split(b.del)
+					insTps, insAnns := split(b.ins)
+					ov = ov.Apply(
+						buildTrieLayout(t, 2, semiring.Sum, insTps, insAnns, ol),
+						buildTrieLayout(t, 2, semiring.None, delTps, nil, ol), ml)
+					for _, r := range b.del {
+						k := tupleKey(r.tp)
+						delete(model, k)
+						delete(modelIns, k)
+						modelDel[k] = 1
+					}
+					for _, r := range b.ins {
+						k := tupleKey(r.tp)
+						model[k] = r.ann
+						modelIns[k] = r.ann
+						delete(modelDel, k)
+					}
+					if got := dump(ov.Ins); !reflect.DeepEqual(got, modelIns) {
+						t.Fatalf("%s batch %d: Ins %v, want %v", tag, n+1, got, modelIns)
+					}
+					if got := dump(ov.Del); !reflect.DeepEqual(got, modelDel) {
+						t.Fatalf("%s batch %d: Del %v, want %v", tag, n+1, got, modelDel)
+					}
+					if ov.Rows() != len(modelIns)+len(modelDel) {
+						t.Fatalf("%s batch %d: rows %d, want %d", tag, n+1, ov.Rows(), len(modelIns)+len(modelDel))
+					}
+					view := MergedView(base, ov.Ins, ov.Del, ml)
+					if got := dump(view); !reflect.DeepEqual(got, model) {
+						t.Fatalf("%s batch %d: view has %d tuples, want %d", tag, n+1, len(got), len(model))
+					}
+					if view.Cardinality() != len(model) {
+						t.Fatalf("%s batch %d: cardinality %d, want %d", tag, n+1, view.Cardinality(), len(model))
+					}
+				}
+			}
 		}
 	}
-	return trie.FromColumns(cols, nil, semiring.None, layout)
 }
 
-// TestUnionDifferenceMixedLayouts runs the compaction-path trie algebra
-// over pinned mixed layouts.
-func TestUnionDifferenceMixedLayouts(t *testing.T) {
-	var aRows, bRows [][]uint32
-	for d := uint32(0); d < 280; d++ {
-		aRows = append(aRows, []uint32{1, d})
-		if d%3 == 0 {
-			bRows = append(bRows, []uint32{1, d})
-		}
-	}
-	bRows = append(bRows, []uint32{2, 9})
+// TestMergeSharesInsertSubtrees pins the sharing cases of the merge: where
+// the base holds nothing under a prefix and no tombstone reaches it, the
+// insert side's subtree is linked, not rebuilt — down to the whole trie
+// over an empty base, which is how the first batch of an overlay installs.
+func TestMergeSharesInsertSubtrees(t *testing.T) {
+	ins := buildTrie(t, 2, semiring.Sum, [][]uint32{{4, 1}, {4, 2}, {9, 9}}, []float64{1, 2, 3})
+	del := buildTrie(t, 2, semiring.None, [][]uint32{{1, 2}}, nil)
 
-	wantU := map[string]float64{}
-	for _, r := range append(append([][]uint32{}, aRows...), bRows...) {
-		wantU[tupleKey(r)] = 1
+	empty := NewOverlay(2, true, semiring.Sum)
+	ov := empty.Apply(ins, del, nil)
+	if ov.Ins.Root != ins.Root || ov.Del.Root.Child(1) != del.Root.Child(1) {
+		t.Fatalf("first batch over an empty overlay was rebuilt instead of shared")
 	}
-	wantD := map[string]float64{}
-	for _, r := range aRows {
-		wantD[tupleKey(r)] = 1
+	if empty.Apply(nil, del, nil).Del.Root != del.Root {
+		t.Fatalf("delete-only first batch was rebuilt instead of shared")
 	}
-	for _, r := range bRows {
-		delete(wantD, tupleKey(r))
+	if !ov.Ins.Annotated || ov.Del.Annotated {
+		t.Fatalf("overlay sides lost their shape: ins annotated %v, del annotated %v", ov.Ins.Annotated, ov.Del.Annotated)
+	}
+	if again := ov.Apply(nil, nil, nil); again.Ins != ov.Ins || again.Del != ov.Del {
+		t.Fatalf("an empty batch should keep both sides")
+	}
+	if view := MergedView(trie.NewEmpty(2, true, semiring.Sum), ins, nil, nil); view.Root != ins.Root {
+		t.Fatalf("insert-only view over an empty base was rebuilt instead of shared")
 	}
 
-	layouts := []trie.LayoutFunc{trie.UintLayout, trie.BitsetLayout, trie.CompositeLayout}
-	for ai, al := range layouts {
-		for bi, bl := range layouts {
-			a := buildTrieLayout(t, 2, aRows, al)
-			b := buildTrieLayout(t, 2, bRows, bl)
-			if got := dump(Union(a, b, true, nil)); !reflect.DeepEqual(got, wantU) {
-				t.Fatalf("union layouts %d×%d: %d tuples, want %d", ai, bi, len(got), len(wantU))
-			}
-			if got := dump(Difference(a, b, nil)); !reflect.DeepEqual(got, wantD) {
-				t.Fatalf("difference layouts %d×%d: %d tuples, want %d", ai, bi, len(got), len(wantD))
-			}
-		}
+	// Node level: source 1 is base-only and tombstoned, 4 is in both, 9 is
+	// insert-only — only 9's subtree can be the insert side's own.
+	base := buildTrie(t, 2, semiring.Sum, [][]uint32{{1, 2}, {1, 3}, {4, 1}}, []float64{10, 20, 30})
+	view := MergedView(base, ins, del, nil)
+	if got, want := dump(view), map[string]float64{
+		tupleKey([]uint32{1, 3}): 20, tupleKey([]uint32{4, 1}): 1,
+		tupleKey([]uint32{4, 2}): 2, tupleKey([]uint32{9, 9}): 3,
+	}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("view %v, want %v", got, want)
+	}
+	if view.Root.Child(9) != ins.Root.Child(9) {
+		t.Fatalf("insert-only subtree was rebuilt instead of shared")
+	}
+	if view.Root.Child(4) == ins.Root.Child(4) || view.Root.Child(4) == base.Root.Child(4) {
+		t.Fatalf("a subtree present on both sides must be a fresh merge")
 	}
 }

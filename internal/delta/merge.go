@@ -6,7 +6,8 @@ import (
 	"emptyheaded/internal/trie"
 )
 
-// merger carries the shape of one path-copying merge (see MergedView).
+// merger carries the shape of one path-copying merge (see MergedView) —
+// the only tree walker of the write path.
 type merger struct {
 	arity     int
 	annotated bool
@@ -15,12 +16,16 @@ type merger struct {
 }
 
 // merge produces the node for (base \ del) ∪ ins at one trie level.
-// Any of the three nodes may be nil (treated as empty). Returns nil
-// when the merged set is empty, so parents drop the value entirely —
-// tries never store empty children.
+// Any of the three nodes may be nil (treated as empty; mergeLeaf and
+// mergeInner see a non-nil base). Returns nil when the merged set is
+// empty, so parents drop the value entirely — tries never store empty
+// children.
 func (m *merger) merge(base, ins, del *trie.Node, level int) *trie.Node {
 	if ins == nil && del == nil {
 		return base // untouched path: share the base subtree
+	}
+	if base == nil {
+		return ins // (∅ \ del) ∪ ins: share the insert subtree
 	}
 	if level == m.arity-1 {
 		return m.mergeLeaf(base, ins, del, level)
@@ -31,7 +36,7 @@ func (m *merger) merge(base, ins, del *trie.Node, level int) *trie.Node {
 // mergeLeaf builds the last-level set (base \ del) ∪ ins, with insert
 // annotations replacing base annotations.
 func (m *merger) mergeLeaf(base, ins, del *trie.Node, level int) *trie.Node {
-	vals := set.DefaultKernel.Merge3(nodeSet(base), nodeSet(ins), nodeSet(del))
+	vals := set.DefaultKernel.Merge3(base.Set, nodeSet(ins), nodeSet(del))
 	if len(vals) == 0 {
 		return nil
 	}
@@ -58,7 +63,7 @@ func (m *merger) mergeLeaf(base, ins, del *trie.Node, level int) *trie.Node {
 // candidate's child is merged recursively, and children untouched by
 // the overlay are shared with the base.
 func (m *merger) mergeInner(base, ins, del *trie.Node, level int) *trie.Node {
-	bs, is := nodeSet(base), nodeSet(ins)
+	bs, is := base.Set, nodeSet(ins)
 	vals := make([]uint32, 0, bs.Card()+is.Card())
 	children := make([]*trie.Node, 0, bs.Card()+is.Card())
 	b, i := bs.Slice(), is.Slice()
@@ -111,167 +116,4 @@ func annAt(n *trie.Node, rank int, op semiring.Op) float64 {
 		return op.One()
 	}
 	return n.Ann[rank]
-}
-
-// Union computes a ∪ b as a trie, sharing subtrees present in only one
-// side. When preferB is set, b's leaf annotations win on common tuples
-// (the "newest insert replaces" rule); otherwise a's win. Both tries
-// must share arity; the result takes its shape (annotatedness, op)
-// from a.
-func Union(a, b *trie.Trie, preferB bool, layout trie.LayoutFunc) *trie.Trie {
-	if b == nil || b.Cardinality() == 0 {
-		return a
-	}
-	if a.Cardinality() == 0 {
-		if a.Annotated == b.Annotated {
-			return b
-		}
-	}
-	u := &unioner{arity: a.Arity, annotated: a.Annotated, op: a.Op, layout: ensureLayout(layout), preferB: preferB}
-	root := u.union(a.Root, b.Root, 0)
-	if root == nil {
-		root = &trie.Node{}
-	}
-	return &trie.Trie{Arity: a.Arity, Annotated: a.Annotated, Op: a.Op, Root: root}
-}
-
-type unioner struct {
-	arity     int
-	annotated bool
-	op        semiring.Op
-	layout    trie.LayoutFunc
-	preferB   bool
-}
-
-func (u *unioner) union(a, b *trie.Node, level int) *trie.Node {
-	if b == nil {
-		return a
-	}
-	if a == nil {
-		return b
-	}
-	as, bs := nodeSet(a), nodeSet(b)
-	if bs.IsEmpty() {
-		return a
-	}
-	if as.IsEmpty() {
-		return b
-	}
-	av, bv := as.Slice(), bs.Slice()
-	last := level == u.arity-1
-	vals := make([]uint32, 0, len(av)+len(bv))
-	var children []*trie.Node
-	var anns []float64
-	if !last {
-		children = make([]*trie.Node, 0, len(av)+len(bv))
-	} else if u.annotated {
-		anns = make([]float64, 0, len(av)+len(bv))
-	}
-	ai, bi := 0, 0
-	for ai < len(av) || bi < len(bv) {
-		switch {
-		case ai < len(av) && (bi >= len(bv) || av[ai] < bv[bi]):
-			vals = append(vals, av[ai])
-			if !last {
-				children = append(children, a.Children[ai])
-			} else if u.annotated {
-				anns = append(anns, annAt(a, ai, u.op))
-			}
-			ai++
-		case ai < len(av) && bi < len(bv) && av[ai] == bv[bi]:
-			vals = append(vals, av[ai])
-			if !last {
-				children = append(children, u.union(a.Children[ai], b.Children[bi], level+1))
-			} else if u.annotated {
-				if u.preferB {
-					anns = append(anns, annAt(b, bi, u.op))
-				} else {
-					anns = append(anns, annAt(a, ai, u.op))
-				}
-			}
-			ai++
-			bi++
-		default:
-			vals = append(vals, bv[bi])
-			if !last {
-				children = append(children, b.Children[bi])
-			} else if u.annotated {
-				anns = append(anns, annAt(b, bi, u.op))
-			}
-			bi++
-		}
-	}
-	n := &trie.Node{Set: set.BuildLayout(vals, u.layout(level, vals))}
-	n.Children = children
-	n.Ann = anns
-	return n
-}
-
-// Difference computes a \ b (full-tuple difference) as a trie, sharing
-// subtrees b doesn't touch. Both tries must share arity; annotations
-// (if any) ride along from a.
-func Difference(a, b *trie.Trie, layout trie.LayoutFunc) *trie.Trie {
-	if b == nil || b.Cardinality() == 0 || a.Cardinality() == 0 {
-		return a
-	}
-	d := &differ{arity: a.Arity, annotated: a.Annotated, op: a.Op, layout: ensureLayout(layout)}
-	root := d.diff(a.Root, b.Root, 0)
-	if root == nil {
-		root = &trie.Node{}
-	}
-	return &trie.Trie{Arity: a.Arity, Annotated: a.Annotated, Op: a.Op, Root: root}
-}
-
-type differ struct {
-	arity     int
-	annotated bool
-	op        semiring.Op
-	layout    trie.LayoutFunc
-}
-
-func (d *differ) diff(a, b *trie.Node, level int) *trie.Node {
-	if b == nil || b.Set.IsEmpty() {
-		return a
-	}
-	if a == nil || a.Set.IsEmpty() {
-		return nil
-	}
-	last := level == d.arity-1
-	if last {
-		vals := set.DefaultKernel.Merge3(a.Set, set.Empty(), b.Set)
-		if len(vals) == 0 {
-			return nil
-		}
-		n := &trie.Node{Set: set.BuildLayout(vals, d.layout(level, vals))}
-		if d.annotated {
-			anns := make([]float64, len(vals))
-			for i, v := range vals {
-				r, _ := a.Set.Rank(v)
-				anns[i] = annAt(a, r, d.op)
-			}
-			n.Ann = anns
-		}
-		return n
-	}
-	av := a.Set.Slice()
-	vals := make([]uint32, 0, len(av))
-	children := make([]*trie.Node, 0, len(av))
-	for ai, v := range av {
-		child := a.Children[ai]
-		if r, ok := b.Set.Rank(v); ok {
-			child = d.diff(child, b.Children[r], level+1)
-			if child == nil || child.Set.IsEmpty() {
-				continue
-			}
-		}
-		vals = append(vals, v)
-		children = append(children, child)
-	}
-	if len(vals) == 0 {
-		return nil
-	}
-	return &trie.Node{
-		Set:      set.BuildLayout(vals, d.layout(level, vals)),
-		Children: children,
-	}
 }

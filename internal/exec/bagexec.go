@@ -17,12 +17,12 @@ import (
 	"emptyheaded/internal/trie"
 )
 
-// ErrTimeout is returned when Options.Timeout elapses during execution.
+// ErrTimeout is returned when RunParams.Ctx runs out its deadline during
+// execution.
 var ErrTimeout = errors.New("exec: query timeout exceeded")
 
-// ErrCanceled is returned when Options.Ctx is cancelled mid-execution —
-// a client that hung up. A context that instead ran out its deadline
-// maps to ErrTimeout.
+// ErrCanceled is returned when RunParams.Ctx is cancelled mid-execution —
+// a client that hung up.
 var ErrCanceled = errors.New("exec: query canceled")
 
 // ErrExecPanic wraps a panic recovered at an executor boundary: the
@@ -37,18 +37,12 @@ func panicError(r any) error {
 
 // Run executes the plan and returns the result relation.
 func (p *Plan) Run() (*Result, error) {
-	if p.opts.Timeout > 0 {
-		p.deadline = time.Now().Add(p.opts.Timeout)
-		p.stop = new(atomic.Bool)
-	}
-	if ctx := p.opts.Ctx; ctx != nil && ctx.Done() != nil {
-		// Cooperative cancellation rides the same stop flag the timeout
-		// uses: the loop nest already checks it per candidate value.
-		if p.stop == nil {
-			p.stop = new(atomic.Bool)
-		}
-		flag := p.stop
-		unregister := context.AfterFunc(ctx, func() { flag.Store(true) })
+	if p.ctx != nil && p.ctx.Done() != nil {
+		// The one way a query stops early: the context's end (cancel or
+		// deadline) latches a flag the loop nest checks per candidate value.
+		flag := new(atomic.Bool)
+		p.stop = flag
+		unregister := context.AfterFunc(p.ctx, func() { flag.Store(true) })
 		defer unregister()
 	}
 	results := map[int]*trie.Trie{}
@@ -86,17 +80,12 @@ func (p *Plan) Run() (*Result, error) {
 }
 
 // stopErr attributes a latched stop flag to its cause: a cancelled
-// request context, a spent context deadline, or the execution timeout.
+// context or a spent context deadline.
 func (p *Plan) stopErr() error {
-	if ctx := p.opts.Ctx; ctx != nil {
-		switch ctx.Err() {
-		case context.Canceled:
-			return ErrCanceled
-		case context.DeadlineExceeded:
-			return fmt.Errorf("%w: request deadline exceeded", ErrTimeout)
-		}
+	if p.ctx.Err() == context.Canceled {
+		return ErrCanceled
 	}
-	return ErrTimeout
+	return fmt.Errorf("%w: request deadline exceeded", ErrTimeout)
 }
 
 // resolveID follows dedup links.
@@ -371,7 +360,7 @@ func (p *Plan) execBag(bp *BagPlan) (t *trie.Trie, err error) {
 // explicitly, so a limit:N request yields N distinct tuples whenever the
 // full result has that many.
 func (p *Plan) limitFor(bp *BagPlan) int {
-	if p.opts.Limit <= 0 || p.Agg.Present {
+	if p.limit <= 0 || p.Agg.Present {
 		return 0
 	}
 	final := p.Root
@@ -381,7 +370,7 @@ func (p *Plan) limitFor(bp *BagPlan) int {
 	if bp != final || len(bp.OutAttrs) == 0 {
 		return 0
 	}
-	return p.opts.Limit
+	return p.limit
 }
 
 func (p *Plan) aggOp() semiring.Op {
@@ -469,7 +458,6 @@ type worker struct {
 	cols   [][]uint32
 	anns   []float64
 	scalar float64
-	tick   uint32 // timeout check pacing
 	// emits counts emit() calls when analyze counters are on. It lives
 	// here, not on bagExec: emit already writes this struct's slice
 	// headers, so the extra store adds no cross-worker cache traffic.
@@ -768,17 +756,9 @@ func (w *worker) levelValues(lvl int, candidates *set.Set, ann float64) {
 			// Limit pushdown: the listing budget is spent; unwind.
 			return false
 		}
-		if ex.p.stop != nil {
-			// Cooperative timeout/cancellation: cheap flag check per
-			// value, wall clock consulted periodically (only when a
-			// timeout armed a deadline — a ctx-only stop flag has none).
-			w.tick++
-			if w.tick&1023 == 0 && !ex.p.deadline.IsZero() && time.Now().After(ex.p.deadline) {
-				ex.p.stop.Store(true)
-			}
-			if ex.p.stop.Load() {
-				return false
-			}
+		if ex.p.stop != nil && ex.p.stop.Load() {
+			// Cooperative cancellation: one flag check per value.
+			return false
 		}
 		a := ann
 		ok := true

@@ -24,11 +24,7 @@ func slowDB() (*DB, string) {
 
 func runCtx(t *testing.T, db *DB, query string, ctx context.Context, par int) error {
 	t.Helper()
-	prog, err := datalog.Parse(query)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = RunProgram(db, prog, Options{Ctx: ctx, Parallelism: par})
+	_, err := runWith(t, db, query, Options{Parallelism: par}, RunParams{Ctx: ctx})
 	return err
 }
 
@@ -108,11 +104,7 @@ func TestWorkerPanicIsolated(t *testing.T) {
 		}
 		restore()
 		// Fault exhausted and disabled: the engine still serves.
-		cheap, err := datalog.Parse(`P(x,z) :- Edge(x,y),Edge(y,z).`)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := RunProgram(db, cheap, Options{Parallelism: par, Limit: 10}); err != nil {
+		if _, err := runWith(t, db, `P(x,z) :- Edge(x,y),Edge(y,z).`, Options{Parallelism: par}, RunParams{Limit: 10}); err != nil {
 			t.Fatalf("par=%d: run after recovered panic: %v", par, err)
 		}
 	}

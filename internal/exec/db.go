@@ -11,13 +11,11 @@
 package exec
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"emptyheaded/internal/delta"
 	"emptyheaded/internal/graph"
@@ -167,14 +165,7 @@ func (db *DB) InstallSnapshot(tries map[string]*trie.Trie, epochs map[string]uin
 	eps := make(map[string]uint64, len(tries))
 	maxE := dictEpoch
 	for name, t := range tries {
-		rels[name] = &Relation{
-			Name:      name,
-			Arity:     t.Arity,
-			Annotated: t.Annotated,
-			Op:        t.Op,
-			canonical: t,
-			indexes:   map[string]*trie.Trie{},
-		}
+		rels[name] = NewRelation(name, t)
 		e := epochs[name]
 		eps[name] = e
 		if e > maxE {
@@ -236,17 +227,18 @@ func NewRelation(name string, t *trie.Trie) *Relation {
 	}
 }
 
+// newOverlayRelation is NewRelation for a merged view, plus the overlay
+// decomposition it was built from (see Relation.base).
+func newOverlayRelation(name string, merged *trie.Trie, base *Relation, ins, del *trie.Trie) *Relation {
+	r := NewRelation(name, merged)
+	r.base, r.ovIns, r.ovDel = base, ins, del
+	return r
+}
+
 // AddTrie registers (or replaces) a relation stored as a trie in natural
 // column order.
 func (db *DB) AddTrie(name string, t *trie.Trie) *Relation {
-	r := &Relation{
-		Name:      name,
-		Arity:     t.Arity,
-		Annotated: t.Annotated,
-		Op:        t.Op,
-		canonical: t,
-		indexes:   map[string]*trie.Trie{},
-	}
+	r := NewRelation(name, t)
 	db.mu.Lock()
 	db.rels[name] = r
 	db.bumpRelLocked(name)
@@ -261,17 +253,7 @@ func (db *DB) AddTrie(name string, t *trie.Trie) *Relation {
 // Like AddTrie it bumps the relation's epoch, so read-set-keyed result
 // caches invalidate exactly the queries that read this relation.
 func (db *DB) AddTrieOverlay(name string, merged *trie.Trie, base *Relation, ins, del *trie.Trie) *Relation {
-	r := &Relation{
-		Name:      name,
-		Arity:     merged.Arity,
-		Annotated: merged.Annotated,
-		Op:        merged.Op,
-		canonical: merged,
-		indexes:   map[string]*trie.Trie{},
-		base:      base,
-		ovIns:     ins,
-		ovDel:     del,
-	}
+	r := newOverlayRelation(name, merged, base, ins, del)
 	db.mu.Lock()
 	db.rels[name] = r
 	db.bumpRelLocked(name)
@@ -290,17 +272,7 @@ func (db *DB) AddTrieOverlay(name string, merged *trie.Trie, base *Relation, ins
 // load; it returns false when the relation moved on. base/ins/del
 // carry the overlay decomposition (nil for a plain compacted install).
 func (db *DB) SwapTrie(name string, old, merged *trie.Trie, base *Relation, ins, del *trie.Trie) bool {
-	r := &Relation{
-		Name:      name,
-		Arity:     merged.Arity,
-		Annotated: merged.Annotated,
-		Op:        merged.Op,
-		canonical: merged,
-		indexes:   map[string]*trie.Trie{},
-		base:      base,
-		ovIns:     ins,
-		ovDel:     del,
-	}
+	r := newOverlayRelation(name, merged, base, ins, del)
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	cur, ok := db.rels[name]
@@ -329,14 +301,8 @@ func (db *DB) AddGraph(name string, g *graph.Graph, layout trie.LayoutFunc, layo
 // one, never a mix of the two.
 func (db *DB) ReplaceGraph(name string, g *graph.Graph, dict *graph.Dictionary, layout trie.LayoutFunc, layoutName string) *Relation {
 	t := trie.FromAdjacency(g.Adj, layout)
-	r := &Relation{
-		Name:      name,
-		Arity:     t.Arity,
-		Annotated: t.Annotated,
-		Op:        t.Op,
-		canonical: t,
-		indexes:   map[string]*trie.Trie{indexKey([]int{0, 1}, layoutName): t},
-	}
+	r := NewRelation(name, t)
+	r.indexes[indexKey([]int{0, 1}, layoutName)] = t
 	db.mu.Lock()
 	db.rels[name] = r
 	db.dict = dict
@@ -460,27 +426,7 @@ func (r *Relation) Index(perm []int, layout trie.LayoutFunc, layoutName string) 
 			delta.Permute(r.ovDel, perm, layout),
 			layout)
 	} else {
-		// Re-sort the permuted columns through the columnar builder: one
-		// enumeration pass fills exact-size columns, the radix sort does
-		// the rest (no per-tuple buffers or comparison closures).
-		n := r.canonical.Cardinality()
-		cols := make([][]uint32, r.Arity)
-		for i := range cols {
-			cols[i] = make([]uint32, 0, n)
-		}
-		var anns []float64
-		if r.Annotated {
-			anns = make([]float64, 0, n)
-		}
-		r.canonical.ForEachTuple(func(tp []uint32, ann float64) {
-			for i, p := range perm {
-				cols[i] = append(cols[i], tp[p])
-			}
-			if r.Annotated {
-				anns = append(anns, ann)
-			}
-		})
-		t = trie.FromColumns(cols, anns, r.Op, layout)
+		t = delta.Permute(r.canonical, perm, layout)
 	}
 	r.indexes[key] = t
 	return t
@@ -511,26 +457,6 @@ type Options struct {
 	// Parallelism bounds the worker count for the outer loop of each
 	// bag's generic join; 0 means GOMAXPROCS.
 	Parallelism int
-	// Timeout aborts query execution cooperatively after the given
-	// duration (0 = no limit); Run returns ErrTimeout. The benchmark
-	// harness uses it to reproduce the paper's "t/o" entries.
-	Timeout time.Duration
-	// Limit pushes a row budget into listing execution: the final listing
-	// bag stops its loop nest cooperatively once Limit distinct output
-	// tuples have been emitted (Result.Truncated reports the early stop),
-	// instead of materializing the full join. The budget counts
-	// post-deduplication tuples even when the listing projects variables
-	// away, so a limited result holds at least Limit distinct tuples
-	// whenever the full result has that many (workers may overshoot by
-	// the tuples in flight when the stop latches). It applies only to
-	// un-aggregated rules; aggregates execute in full. 0 means no limit.
-	Limit int
-	// Ctx, when non-nil, cancels execution cooperatively: a cancelled
-	// context (client disconnect) or spent context deadline trips the
-	// loop nest's stop flag at the next per-value check. Run returns
-	// ErrCanceled or ErrTimeout accordingly. Per-request, not part of a
-	// cacheable plan — servers thread it through Prepared.RunWith.
-	Ctx context.Context
 }
 
 func (o Options) layout() trie.LayoutFunc {

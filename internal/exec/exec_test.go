@@ -623,6 +623,12 @@ func TestIndexPermutations(t *testing.T) {
 	if rel.Index([]int{1, 0}, trie.AutoLayout, "auto") != rev {
 		t.Fatal("index not cached")
 	}
+	// A scalar relation has no columns to re-sort: its index under any
+	// layout keeps the value.
+	scalar := db.AddTrie("N", trie.NewScalar(7, semiring.Sum))
+	if got := scalar.Index(nil, trie.UintLayout, "uint"); got.Arity != 0 || got.Scalar != 7 {
+		t.Fatalf("scalar index: arity %d, value %v, want 0, 7", got.Arity, got.Scalar)
+	}
 }
 
 func itoa(v int64) string {

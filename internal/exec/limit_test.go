@@ -18,6 +18,25 @@ func mustParse(t *testing.T, query string) *datalog.Program {
 	return prog
 }
 
+// runWith prepares query against db and executes it once with rp.
+func runWith(t *testing.T, db *DB, query string, opts Options, rp RunParams) (*Result, error) {
+	t.Helper()
+	pr, err := Prepare(db, mustParse(t, query), opts)
+	if err != nil {
+		return nil, err
+	}
+	return pr.RunWith(db, rp)
+}
+
+func mustRunWith(t *testing.T, db *DB, query string, opts Options, rp RunParams) *Result {
+	t.Helper()
+	res, err := runWith(t, db, query, opts, rp)
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	return res
+}
+
 const qTriangleListing = `Tri(x,y,z) :- R(x,y),S(y,z),T(x,z).`
 
 func TestLimitPushdownTriangleListing(t *testing.T) {
@@ -30,7 +49,7 @@ func TestLimitPushdownTriangleListing(t *testing.T) {
 
 	for _, par := range []int{1, 8} {
 		limit := 25
-		res := mustRun(t, db, qTriangleListing, Options{Limit: limit, Parallelism: par})
+		res := mustRunWith(t, db, qTriangleListing, Options{Parallelism: par}, RunParams{Limit: limit})
 		if !res.Truncated {
 			t.Fatalf("par=%d: expected truncated result", par)
 		}
@@ -49,7 +68,7 @@ func TestLimitPushdownTriangleListing(t *testing.T) {
 	}
 
 	// A limit above the full cardinality must not truncate anything.
-	res := mustRun(t, db, qTriangleListing, Options{Limit: total + 1})
+	res := mustRunWith(t, db, qTriangleListing, OptDefault, RunParams{Limit: total + 1})
 	if res.Truncated || res.Cardinality() != total {
 		t.Fatalf("limit>total: card=%d truncated=%v want %d,false", res.Cardinality(), res.Truncated, total)
 	}
@@ -73,7 +92,7 @@ func TestLimitProjectedCountsDistinct(t *testing.T) {
 
 	for _, par := range []int{1, 8} {
 		limit := 50
-		res := mustRun(t, db, q, Options{Limit: limit, Parallelism: par})
+		res := mustRunWith(t, db, q, Options{Parallelism: par}, RunParams{Limit: limit})
 		if !res.Truncated {
 			t.Fatalf("par=%d: expected truncated result", par)
 		}
@@ -101,7 +120,7 @@ func TestLimitIgnoredForAggregates(t *testing.T) {
 	g := testGraph(150, 900, 12)
 	db := dbWithGraph(g)
 	want := mustRun(t, db, qTriangleCount, OptDefault).Scalar()
-	res := mustRun(t, db, qTriangleCount, Options{Limit: 1})
+	res := mustRunWith(t, db, qTriangleCount, OptDefault, RunParams{Limit: 1})
 	if res.Truncated || res.Scalar() != want {
 		t.Fatalf("aggregate under limit: got %v (truncated=%v) want %v", res.Scalar(), res.Truncated, want)
 	}

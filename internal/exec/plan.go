@@ -1,10 +1,10 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync/atomic"
-	"time"
 
 	"emptyheaded/internal/datalog"
 	"emptyheaded/internal/ghd"
@@ -38,15 +38,16 @@ type Plan struct {
 	opts     Options
 	db       *DB
 
-	// Cooperative timeout state (set by Run when Options.Timeout > 0).
-	deadline time.Time
-	stop     *atomic.Bool
-	// truncated reports that limit pushdown stopped the final listing bag
-	// early (Result.Truncated).
+	// Per-run state, set from RunParams by Prepared.runRule on the bound
+	// clone that executes: the listing row budget, the context whose end
+	// latches stop (Run arms it), and truncated, which reports that limit
+	// pushdown stopped the final listing bag early (Result.Truncated).
+	limit     int
+	ctx       context.Context
+	stop      *atomic.Bool
 	truncated bool
 
-	// Per-run observability, set through Prepared.RunWith; both nil on
-	// the default path.
+	// Per-run observability; both nil on the default path.
 	stats *ExecStats
 	tr    *trace.Trace
 }

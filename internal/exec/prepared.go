@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"emptyheaded/internal/datalog"
 	"emptyheaded/internal/trace"
@@ -98,14 +97,21 @@ func (pr *Prepared) HasPlan() bool { return len(pr.Prog.Rules) == 1 }
 // database the query was prepared on, so intermediate head relations stay
 // session-local. Every group's head relation is registered in db.
 func (pr *Prepared) Run(db *DB) (*Result, error) {
-	return pr.RunWith(db, RunParams{Limit: pr.opts.Limit})
+	return pr.RunWith(db, RunParams{})
 }
 
-// RunParams carries per-execution observability and limit options.
+// RunParams carries what one execution is given and a plan never holds:
+// its row budget, its context and its observability.
 type RunParams struct {
-	// Limit is the listing row budget (0 = run to completion): a
-	// per-execution override of Options.Limit, so one prepared query
-	// serves requests with different limits.
+	// Limit pushes a row budget into listing execution: the final listing
+	// bag stops its loop nest cooperatively once Limit distinct output
+	// tuples have been emitted (Result.Truncated reports the early stop),
+	// instead of materializing the full join. The budget counts
+	// post-deduplication tuples even when the listing projects variables
+	// away, so a limited result holds at least Limit distinct tuples
+	// whenever the full result has that many (workers may overshoot by
+	// the tuples in flight when the stop latches). It applies only to
+	// un-aggregated rules; aggregates execute in full. 0 means no limit.
 	Limit int
 	// Collect enables the EXPLAIN ANALYZE counters; the run's ExecStats
 	// lands in Result.Stats. The counters describe one plan's bags, so
@@ -115,8 +121,10 @@ type RunParams struct {
 	// assembly join, for every rule and the first tracedIters iterations
 	// of a fixpoint.
 	Trace *trace.Trace
-	// Ctx cancels execution cooperatively (client disconnect, request
-	// deadline — see Options.Ctx); nil runs without a watcher.
+	// Ctx, when non-nil, cancels execution cooperatively: a cancelled
+	// context (client disconnect) or spent context deadline trips the
+	// loop nest's stop flag at the next per-value check, and the run
+	// returns ErrCanceled or ErrTimeout accordingly.
 	Ctx context.Context
 }
 
@@ -159,7 +167,7 @@ func (pr *Prepared) runRule(db *DB, i int, rp RunParams) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.opts.Limit, p.opts.Ctx, p.tr = rp.Limit, rp.Ctx, rp.Trace
+	p.limit, p.ctx, p.tr = rp.Limit, rp.Ctx, rp.Trace
 	if rp.Collect {
 		p.stats = &ExecStats{}
 	}
@@ -203,7 +211,7 @@ func (pr *Prepared) bind(db *DB, i int) (*Plan, error) {
 
 // Clone binds a compiled plan to db and returns an independently runnable
 // copy: the bag tree is deep-copied (execution materializes bag results
-// into the tree), the rule/GHD/attribute metadata is shared, the timeout
+// into the tree), the rule/GHD/attribute metadata is shared, the per-run
 // state is fresh, and every selection constant is re-encoded under db's
 // dictionary. It reports false when the plan does not fit db — a body
 // relation is absent or has another arity, annotation or semiring than
@@ -212,12 +220,12 @@ func (pr *Prepared) bind(db *DB, i int) (*Plan, error) {
 func (p *Plan) Clone(db *DB) (*Plan, bool) {
 	np := *p
 	np.db = db
-	np.deadline = time.Time{}
+	np.limit = 0
+	np.ctx = nil
 	np.stop = nil
 	np.truncated = false
 	np.stats = nil
 	np.tr = nil
-	np.opts.Ctx = nil
 	b := binder{db: db, bags: map[*BagPlan]*BagPlan{}, fits: true}
 	np.Root = b.bag(p.Root)
 	np.Assembly = b.bag(p.Assembly)

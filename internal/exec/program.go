@@ -28,7 +28,7 @@ func RunProgram(db *DB, prog *datalog.Program, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return pr.RunWith(db, RunParams{Limit: opts.Limit, Ctx: opts.Ctx})
+	return pr.Run(db)
 }
 
 // applyExpr rewrites every annotation a ↦ expr(a), resolving scalar

@@ -17,7 +17,7 @@ type Result struct {
 	Trie *trie.Trie
 	// Plan is the physical plan that produced the result.
 	Plan *Plan
-	// Truncated reports that limit pushdown (Options.Limit) stopped the
+	// Truncated reports that limit pushdown (RunParams.Limit) stopped the
 	// listing early: the trie holds roughly the first Limit tuples found,
 	// not the full result.
 	Truncated bool

@@ -186,50 +186,6 @@ func TestQuickIntersectLaws(t *testing.T) {
 	}
 }
 
-func TestUnionDifference(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 30; trial++ {
-		av := randomSet(rng, 1+rng.Intn(200), 2000)
-		bv := randomSet(rng, 1+rng.Intn(200), 2000)
-		refU := map[uint32]bool{}
-		for _, v := range av {
-			refU[v] = true
-		}
-		for _, v := range bv {
-			refU[v] = true
-		}
-		refD := map[uint32]bool{}
-		for _, v := range av {
-			refD[v] = true
-		}
-		for _, v := range bv {
-			delete(refD, v)
-		}
-		for _, sa := range allLayouts(av) {
-			for _, sb := range allLayouts(bv) {
-				u := DefaultKernel.Union(sa, sb)
-				if u.Card() != len(refU) {
-					t.Fatalf("union card %d want %d", u.Card(), len(refU))
-				}
-				u.ForEach(func(_ int, v uint32) {
-					if !refU[v] {
-						t.Fatalf("union spurious %d", v)
-					}
-				})
-				d := DefaultKernel.Difference(sa, sb)
-				if d.Card() != len(refD) {
-					t.Fatalf("%s\\%s diff card %d want %d", sa.Layout(), sb.Layout(), d.Card(), len(refD))
-				}
-				d.ForEach(func(_ int, v uint32) {
-					if !refD[v] {
-						t.Fatalf("diff spurious %d", v)
-					}
-				})
-			}
-		}
-	}
-}
-
 func TestGallopSearch(t *testing.T) {
 	b := []uint32{2, 4, 6, 8, 10, 12, 14, 16, 100, 1000}
 	cases := []struct {

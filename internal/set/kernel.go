@@ -326,14 +326,6 @@ func (k *Kernel) CountOf(a, b *Set) int {
 	}
 }
 
-// Union computes a ∪ b (word-parallel OR on bitset pairs); the recursion
-// executor grows recursive relations with it.
-func (k *Kernel) Union(a, b Set) Set { return unionSets(a, b) }
-
-// Difference computes a \ b (word-parallel ANDNOT on bitset pairs); the
-// seminaive executor forms delta frontiers with it.
-func (k *Kernel) Difference(a, b Set) Set { return differenceSets(a, b) }
-
 // Merge3 computes (base \ del) ∪ ins as a sorted value slice — the
 // per-level operation of the delta-trie overlay merge (see merge3).
 func (k *Kernel) Merge3(base, ins, del Set) []uint32 { return merge3(base, ins, del) }

@@ -228,25 +228,37 @@ func TestParseRouteAndAlgo(t *testing.T) {
 
 // TestMerge3MixedLayouts drives the delta-overlay merge across the full
 // base × ins × del layout matrix — including the word-parallel bitset
-// base path — against a map model.
+// base path — against a map model. Trials rotate through the shapes the
+// trie merge feeds it: a disjoint overlay (the reader's view), no
+// inserts (a \ b), no tombstones (a ∪ b), and inserts that overlap
+// tombstones aimed partly at absent values (insert wins).
 func TestMerge3MixedLayouts(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 25; trial++ {
+	for trial := 0; trial < 32; trial++ {
 		base := clusteredSet(rng, 3, 50, 60, 1<<14)
 		del := randomSubset(rng, base, len(base)/3)
 		ins := randomSet(rng, 1+rng.Intn(100), 1<<14)
-		// Keep the overlay invariant: ins ∩ del = ∅.
-		delSet := map[uint32]bool{}
-		for _, v := range del {
-			delSet[v] = true
-		}
-		ins2 := ins[:0]
-		for _, v := range ins {
-			if !delSet[v] {
-				ins2 = append(ins2, v)
+		switch trial % 4 {
+		case 0:
+			// Keep the overlay invariant: ins ∩ del = ∅.
+			delSet := map[uint32]bool{}
+			for _, v := range del {
+				delSet[v] = true
 			}
+			ins2 := ins[:0]
+			for _, v := range ins {
+				if !delSet[v] {
+					ins2 = append(ins2, v)
+				}
+			}
+			ins = ins2
+		case 1:
+			ins, del = nil, randomSet(rng, 1+rng.Intn(200), 1<<14)
+		case 2:
+			del = nil
+		case 3:
+			del = sortedUnique(append(append([]uint32{}, ins[:len(ins)/2]...), del...))
 		}
-		ins = ins2
 
 		model := map[uint32]bool{}
 		for _, v := range base {

@@ -28,17 +28,12 @@ import (
 //	                ndense × 4 u64 dense words (block order)
 //	                total-sparse × u16 offsets, padded to 8 bytes
 //
-// Tag 2 is the legacy composite encoding (card × u32 values, blocks
-// re-chosen deterministically on decode); the decoder still accepts it
-// so pre-existing snapshots restore, but the writer always emits the
-// native form, whose dense words and sparse offsets alias the mmap'd
-// segment instead of being rebuilt.
+// The composite's wire tag is 3, not uint32(Composite) = 2: tag 2 is
+// unassigned and decodes as an unknown tag, like any other.
 //
 // The empty set encodes as {Uint, 0}.
 
-// compositeNativeTag is the wire tag of the native block-form composite
-// encoding. It is distinct from uint32(Composite) (the legacy value-list
-// tag, 2) so decoders distinguish the two generations.
+// compositeNativeTag is the wire tag of the block-form composite encoding.
 const compositeNativeTag = 3
 
 // blockDenseFlag marks a dense block in the native composite header.
@@ -187,19 +182,6 @@ func FromBuffers(b []byte) (Set, int, error) {
 			return Set{}, 0, err
 		}
 		return Set{layout: Bitset, card: card, base: base, words: words, cum: cum}, size, nil
-	case Composite:
-		// Legacy tag 2: plain value list. Rebuild the blocks from it
-		// (deterministic: NewComposite's block choice depends only on the
-		// values). Only pre-native snapshots carry this form.
-		size := align8(8 + 4*card)
-		if len(b) < size {
-			return Set{}, 0, fmt.Errorf("set: truncated composite payload (want %d bytes, have %d)", size, len(b))
-		}
-		vals, err := aliasUint32s(b[8:], card)
-		if err != nil {
-			return Set{}, 0, err
-		}
-		return NewComposite(vals), size, nil
 	case Layout(compositeNativeTag):
 		if len(b) < 16 {
 			return Set{}, 0, fmt.Errorf("set: truncated composite header")

@@ -3,6 +3,7 @@ package set
 import (
 	"bytes"
 	"encoding/binary"
+	"strings"
 	"testing"
 
 	"emptyheaded/internal/gen"
@@ -123,45 +124,14 @@ func TestSetSerializeTruncated(t *testing.T) {
 			t.Fatalf("truncation at %d/%d bytes not detected", cut, len(enc))
 		}
 	}
-	// Unknown layout tag.
-	bad := append([]byte(nil), enc...)
-	bad[0] = 0x7f
-	if _, _, err := FromBuffers(bad); err == nil {
-		t.Fatal("unknown layout tag not detected")
-	}
-}
-
-func TestSetSerializeLegacyCompositeTag(t *testing.T) {
-	// Pre-native snapshots encoded composites as tag 2 + the raw value
-	// list. Hand-build that form and check the decoder still restores it
-	// — and that re-encoding upgrades to the native block form (tag 3).
-	vals := gen.DenseSparseSet(256, 64, 1<<22, 11)
-	var legacy []byte
-	legacy = AppendUint32(legacy, uint32(Composite)) // legacy tag 2
-	legacy = AppendUint32(legacy, uint32(len(vals)))
-	for _, v := range vals {
-		legacy = AppendUint32(legacy, v)
-	}
-	for len(legacy)%8 != 0 {
-		legacy = append(legacy, 0)
-	}
-	got, n, err := FromBuffers(legacy)
-	if err != nil {
-		t.Fatalf("legacy decode: %v", err)
-	}
-	if n != len(legacy) {
-		t.Fatalf("legacy decode consumed %d of %d bytes", n, len(legacy))
-	}
-	want := NewComposite(vals)
-	if got.Layout() != Composite || !Equal(got, want) {
-		t.Fatalf("legacy decode mismatch: layout %v", got.Layout())
-	}
-	re := got.AppendTo(nil)
-	if tag := re[0]; tag != 3 {
-		t.Fatalf("re-encode emitted tag %d, want native tag 3", tag)
-	}
-	if !bytes.Equal(re, want.AppendTo(nil)) {
-		t.Fatal("re-encode of legacy decode differs from native encode")
+	// Unknown layout tags; 2 is the in-memory Composite value, which no
+	// writer emits (composites travel as tag 3).
+	for _, tag := range []byte{0x7f, byte(Composite)} {
+		bad := append([]byte(nil), enc...)
+		bad[0] = tag
+		if _, _, err := FromBuffers(bad); err == nil || !strings.Contains(err.Error(), "unknown layout tag") {
+			t.Fatalf("layout tag %d: err = %v, want an unknown-tag error", tag, err)
+		}
 	}
 }
 

@@ -148,13 +148,8 @@ func NewBitset(vals []uint32) Set {
 	return s
 }
 
-// fromBitsetWords wraps raw words (base must be 64-aligned).
-func fromBitsetWords(base uint32, words []uint64) (s Set) {
-	s.setBitsetWords(base, words)
-	return s
-}
-
-// setBitsetWords is fromBitsetWords into s, which must be the zero Set.
+// setBitsetWords wraps raw words (base must be 64-aligned) into s, which
+// must be the zero Set.
 func (s *Set) setBitsetWords(base uint32, words []uint64) {
 	// Trim leading/trailing zero words so range reflects actual content.
 	lo := 0

@@ -2,95 +2,6 @@ package set
 
 import "math/bits"
 
-// Union, Difference and Merge3 implementations behind the Kernel
-// methods (kernel.go). Dense pairs run word-parallel (OR / ANDNOT);
-// mixed pairs merge decoded streams.
-
-func unionSets(a, b Set) Set {
-	if a.card == 0 {
-		return b
-	}
-	if b.card == 0 {
-		return a
-	}
-	if a.layout == Bitset && b.layout == Bitset {
-		lo := a.base
-		if b.base < lo {
-			lo = b.base
-		}
-		hiA := a.base + uint32(len(a.words)*64)
-		hiB := b.base + uint32(len(b.words)*64)
-		hi := hiA
-		if hiB > hi {
-			hi = hiB
-		}
-		out := make([]uint64, (hi-lo)/64)
-		copyWords(out, lo, a)
-		orWords(out, lo, b)
-		return fromBitsetWords(lo, out)
-	}
-	return FromSorted(mergeUnion(a.Slice(), b.Slice()))
-}
-
-func copyWords(dst []uint64, lo uint32, s Set) {
-	off := (s.base - lo) / 64
-	copy(dst[off:], s.words)
-}
-
-func orWords(dst []uint64, lo uint32, s Set) {
-	off := (s.base - lo) / 64
-	for i, w := range s.words {
-		dst[off+uint32(i)] |= w
-	}
-}
-
-func mergeUnion(a, b []uint32) []uint32 {
-	out := make([]uint32, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		av, bv := a[i], b[j]
-		switch {
-		case av == bv:
-			out = append(out, av)
-			i++
-			j++
-		case av < bv:
-			out = append(out, av)
-			i++
-		default:
-			out = append(out, bv)
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
-}
-
-func differenceSets(a, b Set) Set {
-	if a.card == 0 || b.card == 0 {
-		return a
-	}
-	if a.layout == Bitset && b.layout == Bitset {
-		out := make([]uint64, len(a.words))
-		copy(out, a.words)
-		lo, hi := a.base, a.base+uint32(len(a.words)*64)
-		bLo, bHi := b.base, b.base+uint32(len(b.words)*64)
-		from, to := max32(lo, bLo), min32(hi, bHi)
-		for v := from; v < to; v += 64 {
-			out[(v-lo)/64] &^= b.words[(v-bLo)/64]
-		}
-		return fromBitsetWords(lo, out)
-	}
-	var out []uint32
-	a.ForEach(func(_ int, v uint32) {
-		if !b.Contains(v) {
-			out = append(out, v)
-		}
-	})
-	return FromSorted(out)
-}
-
 // merge3 computes (base \ del) ∪ ins as a sorted values slice — the
 // per-level set operation of the delta-trie overlay merge: del carries
 // tombstoned values, ins freshly inserted ones, and the result is the
@@ -158,7 +69,7 @@ func merge3Bitset(base, ins, del Set) []uint32 {
 	}
 	lo := uint32(lo64)
 	words := make([]uint64, (hi64-lo64)/64)
-	copyWords(words, lo, base)
+	copy(words[(base.base-lo)/64:], base.words)
 	if del.card > 0 {
 		if del.layout == Bitset {
 			dLo64 := uint64(del.base)
@@ -182,7 +93,10 @@ func merge3Bitset(base, ins, del Set) []uint32 {
 	}
 	if ins.card > 0 {
 		if ins.layout == Bitset {
-			orWords(words, lo, ins)
+			off := (ins.base - lo) / 64
+			for i, w := range ins.words {
+				words[off+uint32(i)] |= w
+			}
 		} else {
 			ins.ForEach(func(_ int, v uint32) {
 				words[(v-lo)/64] |= 1 << ((v - lo) % 64)
@@ -202,18 +116,4 @@ func merge3Bitset(base, ins, del Set) []uint32 {
 		}
 	}
 	return out
-}
-
-func max32(a, b uint32) uint32 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min32(a, b uint32) uint32 {
-	if a < b {
-		return a
-	}
-	return b
 }
