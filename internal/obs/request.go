@@ -30,13 +30,13 @@ type RelRead struct {
 	Overlay bool
 }
 
-// Request is the one observation record of a /query, /update or audit
-// request. The handler creates it (Spine.Start), it is written while the
-// request runs — by exactly the writers named below — and one
-// Spine.Finish fans it out to the consumers, which only read it: the
-// id-indexed ring behind /debug/*, the workload registry, the relation
-// heat map, the /metrics histograms and the event log. After Finish the
-// record is immutable.
+// Request is the one observation record of a request the server's
+// pipeline runs, or of one audit re-execution. The pipeline creates it
+// (Spine.Start), it is written while the request runs — by exactly the
+// writers named below — and one Spine.Finish fans it out to the
+// consumers, which only read it: the id-indexed ring behind /debug/*,
+// the workload registry, the relation heat map, the /metrics histograms
+// and the event log. After Finish the record is immutable.
 type Request struct {
 	// Trace holds ID, Kind and Start (set by Start), the spans (written
 	// by the handler, exec's loop nest and core's update path), the

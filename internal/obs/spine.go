@@ -61,9 +61,10 @@ func NewSpine(events *EventLog, slowThreshold time.Duration) *Spine {
 	return s
 }
 
-// Start opens the record of one request of the given kind ("query",
-// "update", "audit"); query is its text, if it has one. Every started
-// record must be handed to Finish exactly once.
+// Start opens the record of one request of the given kind — a server
+// endpoint's path without the slash ("query", "update", "load", ...) or
+// "audit" — with its query text, if known yet. Every started record must
+// be handed to Finish exactly once.
 func (s *Spine) Start(kind, query string) *Request {
 	r := &Request{Query: query}
 	r.ID, r.Kind, r.Start = s.lastID.Add(1), kind, time.Now()

@@ -44,32 +44,6 @@ func (c *lruCache) get(key string) (any, bool) {
 	return ent.val, true
 }
 
-// peek is get without hit/miss accounting, for the pre-admission fast
-// path: the same request may re-resolve through get on the full path, and
-// counting both lookups would double-book.
-func (c *lruCache) peek(key string) (any, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*lruEntry).val, true
-}
-
-// noteHit books a hit for a lookup that went through peek, on both the
-// cache counter and the entry's own counter (the entry may have been
-// evicted since the peek; the cache counter still books).
-func (c *lruCache) noteHit(key string) {
-	c.mu.Lock()
-	c.hits++
-	if el, ok := c.items[key]; ok {
-		el.Value.(*lruEntry).hits++
-	}
-	c.mu.Unlock()
-}
-
 func (c *lruCache) put(key string, val any) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -87,22 +61,14 @@ func (c *lruCache) put(key string, val any) {
 	}
 }
 
-// cacheEntry is one snapshot row from entries(): the key, the live
-// value, and how many hits the entry has absorbed since insertion.
-type cacheEntry struct {
-	key  string
-	val  any
-	hits int64
-}
-
-// entries snapshots the cache's contents, most recently used first.
-func (c *lruCache) entries() []cacheEntry {
+// entries snapshots the cache's contents, most recently used first: each
+// key with its live value and the hits it has absorbed since insertion.
+func (c *lruCache) entries() []lruEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]cacheEntry, 0, c.ll.Len())
+	out := make([]lruEntry, 0, c.ll.Len())
 	for el := c.ll.Front(); el != nil; el = el.Next() {
-		ent := el.Value.(*lruEntry)
-		out = append(out, cacheEntry{key: ent.key, val: ent.val, hits: ent.hits})
+		out = append(out, *el.Value.(*lruEntry))
 	}
 	return out
 }
@@ -116,13 +82,11 @@ func (c *lruCache) remove(key string) {
 	}
 }
 
-func (c *lruCache) purge() int {
+func (c *lruCache) purge() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := c.ll.Len()
 	c.ll.Init()
 	c.items = map[string]*list.Element{}
-	return n
 }
 
 // CacheStats is the JSON rendering of one cache's counters.

@@ -120,7 +120,12 @@ func (b *breaker) close() {
 // "ready" and never need to call this.
 func (s *Server) SetBootPhase(phase string) {
 	s.bootPhase.Store(phase)
-	s.events.Emit("boot_phase", 0, map[string]any{"phase": phase})
+	s.cfg.Events.Emit("boot_phase", 0, map[string]any{"phase": phase})
+}
+
+// handleHealth is /healthz: pure liveness.
+func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
 }
 
 // handleReady is /readyz: readiness for load balancers and orchestration.

@@ -84,7 +84,7 @@ func (s *Server) recordByID(idStr string) (*obs.Request, error) {
 func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 	rec, err := s.recordByID(strings.TrimPrefix(r.URL.Path, "/debug/trace/"))
 	if err != nil {
-		s.writeErr(w, err)
+		s.writeErr(w, err, 0)
 		return
 	}
 	// The embedded struct keeps the trace's JSON flat.

@@ -4,9 +4,9 @@ import (
 	"context"
 	"math/rand"
 	"net/http"
+	"slices"
 	"strings"
 	"sync/atomic"
-	"time"
 
 	"emptyheaded/internal/obs"
 )
@@ -25,8 +25,7 @@ type auditCounters struct {
 	// checks counts completed re-executions (sampled + on-demand sweeps).
 	sampled    atomic.Int64
 	checks     atomic.Int64
-	mismatches atomic.Int64
-	evicted    atomic.Int64
+	mismatches atomic.Int64 // each one evicts its entry
 	errors     atomic.Int64
 }
 
@@ -55,7 +54,7 @@ func (s *Server) provenanceStats() ProvenanceStats {
 			Sampled:    s.audit.sampled.Load(),
 			Checks:     s.audit.checks.Load(),
 			Mismatches: s.audit.mismatches.Load(),
-			Evicted:    s.audit.evicted.Load(),
+			Evicted:    s.audit.mismatches.Load(),
 			Errors:     s.audit.errors.Load(),
 		},
 	}
@@ -65,26 +64,12 @@ func (s *Server) provenanceStats() ProvenanceStats {
 // when it lands, re-executes the served entry in the background and
 // compares. The sampler is the always-on tripwire; POST /debug/audit is
 // the on-demand full sweep.
-func (s *Server) maybeSampleAudit(key string) {
-	f := s.cfg.AuditFraction
-	if f <= 0 {
-		return
-	}
-	if f < 1 && rand.Float64() >= f {
+func (s *Server) maybeSampleAudit(key string, cr *cachedResult) {
+	if f := s.cfg.AuditFraction; f <= 0 || rand.Float64() >= f {
 		return
 	}
 	s.audit.sampled.Add(1)
-	go func() {
-		v, ok := s.results.peek(key)
-		if !ok {
-			return // evicted since the serve; nothing to audit
-		}
-		cr := v.(*cachedResult)
-		if cr.query == "" {
-			return
-		}
-		s.auditOne(context.Background(), key, cr)
-	}()
+	go s.auditOne(context.Background(), key, cr)
 }
 
 // auditOne re-executes the query that filled a cache entry (bypassing
@@ -95,15 +80,16 @@ func (s *Server) maybeSampleAudit(key string) {
 // Returns whether a mismatch was found.
 func (s *Server) auditOne(ctx context.Context, key string, cr *cachedResult) (bool, error) {
 	s.audit.checks.Add(1)
-	rec := s.obs.Start("audit", cr.query)
+	rec := s.obs.Start("audit", cr.req.Query)
 	resp, err := func() (QueryResponse, error) {
-		release, err := s.adm.acquire(ctx)
+		release, err := s.admit(ctx, rec)
 		if err != nil {
 			return QueryResponse{}, err
 		}
 		defer release()
-		req := &QueryRequest{Query: cr.query, Limit: cr.limit, NoCache: true, Columns: cr.columns}
-		return s.runQuery(ctx, req, cr.limit, rec)
+		req := cr.req
+		req.NoCache = true
+		return s.runQuery(ctx, &req, req.Limit, rec)
 	}()
 	if err != nil {
 		rec.Error = err.Error()
@@ -118,10 +104,9 @@ func (s *Server) auditOne(ctx context.Context, key string, cr *cachedResult) (bo
 	}
 	s.audit.mismatches.Add(1)
 	s.results.remove(key)
-	s.audit.evicted.Add(1)
 	fields := map[string]any{
 		"key":                key,
-		"fingerprint":        cr.fp,
+		"fingerprint":        cr.prov.Fingerprint,
 		"cached_cardinality": cr.resp.Cardinality,
 		"actual_cardinality": resp.Cardinality,
 	}
@@ -131,7 +116,7 @@ func (s *Server) auditOne(ctx context.Context, key string, cr *cachedResult) (bo
 		fields["cardinality_delta"] = d.CardinalityDelta
 		fields["drifted"] = d.Drifted
 	}
-	s.events.Emit("audit_mismatch", rec.ID, fields)
+	s.cfg.Events.Emit("audit_mismatch", rec.ID, fields)
 	return true, nil
 }
 
@@ -141,44 +126,14 @@ func (s *Server) auditOne(ctx context.Context, key string, cr *cachedResult) (bo
 // executions client spellings), as are per-request fields (trace id,
 // elapsed, cache flags).
 func respContentEqual(a, b *QueryResponse) bool {
-	if a.Cardinality != b.Cardinality || a.Truncated != b.Truncated {
-		return false
-	}
-	if (a.Scalar == nil) != (b.Scalar == nil) {
+	if a.Cardinality != b.Cardinality || a.Truncated != b.Truncated || (a.Scalar == nil) != (b.Scalar == nil) {
 		return false
 	}
 	if a.Scalar != nil && *a.Scalar != *b.Scalar {
 		return false
 	}
-	if !rowsEqual(a.Tuples, b.Tuples) || !rowsEqual(a.Columns, b.Columns) {
-		return false
-	}
-	if len(a.Anns) != len(b.Anns) {
-		return false
-	}
-	for i := range a.Anns {
-		if a.Anns[i] != b.Anns[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func rowsEqual(a, b [][]int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			return false
-		}
-		for j := range a[i] {
-			if a[i][j] != b[i][j] {
-				return false
-			}
-		}
-	}
-	return true
+	rowsEqual := func(a, b [][]int64) bool { return slices.EqualFunc(a, b, slices.Equal[[]int64]) }
+	return rowsEqual(a.Tuples, b.Tuples) && rowsEqual(a.Columns, b.Columns) && slices.Equal(a.Anns, b.Anns)
 }
 
 // lineageByID resolves a trace id to the wire lineage of its record.
@@ -202,7 +157,7 @@ func (s *Server) handleDebugProvenance(w http.ResponseWriter, r *http.Request) {
 	if rest != "" {
 		lin, err := s.lineageByID(rest)
 		if err != nil {
-			s.writeErr(w, err)
+			s.writeErr(w, err, 0)
 			return
 		}
 		writeJSON(w, http.StatusOK, lin)
@@ -210,7 +165,7 @@ func (s *Server) handleDebugProvenance(w http.ResponseWriter, r *http.Request) {
 	}
 	n, err := queryN(r, 50)
 	if err != nil {
-		s.writeErr(w, err)
+		s.writeErr(w, err, 0)
 		return
 	}
 	records := make([]*obs.Lineage, 0, n)
@@ -228,45 +183,39 @@ func (s *Server) handleDebugProvenance(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleDebugDiff(w http.ResponseWriter, r *http.Request) {
 	from, err := s.lineageByID(r.URL.Query().Get("a"))
 	if err != nil {
-		s.writeErr(w, err)
+		s.writeErr(w, err, 0)
 		return
 	}
 	to, err := s.lineageByID(r.URL.Query().Get("b"))
 	if err != nil {
-		s.writeErr(w, err)
+		s.writeErr(w, err, 0)
 		return
 	}
 	d, err := obs.Diff(from, to)
 	if err != nil {
-		s.writeErr(w, badRequest("%v", err))
+		s.writeErr(w, badRequest("%v", err), 0)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"from": from, "to": to, "diff": d})
 }
 
-// handleDebugAudit sweeps the whole result cache on demand: every
-// auditable entry is re-executed and compared. Entries that already
-// fail their freshness check are skipped (the normal epoch vector
-// handles them); the sweep exists to catch entries whose stamp lies.
-func (s *Server) handleDebugAudit(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.writeErr(w, &httpError{http.StatusMethodNotAllowed, "POST required"})
-		return
-	}
-	t0 := time.Now()
+// auditSweep audits the whole result cache on demand (POST
+// /debug/audit): every auditable entry is re-executed and compared.
+// Entries that already fail their freshness check are skipped (the
+// normal epoch vector handles them); the sweep exists to catch entries
+// whose stamp lies. Each audit takes its own worker slot and leaves its
+// own "audit" record beside the sweep's.
+func (s *Server) auditSweep(ctx context.Context, _ *struct{}, _ *obs.Request) (any, error) {
 	var checked, skippedStale, mismatches, errs int
 	var evicted []string
 	for _, ent := range s.results.entries() {
-		cr, ok := ent.val.(*cachedResult)
-		if !ok || cr.query == "" {
-			continue
-		}
+		cr := ent.val.(*cachedResult)
 		if !cr.fresh(s.eng.DB) {
 			skippedStale++
 			continue
 		}
 		checked++
-		bad, err := s.auditOne(r.Context(), ent.key, cr)
+		bad, err := s.auditOne(ctx, ent.key, cr)
 		if err != nil {
 			errs++
 			continue
@@ -276,12 +225,11 @@ func (s *Server) handleDebugAudit(w http.ResponseWriter, r *http.Request) {
 			evicted = append(evicted, ent.key)
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	return timedReply{
 		"checked":       checked,
 		"skipped_stale": skippedStale,
 		"mismatches":    mismatches,
 		"evicted":       evicted,
 		"errors":        errs,
-		"elapsed_us":    time.Since(t0).Microseconds(),
-	})
+	}, nil
 }

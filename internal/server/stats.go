@@ -21,10 +21,6 @@ type latencyWindow struct {
 
 const windowSize = 2048
 
-func newLatencyWindow() *latencyWindow {
-	return &latencyWindow{recent: obs.NewWindow(windowSize)}
-}
-
 func (l *latencyWindow) observe(d time.Duration, isErr bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()

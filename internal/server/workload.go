@@ -32,12 +32,12 @@ func (s *Server) handleDebugWorkload(w http.ResponseWriter, r *http.Request) {
 		sortKey = obs.SortCount
 	case obs.SortLatency, obs.SortRows:
 	default:
-		s.writeErr(w, badRequest("bad sort %q (count|latency|rows)", sortKey))
+		s.writeErr(w, badRequest("bad sort %q (count|latency|rows)", sortKey), 0)
 		return
 	}
 	n, err := queryN(r, 20)
 	if err != nil {
-		s.writeErr(w, err)
+		s.writeErr(w, err, 0)
 		return
 	}
 	// Each fingerprint row links the lineage of its last observed request
