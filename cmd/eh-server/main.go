@@ -69,19 +69,14 @@ func main() {
 	compactRatio := flag.Float64("compact-ratio", core.DefaultCompactRatio, "overlay/base row ratio that triggers background compaction (0 disables)")
 	compactMin := flag.Int("compact-min", core.DefaultCompactMin, "minimum overlay rows before compaction is considered")
 	workers := flag.Int("workers", 0, "max concurrently executing queries (0 = GOMAXPROCS)")
-	queue := flag.Int("queue", 0, "admission gate size (0 = 4x workers)")
 	queueWait := flag.Duration("queue-wait", 2*time.Second, "max time a request waits for a worker slot")
 	planCache := flag.Int("plan-cache", 256, "plan cache entries")
 	resultCache := flag.Int("result-cache", 128, "result cache entries")
 	queryDeadline := flag.Duration("query-deadline", 30*time.Second, "per-request wall-clock deadline: queries past it get 504 (0 = none)")
 	breakerThreshold := flag.Int("breaker-threshold", 0, "consecutive durability failures before entering read-only degraded mode (0 = default 3, <0 disables)")
-	breakerProbe := flag.Duration("breaker-probe", 0, "degraded-mode recovery probe interval (0 = default 1s)")
-	retryAfter := flag.Duration("retry-after", 0, "Retry-After hint on 503 shed/degraded responses (0 = default 1s)")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this separate listener (e.g. 127.0.0.1:6060; empty = disabled)")
 	slowQueryMS := flag.Int("slow-query-ms", 0, "log requests slower than this many milliseconds as slow_query events (0 = disabled)")
-	eventLog := flag.String("event-log", "", "unified structured event log file, appended (default stderr)")
-	eventLogMaxMB := flag.Int("event-log-max-mb", 64, "rotate the event log when it exceeds this many MiB (0 = never)")
-	eventLogKeep := flag.Int("event-log-keep", 3, "rotated event-log files retained")
+	eventLog := flag.String("event-log", "", "unified structured event log file, appended, rotated at 64 MiB keeping 3 files (default stderr)")
 	auditFraction := flag.Float64("audit-fraction", 0, "fraction of cached serves re-executed and compared by the background result-cache auditor (0 disables; POST /debug/audit sweeps on demand)")
 	flag.Parse()
 
@@ -99,11 +94,11 @@ func main() {
 
 	eng := core.New()
 
-	// The unified event log: -event-log gets a size-rotated file; without
-	// it, events go to stderr, unrotated.
+	// The unified event log: -event-log gets a file rotated at 64 MiB,
+	// keeping 3 rotated files; without it, events go to stderr, unrotated.
 	events := obs.NewEventLog(os.Stderr)
 	if *eventLog != "" {
-		el, err := obs.OpenEventLog(*eventLog, int64(*eventLogMaxMB)<<20, *eventLogKeep)
+		el, err := obs.OpenEventLog(*eventLog, 64<<20, 3)
 		if err != nil {
 			fatal(err)
 		}
@@ -118,16 +113,13 @@ func main() {
 	// from a dead process.
 	s := server.New(eng, server.Config{
 		Workers:            *workers,
-		QueueDepth:         *queue,
 		QueueWait:          *queueWait,
 		PlanCacheSize:      *planCache,
 		ResultCacheSize:    *resultCache,
 		DataDir:            *dataDir,
 		SlowQueryThreshold: time.Duration(*slowQueryMS) * time.Millisecond,
 		QueryDeadline:      *queryDeadline,
-		RetryAfter:         *retryAfter,
 		BreakerThreshold:   *breakerThreshold,
-		BreakerProbe:       *breakerProbe,
 		Events:             events,
 		AuditFraction:      *auditFraction,
 	})

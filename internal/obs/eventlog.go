@@ -60,8 +60,8 @@ func NewEventLog(w io.Writer) *EventLog {
 }
 
 // OpenEventLog opens (appending) a file-backed event log that rotates
-// when the file exceeds maxBytes (<= 0 disables rotation), keeping at
-// most keep rotated files (path.1 newest).
+// when the file would exceed maxBytes, keeping at most keep (>= 1)
+// rotated files (path.1 newest).
 func OpenEventLog(path string, maxBytes int64, keep int) (*EventLog, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -70,9 +70,6 @@ func OpenEventLog(path string, maxBytes int64, keep int) (*EventLog, error) {
 	size := int64(0)
 	if fi, err := f.Stat(); err == nil {
 		size = fi.Size()
-	}
-	if keep < 0 {
-		keep = 0
 	}
 	return &EventLog{w: f, file: f, path: path, maxBytes: maxBytes, keep: keep, size: size}, nil
 }
@@ -105,7 +102,7 @@ func (l *EventLog) Emit(kind string, traceID uint64, fields map[string]any) {
 		return
 	}
 	b = append(b, '\n')
-	if l.file != nil && l.maxBytes > 0 && l.size > 0 && l.size+int64(len(b)) > l.maxBytes {
+	if l.file != nil && l.size > 0 && l.size+int64(len(b)) > l.maxBytes {
 		l.rotateLocked()
 	}
 	n, err := l.w.Write(b)
@@ -122,15 +119,11 @@ func (l *EventLog) Emit(kind string, traceID uint64, fields map[string]any) {
 // keeps serving (the log degrades to unbounded rather than silent).
 func (l *EventLog) rotateLocked() {
 	_ = l.file.Close()
-	if l.keep == 0 {
-		_ = os.Remove(l.path)
-	} else {
-		_ = os.Remove(fmt.Sprintf("%s.%d", l.path, l.keep))
-		for i := l.keep - 1; i >= 1; i-- {
-			_ = os.Rename(fmt.Sprintf("%s.%d", l.path, i), fmt.Sprintf("%s.%d", l.path, i+1))
-		}
-		_ = os.Rename(l.path, l.path+".1")
+	_ = os.Remove(fmt.Sprintf("%s.%d", l.path, l.keep))
+	for i := l.keep - 1; i >= 1; i-- {
+		_ = os.Rename(fmt.Sprintf("%s.%d", l.path, i), fmt.Sprintf("%s.%d", l.path, i+1))
 	}
+	_ = os.Rename(l.path, l.path+".1")
 	f, err := os.OpenFile(l.path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		// Reopen the original append handle path as best effort.

@@ -9,8 +9,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"emptyheaded/internal/exec"
 )
 
 func TestEventLogEnvelope(t *testing.T) {
@@ -259,50 +257,6 @@ func TestEventLogNilSafe(t *testing.T) {
 	}
 	if l2 := NewEventLog(nil); l2 != nil {
 		t.Fatal("NewEventLog(nil) should yield a nil (disabled) log")
-	}
-}
-
-func TestRelHeatSnapshot(t *testing.T) {
-	h := NewRelHeat()
-	h.Observe(&Request{
-		Reads: []RelRead{{Rel: "Edge"}},
-		Levels: []exec.RelLevelStat{
-			{Rel: "Edge", Col: 0, Probes: 10, Intersections: 5, Skipped: 1, WordParallel: 3},
-			{Rel: "Edge", Col: 1, Probes: 20, Intersections: 8, Skipped: 2},
-		},
-	})
-	h.Observe(&Request{
-		Reads:  []RelRead{{Rel: "Edge", Overlay: true}, {Rel: "Tri"}},
-		Levels: []exec.RelLevelStat{{Rel: "Edge", Col: 1, Probes: 5, Intersections: 1, WordParallel: 1}},
-	})
-	h.Observe(&Request{UpdateRel: "Edge", UpdateRows: 3, UpdateBytes: 24})
-	h.Observe(&Request{}) // read nothing, updated nothing: no row
-
-	snap := h.Snapshot()
-	if len(snap) != 2 {
-		t.Fatalf("got %d relations, want 2", len(snap))
-	}
-	e := snap[0]
-	if e.Relation != "Edge" {
-		t.Fatalf("snapshot not sorted: %+v", snap)
-	}
-	if e.Reads != 2 || e.OverlayReads != 1 || e.OverlayReadFraction != 0.5 {
-		t.Fatalf("reads: %+v", e)
-	}
-	if e.Probes != 35 || e.Intersections != 14 || e.Skipped != 3 {
-		t.Fatalf("kernel counters: %+v", e)
-	}
-	if len(e.LevelProbes) != 2 || e.LevelProbes[0] != 10 || e.LevelProbes[1] != 25 {
-		t.Fatalf("level probes: %v", e.LevelProbes)
-	}
-	if e.UpdateBatches != 1 || e.UpdateRows != 3 || e.UpdateBytes != 24 {
-		t.Fatalf("update counters: %+v", e)
-	}
-	if e.LastRead == "" || e.LastUpdate == "" {
-		t.Fatalf("timestamps missing: %+v", e)
-	}
-	if snap[1].Relation != "Tri" || snap[1].Reads != 1 || snap[1].LastUpdate != "" {
-		t.Fatalf("second relation: %+v", snap[1])
 	}
 }
 

@@ -3,11 +3,11 @@
 // fingerprint, cache route, outcome, one elapsed time, phase totals,
 // kernel-counter totals and the lineage that determined the result —
 // and one Spine.Finish hands the finished record to consumers that only
-// read it: the id-indexed ring behind /debug/queries, /debug/trace and
-// /debug/provenance, the per-fingerprint workload registry (Workload),
-// the per-relation heat map (RelHeat), the /metrics latency histograms
-// (Histogram), and the unified JSON-lines event log (EventLog), which
-// also pins one admissible order of the system's state-changing events.
+// read it: the id-indexed ring behind /debug/queries and /debug/trace,
+// the per-fingerprint workload registry (Workload), the /metrics latency
+// histograms (Histogram), and the unified JSON-lines event log
+// (EventLog), which also pins one admissible order of the system's
+// state-changing events.
 //
 // Everything here is sized for the serving hot path: a finished request
 // costs one ring insert and one short mutex hold per consumer (not per

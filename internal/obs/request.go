@@ -4,7 +4,6 @@ import (
 	"slices"
 	"time"
 
-	"emptyheaded/internal/exec"
 	"emptyheaded/internal/trace"
 )
 
@@ -23,20 +22,13 @@ const (
 	RouteMiss      = "miss"
 )
 
-// RelRead is one relation of a query's read set, classified by whether
-// the read went through a delta-overlay merged view.
-type RelRead struct {
-	Rel     string
-	Overlay bool
-}
-
 // Request is the one observation record of a request the server's
 // pipeline runs, or of one audit re-execution. The pipeline creates it
 // (Spine.Start), it is written while the request runs — by exactly the
 // writers named below — and one Spine.Finish fans it out to the
 // consumers, which only read it: the id-indexed ring behind /debug/*,
-// the workload registry, the relation heat map, the /metrics histograms
-// and the event log. After Finish the record is immutable.
+// the workload registry, the /metrics histograms and the event log.
+// After Finish the record is immutable.
 type Request struct {
 	// Trace holds ID, Kind and Start (set by Start), the spans (written
 	// by the handler, exec's loop nest and core's update path), the
@@ -50,21 +42,15 @@ type Request struct {
 	// Cancelled marks a client disconnect or deadline trip: Error is set,
 	// but the registry books a cancel, not a query failure.
 	Cancelled bool
-	Rows      int64     // response cardinality
-	Reads     []RelRead // the read set of an executed or cache-served query
-	// Loop-nest totals and their per-relation attribution (zero on
-	// cached serves).
+	Rows      int64 // response cardinality
+	// Loop-nest totals (zero on cached serves).
 	Intersections, Probes, Skipped int64
-	Levels                         []exec.RelLevelStat
 	// Lineage is what determined the result: built by the executing
 	// request, or — Cached — the fill-time value of the served entry,
 	// shared and never copied. CacheAge is that entry's age at serve.
 	Lineage  *Lineage
 	Cached   bool
 	CacheAge time.Duration
-	// UpdateRel/Rows/Bytes describe one applied /update batch.
-	UpdateRel               string
-	UpdateRows, UpdateBytes int64
 
 	// Written once by Stop: the request's single clock reading and the
 	// per-phase totals folded from the top-level spans (nil when the

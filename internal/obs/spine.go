@@ -24,10 +24,8 @@ type Spine struct {
 	// Ring retains the most recently finished records for /debug/*.
 	Ring *Ring
 
-	// Workload is the per-fingerprint registry behind /debug/workload;
-	// Heat the per-relation counters behind /debug/relations.
+	// Workload is the per-fingerprint registry behind /debug/workload.
 	Workload *Workload
-	Heat     *RelHeat
 
 	// The /metrics histograms. Query, Phases, Update and CacheAge are fed
 	// from finished records; Fsync and Compact by core's observers.
@@ -45,7 +43,6 @@ func NewSpine(events *EventLog, slowThreshold time.Duration) *Spine {
 	s := &Spine{
 		Ring:          newRing(ringSize),
 		Workload:      NewWorkload(registryCap),
-		Heat:          NewRelHeat(),
 		Query:         NewHistogram(LatencyBuckets),
 		Update:        NewHistogram(LatencyBuckets),
 		CacheAge:      NewHistogram(AgeBuckets),
@@ -74,7 +71,7 @@ func (s *Spine) Start(kind, query string) *Request {
 
 // Finish stops the record's clock (if the handler has not already) and
 // fans the record out: ring, phase and latency histograms, registry,
-// heat map, event log.
+// event log.
 func (s *Spine) Finish(r *Request) {
 	r.Stop()
 	s.Ring.add(r)
@@ -91,7 +88,6 @@ func (s *Spine) Finish(r *Request) {
 	if r.Cached {
 		s.CacheAge.Observe(r.CacheAge)
 	}
-	s.Heat.Observe(r)
 	// Only executions emit their lineage: a cached serve would repeat
 	// the fill's per hit, and the hit itself is already in the ring.
 	if lin := r.Lineage; lin != nil && !r.Cached {

@@ -71,7 +71,6 @@ func TestSpineFinishFansOut(t *testing.T) {
 	tr.End(sp)
 	open := tr.Begin("render") // left open: Stop closes it
 	r.Fingerprint, r.Route, r.Rows = "fp", RoutePlanHit, 4
-	r.Reads = []RelRead{{Rel: "Edge", Overlay: true}}
 	r.Lineage = &Lineage{TraceID: r.ID, Fingerprint: "fp", Cardinality: 4, Relations: []RelLineage{{Relation: "Edge", Epoch: 2}}}
 
 	elapsed := r.Stop()
@@ -93,9 +92,6 @@ func TestSpineFinishFansOut(t *testing.T) {
 	if len(rows) != 1 || rows[0].LastTraceID != r.ID || rows[0].TotalUS != elapsed.Microseconds() ||
 		rows[0].Routes[RoutePlanHit] != 1 || rows[0].PhasesUS["execute"] != r.PhasesUS["execute"] {
 		t.Fatalf("registry row: %+v", rows)
-	}
-	if heat := s.Heat.Snapshot(); len(heat) != 1 || heat[0].OverlayReads != 1 {
-		t.Fatalf("heat: %+v", heat)
 	}
 	if q, ex := s.Query.Snapshot(), s.Phases["execute"].Snapshot(); q.Count != 1 || ex.Count != 1 || s.Update.Snapshot().Count != 0 {
 		t.Fatalf("histograms: query=%d execute=%d", q.Count, ex.Count)

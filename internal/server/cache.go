@@ -20,9 +20,8 @@ type lruCache struct {
 }
 
 type lruEntry struct {
-	key  string
-	val  any
-	hits int64
+	key string
+	val any
 }
 
 func newLRUCache(capacity int) *lruCache {
@@ -38,10 +37,8 @@ func (c *lruCache) get(key string) (any, bool) {
 		return nil, false
 	}
 	c.hits++
-	ent := el.Value.(*lruEntry)
-	ent.hits++
 	c.ll.MoveToFront(el)
-	return ent.val, true
+	return el.Value.(*lruEntry).val, true
 }
 
 func (c *lruCache) put(key string, val any) {
@@ -61,8 +58,7 @@ func (c *lruCache) put(key string, val any) {
 	}
 }
 
-// entries snapshots the cache's contents, most recently used first: each
-// key with its live value and the hits it has absorbed since insertion.
+// entries snapshots the cache's contents, most recently used first.
 func (c *lruCache) entries() []lruEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()

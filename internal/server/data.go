@@ -196,10 +196,6 @@ func (s *Server) update(_ context.Context, req *UpdateRequest, rec *obs.Request)
 		return nil, badRequest("%v", err)
 	}
 	s.brk.success()
-	// Bytes are estimated from the columnar payload (4-byte codes per
-	// cell); annotation floats aren't counted.
-	rec.UpdateRel, rec.UpdateRows = res.Rel, int64(res.Inserted+res.Deleted)
-	rec.UpdateBytes = rec.UpdateRows * int64(max(len(b.InsCols), len(b.DelCols))) * 4
 	return timedReply{
 		"name":         res.Rel,
 		"seq":          res.Seq,

@@ -162,22 +162,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("emptyheaded_event_log_rotations_total", "Size-triggered event-log rotations.", ev.Rotations)
 	counter("emptyheaded_event_log_dropped_total", "Events dropped on marshal/write failure.", ev.Dropped)
 
-	// Relation heat: which relations the workload actually touches.
-	if heat := s.obs.Heat.Snapshot(); len(heat) > 0 {
-		counterHeader("emptyheaded_relation_reads_total", "Query executions reading each relation.")
-		for _, h := range heat {
-			fmt.Fprintf(&sb, "emptyheaded_relation_reads_total{relation=%q} %d\n", h.Relation, h.Reads)
-		}
-		counterHeader("emptyheaded_relation_probes_total", "Loop-nest probes attributed to each relation (participation counts).")
-		for _, h := range heat {
-			fmt.Fprintf(&sb, "emptyheaded_relation_probes_total{relation=%q} %d\n", h.Relation, h.Probes)
-		}
-		counterHeader("emptyheaded_relation_update_rows_total", "Streamed update rows applied to each relation.")
-		for _, h := range heat {
-			fmt.Fprintf(&sb, "emptyheaded_relation_update_rows_total{relation=%q} %d\n", h.Relation, h.UpdateRows)
-		}
-	}
-
 	// The result-cache self-auditor's counters. eh_audit_mismatch_total is
 	// the alerting signal — any nonzero value means the cache served bytes
 	// the current data no longer determines.

@@ -11,8 +11,8 @@ import (
 	"emptyheaded/internal/trace"
 )
 
-// The debug endpoints in this file, workload.go and provenance.go are
-// views over the finished request records the spine retains
+// The debug endpoints in this file and workload.go are views over the
+// finished request records the spine retains
 // (obs.Request; see docs/OBSERVABILITY.md "The request record").
 
 // AnalyzeInfo is the /query "analyze": true payload: the request's
@@ -46,9 +46,13 @@ type traceSummary struct {
 }
 
 // handleDebugQueries lists recently finished requests, newest first
-// (GET /debug/queries?n=50).
+// (GET /debug/queries?n=50; without n, every retained one).
 func (s *Server) handleDebugQueries(w http.ResponseWriter, r *http.Request) {
-	n, _ := strconv.Atoi(r.URL.Query().Get("n"))
+	n, err := queryN(r, 0)
+	if err != nil {
+		s.writeErr(w, err, 0)
+		return
+	}
 	recs := s.obs.Ring.Recent(n)
 	out := make([]traceSummary, 0, len(recs))
 	for _, rec := range recs {

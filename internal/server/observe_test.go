@@ -107,6 +107,21 @@ func TestDebugQueryEndpoints(t *testing.T) {
 	if !found {
 		t.Fatalf("trace %d not listed in %+v", qr.TraceID, list.Traces)
 	}
+	// ?n= is classified the way /debug/workload classifies it.
+	for _, tc := range []struct {
+		n      string
+		code   int
+		traces int
+	}{
+		{"1", http.StatusOK, 1},
+		{"abc", http.StatusBadRequest, 0},
+		{"-5", http.StatusBadRequest, 0},
+	} {
+		list.Traces = nil
+		if code := getJSON(t, ts.URL+"/debug/queries?n="+tc.n, &list); code != tc.code || len(list.Traces) != tc.traces {
+			t.Fatalf("?n=%s: status %d with %d traces, want %d with %d", tc.n, code, len(list.Traces), tc.code, tc.traces)
+		}
+	}
 
 	// A recursive program runs its rules the way a single rule runs, so
 	// its trace carries bag spans too.

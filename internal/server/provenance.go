@@ -3,9 +3,7 @@ package server
 import (
 	"context"
 	"math/rand"
-	"net/http"
 	"slices"
-	"strings"
 	"sync/atomic"
 
 	"emptyheaded/internal/obs"
@@ -16,8 +14,7 @@ import (
 // fingerprint, restore generation, and the per-relation (epoch, overlay
 // generation, WAL applied-seq watermark) triple (Server.lineage). It is
 // read in three places: the /query response (opt-in via "provenance":
-// true), the /debug/provenance + /debug/diff views below, and the
-// result-cache self-auditor.
+// true), /debug/trace/<id>, and the result-cache self-auditor below.
 
 // auditCounters books the self-auditor's lifetime totals.
 type auditCounters struct {
@@ -76,8 +73,9 @@ func (s *Server) maybeSampleAudit(key string, cr *cachedResult) {
 // the cache) and compares content. A mismatch means the entry's
 // validity stamp lies — it claims freshness for bytes the current data
 // no longer determines — so the entry is evicted, eh_audit_mismatch_total
-// is bumped, and an audit_mismatch event carries the provenance diff.
-// Returns whether a mismatch was found.
+// is bumped, and an audit_mismatch event carries the entry's fill-time
+// lineage under the re-execution's trace id (its own lineage is on
+// /debug/trace/<id>). Returns whether a mismatch was found.
 func (s *Server) auditOne(ctx context.Context, key string, cr *cachedResult) (bool, error) {
 	s.audit.checks.Add(1)
 	rec := s.obs.Start("audit", cr.req.Query)
@@ -104,19 +102,13 @@ func (s *Server) auditOne(ctx context.Context, key string, cr *cachedResult) (bo
 	}
 	s.audit.mismatches.Add(1)
 	s.results.remove(key)
-	fields := map[string]any{
+	s.cfg.Events.Emit("audit_mismatch", rec.ID, map[string]any{
 		"key":                key,
 		"fingerprint":        cr.prov.Fingerprint,
 		"cached_cardinality": cr.resp.Cardinality,
 		"actual_cardinality": resp.Cardinality,
-	}
-	// Attribute the drift: diff the entry's fill-time lineage against the
-	// re-execution's (same fingerprint by construction).
-	if d, derr := obs.Diff(cr.prov, rec.Lineage); derr == nil {
-		fields["cardinality_delta"] = d.CardinalityDelta
-		fields["drifted"] = d.Drifted
-	}
-	s.cfg.Events.Emit("audit_mismatch", rec.ID, fields)
+		"lineage":            cr.prov,
+	})
 	return true, nil
 }
 
@@ -134,69 +126,6 @@ func respContentEqual(a, b *QueryResponse) bool {
 	}
 	rowsEqual := func(a, b [][]int64) bool { return slices.EqualFunc(a, b, slices.Equal[[]int64]) }
 	return rowsEqual(a.Tuples, b.Tuples) && rowsEqual(a.Columns, b.Columns) && slices.Equal(a.Anns, b.Anns)
-}
-
-// lineageByID resolves a trace id to the wire lineage of its record.
-func (s *Server) lineageByID(idStr string) (*obs.Lineage, error) {
-	rec, err := s.recordByID(idStr)
-	if err != nil {
-		return nil, err
-	}
-	lin := rec.Provenance()
-	if lin == nil {
-		return nil, &httpError{http.StatusNotFound, "no provenance record for trace " + idStr}
-	}
-	return lin, nil
-}
-
-// handleDebugProvenance serves the lineage of retained records:
-// /debug/provenance lists the most recent ones (?n=, default 50) with
-// the ring's occupancy; /debug/provenance/<id> resolves one trace id.
-func (s *Server) handleDebugProvenance(w http.ResponseWriter, r *http.Request) {
-	rest := strings.Trim(strings.TrimPrefix(r.URL.Path, "/debug/provenance"), "/")
-	if rest != "" {
-		lin, err := s.lineageByID(rest)
-		if err != nil {
-			s.writeErr(w, err, 0)
-			return
-		}
-		writeJSON(w, http.StatusOK, lin)
-		return
-	}
-	n, err := queryN(r, 50)
-	if err != nil {
-		s.writeErr(w, err, 0)
-		return
-	}
-	records := make([]*obs.Lineage, 0, n)
-	for _, rec := range s.obs.Ring.Recent(0) {
-		if lin := rec.Provenance(); lin != nil && len(records) < n {
-			records = append(records, lin)
-		}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"stats": s.obs.Ring.Stats(), "records": records})
-}
-
-// handleDebugDiff answers "why did this result change?": given two trace
-// ids of the same fingerprint (?a=&?b=), it reports which relations'
-// lineage drifted between the executions.
-func (s *Server) handleDebugDiff(w http.ResponseWriter, r *http.Request) {
-	from, err := s.lineageByID(r.URL.Query().Get("a"))
-	if err != nil {
-		s.writeErr(w, err, 0)
-		return
-	}
-	to, err := s.lineageByID(r.URL.Query().Get("b"))
-	if err != nil {
-		s.writeErr(w, err, 0)
-		return
-	}
-	d, err := obs.Diff(from, to)
-	if err != nil {
-		s.writeErr(w, badRequest("%v", err), 0)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"from": from, "to": to, "diff": d})
 }
 
 // auditSweep audits the whole result cache on demand (POST

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -67,39 +68,33 @@ func TestProvenanceInlineAndRing(t *testing.T) {
 		t.Fatalf("unrequested provenance attached: %+v", qr.Provenance)
 	}
 
-	// Ring listing: both triangle records plus the path one.
-	var list struct {
-		Stats   obs.RingStats  `json:"stats"`
-		Records []*obs.Lineage `json:"records"`
-	}
-	if code := getJSON(t, ts.URL+"/debug/provenance", &list); code != http.StatusOK {
-		t.Fatalf("/debug/provenance: %d", code)
-	}
-	if list.Stats.Retained < 3 || len(list.Records) < 3 {
-		t.Fatalf("ring: %+v (%d records)", list.Stats, len(list.Records))
-	}
-
-	// Point lookup by trace id, and 404 for an unknown one.
-	var got obs.Lineage
-	if code := getJSON(t, fmt.Sprintf("%s/debug/provenance/%d", ts.URL, qr1.TraceID), &got); code != http.StatusOK {
-		t.Fatalf("/debug/provenance/<id>: %d", code)
-	}
-	if got.Fingerprint != rec.Fingerprint {
-		t.Fatalf("lookup: %+v", got)
-	}
-	var errBody map[string]any
-	if code := getJSON(t, ts.URL+"/debug/provenance/999999999", &errBody); code != http.StatusNotFound {
-		t.Fatalf("unknown id: %d", code)
-	}
-
-	// The trace links its provenance record.
+	// /debug/trace/<id> carries the same lineage the reply did, and an
+	// unknown id is a 404.
 	var trOut struct {
 		ID         uint64       `json:"id"`
 		Provenance *obs.Lineage `json:"provenance"`
 	}
-	getJSON(t, fmt.Sprintf("%s/debug/trace/%d", ts.URL, qr1.TraceID), &trOut)
-	if trOut.ID != qr1.TraceID || trOut.Provenance == nil || trOut.Provenance.Fingerprint != rec.Fingerprint {
-		t.Fatalf("trace link: %+v", trOut)
+	for _, qr := range []QueryResponse{qr1, qr2} {
+		trOut.Provenance = nil
+		if code := getJSON(t, fmt.Sprintf("%s/debug/trace/%d", ts.URL, qr.TraceID), &trOut); code != http.StatusOK {
+			t.Fatalf("/debug/trace/%d: %d", qr.TraceID, code)
+		}
+		want := *qr.Provenance
+		if trOut.ID != qr.TraceID || trOut.Provenance == nil {
+			t.Fatalf("trace %d without lineage: %+v", qr.TraceID, trOut)
+		}
+		got := *trOut.Provenance
+		if !got.At.Equal(want.At) {
+			t.Fatalf("trace lineage time %v, reply's %v", got.At, want.At)
+		}
+		got.At = want.At
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trace lineage %+v\nis not the reply's %+v", got, want)
+		}
+	}
+	var errBody map[string]any
+	if code := getJSON(t, ts.URL+"/debug/trace/999999999", &errBody); code != http.StatusNotFound || errBody["error"] == nil {
+		t.Fatalf("unknown id: %d %v", code, errBody)
 	}
 
 	// The workload registry links each fingerprint's last record.
@@ -123,20 +118,6 @@ func TestProvenanceInlineAndRing(t *testing.T) {
 		t.Fatalf("fingerprint missing from workload: %+v", wl)
 	}
 
-	// The cached entry carries its fill-time record.
-	var cache struct {
-		ResultCache struct {
-			Entries []struct {
-				Key        string       `json:"key"`
-				Provenance *obs.Lineage `json:"provenance"`
-			} `json:"entries"`
-		} `json:"result_cache"`
-	}
-	getJSON(t, ts.URL+"/debug/cache", &cache)
-	if len(cache.ResultCache.Entries) == 0 || cache.ResultCache.Entries[0].Provenance == nil {
-		t.Fatalf("cache entries missing provenance: %+v", cache.ResultCache)
-	}
-
 	// /stats reports the section.
 	st := s.StatsSnapshot()
 	if !st.Provenance.Enabled || st.Provenance.Ring.Total < 3 {
@@ -145,61 +126,43 @@ func TestProvenanceInlineAndRing(t *testing.T) {
 }
 
 // TestProvenanceDiffWhyChanged: two executions of the same fingerprint
-// straddling an update diff to exactly the drifted relation.
+// straddling an update differ in exactly the updated relation's lineage.
 func TestProvenanceDiffWhyChanged(t *testing.T) {
 	_, ts := newTestService(t, Config{})
 
 	qr1 := queryWithProv(t, ts.URL, triangleQ)
-	var upOut map[string]any
 	if code, body := postJSON(t, ts.URL+"/update", UpdateRequest{
 		Name:    "Edge",
 		Inserts: [][]uint32{{200, 201}, {201, 202}, {200, 202}},
-	}, &upOut); code != http.StatusOK {
+	}, nil); code != http.StatusOK {
 		t.Fatalf("/update: %d %s", code, body)
 	}
 	qr2 := queryWithProv(t, ts.URL, triangleQ)
 	if qr2.ResultCached {
 		t.Fatalf("epoch bump should invalidate the cache: %+v", qr2)
 	}
-
-	var out struct {
-		Diff obs.DiffReport `json:"diff"`
+	from, to := qr1.Provenance, qr2.Provenance
+	if from.Fingerprint != to.Fingerprint || from.Generation != to.Generation || len(from.Relations) != len(to.Relations) {
+		t.Fatalf("lineages not comparable: %+v vs %+v", from, to)
 	}
-	url := fmt.Sprintf("%s/debug/diff?a=%d&b=%d", ts.URL, qr1.TraceID, qr2.TraceID)
-	if code := getJSON(t, url, &out); code != http.StatusOK {
-		t.Fatalf("/debug/diff: %d", code)
+	drifted := 0
+	for i, a := range from.Relations {
+		b := to.Relations[i]
+		if a == b {
+			continue
+		}
+		drifted++
+		if b.Relation != "Edge" || b.Epoch != a.Epoch+1 {
+			t.Fatalf("drift %+v -> %+v, want Edge's epoch +1", a, b)
+		}
+		// The overlay's growth attributes the change; the test service
+		// runs without a WAL, so the lineage is epoch-only.
+		if b.OverlayRows-a.OverlayRows != 3 || a.WALSeq != 0 || b.WALSeq != 0 {
+			t.Fatalf("overlay attribution %+v -> %+v", a, b)
+		}
 	}
-	d := out.Diff
-	if d.FromTrace != qr1.TraceID || d.ToTrace != qr2.TraceID {
-		t.Fatalf("diff traces: %+v", d)
-	}
-	if len(d.Drifted) != 1 || d.Drifted[0].Relation != "Edge" {
-		t.Fatalf("drift attribution: %+v", d.Drifted)
-	}
-	if d.Drifted[0].ToEpoch != d.Drifted[0].FromEpoch+1 {
-		t.Fatalf("epoch drift: %+v", d.Drifted[0])
-	}
-	if d.Drifted[0].OverlayRowsDelta != 3 {
-		t.Fatalf("overlay attribution: %+v", d.Drifted[0])
-	}
-	// The test service runs without a WAL, so lineage is epoch-only.
-	if !d.EpochOnly {
-		t.Fatalf("no WAL ⇒ epoch-only: %+v", d)
-	}
-
-	// Different fingerprints are not comparable.
-	qr3 := queryWithProv(t, ts.URL, pathQ)
-	var errBody map[string]any
-	url = fmt.Sprintf("%s/debug/diff?a=%d&b=%d", ts.URL, qr1.TraceID, qr3.TraceID)
-	if code := getJSON(t, url, &errBody); code != http.StatusBadRequest {
-		t.Fatalf("cross-fingerprint diff: %d (%v)", code, errBody)
-	}
-	// Malformed / missing ids.
-	if code := getJSON(t, ts.URL+"/debug/diff?a=zzz&b=1", &errBody); code != http.StatusBadRequest {
-		t.Fatalf("bad id: %d", code)
-	}
-	if code := getJSON(t, fmt.Sprintf("%s/debug/diff?a=%d&b=999999999", ts.URL, qr1.TraceID), &errBody); code != http.StatusNotFound {
-		t.Fatalf("unknown id: %d", code)
+	if drifted != 1 {
+		t.Fatalf("%d relations drifted, want 1: %+v vs %+v", drifted, from.Relations, to.Relations)
 	}
 }
 
@@ -307,26 +270,86 @@ func TestAuditCatchesFaultInjectedStaleEntry(t *testing.T) {
 }
 
 // TestAuditSamplerRuns: with AuditFraction 1 every cached serve queues a
-// background audit; a fresh entry audits clean.
+// background audit; a fresh entry audits clean, and an entry whose stamp
+// was made to lie audits dirty with an audit_mismatch event that carries
+// the fill-time lineage and a trace id /debug/trace resolves.
 func TestAuditSamplerRuns(t *testing.T) {
-	s, ts := newTestService(t, Config{AuditFraction: 1})
+	sink := &syncWriter{}
+	s, ts := newTestService(t, Config{AuditFraction: 1, Events: obs.NewEventLog(sink)})
+	// eventually polls cond until it holds: sampled audits run in the
+	// background.
+	eventually := func(what string, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s never happened: %+v", what, s.StatsSnapshot().Provenance.Audit)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
 	runQuery(t, ts.URL, triangleQ)
 	runQuery(t, ts.URL, triangleQ) // cached serve → sampled
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st := s.StatsSnapshot().Provenance.Audit
-		if st.Checks >= 1 {
-			if st.Mismatches != 0 || st.Errors != 0 {
-				t.Fatalf("fresh entry audited dirty: %+v", st)
+	eventually("a sampled audit", func() bool { return s.StatsSnapshot().Provenance.Audit.Checks >= 1 })
+	if st := s.StatsSnapshot().Provenance.Audit; st.Mismatches != 0 || st.Errors != 0 || st.Sampled < 1 {
+		t.Fatalf("fresh entry audited dirty: %+v", st)
+	}
+
+	// Plant a lying stamp (see TestAuditCatchesFaultInjectedStaleEntry),
+	// make it current with one update, and let a cached serve sample it.
+	restore := fault.Enable(fault.New(1, fault.Rule{
+		Point: "server.cache.stamp", Kind: fault.Err, OnCall: 1,
+	}))
+	defer restore()
+	fill := queryWithProv(t, ts.URL, degreeQ)
+	if code, body := postJSON(t, ts.URL+"/update", UpdateRequest{
+		Name: "Edge", Inserts: [][]uint32{{200, 201}, {201, 202}},
+	}, nil); code != http.StatusOK {
+		t.Fatalf("/update: %d %s", code, body)
+	}
+	if qr := runQuery(t, ts.URL, degreeQ); !qr.ResultCached {
+		t.Fatalf("expected the stale entry to serve: %+v", qr)
+	}
+	eventually("an audit_mismatch event", func() bool { return strings.Contains(sink.String(), `"kind":"audit_mismatch"`) })
+
+	var ev struct {
+		TraceID           uint64       `json:"trace_id"`
+		Fingerprint       string       `json:"fingerprint"`
+		CachedCardinality int          `json:"cached_cardinality"`
+		ActualCardinality int          `json:"actual_cardinality"`
+		Lineage           *obs.Lineage `json:"lineage"`
+	}
+	lines := strings.Split(strings.TrimSpace(sink.String()), "\n")
+	n := 0
+	for _, line := range lines {
+		if strings.Contains(line, `"kind":"audit_mismatch"`) {
+			n++
+			if err := json.Unmarshal([]byte(line), &ev); err != nil {
+				t.Fatalf("event line: %v (%s)", err, line)
 			}
-			if st.Sampled < 1 {
-				t.Fatalf("sampled counter: %+v", st)
-			}
-			return
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("sampled audit never completed: %+v", st)
-		}
-		time.Sleep(5 * time.Millisecond)
+	}
+	if n != 1 {
+		t.Fatalf("audit_mismatch events: %d in\n%s", n, sink.String())
+	}
+	want := fill.Provenance
+	if ev.Fingerprint != want.Fingerprint || ev.CachedCardinality != fill.Cardinality ||
+		ev.ActualCardinality != fill.Cardinality+2 {
+		t.Fatalf("event body: %+v (fill %+v)", ev, fill)
+	}
+	if ev.Lineage == nil || ev.Lineage.TraceID != fill.TraceID || !reflect.DeepEqual(ev.Lineage.Relations, want.Relations) {
+		t.Fatalf("event lineage %+v, want the fill's %+v", ev.Lineage, want)
+	}
+	var tr struct {
+		ID         uint64       `json:"id"`
+		Kind       string       `json:"kind"`
+		Provenance *obs.Lineage `json:"provenance"`
+	}
+	if code := getJSON(t, fmt.Sprintf("%s/debug/trace/%d", ts.URL, ev.TraceID), &tr); code != http.StatusOK {
+		t.Fatalf("/debug/trace/%d: %d", ev.TraceID, code)
+	}
+	if tr.ID != ev.TraceID || tr.Kind != "audit" || tr.Provenance == nil ||
+		tr.Provenance.Cardinality != ev.ActualCardinality {
+		t.Fatalf("audit trace: %+v", tr)
 	}
 }

@@ -80,7 +80,7 @@ type QueryResponse struct {
 	Analyze *AnalyzeInfo `json:"analyze,omitempty"`
 	// Provenance carries the determination-provenance record when
 	// requested (QueryRequest.Provenance). Also retrievable later via
-	// /debug/provenance/<trace_id>.
+	// /debug/trace/<trace_id>.
 	Provenance *obs.Lineage `json:"provenance,omitempty"`
 }
 
@@ -215,7 +215,7 @@ func (s *Server) resolve(req *QueryRequest, limit int, rec *obs.Request) (lookup
 // for Analyze — a cached serve has no counters to report). A fresh entry
 // is rendered under this spelling's attribute names (cached responses
 // carry canonical names, so any spelling can be served from any fill)
-// and booked into the record: route, read set, the entry's age, and its
+// and booked into the record: route, the entry's age, and its
 // fill-time lineage — pointed at, never copied.
 func (s *Server) cached(lk *lookup, req *QueryRequest, limit int, rec *obs.Request, db *exec.DB) *QueryResponse {
 	lk.key = resultCacheKey(lk.gen, lk.entry.fp, limit, req.Columns)
@@ -233,7 +233,6 @@ func (s *Server) cached(lk *lookup, req *QueryRequest, limit int, rec *obs.Reque
 	}
 	rec.Annot("served", "result_cache")
 	rec.Route, rec.Cached, rec.CacheAge = obs.RouteResultHit, true, time.Since(cr.createdAt)
-	rec.Reads = readSet(db, cr.reads)
 	rec.Lineage = cr.prov
 	resp := cr.resp
 	resp.Attrs = mapAttrs(resp.Attrs, lk.alias.canonToClient)
@@ -318,8 +317,8 @@ func (s *Server) execute(ctx context.Context, req *QueryRequest, limit int, rec 
 	// other non-listing shapes run to completion.
 	//
 	// Kernel counters are collected for every request, not just Analyze
-	// ones: the per-fingerprint registry and relation heat map aggregate
-	// them (their cost is the benchmark's trace.overhead_frac).
+	// ones: the per-fingerprint registry aggregates them (their cost is
+	// the benchmark's trace.overhead_frac).
 	sp := tr.Begin("execute")
 	res, err := entry.prep.RunWith(fork, exec.RunParams{
 		Limit: limit + 1, Collect: true, Trace: tr, Ctx: ctx,
@@ -332,9 +331,7 @@ func (s *Server) execute(ctx context.Context, req *QueryRequest, limit int, rec 
 		}
 		return nil, err
 	}
-	rec.Reads = readSet(fork, entry.reads)
 	rec.Intersections, rec.Probes, rec.Skipped = res.Stats.Totals()
-	rec.Levels = res.Plan.RelationLevelStats(res.Stats)
 
 	sp = tr.Begin("render")
 	resp := render(res, limit, fork.Dict(), req.Columns)
@@ -395,19 +392,6 @@ func (s *Server) execute(ctx context.Context, req *QueryRequest, limit int, rec 
 		}
 	}
 	return resp, nil
-}
-
-// readSet classifies each relation a query read as overlay (served
-// through a delta-overlay merged view) or base, for the heat map.
-func readSet(db *exec.DB, reads []string) []obs.RelRead {
-	out := make([]obs.RelRead, len(reads))
-	for i, name := range reads {
-		out[i].Rel = name
-		if rel, ok := db.Relation(name); ok {
-			out[i].Overlay = rel.HasOverlay()
-		}
-	}
-	return out
 }
 
 // mapAttrs relabels result attributes through m, keeping names m doesn't

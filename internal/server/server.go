@@ -34,9 +34,10 @@ import (
 type Config struct {
 	// Workers bounds concurrently executing queries (default GOMAXPROCS).
 	Workers int
-	// QueueDepth bounds requests waiting for a worker slot (default
-	// 4×Workers); beyond it requests 503 at once. Up to Workers more are
-	// executing, so Workers+QueueDepth requests can be in flight.
+	// QueueDepth bounds requests waiting for a worker slot: 4×Workers;
+	// beyond it requests 503 at once. Up to Workers more are executing,
+	// so Workers+QueueDepth requests can be in flight. Tests set it to
+	// make shedding immediate; eh-server leaves it derived.
 	QueueDepth int
 	// QueueWait bounds time spent waiting for a worker slot (default 2s).
 	QueueWait time.Duration
@@ -65,13 +66,14 @@ type Config struct {
 	// client disconnect).
 	QueryDeadline time.Duration
 	// RetryAfter is the Retry-After hint attached to shed 503s
-	// (admission, degraded mode, durability failures); default 1s.
+	// (admission, degraded mode, durability failures): 1s. Only tests
+	// set it.
 	RetryAfter time.Duration
 	// BreakerThreshold is how many consecutive durability failures trip
 	// the read-only circuit breaker (default 3; < 0 disables it).
 	BreakerThreshold int
-	// BreakerProbe paces the tripped breaker's background disk probes
-	// (default 1s).
+	// BreakerProbe paces the tripped breaker's background disk probes:
+	// 1s. Tests shorten it to make recovery fast; eh-server does not set it.
 	BreakerProbe time.Duration
 	// Events is the unified structured event log (query provenance,
 	// slow queries, WAL rotations, compactions, snapshots, breaker
@@ -130,8 +132,8 @@ type Server struct {
 	start   time.Time
 
 	// obs starts every pipeline and audit request's record and fans the
-	// finished record out to the ring, registry, heat map, histograms and
-	// event log (cfg.Events, which also takes the events of no request:
+	// finished record out to the ring, registry, histograms and event
+	// log (cfg.Events, which also takes the events of no request:
 	// breaker, boot, core's WAL/compaction/snapshot events).
 	obs *obs.Spine
 
@@ -236,10 +238,6 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("/debug/trace/", s.handleDebugTrace)
 	s.mux.HandleFunc("/debug/workload", s.handleDebugWorkload)
 	s.mux.HandleFunc("/debug/relations", s.handleDebugRelations)
-	s.mux.HandleFunc("/debug/cache", s.handleDebugCache)
-	s.mux.HandleFunc("/debug/provenance", s.handleDebugProvenance)
-	s.mux.HandleFunc("/debug/provenance/", s.handleDebugProvenance)
-	s.mux.HandleFunc("/debug/diff", s.handleDebugDiff)
 	s.mux.HandleFunc("/healthz", s.handleHealth)
 	s.mux.HandleFunc("/readyz", s.handleReady)
 }

@@ -172,12 +172,15 @@ func TestQueryExitPaths(t *testing.T) {
 			// its relations instead of cloning them.
 			if tc.hitOf >= 0 {
 				fill, _ := s.obs.Ring.Get(primed[tc.hitOf])
-				var got obs.Lineage
-				rr := httptest.NewRecorder()
-				h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, fmt.Sprintf("/debug/provenance/%d", reply.TraceID), nil))
-				if err := json.Unmarshal(rr.Body.Bytes(), &got); err != nil || rr.Code != http.StatusOK {
-					t.Fatalf("/debug/provenance/%d: %d %s", reply.TraceID, rr.Code, rr.Body)
+				var tr struct {
+					Provenance *obs.Lineage `json:"provenance"`
 				}
+				rr := httptest.NewRecorder()
+				h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, fmt.Sprintf("/debug/trace/%d", reply.TraceID), nil))
+				if err := json.Unmarshal(rr.Body.Bytes(), &tr); err != nil || rr.Code != http.StatusOK || tr.Provenance == nil {
+					t.Fatalf("/debug/trace/%d: %d %s", reply.TraceID, rr.Code, rr.Body)
+				}
+				got := *tr.Provenance
 				if !got.Cached || got.TraceID != reply.TraceID {
 					t.Fatalf("hit lineage not under the hit's id with cached:true: %+v", got)
 				}

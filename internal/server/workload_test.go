@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"net/http"
 	"regexp"
 	"strconv"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"emptyheaded/internal/obs"
+	"emptyheaded/internal/trie"
 )
 
 // getStatus fetches url and returns only the status code.
@@ -110,134 +112,44 @@ func TestWorkloadReplay(t *testing.T) {
 	}
 }
 
+// TestDebugRelationsHeat: /debug/relations is the catalog joined with
+// each relation's overlay state and the layout census docs/KERNELS.md
+// reads — and no longer a heat map.
 func TestDebugRelationsHeat(t *testing.T) {
 	_, ts := newTestService(t, Config{})
-	runQuery(t, ts.URL, triangleQ)
 	if code, body := postJSON(t, ts.URL+"/update",
 		UpdateRequest{Name: "Edge", Inserts: [][]uint32{{1, 2}, {4, 9}}}, nil); code != http.StatusOK {
 		t.Fatalf("/update: status %d body %s", code, body)
 	}
-	runQuery(t, ts.URL, pathQ) // reads Edge through the overlay now
 
 	var reply struct {
 		Relations []struct {
-			Name        string            `json:"name"`
-			Arity       int               `json:"arity"`
-			Cardinality int               `json:"cardinality"`
-			HasOverlay  bool              `json:"has_overlay"`
-			Heat        *obs.RelationHeat `json:"heat"`
+			Name          string                    `json:"name"`
+			Arity         int                       `json:"arity"`
+			Cardinality   int                       `json:"cardinality"`
+			HasOverlay    bool                      `json:"has_overlay"`
+			LayoutProfile []trie.LevelLayoutProfile `json:"layout_profile"`
+			Heat          json.RawMessage           `json:"heat"`
 		} `json:"relations"`
 	}
 	if code := getJSON(t, ts.URL+"/debug/relations", &reply); code != http.StatusOK {
 		t.Fatalf("/debug/relations: status %d", code)
 	}
-	var edge *struct {
-		Name        string            `json:"name"`
-		Arity       int               `json:"arity"`
-		Cardinality int               `json:"cardinality"`
-		HasOverlay  bool              `json:"has_overlay"`
-		Heat        *obs.RelationHeat `json:"heat"`
+	if len(reply.Relations) != 1 {
+		t.Fatalf("rows: %+v", reply.Relations)
 	}
-	for i := range reply.Relations {
-		if reply.Relations[i].Name == "Edge" {
-			edge = &reply.Relations[i]
-		}
+	edge := reply.Relations[0]
+	if edge.Heat != nil {
+		t.Fatalf("heat column still served: %s", edge.Heat)
 	}
-	if edge == nil {
-		t.Fatalf("Edge missing from %+v", reply.Relations)
-	}
-	if edge.Arity != 2 || edge.Cardinality == 0 {
+	if edge.Name != "Edge" || edge.Arity != 2 || edge.Cardinality == 0 {
 		t.Fatalf("catalog join: %+v", edge)
 	}
 	if !edge.HasOverlay {
 		t.Fatal("update applied but has_overlay false")
 	}
-	if edge.Heat == nil {
-		t.Fatal("Edge has no heat row")
-	}
-	h := edge.Heat
-	if h.Reads != 2 {
-		t.Fatalf("reads %d, want 2 (triangle + path)", h.Reads)
-	}
-	if h.OverlayReads != 1 {
-		t.Fatalf("overlay reads %d, want 1 (only the post-update query)", h.OverlayReads)
-	}
-	if h.Probes == 0 || h.Intersections == 0 {
-		t.Fatalf("no loop-nest attribution: %+v", h)
-	}
-	if len(h.LevelProbes) == 0 {
-		t.Fatalf("no per-column probes: %+v", h)
-	}
-	if h.UpdateBatches != 1 || h.UpdateRows != 2 || h.UpdateBytes != 2*2*4 {
-		t.Fatalf("update counters: %+v", h)
-	}
-	if h.LastRead == "" || h.LastUpdate == "" {
-		t.Fatalf("timestamps: %+v", h)
-	}
-}
-
-func TestDebugCacheEndpoint(t *testing.T) {
-	_, ts := newTestService(t, Config{})
-	runQuery(t, ts.URL, triangleQ) // miss: fills plan + result cache
-	runQuery(t, ts.URL, triangleQ) // fast-path result serve: bumps entry hits
-
-	var reply struct {
-		PlanCache struct {
-			Stats   PlanCacheStats `json:"stats"`
-			Entries []struct {
-				Fingerprint string   `json:"fingerprint"`
-				Reads       []string `json:"reads"`
-				Hits        int64    `json:"hits"`
-			} `json:"entries"`
-		} `json:"plan_cache"`
-		ResultCache struct {
-			Stats   CacheStats `json:"stats"`
-			Entries []struct {
-				Key         string   `json:"key"`
-				Reads       []string `json:"reads"`
-				RelEpochs   []uint64 `json:"rel_epochs"`
-				AgeS        float64  `json:"age_s"`
-				Hits        int64    `json:"hits"`
-				Cardinality int      `json:"cardinality"`
-				ApproxBytes int64    `json:"approx_bytes"`
-			} `json:"entries"`
-		} `json:"result_cache"`
-	}
-	if code := getJSON(t, ts.URL+"/debug/cache", &reply); code != http.StatusOK {
-		t.Fatalf("/debug/cache: status %d", code)
-	}
-	if len(reply.PlanCache.Entries) != 1 {
-		t.Fatalf("plan entries: %+v", reply.PlanCache.Entries)
-	}
-	pe := reply.PlanCache.Entries[0]
-	if pe.Fingerprint == "" || len(pe.Reads) == 0 {
-		t.Fatalf("plan entry: %+v", pe)
-	}
-	hasEdge := false
-	for _, r := range pe.Reads {
-		hasEdge = hasEdge || r == "Edge"
-	}
-	if !hasEdge {
-		t.Fatalf("plan entry read set misses Edge: %+v", pe)
-	}
-	if pe.Hits != 1 {
-		t.Fatalf("plan entry hits %d, want 1 (the fast-path serve)", pe.Hits)
-	}
-	if len(reply.ResultCache.Entries) != 1 {
-		t.Fatalf("result entries: %+v", reply.ResultCache.Entries)
-	}
-	re := reply.ResultCache.Entries[0]
-	if !strings.Contains(re.Key, pe.Fingerprint) {
-		t.Fatalf("result key %q does not embed fingerprint %q", re.Key, pe.Fingerprint)
-	}
-	if len(re.Reads) == 0 || len(re.RelEpochs) != len(re.Reads) {
-		t.Fatalf("result entry read set: %+v", re)
-	}
-	if re.Hits != 1 {
-		t.Fatalf("result entry hits %d, want 1", re.Hits)
-	}
-	if re.AgeS < 0 || re.AgeS > 60 {
-		t.Fatalf("result entry age %g", re.AgeS)
+	if len(edge.LayoutProfile) != edge.Arity {
+		t.Fatalf("layout census has %d levels, want %d", len(edge.LayoutProfile), edge.Arity)
 	}
 }
 
@@ -289,12 +201,13 @@ func TestMetricsWorkloadFamilies(t *testing.T) {
 		"emptyheaded_workload_fingerprints 1",
 		"emptyheaded_workload_observed_total 2",
 		"emptyheaded_events_total",
-		`emptyheaded_relation_reads_total{relation="Edge"}`,
-		`emptyheaded_relation_probes_total{relation="Edge"}`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("/metrics missing %q in:\n%s", want, text)
 		}
+	}
+	if strings.Contains(text, "emptyheaded_relation_") {
+		t.Fatalf("/metrics still serves per-relation heat families:\n%s", text)
 	}
 
 	if n := strings.Count(text, "\neh_build_info{"); n != 1 {
