@@ -41,6 +41,10 @@ type Head struct {
 	Iterations int
 }
 
+// MaxFixpointIters caps recursion: the largest [i=k] the parser accepts,
+// and the round count at which an unbounded fixpoint is an error.
+const MaxFixpointIters = 100000
+
 // Atom is one body atom; Args align positionally with the relation.
 type Atom struct {
 	Pred string

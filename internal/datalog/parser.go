@@ -322,8 +322,8 @@ func (p *parser) head() (*Head, error) {
 			return nil, err
 		}
 		k, err := strconv.Atoi(n.text)
-		if err != nil || k <= 0 {
-			return nil, fmt.Errorf("datalog: bad iteration count %q", n.text)
+		if err != nil || k <= 0 || k > MaxFixpointIters {
+			return nil, fmt.Errorf("datalog: bad iteration count %q (want 1..%d)", n.text, MaxFixpointIters)
 		}
 		h.Iterations = k
 		if _, err := p.expect(tokRBracket, "']'"); err != nil {

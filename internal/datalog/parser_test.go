@@ -163,6 +163,7 @@ func TestParseErrors(t *testing.T) {
 		`Q(x;w) :- R(x,y); w=<<COUNT(q)>>.`, // aggregate over unbound var
 		`Q(x;w) :- R(x,y); w=<<SUM(x)>>+<<SUM(y)>>.`, // two aggregates
 		`Q(x)[j=5] :- R(x,y).`,                       // bad iteration var
+		`Q(x)*[i=100001] :- R(x,y).`,                 // iteration count above the cap
 		`Q(x) :- R(x,"unterminated.`,                 // unterminated string
 	}
 	for _, src := range bad {

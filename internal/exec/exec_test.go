@@ -553,31 +553,6 @@ SSSP(x;y:int)* :- Edge(w,x),SSSP(w); y=<<MIN(w)>>+1.
 	}
 }
 
-func TestSSSPNaiveMatchesSeminaive(t *testing.T) {
-	g := testGraph(120, 400, 18)
-	db := dbWithGraph(g)
-	start := g.MaxDegreeNode()
-	q := `
-SSSP(x;y:int) :- Edge("` + itoa(int64(start)) + `",x); y=1.
-SSSP(x;y:int)* :- Edge(w,x),SSSP(w); y=<<MIN(w)>>+1.
-`
-	semi := mustRun(t, db, q, OptDefault)
-	db2 := dbWithGraph(g)
-	naive := mustRun(t, db2, q, Options{NaiveRecursion: true})
-	semiM := map[uint32]float64{}
-	semi.ForEach(func(tp []uint32, ann float64) { semiM[tp[0]] = ann })
-	naiveM := map[uint32]float64{}
-	naive.ForEach(func(tp []uint32, ann float64) { naiveM[tp[0]] = ann })
-	if len(semiM) != len(naiveM) {
-		t.Fatalf("cardinality: seminaive %d vs naive %d", len(semiM), len(naiveM))
-	}
-	for v, d := range semiM {
-		if naiveM[v] != d {
-			t.Fatalf("dist(%d): seminaive %v vs naive %v", v, d, naiveM[v])
-		}
-	}
-}
-
 // --- plumbing ------------------------------------------------------------
 
 func TestExplainRendersLoopNest(t *testing.T) {

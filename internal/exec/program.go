@@ -6,13 +6,10 @@ import (
 	"strconv"
 
 	"emptyheaded/internal/datalog"
+	"emptyheaded/internal/delta"
 	"emptyheaded/internal/semiring"
 	"emptyheaded/internal/trie"
 )
-
-// maxFixpointIters bounds un-bounded recursion (safety net; seminaive
-// recursion on finite graphs terminates well before this).
-const maxFixpointIters = 100000
 
 // tracedIters bounds what a fixpoint leaves in a trace: the base rule and
 // this many iterations record their bag spans, later ones run untraced and
@@ -117,13 +114,18 @@ func compileExpr(db *DB, e datalog.Expr) (func(float64) float64, error) {
 }
 
 // runRecursive evaluates the group's base rule once, then iterates its
-// starred rule. Monotone aggregates (MIN/MAX) use seminaive evaluation
-// over delta frontiers; others use naive re-evaluation with replace
-// semantics, for a fixed iteration count or until fixpoint (§3.3
-// "Recursion"). The fixpoint drivers receive the starred rule as step —
-// one more pass of Prepared.runRule over whatever the driver registered
-// under the head name — so an iteration binds the rule's one plan; it
-// cannot plan.
+// starred rule in one loop over (head, frontier): each round registers
+// the frontier under the head name, runs the rule's one plan over it
+// (Prepared.runRule — an iteration binds, it cannot plan) and folds the
+// result into the head. Non-monotone aggregates replace the head
+// (PageRank's unrolled iterations); monotone ones (MIN/MAX) merge in the
+// tuples the round improved ("new tuples are added to R", §2.3). The
+// frontier is the head, except for unbounded monotone rules, which join
+// only the previous round's improvements — seminaive evaluation, because
+// naive re-evaluation "is not an acceptable solution in applications
+// such as SSSP" (§3.3). The loop stops when the head did not change or
+// after [i=k] rounds; an unbounded rule still changing at the cap is an
+// error.
 func (pr *Prepared) runRecursive(db *DB, g ruleGroup, rp RunParams) (*Result, error) {
 	rec := pr.Prog.Rules[g.rec]
 	name := rec.Head.Name
@@ -139,29 +141,58 @@ func (pr *Prepared) runRecursive(db *DB, g ruleGroup, rp RunParams) (*Result, er
 			}
 		}
 	}
-	// Ensure the base result carries the recursion's semiring so delta
-	// joins combine correctly.
-	current := retag(baseRes.Trie, op)
+	bounded, rounds := rec.Head.Iterations > 0, rec.Head.Iterations
+	if !bounded {
+		rounds = datalog.MaxFixpointIters
+	}
+	seminaive := op.Monotone() && !bounded && !pr.opts.NaiveRecursion
+	// The head carries the recursion's semiring so delta joins combine
+	// correctly.
+	head := retag(baseRes.Trie, op)
+	frontier := head
 	iters := 0
-	step := func() (*Result, error) {
+	defer func() {
+		db.Drop(name) // RunWith re-registers the final result
+		if iters > tracedIters {
+			rp.Trace.Annot("untraced_iterations", strconv.Itoa(iters-tracedIters))
+		}
+	}()
+	for changed := true; changed; iters++ {
+		if iters == rounds {
+			if bounded {
+				break
+			}
+			return nil, fmt.Errorf("exec: recursion on %s did not reach a fixpoint within %d iterations", name, rounds)
+		}
+		db.AddTrie(name, frontier)
 		it := rp
-		if iters++; iters > tracedIters {
+		if iters >= tracedIters {
 			it.Trace = nil
 		}
-		return pr.runRule(db, g.rec, it)
+		res, err := pr.runRule(db, g.rec, it)
+		if err != nil {
+			return nil, err
+		}
+		var change *trie.Trie
+		if op.Monotone() {
+			change = improvements(head, res.Trie, op)
+			changed = change != nil
+			if changed && head.Arity == 0 {
+				head = change // a scalar's one tuple is the whole relation
+			} else if changed {
+				head = delta.MergedView(head, change, nil, nil)
+			}
+		} else {
+			change = retag(res.Trie, op)
+			changed = !triesEqual(head, change)
+			head = change
+		}
+		frontier = head
+		if seminaive {
+			frontier = change
+		}
 	}
-
-	defer db.Drop(name) // RunWith re-registers the final result
-
-	drive := runNaive
-	if op.Monotone() && rec.Head.Iterations == 0 && !pr.opts.NaiveRecursion {
-		drive = runSeminaive
-	}
-	res, err := drive(db, rec, current, op, step)
-	if iters > tracedIters {
-		rp.Trace.Annot("untraced_iterations", strconv.Itoa(iters-tracedIters))
-	}
-	return res, err
+	return &Result{Name: name, Attrs: baseRes.Attrs, Trie: head}, nil
 }
 
 // retag rebuilds a trie under a different semiring op (annotation values
@@ -177,96 +208,34 @@ func retag(t *trie.Trie, op semiring.Op) *trie.Trie {
 	return b.Build()
 }
 
-// runNaive re-evaluates the rule body against the full current relation
-// each round. Non-monotone aggregates replace the relation (PageRank's
-// unrolled iterations); monotone aggregates accumulate — new derivations
-// are ⊕-combined with existing tuples ("new tuples are added to R",
-// §2.3), so naive SSSP converges to the same fixpoint as seminaive, just
-// wastefully.
-func runNaive(db *DB, rec *datalog.Rule, current *trie.Trie, op semiring.Op, step func() (*Result, error)) (*Result, error) {
-	name := rec.Head.Name
-	iters := rec.Head.Iterations
-	bounded := iters > 0
-	if !bounded {
-		iters = maxFixpointIters
+// improvements returns the tuples of res that head lacks or whose
+// annotation is op-better than head's — one ordered pass over res, each
+// tuple looked up by descending head — or nil when there are none.
+func improvements(head, res *trie.Trie, op semiring.Op) *trie.Trie {
+	b := trie.NewColumnarBuilder(res.Arity, op, nil)
+	res.ForEachTuple(func(tp []uint32, ann float64) {
+		if old, ok := annOf(head, tp); !ok || op.Better(ann, old) {
+			b.AddAnn(ann, tp...)
+		}
+	})
+	if b.Len() == 0 {
+		return nil
 	}
-	var attrs []string
-	for it := 0; it < iters; it++ {
-		db.AddTrie(name, current)
-		res, err := step()
-		if err != nil {
-			return nil, err
-		}
-		attrs = res.Attrs
-		var next *trie.Trie
-		if op.Monotone() {
-			nb := trie.NewColumnarBuilder(res.Trie.Arity, op, nil)
-			current.ForEachTuple(func(tp []uint32, ann float64) { nb.AddAnn(ann, tp...) })
-			res.Trie.ForEachTuple(func(tp []uint32, ann float64) { nb.AddAnn(ann, tp...) })
-			next = nb.Build()
-		} else {
-			next = retag(res.Trie, op)
-		}
-		if !bounded && triesEqual(current, next) {
-			current = next
-			break
-		}
-		current = next
-	}
-	return &Result{Name: name, Attrs: attrs, Trie: current}, nil
+	return b.Build()
 }
 
-// runSeminaive maintains a delta frontier: the rule body joins only the
-// tuples improved in the previous round, and a round's improvements form
-// the next frontier. This is the engine's SSSP execution mode, selected
-// automatically because MIN is monotone (§3.3).
-func runSeminaive(db *DB, rec *datalog.Rule, base *trie.Trie, op semiring.Op, step func() (*Result, error)) (*Result, error) {
-	name := rec.Head.Name
-	best := map[uint32]float64{}
-	var attrs []string
-	base.ForEachTuple(func(tp []uint32, ann float64) {
-		if len(tp) != 1 {
-			return
-		}
-		best[tp[0]] = ann
-	})
-	if base.Arity != 1 {
-		return nil, fmt.Errorf("exec: seminaive recursion supports unary heads, got arity %d", base.Arity)
+// annOf returns tuple tp's annotation in t and whether t holds tp.
+func annOf(t *trie.Trie, tp []uint32) (float64, bool) {
+	if t.Arity == 0 {
+		return t.Scalar, true
 	}
-	delta := base
-	for round := 0; round < maxFixpointIters; round++ {
-		if delta.Cardinality() == 0 {
-			break
+	n := t.Root
+	for _, v := range tp[:len(tp)-1] {
+		if n = n.Child(v); n == nil {
+			return 0, false
 		}
-		db.AddTrie(name, delta)
-		res, err := step()
-		if err != nil {
-			return nil, err
-		}
-		attrs = res.Attrs
-		nb := trie.NewColumnarBuilder(1, op, nil)
-		improved := 0
-		res.Trie.ForEachTuple(func(tp []uint32, ann float64) {
-			old, ok := best[tp[0]]
-			if !ok || op.Better(ann, old) {
-				best[tp[0]] = ann
-				nb.AddAnn(ann, tp[0])
-				improved++
-			}
-		})
-		if improved == 0 {
-			break
-		}
-		delta = nb.Build()
 	}
-	out := trie.NewColumnarBuilder(1, op, nil)
-	for k, v := range best {
-		out.AddAnn(v, k)
-	}
-	if attrs == nil {
-		attrs = []string{rec.Head.Vars[0]}
-	}
-	return &Result{Name: name, Attrs: attrs, Trie: out.Build()}, nil
+	return n.AnnOf(tp[len(tp)-1], t.Op)
 }
 
 // triesEqual compares two tries tuple-by-tuple with exact annotations.
@@ -274,35 +243,11 @@ func triesEqual(a, b *trie.Trie) bool {
 	if a.Arity != b.Arity || a.Cardinality() != b.Cardinality() {
 		return false
 	}
-	if a.Arity == 0 {
-		return a.Scalar == b.Scalar
-	}
 	equal := true
-	type entry struct {
-		tp  []uint32
-		ann float64
-	}
-	var bs []entry
-	b.ForEachTuple(func(tp []uint32, ann float64) {
-		bs = append(bs, entry{append([]uint32(nil), tp...), ann})
-	})
-	i := 0
 	a.ForEachTuple(func(tp []uint32, ann float64) {
-		if !equal || i >= len(bs) {
-			equal = false
-			return
-		}
-		e := bs[i]
-		i++
-		if ann != e.ann && !(math.IsNaN(ann) && math.IsNaN(e.ann)) {
-			equal = false
-			return
-		}
-		for k := range tp {
-			if tp[k] != e.tp[k] {
-				equal = false
-				return
-			}
+		if equal {
+			bAnn, ok := annOf(b, tp)
+			equal = ok && (ann == bAnn || math.IsNaN(ann) && math.IsNaN(bAnn))
 		}
 	})
 	return equal

@@ -74,23 +74,6 @@ type ExecStats struct {
 	Bags []*BagStats `json:"bags"`
 }
 
-// Totals sums the loop-nest counters across every bag and level —
-// the cumulative intersections/probes/skipped a workload registry
-// accumulates per fingerprint.
-func (st *ExecStats) Totals() (intersections, probes, skipped int64) {
-	if st == nil {
-		return 0, 0, 0
-	}
-	for _, b := range st.Bags {
-		for i := range b.Levels {
-			intersections += b.Levels[i].Intersections
-			probes += b.Levels[i].Probes
-			skipped += b.Levels[i].Skipped
-		}
-	}
-	return intersections, probes, skipped
-}
-
 // TotalEmitted sums emitted rows across bags.
 func (st *ExecStats) TotalEmitted() int64 {
 	if st == nil {

@@ -43,8 +43,6 @@ type Request struct {
 	// but the registry books a cancel, not a query failure.
 	Cancelled bool
 	Rows      int64 // response cardinality
-	// Loop-nest totals (zero on cached serves).
-	Intersections, Probes, Skipped int64
 	// Lineage is what determined the result: built by the executing
 	// request, or — Cached — the fill-time value of the served entry,
 	// shared and never copied. CacheAge is that entry's age at serve.

@@ -107,9 +107,6 @@ func (w *Workload) Observe(r *Request) {
 		st.PhasesUS[p] += v
 	}
 	st.Rows += r.Rows
-	st.Intersections += r.Intersections
-	st.Probes += r.Probes
-	st.Skipped += r.Skipped
 	st.window.Add(r.Elapsed)
 }
 
@@ -132,15 +129,11 @@ type FingerprintStats struct {
 	MaxUS   int64   `json:"max_us"`
 	// PhasesUS sums the lifecycle-phase breakdowns across runs.
 	PhasesUS map[string]int64 `json:"phases_us,omitempty"`
-	// Cumulative kernel counters (executed runs only: cached serves
-	// contribute rows but no loop-nest counters).
-	Rows          int64  `json:"rows"`
-	Intersections int64  `json:"intersections,omitempty"`
-	Probes        int64  `json:"probes,omitempty"`
-	Skipped       int64  `json:"skipped,omitempty"`
-	LastTraceID   uint64 `json:"last_trace_id,omitempty"`
-	FirstSeen     string `json:"first_seen"`
-	LastSeen      string `json:"last_seen"`
+	// Rows sums response cardinalities, cached serves included.
+	Rows        int64  `json:"rows"`
+	LastTraceID uint64 `json:"last_trace_id,omitempty"`
+	FirstSeen   string `json:"first_seen"`
+	LastSeen    string `json:"last_seen"`
 }
 
 // snapshot copies the row out from under the mutex and fills in the

@@ -17,18 +17,15 @@ func q(fp string, id uint64, latency time.Duration, r *Request) *Request {
 
 func obsFor(fp string, latency time.Duration) *Request {
 	return q(fp, 7, latency, &Request{
-		Query:         "Q(x) :- " + fp + "(x).",
-		Route:         RoutePlanHit,
-		Rows:          3,
-		Intersections: 10,
-		Probes:        20,
-		Skipped:       5,
+		Query: "Q(x) :- " + fp + "(x).",
+		Route: RoutePlanHit,
+		Rows:  3,
 	})
 }
 
 func TestWorkloadAggregates(t *testing.T) {
 	w := NewWorkload(8)
-	w.Observe(q("fpA", 1, 100*time.Microsecond, &Request{Query: "A", Route: RouteMiss, Rows: 10, Probes: 7}))
+	w.Observe(q("fpA", 1, 100*time.Microsecond, &Request{Query: "A", Route: RouteMiss, Rows: 10}))
 	w.Observe(q("fpA", 2, 300*time.Microsecond, &Request{Route: RouteResultHit, Rows: 10}))
 	failed := q("fpA", 3, 200*time.Microsecond, &Request{Route: RoutePlanHit})
 	failed.Error = "boom"
@@ -58,8 +55,8 @@ func TestWorkloadAggregates(t *testing.T) {
 	if a.TotalUS != 600 || a.AvgUS != 200 || a.MaxUS != 300 {
 		t.Fatalf("latency aggregates: %+v", a)
 	}
-	if a.Rows != 20 || a.Probes != 7 {
-		t.Fatalf("kernel counters: %+v", a)
+	if a.Rows != 20 {
+		t.Fatalf("rows: %+v", a)
 	}
 	if a.LastTraceID != 3 {
 		t.Fatalf("last trace id %d, want 3", a.LastTraceID)

@@ -314,14 +314,11 @@ func (s *Server) execute(ctx context.Context, req *QueryRequest, limit int, rec 
 	// result of exactly `limit` tuples is not flagged truncated; listings
 	// that project variables away count pre-dedup rows and may return a
 	// smaller truncated sample (see exec.Options.Limit). Aggregates and
-	// other non-listing shapes run to completion.
-	//
-	// Kernel counters are collected for every request, not just Analyze
-	// ones: the per-fingerprint registry aggregates them (their cost is
-	// the benchmark's trace.overhead_frac).
+	// other non-listing shapes run to completion. Kernel counters are
+	// collected for Analyze requests only: their plan is the one reader.
 	sp := tr.Begin("execute")
 	res, err := entry.prep.RunWith(fork, exec.RunParams{
-		Limit: limit + 1, Collect: true, Trace: tr, Ctx: ctx,
+		Limit: limit + 1, Collect: req.Analyze, Trace: tr, Ctx: ctx,
 	})
 	tr.End(sp)
 	if err != nil {
@@ -331,7 +328,6 @@ func (s *Server) execute(ctx context.Context, req *QueryRequest, limit int, rec 
 		}
 		return nil, err
 	}
-	rec.Intersections, rec.Probes, rec.Skipped = res.Stats.Totals()
 
 	sp = tr.Begin("render")
 	resp := render(res, limit, fork.Dict(), req.Columns)

@@ -56,6 +56,8 @@ func TestQueryExitPaths(t *testing.T) {
 	}{
 		{name: "parse error", req: plain(`TC(;w:long) :- Edge(x,`), code: http.StatusBadRequest, hitOf: -1},
 		{name: "unknown relation", req: plain(`Q(x,y) :- Nope(x,y).`), code: http.StatusBadRequest, hitOf: -1},
+		{name: "iteration count above the cap", req: plain("S(x;y:int) :- Edge(0,x); y=1.\nS(x;y:int)*[i=1000000000] :- Edge(w,x),S(w); y=<<MIN(w)>>+1."),
+			code: http.StatusBadRequest, hitOf: -1},
 		{name: "admission shed", cfg: Config{Workers: 1, QueueWait: 5 * time.Millisecond}, holdSlot: true,
 			req: noCache(triangleQ), code: http.StatusServiceUnavailable, hitOf: -1},
 		{name: "admission shed, known text", cfg: Config{Workers: 1, QueueWait: 5 * time.Millisecond}, holdSlot: true,

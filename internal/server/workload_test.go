@@ -73,10 +73,6 @@ func TestWorkloadReplay(t *testing.T) {
 	if triRow.Routes[obs.RouteMiss] != 1 || triRow.Routes[obs.RouteResultHit] != 2 {
 		t.Fatalf("triangle routes: %+v", triRow.Routes)
 	}
-	// The miss execution collected kernel counters by default.
-	if triRow.Intersections == 0 || triRow.Probes == 0 {
-		t.Fatalf("no kernel counters aggregated: %+v", triRow)
-	}
 	if triRow.TotalUS <= 0 || triRow.AvgUS <= 0 || triRow.P50US <= 0 || triRow.MaxUS < int64(triRow.P99US) {
 		t.Fatalf("latency aggregates: %+v", triRow)
 	}
