@@ -39,11 +39,18 @@ func walkLengths(g *graph.Graph, src uint32, maxLen int, longest bool) map[uint3
 
 // TestRecursionMatchesModel checks each kind of starred rule against a
 // brute-force model, under seminaive and naive recursion, serial and
-// parallel: unary MIN (BFS distances), binary MIN (all-pairs hop
-// distances), bounded MAX (longest walk within k+1 edges), a scalar MIN
-// and PageRank's SUM (power iteration).
+// parallel: unary MIN (BFS distances, also over a long path whose rounds
+// stack up many head tries to fold), binary MIN (all-pairs hop
+// distances, with a linear and a non-linear rule), bounded MAX (longest
+// walk within k+1 edges), a scalar MIN that reads itself and PageRank's
+// SUM (power iteration).
 func TestRecursionMatchesModel(t *testing.T) {
 	ssspG, pairsG, maxG, prG := testGraph(80, 200, 31), testGraph(30, 50, 32), testGraph(60, 150, 33), testGraph(100, 600, 15)
+	path := make([][2]uint32, 99) // 0→1→…→99: one round per hop
+	for i := range path {
+		path[i] = [2]uint32{uint32(i), uint32(i + 1)}
+	}
+	pathG := graph.FromEdges(100, path, false)
 	unary := func(m map[uint32]float64) map[string]float64 {
 		out := map[string]float64{}
 		for v, d := range m {
@@ -59,9 +66,9 @@ func TestRecursionMatchesModel(t *testing.T) {
 			allPairs[fmt.Sprint([]uint32{uint32(x), z})] = d
 		}
 	}
-	firstSource := 0 // the smallest vertex with an out-edge
-	for len(ssspG.Adj[firstSource]) == 0 {
-		firstSource++
+	scalar := 100.0 // c ↦ 1 + c/2 while that is smaller: an un-annotated Edge has MIN's one, 0
+	for next := 1 + scalar/2; next < scalar; next = 1 + scalar/2 {
+		scalar = next
 	}
 	pageRank := map[string]float64{}
 	for v, r := range refPageRank(prG, 5) {
@@ -80,19 +87,30 @@ func TestRecursionMatchesModel(t *testing.T) {
 S(x;y:int) :- Edge("` + start(ssspG) + `",x); y=1.
 S(x;y:int)* :- Edge(w,x),S(w); y=<<MIN(w)>>+1.`,
 			unary(walkLengths(ssspG, ssspG.MaxDegreeNode(), ssspG.N, false))},
+		{"sssp_long_path", pathG, `
+S(x;y:int) :- Edge("0",x); y=1.
+S(x;y:int)* :- Edge(w,x),S(w); y=<<MIN(w)>>+1.`,
+			unary(walkLengths(pathG, 0, pathG.N, false))},
 		{"hops_binary_min", pairsG, `
 D(x,z;y:int) :- Edge(x,z); y=1.
 D(x,z;y:int)* :- D(x,w),Edge(w,z); y=<<MIN(w)>>+1.`,
+			allPairs},
+		// Non-linear: both body atoms read the head, so a round must join
+		// the old head too, not only the last round's improvements.
+		{"hops_binary_min_nonlinear", pairsG, `
+D(x,z;y:int) :- Edge(x,z); y=1.
+D(x,z;y:int)* :- D(x,w),D(w,z); y=<<MIN(w)>>.`,
 			allPairs},
 		{"walk_bounded_max", maxG, `
 L(x;y:int) :- Edge("` + start(maxG) + `",x); y=1.
 L(x;y:int)*[i=4] :- Edge(w,x),L(w); y=<<MAX(w)>>+1.`,
 			unary(walkLengths(maxG, maxG.MaxDegreeNode(), 5, true))},
 		// A scalar head is one tuple: the monotone merge replaces it whole.
+		// Each round reads the head through the reference C.
 		{"scalar_min", ssspG, `
-C(;y:int) :- Edge(x,z); y=<<MAX(x)>>.
-C(;y:int)* :- Edge(w,x); y=<<MIN(w)>>.`,
-			map[string]float64{"[]": float64(firstSource)}},
+C(;y:int) :- Edge(x,z); y=<<MAX(x)>>+100.
+C(;y:int)* :- Edge(w,x); y=<<MIN(w)>>+1+C/2.`,
+			map[string]float64{"[]": scalar}},
 		{"pagerank_sum", prG, qPageRank, pageRank},
 	} {
 		t.Run(row.name, func(t *testing.T) {

@@ -1,8 +1,10 @@
 package exec
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 
 	"emptyheaded/internal/datalog"
@@ -120,12 +122,14 @@ func compileExpr(db *DB, e datalog.Expr) (func(float64) float64, error) {
 // result into the head. Non-monotone aggregates replace the head
 // (PageRank's unrolled iterations); monotone ones (MIN/MAX) merge in the
 // tuples the round improved ("new tuples are added to R", §2.3). The
-// frontier is the head, except for unbounded monotone rules, which join
-// only the previous round's improvements — seminaive evaluation, because
-// naive re-evaluation "is not an acceptable solution in applications
-// such as SSSP" (§3.3). The loop stops when the head did not change or
-// after [i=k] rounds; an unbounded rule still changing at the cap is an
-// error.
+// frontier is the head, except for unbounded monotone rules that read the
+// head once, which join only the previous round's improvements —
+// seminaive evaluation, because naive re-evaluation "is not an acceptable
+// solution in applications such as SSSP" (§3.3). A rule that joins the
+// head with itself would miss the pairs of a new tuple with an old one,
+// so it joins the whole head. The loop stops when the head did not change
+// or after [i=k] rounds; an unbounded rule still changing at the cap is
+// an error.
 func (pr *Prepared) runRecursive(db *DB, g ruleGroup, rp RunParams) (*Result, error) {
 	rec := pr.Prog.Rules[g.rec]
 	name := rec.Head.Name
@@ -141,15 +145,14 @@ func (pr *Prepared) runRecursive(db *DB, g ruleGroup, rp RunParams) (*Result, er
 			}
 		}
 	}
-	bounded, rounds := rec.Head.Iterations > 0, rec.Head.Iterations
-	if !bounded {
-		rounds = datalog.MaxFixpointIters
-	}
-	seminaive := op.Monotone() && !bounded && !pr.opts.NaiveRecursion
+	bounded, rounds := rec.Head.Iterations > 0, cmp.Or(rec.Head.Iterations, datalog.MaxFixpointIters)
+	reads := rec.Reads()
+	first := slices.Index(reads, name) // seminaive needs the head read at most once
+	seminaive := op.Monotone() && !bounded && !pr.opts.NaiveRecursion && !slices.Contains(reads[first+1:], name)
 	// The head carries the recursion's semiring so delta joins combine
-	// correctly.
-	head := retag(baseRes.Trie, op)
-	frontier := head
+	// correctly. It is a stack of tries, newest last (see fold).
+	head := []*trie.Trie{retag(baseRes.Trie, op)}
+	frontier := head[0]
 	iters := 0
 	defer func() {
 		db.Drop(name) // RunWith re-registers the final result
@@ -173,26 +176,37 @@ func (pr *Prepared) runRecursive(db *DB, g ruleGroup, rp RunParams) (*Result, er
 		if err != nil {
 			return nil, err
 		}
-		var change *trie.Trie
+		change := retag(res.Trie, op)
 		if op.Monotone() {
-			change = improvements(head, res.Trie, op)
-			changed = change != nil
-			if changed && head.Arity == 0 {
-				head = change // a scalar's one tuple is the whole relation
+			change = improvements(head, change, op)
+			if changed = change != nil; changed && change.Arity == 0 {
+				head = []*trie.Trie{change} // a scalar's one tuple is the whole relation
 			} else if changed {
-				head = delta.MergedView(head, change, nil, nil)
+				head = fold(append(head, change), iters+1)
 			}
 		} else {
-			change = retag(res.Trie, op)
-			changed = !triesEqual(head, change)
-			head = change
+			changed = !triesEqual(head[0], change)
+			head[0] = change
 		}
-		frontier = head
-		if seminaive {
-			frontier = change
+		frontier = change
+		if !seminaive {
+			head = fold(head, 0)
+			frontier = head[0]
 		}
 	}
-	return &Result{Name: name, Attrs: baseRes.Attrs, Trie: head}, nil
+	return &Result{Name: name, Attrs: baseRes.Attrs, Trie: fold(head, 0)[0]}, nil
+}
+
+// fold merges the newest tries of a head stack into the ones below them,
+// the newer annotation winning: after the k-th push as many times as 2
+// divides k, so each tuple is merged O(log rounds) times and a round
+// costs O(frontier) amortised rather than O(head); k = 0 folds the stack
+// into one trie.
+func fold(head []*trie.Trie, k int) []*trie.Trie {
+	for n := len(head); n > 1 && k%2 == 0; n, k = n-1, k/2 {
+		head = append(head[:n-2], delta.MergedView(head[n-2], head[n-1], nil, nil))
+	}
+	return head
 }
 
 // retag rebuilds a trie under a different semiring op (annotation values
@@ -208,13 +222,18 @@ func retag(t *trie.Trie, op semiring.Op) *trie.Trie {
 	return b.Build()
 }
 
-// improvements returns the tuples of res that head lacks or whose
-// annotation is op-better than head's — one ordered pass over res, each
-// tuple looked up by descending head — or nil when there are none.
-func improvements(head, res *trie.Trie, op semiring.Op) *trie.Trie {
+// improvements returns the tuples of res that the head stack lacks or
+// whose annotation is op-better than its newest one — one ordered pass
+// over res, each tuple looked up by descending the stack's tries — or nil
+// when there are none.
+func improvements(head []*trie.Trie, res *trie.Trie, op semiring.Op) *trie.Trie {
 	b := trie.NewColumnarBuilder(res.Arity, op, nil)
 	res.ForEachTuple(func(tp []uint32, ann float64) {
-		if old, ok := annOf(head, tp); !ok || op.Better(ann, old) {
+		old, ok := 0.0, false
+		for i := len(head) - 1; i >= 0 && !ok; i-- {
+			old, ok = annOf(head[i], tp)
+		}
+		if !ok || op.Better(ann, old) {
 			b.AddAnn(ann, tp...)
 		}
 	})
