@@ -32,8 +32,9 @@ func padded(g *graph.Graph) *graph.Graph {
 }
 
 // The loop nest allocates per run and per output row, never per probe or
-// per intersection: a plan clone, the cursors, one worker, scratch
-// buffers that grow a few times to the largest intersection. The padded
+// per intersection: a plan clone, the cursor templates, one state per
+// worker, scratch buffers that grow a few times to the largest
+// intersection, the first level's blocks on the pool. The padded
 // graph makes several times the probes for the same output, so anything
 // that escapes to the heap inside the nest — the trap of passing *set.Set
 // operands or the scratch result through an interface (docs/KERNELS.md,
@@ -64,8 +65,8 @@ func TestLoopNestAllocationsIndependentOfGraphSize(t *testing.T) {
 	for _, l := range layouts {
 		for _, q := range queries {
 			t.Run(l.name+"/"+q.name, func(t *testing.T) {
-				allocs := func(db *DB) float64 {
-					pr := prepareQOpts(t, db, q.text, Options{Layout: l.f, LayoutName: l.name, Parallelism: 1})
+				allocs := func(db *DB, par int) float64 {
+					pr := prepareQOpts(t, db, q.text, Options{Layout: l.f, LayoutName: l.name, Parallelism: par})
 					fork := db.Fork()
 					run := func() {
 						if _, err := pr.RunWith(fork, RunParams{Limit: q.limit}); err != nil {
@@ -75,9 +76,13 @@ func TestLoopNestAllocationsIndependentOfGraphSize(t *testing.T) {
 					run() // builds the layout's indexes
 					return testing.AllocsPerRun(5, run)
 				}
-				s, lg := allocs(small), allocs(large)
-				if lg > s+allocSlack {
-					t.Errorf("allocations per run grow with the graph: %.0f on the graph, %.0f on the padded graph", s, lg)
+				// Parallelism 2 runs the nest on the worker pool, so a
+				// per-probe or per-block escape inside a pool worker shows too.
+				for _, par := range []int{1, 2} {
+					s, lg := allocs(small, par), allocs(large, par)
+					if lg > s+allocSlack {
+						t.Errorf("parallelism %d: allocations per run grow with the graph: %.0f on the graph, %.0f on the padded graph", par, s, lg)
+					}
 				}
 			})
 		}

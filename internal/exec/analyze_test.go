@@ -1,12 +1,15 @@
 package exec
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"emptyheaded/internal/datalog"
+	"emptyheaded/internal/semiring"
 	"emptyheaded/internal/trace"
+	"emptyheaded/internal/trie"
 )
 
 func prepareQ(t testing.TB, db *DB, query string) *Prepared {
@@ -76,40 +79,96 @@ func TestRunWithCollectTriangle(t *testing.T) {
 	}
 }
 
-// Counter totals must not depend on how the work-stealing pool splits the
-// first level: per-worker counters merge losslessly.
-func TestCollectParallelMatchesSerial(t *testing.T) {
-	g := testGraph(300, 3000, 5)
-	db := dbWithGraph(g)
-	q := `TC(;w:long) :- Edge(x,y),Edge(y,z),Edge(x,z); w=<<COUNT(*)>>.`
+// addUnary registers a unary relation over vals.
+func addUnary(db *DB, name string, vals ...uint32) {
+	b := trie.NewColumnarBuilder(1, semiring.None, nil)
+	for _, v := range vals {
+		b.Add(v)
+	}
+	db.AddTrie(name, b.Build())
+}
 
-	prog, err := datalog.Parse(q)
-	if err != nil {
-		t.Fatal(err)
+// Results and counter totals must not depend on how the work-stealing
+// pool splits the first level: every worker's counters fold into the
+// bag's once, so one worker and four agree on every bag and level, on
+// every shape of loop nest and in every layout.
+func TestCollectParallelMatchesSerial(t *testing.T) {
+	db := dbWithGraph(testGraph(300, 3000, 5))
+	addUnary(db, "A", 1, 2, 3, 5, 8)
+	addUnary(db, "B", 2, 3, 4, 5)
+	queries := []struct{ name, text string }{
+		{"triangle_count", qTriangleCount},
+		{"k4_count_tail", qKernel4Clique},
+		{"exists_tail", `C(;w:long) :- Edge(x,y); w=<<COUNT(x)>>.`},
+		{"grouped_fold", `G(x;w:long) :- Edge(x,y),Edge(y,z); w=<<COUNT(*)>>.`},
+		{"triangle_listing", qTriangleListing},
+		{"projected_assembly", `P(x,z) :- Edge(x,y),Edge(y,z).`},
+		{"single_level", `Q(;w:long) :- A(x),B(x); w=<<COUNT(*)>>.`},
+		// The second component's bag is one existence check from level 0
+		// on: a split of its first level would emit once per block.
+		{"exists_from_level_0", `D(;w:long) :- Edge(x,y),Edge(z,u); w=<<COUNT(x)>>.`},
 	}
-	serialPr, err := Prepare(db, prog, Options{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
+	layouts := []struct {
+		name string
+		f    trie.LayoutFunc
+	}{
+		{"auto", nil},
+		{"uint", trie.UintLayout},
+		{"bitset", trie.BitsetLayout},
 	}
-	parPr, err := Prepare(db, prog, Options{Parallelism: 8})
-	if err != nil {
-		t.Fatal(err)
+	for _, l := range layouts {
+		for _, q := range queries {
+			t.Run(l.name+"/"+q.name, func(t *testing.T) {
+				run := func(par int) *Result {
+					pr := prepareQOpts(t, db, q.text, Options{Layout: l.f, LayoutName: l.name, Parallelism: par})
+					res, err := pr.RunWith(db.Fork(), RunParams{Collect: true})
+					if err != nil {
+						t.Fatal(err)
+					}
+					return res
+				}
+				serial, par := run(1), run(4)
+				if s, p := resultKey(t, serial), resultKey(t, par); s != p {
+					t.Fatalf("results diverge: serial %.80s, parallel %.80s", s, p)
+				}
+				if len(serial.Stats.Bags) != len(par.Stats.Bags) {
+					t.Fatalf("serial ran %d bags, parallel %d", len(serial.Stats.Bags), len(par.Stats.Bags))
+				}
+				for i, sb := range serial.Stats.Bags {
+					pb := par.Stats.Bags[i]
+					if sb.Emitted != pb.Emitted {
+						t.Errorf("bag %d emitted: serial %d, parallel %d", sb.BagID, sb.Emitted, pb.Emitted)
+					}
+					if !reflect.DeepEqual(sb.Levels, pb.Levels) {
+						t.Errorf("bag %d levels diverge:\nserial   %+v\nparallel %+v", sb.BagID, sb.Levels, pb.Levels)
+					}
+				}
+			})
+		}
 	}
-	serial, err := serialPr.RunWith(db.Fork(), RunParams{Collect: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := parPr.RunWith(db.Fork(), RunParams{Collect: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sb, pb := serial.Stats.Bags[0], par.Stats.Bags[0]
-	if sb.Emitted != pb.Emitted {
-		t.Fatalf("emitted: serial %d, parallel %d", sb.Emitted, pb.Emitted)
-	}
-	for i := range sb.Levels {
-		if sb.Levels[i] != pb.Levels[i] {
-			t.Fatalf("level %d diverges: serial %+v, parallel %+v", i, sb.Levels[i], pb.Levels[i])
+}
+
+// A one-level count-tail bag books its only intersection once: its
+// candidates already are the count, so the tail must not intersect again.
+func TestCollectSingleLevelCountTail(t *testing.T) {
+	db := NewDB()
+	addUnary(db, "A", 1, 2, 3, 5, 8)
+	addUnary(db, "B", 2, 3, 4, 5)
+	for _, par := range []int{1, 4} {
+		pr := prepareQOpts(t, db, `Q(;w:long) :- A(x),B(x); w=<<COUNT(*)>>.`, Options{Parallelism: par})
+		res, err := pr.RunWith(db.Fork(), RunParams{Collect: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Scalar() != 3 {
+			t.Fatalf("par=%d: |A ∩ B| = %v, want 3", par, res.Scalar())
+		}
+		l := res.Stats.Bags[0].Levels[0]
+		if l.Intersections != 1 || l.InputCard != 9 || l.OutputCard != 3 || l.Probes != 0 || l.Skipped != 0 {
+			t.Errorf("par=%d: level counters %+v, want intersections 1, input_card 9, output_card 3", par, l)
+		}
+		if n := l.Kernel.Total(); n != 1 {
+			t.Errorf("par=%d: %d kernel dispatches, want 1", par, n)
 		}
 	}
 }

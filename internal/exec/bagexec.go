@@ -135,57 +135,37 @@ func (p *Plan) runBag(bp *BagPlan, results map[int]*trie.Trie) error {
 	return nil
 }
 
-// cursor tracks one atom's descent through its trie during the loop nest.
-type cursor struct {
-	atom *AtomRef
-	t    *trie.Trie
-	// nodes[l] is the trie node whose Set binds atom level l; nodes has
-	// one entry per atom level, filled during descent.
-	nodes []*trie.Node
-	// hints[l] is a monotone rank hint into nodes[l].Set: within one loop
-	// nest level, probed values ascend, so ranks ascend too.
-	hints []int
-	// bagLevel[l] maps the atom level to the bag loop-nest level (-1 for
-	// constants, handled in preDescend).
-	bagLevel []int
-}
-
-// bagExec carries per-execution state.
+// bagExec is one bag's loop nest: execBag writes it before any worker
+// starts, and every worker then shares it read-only.
 type bagExec struct {
 	p  *Plan
 	bp *BagPlan
-	// perLevel[lvl] lists (cursor, atomLevel) pairs participating at each
-	// bag level.
+	// perLevel[lvl] lists the atom levels participating at each bag level.
 	perLevel [][]curRef
-	cursors  []*cursor
-	op       semiring.Op
-	cfg      set.Config
-	// kern executes every pairwise set operation of the loop nest; on the
-	// analyze path kerns holds one counting kernel per loop level, each
-	// tallying routes into the matching lc[lvl].Kernel (per-worker, no
-	// atomics — see kernelAt).
+	// nodes holds every atom's cursor template, one node stack per atom
+	// with its selection constants pre-descended: slot base+l is the trie
+	// node whose Set binds atom level l. Each worker descends a copy.
+	nodes []*trie.Node
+	op    semiring.Op
+	// kern executes every pairwise set operation of the loop nest off the
+	// analyze path (see worker.kernelAt).
 	kern      *set.Kernel
-	kerns     []*set.Kernel
 	countTail bool // last level computable via kernel Count
 	// scalarFactor is the ⊗-product of zero-arity participants (scalar
 	// child bags from disconnected components, e.g. the second triangle
 	// of the Barbell-selection plan).
 	scalarFactor float64
 	// lim is non-nil when this bag is the final listing bag of a limited
-	// query (see Plan.limitFor); shared across worker clones.
+	// query (see Plan.limitFor); every worker books rows against it.
 	lim *limitState
-	// lc holds the EXPLAIN ANALYZE level counters (see stats.go): nil on
-	// the default path, private per worker clone (padded allocation, see
-	// newLevelCounters), merged after the pool drains. emits accumulates
-	// workers' emit counts at merge time; the hot per-emit counter lives
-	// on the worker.
-	lc    []LevelStats
-	emits int64
 }
 
+// curRef is one atom level participating at a bag level; slot indexes
+// the atom's node stack (see bagExec.nodes) and a worker's copy of it.
 type curRef struct {
-	c         *cursor
+	atom      *AtomRef
 	atomLevel int
+	slot      int
 }
 
 // limitState is the cooperative row budget shared by all workers of a
@@ -240,8 +220,8 @@ func (ls *limitState) noteRow(row []uint32) {
 }
 
 // execBag runs the generic worst-case optimal join (Algorithm 1) for one
-// bag and materializes its output trie. A panic anywhere below (the
-// inline single-worker path included) is recovered into ErrExecPanic.
+// bag and materializes its output trie. A panic while setting up the
+// loop nest is recovered into ErrExecPanic here, a worker's in its run.
 func (p *Plan) execBag(bp *BagPlan) (t *trie.Trie, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -249,8 +229,7 @@ func (p *Plan) execBag(bp *BagPlan) (t *trie.Trie, err error) {
 		}
 	}()
 	op := p.aggOp()
-	ex := &bagExec{p: p, bp: bp, op: op, cfg: p.opts.Intersect}
-	ex.kern = set.NewKernel(ex.cfg)
+	ex := &bagExec{p: p, bp: bp, op: op, kern: set.NewKernel(p.opts.Intersect)}
 	ex.perLevel = make([][]curRef, len(bp.Attrs))
 	ex.scalarFactor = op.One()
 	var bs *BagStats
@@ -261,14 +240,10 @@ func (p *Plan) execBag(bp *BagPlan) (t *trie.Trie, err error) {
 			bs.Levels[i].Attr = a
 		}
 		p.stats.Bags = append(p.stats.Bags, bs)
-		ex.lc = newLevelCounters(len(bp.Attrs))
-		ex.initCountingKernels()
 		t0 := time.Now()
-		defer func() {
-			ex.drainInto(bs)
-			bs.WallUS = time.Since(t0).Microseconds()
-		}()
+		defer func() { bs.WallUS = time.Since(t0).Microseconds() }()
 	}
+	selectionMiss := false
 	for _, a := range bp.Atoms {
 		var t *trie.Trie
 		if a.child != nil {
@@ -288,18 +263,19 @@ func (p *Plan) execBag(bp *BagPlan) (t *trie.Trie, err error) {
 			}
 			continue
 		}
-		c := &cursor{atom: a, t: t}
-		c.nodes = make([]*trie.Node, t.Arity+1)
-		c.hints = make([]int, t.Arity)
-		c.nodes[0] = t.Root
+		base := len(ex.nodes)
+		ex.nodes = append(ex.nodes, t.Root)
+		ex.nodes = append(ex.nodes, make([]*trie.Node, t.Arity)...)
 		for al := range a.Attrs {
-			c.bagLevel = append(c.bagLevel, levelOf(bp, a, al))
-		}
-		ex.cursors = append(ex.cursors, c)
-		for al, bl := range c.bagLevel {
-			if bl >= 0 {
-				ex.perLevel[bl] = append(ex.perLevel[bl], curRef{c: c, atomLevel: al})
+			if bl := levelOf(bp, a, al); bl >= 0 {
+				ex.perLevel[bl] = append(ex.perLevel[bl], curRef{atom: a, atomLevel: al, slot: base + al})
 			}
+		}
+		// Pre-descend selection constants (App. B.1: selections are
+		// processed first; constant levels sort before variable levels in
+		// every atom's index order).
+		if !ex.preDescend(a, base) {
+			selectionMiss = true
 		}
 	}
 	// Sanity: every level has at least one participant.
@@ -308,17 +284,12 @@ func (p *Plan) execBag(bp *BagPlan) (t *trie.Trie, err error) {
 			return nil, fmt.Errorf("exec: no atom binds attribute %s", bp.Attrs[lvl])
 		}
 	}
-	// Pre-descend selection constants (App. B.1: selections are
-	// processed first; constant levels sort before variable levels in
-	// every atom's index order).
-	for _, c := range ex.cursors {
-		if !ex.preDescend(c) {
-			// A selection constant is absent: the bag result is empty.
-			if bs != nil {
-				bs.SelectionMiss = true
-			}
-			return ex.emptyResult(), nil
+	if selectionMiss {
+		// A selection constant is absent: the bag result is empty.
+		if bs != nil {
+			bs.SelectionMiss = true
 		}
+		return ex.emptyResult(), nil
 	}
 	// Count-only tail: the final level is eliminated, aggregates by
 	// multiplicity under SUM/COUNT, and no annotated atom contributes
@@ -337,9 +308,18 @@ func (p *Plan) execBag(bp *BagPlan) (t *trie.Trie, err error) {
 			ex.lim.seen = make(map[string]struct{}, n)
 		}
 	}
-	cols, anns, scalar, err := ex.runParallel()
+	ws, err := ex.runParallel()
 	if err != nil {
 		return nil, err
+	}
+	if bs != nil {
+		// The pool has drained: fold each worker's counters in once.
+		for _, w := range ws {
+			for i := range w.lc {
+				bs.Levels[i].add(&w.lc[i])
+			}
+			bs.Emitted += w.emits
+		}
 	}
 	if p.stop != nil && p.stop.Load() {
 		return nil, p.stopErr()
@@ -347,7 +327,7 @@ func (p *Plan) execBag(bp *BagPlan) (t *trie.Trie, err error) {
 	if ex.lim.stopped() {
 		p.truncated = true
 	}
-	return ex.materialize(cols, anns, scalar), nil
+	return ex.materialize(ws), nil
 }
 
 // limitFor reports the row budget to push into bp, or 0. Pushdown applies
@@ -380,17 +360,15 @@ func (p *Plan) aggOp() semiring.Op {
 	return semiring.Sum
 }
 
-// preDescend walks an atom's leading constant levels.
-func (ex *bagExec) preDescend(c *cursor) bool {
-	if c.t.Arity == 0 {
-		return true
-	}
-	for al, k := range c.atom.consts {
-		n := c.nodes[al]
+// preDescend walks an atom's leading constant levels down its node
+// stack at base.
+func (ex *bagExec) preDescend(a *AtomRef, base int) bool {
+	for al, k := range a.consts {
+		n := ex.nodes[base+al]
 		if n == nil || !n.Set.Contains(k.code) {
 			return false
 		}
-		c.nodes[al+1] = n.Child(k.code)
+		ex.nodes[base+al+1] = n.Child(k.code)
 	}
 	return true
 }
@@ -428,44 +406,70 @@ func (ex *bagExec) emptyResult() *trie.Trie {
 	return b.Build()
 }
 
-// initCountingKernels builds one counting kernel per loop level, each
-// writing into the matching lc[lvl].Kernel stats block. ex.lc must be
-// set; each worker clone calls this on its private lc, so the counters
-// stay contention-free and merge through LevelStats.add.
-func (ex *bagExec) initCountingKernels() {
-	ex.kerns = make([]*set.Kernel, len(ex.lc))
-	for i := range ex.kerns {
-		ex.kerns[i] = set.NewCountingKernel(ex.cfg, &ex.lc[i].Kernel)
-	}
-}
-
-// kernelAt returns the kernel executing level lvl's pairwise set ops: the
-// shared plain kernel normally, the level's counting kernel under analyze.
-func (ex *bagExec) kernelAt(lvl int) *set.Kernel {
-	if ex.kerns != nil {
-		return ex.kerns[lvl]
-	}
-	return ex.kern
-}
-
-// worker holds one goroutine's accumulation state. Output accumulates
-// column-wise: cols[i] holds output attribute i of every emitted row, so
-// an emit is one append per attribute (no per-row allocation) and the
-// result hands straight to the columnar trie builder.
+// worker owns everything one share of a bag's loop nest writes. Output
+// accumulates column-wise: cols[i] holds output attribute i of every
+// emitted row, so an emit is one append per attribute (no per-row
+// allocation) and the result hands straight to the columnar trie builder.
 type worker struct {
-	ex     *bagExec
+	ex *bagExec
+	// slots is the worker's copy of ex.nodes, descended as it binds
+	// values (padded: see newWorker).
+	slots  []slot
 	outBuf []uint32
 	cols   [][]uint32
 	anns   []float64
 	scalar float64
-	// emits counts emit() calls when analyze counters are on. It lives
-	// here, not on bagExec: emit already writes this struct's slice
-	// headers, so the extra store adds no cross-worker cache traffic.
-	emits int64
 	// scratch provides two ping-pong intersection buffer pairs per loop
 	// level, so the loop nest runs allocation-free on uint and bitset
 	// results.
 	scratch []scratchLevel
+	// Under analyze only (nil otherwise): the EXPLAIN ANALYZE level
+	// counters (see stats.go), one counting kernel per level tallying
+	// routes into lc[lvl].Kernel, and the emit count — private, so no
+	// atomics, and folded into the bag's stats once the pool drains.
+	lc    []LevelStats
+	kerns []*set.Kernel
+	emits int64
+	// err is the panic recovered from this worker's run, if any.
+	err error
+}
+
+// slot is one level of a worker's cursor: the trie node whose Set binds
+// it, and a monotone rank hint into that Set — within one loop nest
+// level, probed values ascend, so ranks ascend too.
+type slot struct {
+	node *trie.Node
+	hint int
+}
+
+// newWorker allocates one worker's state. Its slots are written on every
+// probe, so four pad slots on each side keep another worker's allocation
+// off their cache lines.
+func (ex *bagExec) newWorker() *worker {
+	n := len(ex.nodes)
+	w := &worker{ex: ex, slots: make([]slot, n+8)[4 : n+4 : n+4],
+		outBuf: make([]uint32, len(ex.bp.OutAttrs)), cols: make([][]uint32, len(ex.bp.OutAttrs)),
+		scalar: ex.op.Zero(), scratch: make([]scratchLevel, len(ex.bp.Attrs))}
+	for i, nd := range ex.nodes {
+		w.slots[i].node = nd
+	}
+	if ex.p.stats != nil {
+		w.lc = newLevelCounters(len(ex.bp.Attrs))
+		w.kerns = make([]*set.Kernel, len(w.lc))
+		for i := range w.kerns {
+			w.kerns[i] = set.NewCountingKernel(ex.p.opts.Intersect, &w.lc[i].Kernel)
+		}
+	}
+	return w
+}
+
+// kernelAt returns the kernel executing level lvl's pairwise set ops: the
+// shared plain kernel normally, the level's counting kernel under analyze.
+func (w *worker) kernelAt(lvl int) *set.Kernel {
+	if w.kerns != nil {
+		return w.kerns[lvl]
+	}
+	return w.ex.kern
 }
 
 // scratchBuf is one intersection result and the buffers it aliases; the
@@ -478,18 +482,14 @@ type scratchBuf struct {
 
 type scratchLevel [2]scratchBuf
 
-func (w *worker) initScratch(levels int) {
-	w.scratch = make([]scratchLevel, levels)
-}
-
 // intersectionAt computes the set of candidate values at a bag level from
 // the current cursor nodes (the ∩ of Algorithm 1) in the worker's
 // per-level scratch buffers; the result points into them or into a trie
 // node, valid until the worker next intersects at lvl.
 func (w *worker) intersectionAt(lvl int) *set.Set {
 	s := w.intersectPrefix(lvl, w.ex.perLevel[lvl])
-	if w.ex.lc != nil {
-		w.ex.noteIntersect(lvl, s.Card())
+	if w.lc != nil {
+		w.noteIntersect(lvl, s.Card())
 	}
 	return s
 }
@@ -497,15 +497,14 @@ func (w *worker) intersectionAt(lvl int) *set.Set {
 // intersectPrefix intersects the level sets of refs left to right,
 // ping-ponging between the level's two scratch buffers.
 func (w *worker) intersectPrefix(lvl int, refs []curRef) *set.Set {
-	ex := w.ex
-	cur := ex.levelSet(refs[0])
+	cur := w.levelSet(refs[0])
 	flip := 0
 	for _, r := range refs[1:] {
 		if cur.IsEmpty() {
 			return cur
 		}
 		sb := &w.scratch[lvl][flip]
-		sb.u, sb.w = ex.kernelAt(lvl).IntersectInto(&sb.s, cur, ex.levelSet(r), sb.u, sb.w)
+		sb.u, sb.w = w.kernelAt(lvl).IntersectInto(&sb.s, cur, w.levelSet(r), sb.u, sb.w)
 		cur = &sb.s
 		flip ^= 1
 	}
@@ -515,20 +514,19 @@ func (w *worker) intersectPrefix(lvl int, refs []curRef) *set.Set {
 // countAtBuf counts the tail-level intersection using scratch buffers.
 func (w *worker) countAtBuf(lvl int) int {
 	n := w.countAtBufInner(lvl)
-	if w.ex.lc != nil {
-		w.ex.noteIntersect(lvl, n)
+	if w.lc != nil {
+		w.noteIntersect(lvl, n)
 	}
 	return n
 }
 
 func (w *worker) countAtBufInner(lvl int) int {
-	ex := w.ex
-	refs := ex.perLevel[lvl]
+	refs := w.ex.perLevel[lvl]
 	last := len(refs) - 1
 	if last == 0 {
-		return ex.levelSet(refs[0]).Card()
+		return w.levelSet(refs[0]).Card()
 	}
-	return ex.kernelAt(lvl).CountOf(w.intersectPrefix(lvl, refs[:last]), ex.levelSet(refs[last]))
+	return w.kernelAt(lvl).CountOf(w.intersectPrefix(lvl, refs[:last]), w.levelSet(refs[last]))
 }
 
 // stealBlockMax bounds the work-stealing block size: small enough that a
@@ -541,151 +539,90 @@ const stealBlockMax = 64
 // work stealing: the sorted first-level values are split into fixed-size
 // blocks claimed off an atomic cursor, so workers that drew cheap (low
 // degree) values keep pulling blocks while a worker stuck on a skewed
-// high-degree vertex finishes its one block. Output accumulates in
-// per-worker columns, concatenated once at the end.
-func (ex *bagExec) runParallel() ([][]uint32, []float64, float64, error) {
+// high-degree vertex finishes its one block. The coordinator is worker 0:
+// it computes the first level, starts the other nw-1 workers and then
+// takes its share like them. Output accumulates in per-worker columns.
+func (ex *bagExec) runParallel() ([]*worker, error) {
 	nw := ex.p.opts.Parallelism
 	if nw <= 0 {
 		nw = runtime.GOMAXPROCS(0)
 	}
-	// The coordinator's own worker computes the first level; it also runs
-	// the whole nest when one worker suffices.
 	w0 := ex.newWorker()
-	w0.initScratch(len(ex.bp.Attrs))
+	ws := []*worker{w0}
 	first := w0.intersectionAt(0)
-	if first.IsEmpty() {
-		return make([][]uint32, len(ex.bp.OutAttrs)), nil, ex.op.Zero(), nil
+	if len(ex.bp.Attrs) == 1 || ex.bp.ExistsFrom == 0 {
+		// One level, or one existence check from level 0 on: the bag is
+		// one pass over first, which a split would repeat per block.
+		nw = 1
 	}
-	if nw > first.Card() {
-		nw = first.Card()
+	if nw = min(nw, first.Card()); nw == 0 {
+		return ws, nil
 	}
-	if nw <= 1 || len(ex.bp.Attrs) == 1 {
-		// Chaos hook (Latency/PanicKind); the inline path's panics are
-		// recovered by execBag.
-		_ = fault.Hit("exec.worker")
-		w0.levelValues(0, first, ex.scalarFactor)
-		if ex.lc != nil {
-			ex.mergeCounters(w0)
-		}
-		return w0.cols, w0.anns, w0.scalar, nil
+	var share *blocks
+	if nw > 1 {
+		// vals may alias worker 0's level-0 scratch; no multi-level nest
+		// intersects at level 0 again, so it stays valid for every worker.
+		vals := first.Slice()
+		share = &blocks{vals: vals, size: min(max(len(vals)/(nw*8), 1), stealBlockMax)}
 	}
-	vals := first.Slice()
-	block := len(vals) / (nw * 8)
-	if block < 1 {
-		block = 1
-	}
-	if block > stealBlockMax {
-		block = stealBlockMax
-	}
-	workers := make([]*worker, 0, nw)
-	var next atomic.Int64
 	var wg sync.WaitGroup
-	// Panic isolation: a worker that panics must not kill the process —
-	// the first panic is captured, the stop flag unwinds its peers, and
-	// the whole bag fails with ErrExecPanic.
-	var panicOnce sync.Once
-	var panicErr error
-	for i := 0; i < nw; i++ {
-		// Each worker needs private cursor state below level 0.
-		w := ex.newWorker().withPrivateCursors()
-		w.initScratch(len(ex.bp.Attrs))
-		workers = append(workers, w)
+	for range nw - 1 {
+		w := ex.newWorker()
+		ws = append(ws, w)
 		wg.Add(1)
-		go func(w *worker) {
+		go func() {
 			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panicOnce.Do(func() { panicErr = panicError(r) })
-					if ex.p.stop != nil {
-						ex.p.stop.Store(true)
-					}
-				}
-			}()
-			for {
-				if ex.p.stop != nil && ex.p.stop.Load() {
-					return
-				}
-				if ex.lim.stopped() {
-					return
-				}
-				// Chaos hook: PanicKind exercises this recover, Latency
-				// stretches a worker mid-bag.
-				_ = fault.Hit("exec.worker")
-				lo := int(next.Add(int64(block))) - block
-				if lo >= len(vals) {
-					return
-				}
-				hi := lo + block
-				if hi > len(vals) {
-					hi = len(vals)
-				}
-				blk := set.FromSorted(vals[lo:hi])
-				w.levelValues(0, &blk, w.ex.scalarFactor)
-			}
-		}(w)
+			w.run(first, share)
+		}()
 	}
+	w0.run(first, share)
 	wg.Wait()
-	if panicErr != nil {
-		return nil, nil, 0, panicErr
-	}
-	if ex.lc != nil {
-		for _, w := range workers {
-			ex.mergeCounters(w)
+	for _, w := range ws {
+		if w.err != nil {
+			return nil, w.err
 		}
 	}
-	// Concatenate the per-worker columns: one flat copy per attribute, no
-	// pointer chasing, sized exactly once.
-	total := 0
-	for _, w := range workers {
-		total += len(w.anns)
-	}
-	cols := make([][]uint32, len(ex.bp.OutAttrs))
-	for c := range cols {
-		col := make([]uint32, 0, total)
-		for _, w := range workers {
-			col = append(col, w.cols[c]...)
-		}
-		cols[c] = col
-	}
-	anns := make([]float64, 0, total)
-	scalar := ex.op.Zero()
-	for _, w := range workers {
-		anns = append(anns, w.anns...)
-		scalar = ex.op.Add(scalar, w.scalar)
-	}
-	return cols, anns, scalar, nil
+	return ws, nil
 }
 
-// withPrivateCursors clones the execution state so a worker can descend
-// independently. Cursor node stacks are per-worker; tries are shared
-// (immutable).
-func (w *worker) withPrivateCursors() *worker {
-	old := w.ex
-	ex := &bagExec{
-		p: old.p, bp: old.bp, op: old.op, cfg: old.cfg, kern: old.kern,
-		countTail: old.countTail, scalarFactor: old.scalarFactor,
-		lim: old.lim,
-	}
-	if old.lc != nil {
-		ex.lc = newLevelCounters(len(old.lc))
-		ex.initCountingKernels()
-	}
-	ex.perLevel = make([][]curRef, len(old.perLevel))
-	cmap := map[*cursor]*cursor{}
-	for _, c := range old.cursors {
-		nc := &cursor{atom: c.atom, t: c.t, bagLevel: c.bagLevel}
-		nc.nodes = make([]*trie.Node, len(c.nodes))
-		copy(nc.nodes, c.nodes)
-		nc.hints = make([]int, len(c.hints))
-		cmap[c] = nc
-		ex.cursors = append(ex.cursors, nc)
-	}
-	for lvl, refs := range old.perLevel {
-		for _, r := range refs {
-			ex.perLevel[lvl] = append(ex.perLevel[lvl], curRef{c: cmap[r.c], atomLevel: r.atomLevel})
+// blocks hands a bag's sorted first-level values out to the pool in
+// fixed-size blocks claimed off one atomic cursor.
+type blocks struct {
+	vals []uint32
+	size int
+	next atomic.Int64
+}
+
+// run is a worker's share of the bag, the one body both the coordinator
+// and the pool goroutines execute: all of first when share is nil, else
+// blocks claimed off share until none is left. A panic must not kill the
+// process: it is recovered into w.err and latches the stop flag, so the
+// other workers unwind and the bag fails with ErrExecPanic.
+func (w *worker) run(first *set.Set, share *blocks) {
+	ex := w.ex
+	defer func() {
+		if r := recover(); r != nil {
+			w.err = panicError(r)
+			if ex.p.stop != nil {
+				ex.p.stop.Store(true)
+			}
 		}
+	}()
+	for !ex.lim.stopped() && (ex.p.stop == nil || !ex.p.stop.Load()) {
+		// Chaos hook: PanicKind exercises the recover, Latency stretches a
+		// worker mid-bag.
+		_ = fault.Hit("exec.worker")
+		if share == nil {
+			w.levelValues(0, first, ex.scalarFactor)
+			return
+		}
+		lo := int(share.next.Add(int64(share.size))) - share.size
+		if lo >= len(share.vals) {
+			return
+		}
+		blk := set.FromSorted(share.vals[lo:min(lo+share.size, len(share.vals))])
+		w.levelValues(0, &blk, ex.scalarFactor)
 	}
-	return &worker{ex: ex, outBuf: w.outBuf, cols: w.cols, anns: w.anns, scalar: w.scalar}
 }
 
 // emptySet stands in for the level set of a nil trie node.
@@ -693,8 +630,8 @@ var emptySet set.Set
 
 // levelSet returns the set a participant contributes at its level, by
 // pointer into the trie node: a probe never copies a Set.
-func (ex *bagExec) levelSet(r curRef) *set.Set {
-	if n := r.c.nodes[r.atomLevel]; n != nil {
+func (w *worker) levelSet(r curRef) *set.Set {
+	if n := w.slots[r.slot].node; n != nil {
 		return &n.Set
 	}
 	return &emptySet
@@ -707,10 +644,11 @@ func (w *worker) levelValues(lvl int, candidates *set.Set, ann float64) {
 	bp := ex.bp
 	last := lvl == len(bp.Attrs)-1
 
-	// Count-only tail: |∩ sets| with SUM/COUNT multiplicity.
+	// Count-only tail: |∩ sets| with SUM/COUNT multiplicity. Deeper tails
+	// are counted by their parent level below, so only a one-level bag
+	// gets here, and its candidates are that intersection already.
 	if last && ex.countTail {
-		n := w.countAtBuf(lvl)
-		if n > 0 {
+		if n := candidates.Card(); n > 0 {
 			w.emit(ex.op.Mul(ann, float64(n)))
 		}
 		return
@@ -735,7 +673,7 @@ func (w *worker) levelValues(lvl int, candidates *set.Set, ann float64) {
 	// Fresh iteration over this level: rank hints restart at zero (values
 	// ascend only within one pass).
 	for _, r := range ex.perLevel[lvl] {
-		r.c.hints[r.atomLevel] = 0
+		w.slots[r.slot].hint = 0
 	}
 	// A trailing eliminated level folds in place: one ⊕-accumulator and a
 	// single emit, instead of one row per value with builder-side
@@ -744,8 +682,8 @@ func (w *worker) levelValues(lvl int, candidates *set.Set, ann float64) {
 	acc := ex.op.Zero()
 	folded := false
 	var lvlStats *LevelStats
-	if ex.lc != nil {
-		lvlStats = &ex.lc[lvl]
+	if w.lc != nil {
+		lvlStats = &w.lc[lvl]
 	}
 	ncand := candidates.Card()
 	candidates.ForEachUntil(func(i int, v uint32) bool {
@@ -768,29 +706,24 @@ func (w *worker) levelValues(lvl int, candidates *set.Set, ann float64) {
 		// the candidate set and v's rank in it is the iteration index;
 		// otherwise look v up, tracking monotone rank hints.
 		for _, r := range ex.perLevel[lvl] {
-			c := r.c
-			al := r.atomLevel
-			n := c.nodes[al]
+			s := &w.slots[r.slot]
+			n := s.node
 			rank := i
 			if n.Set.Card() != ncand {
 				var found bool
-				rank, found = n.Set.RankNext(v, c.hints[al])
-				c.hints[al] = rank
+				rank, found = n.Set.RankNext(v, s.hint)
+				s.hint = rank
 				if !found {
 					ok = false
 					break
 				}
 			}
-			if al == c.atom.LastLevel {
-				if c.atom.Annotated && !c.atom.SemijoinOnly && n.Ann != nil {
+			if r.atomLevel == r.atom.LastLevel {
+				if r.atom.Annotated && !r.atom.SemijoinOnly && n.Ann != nil {
 					a = ex.op.Mul(a, n.Ann[rank])
 				}
 			} else {
-				child := n.Children[rank]
-				c.nodes[al+1] = child
-				if al+1 < len(c.hints) {
-					c.hints[al+1] = 0
-				}
+				w.slots[r.slot+1] = slot{node: n.Children[rank]}
 			}
 		}
 		if !ok {
@@ -848,13 +781,13 @@ func (w *worker) exists(lvl int) bool {
 	candidates.ForEachUntil(func(_ int, v uint32) bool {
 		ok := true
 		for _, r := range ex.perLevel[lvl] {
-			if r.atomLevel+1 < len(r.c.atom.Attrs) {
-				child := r.c.nodes[r.atomLevel].Child(v)
+			if r.atomLevel+1 < len(r.atom.Attrs) {
+				child := w.slots[r.slot].node.Child(v)
 				if child == nil {
 					ok = false
 					break
 				}
-				r.c.nodes[r.atomLevel+1] = child
+				w.slots[r.slot+1].node = child
 			}
 		}
 		if ok && w.exists(lvl+1) {
@@ -869,7 +802,7 @@ func (w *worker) exists(lvl int) bool {
 // emit records one output row (or folds into the scalar when the bag has
 // no output attributes): one amortized append per output attribute.
 func (w *worker) emit(ann float64) {
-	if w.ex.lc != nil {
+	if w.lc != nil {
 		w.emits++
 	}
 	if len(w.ex.bp.OutAttrs) == 0 {
@@ -883,19 +816,36 @@ func (w *worker) emit(ann float64) {
 	w.ex.lim.noteRow(w.outBuf)
 }
 
-// newWorker allocates one goroutine's accumulation state.
-func (ex *bagExec) newWorker() *worker {
-	w := &worker{ex: ex, outBuf: make([]uint32, len(ex.bp.OutAttrs)), scalar: ex.op.Zero()}
-	w.cols = make([][]uint32, len(ex.bp.OutAttrs))
-	return w
-}
-
-// materialize hands the emitted columns to the columnar trie builder
-// zero-copy; duplicate rows combine with ⊕ (the early aggregation GHDs
-// enable, §3.1.1).
-func (ex *bagExec) materialize(cols [][]uint32, anns []float64, scalar float64) *trie.Trie {
+// materialize hands the workers' emitted columns to the columnar trie
+// builder — a lone worker's zero-copy, several concatenated with one flat
+// copy per attribute; duplicate rows combine with ⊕ (the early
+// aggregation GHDs enable, §3.1.1).
+func (ex *bagExec) materialize(ws []*worker) *trie.Trie {
 	if len(ex.bp.OutAttrs) == 0 {
+		scalar := ex.op.Zero()
+		for _, w := range ws {
+			scalar = ex.op.Add(scalar, w.scalar)
+		}
 		return trie.NewScalar(scalar, ex.op)
+	}
+	cols, anns := ws[0].cols, ws[0].anns
+	if len(ws) > 1 {
+		total := 0
+		for _, w := range ws {
+			total += len(w.anns)
+		}
+		cols = make([][]uint32, len(cols))
+		for c := range cols {
+			col := make([]uint32, 0, total)
+			for _, w := range ws {
+				col = append(col, w.cols[c]...)
+			}
+			cols[c] = col
+		}
+		anns = make([]float64, 0, total)
+		for _, w := range ws {
+			anns = append(anns, w.anns...)
+		}
 	}
 	b := trie.NewColumnarBuilder(len(ex.bp.OutAttrs), ex.op, ex.p.opts.layout())
 	if len(anns) == 0 {

@@ -8,9 +8,9 @@ import "emptyheaded/internal/set"
 // on the default path every instrumentation site is behind one nil check
 // so serving latency is unaffected.
 //
-// Counters are plain ints: each worker goroutine increments its own
-// bagExec clone's counters (no atomics in the inner loops), and the
-// per-worker sets merge into the coordinating bagExec after the
+// Counters are plain ints: each loop-nest worker increments its own
+// level counters and emit count (no atomics in the inner loops), and
+// execBag folds every worker's into the bag's BagStats once, after the
 // work-stealing pool drains.
 
 // LevelStats aggregates the set-kernel activity of one loop-nest level.
@@ -88,7 +88,7 @@ func (st *ExecStats) TotalEmitted() int64 {
 
 // newLevelCounters allocates a level-counter slice with two pad elements
 // on each side, so concurrent workers' hot counters land on different
-// cache lines (the merge after the pool drains reads them anyway, but
+// cache lines (the fold after the pool drains reads them anyway, but
 // false sharing during the run costs real throughput).
 func newLevelCounters(n int) []LevelStats {
 	b := make([]LevelStats, n+4)
@@ -97,30 +97,12 @@ func newLevelCounters(n int) []LevelStats {
 
 // noteIntersect books one multi-way intersection at a level: inputs are
 // the participating set cardinalities, output the result cardinality.
-// Callers guard on ex.lc != nil.
-func (ex *bagExec) noteIntersect(lvl int, out int) {
-	l := &ex.lc[lvl]
+// Callers guard on w.lc != nil.
+func (w *worker) noteIntersect(lvl int, out int) {
+	l := &w.lc[lvl]
 	l.Intersections++
-	for _, r := range ex.perLevel[lvl] {
-		l.InputCard += int64(ex.levelSet(r).Card())
+	for _, r := range w.ex.perLevel[lvl] {
+		l.InputCard += int64(w.levelSet(r).Card())
 	}
 	l.OutputCard += int64(out)
-}
-
-// mergeCounters folds a worker clone's counters into the coordinator.
-func (ex *bagExec) mergeCounters(w *worker) {
-	if w.ex != ex {
-		for i := range w.ex.lc {
-			ex.lc[i].add(&w.ex.lc[i])
-		}
-	}
-	ex.emits += w.emits
-}
-
-// drainInto moves the accumulated counters into the bag's stats record.
-func (ex *bagExec) drainInto(bs *BagStats) {
-	for i := range ex.lc {
-		bs.Levels[i].add(&ex.lc[i])
-	}
-	bs.Emitted += ex.emits
 }
