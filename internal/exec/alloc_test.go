@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"slices"
 	"testing"
 
 	"emptyheaded/internal/gen"
@@ -31,6 +32,19 @@ func padded(g *graph.Graph) *graph.Graph {
 	return graph.FromEdges(int(off+n), edges, true)
 }
 
+// memoVectors lists the vectors memoized on a PageRank round's inputs.
+func memoVectors(db *DB) []*vector {
+	var out []*vector
+	for _, name := range []string{"PageRank", "InvDeg"} {
+		if r, ok := db.Relation(name); ok {
+			for _, vc := range r.vectors {
+				out = append(out, vc)
+			}
+		}
+	}
+	return out
+}
+
 // The loop nest allocates per run and per output row, never per probe or
 // per intersection: a plan clone, the cursor templates, one state per
 // worker, scratch buffers that grow a few times to the largest
@@ -51,6 +65,8 @@ func TestLoopNestAllocationsIndependentOfGraphSize(t *testing.T) {
 		{"triangle", qKernelTriangle, 0},
 		{"k4", qKernel4Clique, 0},
 		{"listing", `L(x,y,z) :- R(x,y),S(y,z),T(x,z).`, 50},
+		// A PageRank round's sum, so that both graphs give one row.
+		{"pagerank_round", `PR(;y:float) :- Edge(x,z),PageRank(z),InvDeg(z); y=<<SUM(z)>>.`, 0},
 	}
 	layouts := []struct {
 		name string
@@ -61,7 +77,10 @@ func TestLoopNestAllocationsIndependentOfGraphSize(t *testing.T) {
 		{"composite", trie.CompositeLayout},
 	}
 	g := gen.ErdosRenyi(150, 900, 7)
-	small, large := dbWithGraph(g), dbWithGraph(padded(g))
+	pg := padded(g)
+	small, large := dbWithGraph(g), dbWithGraph(pg)
+	addPageRankInputs(small, g)
+	addPageRankInputs(large, pg)
 	for _, l := range layouts {
 		for _, q := range queries {
 			t.Run(l.name+"/"+q.name, func(t *testing.T) {
@@ -73,8 +92,16 @@ func TestLoopNestAllocationsIndependentOfGraphSize(t *testing.T) {
 							t.Fatal(err)
 						}
 					}
-					run() // builds the layout's indexes
-					return testing.AllocsPerRun(5, run)
+					run() // builds the layout's indexes and vectors
+					vecs := memoVectors(db)
+					if q.name == "pagerank_round" && l.name == "bitset" && len(vecs) != 2 {
+						t.Errorf("a PageRank round over bitsets memoized %d vectors, want 2", len(vecs))
+					}
+					n := testing.AllocsPerRun(5, run)
+					if !slices.Equal(vecs, memoVectors(db)) {
+						t.Error("a second run over the same relations rebuilt its vectors")
+					}
+					return n
 				}
 				// Parallelism 2 runs the nest on the worker pool, so a
 				// per-probe or per-block escape inside a pool worker shows too.

@@ -93,7 +93,9 @@ func addUnary(db *DB, name string, vals ...uint32) {
 // bag's once, so one worker and four agree on every bag and level, on
 // every shape of loop nest and in every layout.
 func TestCollectParallelMatchesSerial(t *testing.T) {
-	db := dbWithGraph(testGraph(300, 3000, 5))
+	g := testGraph(300, 3000, 5)
+	db := dbWithGraph(g)
+	addPageRankInputs(db, g)
 	addUnary(db, "A", 1, 2, 3, 5, 8)
 	addUnary(db, "B", 2, 3, 4, 5)
 	queries := []struct{ name, text string }{
@@ -107,6 +109,7 @@ func TestCollectParallelMatchesSerial(t *testing.T) {
 		// The second component's bag is one existence check from level 0
 		// on: a split of its first level would emit once per block.
 		{"exists_from_level_0", `D(;w:long) :- Edge(x,y),Edge(z,u); w=<<COUNT(x)>>.`},
+		{"pagerank_round", qPageRankRound},
 	}
 	layouts := []struct {
 		name string
@@ -169,6 +172,41 @@ func TestCollectSingleLevelCountTail(t *testing.T) {
 		}
 		if n := l.Kernel.Total(); n != 1 {
 			t.Errorf("par=%d: %d kernel dispatches, want 1", par, n)
+		}
+	}
+}
+
+// A PageRank round reads PageRank and InvDeg as vectors, so its tail
+// level z intersects nothing: no kernel dispatch, and Edge[x] is both the
+// input and the output. It still probes every neighbour once and emits
+// once per source vertex, as the three-way intersection did, and since
+// every neighbour has a rank and an inverse degree nothing is skipped.
+func TestCollectPageRankRound(t *testing.T) {
+	g := testGraph(300, 3000, 5)
+	db := dbWithGraph(g)
+	addPageRankInputs(db, g)
+	var sources, edges int64
+	for _, ns := range g.Adj {
+		if len(ns) > 0 {
+			sources++
+			edges += int64(len(ns))
+		}
+	}
+	for _, par := range []int{1, 4} {
+		pr := prepareQOpts(t, db, qPageRankRound, Options{Parallelism: par})
+		res, err := pr.RunWith(db.Fork(), RunParams{Collect: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bs := res.Stats.Bags[0]
+		z := bs.Levels[1]
+		if z.Attr != "z" || z.Kernel.Total() != 0 || z.InputCard != z.OutputCard {
+			t.Errorf("par=%d: level %s: %d kernel dispatches, in %d, out %d; want z, 0, in == out",
+				par, z.Attr, z.Kernel.Total(), z.InputCard, z.OutputCard)
+		}
+		if z.Intersections != sources || z.Probes != edges || z.Skipped != 0 || bs.Emitted != sources {
+			t.Errorf("par=%d: ∩=%d probes=%d skipped=%d emitted=%d, want %d, %d, 0, %d",
+				par, z.Intersections, z.Probes, z.Skipped, bs.Emitted, sources, edges, sources)
 		}
 	}
 }

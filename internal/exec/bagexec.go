@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"emptyheaded/internal/fault"
 	"emptyheaded/internal/semiring"
@@ -140,8 +141,12 @@ func (p *Plan) runBag(bp *BagPlan, results map[int]*trie.Trie) error {
 type bagExec struct {
 	p  *Plan
 	bp *BagPlan
-	// perLevel[lvl] lists the atom levels participating at each bag level.
+	// perLevel[lvl] lists the atom levels intersected at each bag level.
 	perLevel [][]curRef
+	// vecs[lvl] lists the atoms read as dense vectors at each bag level,
+	// in atom order: they filter and annotate the candidates perLevel[lvl]
+	// yields instead of joining the intersection (see vectorAtoms).
+	vecs [][]*vector
 	// nodes holds every atom's cursor template, one node stack per atom
 	// with its selection constants pre-descended: slot base+l is the trie
 	// node whose Set binds atom level l. Each worker descends a copy.
@@ -166,6 +171,72 @@ type curRef struct {
 	atom      *AtomRef
 	atomLevel int
 	slot      int
+}
+
+// vector is the dense form of a unary annotated relation whose root set
+// is a bitset: its support words and ann[v-base], member v's annotation.
+type vector struct {
+	base  uint32
+	words []uint64
+	ann   []float64
+}
+
+func newVector(root *trie.Node) *vector {
+	s := &root.Set
+	vc := &vector{base: s.Min() &^ 63}
+	span := s.Max() - vc.base + 1
+	vc.words = make([]uint64, (span+63)/64)
+	vc.ann = make([]float64, span)
+	s.ForEach(func(i int, v uint32) {
+		off := v - vc.base
+		vc.words[off/64] |= 1 << (off % 64)
+		vc.ann[off] = root.Ann[i]
+	})
+	return vc
+}
+
+// at returns member v's annotation; ok is false when v is absent (a value
+// below base wraps past the words).
+func (vc *vector) at(v uint32) (ann float64, ok bool) {
+	off := v - vc.base
+	if w := off / 64; w >= uint32(len(vc.words)) || vc.words[w]&(1<<(off%64)) == 0 {
+		return 0, false
+	}
+	return vc.ann[off], true
+}
+
+// vectorAtoms marks the atoms of bp read as vectors, not intersected;
+// tries[i] is atom i's index (nil if unknown). That takes a unary base
+// atom, without selection constant, whose annotation counts, at a level
+// where another atom's set depends on outer bindings (so a vector never
+// drives iteration: SSSP's level-0 Edge ∩ SSSP stays an intersection),
+// with a bitset root (the layout optimizer's density decision); never in
+// an existence tail, which finishLevels keeps free of annotations. Vectors
+// multiply in after the intersected atoms, so one that an annotating
+// intersected atom follows at its level stays intersected: ⊗ keeps atom
+// order.
+func vectorAtoms(bp *BagPlan, tries []*trie.Trie) []bool {
+	dependent := make([]bool, len(bp.Attrs))
+	for _, a := range bp.Atoms {
+		for al := 1; al < len(a.Attrs); al++ {
+			if lvl := levelOf(bp, a, al); lvl >= 0 {
+				dependent[lvl] = true
+			}
+		}
+	}
+	vec := make([]bool, len(bp.Atoms))
+	for i, a := range bp.Atoms {
+		t := tries[i]
+		vec[i] = a.child == nil && t != nil && t.Arity == 1 && len(a.consts) == 0 &&
+			a.Annotated && !a.SemijoinOnly && t.Root.Ann != nil &&
+			t.Root.Set.Layout() == set.Bitset && dependent[levelOf(bp, a, 0)]
+		if !vec[i] && a.Annotated && !a.SemijoinOnly && a.LastLevel >= 0 {
+			for j := range i {
+				vec[j] = vec[j] && levelOf(bp, bp.Atoms[j], 0) != levelOf(bp, a, a.LastLevel)
+			}
+		}
+	}
+	return vec
 }
 
 // limitState is the cooperative row budget shared by all workers of a
@@ -243,17 +314,27 @@ func (p *Plan) execBag(bp *BagPlan) (t *trie.Trie, err error) {
 		t0 := time.Now()
 		defer func() { bs.WallUS = time.Since(t0).Microseconds() }()
 	}
-	selectionMiss := false
-	for _, a := range bp.Atoms {
-		var t *trie.Trie
+	rels, tries := make([]*Relation, len(bp.Atoms)), make([]*trie.Trie, len(bp.Atoms))
+	for i, a := range bp.Atoms {
 		if a.child != nil {
-			t = a.child.result
-		} else {
-			rel, ok := p.db.Relation(a.Rel)
-			if !ok {
-				return nil, fmt.Errorf("exec: relation %s vanished", a.Rel)
-			}
-			t = rel.Index(a.Perm, p.opts.layout(), p.opts.layoutName())
+			tries[i] = a.child.result
+			continue
+		}
+		rel, ok := p.db.Relation(a.Rel)
+		if !ok {
+			return nil, fmt.Errorf("exec: relation %s vanished", a.Rel)
+		}
+		rels[i], tries[i] = rel, rel.Index(a.Perm, p.opts.layout(), p.opts.layoutName())
+	}
+	isVec := vectorAtoms(bp, tries)
+	ex.vecs = make([][]*vector, len(bp.Attrs))
+	selectionMiss := false
+	for i, a := range bp.Atoms {
+		t := tries[i]
+		if isVec[i] {
+			lvl := levelOf(bp, a, 0)
+			ex.vecs[lvl] = append(ex.vecs[lvl], rels[i].vector(t, p.opts.layoutName()))
+			continue
 		}
 		if t.Arity == 0 {
 			if !a.SemijoinOnly {
@@ -410,15 +491,22 @@ func (ex *bagExec) emptyResult() *trie.Trie {
 // accumulates column-wise: cols[i] holds output attribute i of every
 // emitted row, so an emit is one append per attribute (no per-row
 // allocation) and the result hands straight to the columnar trie builder.
+// Its fields and slices are written per value or emit, so each allocation
+// is padded by a cache line on each side (see cachePadded): no other
+// worker's writes share a line with them.
 type worker struct {
+	_  [cacheLine]byte
 	ex *bagExec
 	// slots is the worker's copy of ex.nodes, descended as it binds
-	// values (padded: see newWorker).
+	// values.
 	slots  []slot
 	outBuf []uint32
 	cols   [][]uint32
 	anns   []float64
 	scalar float64
+	// vals holds a fold tail's candidates when their layout must be
+	// decoded for the flat loop (see foldTail).
+	vals []uint32
 	// scratch provides two ping-pong intersection buffer pairs per loop
 	// level, so the loop nest runs allocation-free on uint and bitset
 	// results.
@@ -432,6 +520,20 @@ type worker struct {
 	emits int64
 	// err is the panic recovered from this worker's run, if any.
 	err error
+	_   [cacheLine]byte
+}
+
+const cacheLine = 64
+
+// cachePadded allocates n zero Ts with at least cacheLine bytes of
+// padding on each side; nil when n is 0.
+func cachePadded[T any](n int) []T {
+	if n == 0 {
+		return nil
+	}
+	var t T
+	p := (cacheLine + int(unsafe.Sizeof(t)) - 1) / int(unsafe.Sizeof(t))
+	return make([]T, n+2*p)[p : n+p : n+p]
 }
 
 // slot is one level of a worker's cursor: the trie node whose Set binds
@@ -442,19 +544,17 @@ type slot struct {
 	hint int
 }
 
-// newWorker allocates one worker's state. Its slots are written on every
-// probe, so four pad slots on each side keep another worker's allocation
-// off their cache lines.
+// newWorker allocates one worker's state, every written slice padded.
 func (ex *bagExec) newWorker() *worker {
-	n := len(ex.nodes)
-	w := &worker{ex: ex, slots: make([]slot, n+8)[4 : n+4 : n+4],
-		outBuf: make([]uint32, len(ex.bp.OutAttrs)), cols: make([][]uint32, len(ex.bp.OutAttrs)),
-		scalar: ex.op.Zero(), scratch: make([]scratchLevel, len(ex.bp.Attrs))}
+	nout := len(ex.bp.OutAttrs)
+	w := &worker{ex: ex, slots: cachePadded[slot](len(ex.nodes)),
+		outBuf: cachePadded[uint32](nout), cols: cachePadded[[]uint32](nout),
+		scalar: ex.op.Zero(), scratch: cachePadded[scratchLevel](len(ex.bp.Attrs))}
 	for i, nd := range ex.nodes {
 		w.slots[i].node = nd
 	}
 	if ex.p.stats != nil {
-		w.lc = newLevelCounters(len(ex.bp.Attrs))
+		w.lc = cachePadded[LevelStats](len(ex.bp.Attrs))
 		w.kerns = make([]*set.Kernel, len(w.lc))
 		for i := range w.kerns {
 			w.kerns[i] = set.NewCountingKernel(ex.p.opts.Intersect, &w.lc[i].Kernel)
@@ -660,6 +760,10 @@ func (w *worker) levelValues(lvl int, candidates *set.Set, ann float64) {
 		}
 		return
 	}
+	if last && !bp.Out[lvl] {
+		w.foldTail(lvl, candidates, ann)
+		return
+	}
 
 	outPos := -1
 	if bp.Out[lvl] {
@@ -675,12 +779,7 @@ func (w *worker) levelValues(lvl int, candidates *set.Set, ann float64) {
 	for _, r := range ex.perLevel[lvl] {
 		w.slots[r.slot].hint = 0
 	}
-	// A trailing eliminated level folds in place: one ⊕-accumulator and a
-	// single emit, instead of one row per value with builder-side
-	// combining (the early-aggregation inner loop of §3.1.1).
-	foldHere := last && !bp.Out[lvl]
-	acc := ex.op.Zero()
-	folded := false
+	vecs := ex.vecs[lvl]
 	var lvlStats *LevelStats
 	if w.lc != nil {
 		lvlStats = &w.lc[lvl]
@@ -726,6 +825,13 @@ func (w *worker) levelValues(lvl int, candidates *set.Set, ann float64) {
 				w.slots[r.slot+1] = slot{node: n.Children[rank]}
 			}
 		}
+		// Then every vector: a bit test (a miss skips v) and one ⊗.
+		for k := 0; ok && k < len(vecs); k++ {
+			var x float64
+			if x, ok = vecs[k].at(v); ok {
+				a = ex.op.Mul(a, x)
+			}
+		}
 		if !ok {
 			if lvlStats != nil {
 				lvlStats.Skipped++
@@ -736,12 +842,7 @@ func (w *worker) levelValues(lvl int, candidates *set.Set, ann float64) {
 			w.outBuf[outPos] = v
 		}
 		if last {
-			if foldHere {
-				acc = ex.op.Add(acc, a)
-				folded = true
-			} else {
-				w.emit(a)
-			}
+			w.emit(a)
 			return true
 		}
 		// Count-only tail shortcut: don't materialize the last-level
@@ -758,11 +859,55 @@ func (w *worker) levelValues(lvl int, candidates *set.Set, ann float64) {
 		}
 		return true
 	})
-	// An unwind mid-fold leaves acc partially ⊕-combined; emitting it
-	// would present an undercounted annotation as a real one. Drop it —
-	// the limit path returns a truncated result anyway, and the timeout
-	// path discards the whole result.
-	if folded && !ex.lim.stopped() {
+}
+
+// foldTail folds a last, eliminated level in place: one ⊕-accumulator
+// and a single emit instead of a row per value (the early-aggregation
+// inner loop of §3.1.1), as one flat loop over the candidates. They lie
+// in every intersected atom's set, so an atom of the same cardinality is
+// that set and a value's rank in it is the loop index; others are looked
+// up. Stop and limit are checked once per call, counters added once.
+func (w *worker) foldTail(lvl int, candidates *set.Set, ann float64) {
+	ex := w.ex
+	if ex.lim.stopped() || ex.p.stop != nil && ex.p.stop.Load() {
+		return
+	}
+	refs, vecs := ex.perLevel[lvl], ex.vecs[lvl]
+	for _, r := range refs {
+		w.slots[r.slot].hint = 0
+	}
+	vals := candidates.Values(&w.vals)
+	acc, folded, skipped := ex.op.Zero(), false, 0
+values:
+	for i, v := range vals {
+		a := ann
+		for _, r := range refs {
+			s := &w.slots[r.slot]
+			rank := i
+			if s.node.Set.Card() != len(vals) {
+				rank, _ = s.node.Set.RankNext(v, s.hint)
+				s.hint = rank
+			}
+			if r.atom.Annotated && !r.atom.SemijoinOnly && s.node.Ann != nil {
+				a = ex.op.Mul(a, s.node.Ann[rank])
+			}
+		}
+		for _, vc := range vecs {
+			x, ok := vc.at(v)
+			if !ok {
+				skipped++
+				continue values
+			}
+			a = ex.op.Mul(a, x)
+		}
+		acc = ex.op.Add(acc, a)
+		folded = true
+	}
+	if w.lc != nil {
+		w.lc[lvl].Probes += int64(len(vals))
+		w.lc[lvl].Skipped += int64(skipped)
+	}
+	if folded {
 		w.emit(acc)
 	}
 }

@@ -195,11 +195,14 @@ type Relation struct {
 	Op        semiring.Op
 
 	// mu guards the lazily built index cache: concurrent queries share
-	// relations, so every access to canonical/indexes goes through it.
-	// Cache hits take the read lock only.
+	// relations, so every access to canonical/indexes/vectors goes through
+	// it. Index hits take the read lock only; vector takes the write lock.
 	mu        sync.RWMutex
 	canonical *trie.Trie
 	indexes   map[string]*trie.Trie
+	// vectors memoizes the dense vector of a unary index (see vector),
+	// keyed by layout name like the index it reads.
+	vectors map[string]*vector
 
 	// Overlay decomposition (see AddTrieOverlay): when base is non-nil,
 	// canonical is the merged view (base \ ovDel) ∪ ovIns, and permuted
@@ -430,6 +433,22 @@ func (r *Relation) Index(perm []int, layout trie.LayoutFunc, layoutName string) 
 	}
 	r.indexes[key] = t
 	return t
+}
+
+// vector returns the dense vector of t, this relation's unary index under
+// layoutName, built on first use and memoized beside the index.
+func (r *Relation) vector(t *trie.Trie, layoutName string) *vector {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	vc, ok := r.vectors[layoutName]
+	if !ok {
+		if r.vectors == nil {
+			r.vectors = map[string]*vector{}
+		}
+		vc = newVector(t.Root)
+		r.vectors[layoutName] = vc
+	}
+	return vc
 }
 
 // Options configures query execution; the zero value is the fully

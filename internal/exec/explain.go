@@ -1,8 +1,12 @@
 package exec
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
+
+	"emptyheaded/internal/trie"
 )
 
 // Explain renders the physical plan as the loop nest the paper's code
@@ -66,29 +70,38 @@ func (p *Plan) explain(st *ExecStats) string {
 				fmt.Fprintf(&sb, "%s%s := %s[%d]  // selection\n", indent, a.Rel, a.Rel, k.code)
 			}
 		}
+		// Unary base atoms' indexes tell which atoms execBag reads as vectors.
+		tries := make([]*trie.Trie, len(bp.Atoms))
+		for i, a := range bp.Atoms {
+			if rel, ok := p.db.Relation(a.Rel); ok && a.child == nil && len(a.Attrs) == 1 {
+				tries[i] = rel.Index(a.Perm, p.opts.layout(), p.opts.layoutName())
+			}
+		}
+		isVec := vectorAtoms(bp, tries)
 		for lvl, attr := range bp.Attrs {
 			var parts []string
-			for _, a := range bp.Atoms {
+			vecs := ""
+			for ai, a := range bp.Atoms {
 				for al, v := range a.Attrs {
 					if v != attr {
 						continue
 					}
+					if isVec[ai] {
+						vecs += fmt.Sprintf(" · %s[%s]", a.Rel, attr)
+						continue
+					}
 					path := a.Rel
 					if al > 0 {
-						var bound []string
-						for k := 0; k < al; k++ {
-							if a.Attrs[k] == "" {
-								bound = append(bound, "σ")
-							} else {
-								bound = append(bound, a.Attrs[k])
-							}
+						bound := slices.Clone(a.Attrs[:al])
+						for k := range bound {
+							bound[k] = cmp.Or(bound[k], "σ") // a selection constant
 						}
 						path = fmt.Sprintf("%s[%s]", a.Rel, strings.Join(bound, ","))
 					}
 					parts = append(parts, fmt.Sprintf("π%s %s", attr, path))
 				}
 			}
-			sx := fmt.Sprintf("s%s := %s", attr, strings.Join(parts, " ∩ "))
+			sx := fmt.Sprintf("s%s := %s%s", attr, strings.Join(parts, " ∩ "), vecs)
 			if lvl >= bp.ExistsFrom {
 				sx += "  // existence check only"
 			}

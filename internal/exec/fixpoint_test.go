@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"emptyheaded/internal/datalog"
+	"emptyheaded/internal/gen"
 	"emptyheaded/internal/graph"
 	"emptyheaded/internal/semiring"
 	"emptyheaded/internal/trie"
@@ -156,6 +157,31 @@ func TestNonConvergingFixpointIsAnError(t *testing.T) {
 	for _, want := range []string{"Longest", itoa(datalog.MaxFixpointIters)} {
 		if !strings.Contains(err.Error(), want) {
 			t.Fatalf("error %q does not name %q", err, want)
+		}
+	}
+}
+
+// BenchmarkRecursion times the two analytics programs on a 6,000-vertex
+// power-law graph at one worker and two: PageRank (five SUM rounds that
+// read two unary annotated relations) and SSSP from vertex 0 (seminaive
+// MIN rounds).
+func BenchmarkRecursion(b *testing.B) {
+	db := dbWithGraph(gen.PowerLaw(6000, 40000, 2.3, 1))
+	programs := []struct{ name, text string }{
+		{"pagerank", qPageRank},
+		{"sssp", `SSSP(x;y:int) :- Edge("0",x); y=1.
+SSSP(x;y:int)* :- Edge(w,x),SSSP(w); y=<<MIN(w)>>+1.`},
+	}
+	for _, q := range programs {
+		for _, par := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/par%d", q.name, par), func(b *testing.B) {
+				pr := prepareQOpts(b, db, q.text, Options{Parallelism: par})
+				for b.Loop() {
+					if _, err := pr.Run(db.Fork()); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -247,12 +248,12 @@ func Compile(db *DB, rule *datalog.Rule, opts Options) (*Plan, error) {
 			if headVars[v] {
 				need[v] = true
 			}
-			if parent != nil && bagHasVar(parent, v) {
+			if parent != nil && slices.Contains(parent.Vars, v) {
 				need[v] = true
 			}
 			if rule.Assign == nil || spanning {
 				for _, cb := range b.Children {
-					if bagHasVar(cb, v) {
+					if slices.Contains(cb.Vars, v) {
 						need[v] = true
 					}
 				}
@@ -316,29 +317,10 @@ func Compile(db *DB, rule *datalog.Rule, opts Options) (*Plan, error) {
 	return p, nil
 }
 
+// sameAttrSet reports whether a and b are as long and a holds every
+// attribute of b.
 func sameAttrSet(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	m := map[string]bool{}
-	for _, v := range a {
-		m[v] = true
-	}
-	for _, v := range b {
-		if !m[v] {
-			return false
-		}
-	}
-	return true
-}
-
-func bagHasVar(b *ghd.Bag, v string) bool {
-	for _, x := range b.Vars {
-		if x == v {
-			return true
-		}
-	}
-	return false
+	return len(a) == len(b) && !slices.ContainsFunc(b, func(v string) bool { return !slices.Contains(a, v) })
 }
 
 func sortByOrder(vars []string, order []string) []string {
@@ -484,18 +466,10 @@ func (p *Plan) finishLevels(bp *BagPlan) {
 	bp.ExistsFrom = from
 }
 
-// levelOf maps an atom trie level to its bag loop-nest level.
+// levelOf maps an atom trie level to its bag loop-nest level; -1 for a
+// constant's level ("" is no attribute).
 func levelOf(bp *BagPlan, a *AtomRef, atomLevel int) int {
-	v := a.Attrs[atomLevel]
-	if v == "" {
-		return -1
-	}
-	for i, x := range bp.Attrs {
-		if x == v {
-			return i
-		}
-	}
-	return -1
+	return slices.Index(bp.Attrs, a.Attrs[atomLevel])
 }
 
 // assemblyPlan joins the materialized bag results to produce the full

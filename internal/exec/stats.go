@@ -8,10 +8,10 @@ import "emptyheaded/internal/set"
 // on the default path every instrumentation site is behind one nil check
 // so serving latency is unaffected.
 //
-// Counters are plain ints: each loop-nest worker increments its own
-// level counters and emit count (no atomics in the inner loops), and
-// execBag folds every worker's into the bag's BagStats once, after the
-// work-stealing pool drains.
+// Counters are plain ints per worker (no atomics; a fold tail adds its
+// own once per call), folded into the bag's BagStats once the pool
+// drains. Vector participants (see vectorAtoms) join no intersection:
+// they add no input cardinality, and a value one lacks is a skip.
 
 // LevelStats aggregates the set-kernel activity of one loop-nest level.
 type LevelStats struct {
@@ -27,8 +27,8 @@ type LevelStats struct {
 	InputCard  int64 `json:"input_card"`
 	OutputCard int64 `json:"output_card"`
 	// Probes counts candidate values iterated at this level; Skipped
-	// counts probes rejected because a participating atom had no matching
-	// child (rank miss during descent).
+	// counts probes rejected because an atom lacked the value (a rank
+	// miss during descent, or a vector's bit test).
 	Probes  int64 `json:"probes"`
 	Skipped int64 `json:"skipped"`
 	// Kernel counts pairwise set-kernel dispatches at this level by route
@@ -84,15 +84,6 @@ func (st *ExecStats) TotalEmitted() int64 {
 		n += b.Emitted
 	}
 	return n
-}
-
-// newLevelCounters allocates a level-counter slice with two pad elements
-// on each side, so concurrent workers' hot counters land on different
-// cache lines (the fold after the pool drains reads them anyway, but
-// false sharing during the run costs real throughput).
-func newLevelCounters(n int) []LevelStats {
-	b := make([]LevelStats, n+4)
-	return b[2 : n+2 : n+2]
 }
 
 // noteIntersect books one multi-way intersection at a level: inputs are

@@ -530,6 +530,17 @@ func (s *Set) ForEachUntil(f func(i int, v uint32) bool) {
 	}
 }
 
+// Values returns the members in increasing order for a flat loop over
+// them: a uint set's own array (aliased, so read-only), any other layout
+// decoded into *scratch, which grows as needed and is kept by the caller.
+func (s *Set) Values(scratch *[]uint32) []uint32 {
+	if s.layout == Uint {
+		return s.data
+	}
+	*scratch = s.AppendValues((*scratch)[:0], 0)
+	return *scratch
+}
+
 // Slice decodes the set into a freshly allocated sorted slice.
 func (s Set) Slice() []uint32 {
 	out := make([]uint32, 0, s.card)
