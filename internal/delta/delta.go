@@ -160,7 +160,7 @@ func (o *Overlay) TrimAgainst(base *trie.Trie, layout trie.LayoutFunc) *Overlay 
 	insCols := make([][]uint32, arity)
 	var insAnns []float64
 	o.Ins.ForEachTuple(func(tp []uint32, ann float64) {
-		if bAnn, ok := lookupTuple(base, tp); ok && (!annotated || bAnn == ann) {
+		if bAnn, ok := base.Lookup(tp); ok && (!annotated || bAnn == ann) {
 			return // absorbed
 		}
 		for c, v := range tp {
@@ -172,7 +172,7 @@ func (o *Overlay) TrimAgainst(base *trie.Trie, layout trie.LayoutFunc) *Overlay 
 	})
 	delCols := make([][]uint32, arity)
 	o.Del.ForEachTuple(func(tp []uint32, _ float64) {
-		if _, ok := lookupTuple(base, tp); !ok {
+		if _, ok := base.Lookup(tp); !ok {
 			return // tombstone for an already-absent tuple
 		}
 		for c, v := range tp {
@@ -190,23 +190,6 @@ func (o *Overlay) TrimAgainst(base *trie.Trie, layout trie.LayoutFunc) *Overlay 
 		insBytes: ins.MemBytes(),
 		delBytes: del.MemBytes(),
 	}
-}
-
-// lookupTuple descends base along one full tuple, returning the leaf
-// annotation (op.One() for un-annotated) and membership.
-func lookupTuple(t *trie.Trie, tuple []uint32) (float64, bool) {
-	n := t.Root
-	last := len(tuple) - 1
-	for level, v := range tuple {
-		if n == nil {
-			return 0, false
-		}
-		if level == last {
-			return n.AnnOf(v, t.Op)
-		}
-		n = n.Child(v)
-	}
-	return 0, false
 }
 
 // Permute rebuilds a trie with its columns permuted: level i of the

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -91,25 +92,29 @@ func addUnary(db *DB, name string, vals ...uint32) {
 // Results and counter totals must not depend on how the work-stealing
 // pool splits the first level: every worker's counters fold into the
 // bag's once, so one worker and four agree on every bag and level, on
-// every shape of loop nest and in every layout.
+// every shape of loop nest and in every layout. Only a vector skips a
+// candidate, so a row without one skips none.
 func TestCollectParallelMatchesSerial(t *testing.T) {
 	g := testGraph(300, 3000, 5)
 	db := dbWithGraph(g)
 	addPageRankInputs(db, g)
 	addUnary(db, "A", 1, 2, 3, 5, 8)
 	addUnary(db, "B", 2, 3, 4, 5)
-	queries := []struct{ name, text string }{
-		{"triangle_count", qTriangleCount},
-		{"k4_count_tail", qKernel4Clique},
-		{"exists_tail", `C(;w:long) :- Edge(x,y); w=<<COUNT(x)>>.`},
-		{"grouped_fold", `G(x;w:long) :- Edge(x,y),Edge(y,z); w=<<COUNT(*)>>.`},
-		{"triangle_listing", qTriangleListing},
-		{"projected_assembly", `P(x,z) :- Edge(x,y),Edge(y,z).`},
-		{"single_level", `Q(;w:long) :- A(x),B(x); w=<<COUNT(*)>>.`},
+	queries := []struct {
+		name, text string
+		vector     bool
+	}{
+		{"triangle_count", qTriangleCount, false},
+		{"k4_count_tail", qKernel4Clique, false},
+		{"exists_tail", `C(;w:long) :- Edge(x,y); w=<<COUNT(x)>>.`, false},
+		{"grouped_fold", `G(x;w:long) :- Edge(x,y),Edge(y,z); w=<<COUNT(*)>>.`, false},
+		{"triangle_listing", qTriangleListing, false},
+		{"projected_assembly", `P(x,z) :- Edge(x,y),Edge(y,z).`, false},
+		{"single_level", `Q(;w:long) :- A(x),B(x); w=<<COUNT(*)>>.`, false},
 		// The second component's bag is one existence check from level 0
 		// on: a split of its first level would emit once per block.
-		{"exists_from_level_0", `D(;w:long) :- Edge(x,y),Edge(z,u); w=<<COUNT(x)>>.`},
-		{"pagerank_round", qPageRankRound},
+		{"exists_from_level_0", `D(;w:long) :- Edge(x,y),Edge(z,u); w=<<COUNT(x)>>.`, false},
+		{"pagerank_round", qPageRankRound, true},
 	}
 	layouts := []struct {
 		name string
@@ -145,6 +150,11 @@ func TestCollectParallelMatchesSerial(t *testing.T) {
 					if !reflect.DeepEqual(sb.Levels, pb.Levels) {
 						t.Errorf("bag %d levels diverge:\nserial   %+v\nparallel %+v", sb.BagID, sb.Levels, pb.Levels)
 					}
+					for _, l := range sb.Levels {
+						if !q.vector && l.Skipped != 0 {
+							t.Errorf("bag %d level %s skipped %d candidates without a vector", sb.BagID, l.Attr, l.Skipped)
+						}
+					}
 				}
 			})
 		}
@@ -172,6 +182,48 @@ func TestCollectSingleLevelCountTail(t *testing.T) {
 		}
 		if n := l.Kernel.Total(); n != 1 {
 			t.Errorf("par=%d: %d kernel dispatches, want 1", par, n)
+		}
+	}
+}
+
+// An existence tail reuses the intersection its caller made at its first
+// level: that level books one intersection per caller binding, and its
+// input and output are the one set's cardinality. No level of the tail
+// books a probe.
+func TestCollectExistenceTail(t *testing.T) {
+	db := dbWithGraph(testGraph(200, 1500, 11))
+	rows := []struct {
+		name, query         string
+		bag                 int
+		attr                string
+		inter, inOut, emits int64
+	}{
+		{"distinct_sources", `N(;w:int) :- Edge(x,y); w=<<COUNT(x)>>.`, 0, "y", 200, 3000, 200},
+		{"child_bag", `D(;w:long) :- Edge(x,y),Edge(y,z); w=<<COUNT(x)>>.`, 1, "z", 200, 3000, 200},
+		// The second component is one existence check from level 0 on.
+		{"exists_from_level_0", `E(;w:long) :- Edge(x,y),Edge(z,u); w=<<COUNT(x)>>.`, 1, "z", 1, 200, 1},
+	}
+	for _, r := range rows {
+		for _, par := range []int{1, 4} {
+			pr := prepareQOpts(t, db, r.query, Options{Parallelism: par})
+			res, err := pr.RunWith(db.Fork(), RunParams{Collect: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, bs := range res.Stats.Bags {
+				if bs.BagID != r.bag {
+					continue
+				}
+				if bs.Emitted != r.emits {
+					t.Errorf("%s par=%d: bag %d emitted %d, want %d", r.name, par, bs.BagID, bs.Emitted, r.emits)
+				}
+				l := bs.Levels[slices.Index(bs.Attrs, r.attr)]
+				if l.Intersections != r.inter || l.InputCard != r.inOut || l.OutputCard != r.inOut ||
+					l.Probes != 0 || l.Kernel.Total() != 0 {
+					t.Errorf("%s par=%d: bag %d level %s: %+v; want ∩ %d, in = out = %d, no probe or dispatch",
+						r.name, par, bs.BagID, r.attr, l, r.inter, r.inOut)
+				}
+			}
 		}
 	}
 }

@@ -141,12 +141,9 @@ func (p *Plan) runBag(bp *BagPlan, results map[int]*trie.Trie) error {
 type bagExec struct {
 	p  *Plan
 	bp *BagPlan
-	// perLevel[lvl] lists the atom levels intersected at each bag level.
-	perLevel [][]curRef
-	// vecs[lvl] lists the atoms read as dense vectors at each bag level,
-	// in atom order: they filter and annotate the candidates perLevel[lvl]
-	// yields instead of joining the intersection (see vectorAtoms).
-	vecs [][]*vector
+	// levels is the loop nest's table, one entry per bag level: every plan
+	// fact a worker needs, decided once here instead of per call or value.
+	levels []level
 	// nodes holds every atom's cursor template, one node stack per atom
 	// with its selection constants pre-descended: slot base+l is the trie
 	// node whose Set binds atom level l. Each worker descends a copy.
@@ -154,8 +151,7 @@ type bagExec struct {
 	op    semiring.Op
 	// kern executes every pairwise set operation of the loop nest off the
 	// analyze path (see worker.kernelAt).
-	kern      *set.Kernel
-	countTail bool // last level computable via kernel Count
+	kern *set.Kernel
 	// scalarFactor is the ⊗-product of zero-arity participants (scalar
 	// child bags from disconnected components, e.g. the second triangle
 	// of the Barbell-selection plan).
@@ -165,12 +161,34 @@ type bagExec struct {
 	lim *limitState
 }
 
-// curRef is one atom level participating at a bag level; slot indexes
-// the atom's node stack (see bagExec.nodes) and a worker's copy of it.
+// level is one bag level of the loop nest.
+type level struct {
+	refs []curRef // the atom levels intersected here
+	// vecs lists the atoms read as dense vectors here, in atom order: they
+	// filter and annotate the candidates refs yields (see vectorAtoms).
+	vecs []*vector
+	out  int // position in an output row; -1 when eliminated
+	kind levelKind
+}
+
+// levelKind says what a level does with its candidates.
+type levelKind uint8
+
+const (
+	kindDescend levelKind = iota // bind each, run the next level under it
+	kindEmit                     // bind each, emit a row: the last output level
+	kindFold                     // ⊕-fold them into one emit (see foldTail)
+	kindCount                    // emit their count (see countTailOK, countAt)
+	kindExists                   // emit once if one extends to a full binding (see witness)
+)
+
+// curRef is one atom level intersected at a bag level; slot indexes the
+// atom's node stack (see bagExec.nodes) and a worker's copy of it. leaf
+// marks the atom's last level, where ann says whether its annotation
+// multiplies in; above it, binding a value descends to slot+1.
 type curRef struct {
-	atom      *AtomRef
-	atomLevel int
 	slot      int
+	leaf, ann bool
 }
 
 // vector is the dense form of a unary annotated relation whose root set
@@ -301,7 +319,7 @@ func (p *Plan) execBag(bp *BagPlan) (t *trie.Trie, err error) {
 	}()
 	op := p.aggOp()
 	ex := &bagExec{p: p, bp: bp, op: op, kern: set.NewKernel(p.opts.Intersect)}
-	ex.perLevel = make([][]curRef, len(bp.Attrs))
+	ex.levels = make([]level, len(bp.Attrs))
 	ex.scalarFactor = op.One()
 	var bs *BagStats
 	if p.stats != nil {
@@ -327,13 +345,12 @@ func (p *Plan) execBag(bp *BagPlan) (t *trie.Trie, err error) {
 		rels[i], tries[i] = rel, rel.Index(a.Perm, p.opts.layout(), p.opts.layoutName())
 	}
 	isVec := vectorAtoms(bp, tries)
-	ex.vecs = make([][]*vector, len(bp.Attrs))
 	selectionMiss := false
 	for i, a := range bp.Atoms {
 		t := tries[i]
 		if isVec[i] {
-			lvl := levelOf(bp, a, 0)
-			ex.vecs[lvl] = append(ex.vecs[lvl], rels[i].vector(t, p.opts.layoutName()))
+			lv := &ex.levels[levelOf(bp, a, 0)]
+			lv.vecs = append(lv.vecs, rels[i].vector(t, p.opts.layoutName()))
 			continue
 		}
 		if t.Arity == 0 {
@@ -349,7 +366,12 @@ func (p *Plan) execBag(bp *BagPlan) (t *trie.Trie, err error) {
 		ex.nodes = append(ex.nodes, make([]*trie.Node, t.Arity)...)
 		for al := range a.Attrs {
 			if bl := levelOf(bp, a, al); bl >= 0 {
-				ex.perLevel[bl] = append(ex.perLevel[bl], curRef{atom: a, atomLevel: al, slot: base + al})
+				// Annotations sit at the trie's last level, which a reused
+				// bag result (App. B.2) can place below the atom's.
+				leaf := al == a.LastLevel
+				ann := leaf && al == t.Arity-1 && t.Annotated && a.Annotated && !a.SemijoinOnly
+				r := curRef{slot: base + al, leaf: leaf, ann: ann}
+				ex.levels[bl].refs = append(ex.levels[bl].refs, r)
 			}
 		}
 		// Pre-descend selection constants (App. B.1: selections are
@@ -359,10 +381,27 @@ func (p *Plan) execBag(bp *BagPlan) (t *trie.Trie, err error) {
 			selectionMiss = true
 		}
 	}
-	// Sanity: every level has at least one participant.
-	for lvl, refs := range ex.perLevel {
-		if len(refs) == 0 {
+	out := 0
+	for lvl := range ex.levels {
+		lv := &ex.levels[lvl]
+		if len(lv.refs) == 0 {
 			return nil, fmt.Errorf("exec: no atom binds attribute %s", bp.Attrs[lvl])
+		}
+		lv.out = -1
+		if bp.Out[lvl] {
+			lv.out, out = out, out+1
+		}
+		switch {
+		case lvl >= bp.ExistsFrom:
+			lv.kind = kindExists
+		case lvl < len(ex.levels)-1:
+			lv.kind = kindDescend
+		case ex.countTailOK():
+			lv.kind = kindCount
+		case bp.Out[lvl]:
+			lv.kind = kindEmit
+		default:
+			lv.kind = kindFold
 		}
 	}
 	if selectionMiss {
@@ -372,11 +411,6 @@ func (p *Plan) execBag(bp *BagPlan) (t *trie.Trie, err error) {
 		}
 		return ex.emptyResult(), nil
 	}
-	// Count-only tail: the final level is eliminated, aggregates by
-	// multiplicity under SUM/COUNT, and no annotated atom contributes
-	// there — the triangle-count inner loop (§5.2.1) hits this path.
-	ex.countTail = ex.countTailOK()
-
 	if len(bp.Attrs) == 0 {
 		// All-constant bag: the result is the scalar factor.
 		return trie.NewScalar(ex.scalarFactor, op), nil
@@ -454,6 +488,9 @@ func (ex *bagExec) preDescend(a *AtomRef, base int) bool {
 	return true
 }
 
+// countTailOK reports a count-only tail: the final level is eliminated,
+// aggregates by multiplicity under SUM/COUNT, and no annotated atom
+// contributes there — the triangle-count inner loop (§5.2.1).
 func (ex *bagExec) countTailOK() bool {
 	bp := ex.bp
 	last := len(bp.Attrs) - 1
@@ -587,7 +624,7 @@ type scratchLevel [2]scratchBuf
 // per-level scratch buffers; the result points into them or into a trie
 // node, valid until the worker next intersects at lvl.
 func (w *worker) intersectionAt(lvl int) *set.Set {
-	s := w.intersectPrefix(lvl, w.ex.perLevel[lvl])
+	s := w.intersectPrefix(lvl, w.ex.levels[lvl].refs)
 	if w.lc != nil {
 		w.noteIntersect(lvl, s.Card())
 	}
@@ -611,22 +648,19 @@ func (w *worker) intersectPrefix(lvl int, refs []curRef) *set.Set {
 	return cur
 }
 
-// countAtBuf counts the tail-level intersection using scratch buffers.
-func (w *worker) countAtBuf(lvl int) int {
-	n := w.countAtBufInner(lvl)
+// countAt counts level lvl's intersection without building its last
+// step: the count tail's parent binds no value below it.
+func (w *worker) countAt(lvl int) int {
+	refs := w.ex.levels[lvl].refs
+	last := len(refs) - 1
+	n := w.levelSet(refs[last]).Card()
+	if last > 0 {
+		n = w.kernelAt(lvl).CountOf(w.intersectPrefix(lvl, refs[:last]), w.levelSet(refs[last]))
+	}
 	if w.lc != nil {
 		w.noteIntersect(lvl, n)
 	}
 	return n
-}
-
-func (w *worker) countAtBufInner(lvl int) int {
-	refs := w.ex.perLevel[lvl]
-	last := len(refs) - 1
-	if last == 0 {
-		return w.levelSet(refs[0]).Card()
-	}
-	return w.kernelAt(lvl).CountOf(w.intersectPrefix(lvl, refs[:last]), w.levelSet(refs[last]))
 }
 
 // stealBlockMax bounds the work-stealing block size: small enough that a
@@ -650,7 +684,7 @@ func (ex *bagExec) runParallel() ([]*worker, error) {
 	w0 := ex.newWorker()
 	ws := []*worker{w0}
 	first := w0.intersectionAt(0)
-	if len(ex.bp.Attrs) == 1 || ex.bp.ExistsFrom == 0 {
+	if len(ex.levels) == 1 || ex.levels[0].kind == kindExists {
 		// One level, or one existence check from level 0 on: the bag is
 		// one pass over first, which a split would repeat per block.
 		nw = 1
@@ -737,49 +771,29 @@ func (w *worker) levelSet(r curRef) *set.Set {
 	return &emptySet
 }
 
-// levelValues iterates the candidate values of a level and recurses.
-// ann carries the ⊗-product of annotations collected so far.
+// levelValues runs level lvl over its candidates, which lie in every set
+// the level intersects. ann carries the ⊗-product of annotations
+// collected so far.
 func (w *worker) levelValues(lvl int, candidates *set.Set, ann float64) {
 	ex := w.ex
-	bp := ex.bp
-	last := lvl == len(bp.Attrs)-1
-
-	// Count-only tail: |∩ sets| with SUM/COUNT multiplicity. Deeper tails
-	// are counted by their parent level below, so only a one-level bag
-	// gets here, and its candidates are that intersection already.
-	if last && ex.countTail {
+	lv := &ex.levels[lvl]
+	switch lv.kind {
+	case kindCount:
+		// Deeper count tails are counted by their parent below, so only a
+		// one-level bag gets here, and its candidates are the count.
 		if n := candidates.Card(); n > 0 {
 			w.emit(ex.op.Mul(ann, float64(n)))
 		}
 		return
-	}
-	// Existence tail: all remaining levels only need one witness.
-	if lvl >= bp.ExistsFrom {
-		if w.exists(lvl) {
+	case kindExists:
+		if w.witness(lvl, candidates) {
 			w.emit(ann)
 		}
 		return
-	}
-	if last && !bp.Out[lvl] {
+	case kindFold:
 		w.foldTail(lvl, candidates, ann)
 		return
 	}
-
-	outPos := -1
-	if bp.Out[lvl] {
-		outPos = 0
-		for i := 0; i < lvl; i++ {
-			if bp.Out[i] {
-				outPos++
-			}
-		}
-	}
-	// Fresh iteration over this level: rank hints restart at zero (values
-	// ascend only within one pass).
-	for _, r := range ex.perLevel[lvl] {
-		w.slots[r.slot].hint = 0
-	}
-	vecs := ex.vecs[lvl]
 	var lvlStats *LevelStats
 	if w.lc != nil {
 		lvlStats = &w.lc[lvl]
@@ -789,116 +803,92 @@ func (w *worker) levelValues(lvl int, candidates *set.Set, ann float64) {
 		if lvlStats != nil {
 			lvlStats.Probes++
 		}
-		if ex.lim.stopped() {
-			// Limit pushdown: the listing budget is spent; unwind.
+		if ex.lim.stopped() || ex.p.stop != nil && ex.p.stop.Load() {
+			// Limit pushdown or cooperative cancellation, checked once per
+			// value: the budget is spent or the query stopped; unwind.
 			return false
 		}
-		if ex.p.stop != nil && ex.p.stop.Load() {
-			// Cooperative cancellation: one flag check per value.
-			return false
-		}
-		a := ann
-		ok := true
-		// Descend every atom participating at this level; collect
-		// annotations of atoms fully bound here. candidates ⊆ every
-		// participant's set, so a participant of the same cardinality *is*
-		// the candidate set and v's rank in it is the iteration index;
-		// otherwise look v up, tracking monotone rank hints.
-		for _, r := range ex.perLevel[lvl] {
-			s := &w.slots[r.slot]
-			n := s.node
-			rank := i
-			if n.Set.Card() != ncand {
-				var found bool
-				rank, found = n.Set.RankNext(v, s.hint)
-				s.hint = rank
-				if !found {
-					ok = false
-					break
-				}
-			}
-			if r.atomLevel == r.atom.LastLevel {
-				if r.atom.Annotated && !r.atom.SemijoinOnly && n.Ann != nil {
-					a = ex.op.Mul(a, n.Ann[rank])
-				}
-			} else {
-				w.slots[r.slot+1] = slot{node: n.Children[rank]}
-			}
-		}
-		// Then every vector: a bit test (a miss skips v) and one ⊗.
-		for k := 0; ok && k < len(vecs); k++ {
-			var x float64
-			if x, ok = vecs[k].at(v); ok {
-				a = ex.op.Mul(a, x)
-			}
-		}
+		a, ok := w.bind(lv, i, ncand, v, ann)
 		if !ok {
 			if lvlStats != nil {
 				lvlStats.Skipped++
 			}
 			return true
 		}
-		if outPos >= 0 {
-			w.outBuf[outPos] = v
+		if lv.out >= 0 {
+			w.outBuf[lv.out] = v
 		}
-		if last {
+		switch {
+		case lv.kind == kindEmit:
 			w.emit(a)
-			return true
-		}
-		// Count-only tail shortcut: don't materialize the last-level
-		// intersection just to recount it.
-		if lvl+1 == len(bp.Attrs)-1 && ex.countTail {
-			if n := w.countAtBuf(lvl + 1); n > 0 {
+		case ex.levels[lvl+1].kind == kindCount:
+			// Don't materialize the last-level intersection just to count it.
+			if n := w.countAt(lvl + 1); n > 0 {
 				w.emit(ex.op.Mul(a, float64(n)))
 			}
-			return true
-		}
-		next := w.intersectionAt(lvl + 1)
-		if !next.IsEmpty() {
-			w.levelValues(lvl+1, next, a)
+		default:
+			if next := w.intersectionAt(lvl + 1); !next.IsEmpty() {
+				w.levelValues(lvl+1, next, a)
+			}
 		}
 		return true
 	})
 }
 
+// bind binds candidate v, the i-th of ncand at level lv, in every atom
+// there and returns ann ⊗ the annotations it collects; ok is false when a
+// vector lacks v. Each intersected atom's set holds v, so v's rank in it
+// is i when the set has the candidates' cardinality (it is the candidate
+// set), else a lookup from the slot's hint, which restarts with each pass
+// (i = 0) since values ascend only within one. Above its last level an
+// atom descends to v's child; at it, an annotated atom multiplies in.
+func (w *worker) bind(lv *level, i, ncand int, v uint32, ann float64) (float64, bool) {
+	op := w.ex.op
+	for _, r := range lv.refs {
+		s := &w.slots[r.slot]
+		n := s.node
+		rank := i
+		if n.Set.Card() != ncand {
+			if i == 0 {
+				s.hint = 0
+			}
+			rank, _ = n.Set.RankNext(v, s.hint)
+			s.hint = rank
+		}
+		if !r.leaf {
+			w.slots[r.slot+1] = slot{node: n.Children[rank]}
+		} else if r.ann {
+			ann = op.Mul(ann, n.Ann[rank])
+		}
+	}
+	// Then every vector: a bit test (a miss skips v) and one ⊗.
+	for _, vc := range lv.vecs {
+		x, ok := vc.at(v)
+		if !ok {
+			return ann, false
+		}
+		ann = op.Mul(ann, x)
+	}
+	return ann, true
+}
+
 // foldTail folds a last, eliminated level in place: one ⊕-accumulator
 // and a single emit instead of a row per value (the early-aggregation
-// inner loop of §3.1.1), as one flat loop over the candidates. They lie
-// in every intersected atom's set, so an atom of the same cardinality is
-// that set and a value's rank in it is the loop index; others are looked
-// up. Stop and limit are checked once per call, counters added once.
+// inner loop of §3.1.1), as one flat loop over the candidates. Stop and
+// limit are checked once per call, counters added once.
 func (w *worker) foldTail(lvl int, candidates *set.Set, ann float64) {
 	ex := w.ex
 	if ex.lim.stopped() || ex.p.stop != nil && ex.p.stop.Load() {
 		return
 	}
-	refs, vecs := ex.perLevel[lvl], ex.vecs[lvl]
-	for _, r := range refs {
-		w.slots[r.slot].hint = 0
-	}
+	lv := &ex.levels[lvl]
 	vals := candidates.Values(&w.vals)
 	acc, folded, skipped := ex.op.Zero(), false, 0
-values:
 	for i, v := range vals {
-		a := ann
-		for _, r := range refs {
-			s := &w.slots[r.slot]
-			rank := i
-			if s.node.Set.Card() != len(vals) {
-				rank, _ = s.node.Set.RankNext(v, s.hint)
-				s.hint = rank
-			}
-			if r.atom.Annotated && !r.atom.SemijoinOnly && s.node.Ann != nil {
-				a = ex.op.Mul(a, s.node.Ann[rank])
-			}
-		}
-		for _, vc := range vecs {
-			x, ok := vc.at(v)
-			if !ok {
-				skipped++
-				continue values
-			}
-			a = ex.op.Mul(a, x)
+		a, ok := w.bind(lv, i, len(vals), v, ann)
+		if !ok {
+			skipped++
+			continue
 		}
 		acc = ex.op.Add(acc, a)
 		folded = true
@@ -912,34 +902,20 @@ values:
 	}
 }
 
-// exists reports whether any full binding exists from lvl on.
-func (w *worker) exists(lvl int) bool {
-	ex := w.ex
-	candidates := w.intersectionAt(lvl)
-	if candidates.IsEmpty() {
-		return false
+// witness reports whether some candidate of an existence-tail level
+// extends to a full binding of the levels below it: the caller has
+// intersected lvl, and each deeper level is intersected under one
+// candidate at a time until the first witness.
+func (w *worker) witness(lvl int, candidates *set.Set) bool {
+	if lvl == len(w.ex.levels)-1 {
+		return !candidates.IsEmpty()
 	}
-	if lvl == len(ex.bp.Attrs)-1 {
-		return true
-	}
-	found := false
-	candidates.ForEachUntil(func(_ int, v uint32) bool {
-		ok := true
-		for _, r := range ex.perLevel[lvl] {
-			if r.atomLevel+1 < len(r.atom.Attrs) {
-				child := w.slots[r.slot].node.Child(v)
-				if child == nil {
-					ok = false
-					break
-				}
-				w.slots[r.slot+1].node = child
-			}
-		}
-		if ok && w.exists(lvl+1) {
-			found = true
-			return false
-		}
-		return true
+	ncand, found := candidates.Card(), false
+	candidates.ForEachUntil(func(i int, v uint32) bool {
+		w.bind(&w.ex.levels[lvl], i, ncand, v, 0)
+		next := w.intersectionAt(lvl + 1)
+		found = !next.IsEmpty() && w.witness(lvl+1, next)
+		return !found
 	})
 	return found
 }

@@ -166,12 +166,28 @@ func TestNonConvergingFixpointIsAnError(t *testing.T) {
 // read two unary annotated relations) and SSSP from vertex 0 (seminaive
 // MIN rounds).
 func BenchmarkRecursion(b *testing.B) {
-	db := dbWithGraph(gen.PowerLaw(6000, 40000, 2.3, 1))
-	programs := []struct{ name, text string }{
+	benchmarkPrograms(b, []struct{ name, text string }{
 		{"pagerank", qPageRank},
 		{"sssp", `SSSP(x;y:int) :- Edge("0",x); y=1.
 SSSP(x;y:int)* :- Edge(w,x),SSSP(w); y=<<MIN(w)>>+1.`},
-	}
+	})
+}
+
+// BenchmarkPatterns times three loop-nest shapes on the same graph: the
+// triangle count (a count tail), L31 (a fold over a child bag) and a
+// distinct count whose child bag ends in an existence tail.
+func BenchmarkPatterns(b *testing.B) {
+	benchmarkPrograms(b, []struct{ name, text string }{
+		{"triangle", `TC(;w:long) :- Edge(x,y),Edge(y,z),Edge(x,z); w=<<COUNT(*)>>.`},
+		{"l31", `L31(;c:long) :- Edge(x,y),Edge(y,z),Edge(x,z),Edge(x,w); c=<<COUNT(*)>>.`},
+		{"distinct_exists", `D(;w:long) :- Edge(x,y),Edge(y,z); w=<<COUNT(x)>>.`},
+	})
+}
+
+// benchmarkPrograms runs each program at Parallelism 1 and 2 on
+// gen.PowerLaw(6000, 40000, 2.3, 1).
+func benchmarkPrograms(b *testing.B, programs []struct{ name, text string }) {
+	db := dbWithGraph(gen.PowerLaw(6000, 40000, 2.3, 1))
 	for _, q := range programs {
 		for _, par := range []int{1, 2} {
 			b.Run(fmt.Sprintf("%s/par%d", q.name, par), func(b *testing.B) {

@@ -231,7 +231,7 @@ func improvements(head []*trie.Trie, res *trie.Trie, op semiring.Op) *trie.Trie 
 	res.ForEachTuple(func(tp []uint32, ann float64) {
 		old, ok := 0.0, false
 		for i := len(head) - 1; i >= 0 && !ok; i-- {
-			old, ok = annOf(head[i], tp)
+			old, ok = head[i].Lookup(tp)
 		}
 		if !ok || op.Better(ann, old) {
 			b.AddAnn(ann, tp...)
@@ -243,20 +243,6 @@ func improvements(head []*trie.Trie, res *trie.Trie, op semiring.Op) *trie.Trie 
 	return b.Build()
 }
 
-// annOf returns tuple tp's annotation in t and whether t holds tp.
-func annOf(t *trie.Trie, tp []uint32) (float64, bool) {
-	if t.Arity == 0 {
-		return t.Scalar, true
-	}
-	n := t.Root
-	for _, v := range tp[:len(tp)-1] {
-		if n = n.Child(v); n == nil {
-			return 0, false
-		}
-	}
-	return n.AnnOf(tp[len(tp)-1], t.Op)
-}
-
 // triesEqual compares two tries tuple-by-tuple with exact annotations.
 func triesEqual(a, b *trie.Trie) bool {
 	if a.Arity != b.Arity || a.Cardinality() != b.Cardinality() {
@@ -265,7 +251,7 @@ func triesEqual(a, b *trie.Trie) bool {
 	equal := true
 	a.ForEachTuple(func(tp []uint32, ann float64) {
 		if equal {
-			bAnn, ok := annOf(b, tp)
+			bAnn, ok := b.Lookup(tp)
 			equal = ok && (ann == bAnn || math.IsNaN(ann) && math.IsNaN(bAnn))
 		}
 	})

@@ -10,8 +10,11 @@ import "emptyheaded/internal/set"
 //
 // Counters are plain ints per worker (no atomics; a fold tail adds its
 // own once per call), folded into the bag's BagStats once the pool
-// drains. Vector participants (see vectorAtoms) join no intersection:
-// they add no input cardinality, and a value one lacks is a skip.
+// drains. A level's candidates lie in every set it intersects, so a rank
+// lookup cannot miss: only vector participants (see vectorAtoms) skip.
+// They join no intersection, add no input cardinality, and a value one
+// lacks is a skip. An existence tail books no probes, and its first
+// level's intersection once, where its caller makes it.
 
 // LevelStats aggregates the set-kernel activity of one loop-nest level.
 type LevelStats struct {
@@ -27,8 +30,8 @@ type LevelStats struct {
 	InputCard  int64 `json:"input_card"`
 	OutputCard int64 `json:"output_card"`
 	// Probes counts candidate values iterated at this level; Skipped
-	// counts probes rejected because an atom lacked the value (a rank
-	// miss during descent, or a vector's bit test).
+	// counts probes rejected because a vector lacked the value (its
+	// support bit test): intersected atoms hold every candidate.
 	Probes  int64 `json:"probes"`
 	Skipped int64 `json:"skipped"`
 	// Kernel counts pairwise set-kernel dispatches at this level by route
@@ -92,7 +95,7 @@ func (st *ExecStats) TotalEmitted() int64 {
 func (w *worker) noteIntersect(lvl int, out int) {
 	l := &w.lc[lvl]
 	l.Intersections++
-	for _, r := range w.ex.perLevel[lvl] {
+	for _, r := range w.ex.levels[lvl].refs {
 		l.InputCard += int64(w.levelSet(r).Card())
 	}
 	l.OutputCard += int64(out)

@@ -122,28 +122,30 @@ func countLeaves(n *Node, depth int) int {
 	return total
 }
 
-// Contains reports whether the relation holds the full tuple. Cost is
-// one rank probe per level; the streaming-update path uses it to
-// maintain merged cardinalities incrementally instead of re-walking the
-// merged trie after every batch.
-func (t *Trie) Contains(tuple []uint32) bool {
-	if t == nil || t.Root == nil || len(tuple) != t.Arity || t.Arity == 0 {
-		return false
+// Lookup returns the full tuple's annotation (the op's One when the trie
+// is un-annotated, Scalar at arity 0) and whether the relation holds it;
+// a tuple of the wrong length is absent. Cost is one rank probe per level.
+func (t *Trie) Lookup(tuple []uint32) (ann float64, ok bool) {
+	if t == nil || len(tuple) != t.Arity {
+		return 0, false
+	}
+	if t.Arity == 0 {
+		return t.Scalar, true
 	}
 	n := t.Root
-	last := len(tuple) - 1
-	for level, v := range tuple {
-		if n == nil {
-			return false
-		}
-		if level == last {
-			_, ok := n.Set.Rank(v)
-			return ok
-		}
+	for _, v := range tuple[:len(tuple)-1] {
 		n = n.Child(v)
 	}
-	return false
+	if n == nil {
+		return 0, false
+	}
+	return n.AnnOf(tuple[len(tuple)-1], t.Op)
 }
+
+// Contains reports whether the relation holds the full tuple; the
+// streaming-update path uses it to maintain merged cardinalities
+// incrementally instead of re-walking the merged trie after every batch.
+func (t *Trie) Contains(tuple []uint32) bool { _, ok := t.Lookup(tuple); return ok }
 
 // MemBytes estimates the trie payload size (sets + annotations + child
 // pointers), used by the layout experiments.

@@ -82,6 +82,57 @@ func TestScalarTrie(t *testing.T) {
 	}
 }
 
+// Lookup answers a full tuple's annotation and membership at every
+// arity, annotated or not, and Contains agrees with it.
+func TestLookup(t *testing.T) {
+	build := func(op semiring.Op, arity int, rows map[float64][]uint32) *Trie {
+		b := NewColumnarBuilder(arity, op, nil)
+		for ann, tp := range rows {
+			if op == semiring.None {
+				b.Add(tp...)
+			} else {
+				b.AddAnn(ann, tp...)
+			}
+		}
+		return b.Build()
+	}
+	scalar := NewScalar(42, semiring.Sum)
+	ann1 := build(semiring.Min, 1, map[float64][]uint32{4: {7}, 9: {3}})
+	plain1 := build(semiring.None, 1, map[float64][]uint32{1: {7}, 2: {3}})
+	ann2 := build(semiring.Sum, 2, map[float64][]uint32{1.7: {0, 4}, 3.8: {1, 0}, 9.5: {0, 3}})
+	plain2 := build(semiring.None, 2, map[float64][]uint32{1: {0, 4}, 2: {1, 0}})
+	one := semiring.None.One()
+	cases := []struct {
+		name  string
+		tr    *Trie
+		tuple []uint32
+		ann   float64
+		ok    bool
+	}{
+		{"arity0", scalar, nil, 42, true},
+		{"arity0_wrong_length", scalar, []uint32{1}, 0, false},
+		{"arity1_annotated", ann1, []uint32{7}, 4, true},
+		{"arity1_annotated_absent", ann1, []uint32{5}, 0, false},
+		{"arity1_plain", plain1, []uint32{3}, one, true},
+		{"arity1_plain_absent", plain1, []uint32{4}, 0, false},
+		{"arity2_annotated", ann2, []uint32{0, 3}, 9.5, true},
+		{"arity2_plain", plain2, []uint32{1, 0}, one, true},
+		{"arity2_absent_prefix", ann2, []uint32{5, 3}, 0, false},
+		{"arity2_absent_leaf", ann2, []uint32{0, 5}, 0, false},
+		{"arity2_plain_absent_leaf", plain2, []uint32{0, 3}, 0, false},
+		{"arity2_wrong_length", ann2, []uint32{0}, 0, false},
+	}
+	for _, c := range cases {
+		ann, ok := c.tr.Lookup(c.tuple)
+		if ann != c.ann || ok != c.ok {
+			t.Errorf("%s: Lookup(%v) = %v, %v; want %v, %v", c.name, c.tuple, ann, ok, c.ann, c.ok)
+		}
+		if got := c.tr.Contains(c.tuple); got != c.ok {
+			t.Errorf("%s: Contains(%v) = %v, want %v", c.name, c.tuple, got, c.ok)
+		}
+	}
+}
+
 func TestForEachTupleOrder(t *testing.T) {
 	b := NewColumnarBuilder(3, semiring.None, nil)
 	tuples := [][]uint32{{2, 1, 1}, {0, 0, 0}, {0, 1, 5}, {0, 1, 2}, {2, 0, 9}}
