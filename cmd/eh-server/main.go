@@ -70,7 +70,6 @@ func main() {
 	compactMin := flag.Int("compact-min", core.DefaultCompactMin, "minimum overlay rows before compaction is considered")
 	workers := flag.Int("workers", 0, "max concurrently executing queries (0 = GOMAXPROCS)")
 	queueWait := flag.Duration("queue-wait", 2*time.Second, "max time a request waits for a worker slot")
-	planCache := flag.Int("plan-cache", 256, "plan cache entries")
 	resultCache := flag.Int("result-cache", 128, "result cache entries")
 	queryDeadline := flag.Duration("query-deadline", 30*time.Second, "per-request wall-clock deadline: queries past it get 504 (0 = none)")
 	breakerThreshold := flag.Int("breaker-threshold", 0, "consecutive durability failures before entering read-only degraded mode (0 = default 3, <0 disables)")
@@ -114,7 +113,6 @@ func main() {
 	s := server.New(eng, server.Config{
 		Workers:            *workers,
 		QueueWait:          *queueWait,
-		PlanCacheSize:      *planCache,
 		ResultCacheSize:    *resultCache,
 		DataDir:            *dataDir,
 		SlowQueryThreshold: time.Duration(*slowQueryMS) * time.Millisecond,

@@ -8,8 +8,6 @@ package core
 import (
 	"fmt"
 	"io"
-	"reflect"
-	"slices"
 	"sync"
 
 	"emptyheaded/internal/datalog"
@@ -48,30 +46,9 @@ type Engine struct {
 	// order is the apply order, which is what makes replay
 	// deterministic.
 	upd updState
-	// memo holds the plans of the query texts Run saw last (see prepared).
-	memo planMemo
-}
-
-// planMemoSize bounds the plan memo: an embedder loops over a handful of
-// query texts, and one that falls out is just planned again.
-const planMemoSize = 16
-
-// planMemo holds Run's last preparations by exact query text, first in
-// first out. No load, update or restore touches it: what a plan takes
-// from the database is checked each time it is bound to one (see
-// exec.Prepared).
-type planMemo struct {
-	mu    sync.Mutex
-	next  int
-	plans [planMemoSize]*memoPlan
-}
-
-// memoPlan is a preparation and the options it bakes in — Opts is a
-// public field an embedder may change between calls.
-type memoPlan struct {
-	text string
-	opts exec.Options
-	prep *exec.Prepared
+	// plans is the engine's one plan cache: Run, RunAnalyze and a query
+	// server over this engine resolve every text through it.
+	plans *exec.PlanCache
 }
 
 // New returns an engine with the full optimizer enabled.
@@ -79,6 +56,7 @@ func New() *Engine {
 	e := &Engine{
 		DB:        exec.NewDB(),
 		lastSnaps: map[string]*storage.Catalog{},
+		plans:     exec.NewPlanCache(),
 	}
 	e.upd.deltas = map[string]*relDelta{}
 	e.upd.watermarks = map[string]uint64{}
@@ -192,51 +170,11 @@ func (e *Engine) Alias(alias, target string) error {
 	return nil
 }
 
-// Run parses and executes a datalog program, returning the result of its
-// final rule group. Intermediate head relations stay registered in the
-// database.
+// Run executes a datalog program, returning the result of its final rule
+// group under the program's own variable names. Intermediate head
+// relations stay registered in the database.
 func (e *Engine) Run(query string) (*exec.Result, error) {
-	pr, err := e.prepared(query)
-	if err != nil {
-		return nil, err
-	}
-	return pr.Run(e.DB)
-}
-
-// prepared returns the preparation of query, parsing and planning only
-// when the memo has none under the current options. A hit plans nothing,
-// for any program shape: every rule's plan, the starred rule of a
-// recursion included, is derived once per preparation.
-func (e *Engine) prepared(query string) (*exec.Prepared, error) {
-	// LayoutName stands for Layout, as in the relation index cache.
-	opts := e.Opts
-	opts.Layout, opts.LayoutName = nil, e.layoutName()
-	m := &e.memo
-	m.mu.Lock()
-	for _, p := range m.plans {
-		if p != nil && p.text == query && reflect.DeepEqual(p.opts, opts) {
-			m.mu.Unlock()
-			return p.prep, nil
-		}
-	}
-	m.mu.Unlock()
-
-	prog, err := datalog.Parse(query)
-	if err != nil {
-		return nil, err
-	}
-	prep, err := exec.Prepare(e.DB, prog, e.Opts)
-	if err != nil {
-		return nil, err
-	}
-	m.mu.Lock()
-	slot := slices.IndexFunc(m.plans[:], func(q *memoPlan) bool { return q != nil && q.text == query })
-	if slot < 0 {
-		slot, m.next = m.next, (m.next+1)%planMemoSize
-	}
-	m.plans[slot] = &memoPlan{text: query, opts: opts, prep: prep}
-	m.mu.Unlock()
-	return prep, nil
+	return e.run(query, exec.RunParams{})
 }
 
 // RunAnalyze executes a query with the EXPLAIN ANALYZE counters enabled
@@ -245,11 +183,7 @@ func (e *Engine) prepared(query string) (*exec.Prepared, error) {
 // exec.Plan.ExplainAnalyze). The counters describe one plan's bags:
 // multi-rule and recursive programs return an empty annotation.
 func (e *Engine) RunAnalyze(query string) (*exec.Result, string, error) {
-	pr, err := e.prepared(query)
-	if err != nil {
-		return nil, "", err
-	}
-	res, err := pr.RunWith(e.DB, exec.RunParams{Collect: true})
+	res, err := e.run(query, exec.RunParams{Collect: true})
 	if err != nil {
 		return nil, "", err
 	}
@@ -259,6 +193,41 @@ func (e *Engine) RunAnalyze(query string) (*exec.Result, string, error) {
 	}
 	return res, text, nil
 }
+
+// run executes query's cached preparation against the database and
+// relabels the result's attributes with query's spelling: the plan may
+// have been prepared for an alpha-renamed one.
+func (e *Engine) run(query string, rp exec.RunParams) (*exec.Result, error) {
+	lk, err := e.prepared(query)
+	if err != nil {
+		return nil, err
+	}
+	res, err := lk.Plan.Prep.RunWith(e.DB, rp)
+	if err != nil {
+		return nil, err
+	}
+	res.Attrs = lk.Alias.Label(lk.Plan.Canon(res.Attrs))
+	return res, nil
+}
+
+// prepared resolves query through the plan cache, parsing and planning
+// only when the cache has no plan for it under the current options. A hit
+// plans nothing, for any program shape: every rule's plan, the starred
+// rule of a recursion included, is derived once per preparation.
+func (e *Engine) prepared(query string) (exec.PlanLookup, error) {
+	lk := e.plans.Lookup(query, e.Opts)
+	if lk.Plan != nil {
+		return lk, nil
+	}
+	prog, err := datalog.Parse(query)
+	if err != nil {
+		return lk, err
+	}
+	return lk, e.plans.Prepare(e.DB, query, prog, e.Opts, &lk)
+}
+
+// Plans returns the engine's plan cache.
+func (e *Engine) Plans() *exec.PlanCache { return e.plans }
 
 // RunIsolated executes an already parsed program against a fork of the
 // database: intermediate and final head relations stay session-local, so

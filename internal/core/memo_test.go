@@ -15,13 +15,13 @@ import (
 	"emptyheaded/internal/trie"
 )
 
-// Engine.Run memoises plans by query text, and no data event drops one: a
-// plan looks every relation up at run time, so what it could get wrong is
-// what it bakes in — selection constants as dictionary codes, each atom's
-// arity and annotation, and the options. The first two are checked where
-// a plan is bound to the database (exec.Plan.Clone), the options by the
-// memo. The tests below change exactly those under a memoised text and
-// hold Run to RunIsolated, which always plans afresh.
+// Engine.Run keeps plans in the engine's plan cache, and no data event
+// drops one: a plan looks every relation up at run time, so what it could
+// get wrong is what it bakes in — selection constants as dictionary codes,
+// each atom's arity and annotation, and the options. The first two are
+// checked where a plan is bound to the database (exec.Plan.Clone), the
+// options by the cache. The tests below change exactly those under a
+// cached text and hold Run to RunIsolated, which always plans afresh.
 
 // resultKey renders an outcome — rows, scalar or error — for comparison.
 func resultKey(res *exec.Result, err error) string {
@@ -46,7 +46,7 @@ func checkRun(t *testing.T, e *Engine, text, when string) {
 }
 
 // checkRunLimit is checkRun under a listing row budget. A budget goes to
-// each run (exec.RunParams), never into a plan: the memoised preparation
+// each run (exec.RunParams), never into a plan: the cached preparation
 // runs with it against a preparation made afresh on a fork.
 func checkRunLimit(t *testing.T, e *Engine, text string, limit int, when string) {
 	t.Helper()
@@ -66,10 +66,10 @@ func checkRunLimit(t *testing.T, e *Engine, text string, limit int, when string)
 		} else {
 			want = resultKey(fresh.RunWith(fork, rp))
 		}
-		if pr, err := e.prepared(text); err != nil {
+		if lk, err := e.prepared(text); err != nil {
 			got = resultKey(nil, err)
 		} else {
-			got = resultKey(pr.RunWith(e.DB, rp))
+			got = resultKey(lk.Plan.Prep.RunWith(e.DB, rp))
 		}
 	}
 	if got != want {
@@ -77,14 +77,14 @@ func checkRunLimit(t *testing.T, e *Engine, text string, limit int, when string)
 	}
 }
 
-// mustPrepared is the memo lookup Run makes.
+// mustPrepared is the plan-cache lookup Run makes.
 func mustPrepared(t *testing.T, e *Engine, text string) *exec.Prepared {
 	t.Helper()
-	pr, err := e.prepared(text)
+	lk, err := e.prepared(text)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return pr
+	return lk.Plan.Prep
 }
 
 const memoTriangle = `TC(;w:long) :- Edge(x,y),Edge(y,z),Edge(x,z); w=<<COUNT(*)>>.`
@@ -99,7 +99,7 @@ func triangleEdges(t *testing.T, e *Engine) {
 }
 
 // TestRunMemoHitsAndInvalidation pins down, one event at a time, what
-// keeps a memoised plan — every data event — and what drops it: an option
+// keeps a cached plan — every data event — and what drops it: an option
 // a plan bakes in.
 func TestRunMemoHitsAndInvalidation(t *testing.T) {
 	e := New()
@@ -159,6 +159,9 @@ func TestRunMemoHitsAndInvalidation(t *testing.T) {
 		change()
 		fresh("after an option a plan bakes in changed")
 	}
+	if st := e.Plans().Stats(); st.Size != 1 {
+		t.Fatalf("%d cached plans for one text after option changes, want its entry replaced", st.Size)
+	}
 
 	dir := t.TempDir()
 	if _, err := e.Snapshot(dir); err != nil {
@@ -172,7 +175,7 @@ func TestRunMemoHitsAndInvalidation(t *testing.T) {
 }
 
 // TestRunMemoKeepsRecursivePrograms: multi-rule and recursive texts are
-// memoised like any other — the second Run parses and prepares nothing
+// cached like any other — the second Run parses and prepares nothing
 // (exec's TestPreparedDerivesEachRuleOnce shows a kept preparation plans
 // nothing either), across an update of the relation every rule reads.
 func TestRunMemoKeepsRecursivePrograms(t *testing.T) {
@@ -210,7 +213,7 @@ func TestRunMemoOwnHead(t *testing.T) {
 }
 
 // TestRunMemoConstantEntersDictionary: a selection constant missing from
-// the dictionary is an error, not a memo entry; once a load brings it in
+// the dictionary is an error, not a cache entry; once a load brings it in
 // the same text answers, and under the new codes.
 func TestRunMemoConstantEntersDictionary(t *testing.T) {
 	e := New()
@@ -250,7 +253,7 @@ func TestRunMemoConstantEntersDictionary(t *testing.T) {
 }
 
 // TestRunMemoForeignRestore: a snapshot written by another engine brings
-// another dictionary under a memoised selection — the kept plan must
+// another dictionary under a cached selection — the kept plan must
 // answer under the restored codes.
 func TestRunMemoForeignRestore(t *testing.T) {
 	const text = `Nb(y) :- Edge("7",y).`
@@ -272,31 +275,37 @@ func TestRunMemoForeignRestore(t *testing.T) {
 	checkRun(t, a, text, "after restoring another engine's snapshot")
 }
 
-// TestRunMemoEvicts: the memo holds planMemoSize texts; one more pushes
-// the oldest out, and that text is simply planned again.
+// TestRunMemoEvicts: the plan cache holds its capacity in fingerprints;
+// one more pushes the least recently used out, and that text is simply
+// planned again.
 func TestRunMemoEvicts(t *testing.T) {
 	e := New()
 	triangleEdges(t, e)
 	text := func(i int) string {
 		return fmt.Sprintf(`T%d(;w:long) :- Edge(x,y),Edge(y,z),Edge(x,z); w=<<COUNT(*)>>.`, i)
 	}
+	n := e.Plans().Stats().Capacity
 	first := mustPrepared(t, e, text(0))
-	for i := 1; i < planMemoSize; i++ {
+	second := mustPrepared(t, e, text(1))
+	for i := 2; i < n; i++ {
 		mustPrepared(t, e, text(i))
 	}
 	if mustPrepared(t, e, text(0)) != first {
-		t.Fatalf("%d texts do not fit the memo", planMemoSize)
+		t.Fatalf("%d texts do not fit the cache", n)
 	}
-	mustPrepared(t, e, text(planMemoSize))
-	if mustPrepared(t, e, text(0)) == first {
-		t.Fatal("the oldest text survived an overflow")
+	mustPrepared(t, e, text(n))
+	if mustPrepared(t, e, text(0)) != first {
+		t.Fatal("the most recently used text was evicted")
 	}
-	for i := 0; i <= planMemoSize; i++ {
+	if mustPrepared(t, e, text(1)) == second {
+		t.Fatal("the least recently used text survived an overflow")
+	}
+	for i := 0; i <= n; i++ {
 		checkRun(t, e, text(i), "after the overflow")
 	}
 }
 
-// TestRunMemoConcurrent runs more distinct texts than the memo holds from
+// TestRunMemoConcurrent runs more distinct texts than the cache holds from
 // as many goroutines, beside a loader that keeps replacing Edge with the
 // same edges; run it under -race.
 func TestRunMemoConcurrent(t *testing.T) {
@@ -317,7 +326,7 @@ func TestRunMemoConcurrent(t *testing.T) {
 		}
 	}()
 	var runners sync.WaitGroup
-	for g := 0; g < planMemoSize+4; g++ {
+	for g := 0; g < e.Plans().Stats().Capacity+4; g++ {
 		runners.Add(1)
 		go func(g int) {
 			defer runners.Done()
@@ -337,7 +346,7 @@ func TestRunMemoConcurrent(t *testing.T) {
 }
 
 // TestRunMemoDifferential drives one engine through a seeded history of
-// everything that can change under a memoised text — loads that swap the
+// everything that can change under a cached text — loads that swap the
 // dictionary, relations replaced with another arity or annotation,
 // inserts, deletes, compactions, aliases, snapshot and restore, option
 // changes — and holds every Run to a fresh plan.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -313,4 +314,159 @@ func TestDifferentialRandomQueries(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestDifferentialBagDedup holds redundant-bag elimination (App. B.2) to
+// NoBagDedup and to a brute-force count over adjacency lists: a bag may
+// reuse another's result only when both read the same relations at the
+// same argument positions with the same constants, and produce the same
+// output levels from the same children under the same aggregation. Bags
+// that differ in a constant (AT with two anchors), in their output shape
+// (the 3-walk M; Q's Edge(d,a) and Edge(d,b), whose second level only one
+// outputs) or in their children (Q's Edge(e,c) and Edge(e,a), of which
+// one joins the other's result) must not share a result; the barbell's
+// two triangles and AT's two selections on one anchor still do.
+func TestDifferentialBagDedup(t *testing.T) {
+	g := testGraph(200, 1500, 11)
+	db := dbWithGraph(g)
+	walks3 := func(f func(x, y, z, u uint32)) {
+		for x := range g.Adj {
+			for _, y := range g.Adj[x] {
+				for _, z := range g.Adj[y] {
+					for _, u := range g.Adj[z] {
+						f(uint32(x), y, z, u)
+					}
+				}
+			}
+		}
+	}
+	anchored := func(a, b uint32, f func(y, z uint32)) {
+		for _, y := range g.Adj[a] {
+			for _, z := range g.Adj[y] {
+				if hasEdge(g, b, z) {
+					f(y, z)
+				}
+			}
+		}
+	}
+	triangles := func(x uint32) float64 {
+		n := 0.0
+		anchored(x, x, func(_, _ uint32) { n++ })
+		return n
+	}
+	for _, tc := range []struct {
+		name, query string
+		reused      bool // EXPLAIN shows a reused bag result
+		want        func(add func(w float64, key ...uint32))
+	}{
+		{"anchors_count", `AT(;c:long) :- Edge("5",y),Edge(y,z),Edge("7",z); c=<<COUNT(*)>>.`, false,
+			func(add func(float64, ...uint32)) { anchored(5, 7, func(_, _ uint32) { add(1) }) }},
+		{"anchors_listing", `AT(y,z) :- Edge("5",y),Edge(y,z),Edge("7",z).`, false,
+			func(add func(float64, ...uint32)) { anchored(5, 7, func(y, z uint32) { add(0, y, z) }) }},
+		{"anchors_grouped", `AT(z;c:long) :- Edge("5",y),Edge(y,z),Edge("7",z); c=<<COUNT(*)>>.`, false,
+			func(add func(float64, ...uint32)) { anchored(5, 7, func(_, z uint32) { add(1, z) }) }},
+		{"anchor_repeated", `AT(;c:long) :- Edge("5",y),Edge(y,z),Edge("5",z); c=<<COUNT(*)>>.`, true,
+			func(add func(float64, ...uint32)) { anchored(5, 5, func(_, _ uint32) { add(1) }) }},
+		{"walk3_by_first", `M(x;w:long) :- Edge(x,y),Edge(y,z),Edge(z,u); w=<<COUNT(*)>>.`, false,
+			func(add func(float64, ...uint32)) { walks3(func(x, _, _, _ uint32) { add(1, x) }) }},
+		{"walk3_by_last", `M(u;w:long) :- Edge(x,y),Edge(y,z),Edge(z,u); w=<<COUNT(*)>>.`, false,
+			func(add func(float64, ...uint32)) { walks3(func(_, _, _, u uint32) { add(1, u) }) }},
+		{"same_atoms_other_output", `Q(c,d;w:long) :- Edge(d,a),Edge(d,b),Edge(a,c); w=<<COUNT(*)>>.`, false,
+			func(add func(float64, ...uint32)) {
+				for d := range g.Adj {
+					for _, a := range g.Adj[d] {
+						for _, c := range g.Adj[a] {
+							add(float64(len(g.Adj[d])), c, uint32(d))
+						}
+					}
+				}
+			}},
+		{"same_atoms_other_child", `Q(e;w:long) :- Edge(e,c),Edge("5",e),Edge(e,a); w=<<COUNT(*)>>.`, false,
+			func(add func(float64, ...uint32)) {
+				for _, e := range g.Adj[5] {
+					add(float64(len(g.Adj[e])*len(g.Adj[e])), e)
+				}
+			}},
+		{"barbell", `B31(;c:long) :- Edge(x,y),Edge(y,z),Edge(x,z),Edge(x,x2),Edge(x2,y2),Edge(y2,z2),Edge(x2,z2); c=<<COUNT(*)>>.`, true,
+			func(add func(float64, ...uint32)) {
+				for x := range g.Adj {
+					for _, x2 := range g.Adj[x] {
+						add(triangles(uint32(x)) * triangles(x2))
+					}
+				}
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// A listing's tuples carry no count: add with w = 0 marks one.
+			want := map[string]float64{}
+			tc.want(func(w float64, key ...uint32) { want[fmt.Sprint(key)] += w })
+			rows := func(opts Options) map[string]float64 {
+				t.Helper()
+				res, err := runWith(t, db, tc.query, opts, RunParams{})
+				if err != nil {
+					t.Fatalf("NoBagDedup=%v: %v", opts.NoBagDedup, err)
+				}
+				got := map[string]float64{}
+				if res.Trie.Arity == 0 {
+					got["[]"] = res.Scalar()
+				} else {
+					// Rows are keyed in head order; a result's attributes
+					// follow the plan's attribute order.
+					head := mustParse(t, tc.query).Rules[0].Head.Vars
+					res.ForEach(func(tp []uint32, ann float64) {
+						key := make([]uint32, len(tp))
+						for i, a := range res.Attrs {
+							key[slices.Index(head, a)] = tp[i]
+						}
+						got[fmt.Sprint(key)] = ann
+					})
+				}
+				if !strings.Contains(tc.query, "<<") {
+					for k := range got {
+						got[k] = 0
+					}
+				}
+				return got
+			}
+			dedup, plain := rows(OptDefault), rows(Options{NoBagDedup: true})
+			if len(want) == 0 {
+				t.Fatal("the brute force finds nothing: the row checks nothing")
+			}
+			for _, side := range []struct {
+				name string
+				rows map[string]float64
+			}{{"NoBagDedup", plain}, {"brute force", want}} {
+				if fmt.Sprint(dedup) != fmt.Sprint(side.rows) {
+					t.Fatalf("%d rows with dedup, %d from %s; first difference %s", len(dedup), len(side.rows), side.name, firstDiff(dedup, side.rows))
+				}
+			}
+			p, err := Compile(db, mustParse(t, tc.query).Rules[0], OptDefault)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := strings.Contains(p.Explain(), "result reused"); got != tc.reused {
+				t.Fatalf("a bag result reused: %v, want %v\n%s", got, tc.reused, p.Explain())
+			}
+		})
+	}
+}
+
+// firstDiff names the smallest key on which two row maps disagree.
+func firstDiff(a, b map[string]float64) string {
+	var keys []string
+	for k := range a {
+		keys = append(keys, k)
+	}
+	for k := range b {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
+		va, oka := a[k]
+		vb, okb := b[k]
+		if va != vb || oka != okb {
+			return fmt.Sprintf("%s: %g (%v) vs %g (%v)", k, va, oka, vb, okb)
+		}
+	}
+	return "none"
 }

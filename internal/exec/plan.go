@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 	"sync/atomic"
 
 	"emptyheaded/internal/datalog"
@@ -286,8 +287,9 @@ func Compile(db *DB, rule *datalog.Rule, opts Options) (*Plan, error) {
 			ca.SemijoinOnly = spanning
 			bp.Atoms = append(bp.Atoms, ca)
 		}
+		p.finishLevels(bp)
 		// Redundant-bag elimination (App. B.2).
-		bp.signature = g.EquivalentSignature(b)
+		bp.signature = bp.sign()
 		if !opts.NoBagDedup {
 			if prev, ok := sigs[bp.signature]; ok {
 				bp.DedupOf = prev
@@ -295,7 +297,6 @@ func Compile(db *DB, rule *datalog.Rule, opts Options) (*Plan, error) {
 				sigs[bp.signature] = bp.ID
 			}
 		}
-		p.finishLevels(bp)
 		return bp, nil
 	}
 	root, err := build(g.Root, nil)
@@ -315,6 +316,31 @@ func Compile(db *DB, rule *datalog.Rule, opts Options) (*Plan, error) {
 		p.Assembly = p.assemblyPlan(root, rule.Head.Vars, order, spanning)
 	}
 	return p, nil
+}
+
+// sign renders everything a bag's result depends on, with variables named
+// by their loop-nest level: per atom its relation (a child result by the
+// child's signature), argument positions, selection constants and levels;
+// the output levels, AggVarLevel and ExistsFrom. Two bags of one plan with
+// equal signatures produce the same result trie (App. B.2).
+func (bp *BagPlan) sign() string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "%v %d %d", bp.Out, bp.AggVarLevel, bp.ExistsFrom)
+	for _, a := range bp.Atoms {
+		rel := a.Rel
+		if a.child != nil {
+			rel = "{" + a.child.signature + "}"
+		}
+		fmt.Fprintf(&sb, " %s%v%t", rel, a.Perm, a.SemijoinOnly)
+		for i, v := range a.Attrs {
+			if v == "" {
+				fmt.Fprintf(&sb, " %+v", *a.consts[i].src) // constants lead: level i holds consts[i]
+			} else {
+				fmt.Fprintf(&sb, " %d", slices.Index(bp.Attrs, v))
+			}
+		}
+	}
+	return sb.String()
 }
 
 // sameAttrSet reports whether a and b are as long and a holds every

@@ -397,39 +397,6 @@ func (g *GHD) AttributeOrder(selected map[string]bool) []string {
 	return order
 }
 
-// EquivalentSignature returns a canonical signature of a bag's subtree:
-// two bags with equal signatures join identical relations with identical
-// sub-results and produce identical output (Appendix B.2 "Eliminating
-// Redundant Work"). Variable names are canonicalized positionally.
-func (g *GHD) EquivalentSignature(b *Bag) string {
-	rename := map[string]string{}
-	next := 0
-	var canon func(b *Bag) string
-	canon = func(b *Bag) string {
-		var parts []string
-		for _, ei := range b.Edges {
-			e := g.H.Edges[ei]
-			vs := make([]string, len(e.Vars))
-			for i, v := range e.Vars {
-				if _, ok := rename[v]; !ok {
-					rename[v] = fmt.Sprintf("v%d", next)
-					next++
-				}
-				vs[i] = rename[v]
-			}
-			parts = append(parts, e.Rel+"("+strings.Join(vs, ",")+")")
-		}
-		sort.Strings(parts)
-		var kids []string
-		for _, c := range b.Children {
-			kids = append(kids, canon(c))
-		}
-		sort.Strings(kids)
-		return strings.Join(parts, ",") + "{" + strings.Join(kids, ";") + "}"
-	}
-	return canon(b)
-}
-
 // String renders the GHD, one bag per line, for debugging and tests.
 func (g *GHD) String() string {
 	var sb strings.Builder

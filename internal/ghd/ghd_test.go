@@ -119,31 +119,6 @@ func TestBarbellGHD(t *testing.T) {
 	}
 }
 
-func TestBarbellRedundantBags(t *testing.T) {
-	// The two triangle bags of the Barbell GHD are equivalent
-	// (Appendix B.2): same relations, same structure.
-	g := Decompose(barbellH(), Options{})
-	var triBags []*Bag
-	var visit func(b *Bag)
-	visit = func(b *Bag) {
-		if len(b.Edges) == 3 {
-			triBags = append(triBags, b)
-		}
-		for _, c := range b.Children {
-			visit(c)
-		}
-	}
-	visit(g.Root)
-	if len(triBags) != 2 {
-		t.Fatalf("found %d triangle bags, want 2\n%s", len(triBags), g)
-	}
-	s0 := g.EquivalentSignature(triBags[0])
-	s1 := g.EquivalentSignature(triBags[1])
-	if s0 != s1 {
-		t.Fatalf("triangle bags not detected equivalent:\n%s\n%s", s0, s1)
-	}
-}
-
 func TestAttributeOrderPreOrder(t *testing.T) {
 	g := Decompose(lollipopH(), Options{})
 	order := g.AttributeOrder(nil)

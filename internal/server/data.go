@@ -305,6 +305,6 @@ func (s *Server) restore(_ context.Context, req *SnapshotRequest, _ *obs.Request
 	// New generation first (strands in-flight cache fills), then drop the
 	// old generation's entries wholesale.
 	s.gen.Add(1)
-	s.results.purge()
+	s.results.Purge()
 	return catalogReply(dir, cat), nil
 }

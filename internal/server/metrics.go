@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"emptyheaded/internal/exec"
 	"emptyheaded/internal/obs"
 )
 
@@ -60,7 +61,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(&sb, "emptyheaded_request_latency_us{endpoint=%q,quantile=\"1.0\"} %g\n", p, ep.MaxUS)
 	}
 
-	cache := func(prefix string, cs CacheStats) {
+	cache := func(prefix string, cs exec.CacheStats) {
 		gauge(prefix+"_size", "Entries currently cached.", float64(cs.Size))
 		gauge(prefix+"_capacity", "Cache capacity.", float64(cs.Capacity))
 		counter(prefix+"_hits_total", "Cache hits.", cs.Hits)
@@ -140,7 +141,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	// Cache effectiveness as ready-made ratios (hits/(hits+misses); 0
 	// before any lookup), plus the workload profiler's route breakdown.
-	ratio := func(cs CacheStats) float64 {
+	ratio := func(cs exec.CacheStats) float64 {
 		if total := cs.Hits + cs.Misses; total > 0 {
 			return float64(cs.Hits) / float64(total)
 		}

@@ -101,7 +101,7 @@ func (s *Server) auditOne(ctx context.Context, key string, cr *cachedResult) (bo
 		return false, nil
 	}
 	s.audit.mismatches.Add(1)
-	s.results.remove(key)
+	s.results.Remove(key)
 	s.cfg.Events.Emit("audit_mismatch", rec.ID, map[string]any{
 		"key":                key,
 		"fingerprint":        cr.prov.Fingerprint,
@@ -137,21 +137,21 @@ func respContentEqual(a, b *QueryResponse) bool {
 func (s *Server) auditSweep(ctx context.Context, _ *struct{}, _ *obs.Request) (any, error) {
 	var checked, skippedStale, mismatches, errs int
 	var evicted []string
-	for _, ent := range s.results.entries() {
-		cr := ent.val.(*cachedResult)
+	for _, ent := range s.results.Entries() {
+		cr := ent.Val
 		if !cr.fresh(s.eng.DB) {
 			skippedStale++
 			continue
 		}
 		checked++
-		bad, err := s.auditOne(ctx, ent.key, cr)
+		bad, err := s.auditOne(ctx, ent.Key, cr)
 		if err != nil {
 			errs++
 			continue
 		}
 		if bad {
 			mismatches++
-			evicted = append(evicted, ent.key)
+			evicted = append(evicted, ent.Key)
 		}
 	}
 	return timedReply{

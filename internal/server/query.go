@@ -178,35 +178,29 @@ func (s *Server) runQuery(ctx context.Context, req *QueryRequest, limit int, rec
 }
 
 // lookup is how far one request got down the chain query text → alias →
-// plan entry → cached result. Each step is one counted get, made once
-// per request: resolve takes the steps the caches can answer, and
-// execute re-enters the chain only where resolve stopped.
+// plan → cached result. Each step is one counted get, made once per
+// request: resolve takes the steps the caches can answer, and execute
+// re-enters the chain only where resolve stopped.
 type lookup struct {
 	// gen is read before any fork: a restore in between strands this
 	// request's cache fill under the old generation (harmless), never
 	// files a pre-restore result under the new one.
-	gen     uint64
-	alias   *aliasEntry // nil: the text was never seen (or its alias aged out)
-	entry   *planEntry  // nil: no plan is cached under the alias's fingerprint
-	planHit bool        // entry came from the plan cache: this request plans nothing
-	key     string      // the result-cache key, once entry is known
+	gen uint64
+	exec.PlanLookup
+	key string // the result-cache key, once the plan is known
 }
 
-// resolve walks the chain through the caches without parsing and without
-// a worker slot, stopping at the first miss. A non-nil response is a
-// fresh cached result, served as is.
+// resolve walks the chain through the engine's plan cache and the result
+// cache without parsing and without a worker slot, stopping at the first
+// miss. A non-nil response is a fresh cached result, served as is.
 func (s *Server) resolve(req *QueryRequest, limit int, rec *obs.Request) (lookup, *QueryResponse) {
-	lk := lookup{gen: s.gen.Load()}
-	v, ok := s.plans.aliases.get(req.Query)
-	if !ok {
+	lk := lookup{gen: s.gen.Load(), PlanLookup: s.eng.Plans().Lookup(req.Query, s.eng.Opts)}
+	if lk.Alias != nil {
+		rec.Fingerprint = lk.Alias.FP
+	}
+	if lk.Plan == nil {
 		return lk, nil
 	}
-	lk.alias = v.(*aliasEntry)
-	rec.Fingerprint = lk.alias.fp
-	if v, ok = s.plans.plans.get(lk.alias.fp); !ok {
-		return lk, nil
-	}
-	lk.entry, lk.planHit = v.(*planEntry), true
 	return lk, s.cached(&lk, req, limit, rec, s.eng.DB)
 }
 
@@ -218,25 +212,24 @@ func (s *Server) resolve(req *QueryRequest, limit int, rec *obs.Request) (lookup
 // and booked into the record: route, the entry's age, and its
 // fill-time lineage — pointed at, never copied.
 func (s *Server) cached(lk *lookup, req *QueryRequest, limit int, rec *obs.Request, db *exec.DB) *QueryResponse {
-	lk.key = resultCacheKey(lk.gen, lk.entry.fp, limit, req.Columns)
+	lk.key = resultCacheKey(lk.gen, lk.Plan.FP, limit, req.Columns)
 	if req.NoCache || req.Analyze {
 		return nil
 	}
-	v, ok := s.results.get(lk.key)
+	cr, ok := s.results.Get(lk.key, nil)
 	if !ok {
 		return nil
 	}
-	cr := v.(*cachedResult)
 	if !cr.fresh(db) {
-		s.results.remove(lk.key) // some read relation (or the dict) moved on
+		s.results.Remove(lk.key) // some read relation (or the dict) moved on
 		return nil
 	}
 	rec.Annot("served", "result_cache")
 	rec.Route, rec.Cached, rec.CacheAge = obs.RouteResultHit, true, time.Since(cr.createdAt)
 	rec.Lineage = cr.prov
 	resp := cr.resp
-	resp.Attrs = mapAttrs(resp.Attrs, lk.alias.canonToClient)
-	resp.PlanCached, resp.ResultCached = lk.planHit, true
+	resp.Attrs = lk.Alias.Label(resp.Attrs)
+	resp.PlanCached, resp.ResultCached = lk.Hit, true
 	if req.Provenance {
 		resp.Provenance = rec.Provenance()
 	}
@@ -252,29 +245,9 @@ func (s *Server) prepare(query string, fork *exec.DB, lk *lookup) error {
 	if err != nil {
 		return badRequest("parse: %v", err)
 	}
-	s.plans.parses.Add(1)
-	varMap := prog.FinalVarMap()
-	fp := prog.Fingerprint()
-	// A new spelling may belong to a fingerprint whose plan is cached; a
-	// known one is here because the lookup under its fingerprint missed.
-	if lk.alias == nil {
-		if v, ok := s.plans.plans.get(fp); ok {
-			lk.entry, lk.planHit = v.(*planEntry), true
-		}
+	if err := s.eng.Plans().Prepare(fork, query, prog, s.eng.Opts, &lk.PlanLookup); err != nil {
+		return badRequest("compile: %v", err)
 	}
-	lk.alias = &aliasEntry{fp: fp, canonToClient: invert(varMap)}
-	if lk.entry == nil {
-		prep, err := exec.Prepare(fork, prog, s.eng.Opts)
-		if err != nil {
-			return badRequest("compile: %v", err)
-		}
-		lk.entry = &planEntry{
-			fp: fp, attrToCanon: varMap,
-			prep: prep, reads: prog.Relations(),
-		}
-		s.plans.plans.put(fp, lk.entry)
-	}
-	s.plans.aliases.put(query, lk.alias)
 	return nil
 }
 
@@ -286,28 +259,28 @@ func (s *Server) execute(ctx context.Context, req *QueryRequest, limit int, rec 
 	// relations + dictionary (a concurrent /load can't swap data mid
 	// query), and intermediate head relations stay session-local. The
 	// fork's per-relation epochs stamp result-cache entries; the plan
-	// needs no stamp (see planEntry).
+	// needs no stamp (see exec.PlanCache).
 	fork := s.eng.DB.Fork()
 	tr := &rec.Trace
-	if lk.entry == nil {
+	if lk.Plan == nil {
 		sp := tr.Begin("plan")
 		err := s.prepare(req.Query, fork, lk)
 		tr.End(sp)
 		if err != nil {
 			return nil, err
 		}
-		rec.Fingerprint = lk.entry.fp
+		rec.Fingerprint = lk.Plan.FP
 		if resp := s.cached(lk, req, limit, rec, fork); resp != nil {
 			return resp, nil
 		}
 	}
-	entry := lk.entry
+	entry := lk.Plan
 	rec.Route = obs.RouteMiss
-	if lk.planHit {
+	if lk.Hit {
 		rec.Route = obs.RoutePlanHit
 	}
-	relEpochs, dictEpoch := fork.EpochsWithDict(entry.reads)
-	annotReadSet(tr, entry.reads, relEpochs, dictEpoch)
+	relEpochs, dictEpoch := fork.EpochsWithDict(entry.Reads)
+	annotReadSet(tr, entry.Reads, relEpochs, dictEpoch)
 
 	// Push the response limit into execution with one row of headroom.
 	// For all-output listings the budget counts distinct tuples, so a
@@ -317,7 +290,7 @@ func (s *Server) execute(ctx context.Context, req *QueryRequest, limit int, rec 
 	// other non-listing shapes run to completion. Kernel counters are
 	// collected for Analyze requests only: their plan is the one reader.
 	sp := tr.Begin("execute")
-	res, err := entry.prep.RunWith(fork, exec.RunParams{
+	res, err := entry.Prep.RunWith(fork, exec.RunParams{
 		Limit: limit + 1, Collect: req.Analyze, Trace: tr, Ctx: ctx,
 	})
 	tr.End(sp)
@@ -333,14 +306,14 @@ func (s *Server) execute(ctx context.Context, req *QueryRequest, limit int, rec 
 	resp := render(res, limit, fork.Dict(), req.Columns)
 	tr.End(sp)
 	resp.Truncated = resp.Truncated || res.Truncated
-	resp.PlanCached = lk.planHit
+	resp.PlanCached = lk.Hit
 	// Canonicalize attribute names before caching so a future serve (or a
 	// recreated plan entry) can re-label them for any spelling.
-	resp.Attrs = mapAttrs(resp.Attrs, entry.attrToCanon)
+	resp.Attrs = entry.Canon(resp.Attrs)
 	// The lineage this execution ran against (relEpochs/dictEpoch were
 	// read from the fork before the run) goes into the record before the
 	// cache fill, so the cached entry can carry it.
-	rec.Lineage = s.lineage(rec, lk.gen, entry.reads, relEpochs, dictEpoch, resp.Cardinality)
+	rec.Lineage = s.lineage(rec, lk.gen, entry.Reads, relEpochs, dictEpoch, resp.Cardinality)
 	if !req.NoCache && res.Trie.Cardinality() <= s.cfg.MaxCachedTuples {
 		// Analyze requests fill the cache too — with the plain response:
 		// trace and counters are per-request, not part of the result.
@@ -362,8 +335,8 @@ func (s *Server) execute(ctx context.Context, req *QueryRequest, limit int, rec 
 				}
 			}
 		}
-		s.results.put(lk.key, &cachedResult{
-			reads:     entry.reads,
+		s.results.Put(lk.key, &cachedResult{
+			reads:     entry.Reads,
 			relEpochs: stampEpochs,
 			dictEpoch: dictEpoch,
 			resp:      *resp,
@@ -373,7 +346,7 @@ func (s *Server) execute(ctx context.Context, req *QueryRequest, limit int, rec 
 		})
 		tr.End(sp)
 	}
-	resp.Attrs = mapAttrs(resp.Attrs, lk.alias.canonToClient)
+	resp.Attrs = lk.Alias.Label(resp.Attrs)
 	if req.Provenance {
 		resp.Provenance = rec.Lineage
 	}
@@ -388,18 +361,6 @@ func (s *Server) execute(ctx context.Context, req *QueryRequest, limit int, rec 
 		}
 	}
 	return resp, nil
-}
-
-// mapAttrs relabels result attributes through m, keeping names m doesn't
-// cover.
-func mapAttrs(attrs []string, m map[string]string) []string {
-	out := slices.Clone(attrs)
-	for i, a := range attrs {
-		if v, ok := m[a]; ok {
-			out[i] = v
-		}
-	}
-	return out
 }
 
 // lineage stamps what determined an executed result: plan fingerprint,
@@ -446,15 +407,6 @@ func annotReadSet(tr *trace.Trace, reads []string, relEpochs []uint64, dictEpoch
 	}
 	tr.Annot("read_epochs", b.String())
 	tr.Annot("dict_epoch", strconv.FormatUint(dictEpoch, 10))
-}
-
-// invert flips a var→canonical map into canonical→var.
-func invert(m map[string]string) map[string]string {
-	out := make(map[string]string, len(m))
-	for k, v := range m {
-		out[v] = k
-	}
-	return out
 }
 
 // render decodes a result into the wire shape, translating dense codes

@@ -1,9 +1,10 @@
 // Package server is EmptyHeaded's query service: an HTTP/JSON facade over
-// core.Engine that serves concurrent datalog queries with an LRU plan
-// cache (keyed by normalized query fingerprints, so repeated queries skip
-// parsing and GHD optimization the way the paper's compiler amortizes
-// codegen across runs), a result cache invalidated on relation mutation,
-// and a bounded worker-pool admission controller.
+// core.Engine that serves concurrent datalog queries through the engine's
+// plan cache (exec.PlanCache, keyed by normalized query fingerprints, so
+// repeated queries skip parsing and GHD optimization the way the paper's
+// compiler amortizes codegen across runs), with a result cache
+// invalidated on relation mutation and a bounded worker-pool admission
+// controller.
 //
 // Endpoints:
 //
@@ -27,6 +28,7 @@ import (
 	"time"
 
 	"emptyheaded/internal/core"
+	"emptyheaded/internal/exec"
 	"emptyheaded/internal/obs"
 )
 
@@ -41,8 +43,6 @@ type Config struct {
 	QueueDepth int
 	// QueueWait bounds time spent waiting for a worker slot (default 2s).
 	QueueWait time.Duration
-	// PlanCacheSize is the number of cached prepared plans (default 256).
-	PlanCacheSize int
 	// ResultCacheSize is the number of cached query results (default 128).
 	ResultCacheSize int
 	// MaxCachedTuples: results with more tuples than this are not cached
@@ -97,9 +97,6 @@ func (c Config) withDefaults() Config {
 	if c.QueueWait <= 0 {
 		c.QueueWait = 2 * time.Second
 	}
-	if c.PlanCacheSize <= 0 {
-		c.PlanCacheSize = 256
-	}
 	if c.ResultCacheSize <= 0 {
 		c.ResultCacheSize = 128
 	}
@@ -126,8 +123,7 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	eng     *core.Engine
 	cfg     Config
-	plans   *planCache
-	results *lruCache
+	results *exec.LRU[*cachedResult]
 	adm     *admission
 	start   time.Time
 
@@ -175,8 +171,7 @@ func New(eng *core.Engine, cfg Config) *Server {
 	s := &Server{
 		eng:       eng,
 		cfg:       cfg,
-		plans:     newPlanCache(cfg.PlanCacheSize),
-		results:   newLRUCache(cfg.ResultCacheSize),
+		results:   exec.NewLRU[*cachedResult](cfg.ResultCacheSize),
 		adm:       newAdmission(cfg.Workers, cfg.QueueDepth, cfg.QueueWait),
 		start:     time.Now(),
 		obs:       obs.NewSpine(cfg.Events, cfg.SlowQueryThreshold),
@@ -248,8 +243,8 @@ type Stats struct {
 	Epoch       uint64                   `json:"epoch"`
 	Relations   int                      `json:"relations"`
 	Endpoints   map[string]EndpointStats `json:"endpoints"`
-	PlanCache   PlanCacheStats           `json:"plan_cache"`
-	ResultCache CacheStats               `json:"result_cache"`
+	PlanCache   exec.PlanCacheStats      `json:"plan_cache"`
+	ResultCache exec.CacheStats          `json:"result_cache"`
 	Admission   AdmissionStats           `json:"admission"`
 	Durability  core.DurabilityStats     `json:"durability"`
 	Resilience  ResilienceStats          `json:"resilience"`
@@ -284,8 +279,8 @@ func (s *Server) StatsSnapshot() Stats {
 		Epoch:       s.eng.Version(),
 		Relations:   len(s.eng.DB.Names()),
 		Endpoints:   eps,
-		PlanCache:   s.plans.stats(),
-		ResultCache: s.results.stats(),
+		PlanCache:   s.eng.Plans().Stats(),
+		ResultCache: s.results.Stats(),
 		Admission:   s.adm.stats(),
 		Durability:  s.eng.Durability(),
 		Resilience: ResilienceStats{

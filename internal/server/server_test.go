@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"emptyheaded/internal/core"
+	"emptyheaded/internal/exec"
 	"emptyheaded/internal/gen"
 )
 
@@ -338,20 +339,60 @@ func TestAdmissionControl(t *testing.T) {
 	}
 }
 
-func TestLRUCacheEviction(t *testing.T) {
-	c := newLRUCache(2)
-	c.put("a", 1)
-	c.put("b", 2)
-	c.get("a")    // a most recent
-	c.put("c", 3) // evicts b
-	if _, ok := c.get("b"); ok {
-		t.Error("b should have been evicted")
+// TestPlanCacheSharedByRunAndServer: Engine.Run and /query resolve through
+// the engine's one plan cache — a text Run prepared is a plan hit for
+// /query, an alpha-renamed spelling reuses the plan under its own
+// attribute names, and other options get a fresh plan.
+func TestPlanCacheSharedByRunAndServer(t *testing.T) {
+	s, ts := newTestService(t, Config{})
+	defer s.Close()
+	eng := s.eng
+	if _, err := eng.Run(triangleQ); err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := c.get("a"); !ok {
-		t.Error("a should have survived")
+	if got := runQuery(t, ts.URL, triangleQ); !got.PlanCached {
+		t.Fatalf("/query after Engine.Run of the same text: %+v", got)
 	}
-	st := c.stats()
-	if st.Size != 2 || st.Evictions != 1 {
-		t.Errorf("stats: %+v", st)
+	if st := eng.Plans().Stats(); st.Parses != 1 {
+		t.Fatalf("%d parses for one text run in-process and served, want 1", st.Parses)
+	}
+
+	prep := func(text string) *exec.Prepared {
+		t.Helper()
+		lk := eng.Plans().Lookup(text, eng.Opts)
+		if lk.Plan == nil {
+			t.Fatalf("no cached plan for %q", text)
+		}
+		return lk.Plan.Prep
+	}
+	const renamed = `P(a,c) :- Edge(a,b),Edge(b,c).`
+	res, err := eng.Run(pathQ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := res.Cardinality()
+	first := prep(pathQ)
+	for _, q := range []struct{ text, attrs string }{{renamed, "[a c]"}, {pathQ, "[x z]"}} {
+		res, err := eng.Run(q.text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprint(res.Attrs); got != q.attrs || res.Cardinality() != want {
+			t.Fatalf("Run(%q): attrs %s, %d tuples; want %s, %d", q.text, got, res.Cardinality(), q.attrs, want)
+		}
+		if prep(q.text) != first {
+			t.Fatalf("Run(%q) planned again", q.text)
+		}
+	}
+	if got := runQuery(t, ts.URL, renamed); !got.PlanCached || fmt.Sprint(got.Attrs) != "[a c]" {
+		t.Fatalf("/query of the renamed spelling: plan_cached %v, attrs %v", got.PlanCached, got.Attrs)
+	}
+
+	eng.Opts.SingleBag = true
+	if _, err := eng.Run(renamed); err != nil {
+		t.Fatal(err)
+	}
+	if prep(renamed) == first {
+		t.Fatal("the plan survived an options change")
 	}
 }

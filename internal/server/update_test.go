@@ -237,13 +237,13 @@ func TestPlanSurvivesUpdates(t *testing.T) {
 	defer s.Close()
 	defer ts.Close()
 	triCount(t, ts.URL)
-	entries := s.plans.plans.entries()
-	if len(entries) != 1 {
-		t.Fatalf("%d plan entries after one query", len(entries))
+	if n := s.eng.Plans().Stats().Size; n != 1 {
+		t.Fatalf("%d plan entries after one query", n)
 	}
+	prep := s.eng.Plans().Lookup(triangleQ, s.eng.Opts).Plan.Prep
 	// Every derivation creates a GHD, every execution's plan shares it.
 	derivation := func() *ghd.GHD {
-		res, err := entries[0].val.(*planEntry).prep.RunWith(s.eng.DB.Fork(), exec.RunParams{})
+		res, err := prep.RunWith(s.eng.DB.Fork(), exec.RunParams{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -279,7 +279,7 @@ func TestPlanSurvivesUpdates(t *testing.T) {
 			t.Fatalf("round %d: %g triangles, want %d", i, *got.Scalar, 2+i/2)
 		}
 	}
-	if st := s.plans.stats(); st.Parses != 1 {
+	if st := s.eng.Plans().Stats(); st.Parses != 1 {
 		t.Fatalf("%d parses in 100 update+query rounds of one text, want 1", st.Parses)
 	}
 	if derivation() != first {
