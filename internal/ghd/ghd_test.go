@@ -2,6 +2,7 @@ package ghd
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -116,6 +117,59 @@ func TestBarbellGHD(t *testing.T) {
 	}
 	if err := single.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// bagShape renders a bag's subtree with variables renamed by first
+// appearance, so two bags joining the same relations in the same pattern
+// render alike whatever their variable names.
+func bagShape(g *GHD, b *Bag) string {
+	rename := map[string]int{}
+	var canon func(b *Bag) string
+	canon = func(b *Bag) string {
+		var parts []string
+		for _, ei := range b.Edges {
+			e := g.H.Edges[ei]
+			vs := make([]string, len(e.Vars))
+			for i, v := range e.Vars {
+				if _, ok := rename[v]; !ok {
+					rename[v] = len(rename)
+				}
+				vs[i] = strconv.Itoa(rename[v])
+			}
+			parts = append(parts, e.Rel+"("+strings.Join(vs, ",")+")")
+		}
+		for _, c := range b.Children {
+			parts = append(parts, "{"+canon(c)+"}")
+		}
+		return strings.Join(parts, ",")
+	}
+	return canon(b)
+}
+
+func TestBarbellRedundantBags(t *testing.T) {
+	// The two triangle bags of the Barbell GHD are equivalent
+	// (Appendix B.2): same relations, same structure. The planner's bag
+	// dedup relies on Decompose producing them alike.
+	g := Decompose(barbellH(), Options{})
+	var triBags []*Bag
+	var visit func(b *Bag)
+	visit = func(b *Bag) {
+		if len(b.Edges) == 3 {
+			triBags = append(triBags, b)
+		}
+		for _, c := range b.Children {
+			visit(c)
+		}
+	}
+	visit(g.Root)
+	if len(triBags) != 2 {
+		t.Fatalf("found %d triangle bags, want 2\n%s", len(triBags), g)
+	}
+	s0 := bagShape(g, triBags[0])
+	s1 := bagShape(g, triBags[1])
+	if s0 != s1 {
+		t.Fatalf("triangle bags not equivalent:\n%s\n%s", s0, s1)
 	}
 }
 
