@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -69,15 +70,45 @@ func (p *Plan) Run() (*Result, error) {
 		out = t
 		final = p.Assembly
 	}
+	attrs := final.OutAttrs
+	if p.Boolean && p.Agg.Op == semiring.Count {
+		out, attrs = p.countPerHead(out, attrs)
+	}
 	res := &Result{
 		Name:      p.Rule.Head.Name,
-		Attrs:     final.OutAttrs,
+		Attrs:     attrs,
 		Trie:      out,
 		Plan:      p,
 		Truncated: p.truncated,
 		Stats:     p.stats,
 	}
 	return res, nil
+}
+
+// countPerHead folds COUNT(v)'s Boolean listing of (head, v) into one
+// count per head tuple: each tuple, projected onto the head columns, adds
+// 1 under COUNT. With no head variables the count is the listing's
+// cardinality.
+func (p *Plan) countPerHead(t *trie.Trie, attrs []string) (*trie.Trie, []string) {
+	var cols []int
+	var head []string
+	for i, a := range attrs {
+		if slices.Contains(p.Rule.Head.Vars, a) {
+			cols, head = append(cols, i), append(head, a)
+		}
+	}
+	if len(cols) == 0 {
+		return trie.NewScalar(float64(t.Cardinality()), semiring.Count), nil
+	}
+	b := trie.NewColumnarBuilder(len(cols), semiring.Count, p.opts.layout())
+	row := make([]uint32, len(cols))
+	t.ForEachTuple(func(tp []uint32, _ float64) {
+		for i, c := range cols {
+			row[i] = tp[c]
+		}
+		b.AddAnn(1, row...)
+	})
+	return b.Build(), head
 }
 
 // stopErr attributes a latched stop flag to its cause: a cancelled
@@ -229,11 +260,11 @@ func (vc *vector) at(v uint32) (ann float64, ok bool) {
 // where another atom's set depends on outer bindings (so a vector never
 // drives iteration: SSSP's level-0 Edge ∩ SSSP stays an intersection),
 // with a bitset root (the layout optimizer's density decision); never in
-// an existence tail, which finishLevels keeps free of annotations. Vectors
+// a Boolean plan, whose existence tails take no annotation. Vectors
 // multiply in after the intersected atoms, so one that an annotating
 // intersected atom follows at its level stays intersected: ⊗ keeps atom
 // order.
-func vectorAtoms(bp *BagPlan, tries []*trie.Trie) []bool {
+func (p *Plan) vectorAtoms(bp *BagPlan, tries []*trie.Trie) []bool {
 	dependent := make([]bool, len(bp.Attrs))
 	for _, a := range bp.Atoms {
 		for al := 1; al < len(a.Attrs); al++ {
@@ -246,15 +277,22 @@ func vectorAtoms(bp *BagPlan, tries []*trie.Trie) []bool {
 	for i, a := range bp.Atoms {
 		t := tries[i]
 		vec[i] = a.child == nil && t != nil && t.Arity == 1 && len(a.consts) == 0 &&
-			a.Annotated && !a.SemijoinOnly && t.Root.Ann != nil &&
+			p.multiplies(a) && t.Root.Ann != nil &&
 			t.Root.Set.Layout() == set.Bitset && dependent[levelOf(bp, a, 0)]
-		if !vec[i] && a.Annotated && !a.SemijoinOnly && a.LastLevel >= 0 {
+		if !vec[i] && p.multiplies(a) && a.LastLevel >= 0 {
 			for j := range i {
 				vec[j] = vec[j] && levelOf(bp, bp.Atoms[j], 0) != levelOf(bp, a, a.LastLevel)
 			}
 		}
 	}
 	return vec
+}
+
+// multiplies reports whether a's annotation multiplies into its bag: a
+// Boolean plan takes none, and a semijoin-only child's is taken in the
+// assembly.
+func (p *Plan) multiplies(a *AtomRef) bool {
+	return a.Annotated && !a.SemijoinOnly && !p.Boolean
 }
 
 // limitState is the cooperative row budget shared by all workers of a
@@ -344,7 +382,7 @@ func (p *Plan) execBag(bp *BagPlan) (t *trie.Trie, err error) {
 		}
 		rels[i], tries[i] = rel, rel.Index(a.Perm, p.opts.layout(), p.opts.layoutName())
 	}
-	isVec := vectorAtoms(bp, tries)
+	isVec := p.vectorAtoms(bp, tries)
 	selectionMiss := false
 	for i, a := range bp.Atoms {
 		t := tries[i]
@@ -354,9 +392,14 @@ func (p *Plan) execBag(bp *BagPlan) (t *trie.Trie, err error) {
 			continue
 		}
 		if t.Arity == 0 {
+			if t.Scalar == op.Zero() {
+				// An empty zero-arity participant (a scalar child bag of a
+				// disconnected component) empties the bag.
+				return ex.emptyResult(), nil
+			}
 			if !a.SemijoinOnly {
 				// Semijoin-only scalar children contribute in the
-				// assembly instead (spanning aggregates).
+				// assembly instead (spanning plans).
 				ex.scalarFactor = op.Mul(ex.scalarFactor, t.Scalar)
 			}
 			continue
@@ -369,7 +412,7 @@ func (p *Plan) execBag(bp *BagPlan) (t *trie.Trie, err error) {
 				// Annotations sit at the trie's last level, which a reused
 				// bag result (App. B.2) can place below the atom's.
 				leaf := al == a.LastLevel
-				ann := leaf && al == t.Arity-1 && t.Annotated && a.Annotated && !a.SemijoinOnly
+				ann := leaf && al == t.Arity-1 && t.Annotated && p.multiplies(a)
 				r := curRef{slot: base + al, leaf: leaf, ann: ann}
 				ex.levels[bl].refs = append(ex.levels[bl].refs, r)
 			}
@@ -490,33 +533,17 @@ func (ex *bagExec) preDescend(a *AtomRef, base int) bool {
 
 // countTailOK reports a count-only tail: the final level is eliminated,
 // aggregates by multiplicity under SUM/COUNT, and no annotated atom
-// contributes there — the triangle-count inner loop (§5.2.1).
+// contributes there — the triangle-count inner loop (§5.2.1). A Boolean
+// plan's eliminated tail is an existence check instead (ExistsFrom).
 func (ex *bagExec) countTailOK() bool {
 	bp := ex.bp
 	last := len(bp.Attrs) - 1
-	if last < 0 || bp.Out[last] {
+	if last < 0 || bp.Out[last] || ex.op != semiring.Sum && ex.op != semiring.Count {
 		return false
 	}
-	if !ex.p.Agg.Present {
-		return false
-	}
-	if ex.op != semiring.Sum && ex.op != semiring.Count {
-		return false
-	}
-	// Multiplicity semantics at the tail: either COUNT(*)/no agg var, or
-	// the aggregate variable *is* the last attribute.
-	if ex.p.Agg.Var != "*" && ex.p.Agg.Var != "" && bp.AggVarLevel != last {
-		return false
-	}
-	if bp.ExistsFrom <= last {
-		return false
-	}
-	for _, a := range ex.bp.Atoms {
-		if a.Annotated && a.LastLevel >= 0 && levelOf(bp, a, a.LastLevel) == last {
-			return false
-		}
-	}
-	return true
+	return !slices.ContainsFunc(bp.Atoms, func(a *AtomRef) bool {
+		return ex.p.multiplies(a) && a.LastLevel >= 0 && levelOf(bp, a, a.LastLevel) == last
+	})
 }
 
 func (ex *bagExec) emptyResult() *trie.Trie {
@@ -933,14 +960,17 @@ func (w *worker) emit(ann float64) {
 	for i, v := range w.outBuf {
 		w.cols[i] = append(w.cols[i], v)
 	}
-	w.anns = append(w.anns, ann)
+	if !w.ex.p.Boolean {
+		w.anns = append(w.anns, ann)
+	}
 	w.ex.lim.noteRow(w.outBuf)
 }
 
 // materialize hands the workers' emitted columns to the columnar trie
 // builder — a lone worker's zero-copy, several concatenated with one flat
 // copy per attribute; duplicate rows combine with ⊕ (the early
-// aggregation GHDs enable, §3.1.1).
+// aggregation GHDs enable, §3.1.1). A Boolean plan emits no annotations,
+// so its result is an un-annotated set.
 func (ex *bagExec) materialize(ws []*worker) *trie.Trie {
 	if len(ex.bp.OutAttrs) == 0 {
 		scalar := ex.op.Zero()
@@ -953,7 +983,7 @@ func (ex *bagExec) materialize(ws []*worker) *trie.Trie {
 	if len(ws) > 1 {
 		total := 0
 		for _, w := range ws {
-			total += len(w.anns)
+			total += len(w.cols[0])
 		}
 		cols = make([][]uint32, len(cols))
 		for c := range cols {
@@ -970,7 +1000,7 @@ func (ex *bagExec) materialize(ws []*worker) *trie.Trie {
 	}
 	b := trie.NewColumnarBuilder(len(ex.bp.OutAttrs), ex.op, ex.p.opts.layout())
 	if len(anns) == 0 {
-		anns = nil // no emits: an empty un-annotated trie, as before
+		anns = nil // no emits or a Boolean plan: an un-annotated trie
 	}
 	b.SetColumns(cols, anns)
 	return b.Build()

@@ -43,9 +43,10 @@ func naiveEval(rels map[string]*naiveRel, rule *datalog.Rule) (map[string]float6
 		set bool
 	}
 	groups := map[string]*headKeyed{}
-	// For distinct-variable aggregate semantics (COUNT(x)), dedup on
-	// (head vars, agg var) bindings.
+	// COUNT(v) counts distinct v per head tuple (docs/LANGUAGE.md): dedup
+	// on (head vars, v) bindings. Every other aggregate folds each binding.
 	seen := map[string]bool{}
+	distinct := op == semiring.Count && aggVar != "*"
 
 	binding := make([]uint32, len(vars))
 	var rec func(ai int, ann float64)
@@ -56,7 +57,7 @@ func naiveEval(rels map[string]*naiveRel, rule *datalog.Rule) (map[string]float6
 				fmt.Fprintf(&hk, "%d,", binding[idx[v]])
 			}
 			key := hk.String()
-			if aggVar != "*" {
+			if distinct {
 				dk := key + "|" + fmt.Sprint(binding[idx[aggVar]])
 				if seen[dk] {
 					return
@@ -325,7 +326,8 @@ func TestDifferentialRandomQueries(t *testing.T) {
 // (the 3-walk M; Q's Edge(d,a) and Edge(d,b), whose second level only one
 // outputs) or in their children (Q's Edge(e,c) and Edge(e,a), of which
 // one joins the other's result) must not share a result; the barbell's
-// two triangles and AT's two selections on one anchor still do.
+// two triangles and AT's two selections on one anchor still do. The
+// COUNT(v) rows hold the same under the Boolean plans of distinct counts.
 func TestDifferentialBagDedup(t *testing.T) {
 	g := testGraph(200, 1500, 11)
 	db := dbWithGraph(g)
@@ -353,6 +355,15 @@ func TestDifferentialBagDedup(t *testing.T) {
 		n := 0.0
 		anchored(x, x, func(_, _ uint32) { n++ })
 		return n
+	}
+	barbells := func(f func(x uint32)) {
+		for x := range g.Adj {
+			for _, x2 := range g.Adj[x] {
+				if triangles(uint32(x)) > 0 && triangles(x2) > 0 {
+					f(uint32(x))
+				}
+			}
+		}
 	}
 	for _, tc := range []struct {
 		name, query string
@@ -395,6 +406,16 @@ func TestDifferentialBagDedup(t *testing.T) {
 					}
 				}
 			}},
+		{"anchors_distinct", `AT(;c:long) :- Edge("5",y),Edge(y,z),Edge("7",z); c=<<COUNT(z)>>.`, false,
+			countDistinct(func(f func(v uint32, key ...uint32)) { anchored(5, 7, func(_, z uint32) { f(z) }) })},
+		{"anchor_repeated_distinct", `AT(;c:long) :- Edge("5",y),Edge(y,z),Edge("5",z); c=<<COUNT(y)>>.`, true,
+			countDistinct(func(f func(v uint32, key ...uint32)) { anchored(5, 5, func(y, _ uint32) { f(y) }) })},
+		{"walk3_distinct_by_first", `M(x;w:long) :- Edge(x,y),Edge(y,z),Edge(z,u); w=<<COUNT(u)>>.`, false,
+			countDistinct(func(f func(v uint32, key ...uint32)) { walks3(func(x, _, _, u uint32) { f(u, x) }) })},
+		{"walk3_distinct_by_last", `M(u;w:long) :- Edge(x,y),Edge(y,z),Edge(z,u); w=<<COUNT(x)>>.`, false,
+			countDistinct(func(f func(v uint32, key ...uint32)) { walks3(func(x, _, _, u uint32) { f(x, u) }) })},
+		{"barbell_distinct", `B31(;c:long) :- Edge(x,y),Edge(y,z),Edge(x,z),Edge(x,x2),Edge(x2,y2),Edge(y2,z2),Edge(x2,z2); c=<<COUNT(x)>>.`, true,
+			countDistinct(func(f func(v uint32, key ...uint32)) { barbells(func(x uint32) { f(x) }) })},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// A listing's tuples carry no count: add with w = 0 marks one.
@@ -406,27 +427,7 @@ func TestDifferentialBagDedup(t *testing.T) {
 				if err != nil {
 					t.Fatalf("NoBagDedup=%v: %v", opts.NoBagDedup, err)
 				}
-				got := map[string]float64{}
-				if res.Trie.Arity == 0 {
-					got["[]"] = res.Scalar()
-				} else {
-					// Rows are keyed in head order; a result's attributes
-					// follow the plan's attribute order.
-					head := mustParse(t, tc.query).Rules[0].Head.Vars
-					res.ForEach(func(tp []uint32, ann float64) {
-						key := make([]uint32, len(tp))
-						for i, a := range res.Attrs {
-							key[slices.Index(head, a)] = tp[i]
-						}
-						got[fmt.Sprint(key)] = ann
-					})
-				}
-				if !strings.Contains(tc.query, "<<") {
-					for k := range got {
-						got[k] = 0
-					}
-				}
-				return got
+				return resultRows(t, tc.query, res)
 			}
 			dedup, plain := rows(OptDefault), rows(Options{NoBagDedup: true})
 			if len(want) == 0 {
@@ -451,6 +452,49 @@ func TestDifferentialBagDedup(t *testing.T) {
 	}
 }
 
+// countDistinct turns an enumeration of (v, head key) bindings into the
+// brute-force COUNT(v): per head key, the number of distinct v.
+func countDistinct(each func(f func(v uint32, key ...uint32))) func(add func(w float64, key ...uint32)) {
+	return func(add func(float64, ...uint32)) {
+		seen := map[string]bool{}
+		each(func(v uint32, key ...uint32) {
+			if k := fmt.Sprint(key, v); !seen[k] {
+				seen[k] = true
+				add(1, key...)
+			}
+		})
+	}
+}
+
+// resultRows keys a result's rows by their head tuple, in head order (a
+// result's attributes follow the plan's attribute order), to its
+// annotation; a scalar is the row "[]". A listing is a set: its rows map
+// to 0, and an annotated listing fails the test.
+func resultRows(t *testing.T, query string, res *Result) map[string]float64 {
+	t.Helper()
+	prog := mustParse(t, query)
+	rule := prog.Rules[len(prog.Rules)-1]
+	got := map[string]float64{}
+	if res.Trie.Arity == 0 {
+		got["[]"] = res.Scalar()
+		return got
+	}
+	if rule.Assign == nil && res.Trie.Annotated {
+		t.Fatalf("%s: a listing carries annotations", rule.Head.Name)
+	}
+	res.ForEach(func(tp []uint32, ann float64) {
+		key := make([]uint32, len(tp))
+		for i, a := range res.Attrs {
+			key[slices.Index(rule.Head.Vars, a)] = tp[i]
+		}
+		if rule.Assign == nil {
+			ann = 0
+		}
+		got[fmt.Sprint(key)] = ann
+	})
+	return got
+}
+
 // firstDiff names the smallest key on which two row maps disagree.
 func firstDiff(a, b map[string]float64) string {
 	var keys []string
@@ -469,4 +513,97 @@ func firstDiff(a, b map[string]float64) string {
 		}
 	}
 	return "none"
+}
+
+// TestDifferentialSemantics holds the engine to docs/LANGUAGE.md, checked
+// by brute force over adjacency lists at Parallelism 1 and 4: COUNT(v)
+// counts distinct v per head tuple, however the plan splits the body into
+// bags; a derived relation is a set, so counting it gives what counting
+// the same tuples loaded gives; an empty disconnected component empties
+// the answer.
+func TestDifferentialSemantics(t *testing.T) {
+	g := testGraph(200, 1500, 11)
+	walks2 := func(f func(x, y, z uint32)) {
+		for x := range g.Adj {
+			for _, y := range g.Adj[x] {
+				for _, z := range g.Adj[y] {
+					f(uint32(x), y, z)
+				}
+			}
+		}
+	}
+	walks3 := func(f func(x, u uint32)) {
+		walks2(func(x, _, z uint32) {
+			for _, u := range g.Adj[z] {
+				f(x, u)
+			}
+		})
+	}
+	db := dbWithGraph(g)
+	var twoWalkSources []uint32
+	seen := map[uint32]bool{}
+	walks2(func(x, _, _ uint32) {
+		if !seen[x] {
+			seen[x] = true
+			twoWalkSources = append(twoWalkSources, x)
+		}
+	})
+	addUnary(db, "PLoaded", twoWalkSources...)
+	small := dbWithGraph(testGraph(50, 200, 3))
+	addUnary(small, "B", 1, 2)
+	addUnary(small, "C", 3, 4)
+	none := func(func(float64, ...uint32)) {}
+	for _, tc := range []struct {
+		name  string
+		db    *DB
+		query string
+		// also, when set, must give the same rows as query.
+		also string
+		want func(add func(w float64, key ...uint32))
+	}{
+		{"count_first_of_2walk", db, `D(;w:long) :- Edge(x,y),Edge(y,z); w=<<COUNT(x)>>.`, "",
+			countDistinct(func(f func(v uint32, key ...uint32)) { walks2(func(x, _, _ uint32) { f(x) }) })},
+		{"count_target", db, `D(;w:long) :- Edge(x,y); w=<<COUNT(y)>>.`, "",
+			countDistinct(func(f func(v uint32, key ...uint32)) { walks2(func(_, y, _ uint32) { f(y) }) })},
+		{"count_last_of_2walk", db, `D(;w:long) :- Edge(x,y),Edge(y,z); w=<<COUNT(z)>>.`, "",
+			countDistinct(func(f func(v uint32, key ...uint32)) { walks2(func(_, _, z uint32) { f(z) }) })},
+		{"count_triangle_vertex", db, `D(;w:long) :- Edge(x,y),Edge(y,z),Edge(x,z); w=<<COUNT(z)>>.`, "",
+			countDistinct(func(f func(v uint32, key ...uint32)) {
+				walks2(func(x, _, z uint32) {
+					if hasEdge(g, x, z) {
+						f(z)
+					}
+				})
+			})},
+		{"count_3walk_targets", db, `M(x;w:long) :- Edge(x,y),Edge(y,z),Edge(z,u); w=<<COUNT(u)>>.`, "",
+			countDistinct(func(f func(v uint32, key ...uint32)) { walks3(func(x, u uint32) { f(u, x) }) })},
+		{"count_2walk_targets", db, `M(x;w:long) :- Edge(x,y),Edge(y,z); w=<<COUNT(z)>>.`, "",
+			countDistinct(func(f func(v uint32, key ...uint32)) { walks2(func(x, _, z uint32) { f(z, x) }) })},
+		{"derived_is_loaded", db, "P(x) :- Edge(x,y),Edge(y,z).\nD(;w:long) :- P(x); w=<<COUNT(*)>>.",
+			`D(;w:long) :- PLoaded(x); w=<<COUNT(*)>>.`,
+			func(add func(float64, ...uint32)) { add(float64(len(twoWalkSources))) }},
+		{"empty_component_projection", small, `L(x) :- Edge(x,y),B(z),C(z).`, "", none},
+		{"empty_component_listing", small, `L(x,y) :- Edge(x,y),B(z),C(z).`, "", none},
+		{"empty_component_count", small, `L(x;w:long) :- Edge(x,y),B(z),C(z); w=<<COUNT(*)>>.`, "", none},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want := map[string]float64{}
+			tc.want(func(w float64, key ...uint32) { want[fmt.Sprint(key)] += w })
+			for _, par := range []int{1, 4} {
+				for _, q := range []string{tc.query, tc.also} {
+					if q == "" {
+						continue
+					}
+					res, err := runWith(t, tc.db.Fork(), q, Options{Parallelism: par}, RunParams{})
+					if err != nil {
+						t.Fatalf("Parallelism %d: %v", par, err)
+					}
+					if got := resultRows(t, q, res); fmt.Sprint(got) != fmt.Sprint(want) {
+						t.Fatalf("Parallelism %d, %q: %d rows, brute force %d; first difference %s",
+							par, q, len(got), len(want), firstDiff(got, want))
+					}
+				}
+			}
+		})
+	}
 }

@@ -77,7 +77,7 @@ func (p *Plan) explain(st *ExecStats) string {
 				tries[i] = rel.Index(a.Perm, p.opts.layout(), p.opts.layoutName())
 			}
 		}
-		isVec := vectorAtoms(bp, tries)
+		isVec := p.vectorAtoms(bp, tries)
 		for lvl, attr := range bp.Attrs {
 			var parts []string
 			vecs := ""

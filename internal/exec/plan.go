@@ -33,6 +33,12 @@ type Plan struct {
 	// Agg describes the rule's aggregation (zero value when the head is
 	// un-annotated).
 	Agg AggInfo
+	// Boolean marks a plan run under the Boolean semiring: its bags compute
+	// sets, so no annotation multiplies in and trailing eliminated levels
+	// only witness existence. A rule without an aggregate is Boolean, and
+	// so is COUNT(v), planned as the listing of (head, v) that Run counts
+	// per head tuple (docs/LANGUAGE.md).
+	Boolean bool
 	// Assembly is non-nil when head variables span multiple bags: a final
 	// join of the materialized bag results replaces the classical
 	// top-down Yannakakis pass.
@@ -54,24 +60,18 @@ type Plan struct {
 	tr    *trace.Trace
 }
 
-// AggInfo captures the semiring aggregation of a rule.
+// AggInfo captures the semiring aggregation of a rule: Op is its
+// aggregate's, or SUM for a constant expression such as y=1.
 type AggInfo struct {
 	Present bool
 	Op      semiring.Op
-	// Var is the aggregate argument: a body variable or "*" for
-	// per-tuple multiplicity (COUNT(*)).
-	Var string
-	// Expr is the full annotation expression (may wrap the aggregate in
-	// arithmetic, e.g. 0.15+0.85*<<SUM(z)>>), nil when the rule merely
-	// assigns a constant expression.
-	Expr datalog.Expr
 }
 
 // AtomRef binds one body atom (or child bag result) to a trie index.
 type AtomRef struct {
-	// SemijoinOnly suppresses annotation collection: in spanning
-	// aggregate plans child results restrict their parent bag but their
-	// semiring values are multiplied exactly once, in the assembly join.
+	// SemijoinOnly suppresses annotation collection: in spanning plans
+	// child results restrict their parent bag but their semiring values
+	// are multiplied exactly once, in the assembly join.
 	SemijoinOnly bool
 	// Rel is the relation name ("@bag<i>" for child results).
 	Rel string
@@ -85,7 +85,7 @@ type AtomRef struct {
 	// level i < len(consts) is bound to consts[i].
 	consts []selConst
 	// Annotated relations contribute their annotation (⊗) when fully
-	// bound.
+	// bound, unless the plan is Boolean (see Plan.multiplies).
 	Annotated bool
 	Op        semiring.Op
 	// LastLevel is the deepest non-constant level (where the atom's
@@ -118,12 +118,8 @@ type BagPlan struct {
 	Atoms []*AtomRef
 	// Children are executed first (bottom-up Yannakakis).
 	Children []*BagPlan
-	// AggVarLevel is the level of the aggregate variable (-1 when the
-	// aggregate is "*" or absent from this bag).
-	AggVarLevel int
-	// ExistsFrom marks the first level from which all remaining levels
-	// only need an existence check (distinct-semantics aggregation,
-	// e.g. COUNT(x) over Edge(x,y)); len(Attrs) when none.
+	// ExistsFrom is the first of a Boolean plan's trailing eliminated
+	// levels, which only need an existence check; len(Attrs) when none.
 	ExistsFrom int
 	// DedupOf points at an earlier equivalent bag whose result this bag
 	// reuses (Appendix B.2); -1 otherwise.
@@ -194,46 +190,42 @@ func Compile(db *DB, rule *datalog.Rule, opts Options) (*Plan, error) {
 
 	p := &Plan{Rule: rule, GHD: g, AttrOrder: order, opts: opts, db: db}
 
-	// 4. Aggregation info.
+	// 4. The plan's semiring (docs/LANGUAGE.md). A rule without an
+	// aggregate, or with a constant expression (y=1), computes a set.
+	// COUNT(*), SUM, MIN and MAX fold multiplicity. COUNT(v) is the set of
+	// (head, v), counted per head tuple by Run — unless head and v cover
+	// every body variable: then each binding is a distinct (head, v), and
+	// COUNT(v) is COUNT(*).
+	head := rule.Head.Vars
+	p.Boolean = true
 	if rule.Assign != nil {
-		p.Agg.Present = true
-		p.Agg.Expr = rule.Assign.Expr
+		p.Agg = AggInfo{Present: true, Op: semiring.Sum}
 		if agg := datalog.FindAgg(rule.Assign.Expr); agg != nil {
 			op, err := semiring.ParseOp(agg.Op)
 			if err != nil {
 				return nil, err
 			}
 			p.Agg.Op = op
-			p.Agg.Var = agg.Arg
-		} else {
-			// Pure expression (e.g. y=1): annotate each head tuple.
-			p.Agg.Op = semiring.Sum
-			p.Agg.Var = ""
+			listed := append(slices.Clone(head), agg.Arg)
+			p.Boolean = op == semiring.Count && agg.Arg != "*" &&
+				slices.ContainsFunc(rule.Vars(), func(v string) bool { return !slices.Contains(listed, v) })
+			if p.Boolean {
+				head = listed
+			}
 		}
 	}
 
 	// 5. Bag plans, bottom-up.
 	headVars := map[string]bool{}
-	for _, v := range rule.Head.Vars {
+	for _, v := range head {
 		headVars[v] = true
 	}
-	// Spanning aggregates: head variables outside the root bag mean the
-	// FAQ-style fold up the tree cannot produce the grouped result
-	// directly (matrix multiplication C(i,k) over bags A(i,j), B(j,k) is
-	// the canonical case). Bags then keep their join keys, children join
-	// as semijoins, and the final assembly performs the ⊗/⊕ aggregation.
-	spanning := false
-	if p.Agg.Present {
-		rootVars := map[string]bool{}
-		for _, v := range g.Root.Vars {
-			rootVars[v] = true
-		}
-		for _, v := range rule.Head.Vars {
-			if !rootVars[v] {
-				spanning = true
-			}
-		}
-	}
+	// Spanning plans: head variables outside the root bag mean the
+	// FAQ-style fold up the tree cannot produce the result directly
+	// (matrix multiplication C(i,k) over bags A(i,j), B(j,k) is the
+	// canonical case). Bags then keep their join keys, children join as
+	// semijoins, and the final assembly performs the ⊗/⊕ aggregation.
+	spanning := slices.ContainsFunc(head, func(v string) bool { return !slices.Contains(g.Root.Vars, v) })
 	nextID := 0
 	sigs := map[string]int{}
 	var build func(b *ghd.Bag, parent *ghd.Bag) (*BagPlan, error)
@@ -241,9 +233,9 @@ func Compile(db *DB, rule *datalog.Rule, opts Options) (*Plan, error) {
 		bp := &BagPlan{ID: nextID, DedupOf: -1}
 		nextID++
 		// Output attrs: head vars in χ, plus vars shared with the parent.
-		// Listing queries (no aggregation) additionally keep variables
-		// shared with children: the final assembly join needs those join
-		// keys, whereas aggregate queries fold children into annotations.
+		// Spanning plans additionally keep variables shared with children:
+		// the final assembly join needs those join keys, whereas other
+		// plans fold children into annotations.
 		need := map[string]bool{}
 		for _, v := range b.Vars {
 			if headVars[v] {
@@ -252,7 +244,7 @@ func Compile(db *DB, rule *datalog.Rule, opts Options) (*Plan, error) {
 			if parent != nil && slices.Contains(parent.Vars, v) {
 				need[v] = true
 			}
-			if rule.Assign == nil || spanning {
+			if spanning {
 				for _, cb := range b.Children {
 					if slices.Contains(cb.Vars, v) {
 						need[v] = true
@@ -283,7 +275,7 @@ func Compile(db *DB, rule *datalog.Rule, opts Options) (*Plan, error) {
 				return nil, err
 			}
 			bp.Children = append(bp.Children, cp)
-			ca := childAtom(cp)
+			ca := p.childAtom(cp)
 			ca.SemijoinOnly = spanning
 			bp.Atoms = append(bp.Atoms, ca)
 		}
@@ -305,15 +297,12 @@ func Compile(db *DB, rule *datalog.Rule, opts Options) (*Plan, error) {
 	}
 	p.Root = root
 
-	// 6. Top-down pass / final assembly: needed unless the root bag
-	// produces exactly the head attributes (App. B.2 "we can also
-	// eliminate the top-down pass if all the attributes appearing in the
-	// result also appear in the root node"). Multi-bag listings whose
-	// root carries extra join keys also assemble (projecting the keys
-	// away with set semantics), as do spanning aggregates (performing
-	// the grouped ⊗/⊕ fold over the bag results).
-	if (!p.Agg.Present || spanning) && !sameAttrSet(root.OutAttrs, rule.Head.Vars) {
-		p.Assembly = p.assemblyPlan(root, rule.Head.Vars, order, spanning)
+	// 6. Top-down pass / final assembly: needed only when the plan spans
+	// (App. B.2 "we can also eliminate the top-down pass if all the
+	// attributes appearing in the result also appear in the root node");
+	// the assembly performs the grouped ⊗/⊕ fold over the bag results.
+	if spanning {
+		p.Assembly = p.assemblyPlan(root, head, order)
 	}
 	return p, nil
 }
@@ -321,11 +310,11 @@ func Compile(db *DB, rule *datalog.Rule, opts Options) (*Plan, error) {
 // sign renders everything a bag's result depends on, with variables named
 // by their loop-nest level: per atom its relation (a child result by the
 // child's signature), argument positions, selection constants and levels;
-// the output levels, AggVarLevel and ExistsFrom. Two bags of one plan with
+// the output levels and ExistsFrom. Two bags of one plan with
 // equal signatures produce the same result trie (App. B.2).
 func (bp *BagPlan) sign() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%v %d %d", bp.Out, bp.AggVarLevel, bp.ExistsFrom)
+	fmt.Fprintf(&sb, "%v %d", bp.Out, bp.ExistsFrom)
 	for _, a := range bp.Atoms {
 		rel := a.Rel
 		if a.child != nil {
@@ -341,12 +330,6 @@ func (bp *BagPlan) sign() string {
 		}
 	}
 	return sb.String()
-}
-
-// sameAttrSet reports whether a and b are as long and a holds every
-// attribute of b.
-func sameAttrSet(a, b []string) bool {
-	return len(a) == len(b) && !slices.ContainsFunc(b, func(v string) bool { return !slices.Contains(a, v) })
 }
 
 func sortByOrder(vars []string, order []string) []string {
@@ -439,11 +422,12 @@ func encodeConst(dict *graph.Dictionary, c *datalog.Const) (uint32, error) {
 	return uint32(orig), nil
 }
 
-// childAtom wraps a materialized child bag as an atom of its parent.
-func childAtom(cp *BagPlan) *AtomRef {
+// childAtom wraps a materialized child bag as an atom of its parent,
+// annotated unless the plan computes sets.
+func (p *Plan) childAtom(cp *BagPlan) *AtomRef {
 	ar := &AtomRef{
 		Rel:       fmt.Sprintf("@bag%d", cp.ID),
-		Annotated: true, // child results always carry a semiring value
+		Annotated: !p.Boolean,
 		LastLevel: len(cp.OutAttrs) - 1,
 		child:     cp,
 	}
@@ -454,42 +438,13 @@ func childAtom(cp *BagPlan) *AtomRef {
 	return ar
 }
 
-// finishLevels computes AggVarLevel and ExistsFrom for a bag.
+// finishLevels sets ExistsFrom: in a Boolean plan the trailing
+// eliminated levels only witness that a binding extends to them.
 func (p *Plan) finishLevels(bp *BagPlan) {
-	bp.AggVarLevel = -1
 	bp.ExistsFrom = len(bp.Attrs)
-	if !p.Agg.Present {
-		return
+	for p.Boolean && bp.ExistsFrom > 0 && !bp.Out[bp.ExistsFrom-1] {
+		bp.ExistsFrom--
 	}
-	for i, v := range bp.Attrs {
-		if p.Agg.Var != "" && p.Agg.Var != "*" && v == p.Agg.Var {
-			bp.AggVarLevel = i
-		}
-	}
-	if p.Agg.Var == "*" || p.Agg.Var == "" {
-		return // every full match contributes (multiplicity semantics)
-	}
-	// Distinct semantics (e.g. COUNT(x)): eliminated levels beyond the
-	// aggregate variable only witness existence. In bags that do not
-	// contain the aggregate variable at all (children of the bag that
-	// does), every trailing eliminated level is existence-only —
-	// otherwise their multiplicities would leak into the parent's fold.
-	from := len(bp.Attrs)
-	for lvl := len(bp.Attrs) - 1; lvl >= 0; lvl-- {
-		if bp.Out[lvl] {
-			break
-		}
-		from = lvl
-	}
-	if bp.AggVarLevel >= 0 && bp.AggVarLevel+1 > from {
-		from = bp.AggVarLevel + 1
-	}
-	for _, a := range bp.Atoms {
-		if a.Annotated && a.LastLevel >= 0 && levelOf(bp, a, a.LastLevel) >= from {
-			return // an annotation is collected in the exists region
-		}
-	}
-	bp.ExistsFrom = from
 }
 
 // levelOf maps an atom trie level to its bag loop-nest level; -1 for a
@@ -502,7 +457,7 @@ func levelOf(bp *BagPlan, a *AtomRef, atomLevel int) int {
 // output listing (replacing the classical top-down pass).
 // The loop nest iterates every attribute any bag materialized — join keys
 // included — and projects the output to the head variables.
-func (p *Plan) assemblyPlan(root *BagPlan, headVars []string, order []string, spanning bool) *BagPlan {
+func (p *Plan) assemblyPlan(root *BagPlan, headVars []string, order []string) *BagPlan {
 	var bags []*BagPlan
 	var collect func(bp *BagPlan)
 	collect = func(bp *BagPlan) {
@@ -527,8 +482,7 @@ func (p *Plan) assemblyPlan(root *BagPlan, headVars []string, order []string, sp
 		}
 	}
 	attrs := sortByOrder(all, order)
-	ap := &BagPlan{ID: -1, Attrs: attrs, DedupOf: -1, AggVarLevel: -1}
-	ap.ExistsFrom = len(attrs)
+	ap := &BagPlan{ID: -1, Attrs: attrs, DedupOf: -1}
 	for _, v := range attrs {
 		out := isHead[v]
 		ap.Out = append(ap.Out, out)
@@ -537,10 +491,7 @@ func (p *Plan) assemblyPlan(root *BagPlan, headVars []string, order []string, sp
 		}
 	}
 	for _, bp := range bags {
-		if len(bp.OutAttrs) == 0 && !spanning {
-			continue // listing: scalar bags restrict nothing
-		}
-		ap.Atoms = append(ap.Atoms, childAtom(bp))
+		ap.Atoms = append(ap.Atoms, p.childAtom(bp))
 	}
 	p.finishLevels(ap)
 	return ap

@@ -80,6 +80,36 @@ const (
 	degreeQ   = `Deg(x;w:long) :- Edge(x,y); w=<<COUNT(y)>>.`
 )
 
+// TestListingRepliesCarryNoAnns pins the /query wire of docs/LANGUAGE.md:
+// a listing is a set, so its reply has tuples and no "anns"; an aggregate's
+// reply carries one annotation per tuple.
+func TestListingRepliesCarryNoAnns(t *testing.T) {
+	_, ts := newTestService(t, Config{})
+	for _, tc := range []struct {
+		query string
+		anns  bool
+	}{{pathQ, false}, {degreeQ, true}} {
+		var raw map[string]json.RawMessage
+		if code, body := postJSON(t, ts.URL+"/query", QueryRequest{Query: tc.query}, &raw); code != http.StatusOK {
+			t.Fatalf("/query %q: status %d, body %s", tc.query, code, body)
+		}
+		var tuples [][]int64
+		var anns []float64
+		if err := json.Unmarshal(raw["tuples"], &tuples); err != nil || len(tuples) == 0 {
+			t.Fatalf("%q: no tuples (%v)", tc.query, err)
+		}
+		_, has := raw["anns"]
+		if has {
+			if err := json.Unmarshal(raw["anns"], &anns); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if has != tc.anns || has && len(anns) != len(tuples) {
+			t.Fatalf("%q: anns present %v with %d of %d tuples, want present %v", tc.query, has, len(anns), len(tuples), tc.anns)
+		}
+	}
+}
+
 func TestEndpoints(t *testing.T) {
 	_, ts := newTestService(t, Config{})
 
