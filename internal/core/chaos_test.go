@@ -4,11 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
+	"time"
 
 	"emptyheaded/internal/fault"
 	"emptyheaded/internal/semiring"
 	"emptyheaded/internal/storage"
+	"emptyheaded/internal/trie"
 	"emptyheaded/internal/wal"
 )
 
@@ -228,5 +231,176 @@ func TestChaosPoisonedWALDegradesAndProbes(t *testing.T) {
 	ref := referenceEngine(edgeSet{{1, 2}: true, {4, 5}: true})
 	if got, want := queryKey(t, eng2, chaosQueries[0]), queryKey(t, ref, chaosQueries[0]); got != want {
 		t.Fatalf("replay after poison+repair:\n got %s\nwant %s\n%s", got, want, in)
+	}
+}
+
+// heldCompaction runs Compact(name) in the background with its rebuild
+// held open by a core.compact Latency rule, and returns once the
+// compaction has captured the relation (Durability reports it in
+// flight): whatever the caller does next lands mid-rebuild. The channel
+// yields Compact's result.
+func heldCompaction(t *testing.T, eng *Engine, name string) <-chan error {
+	t.Helper()
+	in := fault.New(41, fault.Rule{Point: "core.compact", Kind: fault.Latency, OnCall: 1, Sleep: 400 * time.Millisecond})
+	restore := fault.Enable(in)
+	done := make(chan error, 1)
+	go func() {
+		defer restore()
+		did, err := eng.Compact(name)
+		if err == nil && !did {
+			err = errNotCompacted
+		}
+		done <- err
+	}()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		for _, o := range eng.Durability().Overlays {
+			if o.Relation == name && o.Compacting {
+				return done
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("compaction of %s never started (%s)", name, in)
+		}
+	}
+}
+
+var errNotCompacted = errors.New("compact installed nothing")
+
+// edgesOf enumerates a binary trie.
+func edgesOf(tr *trie.Trie) edgeSet {
+	s := edgeSet{}
+	tr.ForEachTuple(func(tp []uint32, _ float64) { s[[2]uint32{tp[0], tp[1]}] = true })
+	return s
+}
+
+// TestCompactRaceBatchMidRebuild: a batch that lands while the rebuild
+// runs survives it as the whole overlay over the compacted base, with
+// the epoch, watermark and overlay generation the batch left, and the
+// compaction event reports the race.
+func TestCompactRaceBatchMidRebuild(t *testing.T) {
+	eng := New()
+	var compactions []map[string]any
+	eng.SetObservers(Observers{Event: func(kind string, f map[string]any) {
+		if kind == "compaction" {
+			compactions = append(compactions, f)
+		}
+	}})
+	if err := eng.AddRelationColumns("Edge", toCols([][2]uint32{{1, 2}, {2, 3}}), nil, semiring.None); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.OpenWAL(walCfg(t.TempDir())); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Update(UpdateBatch{Rel: "Edge", InsCols: toCols([][2]uint32{{3, 4}, {4, 5}})}); err != nil {
+		t.Fatal(err)
+	}
+	captured, _ := eng.DB.Relation("Edge")
+	want := edgesOf(captured.Canonical())
+
+	done := heldCompaction(t, eng, "Edge")
+	res, err := eng.Update(UpdateBatch{Rel: "Edge",
+		InsCols: toCols([][2]uint32{{7, 8}}), DelCols: toCols([][2]uint32{{1, 2}})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	epoch := eng.DB.EpochOf("Edge")
+	if err := <-done; err != nil {
+		t.Fatalf("raced compaction: %v", err)
+	}
+
+	rel, _ := eng.DB.Relation("Edge")
+	if got := edgesOf(rel.Base().Canonical()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("compacted base %v, want the captured state %v", got, want)
+	}
+	ov := rel.Overlay()
+	if ov == nil || !reflect.DeepEqual(edgesOf(ov.Ins), edgeSet{{7, 8}: true}) || !reflect.DeepEqual(edgesOf(ov.Del), edgeSet{{1, 2}: true}) {
+		t.Fatalf("overlay after the raced compaction is not exactly the batch: %+v", ov)
+	}
+	if got := eng.DB.EpochOf("Edge"); got != epoch {
+		t.Fatalf("compaction moved the epoch %d -> %d", epoch, got)
+	}
+	if lin := Lineage(eng.DB, []string{"Edge"})["Edge"]; lin.WALSeq != res.Seq || lin.OverlayGen != 2 || lin.OverlayRows != 2 {
+		t.Fatalf("lineage after the raced compaction %+v, want the batch's (seq %d, gen 2, 2 rows)", lin, res.Seq)
+	}
+	if rel.Cardinality() != res.Cardinality || res.Cardinality != 4 {
+		t.Fatalf("cardinality %d, batch reported %d, want 4", rel.Cardinality(), res.Cardinality)
+	}
+	if len(compactions) != 1 || compactions[0]["raced"] != true || compactions[0]["overlay_rows"] != 2 {
+		t.Fatalf("compaction events %v, want one raced with 2 overlay rows", compactions)
+	}
+	ref := referenceEngine(edgeSet{{2, 3}: true, {3, 4}: true, {4, 5}: true, {7, 8}: true})
+	for _, q := range chaosQueries {
+		if got, want := queryKey(t, eng, q), queryKey(t, ref, q); got != want {
+			t.Fatalf("%s after the raced compaction:\n got %s\nwant %s", q, got, want)
+		}
+	}
+}
+
+// TestCompactRaceLoadMidRebuild: a load that lands while the rebuild
+// runs wins — Compact installs nothing — and the loaded relation starts
+// with watermark and overlay generation 0.
+func TestCompactRaceLoadMidRebuild(t *testing.T) {
+	eng := New()
+	if err := eng.AddRelationColumns("Edge", toCols([][2]uint32{{1, 2}, {2, 3}}), nil, semiring.None); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.OpenWAL(walCfg(t.TempDir())); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Update(UpdateBatch{Rel: "Edge", InsCols: toCols([][2]uint32{{3, 1}})}); err != nil {
+		t.Fatal(err)
+	}
+
+	done := heldCompaction(t, eng, "Edge")
+	if err := eng.AddRelationColumns("Edge", toCols([][2]uint32{{10, 11}, {11, 12}, {10, 12}}), nil, semiring.None); err != nil {
+		t.Fatal(err)
+	}
+	loaded, _ := eng.DB.Relation("Edge")
+	if err := <-done; !errors.Is(err, errNotCompacted) {
+		t.Fatalf("compaction over a replaced relation: %v, want nothing installed", err)
+	}
+	if rel, _ := eng.DB.Relation("Edge"); rel != loaded {
+		t.Fatal("the obsolete compaction replaced the loaded relation")
+	}
+	if lin := Lineage(eng.DB, []string{"Edge"})["Edge"]; lin != (RelProv{}) {
+		t.Fatalf("a load reflects no WAL record, lineage %+v", lin)
+	}
+	ref := referenceEngine(edgeSet{{10, 11}: true, {11, 12}: true, {10, 12}: true})
+	for _, q := range chaosQueries {
+		if got, want := queryKey(t, eng, q), queryKey(t, ref, q); got != want {
+			t.Fatalf("%s after the load:\n got %s\nwant %s", q, got, want)
+		}
+	}
+}
+
+// TestCompactedAndLoadedRelationsBecomeBase: the first update after a
+// load, and the first after a compaction that emptied the overlay,
+// builds on the relation object the DB holds, so the permuted indexes it
+// cached are reused rather than rebuilt.
+func TestCompactedAndLoadedRelationsBecomeBase(t *testing.T) {
+	eng := New()
+	if err := eng.AddRelationColumns("Edge", toCols([][2]uint32{{1, 2}, {2, 3}, {3, 1}}), nil, semiring.None); err != nil {
+		t.Fatal(err)
+	}
+	rev := []int{1, 0}
+	for _, step := range []string{"load", "compaction"} {
+		plain, _ := eng.DB.Relation("Edge")
+		if plain.HasOverlay() {
+			t.Fatalf("after the %s: relation still has an overlay", step)
+		}
+		idx := plain.Index(rev, nil, "auto")
+		if _, err := eng.Update(UpdateBatch{Rel: "Edge", InsCols: toCols([][2]uint32{{9, uint32(len(step))}})}); err != nil {
+			t.Fatal(err)
+		}
+		rel, _ := eng.DB.Relation("Edge")
+		if rel.Base() != plain {
+			t.Fatalf("first update after the %s did not build on the installed relation", step)
+		}
+		if rel.Base().Index(rev, nil, "auto") != idx {
+			t.Fatalf("first update after the %s rebuilt the base's permuted index", step)
+		}
+		if did, err := eng.Compact("Edge"); !did || err != nil {
+			t.Fatalf("compact: did=%v err=%v", did, err)
+		}
 	}
 }

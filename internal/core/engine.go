@@ -40,11 +40,10 @@ type Engine struct {
 	// epochs are only comparable because they come from this engine's
 	// own lifetime — never seed the map from a foreign catalog.
 	lastSnaps map[string]*storage.Catalog
-	// upd owns the streaming-update subsystem: the WAL handle, the
-	// per-relation base+overlay state, and compaction configuration
-	// (see update.go). upd.mu serializes every update — the WAL append
-	// order is the apply order, which is what makes replay
-	// deterministic.
+	// upd owns the streaming-update subsystem: the WAL handle and the
+	// compaction configuration and state (see update.go). upd.mu
+	// serializes every update — the WAL append order is the apply
+	// order, which is what makes replay deterministic.
 	upd updState
 	// plans is the engine's one plan cache: Run, RunAnalyze and a query
 	// server over this engine resolve every text through it.
@@ -58,8 +57,7 @@ func New() *Engine {
 		lastSnaps: map[string]*storage.Catalog{},
 		plans:     exec.NewPlanCache(),
 	}
-	e.upd.deltas = map[string]*relDelta{}
-	e.upd.watermarks = map[string]uint64{}
+	e.upd.compacting = map[string]bool{}
 	e.upd.compactRatio = DefaultCompactRatio
 	e.upd.compactMin = DefaultCompactMin
 	return e
@@ -174,7 +172,7 @@ func (e *Engine) Alias(alias, target string) error {
 // group under the program's own variable names. Intermediate head
 // relations stay registered in the database.
 func (e *Engine) Run(query string) (*exec.Result, error) {
-	return e.run(query, exec.RunParams{})
+	return e.run(e.DB, query, exec.RunParams{})
 }
 
 // RunAnalyze executes a query with the EXPLAIN ANALYZE counters enabled
@@ -183,7 +181,7 @@ func (e *Engine) Run(query string) (*exec.Result, error) {
 // exec.Plan.ExplainAnalyze). The counters describe one plan's bags:
 // multi-rule and recursive programs return an empty annotation.
 func (e *Engine) RunAnalyze(query string) (*exec.Result, string, error) {
-	res, err := e.run(query, exec.RunParams{Collect: true})
+	res, err := e.run(e.DB, query, exec.RunParams{Collect: true})
 	if err != nil {
 		return nil, "", err
 	}
@@ -194,15 +192,16 @@ func (e *Engine) RunAnalyze(query string) (*exec.Result, string, error) {
 	return res, text, nil
 }
 
-// run executes query's cached preparation against the database and
-// relabels the result's attributes with query's spelling: the plan may
-// have been prepared for an alpha-renamed one.
-func (e *Engine) run(query string, rp exec.RunParams) (*exec.Result, error) {
+// run executes query's cached preparation against db (the engine's
+// database or a fork of it) and relabels the result's attributes with
+// query's spelling: the plan may have been prepared for an alpha-renamed
+// one.
+func (e *Engine) run(db *exec.DB, query string, rp exec.RunParams) (*exec.Result, error) {
 	lk, err := e.prepared(query)
 	if err != nil {
 		return nil, err
 	}
-	res, err := lk.Plan.Prep.RunWith(e.DB, rp)
+	res, err := lk.Plan.Prep.RunWith(db, rp)
 	if err != nil {
 		return nil, err
 	}

@@ -43,15 +43,10 @@ func (e *Engine) Snapshot(dir string) (*storage.Catalog, error) {
 		truncate = e.walSnapshotDirMatches(dir)
 		rotated = true
 	}
+	// The fork's relations carry their watermarks, so the catalog's
+	// (epoch, wal_seq) pairs describe exactly the state the segments
+	// serialize.
 	fork := e.DB.Fork()
-	// Copy the watermarks in the same critical section as the fork and
-	// the rotate: the three agree on one point in the update order, so
-	// the catalog's (epoch, wal_seq) pairs describe exactly the state the
-	// segments serialize.
-	marks := make(map[string]uint64, len(e.upd.watermarks))
-	for name, seq := range e.upd.watermarks {
-		marks[name] = seq
-	}
 	walHandle := e.upd.wal
 	event := e.upd.obs.Event
 	e.upd.mu.Unlock()
@@ -72,7 +67,7 @@ func (e *Engine) Snapshot(dir string) (*storage.Catalog, error) {
 			Name:   name,
 			Trie:   rel.Canonical(),
 			Epoch:  fork.EpochOf(name),
-			WALSeq: marks[name],
+			WALSeq: rel.WALSeq(),
 		})
 	}
 	key := snapKey(dir)
@@ -146,16 +141,9 @@ func (e *Engine) Restore(dir string) (*storage.Catalog, error) {
 	// fully, follow a runtime restore with a snapshot to the WAL's
 	// paired directory — eh-server's SIGTERM path does.)
 	e.upd.mu.Lock()
-	e.DB.InstallSnapshot(db.Tries, db.Epochs, db.Dict, db.Catalog.DictEpoch)
-	e.upd.deltas = map[string]*relDelta{}
-	// Adopt the snapshot's watermarks wholesale: the restored state
-	// reflects exactly the WAL prefixes the catalog recorded. A
-	// pre-provenance catalog restores all-zero watermarks — epoch-only
-	// lineage from here on.
-	e.upd.watermarks = make(map[string]uint64, len(db.Watermarks))
-	for name, seq := range db.Watermarks {
-		e.upd.watermarks[name] = seq
-	}
+	// The restored relations adopt the catalog's watermarks: the state
+	// reflects exactly the WAL prefixes it recorded.
+	e.DB.InstallSnapshot(db.Tries, db.Epochs, db.Watermarks, db.Dict, db.Catalog.DictEpoch)
 	var sealed uint64
 	walHandle := e.upd.wal
 	if walHandle != nil {

@@ -28,20 +28,14 @@ func TestWatermarksSurviveSnapshotRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if wm := eng.Watermarks(); wm["Edge"] != 2 {
-		t.Fatalf("watermark after 2 journaled updates: %v", wm)
-	}
-	lin := eng.Lineage([]string{"Edge"})["Edge"]
+	lin := Lineage(eng.DB, []string{"Edge"})["Edge"]
 	if lin.WALSeq != 2 || lin.OverlayGen != 2 || lin.OverlayRows != 2 {
-		t.Fatalf("lineage: %+v", lin)
+		t.Fatalf("lineage after 2 journaled updates: %+v", lin)
 	}
 
 	cat, err := eng.Snapshot(snapA)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if cat.ProvFormat != storage.ProvFormatVersion {
-		t.Fatalf("catalog prov format %d, want %d", cat.ProvFormat, storage.ProvFormatVersion)
 	}
 	for _, rm := range cat.Relations {
 		if rm.Name == "Edge" && rm.WALSeq != 2 {
@@ -53,8 +47,8 @@ func TestWatermarksSurviveSnapshotRoundTrip(t *testing.T) {
 	if _, err := eng2.Restore(snapA); err != nil {
 		t.Fatal(err)
 	}
-	if wm := eng2.Watermarks(); wm["Edge"] != 2 {
-		t.Fatalf("restored watermark: %v", wm)
+	if lin := Lineage(eng2.DB, []string{"Edge"})["Edge"]; lin.WALSeq != 2 || lin.OverlayGen != 0 {
+		t.Fatalf("restored lineage (watermark kept, overlay generation reset): %+v", lin)
 	}
 	if _, err := eng2.Snapshot(snapB); err != nil {
 		t.Fatal(err)
@@ -96,15 +90,15 @@ func TestWatermarksRecoveredByReplay(t *testing.T) {
 	if _, err := eng2.OpenWAL(walCfg(dir)); err != nil {
 		t.Fatal(err)
 	}
-	wm := eng2.Watermarks()
-	if wm["Edge"] != 2 || wm["Other"] != 3 {
-		t.Fatalf("replayed watermarks: %v", wm)
+	lin := Lineage(eng2.DB, []string{"Edge", "Other"})
+	if lin["Edge"].WALSeq != 2 || lin["Other"].WALSeq != 3 {
+		t.Fatalf("replayed watermarks: %+v", lin)
 	}
 }
 
 // TestWatermarkUnchangedByCompaction: compaction is content-preserving,
-// so it must not move the watermark (nor the epoch — the invariant the
-// snapshot segment-reuse path relies on).
+// so it must not move the watermark, the overlay generation, nor the
+// epoch — the invariant the snapshot segment-reuse path relies on.
 func TestWatermarkUnchangedByCompaction(t *testing.T) {
 	dir := t.TempDir()
 	eng := New()
@@ -117,16 +111,19 @@ func TestWatermarkUnchangedByCompaction(t *testing.T) {
 		}
 	}
 	epochBefore := eng.DB.EpochOf("Edge")
+	if lin := Lineage(eng.DB, []string{"Edge"})["Edge"]; lin.WALSeq != 4 || lin.OverlayGen != 4 {
+		t.Fatalf("lineage before compaction: %+v", lin)
+	}
 	if ok, err := eng.Compact("Edge"); !ok || err != nil {
 		t.Fatalf("compact: ok=%v err=%v", ok, err)
-	}
-	if wm := eng.Watermarks(); wm["Edge"] != 4 {
-		t.Fatalf("watermark moved across compaction: %v", wm)
 	}
 	if got := eng.DB.EpochOf("Edge"); got != epochBefore {
 		t.Fatalf("epoch moved across compaction: %d -> %d", epochBefore, got)
 	}
-	lin := eng.Lineage([]string{"Edge"})["Edge"]
+	lin := Lineage(eng.DB, []string{"Edge"})["Edge"]
+	if lin.WALSeq != 4 || lin.OverlayGen != 4 {
+		t.Fatalf("watermark or overlay generation moved across compaction: %+v", lin)
+	}
 	if lin.OverlayRows != 0 {
 		t.Fatalf("clean compaction should empty the overlay: %+v", lin)
 	}
@@ -149,7 +146,7 @@ func TestPreProvenanceSnapshotRestoresEpochOnly(t *testing.T) {
 	}
 
 	// Rewrite the catalog the way a pre-provenance writer would have:
-	// no prov_format, no wal_seq fields.
+	// no wal_seq fields.
 	path := filepath.Join(snapDir, storage.CatalogFile)
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -160,7 +157,6 @@ func TestPreProvenanceSnapshotRestoresEpochOnly(t *testing.T) {
 	if err := json.Unmarshal(raw[nl+1:], &doc); err != nil {
 		t.Fatal(err)
 	}
-	delete(doc, "prov_format")
 	for _, r := range doc["relations"].([]any) {
 		delete(r.(map[string]any), "wal_seq")
 	}
@@ -174,18 +170,13 @@ func TestPreProvenanceSnapshotRestoresEpochOnly(t *testing.T) {
 	}
 
 	eng2 := New()
-	cat, err := eng2.Restore(snapDir)
-	if err != nil {
+	if _, err := eng2.Restore(snapDir); err != nil {
 		t.Fatalf("pre-provenance snapshot must restore: %v", err)
 	}
-	if cat.ProvFormat != 0 {
-		t.Fatalf("stripped catalog reports prov format %d", cat.ProvFormat)
-	}
-	if wm := eng2.Watermarks(); len(wm) != 0 {
-		t.Fatalf("epoch-only restore grew watermarks: %v", wm)
-	}
-	if lin := eng2.Lineage([]string{"Edge"})["Edge"]; lin.WALSeq != 0 {
-		t.Fatalf("epoch-only lineage carries a watermark: %+v", lin)
+	for name, lin := range Lineage(eng2.DB, eng2.DB.Names()) {
+		if lin.WALSeq != 0 {
+			t.Fatalf("epoch-only restore grew a watermark on %s: %+v", name, lin)
+		}
 	}
 	// The data itself is intact.
 	if got := queryKey(t, eng2, `L(x,y) :- Edge(x,y).`); got != queryKey(t, eng, `L(x,y) :- Edge(x,y).`) {

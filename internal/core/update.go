@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,23 +50,19 @@ const (
 )
 
 // updState is the engine's streaming-update state; mu serializes every
-// update, WAL append, replay, compaction install, and restore.
+// update, WAL append, replay, compaction install, and restore. A
+// relation's own write state — base, overlay, maintained cardinality,
+// overlay generation and WAL watermark — lives on the exec.Relation the
+// DB holds (see exec.NewOverlayRelation), not here.
 type updState struct {
 	mu     sync.Mutex
 	wal    *wal.Log
 	walCfg WALConfig
-	deltas map[string]*relDelta
-
-	// watermarks holds each relation's WAL applied-seq watermark: the
-	// highest WAL sequence number reflected in the relation's visible
-	// state. It advances only in applyRecordLocked (every advance pairs
-	// with an epoch bump — the invariant snapshot segment reuse relies
-	// on), survives snapshot/restore through the catalog, and is NOT
-	// touched by compaction (folding is content-preserving).
-	watermarks map[string]uint64
 
 	compactRatio float64
 	compactMin   int
+	// compacting names the relations with a compaction in flight.
+	compacting map[string]bool
 	// compactWG tracks in-flight background compactions so Close (and
 	// tests) can wait for them.
 	compactWG sync.WaitGroup
@@ -112,29 +107,6 @@ func (e *Engine) SetObservers(o Observers) {
 		e.upd.wal.SetFsyncObserver(o.WALFsync)
 	}
 	e.upd.mu.Unlock()
-}
-
-// relDelta is one relation's streaming-update state: the compacted base
-// (wrapped in a standalone relation so permuted base indexes are built
-// once and shared across overlay installs), the current overlay, and
-// the merged view last installed into the DB (pointer identity detects
-// external replacement by /load or /restore).
-type relDelta struct {
-	baseRel *exec.Relation
-	// baseCard caches the base's cardinality (the base is immutable);
-	// compaction thresholds and /stats read it without a trie walk.
-	baseCard int
-	// card is the maintained cardinality of the installed merged view:
-	// updated incrementally per batch (O(batch × depth) membership
-	// probes), so acknowledging an update never re-walks the merged
-	// trie. Compaction leaves it untouched — folding is content-
-	// preserving — except the clean path, which re-anchors it to the
-	// compacted base's exact count.
-	card       int
-	ov         *delta.Overlay
-	installed  *trie.Trie
-	version    uint64
-	compacting bool
 }
 
 // UpdateBatch is one streaming update: columnar inserts (optionally
@@ -307,89 +279,56 @@ func fillOnes(op semiring.Op, n int) []float64 {
 	return out
 }
 
-// deltaForLocked resolves (or creates) the relation's overlay state. A
-// relation replaced behind our back (by /load or /restore) resets the
-// overlay: the replacement legitimately discarded the merged view.
-func (e *Engine) deltaForLocked(rec *wal.Record) (*relDelta, error) {
-	cur, exists := e.DB.Relation(rec.Rel)
-	rd := e.upd.deltas[rec.Rel]
-	if rd != nil && (!exists || cur.Canonical() != rd.installed) {
-		rd = nil
-	}
-	if rd != nil {
-		return rd, nil
-	}
-	var base *trie.Trie
-	if exists {
-		if cur.Arity != rec.Arity {
-			return nil, fmt.Errorf("core: update %s: record arity %d, relation arity %d", rec.Rel, rec.Arity, cur.Arity)
-		}
-		base = cur.Canonical()
-	} else {
-		base = trie.NewEmpty(rec.Arity, rec.Annotated(), rec.Op)
-	}
-	rd = &relDelta{
-		baseRel:   exec.NewRelation(rec.Rel, base),
-		baseCard:  base.Cardinality(),
-		ov:        delta.NewOverlay(rec.Arity, base.Annotated, base.Op),
-		installed: base,
-	}
-	rd.card = rd.baseCard
-	e.upd.deltas[rec.Rel] = rd
-	return rd, nil
-}
-
 // applyRecordLocked folds one record into the relation's overlay and
-// installs the merged view. The only failure mode is a shape conflict
-// with a relation that was concurrently replaced under a different
-// arity (recordForLocked validated against the catalog as of entry).
+// installs the next relation, built from the one the DB holds now: a
+// plain relation becomes the base (its index cache is kept), an overlay
+// relation keeps its base and extends its overlay. The only failure
+// mode is a shape conflict with a relation that was concurrently
+// replaced under a different arity (recordForLocked validated against
+// the catalog as of entry).
 func (e *Engine) applyRecordLocked(rec *wal.Record, tr *trace.Trace) (UpdateResult, error) {
-	rd, err := e.deltaForLocked(rec)
-	if err != nil {
-		return UpdateResult{}, err
+	cur, ok := e.DB.Relation(rec.Rel)
+	if !ok {
+		cur = exec.NewRelation(rec.Rel, trie.NewEmpty(rec.Arity, rec.Annotated(), rec.Op))
+	} else if cur.Arity != rec.Arity {
+		return UpdateResult{}, fmt.Errorf("core: update %s: record arity %d, relation arity %d", rec.Rel, rec.Arity, cur.Arity)
 	}
-	insT, delT := miniTries(rec, rd.baseRel, e.Opts.Layout)
+	ov := cur.Overlay()
+	if ov == nil {
+		ov = delta.NewOverlay(cur.Arity, cur.Annotated, cur.Op)
+	}
+	insT, delT := miniTries(rec, cur, e.Opts.Layout)
 
 	// Maintain the merged cardinality against the pre-batch view:
 	// deletes apply first, so a delete counts iff the tuple was visible,
 	// and an insert counts iff it was absent or deleted by this batch.
 	// This replaces the full merged-trie walk the response used to pay.
 	sp := tr.Begin("cardinality")
-	prev := rd.installed
+	card := cur.Cardinality()
+	prev := cur.Canonical()
 	if delT != nil {
 		delT.ForEachTuple(func(tp []uint32, _ float64) {
 			if prev.Contains(tp) {
-				rd.card--
+				card--
 			}
 		})
 	}
 	if insT != nil {
 		insT.ForEachTuple(func(tp []uint32, _ float64) {
 			if !prev.Contains(tp) || (delT != nil && delT.Contains(tp)) {
-				rd.card++
+				card++
 			}
 		})
 	}
 	tr.End(sp)
 
 	sp = tr.Begin("overlay_merge")
-	rd.ov = rd.ov.Apply(insT, delT, e.Opts.Layout)
-	merged := delta.MergedView(rd.baseRel.Canonical(), rd.ov.Ins, rd.ov.Del, e.Opts.Layout)
-	e.DB.AddTrieOverlay(rec.Rel, merged, rd.baseRel, rd.ov.Ins, rd.ov.Del)
-	tr.SpanAttrInt(sp, "overlay_rows", int64(rd.ov.Rows()))
+	ov = ov.Apply(insT, delT, e.Opts.Layout)
+	// A journaled record advances the watermark (replay's synthesized
+	// records carry the scan's maximum); it never moves backwards.
+	e.DB.Install(exec.NewOverlayRelation(cur.Base(), ov, card, cur.OverlayGen()+1, max(cur.WALSeq(), rec.Seq), e.Opts.Layout))
+	tr.SpanAttrInt(sp, "overlay_rows", int64(ov.Rows()))
 	tr.End(sp)
-	rd.installed = merged
-	rd.version++
-	if rec.Seq > 0 {
-		// Journaled update: the relation's visible state now reflects the
-		// WAL prefix through rec.Seq. Replay-synthesized records carry
-		// Seq 0; installLocked advances their watermarks from the scanned
-		// maxima instead.
-		if e.upd.watermarks == nil {
-			e.upd.watermarks = map[string]uint64{}
-		}
-		e.upd.watermarks[rec.Rel] = rec.Seq
-	}
 	e.upd.updates.Add(1)
 	e.upd.updateRows.Add(uint64(rec.InsRows() + rec.DelRows()))
 	return UpdateResult{
@@ -397,21 +336,21 @@ func (e *Engine) applyRecordLocked(rec *wal.Record, tr *trace.Trace) (UpdateResu
 		Seq:         rec.Seq,
 		Inserted:    rec.InsRows(),
 		Deleted:     rec.DelRows(),
-		Cardinality: rd.card,
-		OverlayRows: rd.ov.Rows(),
+		Cardinality: card,
+		OverlayRows: ov.Rows(),
 	}, nil
 }
 
 // miniTries builds the batch's insert and tombstone mini-tries (nil
 // when the respective side is empty). The record's column slices are
 // consumed.
-func miniTries(rec *wal.Record, baseRel *exec.Relation, layout trie.LayoutFunc) (insT, delT *trie.Trie) {
+func miniTries(rec *wal.Record, rel *exec.Relation, layout trie.LayoutFunc) (insT, delT *trie.Trie) {
 	if rec.InsRows() > 0 {
 		var anns []float64
-		if baseRel.Annotated {
+		if rel.Annotated {
 			anns = rec.InsAnns
 		}
-		insT = trie.FromColumns(rec.InsCols, anns, baseRel.Op, layout)
+		insT = trie.FromColumns(rec.InsCols, anns, rel.Op, layout)
 	}
 	if rec.DelRows() > 0 {
 		delT = trie.FromColumns(rec.DelCols, nil, semiring.None, layout)
@@ -434,15 +373,15 @@ func (e *Engine) SetAutoCompact(ratio float64, minRows int) {
 // maybeCompactLocked spawns a background compaction when the overlay
 // outgrew the configured ratio of the base.
 func (e *Engine) maybeCompactLocked(name string) {
-	rd := e.upd.deltas[name]
-	if rd == nil || rd.compacting || e.upd.compactRatio <= 0 {
+	cur, ok := e.DB.Relation(name)
+	if !ok || !cur.HasOverlay() || e.upd.compacting[name] || e.upd.compactRatio <= 0 {
 		return
 	}
-	rows := rd.ov.Rows()
+	rows := cur.Overlay().Rows()
 	if rows < e.upd.compactMin {
 		return
 	}
-	if float64(rows) < e.upd.compactRatio*float64(rd.baseCard) {
+	if float64(rows) < e.upd.compactRatio*float64(cur.Base().Cardinality()) {
 		return
 	}
 	e.upd.compactWG.Add(1)
@@ -454,94 +393,50 @@ func (e *Engine) maybeCompactLocked(name string) {
 
 // Compact folds the relation's overlay into a fresh compacted base and
 // installs it. The heavy rebuild runs outside the update mutex, so
-// updates keep flowing; if any landed meanwhile, the (idempotent)
-// overlay is re-folded onto the new base and stays live until the next
-// compaction. Returns false when there was nothing to compact (or a
-// compaction was already in flight).
+// updates keep flowing. There is one install path: the current
+// relation's overlay is trimmed against the compacted trie — empty when
+// no update landed meanwhile, exactly the updates that landed otherwise
+// — and the result swaps in if the relation still sits on the captured
+// base. Returns false when there was nothing to compact, a compaction
+// was already in flight, or a load or restore replaced the relation.
 func (e *Engine) Compact(name string) (bool, error) {
 	e.upd.mu.Lock()
-	rd := e.upd.deltas[name]
-	if rd == nil || rd.compacting || rd.ov.IsEmpty() {
+	cur, ok := e.DB.Relation(name)
+	if !ok || !cur.HasOverlay() || e.upd.compacting[name] {
 		e.upd.mu.Unlock()
 		return false, nil
 	}
-	if cur, ok := e.DB.Relation(name); !ok || cur.Canonical() != rd.installed {
-		delete(e.upd.deltas, name) // replaced externally; stale state
-		e.upd.mu.Unlock()
-		return false, nil
-	}
-	view := rd.installed
-	ver := rd.version
-	rd.compacting = true
+	e.upd.compacting[name] = true
 	e.upd.mu.Unlock()
 
 	// Chaos hook: Latency here widens the rebuild/install race window,
 	// Err aborts before anything is installed — either way the relation
 	// keeps serving its pre-compaction state.
-	if err := fault.Hit("core.compact"); err != nil {
-		e.upd.mu.Lock()
-		rd.compacting = false
-		e.upd.mu.Unlock()
-		return false, err
-	}
-
+	err := fault.Hit("core.compact")
 	t0 := time.Now()
-	compacted := delta.Compact(view, e.Opts.Layout)
+	var compacted *trie.Trie
+	if err == nil {
+		compacted = delta.Compact(cur.Canonical(), e.Opts.Layout)
+	}
 
 	e.upd.mu.Lock()
 	defer e.upd.mu.Unlock()
-	rd.compacting = false
-	cur, ok := e.DB.Relation(name)
-	if !ok || cur.Canonical() != rd.installed {
-		// Replaced externally while compacting: the merged view (and our
-		// whole overlay state) is obsolete; drop the work. Only remove
-		// the map entry if it is still ours — a restore may already have
-		// installed fresh state under this name.
-		if e.upd.deltas[name] == rd {
-			delete(e.upd.deltas, name)
-		}
-		return false, nil
+	delete(e.upd.compacting, name)
+	if err != nil {
+		return false, err
 	}
-	// Both install shapes carry exactly the current logical content (the
-	// raced branch by overlay-fold idempotence), so they go through
-	// SwapTrie: no epoch bump, and every epoch-keyed cached result over
-	// the relation stays valid — compaction is invisible to clients.
-	old := rd.installed
-	baseRel := exec.NewRelation(name, compacted)
-	if rd.version == ver {
-		// No updates landed during the rebuild: the compacted trie IS
-		// the current state; overlay resets to empty.
-		if !e.DB.SwapTrie(name, old, compacted, nil, nil, nil) {
-			if e.upd.deltas[name] == rd {
-				delete(e.upd.deltas, name)
-			}
-			return false, nil
-		}
-		rd.baseRel = baseRel
-		rd.baseCard = compacted.Cardinality()
-		// Re-anchor the maintained count to the exact base cardinality;
-		// any accumulated drift (there should be none) resets here.
-		rd.card = rd.baseCard
-		rd.ov = delta.NewOverlay(compacted.Arity, compacted.Annotated, compacted.Op)
-		rd.installed = compacted
-	} else {
-		// Updates landed: adopt the compacted trie as the new base,
-		// trim the overlay down to the post-capture net-new changes
-		// (entries the compaction already absorbed drop out — without
-		// the trim, sustained writes overlapping every compaction
-		// window would grow the overlay without bound), and re-fold.
-		ov := rd.ov.TrimAgainst(compacted, e.Opts.Layout)
-		merged := delta.MergedView(compacted, ov.Ins, ov.Del, e.Opts.Layout)
-		if !e.DB.SwapTrie(name, old, merged, baseRel, ov.Ins, ov.Del) {
-			if e.upd.deltas[name] == rd {
-				delete(e.upd.deltas, name)
-			}
-			return false, nil
-		}
-		rd.baseRel = baseRel
-		rd.baseCard = compacted.Cardinality()
-		rd.ov = ov
-		rd.installed = merged
+	now, ok := e.DB.Relation(name)
+	if !ok || now.Base() != cur.Base() {
+		return false, nil // replaced by a load or restore: the work is obsolete
+	}
+	// The install carries exactly the current logical content, so it
+	// goes through Swap: no epoch bump, and every epoch-keyed cached
+	// result over the relation stays valid — compaction is invisible to
+	// clients. Cardinality, overlay generation and watermark carry over.
+	ov := now.Overlay().TrimAgainst(compacted, e.Opts.Layout)
+	next := exec.NewOverlayRelation(exec.NewRelation(name, compacted), ov, now.Cardinality(), now.OverlayGen(), now.WALSeq(), e.Opts.Layout)
+	if !e.DB.Swap(now, next) {
+		return false, nil
 	}
 	dur := time.Since(t0)
 	e.upd.compactions.Add(1)
@@ -553,9 +448,9 @@ func (e *Engine) Compact(name string) (bool, error) {
 		e.upd.obs.Event("compaction", map[string]any{
 			"relation":     name,
 			"duration_us":  dur.Microseconds(),
-			"base_rows":    rd.baseCard,
-			"overlay_rows": rd.ov.Rows(),
-			"raced":        rd.version != ver,
+			"base_rows":    next.Base().Cardinality(),
+			"overlay_rows": ov.Rows(),
+			"raced":        now != cur,
 		})
 	}
 	return true, nil
@@ -695,8 +590,8 @@ func (e *Engine) ProbeDurability() error {
 type replayAcc struct {
 	rels map[string]*replayRel
 	// maxSeq tracks, per relation, the highest WAL sequence number seen
-	// during the scan; installLocked promotes it to the relation's
-	// watermark (the synthesized install records carry Seq 0).
+	// during the scan; installLocked stamps it on the relation's
+	// synthesized install record, so the apply advances the watermark.
 	maxSeq map[string]uint64
 }
 
@@ -809,7 +704,7 @@ func (a *replayAcc) installLocked(e *Engine) (skipped int, err error) {
 				}
 			}
 		}
-		rec := &wal.Record{Rel: name, Arity: rr.arity, Op: rr.op}
+		rec := &wal.Record{Rel: name, Arity: rr.arity, Op: rr.op, Seq: a.maxSeq[name]}
 		if insRows(insCols) > 0 {
 			rec.InsCols = insCols
 			if rr.annotated {
@@ -827,13 +722,6 @@ func (a *replayAcc) installLocked(e *Engine) (skipped int, err error) {
 		}
 		if _, err := e.applyRecordLocked(rec, nil); err != nil {
 			skipped++
-			continue
-		}
-		// The synthesized record carries Seq 0; the installed view
-		// reflects the scanned prefix, so promote the scan's maximum to
-		// the watermark (pairing with the epoch bump the apply just made).
-		if seq := a.maxSeq[name]; seq > e.upd.watermarks[name] {
-			e.upd.watermarks[name] = seq
 		}
 	}
 	return skipped, nil
@@ -883,69 +771,54 @@ func (e *Engine) Durability() DurabilityStats {
 		CompactTotalUS: int64(e.upd.compactNS.Load() / 1e3),
 	}
 	walHandle := e.upd.wal
-	for name, rd := range e.upd.deltas {
-		if rd.ov.IsEmpty() && !rd.compacting {
+	for _, name := range e.DB.Names() {
+		rel, ok := e.DB.Relation(name)
+		if !ok || (!rel.HasOverlay() && !e.upd.compacting[name]) {
 			continue
 		}
-		insB, delB := rd.ov.MemBytes()
-		st.Overlays = append(st.Overlays, OverlayStat{
-			Relation:   name,
-			Rows:       rd.ov.Rows(),
-			BaseRows:   rd.baseCard,
-			InsBytes:   insB,
-			DelBytes:   delB,
-			Compacting: rd.compacting,
-		})
+		row := OverlayStat{Relation: name, BaseRows: rel.Base().Cardinality(), Compacting: e.upd.compacting[name]}
+		if ov := rel.Overlay(); ov != nil {
+			row.Rows = ov.Rows()
+			row.InsBytes, row.DelBytes = ov.MemBytes()
+		}
+		st.Overlays = append(st.Overlays, row)
 	}
 	e.upd.mu.Unlock()
 	if walHandle != nil {
 		st.WAL = walHandle.StatsSnapshot()
 	}
-	sort.Slice(st.Overlays, func(i, j int) bool { return st.Overlays[i].Relation < st.Overlays[j].Relation })
 	return st
 }
 
 // RelProv is one relation's live determination-provenance coordinates
 // (see internal/prov and docs/PROVENANCE.md).
 type RelProv struct {
-	// OverlayGen counts the update batches folded into the relation's
-	// merged view since its base was last replaced.
+	// OverlayGen counts the update batches folded into the relation
+	// since it was loaded or restored (compaction carries it).
 	OverlayGen uint64
 	// WALSeq is the relation's WAL applied-seq watermark (0 = epoch-only
-	// lineage: no WAL, or restored from a pre-provenance snapshot).
+	// lineage: no WAL, or no journaled update since a load).
 	WALSeq uint64
 	// OverlayRows is the live overlay size (pending inserts + tombstones).
 	OverlayRows int
 }
 
-// Lineage returns the provenance coordinates of the named relations,
-// read atomically under the update mutex so the set is one admissible
-// point in the update order. Unknown relations report zeros.
-func (e *Engine) Lineage(names []string) map[string]RelProv {
+// Lineage returns the provenance coordinates of the named relations as
+// db holds them; unknown relations report zeros. The coordinates live on
+// the relations, so a fork's are exactly the ones its queries read, and
+// they are one admissible point in the update order together with the
+// fork's epochs.
+func Lineage(db *exec.DB, names []string) map[string]RelProv {
 	out := make(map[string]RelProv, len(names))
-	e.upd.mu.Lock()
 	for _, name := range names {
-		p := RelProv{WALSeq: e.upd.watermarks[name]}
-		if rd := e.upd.deltas[name]; rd != nil {
-			p.OverlayGen = rd.version
-			p.OverlayRows = rd.ov.Rows()
+		var p RelProv
+		if rel, ok := db.Relation(name); ok {
+			p = RelProv{OverlayGen: rel.OverlayGen(), WALSeq: rel.WALSeq()}
+			if ov := rel.Overlay(); ov != nil {
+				p.OverlayRows = ov.Rows()
+			}
 		}
 		out[name] = p
-	}
-	e.upd.mu.Unlock()
-	return out
-}
-
-// Watermarks returns a copy of every relation's WAL applied-seq
-// watermark (zero-valued entries are omitted).
-func (e *Engine) Watermarks() map[string]uint64 {
-	e.upd.mu.Lock()
-	defer e.upd.mu.Unlock()
-	out := make(map[string]uint64, len(e.upd.watermarks))
-	for name, seq := range e.upd.watermarks {
-		if seq > 0 {
-			out[name] = seq
-		}
 	}
 	return out
 }

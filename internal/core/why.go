@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"emptyheaded/internal/datalog"
+	"emptyheaded/internal/exec"
 	"emptyheaded/internal/graph"
 )
 
@@ -114,7 +115,11 @@ func (e *Engine) Why(query, tuple string) (*WhyReport, error) {
 		src.WriteString("\n")
 	}
 	src.WriteString(pinnedRule.String())
-	if res, err := e.Run(src.String()); err != nil {
+	// Every part of the report reads one fork: the re-run, the listings,
+	// and the epochs and coordinates of the relations section describe
+	// one point in the update order, and the re-run's heads stay in it.
+	fork := e.DB.Fork()
+	if res, err := e.run(fork, src.String(), exec.RunParams{}); err != nil {
 		rep.Err = err.Error()
 	} else {
 		rep.Derivations = int(res.Scalar())
@@ -124,11 +129,11 @@ func (e *Engine) Why(query, tuple string) (*WhyReport, error) {
 	// Per-atom contribution listings: walk each body relation's visible
 	// view, keep rows consistent with the pinned bindings, and classify
 	// each as base or overlay.
-	dict := e.DB.Dict()
+	dict := fork.Dict()
 	for _, a := range rule.Atoms {
 		pa := pinAtom(a, pinned)
 		wa := WhyAtom{Pred: a.Pred, Pattern: atomString(pa)}
-		rel, ok := e.DB.Relation(a.Pred)
+		rel, ok := fork.Relation(a.Pred)
 		if !ok {
 			wa.Err = fmt.Sprintf("unknown relation %s", a.Pred)
 			rep.Atoms = append(rep.Atoms, wa)
@@ -198,12 +203,12 @@ func (e *Engine) Why(query, tuple string) (*WhyReport, error) {
 		rep.Atoms = append(rep.Atoms, wa)
 	}
 
-	lineage := e.Lineage(prog.Relations())
+	lineage := Lineage(fork, prog.Relations())
 	for _, name := range prog.Relations() {
 		p := lineage[name]
 		rep.Relations = append(rep.Relations, WhyRelation{
 			Name:       name,
-			Epoch:      e.DB.EpochOf(name),
+			Epoch:      fork.EpochOf(name),
 			OverlayGen: p.OverlayGen,
 			WALSeq:     p.WALSeq,
 		})

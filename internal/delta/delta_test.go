@@ -147,38 +147,64 @@ func TestCompactEqualsView(t *testing.T) {
 	}
 }
 
+// TestTrimAgainst: trimming an overlay against a base that absorbed
+// part of it (a compacted trie) keeps exactly the changes the base
+// lacks, keeps the relation's shape, and never changes the merged view.
+// Every compaction installs through it; an overlay the base absorbed
+// whole trims to empty.
 func TestTrimAgainst(t *testing.T) {
-	// Base already absorbed {1,1} (insert) and lacks {9,9} (tombstone);
-	// only the genuinely new changes must survive the trim.
-	base := buildTrie(t, 2, semiring.None, [][]uint32{{1, 1}, {2, 2}, {3, 3}}, nil)
-	ov := NewOverlay(2, false, semiring.None)
-	ov = ov.Apply(
-		buildTrie(t, 2, semiring.None, [][]uint32{{1, 1}, {5, 5}}, nil), // {1,1} absorbed, {5,5} new
-		buildTrie(t, 2, semiring.None, [][]uint32{{2, 2}, {9, 9}}, nil), // {2,2} live tombstone, {9,9} no-op
-		nil)
-	trimmed := ov.TrimAgainst(base, nil)
-	if got := dump(trimmed.Ins); !reflect.DeepEqual(got, map[string]float64{tupleKey([]uint32{5, 5}): 1}) {
-		t.Fatalf("trimmed ins %v", got)
-	}
-	if got := dump(trimmed.Del); !reflect.DeepEqual(got, map[string]float64{tupleKey([]uint32{2, 2}): 1}) {
-		t.Fatalf("trimmed del %v", got)
-	}
-	if trimmed.Rows() != 2 {
-		t.Fatalf("trimmed rows %d, want 2", trimmed.Rows())
-	}
-	// The merged view is unchanged by trimming.
-	if a, b := dump(MergedView(base, ov.Ins, ov.Del, nil)), dump(MergedView(base, trimmed.Ins, trimmed.Del, nil)); !reflect.DeepEqual(a, b) {
-		t.Fatalf("trim changed the merged view: %v vs %v", a, b)
-	}
-
-	// Annotated: an insert with a DIFFERENT annotation than the base
-	// survives (it is a live upsert); an identical one drops.
-	abase := buildTrie(t, 1, semiring.Sum, [][]uint32{{1}, {2}}, []float64{10, 20})
-	aov := NewOverlay(1, true, semiring.Sum)
-	aov = aov.Apply(buildTrie(t, 1, semiring.Sum, [][]uint32{{1}, {2}}, []float64{10, 99}), nil, nil)
-	at := aov.TrimAgainst(abase, nil)
-	if got := dump(at.Ins); !reflect.DeepEqual(got, map[string]float64{tupleKey([]uint32{2}): 99}) {
-		t.Fatalf("annotated trim kept %v", got)
+	base := buildTrie(t, 2, semiring.Sum, [][]uint32{{1, 1}, {2, 2}, {3, 3}}, []float64{10, 20, 30})
+	key := func(a, b uint32) string { return tupleKey([]uint32{a, b}) }
+	for _, tc := range []struct {
+		name             string
+		ins              [][]uint32
+		insAnns          []float64
+		del              [][]uint32
+		wantIns, wantDel map[string]float64
+	}{
+		{name: "absorbed insert dropped",
+			ins: [][]uint32{{1, 1}, {5, 5}}, insAnns: []float64{10, 50},
+			wantIns: map[string]float64{key(5, 5): 50}, wantDel: map[string]float64{}},
+		{name: "changed annotation kept",
+			ins: [][]uint32{{1, 1}}, insAnns: []float64{11},
+			wantIns: map[string]float64{key(1, 1): 11}, wantDel: map[string]float64{}},
+		{name: "tombstone for absent tuple dropped",
+			del:     [][]uint32{{9, 9}},
+			wantIns: map[string]float64{}, wantDel: map[string]float64{}},
+		{name: "tombstone for present tuple kept",
+			del:     [][]uint32{{2, 2}, {9, 9}},
+			wantIns: map[string]float64{}, wantDel: map[string]float64{key(2, 2): 1}},
+		{name: "fully absorbed overlay is empty",
+			ins: [][]uint32{{1, 1}, {3, 3}}, insAnns: []float64{10, 30}, del: [][]uint32{{8, 8}, {9, 9}},
+			wantIns: map[string]float64{}, wantDel: map[string]float64{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var ins, del *trie.Trie
+			if tc.ins != nil {
+				ins = buildTrie(t, 2, semiring.Sum, tc.ins, tc.insAnns)
+			}
+			if tc.del != nil {
+				del = buildTrie(t, 2, semiring.None, tc.del, nil)
+			}
+			ov := NewOverlay(2, true, semiring.Sum).Apply(ins, del, nil)
+			trimmed := ov.TrimAgainst(base, nil)
+			if got := dump(trimmed.Ins); !reflect.DeepEqual(got, tc.wantIns) {
+				t.Fatalf("trimmed inserts %v, want %v", got, tc.wantIns)
+			}
+			if got := dump(trimmed.Del); !reflect.DeepEqual(got, tc.wantDel) {
+				t.Fatalf("trimmed tombstones %v, want %v", got, tc.wantDel)
+			}
+			if want := len(tc.wantIns) + len(tc.wantDel); trimmed.Rows() != want || trimmed.IsEmpty() != (want == 0) {
+				t.Fatalf("trimmed rows %d (empty %v), want %d", trimmed.Rows(), trimmed.IsEmpty(), want)
+			}
+			if !trimmed.Ins.Annotated || trimmed.Ins.Op != semiring.Sum || trimmed.Del.Annotated {
+				t.Fatalf("trim lost the overlay's shape: ins annotated=%v op=%v, del annotated=%v",
+					trimmed.Ins.Annotated, trimmed.Ins.Op, trimmed.Del.Annotated)
+			}
+			if a, b := dump(MergedView(base, ov.Ins, ov.Del, nil)), dump(MergedView(base, trimmed.Ins, trimmed.Del, nil)); !reflect.DeepEqual(a, b) {
+				t.Fatalf("trim changed the merged view: %v vs %v", a, b)
+			}
+		})
 	}
 }
 

@@ -150,22 +150,25 @@ func (db *DB) DictEpoch() uint64 {
 }
 
 // InstallSnapshot atomically replaces the entire database — relations,
-// per-relation epochs, and dictionary — with restored snapshot state, in
-// one critical section: a concurrent Fork sees either the old database
-// or the new one, never a mix. The snapshot's saved epochs are adopted
-// verbatim (which is what makes snapshot → restore → re-snapshot
-// byte-identical), and the global version jumps past every adopted epoch
-// so later mutations stay strictly monotone. Epoch numbering is NOT
-// comparable across an install — the snapshot may come from another
-// process — so holders of epoch-keyed caches must flush them when they
-// trigger a restore. Compiled plans need no flush: each execution binds
-// its plan to the database it runs on (Plan.Clone).
-func (db *DB) InstallSnapshot(tries map[string]*trie.Trie, epochs map[string]uint64, dict *graph.Dictionary, dictEpoch uint64) {
+// per-relation epochs and WAL watermarks, and dictionary — with restored
+// snapshot state, in one critical section: a concurrent Fork sees either
+// the old database or the new one, never a mix. The snapshot's saved
+// epochs are adopted verbatim (which is what makes snapshot → restore →
+// re-snapshot byte-identical), and the global version jumps past every
+// adopted epoch so later mutations stay strictly monotone. Epoch
+// numbering is NOT comparable across an install — the snapshot may come
+// from another process — so holders of epoch-keyed caches must flush
+// them when they trigger a restore. Compiled plans need no flush: each
+// execution binds its plan to the database it runs on (Plan.Clone).
+// Restored relations start with no overlay and overlay generation 0.
+func (db *DB) InstallSnapshot(tries map[string]*trie.Trie, epochs, walSeqs map[string]uint64, dict *graph.Dictionary, dictEpoch uint64) {
 	rels := make(map[string]*Relation, len(tries))
 	eps := make(map[string]uint64, len(tries))
 	maxE := dictEpoch
 	for name, t := range tries {
-		rels[name] = NewRelation(name, t)
+		r := NewRelation(name, t)
+		r.walSeq = walSeqs[name]
+		rels[name] = r
 		e := epochs[name]
 		eps[name] = e
 		if e > maxE {
@@ -188,38 +191,52 @@ func (db *DB) InstallSnapshot(tries map[string]*trie.Trie, epochs map[string]uin
 // (column permutation, layout policy) — the paper stores "both orders" of
 // each edge relation (§2.2 "Column (Index) Order"); we generalize to any
 // permutation and build on demand.
+//
+// A relation is immutable apart from its index cache: its trie and its
+// write state are fixed at construction, so the DB installs and swaps
+// whole relations, and a fork that holds one sees one consistent state.
 type Relation struct {
 	Name      string
 	Arity     int
 	Annotated bool
 	Op        semiring.Op
 
-	// mu guards the lazily built index cache: concurrent queries share
-	// relations, so every access to canonical/indexes/vectors goes through
-	// it. Index hits take the read lock only; vector takes the write lock.
-	mu        sync.RWMutex
 	canonical *trie.Trie
-	indexes   map[string]*trie.Trie
+	// mu guards the lazily built index cache: concurrent queries share
+	// relations, so every access to indexes/vectors goes through it.
+	// Index hits take the read lock only; vector takes the write lock.
+	mu      sync.RWMutex
+	indexes map[string]*trie.Trie
 	// vectors memoizes the dense vector of a unary index (see vector),
 	// keyed by layout name like the index it reads.
 	vectors map[string]*vector
 
-	// Overlay decomposition (see AddTrieOverlay): when base is non-nil,
-	// canonical is the merged view (base \ ovDel) ∪ ovIns, and permuted
-	// indexes are assembled as base.Index(perm) merged with the permuted
-	// overlay — O(overlay) per index instead of re-sorting the whole
-	// merged relation. base is a standalone relation whose index cache
-	// is shared across successive overlay installs of the same relation.
-	base  *Relation
-	ovIns *trie.Trie
-	ovDel *trie.Trie
+	// Write state of the streaming-update layer (see NewOverlayRelation).
+	// When ov is non-nil, canonical is the merged view (base \ ov.Del) ∪
+	// ov.Ins, and permuted indexes are assembled as base.Index(perm)
+	// merged with the permuted overlay — O(overlay) per index instead of
+	// re-sorting the whole merged relation. base is a plain relation
+	// whose index cache every later update on top of it shares.
+	base *Relation
+	ov   *delta.Overlay
+	// card is the tuple count: exact for a plain relation, maintained
+	// batch by batch for an overlay view, so acknowledging an update
+	// never walks the merged trie.
+	card int
+	// gen counts the update batches folded in since the relation was
+	// loaded or restored (compaction carries it); walSeq is the WAL
+	// applied-seq watermark, the highest WAL sequence number reflected
+	// in the relation's state (0 = epoch-only lineage).
+	gen, walSeq uint64
 }
 
-// NewRelation wraps a trie as a standalone relation (with its own index
-// cache) outside any DB. The streaming-update layer holds each updated
-// relation's compacted base this way, so permuted base indexes are
-// built once and reused by every overlay install on top of it.
+// NewRelation wraps a trie as a plain relation with its own index cache,
+// outside any DB.
 func NewRelation(name string, t *trie.Trie) *Relation {
+	return newRelation(name, t, t.Cardinality())
+}
+
+func newRelation(name string, t *trie.Trie, card int) *Relation {
 	return &Relation{
 		Name:      name,
 		Arity:     t.Arity,
@@ -227,14 +244,24 @@ func NewRelation(name string, t *trie.Trie) *Relation {
 		Op:        t.Op,
 		canonical: t,
 		indexes:   map[string]*trie.Trie{},
+		card:      card,
 	}
 }
 
-// newOverlayRelation is NewRelation for a merged view, plus the overlay
-// decomposition it was built from (see Relation.base).
-func newOverlayRelation(name string, merged *trie.Trie, base *Relation, ins, del *trie.Trie) *Relation {
-	r := NewRelation(name, merged)
-	r.base, r.ovIns, r.ovDel = base, ins, del
+// NewOverlayRelation returns the streaming-update relation base+ov: its
+// trie is the merged view (base \ ov.Del) ∪ ov.Ins, card its maintained
+// cardinality, gen its overlay generation and walSeq its WAL watermark.
+// base must be plain (see Base). An empty overlay yields a plain
+// relation over base's trie, counted exactly.
+func NewOverlayRelation(base *Relation, ov *delta.Overlay, card int, gen, walSeq uint64, layout trie.LayoutFunc) *Relation {
+	var r *Relation
+	if ov.IsEmpty() {
+		r = newRelation(base.Name, base.canonical, base.card)
+	} else {
+		r = newRelation(base.Name, delta.MergedView(base.canonical, ov.Ins, ov.Del, layout), card)
+		r.base, r.ov = base, ov
+	}
+	r.gen, r.walSeq = gen, walSeq
 	return r
 }
 
@@ -242,47 +269,35 @@ func newOverlayRelation(name string, merged *trie.Trie, base *Relation, ins, del
 // column order.
 func (db *DB) AddTrie(name string, t *trie.Trie) *Relation {
 	r := NewRelation(name, t)
-	db.mu.Lock()
-	db.rels[name] = r
-	db.bumpRelLocked(name)
-	db.mu.Unlock()
+	db.Install(r)
 	return r
 }
 
-// AddTrieOverlay registers (or replaces) relation name with its merged
-// streaming-update view plus the overlay decomposition it was built
-// from: base is the compacted-base relation (its index cache is shared
-// across installs), ins/del the overlay mini-tries (either may be nil).
-// Like AddTrie it bumps the relation's epoch, so read-set-keyed result
-// caches invalidate exactly the queries that read this relation.
-func (db *DB) AddTrieOverlay(name string, merged *trie.Trie, base *Relation, ins, del *trie.Trie) *Relation {
-	r := newOverlayRelation(name, merged, base, ins, del)
+// Install registers (or replaces) r under its name and advances that
+// relation's epoch, so read-set-keyed result caches invalidate exactly
+// the queries that read it.
+func (db *DB) Install(r *Relation) {
 	db.mu.Lock()
-	db.rels[name] = r
-	db.bumpRelLocked(name)
+	db.rels[r.Name] = r
+	db.bumpRelLocked(r.Name)
 	db.mu.Unlock()
-	return r
 }
 
-// SwapTrie replaces relation name's physical representation WITHOUT
-// advancing its epoch or the global version — strictly for installs
-// whose logical content is unchanged (the compactor folding an overlay
-// into a fresh base). Epoch-keyed result caches therefore stay valid
-// across the swap, which is what makes compaction invisible to clients
-// instead of flushing every cached query over the relation. The swap
-// is conditional on the caller's view still being installed (old must
-// be the current canonical trie) so it can never clobber a concurrent
-// load; it returns false when the relation moved on. base/ins/del
-// carry the overlay decomposition (nil for a plain compacted install).
-func (db *DB) SwapTrie(name string, old, merged *trie.Trie, base *Relation, ins, del *trie.Trie) bool {
-	r := newOverlayRelation(name, merged, base, ins, del)
+// Swap replaces old with r WITHOUT advancing the epoch or the global
+// version — strictly for installs whose logical content is unchanged
+// (the compactor folding an overlay into a fresh base). Epoch-keyed
+// result caches therefore stay valid across the swap, which is what
+// makes compaction invisible to clients. The swap is conditional on old
+// still being the installed relation, so it can never clobber a
+// concurrent load or update; it returns false when the relation moved
+// on.
+func (db *DB) Swap(old, r *Relation) bool {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	cur, ok := db.rels[name]
-	if !ok || cur.Canonical() != old {
+	if db.rels[r.Name] != old {
 		return false
 	}
-	db.rels[name] = r
+	db.rels[r.Name] = r
 	return true
 }
 
@@ -345,32 +360,42 @@ func (db *DB) Names() []string {
 }
 
 // Cardinality returns the tuple count of the relation.
-func (r *Relation) Cardinality() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.canonical.Cardinality()
-}
+func (r *Relation) Cardinality() int { return r.card }
 
 // Canonical returns the natural-order trie.
-func (r *Relation) Canonical() *trie.Trie {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.canonical
-}
+func (r *Relation) Canonical() *trie.Trie { return r.canonical }
 
 // HasOverlay reports whether the relation serves through a delta-overlay
-// merged view (reads see base+overlay rather than a compacted trie). The
-// overlay decomposition is fixed at construction, so no lock is needed.
-func (r *Relation) HasOverlay() bool { return r.base != nil }
+// merged view (reads see base+overlay rather than a compacted trie).
+func (r *Relation) HasOverlay() bool { return r.ov != nil }
+
+// Base returns the plain relation the merged view is built on; a plain
+// relation is its own base.
+func (r *Relation) Base() *Relation {
+	if r.base == nil {
+		return r
+	}
+	return r.base
+}
+
+// Overlay returns the pending updates over Base (nil for a plain
+// relation).
+func (r *Relation) Overlay() *delta.Overlay { return r.ov }
+
+// OverlayGen returns the number of update batches folded in since the
+// relation was loaded or restored.
+func (r *Relation) OverlayGen() uint64 { return r.gen }
+
+// WALSeq returns the relation's WAL applied-seq watermark.
+func (r *Relation) WALSeq() uint64 { return r.walSeq }
 
 // Source classifies how a visible tuple enters the relation's merged
 // view: "overlay" when the streaming-update insert overlay contributes
 // it, "base" otherwise (including fully compacted relations). Callers
 // pass tuples in the relation's natural column order and internal code
-// space. The overlay decomposition is fixed at construction, so no lock
-// is needed.
+// space.
 func (r *Relation) Source(tp []uint32) string {
-	if r.ovIns != nil && r.ovIns.Contains(tp) {
+	if r.ov != nil && r.ov.Ins.Contains(tp) {
 		return "overlay"
 	}
 	return "base"
@@ -417,7 +442,7 @@ func (r *Relation) Index(perm []int, layout trie.LayoutFunc, layoutName string) 
 	var t *trie.Trie
 	if identity && layoutName == "auto" && r.canonical != nil {
 		t = r.canonical
-	} else if r.base != nil {
+	} else if r.ov != nil {
 		// Overlay path: permute only the (small) overlay and merge it
 		// over the base's cached permuted index, instead of enumerating
 		// and re-sorting the whole merged relation. Lock order is always
@@ -425,8 +450,8 @@ func (r *Relation) Index(perm []int, layout trie.LayoutFunc, layoutName string) 
 		// r.mu across base.Index cannot deadlock.
 		baseIdx := r.base.Index(perm, layout, layoutName)
 		t = delta.MergedView(baseIdx,
-			delta.Permute(r.ovIns, perm, layout),
-			delta.Permute(r.ovDel, perm, layout),
+			delta.Permute(r.ov.Ins, perm, layout),
+			delta.Permute(r.ov.Del, perm, layout),
 			layout)
 	} else {
 		t = delta.Permute(r.canonical, perm, layout)

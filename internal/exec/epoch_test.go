@@ -91,7 +91,7 @@ func TestInstallSnapshot(t *testing.T) {
 	db.InstallSnapshot(map[string]*trie.Trie{
 		"Edge": tinyTrie(1, 2),
 		"Rank": tinyTrie(7),
-	}, map[string]uint64{"Edge": 41, "Rank": 97}, dict, 55)
+	}, map[string]uint64{"Edge": 41, "Rank": 97}, map[string]uint64{"Edge": 7}, dict, 55)
 
 	if db.Version() <= oldVersion {
 		t.Fatal("install did not advance the version")
@@ -109,6 +109,13 @@ func TestInstallSnapshot(t *testing.T) {
 	}
 	if db.DictEpoch() != 55 {
 		t.Fatalf("dict epoch %d, want adopted 55", db.DictEpoch())
+	}
+	// Watermarks are adopted onto the relations; a relation without one
+	// restores epoch-only (0), and no relation starts with an overlay.
+	for name, want := range map[string]uint64{"Edge": 7, "Rank": 0} {
+		if r, _ := db.Relation(name); r.WALSeq() != want || r.OverlayGen() != 0 || r.HasOverlay() {
+			t.Fatalf("%s: watermark %d (want %d), overlay gen %d, overlay %v", name, r.WALSeq(), want, r.OverlayGen(), r.HasOverlay())
+		}
 	}
 	if db.Version() <= 97 {
 		t.Fatalf("version %d not past the adopted epochs", db.Version())

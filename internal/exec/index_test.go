@@ -85,10 +85,11 @@ func TestOverlayIndexEveryPermutation(t *testing.T) {
 		}
 		ov := delta.NewOverlay(3, annotated, op).Apply(
 			build(ins, perms[0], annotated, nil), build(del, perms[0], false, nil), nil)
-		merged := delta.MergedView(base, ov.Ins, ov.Del, nil)
+		rel := NewOverlayRelation(NewRelation("R", base), ov, len(model), 1, 0, nil)
+		merged := rel.Canonical()
 
 		db := NewDB()
-		rel := db.AddTrieOverlay("R", merged, NewRelation("R", base), ov.Ins, ov.Del)
+		db.Install(rel)
 		plain := db.AddTrie("P", delta.Compact(merged, nil))
 		if !rel.HasOverlay() || plain.HasOverlay() {
 			t.Fatalf("fixture: overlay flags %v / %v", rel.HasOverlay(), plain.HasOverlay())

@@ -5,13 +5,17 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"emptyheaded/internal/core"
 	"emptyheaded/internal/fault"
 	"emptyheaded/internal/obs"
+	"emptyheaded/internal/semiring"
+	"emptyheaded/internal/wal"
 )
 
 // queryWithProv posts a /query with the provenance flag set.
@@ -351,5 +355,85 @@ func TestAuditSamplerRuns(t *testing.T) {
 	if tr.ID != ev.TraceID || tr.Kind != "audit" || tr.Provenance == nil ||
 		tr.Provenance.Cardinality != ev.ActualCardinality {
 		t.Fatalf("audit trace: %+v", tr)
+	}
+}
+
+// TestLineageFromFork: a query's lineage is read from the fork it ran
+// on. An /update to its read set that lands while the query executes
+// moves the live relation, not the reply: the reply's wal_seq and
+// overlay_gen are the ones that go with its epoch — the pre-update
+// values — and the next execution sees the update's.
+func TestLineageFromFork(t *testing.T) {
+	eng := core.New()
+	if err := eng.AddRelationColumns("Edge", [][]uint32{{0, 1, 0}, {1, 2, 2}}, nil, semiring.None); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.OpenWAL(core.WALConfig{Dir: t.TempDir(), Sync: wal.SyncAlways}); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(eng, Config{Workers: 4}).Handler())
+	defer ts.Close()
+	update := func(row []uint32) {
+		t.Helper()
+		if code, body := postJSON(t, ts.URL+"/update", UpdateRequest{Name: "Edge", Inserts: [][]uint32{row}}, nil); code != http.StatusOK {
+			t.Fatalf("/update: %d %s", code, body)
+		}
+	}
+	edge := func(lin *obs.Lineage) obs.RelLineage {
+		t.Helper()
+		for _, rl := range lin.Relations {
+			if rl.Relation == "Edge" {
+				return rl
+			}
+		}
+		t.Fatalf("Edge missing from lineage %+v", lin)
+		return obs.RelLineage{}
+	}
+	update([]uint32{2, 3}) // seq 1, overlay generation 1
+	epoch := eng.DB.EpochOf("Edge")
+
+	// Hold the query in its first worker block, after its fork.
+	in := fault.New(35, fault.Rule{Point: "exec.worker", Kind: fault.Latency, OnCall: 1, Sleep: 400 * time.Millisecond})
+	restore := fault.Enable(in)
+	defer restore()
+	body, err := json.Marshal(QueryRequest{Query: triangleQ, Provenance: true, NoCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type result struct {
+		resp *http.Response
+		err  error
+	}
+	reply := make(chan result, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader(string(body)))
+		reply <- result{resp, err}
+	}()
+	for deadline := time.Now().Add(5 * time.Second); len(in.Events()) == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("query never reached a worker (%s)", in)
+		}
+	}
+	update([]uint32{3, 4}) // seq 2, overlay generation 2, lands mid-query
+	r := <-reply
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	defer r.resp.Body.Close()
+	var qr QueryResponse
+	if err := json.NewDecoder(r.resp.Body).Decode(&qr); err != nil || r.resp.StatusCode != http.StatusOK {
+		t.Fatalf("/query: status %d, decode error %v", r.resp.StatusCode, err)
+	}
+	if qr.Provenance == nil {
+		t.Fatal("provenance requested but absent")
+	}
+	if got, want := edge(qr.Provenance), (obs.RelLineage{Relation: "Edge", Epoch: epoch, OverlayGen: 1, WALSeq: 1, OverlayRows: 1}); got != want {
+		t.Fatalf("held query's lineage %+v, want its fork's %+v", got, want)
+	}
+
+	restore()
+	after := edge(queryWithProv(t, ts.URL, triangleQ).Provenance)
+	if after.Epoch != eng.DB.EpochOf("Edge") || after.Epoch == epoch || after.OverlayGen != 2 || after.WALSeq != 2 {
+		t.Fatalf("lineage after the update %+v", after)
 	}
 }

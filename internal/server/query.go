@@ -9,6 +9,7 @@ import (
 	"strings"
 	"time"
 
+	"emptyheaded/internal/core"
 	"emptyheaded/internal/datalog"
 	"emptyheaded/internal/exec"
 	"emptyheaded/internal/fault"
@@ -280,6 +281,9 @@ func (s *Server) execute(ctx context.Context, req *QueryRequest, limit int, rec 
 		rec.Route = obs.RoutePlanHit
 	}
 	relEpochs, dictEpoch := fork.EpochsWithDict(entry.Reads)
+	// The lineage coordinates live on the fork's relations: read them
+	// with its epochs, before the run registers head relations in it.
+	coords := core.Lineage(fork, entry.Reads)
 	annotReadSet(tr, entry.Reads, relEpochs, dictEpoch)
 
 	// Push the response limit into execution with one row of headroom.
@@ -310,10 +314,10 @@ func (s *Server) execute(ctx context.Context, req *QueryRequest, limit int, rec 
 	// Canonicalize attribute names before caching so a future serve (or a
 	// recreated plan entry) can re-label them for any spelling.
 	resp.Attrs = entry.Canon(resp.Attrs)
-	// The lineage this execution ran against (relEpochs/dictEpoch were
-	// read from the fork before the run) goes into the record before the
-	// cache fill, so the cached entry can carry it.
-	rec.Lineage = s.lineage(rec, lk.gen, entry.Reads, relEpochs, dictEpoch, resp.Cardinality)
+	// The lineage this execution ran against (read from the fork before
+	// the run) goes into the record before the cache fill, so the cached
+	// entry can carry it.
+	rec.Lineage = s.lineage(rec, lk.gen, entry.Reads, relEpochs, coords, dictEpoch, resp.Cardinality)
 	if !req.NoCache && res.Trie.Cardinality() <= s.cfg.MaxCachedTuples {
 		// Analyze requests fill the cache too — with the plain response:
 		// trace and counters are per-request, not part of the result.
@@ -364,11 +368,9 @@ func (s *Server) execute(ctx context.Context, req *QueryRequest, limit int, rec 
 }
 
 // lineage stamps what determined an executed result: plan fingerprint,
-// restore generation, and per relation of the read set the epoch the
-// fork ran against plus the engine's live overlay generation / WAL
-// watermark coordinates.
-func (s *Server) lineage(rec *obs.Request, gen uint64, reads []string, relEpochs []uint64, dictEpoch uint64, cardinality int) *obs.Lineage {
-	live := s.eng.Lineage(reads)
+// restore generation, and per relation of the read set the epoch, overlay
+// generation and WAL watermark of the fork it ran against.
+func (s *Server) lineage(rec *obs.Request, gen uint64, reads []string, relEpochs []uint64, coords map[string]core.RelProv, dictEpoch uint64, cardinality int) *obs.Lineage {
 	lin := &obs.Lineage{
 		TraceID:     rec.ID,
 		Fingerprint: rec.Fingerprint,
@@ -379,7 +381,7 @@ func (s *Server) lineage(rec *obs.Request, gen uint64, reads []string, relEpochs
 		Relations:   make([]obs.RelLineage, len(reads)),
 	}
 	for i, name := range reads {
-		p := live[name]
+		p := coords[name]
 		lin.Relations[i] = obs.RelLineage{
 			Relation:    name,
 			Epoch:       relEpochs[i],

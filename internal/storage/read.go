@@ -191,10 +191,5 @@ func (c *Catalog) String() string {
 	if c.Dict != nil {
 		fmt.Fprintf(&sb, ", dict %d ids", c.Dict.Count)
 	}
-	if c.ProvFormat > 0 {
-		fmt.Fprintf(&sb, ", prov v%d", c.ProvFormat)
-	} else {
-		sb.WriteString(", prov none (epoch-only lineage)")
-	}
 	return sb.String()
 }

@@ -38,13 +38,6 @@ const (
 	// catalog framing; readers reject snapshots from other major versions.
 	FormatVersion = 1
 
-	// ProvFormatVersion versions the provenance fields inside the catalog
-	// (per-relation WAL applied-seq watermarks). It rides inside the JSON
-	// payload rather than the frame version: older readers ignore unknown
-	// fields, and this build reads pre-provenance catalogs (ProvFormat 0)
-	// by degrading to epoch-only lineage — watermarks restore as 0.
-	ProvFormatVersion = 1
-
 	// CatalogFile is the catalog's file name inside a snapshot directory.
 	CatalogFile = "catalog.eh"
 	// DictPrefix prefixes the identifier dictionary's segment file name
@@ -69,13 +62,9 @@ func Checksum(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }
 // Catalog describes a snapshot: one row per relation plus the dictionary
 // reference. It doubles as the stats document printed by eh-snap.
 type Catalog struct {
-	FormatVersion int `json:"format_version"`
-	// ProvFormat is the provenance-field version (see ProvFormatVersion);
-	// 0 marks a pre-provenance catalog whose relations carry no WAL
-	// watermarks (restores degrade to epoch-only lineage).
-	ProvFormat int            `json:"prov_format,omitempty"`
-	Relations  []RelationMeta `json:"relations"`
-	Dict       *DictMeta      `json:"dict,omitempty"`
+	FormatVersion int            `json:"format_version"`
+	Relations     []RelationMeta `json:"relations"`
+	Dict          *DictMeta      `json:"dict,omitempty"`
 	// DictEpoch is the dictionary mutation epoch at snapshot time.
 	DictEpoch uint64 `json:"dict_epoch,omitempty"`
 }
@@ -132,8 +121,8 @@ type Database struct {
 	Tries  map[string]*trie.Trie
 	Epochs map[string]uint64
 	// Watermarks holds each relation's WAL applied-seq watermark from the
-	// catalog; all zeros for a pre-provenance snapshot (epoch-only
-	// lineage, see Catalog.ProvFormat).
+	// catalog; a catalog without wal_seq fields restores zeros
+	// (epoch-only lineage).
 	Watermarks map[string]uint64
 	Dict       *graph.Dictionary
 	Catalog    *Catalog

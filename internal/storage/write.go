@@ -69,7 +69,7 @@ func WriteIncremental(dir string, snap *Snapshot, prev *Catalog) (*Catalog, erro
 		}
 	}
 
-	cat := &Catalog{FormatVersion: FormatVersion, ProvFormat: ProvFormatVersion, DictEpoch: snap.DictEpoch}
+	cat := &Catalog{FormatVersion: FormatVersion, DictEpoch: snap.DictEpoch}
 	written := map[string]bool{CatalogFile: true}
 	for i, rel := range rels {
 		if rel.Trie == nil {
