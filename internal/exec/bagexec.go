@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"runtime"
 	"runtime/debug"
 	"slices"
@@ -71,8 +73,11 @@ func (p *Plan) Run() (*Result, error) {
 		final = p.Assembly
 	}
 	attrs := final.OutAttrs
-	if p.Boolean && p.Agg.Op == semiring.Count {
+	switch {
+	case p.Boolean && p.Agg.Op == semiring.Count:
 		out, attrs = p.countPerHead(out, attrs)
+	case !p.Boolean:
+		out = dropZeros(out, p.opts.layout())
 	}
 	res := &Result{
 		Name:      p.Rule.Head.Name,
@@ -109,6 +114,37 @@ func (p *Plan) countPerHead(t *trie.Trie, attrs []string) (*trie.Trie, []string)
 		b.AddAnn(1, row...)
 	})
 	return b.Build(), head
+}
+
+// dropZeros removes the tuples of an aggregate's result annotated with
+// the semiring's 0, which are not in the relation (docs/LANGUAGE.md): a
+// SUM whose bindings cancel, a MIN over +∞. A scalar keeps its value. One
+// scan of the leaf annotations finds none in the common case; otherwise
+// the trie is rebuilt without them.
+func dropZeros(t *trie.Trie, layout trie.LayoutFunc) *trie.Trie {
+	zero := t.Op.Zero()
+	if t.Arity == 0 || !t.Annotated || !leafHolds(t.Root, t.Arity-1, zero) {
+		return t
+	}
+	b := trie.NewColumnarBuilder(t.Arity, t.Op, layout)
+	t.ForEachTuple(func(tp []uint32, ann float64) {
+		if ann != zero {
+			b.AddAnn(ann, tp...)
+		}
+	})
+	return b.Build()
+}
+
+// leafHolds reports whether some leaf annotation below n, depth levels
+// above the leaves, equals x.
+func leafHolds(n *trie.Node, depth int, x float64) bool {
+	if n == nil {
+		return false
+	}
+	if depth == 0 {
+		return slices.Contains(n.Ann, x)
+	}
+	return slices.ContainsFunc(n.Children, func(c *trie.Node) bool { return leafHolds(c, depth-1, x) })
 }
 
 // stopErr attributes a latched stop flag to its cause: a cancelled
@@ -190,6 +226,76 @@ type bagExec struct {
 	// lim is non-nil when this bag is the final listing bag of a limited
 	// query (see Plan.limitFor); every worker books rows against it.
 	lim *limitState
+	// span is non-nil when the bag folds its one output attribute into
+	// per-worker dense accumulators instead of emitting rows. runParallel
+	// decides it (see accSpanOf) from rels, the atoms' relations (nil for
+	// a child bag's result), which execBag sets only when the bag has one
+	// output attribute and is not a limited listing.
+	span *accSpan
+	rels []*Relation
+}
+
+// accSpan is the value range [lo, hi] of a bag's one output level that a
+// dense accumulator covers, one slot per value.
+type accSpan struct{ lo, hi uint32 }
+
+func (s *accSpan) size() int { return int(s.hi-s.lo) + 1 }
+
+// outputForm names how bp's result is written, as EXPLAIN shows it:
+// "dense x[lo..hi]" for accumulators over x's span, "rows" for emitted
+// rows, "" for a scalar.
+func outputForm(bp *BagPlan, s *accSpan) string {
+	switch {
+	case len(bp.OutAttrs) == 0:
+		return ""
+	case s != nil:
+		return fmt.Sprintf("dense %s[%d..%d]", bp.OutAttrs[0], s.lo, s.hi)
+	}
+	return "rows"
+}
+
+// denseFactor bounds a dense accumulator: at most this many slots per
+// value or tuple bounding its span, so a sparse or hostile value range
+// (0 and 2³²−2) keeps rows instead of allocating a slot per value in
+// between.
+const denseFactor = 8
+
+// accSpanOf decides the bag's output form once its first level's
+// candidates are known. A bag that may accumulate densely (ex.rels set)
+// does so when its output values span at most denseFactor slots per
+// value or tuple that bounds them. At level 0 the span is first's range,
+// per candidate. At an inner level it is the intersection of the column
+// ranges of the base relations that bind the level (memoized on each
+// Relation, see colSpan), per tuple of the smallest of them; a level
+// only child bags' results bind keeps rows. nil means rows.
+func (ex *bagExec) accSpanOf(first *set.Set) *accSpan {
+	bp := ex.bp
+	if ex.rels == nil || first.IsEmpty() {
+		return nil
+	}
+	s, n := accSpan{first.Min(), first.Max()}, first.Card()
+	if o := slices.Index(bp.Out, true); o > 0 {
+		s, n = accSpan{0, math.MaxUint32}, 0
+		for i, a := range bp.Atoms {
+			for al := range a.Attrs {
+				if ex.rels[i] == nil || levelOf(bp, a, al) != o {
+					continue // a child's result, or another level
+				}
+				cs, ok := ex.rels[i].colSpan(a.Perm[al])
+				if !ok {
+					return nil
+				}
+				s.lo, s.hi = max(s.lo, cs.lo), min(s.hi, cs.hi)
+				if c := ex.rels[i].Cardinality(); n == 0 || c < n {
+					n = c
+				}
+			}
+		}
+	}
+	if s.lo > s.hi || uint64(s.hi-s.lo) >= denseFactor*uint64(n) {
+		return nil
+	}
+	return &s
 }
 
 // level is one bag level of the loop nest.
@@ -382,6 +488,10 @@ func (p *Plan) execBag(bp *BagPlan) (t *trie.Trie, err error) {
 		}
 		rels[i], tries[i] = rel, rel.Index(a.Perm, p.opts.layout(), p.opts.layoutName())
 	}
+	bp.form = outputForm(bp, nil) // runParallel may decide on dense
+	if len(bp.OutAttrs) == 1 && p.limitFor(bp) == 0 {
+		ex.rels = rels
+	}
 	isVec := p.vectorAtoms(bp, tries)
 	selectionMiss := false
 	for i, a := range bp.Atoms {
@@ -568,6 +678,12 @@ type worker struct {
 	cols   [][]uint32
 	anns   []float64
 	scalar float64
+	// has and acc are the dense accumulator of a bag with a span: bit v-lo
+	// of has marks output value v, acc[v-lo] holds the ⊕ of its emits
+	// (nil in a Boolean plan, whose result is a set). Each is allocated
+	// once, at the span's size.
+	has []uint64
+	acc []float64
 	// vals holds a fold tail's candidates when their layout must be
 	// decoded for the flat loop (see foldTail).
 	vals []uint32
@@ -617,6 +733,9 @@ func (ex *bagExec) newWorker() *worker {
 	for i, nd := range ex.nodes {
 		w.slots[i].node = nd
 	}
+	if ex.span != nil {
+		w.allocAcc()
+	}
 	if ex.p.stats != nil {
 		w.lc = cachePadded[LevelStats](len(ex.bp.Attrs))
 		w.kerns = make([]*set.Kernel, len(w.lc))
@@ -625,6 +744,14 @@ func (ex *bagExec) newWorker() *worker {
 		}
 	}
 	return w
+}
+
+// allocAcc allocates the worker's dense accumulator over the bag's span.
+func (w *worker) allocAcc() {
+	w.has = cachePadded[uint64]((w.ex.span.size() + 63) / 64)
+	if !w.ex.p.Boolean {
+		w.acc = cachePadded[float64](w.ex.span.size())
+	}
 }
 
 // kernelAt returns the kernel executing level lvl's pairwise set ops: the
@@ -702,7 +829,9 @@ const stealBlockMax = 64
 // degree) values keep pulling blocks while a worker stuck on a skewed
 // high-degree vertex finishes its one block. The coordinator is worker 0:
 // it computes the first level, starts the other nw-1 workers and then
-// takes its share like them. Output accumulates in per-worker columns.
+// takes its share like them. Output accumulates in per-worker columns,
+// or dense accumulators, which the coordinator decides on once it knows
+// the first level.
 func (ex *bagExec) runParallel() ([]*worker, error) {
 	nw := ex.p.opts.Parallelism
 	if nw <= 0 {
@@ -711,6 +840,10 @@ func (ex *bagExec) runParallel() ([]*worker, error) {
 	w0 := ex.newWorker()
 	ws := []*worker{w0}
 	first := w0.intersectionAt(0)
+	if ex.span = ex.accSpanOf(first); ex.span != nil {
+		ex.bp.form = outputForm(ex.bp, ex.span)
+		w0.allocAcc()
+	}
 	if len(ex.levels) == 1 || ex.levels[0].kind == kindExists {
 		// One level, or one existence check from level 0 on: the bag is
 		// one pass over first, which a split would repeat per block.
@@ -947,14 +1080,30 @@ func (w *worker) witness(lvl int, candidates *set.Set) bool {
 	return found
 }
 
-// emit records one output row (or folds into the scalar when the bag has
-// no output attributes): one amortized append per output attribute.
+// emit records one output row: it folds into the scalar when the bag has
+// no output attributes, into the dense accumulator when it has a span,
+// and otherwise costs one amortized append per output attribute.
 func (w *worker) emit(ann float64) {
 	if w.lc != nil {
 		w.emits++
 	}
 	if len(w.ex.bp.OutAttrs) == 0 {
 		w.scalar = w.ex.op.Add(w.scalar, ann)
+		return
+	}
+	if w.has != nil {
+		off := w.outBuf[0] - w.ex.span.lo
+		word, bit := &w.has[off/64], uint64(1)<<(off%64)
+		switch {
+		case w.acc == nil:
+			*word |= bit
+		case *word&bit == 0:
+			// The first emit stores ann: Zero ⊕ ann would turn −0 into +0.
+			*word |= bit
+			w.acc[off] = ann
+		default:
+			w.acc[off] = w.ex.op.Add(w.acc[off], ann)
+		}
 		return
 	}
 	for i, v := range w.outBuf {
@@ -978,6 +1127,9 @@ func (ex *bagExec) materialize(ws []*worker) *trie.Trie {
 			scalar = ex.op.Add(scalar, w.scalar)
 		}
 		return trie.NewScalar(scalar, ex.op)
+	}
+	if ex.span != nil {
+		return ex.materializeDense(ws)
 	}
 	cols, anns := ws[0].cols, ws[0].anns
 	if len(ws) > 1 {
@@ -1004,4 +1156,51 @@ func (ex *bagExec) materialize(ws []*worker) *trie.Trie {
 	}
 	b.SetColumns(cols, anns)
 	return b.Build()
+}
+
+// materializeDense ⊕-merges the workers' accumulators into worker 0's, in
+// worker order, and builds the unary trie from the merged bitmap in
+// ascending order: no sort, no dedup. The set and its annotations are
+// what the columnar builder makes of the same rows, and at one worker the
+// ⊕ order is emission order, as the builder's stable sort gives it. A
+// level-0 output value is bound by one worker only, so there the result
+// is the same at every Parallelism.
+func (ex *bagExec) materializeDense(ws []*worker) *trie.Trie {
+	has, acc := ws[0].has, ws[0].acc
+	n := 0
+	for i := range has {
+		for _, w := range ws[1:] {
+			word := w.has[i]
+			for m := word & has[i]; acc != nil && m != 0; m &= m - 1 {
+				off := i*64 + bits.TrailingZeros64(m)
+				acc[off] = ex.op.Add(acc[off], w.acc[off])
+			}
+			for m := word &^ has[i]; acc != nil && m != 0; m &= m - 1 {
+				off := i*64 + bits.TrailingZeros64(m)
+				acc[off] = w.acc[off]
+			}
+			has[i] |= word
+		}
+		n += bits.OnesCount64(has[i])
+	}
+	if n == 0 {
+		return ex.emptyResult()
+	}
+	vals := make([]uint32, 0, n)
+	var anns []float64
+	if acc != nil {
+		anns = make([]float64, 0, n)
+	}
+	for i, word := range has {
+		for m := word; m != 0; m &= m - 1 {
+			off := i*64 + bits.TrailingZeros64(m)
+			vals = append(vals, ex.span.lo+uint32(off))
+			if acc != nil {
+				anns = append(anns, acc[off])
+			}
+		}
+	}
+	layout := ex.p.opts.layout()
+	root := &trie.Node{Set: set.BuildLayout(vals, layout(0, vals)), Ann: anns}
+	return &trie.Trie{Arity: 1, Annotated: acc != nil, Op: ex.op, Root: root}
 }

@@ -12,6 +12,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -210,6 +211,8 @@ type Relation struct {
 	// vectors memoizes the dense vector of a unary index (see vector),
 	// keyed by layout name like the index it reads.
 	vectors map[string]*vector
+	// spans memoizes each column's value range (see colSpan).
+	spans map[int]colSpan
 
 	// Write state of the streaming-update layer (see NewOverlayRelation).
 	// When ov is non-nil, canonical is the merged view (base \ ov.Del) ∪
@@ -474,6 +477,46 @@ func (r *Relation) vector(t *trie.Trie, layoutName string) *vector {
 		r.vectors[layoutName] = vc
 	}
 	return vc
+}
+
+// colSpan is the range [lo, hi] of one column's values; ok is false when
+// the relation is empty.
+type colSpan struct {
+	lo, hi uint32
+	ok     bool
+}
+
+// colSpan returns the value range of column col, found by one walk over
+// the nodes of the canonical trie's level col and memoized beside the
+// indexes: a dense accumulator's span is fixed from it before a loop nest
+// runs (see bagExec.accSpanOf).
+func (r *Relation) colSpan(col int) (colSpan, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	cs, ok := r.spans[col]
+	if !ok {
+		cs = colSpan{lo: math.MaxUint32}
+		var walk func(n *trie.Node, depth int)
+		walk = func(n *trie.Node, depth int) {
+			switch {
+			case n == nil || n.Set.IsEmpty():
+			case depth > 0:
+				for _, c := range n.Children {
+					walk(c, depth-1)
+				}
+			default:
+				cs.lo, cs.hi, cs.ok = min(cs.lo, n.Set.Min()), max(cs.hi, n.Set.Max()), true
+			}
+		}
+		if r.Arity > 0 {
+			walk(r.canonical.Root, col)
+		}
+		if r.spans == nil {
+			r.spans = map[int]colSpan{}
+		}
+		r.spans[col] = cs
+	}
+	return cs, cs.ok
 }
 
 // Options configures query execution; the zero value is the fully

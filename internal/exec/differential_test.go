@@ -121,9 +121,11 @@ func naiveEval(rels map[string]*naiveRel, rule *datalog.Rule) (map[string]float6
 	}
 	boundState = map[int]bool{}
 	rec(0, op.One())
+	// A head tuple annotated with the semiring's 0 is not in the relation
+	// (docs/LANGUAGE.md); a scalar keeps its value.
 	out := map[string]float64{}
 	for k, g := range groups {
-		if g.set {
+		if g.set && (g.ann != op.Zero() || len(rule.Head.Vars) == 0) {
 			out[k] = g.ann
 		}
 	}
@@ -520,7 +522,8 @@ func firstDiff(a, b map[string]float64) string {
 // counts distinct v per head tuple, however the plan splits the body into
 // bags; a derived relation is a set, so counting it gives what counting
 // the same tuples loaded gives; an empty disconnected component empties
-// the answer.
+// the answer; a head tuple annotated with the semiring's 0 is not in the
+// relation.
 func TestDifferentialSemantics(t *testing.T) {
 	g := testGraph(200, 1500, 11)
 	walks2 := func(f func(x, y, z uint32)) {
@@ -552,6 +555,13 @@ func TestDifferentialSemantics(t *testing.T) {
 	small := dbWithGraph(testGraph(50, 200, 3))
 	addUnary(small, "B", 1, 2)
 	addUnary(small, "C", 3, 4)
+	// x = 1's two annotations cancel under SUM.
+	cancel := NewDB()
+	rb := trie.NewColumnarBuilder(2, semiring.Sum, nil)
+	rb.AddAnn(1, 1, 5)
+	rb.AddAnn(-1, 1, 6)
+	rb.AddAnn(3, 2, 7)
+	cancel.AddTrie("R", rb.Build())
 	none := func(func(float64, ...uint32)) {}
 	for _, tc := range []struct {
 		name  string
@@ -585,6 +595,12 @@ func TestDifferentialSemantics(t *testing.T) {
 		{"empty_component_projection", small, `L(x) :- Edge(x,y),B(z),C(z).`, "", none},
 		{"empty_component_listing", small, `L(x,y) :- Edge(x,y),B(z),C(z).`, "", none},
 		{"empty_component_count", small, `L(x;w:long) :- Edge(x,y),B(z),C(z); w=<<COUNT(*)>>.`, "", none},
+		// A head tuple whose ⊕ is the semiring's 0 is dropped before the
+		// head expression applies, so 2+0 invents no tuple either.
+		{"zero_sum_dropped", cancel, `S(x;w:float) :- R(x,y); w=<<SUM(y)>>.`, "",
+			func(add func(float64, ...uint32)) { add(3, 2) }},
+		{"zero_sum_dropped_before_expression", cancel, `S(x;w:float) :- R(x,y); w=2+<<SUM(y)>>.`, "",
+			func(add func(float64, ...uint32)) { add(5, 2) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			want := map[string]float64{}

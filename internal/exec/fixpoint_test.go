@@ -185,13 +185,14 @@ func BenchmarkPatterns(b *testing.B) {
 }
 
 // benchmarkPrograms runs each program at Parallelism 1 and 2 on
-// gen.PowerLaw(6000, 40000, 2.3, 1).
+// gen.PowerLaw(6000, 40000, 2.3, 1), reporting allocations per run.
 func benchmarkPrograms(b *testing.B, programs []struct{ name, text string }) {
 	db := dbWithGraph(gen.PowerLaw(6000, 40000, 2.3, 1))
 	for _, q := range programs {
 		for _, par := range []int{1, 2} {
 			b.Run(fmt.Sprintf("%s/par%d", q.name, par), func(b *testing.B) {
 				pr := prepareQOpts(b, db, q.text, Options{Parallelism: par})
+				b.ReportAllocs()
 				for b.Loop() {
 					if _, err := pr.Run(db.Fork()); err != nil {
 						b.Fatal(err)

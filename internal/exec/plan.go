@@ -126,8 +126,10 @@ type BagPlan struct {
 	DedupOf int
 
 	signature string
-	// result caches the materialized output during execution.
+	// result caches the materialized output during execution, and form
+	// records how the bag wrote it (see outputForm); "" until it runs.
 	result *trie.Trie
+	form   string
 }
 
 // Compile builds the physical plan for a parsed rule.

@@ -249,7 +249,7 @@ func (b *binder) bag(bp *BagPlan) *BagPlan {
 		return c
 	}
 	c := *bp
-	c.result = nil
+	c.result, c.form = nil, ""
 	b.bags[bp] = &c
 	if bp.Children != nil {
 		c.Children = make([]*BagPlan, len(bp.Children))

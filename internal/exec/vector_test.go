@@ -71,7 +71,7 @@ func TestVectorParticipantsMatchTrie(t *testing.T) {
 		}
 	}
 	// 200's neighbours 201 and 202 are absent; 203's one present
-	// neighbour, 204, is annotated 0.
+	// neighbour, 204, is annotated 0, so 203's SUM is 0.
 	weight[204] = 0
 	var support []uint32
 	for v := range uint32(206) {
@@ -143,8 +143,10 @@ func TestVectorParticipantsMatchTrie(t *testing.T) {
 			if _, ok := res.Trie.Root.AnnOf(200, semiring.Sum); ok {
 				t.Error("x=200, whose neighbours are all absent, has a tuple")
 			}
-			if ann, ok := res.Trie.Root.AnnOf(203, semiring.Sum); !ok || ann != 0 {
-				t.Errorf("x=203, whose one present neighbour is annotated 0: got %v, %v; want 0, true", ann, ok)
+			// Its SUM is the semiring's 0, so the tuple is not in the
+			// relation (docs/LANGUAGE.md).
+			if ann, ok := res.Trie.Root.AnnOf(203, semiring.Sum); ok {
+				t.Errorf("x=203, whose one present neighbour is annotated 0: got %v, want no tuple", ann)
 			}
 		})
 	}
@@ -154,17 +156,17 @@ func TestVectorParticipantsMatchTrie(t *testing.T) {
 // allocation a worker writes per value or per emit is padded, so the gap
 // between any two workers' written regions is at least cacheLine bytes
 // wherever the allocator put them. The regions are the worker's fields
-// and its slots, output buffer, column headers, scratch sets and level
-// counters; the columns and annotations they point at hold rows, which
-// are appended at their far end.
+// and its slots, output buffer, column headers, dense accumulator,
+// scratch sets and level counters; the columns and annotations they
+// point at hold rows, which are appended at their far end.
 func TestWorkersWriteApart(t *testing.T) {
 	db := dbWithGraph(testGraph(50, 200, 1))
-	p, err := Compile(db, mustParse(t, qTriangleListing).Rules[0], Options{})
+	p, err := Compile(db, mustParse(t, `TC(x;w:long) :- R(x,y),S(y,z),T(x,z); w=<<COUNT(*)>>.`).Rules[0], Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.stats = &ExecStats{}
-	ex := &bagExec{p: p, bp: p.Root, op: semiring.Sum, nodes: make([]*trie.Node, 9)}
+	ex := &bagExec{p: p, bp: p.Root, op: semiring.Sum, nodes: make([]*trie.Node, 9), span: &accSpan{0, 49}}
 	type region struct{ lo, hi uintptr }
 	span := func(p unsafe.Pointer, n uintptr) region {
 		return region{uintptr(p), uintptr(p) + n}
@@ -175,6 +177,8 @@ func TestWorkersWriteApart(t *testing.T) {
 			span(unsafe.Pointer(unsafe.SliceData(w.slots)), uintptr(len(w.slots))*unsafe.Sizeof(w.slots[0])),
 			span(unsafe.Pointer(unsafe.SliceData(w.outBuf)), uintptr(len(w.outBuf))*unsafe.Sizeof(w.outBuf[0])),
 			span(unsafe.Pointer(unsafe.SliceData(w.cols)), uintptr(len(w.cols))*unsafe.Sizeof(w.cols[0])),
+			span(unsafe.Pointer(unsafe.SliceData(w.has)), uintptr(len(w.has))*unsafe.Sizeof(w.has[0])),
+			span(unsafe.Pointer(unsafe.SliceData(w.acc)), uintptr(len(w.acc))*unsafe.Sizeof(w.acc[0])),
 			span(unsafe.Pointer(unsafe.SliceData(w.scratch)), uintptr(len(w.scratch))*unsafe.Sizeof(w.scratch[0])),
 			span(unsafe.Pointer(unsafe.SliceData(w.lc)), uintptr(len(w.lc))*unsafe.Sizeof(w.lc[0])),
 		}

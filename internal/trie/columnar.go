@@ -119,6 +119,9 @@ func FromColumns(cols [][]uint32, anns []float64, op semiring.Op, layout LayoutF
 // Build sorts, deduplicates (combining annotations under ⊕) and
 // materializes the trie. The builder must not be reused afterwards.
 // Columns already in lexicographic row order skip the sort entirely.
+// Duplicates fold in input order: every pass of the sort is stable, so
+// a tuple's annotations combine as ((a₁ ⊕ a₂) ⊕ a₃) … in the order they
+// were added, which a float ⊕ such as SUM can tell apart.
 func (b *ColumnarBuilder) Build() *Trie {
 	n := b.Len()
 	if b.annotated && len(b.anns) != n {
@@ -399,8 +402,9 @@ func radixSortSegment(col []uint32, idx, tmp []uint32, lo, hi int, maxShift uint
 	}
 }
 
-// insertionSortIdx sorts idx by col keys; ties keep no particular order
-// (equal keys are re-sorted by the next column or folded by dedup).
+// insertionSortIdx sorts idx by col keys, stably: an element moves only
+// past strictly greater keys, so ties keep their input order, as the
+// radix passes' scatters do.
 func insertionSortIdx(col []uint32, idx []uint32) {
 	for i := 1; i < len(idx); i++ {
 		id := idx[i]

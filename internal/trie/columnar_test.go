@@ -2,7 +2,9 @@ package trie
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -341,4 +343,51 @@ func TestColumnarRaggedPanics(t *testing.T) {
 	}()
 	cb := NewColumnarBuilder(2, semiring.None, nil)
 	cb.SetColumns([][]uint32{{1, 2}, {3}}, nil)
+}
+
+// TestBuildFoldsDuplicatesInInputOrder: duplicates of a tuple fold under
+// ⊕ in the order they were added, whichever sort path orders the rows —
+// insertion sort below insertionMin, the LSD radix passes above it, the
+// parallel MSD partition from parallelSortMin rows on with several
+// workers. The annotations are floats whose sum depends on order (1e16 +
+// 1 − 1e16 is 0, 1e16 − 1e16 + 1 is 1), so any reordering of equal keys
+// shows in the bits. One column takes each path in a single pass; two
+// columns re-sort runs of an equal first value by the second.
+func TestBuildFoldsDuplicatesInInputOrder(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	terms := []float64{1e16, 1, -1e16, 3, -7e15}
+	for _, arity := range []int{1, 2} {
+		for _, n := range []int{insertionMin - 8, 1000, 4 * parallelSortMin} {
+			t.Run(fmt.Sprintf("arity%d/%d", arity, n), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(n)))
+				keys := min(max(n/16, 2), 256) // every tuple repeats
+				b := NewColumnarBuilder(arity, semiring.Sum, nil)
+				want := map[[2]uint32]float64{}
+				for range n {
+					k := uint32(rng.Intn(keys))
+					tp := [2]uint32{k, 0}
+					if arity == 2 {
+						tp = [2]uint32{k % 7 * 1000003, k}
+					}
+					a := terms[rng.Intn(len(terms))]
+					b.AddAnn(a, tp[:arity]...)
+					if old, ok := want[tp]; ok {
+						a = old + a
+					}
+					want[tp] = a
+				}
+				got := b.Build()
+				if got.Cardinality() != len(want) {
+					t.Fatalf("%d tuples, want %d", got.Cardinality(), len(want))
+				}
+				got.ForEachTuple(func(tp []uint32, ann float64) {
+					var key [2]uint32
+					copy(key[:], tp)
+					if w := want[key]; math.Float64bits(ann) != math.Float64bits(w) {
+						t.Fatalf("%v: folded to %v, in input order %v", tp, ann, w)
+					}
+				})
+			})
+		}
+	}
 }
