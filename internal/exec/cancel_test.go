@@ -12,11 +12,14 @@ import (
 )
 
 // slowDB returns a database whose 4-clique count takes long enough
-// (hundreds of ms) that a mid-flight cancellation is observable, and
-// the query that makes it sweat. A count, not a listing: the full loop
-// nest runs without materializing a giant result.
+// (about half a second on a 2-worker run) that a mid-flight
+// cancellation is observable, and the query that makes it sweat. A
+// count, not a listing: the full loop nest runs without materializing a
+// giant result. The graph is sized with a wide margin over the 200ms
+// floor TestCancelMidFlight needs, so a faster engine or machine does
+// not turn that test into a skip.
 func slowDB() (*DB, string) {
-	g := gen.PowerLaw(2000, 40000, 2.1, 7)
+	g := gen.PowerLaw(4000, 80000, 2.1, 7)
 	db := NewDB()
 	db.AddGraph("Edge", g, nil, "auto")
 	return db, `K4(;w:long) :- Edge(a,b),Edge(a,c),Edge(a,d),Edge(b,c),Edge(b,d),Edge(c,d); w=<<COUNT(*)>>.`
