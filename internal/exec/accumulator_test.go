@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"emptyheaded/internal/datalog"
+	"emptyheaded/internal/delta"
 	"emptyheaded/internal/semiring"
 	"emptyheaded/internal/trie"
 )
@@ -174,7 +175,10 @@ func TestUnaryAccumulator(t *testing.T) {
 // for two tuples: it keeps rows, allocates next to nothing and answers
 // right, at the first level and at an inner one. So does a bag whose
 // selection constant leaves it two tuples, 0 and 99, of a relation whose
-// column spans 100 values in 2,002 tuples.
+// column spans 100 values in 2,002 tuples. An inner output behind such a
+// selection keeps rows too: F maps 20,000 values y to 5y, so its output
+// column spans 99,996 values, under 8 per tuple of F, but the two values
+// S("7",y) selects reach two tuples of F, not 20,000.
 func TestUnaryAccumulatorHostileRange(t *testing.T) {
 	const far = 0xFFFFFFFE
 	db := NewDB()
@@ -194,12 +198,22 @@ func TestUnaryAccumulatorHostileRange(t *testing.T) {
 	b.Add(50, 0)
 	b.Add(50, 99)
 	db.AddTrie("E", b.Build())
+	b = trie.NewColumnarBuilder(2, semiring.None, nil)
+	b.Add(7, 1)
+	b.Add(7, 2)
+	db.AddTrie("S", b.Build())
+	b = trie.NewColumnarBuilder(2, semiring.None, nil)
+	for y := range uint32(20000) {
+		b.Add(y, 5*y)
+	}
+	db.AddTrie("F", b.Build())
 	for _, tc := range []struct {
 		name, query, form, want string
 	}{
 		{"level0", `Q(x;w:float) :- H(x); w=<<SUM(x)>>.`, "@bag0(x) → rows:\n  sx", "{(0): 1.5, (4294967294): 3.5}"},
 		{"inner", `Q(y;w:long) :- A(x),G(x,y); w=<<COUNT(*)>>.`, "@bag0(y) → rows:\n  sx", "{(0): 1, (4294967294): 2}"},
 		{"selection", `Q(;c:long) :- E("50",y),E(x,y); c=<<COUNT(*)>>.`, "(y) → rows:\n  E := E[50]", "42"},
+		{"inner_selection", `Q(z;c:long) :- S("7",y),F(y,z); c=<<COUNT(*)>>.`, "@bag0(z) → rows:\n  sy := πy F ∩ πy @bag1", "{(5): 1, (10): 1}"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, par := range []int{1, 4} {
@@ -221,5 +235,55 @@ func TestUnaryAccumulatorHostileRange(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// An inner output level's span covers a streaming-update relation's
+// inserted values: the range is the base's unioned with the inserts'
+// (deletes only narrow the exact one), and the dense answer is the one
+// the compacted relation gives.
+func TestUnaryAccumulatorOverOverlay(t *testing.T) {
+	pairs := func(tps ...[2]uint32) *trie.Trie {
+		b := trie.NewColumnarBuilder(2, semiring.None, nil)
+		for _, tp := range tps {
+			b.Add(tp[:]...)
+		}
+		return b.Build()
+	}
+	var grid, del [][2]uint32
+	for x := range uint32(10) {
+		for y := range uint32(10) {
+			grid = append(grid, [2]uint32{x, y})
+		}
+		del = append(del, [2]uint32{x, 9})
+	}
+	ins := pairs([2]uint32{3, 40}, [2]uint32{4, 45})
+	ov := delta.NewOverlay(2, false, semiring.None).Apply(ins, pairs(del...), nil)
+	rel := NewOverlayRelation(NewRelation("G", pairs(grid...)), ov, 92, 1, 0, nil)
+	if cs, ok := rel.colSpan(1); !ok || cs.lo != 0 || cs.hi != 45 {
+		t.Fatalf("colSpan(1) = %+v, want [0..45]", cs)
+	}
+	db, plain := NewDB(), NewDB()
+	db.Install(rel)
+	plain.AddTrie("G", delta.Compact(rel.Canonical(), nil))
+	const q = `Q(y;c:long) :- A(x),G(x,y); c=<<COUNT(*)>>.`
+	for _, d := range []*DB{db, plain} {
+		addUnary(d, "A", upTo(10)...)
+	}
+	for _, par := range []int{1, 4} {
+		res, err := runWith(t, db.Fork(), q, Options{Parallelism: par}, RunParams{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan := res.Plan.Explain(); !strings.Contains(plan, "@bag0(y) → dense y[0..45]") {
+			t.Errorf("Parallelism %d: EXPLAIN lacks the dense span:\n%s", par, plan)
+		}
+		want, err := runWith(t, plain.Fork(), q, Options{Parallelism: par}, RunParams{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, w := renderAnswer(t, q, res), renderAnswer(t, q, want); got != w {
+			t.Errorf("Parallelism %d: got %s, compacted %s", par, got, w)
+		}
 	}
 }

@@ -228,11 +228,11 @@ type bagExec struct {
 	lim *limitState
 	// span is non-nil when the bag folds its one output attribute into
 	// per-worker dense accumulators instead of emitting rows. runParallel
-	// decides it (see accSpanOf) from rels, the atoms' relations (nil for
-	// a child bag's result), which execBag sets only when the bag has one
-	// output attribute and is not a limited listing.
-	span *accSpan
-	rels []*Relation
+	// decides it (see accSpanOf) from the atoms' relations, nil for a
+	// child bag's result, and their indexes.
+	span  *accSpan
+	rels  []*Relation
+	tries []*trie.Trie
 }
 
 // accSpan is the value range [lo, hi] of a bag's one output level that a
@@ -241,36 +241,47 @@ type accSpan struct{ lo, hi uint32 }
 
 func (s *accSpan) size() int { return int(s.hi-s.lo) + 1 }
 
+// mayAccumulate reports whether bp may fold its result into dense
+// accumulators: it has one output attribute and is not a limited
+// listing. Whether it does is decided at run (see accSpanOf).
+func (p *Plan) mayAccumulate(bp *BagPlan) bool {
+	return len(bp.OutAttrs) == 1 && p.limitFor(bp) == 0
+}
+
 // outputForm names how bp's result is written, as EXPLAIN shows it:
 // "dense x[lo..hi]" for accumulators over x's span, "rows" for emitted
-// rows, "" for a scalar.
-func outputForm(bp *BagPlan, s *accSpan) string {
+// rows, "" for a scalar. Before a run, a bag that may accumulate says
+// so: its span comes from the data, and a plan depends on none.
+func (p *Plan) outputForm(bp *BagPlan) string {
 	switch {
 	case len(bp.OutAttrs) == 0:
 		return ""
-	case s != nil:
-		return fmt.Sprintf("dense %s[%d..%d]", bp.OutAttrs[0], s.lo, s.hi)
+	case bp.span != nil:
+		return fmt.Sprintf("dense %s[%d..%d]", bp.OutAttrs[0], bp.span.lo, bp.span.hi)
+	case !bp.ran && p.mayAccumulate(bp):
+		return "dense " + bp.OutAttrs[0] + " or rows, by its span at run"
 	}
 	return "rows"
 }
 
 // denseFactor bounds a dense accumulator: at most this many slots per
-// value or tuple bounding its span, so a sparse or hostile value range
+// tuple the loop nest may write from, so a sparse or hostile value range
 // (0 and 2³²−2) keeps rows instead of allocating a slot per value in
 // between.
 const denseFactor = 8
 
 // accSpanOf decides the bag's output form once its first level's
-// candidates are known. A bag that may accumulate densely (ex.rels set)
+// candidates are known. A bag that may accumulate (see mayAccumulate)
 // does so when its output values span at most denseFactor slots per
-// value or tuple that bounds them. At level 0 the span is first's range,
-// per candidate. At an inner level it is the intersection of the column
-// ranges of the base relations that bind the level (memoized on each
-// Relation, see colSpan), per tuple of the smallest of them; a level
-// only child bags' results bind keeps rows. nil means rows.
+// tuple the loop may write from. At level 0 the span is first's range
+// and the tuples are first's candidates. At an inner level the span is
+// the intersection of the column ranges of the base relations that bind
+// the level (see Relation.colSpan), and the tuples are the fewest any of
+// them reaches below first (see reach); a level only child bags' results
+// bind keeps rows. nil means rows.
 func (ex *bagExec) accSpanOf(first *set.Set) *accSpan {
 	bp := ex.bp
-	if ex.rels == nil || first.IsEmpty() {
+	if !ex.p.mayAccumulate(bp) || first.IsEmpty() {
 		return nil
 	}
 	s, n := accSpan{first.Min(), first.Max()}, first.Card()
@@ -286,8 +297,8 @@ func (ex *bagExec) accSpanOf(first *set.Set) *accSpan {
 					return nil
 				}
 				s.lo, s.hi = max(s.lo, cs.lo), min(s.hi, cs.hi)
-				if c := ex.rels[i].Cardinality(); n == 0 || c < n {
-					n = c
+				if r := ex.reach(i, first); n == 0 || r < n {
+					n = r
 				}
 			}
 		}
@@ -296,6 +307,20 @@ func (ex *bagExec) accSpanOf(first *set.Set) *accSpan {
 		return nil
 	}
 	return &s
+}
+
+// reach estimates how many tuples of atom i the loop nest walks. When
+// the atom's first level is the bag's, that is first's candidates times
+// the atom's mean fan-out there, so a selective first level (an anchored
+// Edge("a",y) ahead of Edge(y,z)) keeps an inner output on rows; it is
+// never more than the whole relation, which bounds any other atom.
+func (ex *bagExec) reach(i int, first *set.Set) int {
+	card := ex.rels[i].Cardinality()
+	if levelOf(ex.bp, ex.bp.Atoms[i], 0) != 0 {
+		return card
+	}
+	roots := max(ex.tries[i].Root.Set.Card(), 1)
+	return min(card, first.Card()*((card+roots-1)/roots))
 }
 
 // level is one bag level of the loop nest.
@@ -488,10 +513,8 @@ func (p *Plan) execBag(bp *BagPlan) (t *trie.Trie, err error) {
 		}
 		rels[i], tries[i] = rel, rel.Index(a.Perm, p.opts.layout(), p.opts.layoutName())
 	}
-	bp.form = outputForm(bp, nil) // runParallel may decide on dense
-	if len(bp.OutAttrs) == 1 && p.limitFor(bp) == 0 {
-		ex.rels = rels
-	}
+	ex.rels, ex.tries = rels, tries
+	bp.span, bp.ran = nil, true // runParallel may decide on dense
 	isVec := p.vectorAtoms(bp, tries)
 	selectionMiss := false
 	for i, a := range bp.Atoms {
@@ -841,7 +864,7 @@ func (ex *bagExec) runParallel() ([]*worker, error) {
 	ws := []*worker{w0}
 	first := w0.intersectionAt(0)
 	if ex.span = ex.accSpanOf(first); ex.span != nil {
-		ex.bp.form = outputForm(ex.bp, ex.span)
+		ex.bp.span = ex.span
 		w0.allocAcc()
 	}
 	if len(ex.levels) == 1 || ex.levels[0].kind == kindExists {

@@ -480,43 +480,71 @@ func (r *Relation) vector(t *trie.Trie, layoutName string) *vector {
 }
 
 // colSpan is the range [lo, hi] of one column's values; ok is false when
-// the relation is empty.
+// the column holds none.
 type colSpan struct {
 	lo, hi uint32
 	ok     bool
 }
 
-// colSpan returns the value range of column col, found by one walk over
-// the nodes of the canonical trie's level col and memoized beside the
-// indexes: a dense accumulator's span is fixed from it before a loop nest
-// runs (see bagExec.accSpanOf).
-func (r *Relation) colSpan(col int) (colSpan, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	cs, ok := r.spans[col]
-	if !ok {
-		cs = colSpan{lo: math.MaxUint32}
-		var walk func(n *trie.Node, depth int)
-		walk = func(n *trie.Node, depth int) {
-			switch {
-			case n == nil || n.Set.IsEmpty():
-			case depth > 0:
-				for _, c := range n.Children {
-					walk(c, depth-1)
-				}
-			default:
-				cs.lo, cs.hi, cs.ok = min(cs.lo, n.Set.Min()), max(cs.hi, n.Set.Max()), true
-			}
-		}
-		if r.Arity > 0 {
-			walk(r.canonical.Root, col)
-		}
-		if r.spans == nil {
-			r.spans = map[int]colSpan{}
-		}
-		r.spans[col] = cs
+// union returns the smallest range holding both a and b.
+func (a colSpan) union(b colSpan) colSpan {
+	switch {
+	case !a.ok:
+		return b
+	case !b.ok:
+		return a
 	}
+	return colSpan{min(a.lo, b.lo), max(a.hi, b.hi), true}
+}
+
+// colSpan returns a range holding every value of column col, memoized
+// beside the indexes: a dense accumulator's span is fixed from it before
+// a loop nest runs (see bagExec.accSpanOf). A plain relation walks the
+// nodes of its trie's level col once. An overlay relation unions its
+// base's memoized range with its inserts', O(overlay): deletes can only
+// narrow the exact range, which this one covers.
+func (r *Relation) colSpan(col int) (colSpan, bool) {
+	r.mu.RLock()
+	cs, ok := r.spans[col]
+	r.mu.RUnlock()
+	if ok {
+		return cs, cs.ok
+	}
+	if r.ov != nil {
+		bs, _ := r.base.colSpan(col)
+		cs = bs.union(trieColSpan(r.ov.Ins, col))
+	} else {
+		cs = trieColSpan(r.canonical, col)
+	}
+	r.mu.Lock()
+	if r.spans == nil {
+		r.spans = map[int]colSpan{}
+	}
+	r.spans[col] = cs
+	r.mu.Unlock()
 	return cs, cs.ok
+}
+
+// trieColSpan is the range of the values at level col of t, found by
+// one walk over that level's nodes.
+func trieColSpan(t *trie.Trie, col int) colSpan {
+	cs := colSpan{lo: math.MaxUint32}
+	var walk func(n *trie.Node, depth int)
+	walk = func(n *trie.Node, depth int) {
+		switch {
+		case n == nil || n.Set.IsEmpty():
+		case depth > 0:
+			for _, c := range n.Children {
+				walk(c, depth-1)
+			}
+		default:
+			cs.lo, cs.hi, cs.ok = min(cs.lo, n.Set.Min()), max(cs.hi, n.Set.Max()), true
+		}
+	}
+	if t != nil && col < t.Arity {
+		walk(t.Root, col)
+	}
+	return cs
 }
 
 // Options configures query execution; the zero value is the fully

@@ -55,18 +55,7 @@ func (p *Plan) explain(st *ExecStats) string {
 			fmt.Fprintf(&sb, "  // identical to bag %d, result reused (App. B.2)\n", bp.DedupOf)
 			return
 		}
-		// The output form is the one the run chose. Before a run, a bag
-		// that may accumulate densely says so: its span comes from the
-		// data (see bagExec.accSpanOf), and a plan does not depend on data.
-		form := bp.form
-		switch {
-		case form != "":
-		case len(bp.OutAttrs) == 1 && p.limitFor(bp) == 0:
-			form = "dense " + bp.OutAttrs[0] + " or rows, by its span at run"
-		default:
-			form = outputForm(bp, nil)
-		}
-		if form != "" {
+		if form := p.outputForm(bp); form != "" {
 			fmt.Fprintf(&sb, " → %s", form)
 		}
 		sb.WriteString(":")
@@ -140,7 +129,7 @@ func (p *Plan) explain(st *ExecStats) string {
 			indent += "  "
 		}
 		switch {
-		case strings.HasPrefix(bp.form, "dense"):
+		case bp.span != nil:
 			fmt.Fprintf(&sb, "%sacc[%s] ⊕= annotation\n", indent, bp.OutAttrs[0])
 		case len(bp.OutAttrs) > 0:
 			fmt.Fprintf(&sb, "%semit (%s) with ⊕-combined annotation\n", indent, strings.Join(bp.OutAttrs, ","))
@@ -157,7 +146,7 @@ func (p *Plan) explain(st *ExecStats) string {
 		}
 		fmt.Fprintf(&sb, "join %s -> %s(%s)", strings.Join(rels, " ⋈ "),
 			p.Rule.Head.Name, strings.Join(p.Assembly.OutAttrs, ","))
-		if f := p.Assembly.form; f != "" {
+		if f := p.outputForm(p.Assembly); p.Assembly.ran && f != "" {
 			fmt.Fprintf(&sb, " → %s", f)
 		}
 		if bs := byBag[-1]; bs != nil {

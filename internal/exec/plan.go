@@ -126,10 +126,12 @@ type BagPlan struct {
 	DedupOf int
 
 	signature string
-	// result caches the materialized output during execution, and form
-	// records how the bag wrote it (see outputForm); "" until it runs.
+	// result caches the materialized output during execution. ran marks
+	// a bag that has run, and span the range its dense accumulator
+	// covered then, nil when it wrote rows (see Plan.outputForm).
 	result *trie.Trie
-	form   string
+	span   *accSpan
+	ran    bool
 }
 
 // Compile builds the physical plan for a parsed rule.

@@ -249,7 +249,7 @@ func (b *binder) bag(bp *BagPlan) *BagPlan {
 		return c
 	}
 	c := *bp
-	c.result, c.form = nil, ""
+	c.result, c.span, c.ran = nil, nil, false
 	b.bags[bp] = &c
 	if bp.Children != nil {
 		c.Children = make([]*BagPlan, len(bp.Children))

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -161,41 +162,51 @@ func TestVectorParticipantsMatchTrie(t *testing.T) {
 // point at hold rows, which are appended at their far end.
 func TestWorkersWriteApart(t *testing.T) {
 	db := dbWithGraph(testGraph(50, 200, 1))
-	p, err := Compile(db, mustParse(t, `TC(x;w:long) :- R(x,y),S(y,z),T(x,z); w=<<COUNT(*)>>.`).Rules[0], Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.stats = &ExecStats{}
-	ex := &bagExec{p: p, bp: p.Root, op: semiring.Sum, nodes: make([]*trie.Node, 9), span: &accSpan{0, 49}}
-	type region struct{ lo, hi uintptr }
-	span := func(p unsafe.Pointer, n uintptr) region {
-		return region{uintptr(p), uintptr(p) + n}
-	}
-	regions := func(w *worker) []region {
-		return []region{
-			span(unsafe.Pointer(&w.ex), unsafe.Offsetof(w.err)+unsafe.Sizeof(w.err)-unsafe.Offsetof(w.ex)),
-			span(unsafe.Pointer(unsafe.SliceData(w.slots)), uintptr(len(w.slots))*unsafe.Sizeof(w.slots[0])),
-			span(unsafe.Pointer(unsafe.SliceData(w.outBuf)), uintptr(len(w.outBuf))*unsafe.Sizeof(w.outBuf[0])),
-			span(unsafe.Pointer(unsafe.SliceData(w.cols)), uintptr(len(w.cols))*unsafe.Sizeof(w.cols[0])),
-			span(unsafe.Pointer(unsafe.SliceData(w.has)), uintptr(len(w.has))*unsafe.Sizeof(w.has[0])),
-			span(unsafe.Pointer(unsafe.SliceData(w.acc)), uintptr(len(w.acc))*unsafe.Sizeof(w.acc[0])),
-			span(unsafe.Pointer(unsafe.SliceData(w.scratch)), uintptr(len(w.scratch))*unsafe.Sizeof(w.scratch[0])),
-			span(unsafe.Pointer(unsafe.SliceData(w.lc)), uintptr(len(w.lc))*unsafe.Sizeof(w.lc[0])),
-		}
-	}
-	ws := make([]*worker, 8)
-	for i := range ws {
-		ws[i] = ex.newWorker()
-	}
-	for i := range ws {
-		for j := range i {
-			for _, a := range regions(ws[i]) {
-				for _, b := range regions(ws[j]) {
-					if a.hi+cacheLine > b.lo && b.hi+cacheLine > a.lo {
-						t.Fatalf("workers %d and %d write within a cache line: [%#x, %#x) and [%#x, %#x)", j, i, b.lo, b.hi, a.lo, a.hi)
+	for _, tc := range []struct {
+		name, query string
+		span        *accSpan
+	}{
+		{"rows", qTriangleListing, nil},
+		{"dense", `TC(x;w:long) :- R(x,y),S(y,z),T(x,z); w=<<COUNT(*)>>.`, &accSpan{0, 49}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, err := Compile(db, mustParse(t, tc.query).Rules[0], Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.stats = &ExecStats{}
+			ex := &bagExec{p: p, bp: p.Root, op: semiring.Sum, nodes: make([]*trie.Node, 9), span: tc.span}
+			type region struct{ lo, hi uintptr }
+			span := func(p unsafe.Pointer, n uintptr) region {
+				return region{uintptr(p), uintptr(p) + n}
+			}
+			regions := func(w *worker) []region {
+				return slices.DeleteFunc([]region{
+					span(unsafe.Pointer(&w.ex), unsafe.Offsetof(w.err)+unsafe.Sizeof(w.err)-unsafe.Offsetof(w.ex)),
+					span(unsafe.Pointer(unsafe.SliceData(w.slots)), uintptr(len(w.slots))*unsafe.Sizeof(w.slots[0])),
+					span(unsafe.Pointer(unsafe.SliceData(w.outBuf)), uintptr(len(w.outBuf))*unsafe.Sizeof(w.outBuf[0])),
+					span(unsafe.Pointer(unsafe.SliceData(w.cols)), uintptr(len(w.cols))*unsafe.Sizeof(w.cols[0])),
+					span(unsafe.Pointer(unsafe.SliceData(w.has)), uintptr(len(w.has))*unsafe.Sizeof(w.has[0])),
+					span(unsafe.Pointer(unsafe.SliceData(w.acc)), uintptr(len(w.acc))*unsafe.Sizeof(w.acc[0])),
+					span(unsafe.Pointer(unsafe.SliceData(w.scratch)), uintptr(len(w.scratch))*unsafe.Sizeof(w.scratch[0])),
+					span(unsafe.Pointer(unsafe.SliceData(w.lc)), uintptr(len(w.lc))*unsafe.Sizeof(w.lc[0])),
+				}, func(r region) bool { return r.lo == r.hi }) // rows: no accumulator
+			}
+			ws := make([]*worker, 8)
+			for i := range ws {
+				ws[i] = ex.newWorker()
+			}
+			for i := range ws {
+				for j := range i {
+					for _, a := range regions(ws[i]) {
+						for _, b := range regions(ws[j]) {
+							if a.hi+cacheLine > b.lo && b.hi+cacheLine > a.lo {
+								t.Fatalf("workers %d and %d write within a cache line: [%#x, %#x) and [%#x, %#x)", j, i, b.lo, b.hi, a.lo, a.hi)
+							}
+						}
 					}
 				}
 			}
-		}
+		})
 	}
 }
