@@ -53,26 +53,17 @@ type Option func(*exec.Options)
 // WithUintLayout stores every set as a sorted uint array, disabling the
 // SIMD-friendly layout optimizer (the paper's "-R" ablation).
 func WithUintLayout() Option {
-	return func(o *exec.Options) {
-		o.Layout = trie.UintLayout
-		o.LayoutName = "uint"
-	}
+	return func(o *exec.Options) { o.Layout = trie.UintLayout }
 }
 
 // WithBitsetLayout forces the bitset layout for every set.
 func WithBitsetLayout() Option {
-	return func(o *exec.Options) {
-		o.Layout = trie.BitsetLayout
-		o.LayoutName = "bitset"
-	}
+	return func(o *exec.Options) { o.Layout = trie.BitsetLayout }
 }
 
 // WithCompositeLayout forces the block-level composite layout.
 func WithCompositeLayout() Option {
-	return func(o *exec.Options) {
-		o.Layout = trie.CompositeLayout
-		o.LayoutName = "composite"
-	}
+	return func(o *exec.Options) { o.Layout = trie.CompositeLayout }
 }
 
 // WithMergeOnly disables intersection-algorithm selection (scalar merge

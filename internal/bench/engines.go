@@ -55,7 +55,6 @@ var (
 	engineLB      = exec.Options{
 		SingleBag:      true,
 		Layout:         trie.UintLayout,
-		LayoutName:     "uint",
 		Intersect:      set.Config{Algo: set.AlgoGalloping},
 		NaiveRecursion: true,
 	}

@@ -18,7 +18,7 @@ func Table10(cfg Config) *Table {
 		Title:   "Random vs degree ordering (relative time, triangle counting)",
 		Columns: []string{"default-uint", "default-EH", "filtered-uint", "filtered-EH"},
 	}
-	uintOpts := exec.Options{Layout: trie.UintLayout, LayoutName: "uint"}
+	uintOpts := exec.Options{Layout: trie.UintLayout}
 	for _, name := range datasets.Small {
 		g := datasets.Load(name)
 		deg := g.Reorder(graph.OrderDegree, 0)
@@ -57,7 +57,7 @@ func Table11(cfg Config) *Table {
 	noS := exec.OptNoSIMD
 	noR := exec.OptNoLayout
 	noSR := exec.Options{
-		Layout: trie.UintLayout, LayoutName: "uint",
+		Layout:    trie.UintLayout,
 		Intersect: set.Config{BitByBit: true},
 	}
 	for _, name := range datasets.Small {

@@ -22,9 +22,9 @@ func Table4(cfg Config) *Table {
 		Columns: []string{"relation", "set", "block"},
 	}
 	policies := map[string]exec.Options{
-		"relation": {Layout: trie.UintLayout, LayoutName: "uint"},
+		"relation": {Layout: trie.UintLayout},
 		"set":      {},
-		"block":    {Layout: trie.CompositeLayout, LayoutName: "composite"},
+		"block":    {Layout: trie.CompositeLayout},
 	}
 	for _, name := range datasets.Small {
 		g := datasets.LoadPruned(name)

@@ -388,7 +388,7 @@ func TestCompactedAndLoadedRelationsBecomeBase(t *testing.T) {
 		if plain.HasOverlay() {
 			t.Fatalf("after the %s: relation still has an overlay", step)
 		}
-		idx := plain.Index(rev, nil, "auto")
+		idx := plain.Index(rev, nil)
 		if _, err := eng.Update(UpdateBatch{Rel: "Edge", InsCols: toCols([][2]uint32{{9, uint32(len(step))}})}); err != nil {
 			t.Fatal(err)
 		}
@@ -396,7 +396,7 @@ func TestCompactedAndLoadedRelationsBecomeBase(t *testing.T) {
 		if rel.Base() != plain {
 			t.Fatalf("first update after the %s did not build on the installed relation", step)
 		}
-		if rel.Base().Index(rev, nil, "auto") != idx {
+		if rel.Base().Index(rev, nil) != idx {
 			t.Fatalf("first update after the %s rebuilt the base's permuted index", step)
 		}
 		if did, err := eng.Compact("Edge"); !did || err != nil {

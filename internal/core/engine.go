@@ -73,21 +73,14 @@ func NewWithOptions(opts exec.Options) *Engine {
 
 // LoadGraph registers a graph as the binary edge relation `name`.
 func (e *Engine) LoadGraph(name string, g *graph.Graph) {
-	e.DB.AddGraph(name, g, e.Opts.Layout, e.layoutName())
-}
-
-func (e *Engine) layoutName() string {
-	if e.Opts.LayoutName == "" {
-		return "auto"
-	}
-	return e.Opts.LayoutName
+	e.DB.AddGraph(name, g, e.Opts.Layout)
 }
 
 // LoadGraphWithDict registers a graph and its identifier dictionary as
 // one atomic installation: concurrent forks never observe the new
 // dictionary paired with the old relation (or vice versa).
 func (e *Engine) LoadGraphWithDict(name string, g *graph.Graph, dict *graph.Dictionary) {
-	e.DB.ReplaceGraph(name, g, dict, e.Opts.Layout, e.layoutName())
+	e.DB.ReplaceGraph(name, g, dict, e.Opts.Layout)
 }
 
 // LoadEdgeList reads a "src dst" edge list, dictionary-encodes it, and

@@ -154,7 +154,7 @@ func TestRunMemoHitsAndInvalidation(t *testing.T) {
 		func() { e.Opts.SingleBag = true },
 		func() { e.Opts.Parallelism = 1 },
 		func() { e.Opts.Intersect = set.Config{Algo: set.AlgoMerge} },
-		func() { e.Opts.Layout, e.Opts.LayoutName = trie.UintLayout, "uint" },
+		func() { e.Opts.Layout = trie.UintLayout },
 	} {
 		change()
 		fresh("after an option a plan bakes in changed")
@@ -461,7 +461,7 @@ func TestRunMemoDifferential(t *testing.T) {
 				func() string {
 					e.Opts = exec.Options{SingleBag: rng.Intn(2) == 0, NoPushdown: rng.Intn(2) == 0, Parallelism: rng.Intn(3)}
 					if rng.Intn(2) == 0 {
-						e.Opts.Layout, e.Opts.LayoutName = trie.UintLayout, "uint"
+						e.Opts.Layout = trie.UintLayout
 					}
 					if rng.Intn(2) == 0 {
 						e.Opts.Intersect = set.Config{Algo: set.AlgoMerge}

@@ -61,7 +61,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}{
 		{"auto", exec.Options{}},
 		{"uint", exec.OptNoLayout},
-		{"bitset", exec.Options{Layout: trie.BitsetLayout, LayoutName: "bitset"}},
+		{"bitset", exec.Options{Layout: trie.BitsetLayout}},
 	}
 	datasets := []struct {
 		name string

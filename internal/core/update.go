@@ -344,7 +344,7 @@ func (e *Engine) applyRecordLocked(rec *wal.Record, tr *trace.Trace) (UpdateResu
 // miniTries builds the batch's insert and tombstone mini-tries (nil
 // when the respective side is empty). The record's column slices are
 // consumed.
-func miniTries(rec *wal.Record, rel *exec.Relation, layout trie.LayoutFunc) (insT, delT *trie.Trie) {
+func miniTries(rec *wal.Record, rel *exec.Relation, layout *trie.Policy) (insT, delT *trie.Trie) {
 	if rec.InsRows() > 0 {
 		var anns []float64
 		if rel.Annotated {

@@ -82,7 +82,7 @@ func (o *Overlay) IsEmpty() bool { return o.rows == 0 }
 //
 // Del' takes two merges: a single (Del \ ins) ∪ del would keep the
 // tombstone of a tuple the same batch re-inserts.
-func (o *Overlay) Apply(ins, del *trie.Trie, layout trie.LayoutFunc) *Overlay {
+func (o *Overlay) Apply(ins, del *trie.Trie, layout *trie.Policy) *Overlay {
 	newIns := MergedView(o.Ins, ins, del, layout)
 	newDel := MergedView(MergedView(o.Del, del, nil, layout), nil, ins, layout)
 	return &Overlay{
@@ -103,7 +103,7 @@ func (o *Overlay) Apply(ins, del *trie.Trie, layout trie.LayoutFunc) *Overlay {
 // width of touched nodes), not the base. ins and del may be nil or
 // empty; when both are, base itself is returned. The result takes its
 // shape (annotatedness, op) from base.
-func MergedView(base, ins, del *trie.Trie, layout trie.LayoutFunc) *trie.Trie {
+func MergedView(base, ins, del *trie.Trie, layout *trie.Policy) *trie.Trie {
 	insRoot := overlayRoot(base, ins, "insert")
 	delRoot := overlayRoot(base, del, "tombstone")
 	if insRoot == nil && delRoot == nil {
@@ -113,7 +113,7 @@ func MergedView(base, ins, del *trie.Trie, layout trie.LayoutFunc) *trie.Trie {
 	if baseRoot.Set.IsEmpty() {
 		baseRoot = nil // lets an insert-only merge share ins whole
 	}
-	m := &merger{arity: base.Arity, annotated: base.Annotated, op: base.Op, layout: ensureLayout(layout)}
+	m := &merger{arity: base.Arity, annotated: base.Annotated, op: base.Op, layout: layout}
 	root := m.merge(baseRoot, insRoot, delRoot, 0)
 	if root == nil {
 		root = &trie.Node{}
@@ -139,9 +139,9 @@ func overlayRoot(base, side *trie.Trie, name string) *trie.Node {
 // pass. The result shares nothing with the view's base or overlay
 // (and in particular drops any aliases into mmap'd snapshot segments
 // or overlay mini-tries).
-func Compact(view *trie.Trie, layout trie.LayoutFunc) *trie.Trie {
+func Compact(view *trie.Trie, layout *trie.Policy) *trie.Trie {
 	cols, anns := view.Columns(0)
-	return trie.FromColumns(cols, anns, view.Op, ensureLayout(layout))
+	return trie.FromColumns(cols, anns, view.Op, layout)
 }
 
 // TrimAgainst drops overlay entries a base already absorbed: inserts
@@ -151,8 +151,7 @@ func Compact(view *trie.Trie, layout trie.LayoutFunc) *trie.Trie {
 // exactly the post-capture net-new changes instead of growing without
 // bound under sustained writes. Cost is O(overlay × depth) lookups
 // into base.
-func (o *Overlay) TrimAgainst(base *trie.Trie, layout trie.LayoutFunc) *Overlay {
-	layout = ensureLayout(layout)
+func (o *Overlay) TrimAgainst(base *trie.Trie, layout *trie.Policy) *Overlay {
 	arity := base.Arity
 	annotated := o.Ins.Annotated
 	op := o.Ins.Op
@@ -197,7 +196,7 @@ func (o *Overlay) TrimAgainst(base *trie.Trie, layout trie.LayoutFunc) *Overlay 
 // columnar builder's radix sort. It builds a relation's permuted indexes,
 // and carries an overlay into them without re-sorting the base. A nil
 // trie or a scalar (no columns) is returned as it is.
-func Permute(t *trie.Trie, perm []int, layout trie.LayoutFunc) *trie.Trie {
+func Permute(t *trie.Trie, perm []int, layout *trie.Policy) *trie.Trie {
 	if t == nil || t.Arity == 0 {
 		return t
 	}
@@ -209,12 +208,5 @@ func Permute(t *trie.Trie, perm []int, layout trie.LayoutFunc) *trie.Trie {
 	for i, p := range perm {
 		pcols[i] = cols[p]
 	}
-	return trie.FromColumns(pcols, anns, t.Op, ensureLayout(layout))
-}
-
-func ensureLayout(layout trie.LayoutFunc) trie.LayoutFunc {
-	if layout == nil {
-		return trie.AutoLayout
-	}
-	return layout
+	return trie.FromColumns(pcols, anns, t.Op, layout)
 }

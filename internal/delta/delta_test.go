@@ -18,7 +18,7 @@ func buildTrie(t *testing.T, arity int, op semiring.Op, rows [][]uint32, anns []
 }
 
 // buildTrieLayout is buildTrie with a pinned per-set layout.
-func buildTrieLayout(t *testing.T, arity int, op semiring.Op, rows [][]uint32, anns []float64, layout trie.LayoutFunc) *trie.Trie {
+func buildTrieLayout(t *testing.T, arity int, op semiring.Op, rows [][]uint32, anns []float64, layout *trie.Policy) *trie.Trie {
 	t.Helper()
 	cols := make([][]uint32, arity)
 	for c := range cols {
@@ -393,11 +393,11 @@ func TestMergedViewMixedLayouts(t *testing.T) {
 		model[tupleKey(r)] = 1
 	}
 
-	layouts := map[string]trie.LayoutFunc{
+	layouts := map[string]*trie.Policy{
 		"uint":      trie.UintLayout,
 		"bitset":    trie.BitsetLayout,
 		"composite": trie.CompositeLayout,
-		"auto":      trie.AutoLayout,
+		"auto":      nil,
 	}
 	names := []string{"uint", "bitset", "composite", "auto"}
 	for _, bn := range names {
@@ -469,7 +469,7 @@ func TestApplyMixedLayouts(t *testing.T) {
 		}
 		return tps, anns
 	}
-	layouts := []trie.LayoutFunc{trie.UintLayout, trie.BitsetLayout, trie.CompositeLayout, trie.AutoLayout}
+	layouts := []*trie.Policy{trie.UintLayout, trie.BitsetLayout, trie.CompositeLayout, nil}
 	for bi, bl := range layouts {
 		for oi, ol := range layouts {
 			for mi, ml := range layouts {

@@ -12,7 +12,7 @@ type merger struct {
 	arity     int
 	annotated bool
 	op        semiring.Op
-	layout    trie.LayoutFunc
+	layout    *trie.Policy
 }
 
 // merge produces the node for (base \ del) ∪ ins at one trie level.
@@ -28,19 +28,19 @@ func (m *merger) merge(base, ins, del *trie.Node, level int) *trie.Node {
 		return ins // (∅ \ del) ∪ ins: share the insert subtree
 	}
 	if level == m.arity-1 {
-		return m.mergeLeaf(base, ins, del, level)
+		return m.mergeLeaf(base, ins, del)
 	}
 	return m.mergeInner(base, ins, del, level)
 }
 
 // mergeLeaf builds the last-level set (base \ del) ∪ ins, with insert
 // annotations replacing base annotations.
-func (m *merger) mergeLeaf(base, ins, del *trie.Node, level int) *trie.Node {
+func (m *merger) mergeLeaf(base, ins, del *trie.Node) *trie.Node {
 	vals := set.DefaultKernel.Merge3(base.Set, nodeSet(ins), nodeSet(del))
 	if len(vals) == 0 {
 		return nil
 	}
-	n := &trie.Node{Set: set.BuildLayout(vals, m.layout(level, vals))}
+	n := &trie.Node{Set: m.layout.Build(vals)}
 	if m.annotated {
 		anns := make([]float64, len(vals))
 		for i, v := range vals {
@@ -99,7 +99,7 @@ func (m *merger) mergeInner(base, ins, del *trie.Node, level int) *trie.Node {
 		return nil
 	}
 	return &trie.Node{
-		Set:      set.BuildLayout(vals, m.layout(level, vals)),
+		Set:      m.layout.Build(vals),
 		Children: children,
 	}
 }

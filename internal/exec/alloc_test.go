@@ -70,7 +70,7 @@ func TestLoopNestAllocationsIndependentOfGraphSize(t *testing.T) {
 	}
 	layouts := []struct {
 		name string
-		f    trie.LayoutFunc
+		f    *trie.Policy
 	}{
 		{"uint", trie.UintLayout},
 		{"bitset", trie.BitsetLayout},
@@ -85,7 +85,7 @@ func TestLoopNestAllocationsIndependentOfGraphSize(t *testing.T) {
 		for _, q := range queries {
 			t.Run(l.name+"/"+q.name, func(t *testing.T) {
 				allocs := func(db *DB, par int) float64 {
-					pr := prepareQOpts(t, db, q.text, Options{Layout: l.f, LayoutName: l.name, Parallelism: par})
+					pr := prepareQOpts(t, db, q.text, Options{Layout: l.f, Parallelism: par})
 					fork := db.Fork()
 					run := func() {
 						if _, err := pr.RunWith(fork, RunParams{Limit: q.limit}); err != nil {

@@ -118,7 +118,7 @@ func TestCollectParallelMatchesSerial(t *testing.T) {
 	}
 	layouts := []struct {
 		name string
-		f    trie.LayoutFunc
+		f    *trie.Policy
 	}{
 		{"auto", nil},
 		{"uint", trie.UintLayout},
@@ -128,7 +128,7 @@ func TestCollectParallelMatchesSerial(t *testing.T) {
 		for _, q := range queries {
 			t.Run(l.name+"/"+q.name, func(t *testing.T) {
 				run := func(par int) *Result {
-					pr := prepareQOpts(t, db, q.text, Options{Layout: l.f, LayoutName: l.name, Parallelism: par})
+					pr := prepareQOpts(t, db, q.text, Options{Layout: l.f, Parallelism: par})
 					res, err := pr.RunWith(db.Fork(), RunParams{Collect: true})
 					if err != nil {
 						t.Fatal(err)

@@ -77,7 +77,7 @@ func (p *Plan) Run() (*Result, error) {
 	case p.Boolean && p.Agg.Op == semiring.Count:
 		out, attrs = p.countPerHead(out, attrs)
 	case !p.Boolean:
-		out = dropZeros(out, p.opts.layout())
+		out = dropZeros(out, p.opts.Layout)
 	}
 	res := &Result{
 		Name:      p.Rule.Head.Name,
@@ -105,7 +105,7 @@ func (p *Plan) countPerHead(t *trie.Trie, attrs []string) (*trie.Trie, []string)
 	if len(cols) == 0 {
 		return trie.NewScalar(float64(t.Cardinality()), semiring.Count), nil
 	}
-	b := trie.NewColumnarBuilder(len(cols), semiring.Count, p.opts.layout())
+	b := trie.NewColumnarBuilder(len(cols), semiring.Count, p.opts.Layout)
 	row := make([]uint32, len(cols))
 	t.ForEachTuple(func(tp []uint32, _ float64) {
 		for i, c := range cols {
@@ -121,7 +121,7 @@ func (p *Plan) countPerHead(t *trie.Trie, attrs []string) (*trie.Trie, []string)
 // SUM whose bindings cancel, a MIN over +∞. A scalar keeps its value. One
 // scan of the leaf annotations finds none in the common case; otherwise
 // the trie is rebuilt without them.
-func dropZeros(t *trie.Trie, layout trie.LayoutFunc) *trie.Trie {
+func dropZeros(t *trie.Trie, layout *trie.Policy) *trie.Trie {
 	zero := t.Op.Zero()
 	if t.Arity == 0 || !t.Annotated || !leafHolds(t.Root, t.Arity-1, zero) {
 		return t
@@ -511,7 +511,7 @@ func (p *Plan) execBag(bp *BagPlan) (t *trie.Trie, err error) {
 		if !ok {
 			return nil, fmt.Errorf("exec: relation %s vanished", a.Rel)
 		}
-		rels[i], tries[i] = rel, rel.Index(a.Perm, p.opts.layout(), p.opts.layoutName())
+		rels[i], tries[i] = rel, rel.Index(a.Perm, p.opts.Layout)
 	}
 	ex.rels, ex.tries = rels, tries
 	bp.span, bp.ran = nil, true // runParallel may decide on dense
@@ -521,7 +521,7 @@ func (p *Plan) execBag(bp *BagPlan) (t *trie.Trie, err error) {
 		t := tries[i]
 		if isVec[i] {
 			lv := &ex.levels[levelOf(bp, a, 0)]
-			lv.vecs = append(lv.vecs, rels[i].vector(t, p.opts.layoutName()))
+			lv.vecs = append(lv.vecs, rels[i].vector(t, p.opts.Layout))
 			continue
 		}
 		if t.Arity == 0 {
@@ -680,7 +680,7 @@ func (ex *bagExec) countTailOK() bool {
 }
 
 func (ex *bagExec) emptyResult() *trie.Trie {
-	b := trie.NewColumnarBuilder(len(ex.bp.OutAttrs), ex.op, ex.p.opts.layout())
+	b := trie.NewColumnarBuilder(len(ex.bp.OutAttrs), ex.op, ex.p.opts.Layout)
 	return b.Build()
 }
 
@@ -1173,7 +1173,7 @@ func (ex *bagExec) materialize(ws []*worker) *trie.Trie {
 			anns = append(anns, w.anns...)
 		}
 	}
-	b := trie.NewColumnarBuilder(len(ex.bp.OutAttrs), ex.op, ex.p.opts.layout())
+	b := trie.NewColumnarBuilder(len(ex.bp.OutAttrs), ex.op, ex.p.opts.Layout)
 	if len(anns) == 0 {
 		anns = nil // no emits or a Boolean plan: an un-annotated trie
 	}
@@ -1223,7 +1223,6 @@ func (ex *bagExec) materializeDense(ws []*worker) *trie.Trie {
 			}
 		}
 	}
-	layout := ex.p.opts.layout()
-	root := &trie.Node{Set: set.BuildLayout(vals, layout(0, vals)), Ann: anns}
+	root := &trie.Node{Set: ex.p.opts.Layout.Build(vals), Ann: anns}
 	return &trie.Trie{Arity: 1, Annotated: acc != nil, Op: ex.op, Root: root}
 }

@@ -21,7 +21,7 @@ import (
 func slowDB() (*DB, string) {
 	g := gen.PowerLaw(4000, 80000, 2.1, 7)
 	db := NewDB()
-	db.AddGraph("Edge", g, nil, "auto")
+	db.AddGraph("Edge", g, nil)
 	return db, `K4(;w:long) :- Edge(a,b),Edge(a,c),Edge(a,d),Edge(b,c),Edge(b,d),Edge(c,d); w=<<COUNT(*)>>.`
 }
 

@@ -11,10 +11,10 @@
 package exec
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -204,13 +204,13 @@ type Relation struct {
 
 	canonical *trie.Trie
 	// mu guards the lazily built index cache: concurrent queries share
-	// relations, so every access to indexes/vectors goes through it.
-	// Index hits take the read lock only; vector takes the write lock.
+	// relations, so every access to indexes/vectors/spans goes through
+	// it. Memo hits take the read lock only.
 	mu      sync.RWMutex
-	indexes map[string]*trie.Trie
+	indexes map[indexKey]*trie.Trie
 	// vectors memoizes the dense vector of a unary index (see vector),
-	// keyed by layout name like the index it reads.
-	vectors map[string]*vector
+	// keyed by layout policy like the index it reads.
+	vectors map[*trie.Policy]*vector
 	// spans memoizes each column's value range (see colSpan).
 	spans map[int]colSpan
 
@@ -246,7 +246,7 @@ func newRelation(name string, t *trie.Trie, card int) *Relation {
 		Annotated: t.Annotated,
 		Op:        t.Op,
 		canonical: t,
-		indexes:   map[string]*trie.Trie{},
+		indexes:   map[indexKey]*trie.Trie{},
 		card:      card,
 	}
 }
@@ -256,7 +256,7 @@ func newRelation(name string, t *trie.Trie, card int) *Relation {
 // cardinality, gen its overlay generation and walSeq its WAL watermark.
 // base must be plain (see Base). An empty overlay yields a plain
 // relation over base's trie, counted exactly.
-func NewOverlayRelation(base *Relation, ov *delta.Overlay, card int, gen, walSeq uint64, layout trie.LayoutFunc) *Relation {
+func NewOverlayRelation(base *Relation, ov *delta.Overlay, card int, gen, walSeq uint64, layout *trie.Policy) *Relation {
 	var r *Relation
 	if ov.IsEmpty() {
 		r = newRelation(base.Name, base.canonical, base.card)
@@ -306,12 +306,12 @@ func (db *DB) Swap(old, r *Relation) bool {
 
 // AddGraph registers the graph's edge relation under the given name using
 // the adjacency fast path; layout selects the storage policy (nil = the
-// set-level auto optimizer), layoutName its cache key.
-func (db *DB) AddGraph(name string, g *graph.Graph, layout trie.LayoutFunc, layoutName string) *Relation {
+// set-level optimizer).
+func (db *DB) AddGraph(name string, g *graph.Graph, layout *trie.Policy) *Relation {
 	t := trie.FromAdjacency(g.Adj, layout)
 	r := db.AddTrie(name, t)
 	r.mu.Lock()
-	r.indexes[indexKey([]int{0, 1}, layoutName)] = t
+	r.indexes[newIndexKey([]int{0, 1}, layout)] = t
 	r.mu.Unlock()
 	return r
 }
@@ -320,10 +320,10 @@ func (db *DB) AddGraph(name string, g *graph.Graph, layout trie.LayoutFunc, layo
 // identifier dictionary in one critical section and one version bump:
 // a concurrent Fork sees either the old (dict, relation) pair or the new
 // one, never a mix of the two.
-func (db *DB) ReplaceGraph(name string, g *graph.Graph, dict *graph.Dictionary, layout trie.LayoutFunc, layoutName string) *Relation {
+func (db *DB) ReplaceGraph(name string, g *graph.Graph, dict *graph.Dictionary, layout *trie.Policy) *Relation {
 	t := trie.FromAdjacency(g.Adj, layout)
 	r := NewRelation(name, t)
-	r.indexes[indexKey([]int{0, 1}, layoutName)] = t
+	r.indexes[newIndexKey([]int{0, 1}, layout)] = t
 	db.mu.Lock()
 	db.rels[name] = r
 	db.dict = dict
@@ -404,23 +404,29 @@ func (r *Relation) Source(tp []uint32) string {
 	return "base"
 }
 
-func indexKey(perm []int, layoutName string) string {
-	var sb strings.Builder
+// indexKey names one index of a relation: its column permutation, one
+// uvarint per column, and its layout policy.
+type indexKey struct {
+	perm   string
+	layout *trie.Policy
+}
+
+func newIndexKey(perm []int, layout *trie.Policy) indexKey {
+	var buf [16]byte
+	k := buf[:0]
 	for _, p := range perm {
-		fmt.Fprintf(&sb, "%d,", p)
+		k = binary.AppendUvarint(k, uint64(p))
 	}
-	sb.WriteString("/")
-	sb.WriteString(layoutName)
-	return sb.String()
+	return indexKey{string(k), layout}
 }
 
 // Index returns (building and caching if needed) the trie whose level i
 // stores column perm[i], under the given layout policy.
-func (r *Relation) Index(perm []int, layout trie.LayoutFunc, layoutName string) *trie.Trie {
+func (r *Relation) Index(perm []int, layout *trie.Policy) *trie.Trie {
 	if len(perm) != r.Arity {
 		panic(fmt.Sprintf("exec: index perm %v for arity-%d relation %s", perm, r.Arity, r.Name))
 	}
-	key := indexKey(perm, layoutName)
+	key := newIndexKey(perm, layout)
 	// Fast path: the index already exists; concurrent readers proceed in
 	// parallel under the read lock.
 	r.mu.RLock()
@@ -443,7 +449,7 @@ func (r *Relation) Index(perm []int, layout trie.LayoutFunc, layoutName string) 
 		}
 	}
 	var t *trie.Trie
-	if identity && layoutName == "auto" && r.canonical != nil {
+	if identity && layout == nil && r.canonical != nil {
 		t = r.canonical
 	} else if r.ov != nil {
 		// Overlay path: permute only the (small) overlay and merge it
@@ -451,7 +457,7 @@ func (r *Relation) Index(perm []int, layout trie.LayoutFunc, layoutName string) 
 		// and re-sorting the whole merged relation. Lock order is always
 		// merged-relation → base-relation, never the reverse, so holding
 		// r.mu across base.Index cannot deadlock.
-		baseIdx := r.base.Index(perm, layout, layoutName)
+		baseIdx := r.base.Index(perm, layout)
 		t = delta.MergedView(baseIdx,
 			delta.Permute(r.ov.Ins, perm, layout),
 			delta.Permute(r.ov.Del, perm, layout),
@@ -464,18 +470,26 @@ func (r *Relation) Index(perm []int, layout trie.LayoutFunc, layoutName string) 
 }
 
 // vector returns the dense vector of t, this relation's unary index under
-// layoutName, built on first use and memoized beside the index.
-func (r *Relation) vector(t *trie.Trie, layoutName string) *vector {
+// layout, built on first use and memoized beside the index. A hit takes
+// the read lock only, so concurrent queries reading one relation proceed
+// in parallel.
+func (r *Relation) vector(t *trie.Trie, layout *trie.Policy) *vector {
+	r.mu.RLock()
+	vc, ok := r.vectors[layout]
+	r.mu.RUnlock()
+	if ok {
+		return vc
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	vc, ok := r.vectors[layoutName]
-	if !ok {
-		if r.vectors == nil {
-			r.vectors = map[string]*vector{}
-		}
-		vc = newVector(t.Root)
-		r.vectors[layoutName] = vc
+	if vc, ok := r.vectors[layout]; ok {
+		return vc
 	}
+	if r.vectors == nil {
+		r.vectors = map[*trie.Policy]*vector{}
+	}
+	vc = newVector(t.Root)
+	r.vectors[layout] = vc
 	return vc
 }
 
@@ -551,11 +565,10 @@ func trieColSpan(t *trie.Trie, col int) colSpan {
 // optimized engine. The ablation fields reproduce the "-R", "-RA", "-S"
 // and "-GHD" rows of Tables 8, 11 and 13.
 type Options struct {
-	// Layout is the storage layout policy (nil = set-level auto
-	// optimizer, §4.4); LayoutName keys the relation index cache
-	// ("auto", "uint", "bitset", "composite").
-	Layout     trie.LayoutFunc
-	LayoutName string
+	// Layout is the storage layout policy of every trie the engine
+	// builds — loaded relations, indexes, intermediate and recursive
+	// results (nil = the set-level optimizer, §4.4).
+	Layout *trie.Policy
 	// Intersect controls intersection algorithm selection (§4.2).
 	Intersect set.Config
 	// SingleBag forces single-bag GHDs (Table 8 "-GHD").
@@ -574,31 +587,17 @@ type Options struct {
 	Parallelism int
 }
 
-func (o Options) layout() trie.LayoutFunc {
-	if o.Layout == nil {
-		return trie.AutoLayout
-	}
-	return o.Layout
-}
-
-func (o Options) layoutName() string {
-	if o.LayoutName == "" {
-		return "auto"
-	}
-	return o.LayoutName
-}
-
 // Ablations used across the benchmark suite (§5.3).
 var (
 	// OptDefault is the full EmptyHeaded optimizer.
 	OptDefault = Options{}
 	// OptNoLayout ("-R") disables SIMD-friendly layout mixing: all sets
 	// stored as uint arrays.
-	OptNoLayout = Options{Layout: trie.UintLayout, LayoutName: "uint"}
+	OptNoLayout = Options{Layout: trie.UintLayout}
 	// OptNoLayoutNoAlgo ("-RA") additionally disables intersection
 	// algorithm selection (scalar merge only).
 	OptNoLayoutNoAlgo = Options{
-		Layout: trie.UintLayout, LayoutName: "uint",
+		Layout:    trie.UintLayout,
 		Intersect: set.Config{Algo: set.AlgoMerge},
 	}
 	// OptNoSIMD ("-S") keeps layouts but processes dense words

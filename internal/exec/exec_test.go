@@ -23,7 +23,7 @@ func testGraph(n, m int, seed int64) *graph.Graph {
 func dbWithGraph(g *graph.Graph) *DB {
 	db := NewDB()
 	for _, name := range []string{"R", "S", "T", "U", "V", "Q", "R2", "S2", "T2", "Edge"} {
-		db.AddGraph(name, g, nil, "auto")
+		db.AddGraph(name, g, nil)
 	}
 	return db
 }
@@ -586,7 +586,7 @@ func TestIndexPermutations(t *testing.T) {
 	b.Add(2, 20)
 	b.Add(2, 30)
 	rel := db.AddTrie("R", b.Build())
-	rev := rel.Index([]int{1, 0}, trie.AutoLayout, "auto")
+	rev := rel.Index([]int{1, 0}, nil)
 	if rev.Cardinality() != 3 {
 		t.Fatalf("card=%d", rev.Cardinality())
 	}
@@ -595,13 +595,13 @@ func TestIndexPermutations(t *testing.T) {
 		t.Fatal("reversed index wrong")
 	}
 	// Cached: same pointer.
-	if rel.Index([]int{1, 0}, trie.AutoLayout, "auto") != rev {
+	if rel.Index([]int{1, 0}, nil) != rev {
 		t.Fatal("index not cached")
 	}
 	// A scalar relation has no columns to re-sort: its index under any
 	// layout keeps the value.
 	scalar := db.AddTrie("N", trie.NewScalar(7, semiring.Sum))
-	if got := scalar.Index(nil, trie.UintLayout, "uint"); got.Arity != 0 || got.Scalar != 7 {
+	if got := scalar.Index(nil, trie.UintLayout); got.Arity != 0 || got.Scalar != 7 {
 		t.Fatalf("scalar index: arity %d, value %v, want 0, 7", got.Arity, got.Scalar)
 	}
 }

@@ -77,7 +77,7 @@ func (p *Plan) explain(st *ExecStats) string {
 		tries := make([]*trie.Trie, len(bp.Atoms))
 		for i, a := range bp.Atoms {
 			if rel, ok := p.db.Relation(a.Rel); ok && a.child == nil && len(a.Attrs) == 1 {
-				tries[i] = rel.Index(a.Perm, p.opts.layout(), p.opts.layoutName())
+				tries[i] = rel.Index(a.Perm, p.opts.Layout)
 			}
 		}
 		isVec := p.vectorAtoms(bp, tries)

@@ -22,8 +22,8 @@ func TestOverlayIndexEveryPermutation(t *testing.T) {
 	perms := [][]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}
 	layouts := []struct {
 		name string
-		fn   trie.LayoutFunc
-	}{{"auto", trie.AutoLayout}, {"bitset", trie.BitsetLayout}}
+		fn   *trie.Policy
+	}{{"auto", nil}, {"bitset", trie.BitsetLayout}}
 
 	for _, annotated := range []bool{false, true} {
 		rng := rand.New(rand.NewSource(5))
@@ -34,7 +34,7 @@ func TestOverlayIndexEveryPermutation(t *testing.T) {
 		randTuple := func() tuple {
 			return tuple{uint32(rng.Intn(9)), uint32(rng.Intn(9)), uint32(rng.Intn(9))}
 		}
-		build := func(rows map[tuple]float64, perm []int, withAnns bool, layout trie.LayoutFunc) *trie.Trie {
+		build := func(rows map[tuple]float64, perm []int, withAnns bool, layout *trie.Policy) *trie.Trie {
 			cols := make([][]uint32, 3)
 			var anns []float64
 			if withAnns {
@@ -102,9 +102,9 @@ func TestOverlayIndexEveryPermutation(t *testing.T) {
 					t.Fatalf("%s: reference holds %d tuples, model %d", tag, want.Cardinality(), len(model))
 				}
 				for how, got := range map[string]*trie.Trie{
-					"overlay Index":         rel.Index(perm, l.fn, l.name),
+					"overlay Index":         rel.Index(perm, l.fn),
 					"Permute of the view":   delta.Permute(merged, perm, l.fn),
-					"Index without overlay": plain.Index(perm, l.fn, l.name),
+					"Index without overlay": plain.Index(perm, l.fn),
 				} {
 					if got.Annotated != annotated || !triesEqual(got, want) {
 						t.Fatalf("%s: %s is not the from-scratch build (%d tuples, want %d)",

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"container/list"
-	"reflect"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -144,7 +143,7 @@ type CachedPlan struct {
 	FP          string
 	Reads       []string          // the program's relation read set, sorted
 	attrToCanon map[string]string // final-rule variable, as the preparing text spells it → canonical name
-	opts        Options           // what the plan was prepared under, as planOpts renders it
+	opts        Options           // what the plan was prepared under
 }
 
 // PlanLookup is how far one query text got through the cache: text →
@@ -163,13 +162,6 @@ func NewPlanCache() *PlanCache {
 	}
 }
 
-// planOpts is the part of opts a cached plan is matched on: LayoutName
-// stands for Layout, as in the relation index cache.
-func planOpts(opts Options) Options {
-	opts.Layout, opts.LayoutName = nil, opts.layoutName()
-	return opts
-}
-
 // Lookup walks text through the cache without parsing, stopping at the
 // first miss: one counted alias get and, when the alias is known, one
 // counted plan get. A plan prepared under other options is a miss, which
@@ -184,8 +176,7 @@ func (c *PlanCache) Lookup(text string, opts Options) PlanLookup {
 
 // plan is one counted get of fp's plan, prepared under opts.
 func (c *PlanCache) plan(fp string, opts Options) (*CachedPlan, bool) {
-	opts = planOpts(opts)
-	return c.plans.Get(fp, func(p *CachedPlan) bool { return reflect.DeepEqual(&p.opts, &opts) })
+	return c.plans.Get(fp, func(p *CachedPlan) bool { return p.opts == opts })
 }
 
 // Prepare ends the plan step for a text Lookup could not take there. It
@@ -209,7 +200,7 @@ func (c *PlanCache) Prepare(db *DB, text string, prog *datalog.Program, opts Opt
 		if err != nil {
 			return err
 		}
-		lk.Plan = &CachedPlan{Prep: prep, FP: fp, Reads: prog.Relations(), attrToCanon: varMap, opts: planOpts(opts)}
+		lk.Plan = &CachedPlan{Prep: prep, FP: fp, Reads: prog.Relations(), attrToCanon: varMap, opts: opts}
 		c.plans.Put(fp, lk.Plan)
 	}
 	c.aliases.Put(text, lk.Alias)

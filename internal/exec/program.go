@@ -151,7 +151,8 @@ func (pr *Prepared) runRecursive(db *DB, g ruleGroup, rp RunParams) (*Result, er
 	seminaive := op.Monotone() && !bounded && !pr.opts.NaiveRecursion && !slices.Contains(reads[first+1:], name)
 	// The head carries the recursion's semiring so delta joins combine
 	// correctly. It is a stack of tries, newest last (see fold).
-	head := []*trie.Trie{retag(baseRes.Trie, op)}
+	layout := pr.opts.Layout
+	head := []*trie.Trie{retag(baseRes.Trie, op, layout)}
 	frontier := head[0]
 	iters := 0
 	defer func() {
@@ -176,13 +177,13 @@ func (pr *Prepared) runRecursive(db *DB, g ruleGroup, rp RunParams) (*Result, er
 		if err != nil {
 			return nil, err
 		}
-		change := retag(res.Trie, op)
+		change := retag(res.Trie, op, layout)
 		if op.Monotone() {
-			change = improvements(head, change, op)
+			change = improvements(head, change, op, layout)
 			if changed = change != nil; changed && change.Arity == 0 {
 				head = []*trie.Trie{change} // a scalar's one tuple is the whole relation
 			} else if changed {
-				head = fold(append(head, change), iters+1)
+				head = fold(append(head, change), iters+1, layout)
 			}
 		} else {
 			changed = !triesEqual(head[0], change)
@@ -190,32 +191,40 @@ func (pr *Prepared) runRecursive(db *DB, g ruleGroup, rp RunParams) (*Result, er
 		}
 		frontier = change
 		if !seminaive {
-			head = fold(head, 0)
+			head = fold(head, 0, layout)
 			frontier = head[0]
 		}
 	}
-	return &Result{Name: name, Attrs: baseRes.Attrs, Trie: fold(head, 0)[0]}, nil
+	return &Result{Name: name, Attrs: baseRes.Attrs, Trie: fold(head, 0, layout)[0]}, nil
 }
 
 // fold merges the newest tries of a head stack into the ones below them,
 // the newer annotation winning: after the k-th push as many times as 2
 // divides k, so each tuple is merged O(log rounds) times and a round
 // costs O(frontier) amortised rather than O(head); k = 0 folds the stack
-// into one trie.
-func fold(head []*trie.Trie, k int) []*trie.Trie {
+// into one trie. Merged sets are stored under layout.
+func fold(head []*trie.Trie, k int, layout *trie.Policy) []*trie.Trie {
 	for n := len(head); n > 1 && k%2 == 0; n, k = n-1, k/2 {
-		head = append(head[:n-2], delta.MergedView(head[n-2], head[n-1], nil, nil))
+		head = append(head[:n-2], delta.MergedView(head[n-2], head[n-1], nil, layout))
 	}
 	return head
 }
 
-// retag rebuilds a trie under a different semiring op (annotation values
-// are preserved; only the combine semantics change).
-func retag(t *trie.Trie, op semiring.Op) *trie.Trie {
-	if t.Op == op {
+// retag returns t under a different semiring op, its annotation values
+// kept: an annotated trie is a copy of the header with Op replaced,
+// sharing every node — tries are immutable and the op lives on the Trie.
+// The tuples of an un-annotated one read as t.Op's one, so those are
+// written down first, in a rebuild under layout.
+func retag(t *trie.Trie, op semiring.Op, layout *trie.Policy) *trie.Trie {
+	switch {
+	case t.Op == op:
 		return t
+	case t.Annotated || t.Arity == 0:
+		c := *t
+		c.Op = op
+		return &c
 	}
-	b := trie.NewColumnarBuilder(t.Arity, op, nil)
+	b := trie.NewColumnarBuilder(t.Arity, op, layout)
 	t.ForEachTuple(func(tp []uint32, ann float64) {
 		b.AddAnn(ann, tp...)
 	})
@@ -225,9 +234,9 @@ func retag(t *trie.Trie, op semiring.Op) *trie.Trie {
 // improvements returns the tuples of res that the head stack lacks or
 // whose annotation is op-better than its newest one — one ordered pass
 // over res, each tuple looked up by descending the stack's tries — or nil
-// when there are none.
-func improvements(head []*trie.Trie, res *trie.Trie, op semiring.Op) *trie.Trie {
-	b := trie.NewColumnarBuilder(res.Arity, op, nil)
+// when there are none. The result's sets are stored under layout.
+func improvements(head []*trie.Trie, res *trie.Trie, op semiring.Op, layout *trie.Policy) *trie.Trie {
+	b := trie.NewColumnarBuilder(res.Arity, op, layout)
 	res.ForEachTuple(func(tp []uint32, ann float64) {
 		old, ok := 0.0, false
 		for i := len(head) - 1; i >= 0 && !ok; i-- {

@@ -4,7 +4,9 @@ import (
 	"math/rand"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 	"unsafe"
 
 	"emptyheaded/internal/graph"
@@ -120,17 +122,17 @@ func TestVectorParticipantsMatchTrie(t *testing.T) {
 					if want == "" {
 						want = got
 					} else if got != want {
-						t.Fatalf("layout %s, parallelism %d: result differs from auto at one worker", opts.layoutName(), par)
+						t.Fatalf("layout %s, parallelism %d: result differs from auto at one worker", opts.Layout, par)
 					}
 					plan := res.Plan.Explain()
 					vectorized := opts.Layout == nil && row.vectors != nil
 					for _, v := range row.vectors {
 						if strings.Contains(plan, v) != vectorized {
-							t.Errorf("layout %s: want %q in EXPLAIN %v:\n%s", opts.layoutName(), v, vectorized, plan)
+							t.Errorf("layout %s: want %q in EXPLAIN %v:\n%s", opts.Layout, v, vectorized, plan)
 						}
 					}
 					if !vectorized && strings.Contains(plan, "·") {
-						t.Errorf("layout %s: unexpected vector in EXPLAIN:\n%s", opts.layoutName(), plan)
+						t.Errorf("layout %s: unexpected vector in EXPLAIN:\n%s", opts.Layout, plan)
 					}
 				}
 			}
@@ -208,5 +210,47 @@ func TestWorkersWriteApart(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestVectorMemoHitTakesReadLock: a memoized vector is served under the
+// relation's read lock, so queries reading one unary relation do not
+// serialize on it. Concurrent first uses fill the memo once. Then a hit
+// runs while the test holds the read lock; a hit that took the write
+// lock would wait for the test, which gives up after two seconds
+// instead of hanging.
+func TestVectorMemoHitTakesReadLock(t *testing.T) {
+	db := NewDB()
+	addAnnotated(db, "PageRank", semiring.Sum, upTo(100), func(uint32) float64 { return 1 })
+	rel, _ := db.Relation("PageRank")
+	idx := rel.Index([]int{0}, nil)
+	vecs := make([]*vector, 8)
+	var wg sync.WaitGroup
+	for i := range vecs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			vecs[i] = rel.vector(idx, nil)
+		}()
+	}
+	wg.Wait()
+	want := vecs[0]
+	for _, vc := range vecs {
+		if vc != want {
+			t.Fatal("concurrent first uses built two vectors")
+		}
+	}
+
+	rel.mu.RLock()
+	defer rel.mu.RUnlock()
+	done := make(chan *vector, 1)
+	go func() { done <- rel.vector(idx, nil) }()
+	select {
+	case got := <-done:
+		if got != want {
+			t.Fatal("memo hit returned a different vector")
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("memo hit blocked behind a held read lock")
 	}
 }

@@ -18,7 +18,7 @@ import (
 // testSnapshot builds a small multi-relation database: a binary edge
 // relation, an annotated unary relation, a ternary relation, a scalar,
 // and a dictionary.
-func testSnapshot(t *testing.T, layout trie.LayoutFunc) *Snapshot {
+func testSnapshot(t *testing.T, layout *trie.Policy) *Snapshot {
 	t.Helper()
 	g := gen.PowerLaw(500, 4000, 2.2, 7)
 	edge := trie.FromAdjacency(g.Adj, layout)
@@ -63,8 +63,8 @@ func tupleDump(t *trie.Trie) string {
 func TestWriteOpenRoundTrip(t *testing.T) {
 	for _, lc := range []struct {
 		name   string
-		layout trie.LayoutFunc
-	}{{"auto", trie.AutoLayout}, {"uint", trie.UintLayout}, {"bitset", trie.BitsetLayout}, {"composite", trie.CompositeLayout}} {
+		layout *trie.Policy
+	}{{"auto", nil}, {"uint", trie.UintLayout}, {"bitset", trie.BitsetLayout}, {"composite", trie.CompositeLayout}} {
 		t.Run(lc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			snap := testSnapshot(t, lc.layout)
@@ -113,7 +113,7 @@ func TestWriteOpenRoundTrip(t *testing.T) {
 // every file byte for byte.
 func TestReSnapshotByteIdentical(t *testing.T) {
 	dir1, dir2 := t.TempDir(), t.TempDir()
-	snap := testSnapshot(t, trie.AutoLayout)
+	snap := testSnapshot(t, nil)
 	if _, err := Write(dir1, snap); err != nil {
 		t.Fatalf("Write: %v", err)
 	}
@@ -149,7 +149,7 @@ func TestReSnapshotByteIdentical(t *testing.T) {
 
 func TestOverwriteRemovesStaleSegments(t *testing.T) {
 	dir := t.TempDir()
-	snap := testSnapshot(t, trie.AutoLayout)
+	snap := testSnapshot(t, nil)
 	if _, err := Write(dir, snap); err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func segmentPath(t *testing.T, dir string, i int) string {
 // a crash before the new catalog lands leaves the old snapshot whole.
 func TestOverwriteNeverClobbersReferencedFiles(t *testing.T) {
 	dir := t.TempDir()
-	snapA := testSnapshot(t, trie.AutoLayout)
+	snapA := testSnapshot(t, nil)
 	catA, err := Write(dir, snapA)
 	if err != nil {
 		t.Fatal(err)
@@ -234,7 +234,7 @@ func TestOverwriteNeverClobbersReferencedFiles(t *testing.T) {
 // to fail with a checksum CorruptionError rather than aliasing garbage.
 func TestCorruptedSegment(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := Write(dir, testSnapshot(t, trie.AutoLayout)); err != nil {
+	if _, err := Write(dir, testSnapshot(t, nil)); err != nil {
 		t.Fatal(err)
 	}
 	seg := segmentPath(t, dir, 0)
@@ -260,7 +260,7 @@ func TestCorruptedSegment(t *testing.T) {
 // catch it before any aliasing happens.
 func TestTruncatedSegment(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := Write(dir, testSnapshot(t, trie.AutoLayout)); err != nil {
+	if _, err := Write(dir, testSnapshot(t, nil)); err != nil {
 		t.Fatal(err)
 	}
 	seg := segmentPath(t, dir, 1)
@@ -282,7 +282,7 @@ func TestTruncatedSegment(t *testing.T) {
 
 func TestCorruptedCatalog(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := Write(dir, testSnapshot(t, trie.AutoLayout)); err != nil {
+	if _, err := Write(dir, testSnapshot(t, nil)); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, CatalogFile)

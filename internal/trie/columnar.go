@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"emptyheaded/internal/semiring"
-	"emptyheaded/internal/set"
 )
 
 // ColumnarBuilder materializes a Trie from flat per-attribute columns.
@@ -21,7 +20,7 @@ import (
 type ColumnarBuilder struct {
 	arity     int
 	op        semiring.Op
-	layout    LayoutFunc
+	layout    *Policy
 	annotated bool
 	cols      [][]uint32
 	anns      []float64
@@ -29,11 +28,8 @@ type ColumnarBuilder struct {
 
 // NewColumnarBuilder returns a columnar builder for relations of the
 // given arity. op governs how duplicate-tuple annotations combine; layout
-// picks per-set layouts (nil means the set-level auto optimizer).
-func NewColumnarBuilder(arity int, op semiring.Op, layout LayoutFunc) *ColumnarBuilder {
-	if layout == nil {
-		layout = AutoLayout
-	}
+// picks per-set layouts (nil means the set-level optimizer).
+func NewColumnarBuilder(arity int, op semiring.Op, layout *Policy) *ColumnarBuilder {
 	return &ColumnarBuilder{arity: arity, op: op, layout: layout, cols: make([][]uint32, arity)}
 }
 
@@ -110,7 +106,7 @@ func (b *ColumnarBuilder) AddAnn(ann float64, tuple ...uint32) {
 
 // FromColumns builds a trie directly from flat columns (see SetColumns
 // for the ownership contract).
-func FromColumns(cols [][]uint32, anns []float64, op semiring.Op, layout LayoutFunc) *Trie {
+func FromColumns(cols [][]uint32, anns []float64, op semiring.Op, layout *Policy) *Trie {
 	b := NewColumnarBuilder(len(cols), op, layout)
 	b.SetColumns(cols, anns)
 	return b.Build()
@@ -466,7 +462,7 @@ func (b *ColumnarBuilder) buildNode(level, lo, hi int, parallel bool) *Node {
 		// Post-dedup, leaf values under one prefix are strictly
 		// increasing: the column segment is the set.
 		vals := col[lo:hi:hi]
-		n := &Node{Set: set.BuildLayout(vals, b.layout(level, vals))}
+		n := &Node{Set: b.layout.Build(vals)}
 		if b.annotated {
 			n.Ann = b.anns[lo:hi:hi]
 		}
@@ -482,7 +478,7 @@ func (b *ColumnarBuilder) buildNode(level, lo, hi int, parallel bool) *Node {
 	}
 	starts = append(starts, hi)
 	n := &Node{
-		Set:      set.BuildLayout(vals, b.layout(level, vals)),
+		Set:      b.layout.Build(vals),
 		Children: make([]*Node, len(vals)),
 	}
 	nw := runtime.GOMAXPROCS(0)

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"emptyheaded/internal/semiring"
-	"emptyheaded/internal/set"
 )
 
 // --- reference implementation ------------------------------------------
@@ -23,10 +22,7 @@ type refRow struct {
 	ann   float64
 }
 
-func refBuild(arity int, op semiring.Op, layout LayoutFunc, annotated bool, rows []refRow) *Trie {
-	if layout == nil {
-		layout = AutoLayout
-	}
+func refBuild(arity int, op semiring.Op, layout *Policy, annotated bool, rows []refRow) *Trie {
 	idx := make([]int, len(rows))
 	for i := range idx {
 		idx[i] = i
@@ -69,7 +65,7 @@ func refBuild(arity int, op semiring.Op, layout LayoutFunc, annotated bool, rows
 	return t
 }
 
-func refBuildLevel(rows [][]uint32, anns []float64, level, arity int, layout LayoutFunc) *Node {
+func refBuildLevel(rows [][]uint32, anns []float64, level, arity int, layout *Policy) *Node {
 	if len(rows) == 0 {
 		return &Node{}
 	}
@@ -83,7 +79,7 @@ func refBuildLevel(rows [][]uint32, anns []float64, level, arity int, layout Lay
 		}
 	}
 	starts = append(starts, len(rows))
-	n := &Node{Set: set.BuildLayout(vals, layout(level, vals))}
+	n := &Node{Set: layout.Build(vals)}
 	if level == arity-1 {
 		if anns != nil {
 			n.Ann = make([]float64, len(vals))
@@ -195,7 +191,7 @@ func TestColumnarDifferential(t *testing.T) {
 	// range (a bitset over full-range uint32 values would span gigabytes).
 	layouts := []struct {
 		name string
-		fn   LayoutFunc
+		fn   *Policy
 	}{
 		{"auto", nil},
 		{"uint", UintLayout},

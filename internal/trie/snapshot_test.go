@@ -23,7 +23,7 @@ func randomTuples(n, arity int, span uint32, seed int64) [][]uint32 {
 	return out
 }
 
-func buildTrie(tuples [][]uint32, anns []float64, op semiring.Op, layout LayoutFunc) *Trie {
+func buildTrie(tuples [][]uint32, anns []float64, op semiring.Op, layout *Policy) *Trie {
 	arity := len(tuples[0])
 	b := NewColumnarBuilder(arity, op, layout)
 	for i, tp := range tuples {
@@ -69,8 +69,8 @@ func roundTripTrie(t *testing.T, tr *Trie) *Trie {
 }
 
 func TestTrieSnapshotRoundTrip(t *testing.T) {
-	layouts := map[string]LayoutFunc{
-		"auto":   AutoLayout,
+	layouts := map[string]*Policy{
+		"auto":   nil,
 		"uint":   UintLayout,
 		"bitset": BitsetLayout,
 	}
@@ -102,7 +102,7 @@ func TestTrieSnapshotScalarAndEmpty(t *testing.T) {
 
 func TestTrieSnapshotRandomAccess(t *testing.T) {
 	tuples := randomTuples(10000, 2, 500, 4)
-	tr := buildTrie(tuples, nil, semiring.None, AutoLayout)
+	tr := buildTrie(tuples, nil, semiring.None, nil)
 	got := roundTripTrie(t, tr)
 	// Every original tuple must be reachable by trie descent.
 	for _, tp := range tuples {
@@ -114,7 +114,7 @@ func TestTrieSnapshotRandomAccess(t *testing.T) {
 }
 
 func TestTrieSnapshotCorruption(t *testing.T) {
-	tr := buildTrie(randomTuples(3000, 2, 100, 5), nil, semiring.None, AutoLayout)
+	tr := buildTrie(randomTuples(3000, 2, 100, 5), nil, semiring.None, nil)
 	enc := tr.AppendTo(nil)
 	// Truncations at every section boundary neighborhood must error, not
 	// panic or alias garbage.
@@ -134,7 +134,7 @@ func TestTrieColumns(t *testing.T) {
 	for i := range anns {
 		anns[i] = float64(i % 13)
 	}
-	tr := buildTrie(tuples, anns, semiring.Sum, AutoLayout)
+	tr := buildTrie(tuples, anns, semiring.Sum, nil)
 
 	cols, colAnns := tr.Columns(0)
 	var wantCols [][]uint32

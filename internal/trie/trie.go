@@ -17,25 +17,40 @@ import (
 	"emptyheaded/internal/set"
 )
 
-// LayoutFunc decides the physical layout for one set of a trie given the
-// level it appears at and its (strictly increasing) values. The storage
-// package supplies the relation-level, set-level, and block-level policies.
-type LayoutFunc func(level int, vals []uint32) set.Layout
-
-// AutoLayout is the paper's default set-level optimizer: uint for small
+// Policy is a trie build's layout policy: which physical layout each
+// set gets. nil is the paper's set-level optimizer (§4.4): uint for small
 // or sparse sets, bitset when the value range is dense enough that the
 // word-parallel kernels win, composite when density is clustered in runs
-// rather than uniform (see set.ChooseLayout for the thresholds).
-func AutoLayout(_ int, vals []uint32) set.Layout { return set.ChooseLayout(vals) }
+// rather than uniform (see set.ChooseLayout for the thresholds). The
+// non-nil policies pin one layout for every set — the relation-level
+// ablations ("-R") and the block-level layout. A policy is a comparable
+// value that names itself, so caches key on it directly.
+type Policy struct{ pin set.Layout }
 
-// UintLayout stores every set as a sorted uint array (relation-level "-R").
-func UintLayout(_ int, _ []uint32) set.Layout { return set.Uint }
+var (
+	// UintLayout stores every set as a sorted uint array ("-R").
+	UintLayout = &Policy{set.Uint}
+	// BitsetLayout stores every set as a bitset (relation-level, dense).
+	BitsetLayout = &Policy{set.Bitset}
+	// CompositeLayout stores every set in the block-level composite layout.
+	CompositeLayout = &Policy{set.Composite}
+)
 
-// BitsetLayout stores every set as a bitset (relation-level, dense).
-func BitsetLayout(_ int, _ []uint32) set.Layout { return set.Bitset }
+// Build stores vals (strictly increasing) in the layout p gives them.
+func (p *Policy) Build(vals []uint32) set.Set {
+	if p == nil {
+		return set.BuildAuto(vals)
+	}
+	return set.BuildLayout(vals, p.pin)
+}
 
-// CompositeLayout stores every set in the block-level composite layout.
-func CompositeLayout(_ int, _ []uint32) set.Layout { return set.Composite }
+// String names the policy: "auto", or the pinned layout's name.
+func (p *Policy) String() string {
+	if p == nil {
+		return "auto"
+	}
+	return p.pin.String()
+}
 
 // Node is one trie node: a set of values, each optionally pointing at a
 // child node (inner levels) and optionally annotated (the last annotated
@@ -210,10 +225,7 @@ func (t *Trie) LayoutProfile() []LevelLayoutProfile {
 // adj[v] must be a strictly increasing neighbor list; vertices with empty
 // lists are omitted from the first level. This is the fast path for graph
 // edge relations.
-func FromAdjacency(adj [][]uint32, layout LayoutFunc) *Trie {
-	if layout == nil {
-		layout = AutoLayout
-	}
+func FromAdjacency(adj [][]uint32, layout *Policy) *Trie {
 	var srcs []uint32
 	for v, ns := range adj {
 		if len(ns) > 0 {
@@ -221,12 +233,12 @@ func FromAdjacency(adj [][]uint32, layout LayoutFunc) *Trie {
 		}
 	}
 	root := &Node{
-		Set:      set.BuildLayout(srcs, layout(0, srcs)),
+		Set:      layout.Build(srcs),
 		Children: make([]*Node, len(srcs)),
 	}
 	for i, v := range srcs {
 		ns := adj[v]
-		root.Children[i] = &Node{Set: set.BuildLayout(ns, layout(1, ns))}
+		root.Children[i] = &Node{Set: layout.Build(ns)}
 	}
 	return &Trie{Arity: 2, Root: root}
 }

@@ -181,7 +181,7 @@ func TestLayoutPolicies(t *testing.T) {
 	adj[0] = dense
 	adj[1] = []uint32{0, 100000, 200000, 3000000}
 
-	auto := FromAdjacency(adj, AutoLayout)
+	auto := FromAdjacency(adj, nil)
 	if got := auto.Root.Child(0).Set.Layout(); got != set.Bitset {
 		t.Fatalf("auto dense layout = %s want bitset", got)
 	}
