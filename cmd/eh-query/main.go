@@ -22,9 +22,10 @@
 // bounds the attempts.
 //
 // With -top (and -serve-url, no query argument) the server's workload
-// profiler is fetched from /debug/workload and rendered as a table of
-// the hottest query fingerprints — count, latency quantiles, cache-hit
-// rate, rows — sorted by -sort (count|latency|rows), -n rows deep.
+// profile is fetched from /debug/workload and rendered as a table of
+// the hottest query fingerprints among the server's retained request
+// records — count, latency quantiles, cache-hit rate, rows — sorted by
+// -sort (count|latency|rows), -n rows deep.
 //
 // With -why "T(1,2,3)" (local -graph mode) the query's output tuple is
 // probed for provenance: is it derivable, through which contributing
@@ -76,7 +77,10 @@ func main() {
 			fmt.Fprintln(os.Stderr, "usage: eh-query -serve-url http://host:8080 -top [-sort count|latency|rows] [-n 20]")
 			os.Exit(2)
 		}
-		workloadTop(*serveURL, *topSort, *topN, *serveRetries)
+		rc := NewRetryClient(&http.Client{Timeout: 30 * time.Second}, RetryPolicy{MaxAttempts: *serveRetries})
+		if err := workloadTop(os.Stdout, rc, *serveURL, *topSort, *topN); err != nil {
+			fatal(err)
+		}
 		return
 	}
 
@@ -243,19 +247,17 @@ func remote(baseURL, query string, limit, retries int, analyze bool) {
 	fmt.Printf("elapsed: %s\n", elapsed)
 }
 
-// workloadTop fetches /debug/workload and renders the hottest
-// fingerprints as a table.
-func workloadTop(baseURL, sortKey string, n, retries int) {
-	rc := NewRetryClient(&http.Client{Timeout: 30 * time.Second},
-		RetryPolicy{MaxAttempts: retries})
+// workloadTop fetches /debug/workload through rc and writes the hottest
+// fingerprints to w as a table.
+func workloadTop(w io.Writer, rc *RetryClient, baseURL, sortKey string, n int) error {
 	resp, err := rc.Get(fmt.Sprintf("%s/debug/workload?sort=%s&n=%d", baseURL, sortKey, n))
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer resp.Body.Close()
 	raw, err := io.ReadAll(resp.Body)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if resp.StatusCode != http.StatusOK {
 		var e struct {
@@ -265,7 +267,7 @@ func workloadTop(baseURL, sortKey string, n, retries int) {
 		if json.Unmarshal(raw, &e) == nil && e.Error != "" {
 			msg = e.Error
 		}
-		fatal(fmt.Errorf("server: %d: %s", resp.StatusCode, msg))
+		return fmt.Errorf("server: %d: %s", resp.StatusCode, msg)
 	}
 	var wl struct {
 		Totals struct {
@@ -289,12 +291,12 @@ func workloadTop(baseURL, sortKey string, n, retries int) {
 		} `json:"fingerprints"`
 	}
 	if err := json.Unmarshal(raw, &wl); err != nil {
-		fatal(fmt.Errorf("decode /debug/workload: %w", err))
+		return fmt.Errorf("decode /debug/workload: %w", err)
 	}
 	t := wl.Totals
-	fmt.Printf("workload: %d fingerprints, %d queries observed (%d result hits, %d plan hits, %d misses, %d errors)\n",
+	fmt.Fprintf(w, "workload: %d fingerprints, %d queries observed (%d result hits, %d plan hits, %d misses, %d errors)\n",
 		t.Fingerprints, t.Observed, t.ResultHits, t.PlanHits, t.Misses, t.Errors)
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "COUNT\tP50\tP99\tCACHE%\tROWS\tERR\tQUERY")
 	for _, fp := range wl.Fingerprints {
 		hitPct := 0.0
@@ -313,7 +315,7 @@ func workloadTop(baseURL, sortKey string, n, retries int) {
 		fmt.Fprintf(tw, "%d\t%s\t%s\t%.0f%%\t%d\t%d\t%s\n",
 			fp.Count, usDur(fp.P50US), usDur(fp.P99US), hitPct, fp.Rows, fp.Errors, q)
 	}
-	tw.Flush()
+	return tw.Flush()
 }
 
 // printWhy renders a per-tuple provenance probe: derivability, each

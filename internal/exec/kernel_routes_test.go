@@ -49,8 +49,8 @@ func wordParallelDispatches(st *ExecStats) int64 {
 }
 
 // TestAdaptiveKernelsMatchScalarMerge: on a skewed power-law graph dense
-// enough (avg degree 40) that hub adjacency sets land in the
-// bitset/composite bands, the adaptive layouts must count what the
+// enough (avg degree 40) that hub adjacency sets land in the bitset
+// band, the adaptive layouts must count what the
 // scalar baseline counts (the paper's "-RA" ablation: every set a sorted
 // uint array, every intersection a two-pointer merge) and must get there
 // through the dense routes. How much faster that is is the benchmark's

@@ -1,19 +1,20 @@
 // Package obs is the serving stack's observability spine. One record
-// (Request) is built per /query, /update or audit request — spans,
+// (Request) is built per pipeline request or audit re-execution — spans,
 // fingerprint, cache route, outcome, one elapsed time, phase totals,
 // kernel-counter totals and the lineage that determined the result —
-// and one Spine.Finish hands the finished record to consumers that only
-// read it: the id-indexed ring behind /debug/queries and /debug/trace,
-// the per-fingerprint workload registry (Workload), the /metrics latency
-// histograms (Histogram), and the unified JSON-lines event log
-// (EventLog), which also pins one admissible order of the system's
+// and one Spine.Finish hands the finished record to two stores that
+// only read it: the id-indexed ring of recent records (Ring), which
+// /debug/queries, /debug/trace, /debug/workload (Profile) and the /stats
+// quantiles read, and lock-free lifetime counters (Histogram and atomic
+// counts) for /stats and /metrics. Beside them, the unified JSON-lines
+// event log (EventLog) pins one admissible order of the system's
 // state-changing events.
 //
 // Everything here is sized for the serving hot path: a finished request
-// costs one ring insert and one short mutex hold per consumer (not per
-// tuple), histogram observations are atomic, and the event log only
-// writes on events (executions, slow queries, WAL rotations,
-// compactions, breaker transitions) — never per cache hit.
+// costs one ring insert under one short mutex hold, every counter is
+// atomic, views are computed when read, and the event log only writes
+// on events (executions, slow queries, WAL rotations, compactions,
+// breaker transitions) — never per cache hit.
 package obs
 
 import (

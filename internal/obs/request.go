@@ -22,13 +22,16 @@ const (
 	RouteMiss      = "miss"
 )
 
+// QueryRoutes lists the cache routes in their /metrics order.
+var QueryRoutes = []string{RouteResultHit, RoutePlanHit, RouteMiss}
+
 // Request is the one observation record of a request the server's
 // pipeline runs, or of one audit re-execution. The pipeline creates it
 // (Spine.Start), it is written while the request runs — by exactly the
-// writers named below — and one Spine.Finish fans it out to the
-// consumers, which only read it: the id-indexed ring behind /debug/*,
-// the workload registry, the /metrics histograms and the event log.
-// After Finish the record is immutable.
+// writers named below — and one Spine.Finish hands it to the consumers,
+// which only read it: the id-indexed ring behind /debug/* and the
+// read-time views, the lifetime counters behind /stats and /metrics,
+// and the event log. After Finish the record is immutable.
 type Request struct {
 	// Trace holds ID, Kind and Start (set by Start), the spans (written
 	// by the handler, exec's loop nest and core's update path), the
@@ -40,7 +43,7 @@ type Request struct {
 	Query string // one spelling of the query text ("" for updates)
 	Route string // RouteResultHit / RoutePlanHit / RouteMiss once the plan resolved
 	// Cancelled marks a client disconnect or deadline trip: Error is set,
-	// but the registry books a cancel, not a query failure.
+	// but /debug/workload counts a cancel, not a query failure.
 	Cancelled bool
 	Rows      int64 // response cardinality
 	// Lineage is what determined the result: built by the executing
@@ -61,7 +64,7 @@ type Request struct {
 // Stop reads the request clock — once. The first call fixes Elapsed,
 // TotalUS and PhasesUS; later calls (Finish, after a handler already
 // stamped its response) return the same reading, so the response's
-// elapsed_us, the latency histogram, the registry and the ring agree.
+// elapsed_us, the latency histogram and the ring agree.
 // Call it only after execution returned: no span writer may be running.
 func (r *Request) Stop() time.Duration {
 	if r.stopped {
@@ -91,4 +94,17 @@ func (r *Request) Provenance() *Lineage {
 	v := *r.Lineage // shallow: Relations stays shared
 	v.TraceID, v.Cached, v.At = r.ID, true, r.Start
 	return &v
+}
+
+// profiled reports whether the record is a query that resolved a
+// fingerprint: what the route counters and /debug/workload count.
+func (r *Request) profiled() bool { return r.Kind == "query" && r.Fingerprint != "" }
+
+// route is the record's cache route; a query that failed before its
+// plan resolved booked none and counts as a miss.
+func (r *Request) route() string {
+	if r.Route == "" {
+		return RouteMiss
+	}
+	return r.Route
 }

@@ -8,32 +8,43 @@ import (
 	"emptyheaded/internal/trace"
 )
 
-// ringSize is how many finished request records /debug/* can still
-// resolve; registryCap bounds the per-fingerprint workload registry.
-const (
-	ringSize    = 256
-	registryCap = 256
-)
+// ringSize is how many finished request records the spine retains: the
+// records /debug/* resolve and the read-time views (/debug/workload, the
+// /stats quantiles) group.
+const ringSize = 256
 
 // Spine is the observability spine: it starts each request's record,
-// and one Finish hands the finished record to every consumer. The
-// consumers only read the record; nothing upstream re-derives what it
-// already holds.
+// and one Finish hands the finished record to its two stores — the ring
+// of recent whole records, and lock-free lifetime counters — and to the
+// event log. The consumers only read the record; every view is computed
+// from one of the two stores when it is read.
 type Spine struct {
 	lastID atomic.Uint64
-	// Ring retains the most recently finished records for /debug/*.
+	// Ring retains the most recently finished records.
 	Ring *Ring
 
-	// Workload is the per-fingerprint registry behind /debug/workload.
-	Workload *Workload
+	// Kinds holds each registered request kind's lifetime counters;
+	// Routes counts finished queries that resolved a fingerprint, one
+	// counter per cache route (QueryRoutes). Both maps are filled before
+	// the spine serves and only read after.
+	Kinds  map[string]*KindCounts
+	Routes map[string]*atomic.Int64
 
-	// The /metrics histograms. Query, Phases, Update and CacheAge are fed
-	// from finished records; Fsync and Compact by core's observers.
-	Query, Update, CacheAge, Fsync, Compact *Histogram
-	Phases                                  map[string]*Histogram
+	// The other /metrics histograms: Phases and CacheAge are fed from
+	// finished records, Fsync and Compact by core's observers.
+	CacheAge, Fsync, Compact *Histogram
+	Phases                   map[string]*Histogram
 
 	events        *EventLog
 	slowThreshold time.Duration
+}
+
+// KindCounts is one request kind's lifetime counters: every finished
+// record of the kind is one Latency observation, and one with Error set
+// (cancellations included) is one Errors count.
+type KindCounts struct {
+	Latency *Histogram
+	Errors  atomic.Int64
 }
 
 // NewSpine builds the spine. events (nil drops them) receives one
@@ -42,9 +53,8 @@ type Spine struct {
 func NewSpine(events *EventLog, slowThreshold time.Duration) *Spine {
 	s := &Spine{
 		Ring:          newRing(ringSize),
-		Workload:      NewWorkload(registryCap),
-		Query:         NewHistogram(LatencyBuckets),
-		Update:        NewHistogram(LatencyBuckets),
+		Kinds:         map[string]*KindCounts{},
+		Routes:        make(map[string]*atomic.Int64, len(QueryRoutes)),
 		CacheAge:      NewHistogram(AgeBuckets),
 		Fsync:         NewHistogram(FsyncBuckets),
 		Compact:       NewHistogram(LatencyBuckets),
@@ -52,10 +62,20 @@ func NewSpine(events *EventLog, slowThreshold time.Duration) *Spine {
 		events:        events,
 		slowThreshold: slowThreshold,
 	}
+	for _, rt := range QueryRoutes {
+		s.Routes[rt] = new(atomic.Int64)
+	}
 	for _, p := range QueryPhases {
 		s.Phases[p] = NewHistogram(LatencyBuckets)
 	}
 	return s
+}
+
+// Register gives a request kind its lifetime counters. Call it for every
+// kind before the spine serves; records of a kind never registered
+// ("audit") reach the ring, the phase histograms and the event log only.
+func (s *Spine) Register(kind string) {
+	s.Kinds[kind] = &KindCounts{Latency: NewHistogram(LatencyBuckets)}
 }
 
 // Start opens the record of one request of the given kind — a server
@@ -70,20 +90,22 @@ func (s *Spine) Start(kind, query string) *Request {
 }
 
 // Finish stops the record's clock (if the handler has not already) and
-// fans the record out: ring, phase and latency histograms, registry,
-// event log.
+// hands the record out: the ring, the kind's, route's and phases'
+// counters, and the event log.
 func (s *Spine) Finish(r *Request) {
 	r.Stop()
 	s.Ring.add(r)
 	for name, us := range r.PhasesUS {
 		s.Phases[name].Observe(time.Duration(us) * time.Microsecond)
 	}
-	switch r.Kind {
-	case "query":
-		s.Query.Observe(r.Elapsed)
-		s.Workload.Observe(r)
-	case "update":
-		s.Update.Observe(r.Elapsed)
+	if c := s.Kinds[r.Kind]; c != nil {
+		c.Latency.Observe(r.Elapsed)
+		if r.Error != "" {
+			c.Errors.Add(1)
+		}
+	}
+	if r.profiled() {
+		s.Routes[r.route()].Add(1)
 	}
 	if r.Cached {
 		s.CacheAge.Observe(r.CacheAge)

@@ -62,6 +62,8 @@ func TestRingKeepsLateFinisher(t *testing.T) {
 func TestSpineFinishFansOut(t *testing.T) {
 	var sink bytes.Buffer
 	s := NewSpine(NewEventLog(&sink), time.Nanosecond)
+	s.Register("query")
+	s.Register("update")
 	r := s.Start("query", "Q")
 	tr := &r.Trace
 	sp := tr.Begin("execute")
@@ -88,13 +90,18 @@ func TestSpineFinishFansOut(t *testing.T) {
 	if got, ok := s.Ring.Get(r.ID); !ok || got != r {
 		t.Fatal("record not in the ring")
 	}
-	rows := s.Workload.TopK(SortCount, 0)
+	_, rows := Profile(s.Ring.Recent(0), SortCount, 0)
 	if len(rows) != 1 || rows[0].LastTraceID != r.ID || rows[0].TotalUS != elapsed.Microseconds() ||
 		rows[0].Routes[RoutePlanHit] != 1 || rows[0].PhasesUS["execute"] != r.PhasesUS["execute"] {
-		t.Fatalf("registry row: %+v", rows)
+		t.Fatalf("workload row: %+v", rows)
 	}
-	if q, ex := s.Query.Snapshot(), s.Phases["execute"].Snapshot(); q.Count != 1 || ex.Count != 1 || s.Update.Snapshot().Count != 0 {
+	q, ex := s.Kinds["query"].Latency.Snapshot(), s.Phases["execute"].Snapshot()
+	if q.Count != 1 || ex.Count != 1 || s.Kinds["update"].Latency.Snapshot().Count != 0 {
 		t.Fatalf("histograms: query=%d execute=%d", q.Count, ex.Count)
+	}
+	if s.Routes[RoutePlanHit].Load() != 1 || s.Routes[RouteMiss].Load() != 0 || s.Kinds["query"].Errors.Load() != 0 {
+		t.Fatalf("counters: plan hits %d, misses %d, errors %d",
+			s.Routes[RoutePlanHit].Load(), s.Routes[RouteMiss].Load(), s.Kinds["query"].Errors.Load())
 	}
 	events := sink.String()
 	for _, want := range []string{`"kind":"query_provenance"`, `"kind":"slow_query"`, `"phases_us":{`} {

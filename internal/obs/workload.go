@@ -1,127 +1,37 @@
 package obs
 
 import (
-	"container/list"
-	"maps"
+	"slices"
 	"sort"
-	"sync"
 	"time"
 )
 
-// fpSampleWindow bounds the per-fingerprint exact-quantile window.
-// 256 samples × 8 bytes × the registry capacity bounds the memory
-// (512 KiB at the 256-entry registry); p50/p99 are computed over the
-// most recent window, like the endpoint latency windows.
-const fpSampleWindow = 256
-
-// fpStat is one fingerprint's cumulative aggregate: the wire row, kept
-// up to date except for the fields snapshot derives (averages,
-// quantiles, rendered timestamps). Guarded by the owning Workload's
-// mutex.
-type fpStat struct {
-	FingerprintStats
-	firstSeen, lastSeen time.Time
-	window              Window
+// Quantiles sorts ds in place and returns its nearest-rank median and
+// 99th percentile and its maximum, in microseconds (zeros when empty).
+func Quantiles(ds []time.Duration) (p50, p99, max float64) {
+	if len(ds) == 0 {
+		return 0, 0, 0
+	}
+	slices.Sort(ds)
+	us := func(pct int) float64 {
+		// Nearest rank: the ceil(pct·n/100)-th smallest sample.
+		return float64(ds[(pct*len(ds)+99)/100-1].Microseconds())
+	}
+	return us(50), us(99), us(100)
 }
 
-// Workload is the bounded per-fingerprint registry: an LRU-evicted map
-// merging every finished query into its fingerprint's cumulative
-// aggregate. One short mutex hold per request.
-type Workload struct {
-	mu       sync.Mutex
-	capacity int
-	ll       *list.List // front = most recently observed
-	items    map[string]*list.Element
-	totals   WorkloadTotals
-}
-
-// NewWorkload builds a registry holding at most capacity fingerprints.
-func NewWorkload(capacity int) *Workload {
-	return &Workload{capacity: capacity, ll: list.New(), items: map[string]*list.Element{}}
-}
-
-// Observe merges one finished query record into its fingerprint's
-// aggregate. Records that never resolved a fingerprint (parse errors,
-// sheds before the plan lookup) are dropped.
-func (w *Workload) Observe(r *Request) {
-	if r.Fingerprint == "" {
-		return
-	}
-	route := r.Route
-	if route == "" {
-		route = RouteMiss
-	}
-	failed := r.Error != "" && !r.Cancelled
-
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.totals.Observed++
-	switch route {
-	case RouteResultHit:
-		w.totals.ResultHits++
-	case RoutePlanHit:
-		w.totals.PlanHits++
-	default:
-		w.totals.Misses++
-	}
-	var st *fpStat
-	if el, ok := w.items[r.Fingerprint]; ok {
-		w.ll.MoveToFront(el)
-		st = el.Value.(*fpStat)
-	} else {
-		st = &fpStat{firstSeen: time.Now(), window: NewWindow(fpSampleWindow)}
-		st.Fingerprint = r.Fingerprint
-		st.Routes = map[string]int64{RouteResultHit: 0, RoutePlanHit: 0, RouteMiss: 0}
-		w.items[r.Fingerprint] = w.ll.PushFront(st)
-		for w.ll.Len() > w.capacity {
-			last := w.ll.Back()
-			w.ll.Remove(last)
-			delete(w.items, last.Value.(*fpStat).Fingerprint)
-			w.totals.Evictions++
-		}
-	}
-	st.lastSeen = time.Now()
-	if r.ID != 0 {
-		st.LastTraceID = r.ID
-	}
-	if st.Query == "" {
-		st.Query = r.Query
-	}
-	st.Count++
-	if failed {
-		st.Errors++
-		w.totals.Errors++
-	}
-	if r.Cancelled {
-		st.Cancels++
-		w.totals.Cancels++
-	}
-	st.Routes[route]++
-	us := r.Elapsed.Microseconds()
-	st.TotalUS += us
-	st.MaxUS = max(st.MaxUS, us)
-	for p, v := range r.PhasesUS {
-		if st.PhasesUS == nil {
-			st.PhasesUS = map[string]int64{}
-		}
-		st.PhasesUS[p] += v
-	}
-	st.Rows += r.Rows
-	st.window.Add(r.Elapsed)
-}
-
-// FingerprintStats is one registry row, JSON-shaped for /debug/workload.
+// FingerprintStats is one /debug/workload row: the retained query
+// records of one fingerprint.
 type FingerprintStats struct {
 	Fingerprint string `json:"fingerprint"`
-	// Query is one spelling of the fingerprint (the first one seen).
+	// Query is one spelling of the fingerprint (the oldest retained).
 	Query   string `json:"query,omitempty"`
 	Count   int64  `json:"count"`
 	Errors  int64  `json:"errors,omitempty"`
 	Cancels int64  `json:"cancels,omitempty"`
 	// Routes breaks Count down by cache route.
 	Routes map[string]int64 `json:"routes"`
-	// Latency aggregates: lifetime total/avg/max, windowed p50/p99
-	// (nearest-rank over the recent sample window).
+	// Latency aggregates; p50/p99 are nearest rank.
 	TotalUS int64   `json:"total_us"`
 	AvgUS   float64 `json:"avg_us"`
 	P50US   float64 `json:"p50_us"`
@@ -130,71 +40,18 @@ type FingerprintStats struct {
 	// PhasesUS sums the lifecycle-phase breakdowns across runs.
 	PhasesUS map[string]int64 `json:"phases_us,omitempty"`
 	// Rows sums response cardinalities, cached serves included.
-	Rows        int64  `json:"rows"`
-	LastTraceID uint64 `json:"last_trace_id,omitempty"`
-	FirstSeen   string `json:"first_seen"`
-	LastSeen    string `json:"last_seen"`
+	Rows int64 `json:"rows"`
+	// LastTraceID is the newest record; Provenance is its lineage.
+	LastTraceID uint64   `json:"last_trace_id,omitempty"`
+	FirstSeen   string   `json:"first_seen"`
+	LastSeen    string   `json:"last_seen"`
+	Provenance  *Lineage `json:"provenance,omitempty"`
 }
 
-// snapshot copies the row out from under the mutex and fills in the
-// derived fields.
-func (st *fpStat) snapshot() FingerprintStats {
-	out := st.FingerprintStats
-	out.Routes = maps.Clone(st.Routes)
-	out.PhasesUS = maps.Clone(st.PhasesUS)
-	out.AvgUS = float64(st.TotalUS) / float64(st.Count)
-	out.P50US, out.P99US = st.window.P50P99US()
-	out.FirstSeen = st.firstSeen.UTC().Format(time.RFC3339Nano)
-	out.LastSeen = st.lastSeen.UTC().Format(time.RFC3339Nano)
-	return out
-}
-
-// Workload sort keys for TopK.
-const (
-	SortCount   = "count"
-	SortLatency = "latency"
-	SortRows    = "rows"
-)
-
-// TopK snapshots the registry's top k fingerprints under the given sort
-// key (SortCount by default; ties break by fingerprint so repeated
-// snapshots are stable). k <= 0 returns every retained fingerprint.
-func (w *Workload) TopK(sortKey string, k int) []FingerprintStats {
-	w.mu.Lock()
-	rows := make([]FingerprintStats, 0, w.ll.Len())
-	for el := w.ll.Front(); el != nil; el = el.Next() {
-		rows = append(rows, el.Value.(*fpStat).snapshot())
-	}
-	w.mu.Unlock()
-	less := func(a, b *FingerprintStats) bool { return a.Count > b.Count }
-	switch sortKey {
-	case SortLatency:
-		less = func(a, b *FingerprintStats) bool { return a.TotalUS > b.TotalUS }
-	case SortRows:
-		less = func(a, b *FingerprintStats) bool { return a.Rows > b.Rows }
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if less(&rows[i], &rows[j]) {
-			return true
-		}
-		if less(&rows[j], &rows[i]) {
-			return false
-		}
-		return rows[i].Fingerprint < rows[j].Fingerprint
-	})
-	if k > 0 && len(rows) > k {
-		rows = rows[:k]
-	}
-	return rows
-}
-
-// WorkloadTotals is the registry's global counter snapshot for /stats
-// and /metrics.
+// WorkloadTotals sums the /debug/workload rows before the row limit.
 type WorkloadTotals struct {
 	Fingerprints int   `json:"fingerprints"`
-	Capacity     int   `json:"capacity"`
 	Observed     int64 `json:"observed"`
-	Evictions    int64 `json:"evictions"`
 	ResultHits   int64 `json:"result_hits"`
 	PlanHits     int64 `json:"plan_hits"`
 	Misses       int64 `json:"misses"`
@@ -202,11 +59,107 @@ type WorkloadTotals struct {
 	Cancels      int64 `json:"cancels"`
 }
 
-// Totals snapshots the global counters.
-func (w *Workload) Totals() WorkloadTotals {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	t := w.totals
-	t.Fingerprints, t.Capacity = w.ll.Len(), w.capacity
-	return t
+// Workload sort keys for Profile.
+const (
+	SortCount   = "count"
+	SortLatency = "latency"
+	SortRows    = "rows"
+)
+
+// Profile groups the queries among recs that resolved a fingerprint —
+// recs newest first, as Ring.Recent returns them — into one row per
+// fingerprint, and returns the totals and the top n rows under sortKey
+// (SortCount by default; ties break by fingerprint, so repeated reads are
+// stable). n <= 0 returns every row.
+func Profile(recs []*Request, sortKey string, n int) (WorkloadTotals, []FingerprintStats) {
+	var t WorkloadTotals
+	type group struct {
+		row         *FingerprintStats
+		first, last time.Time
+		lats        []time.Duration
+	}
+	groups := map[string]*group{}
+	var rows []*FingerprintStats
+	for _, r := range recs {
+		if !r.profiled() {
+			continue
+		}
+		seen := r.Start.Add(r.Elapsed)
+		g := groups[r.Fingerprint]
+		if g == nil { // the fingerprint's newest record
+			g = &group{last: seen, row: &FingerprintStats{
+				Fingerprint: r.Fingerprint,
+				Routes:      map[string]int64{RouteResultHit: 0, RoutePlanHit: 0, RouteMiss: 0},
+				LastTraceID: r.ID,
+				Provenance:  r.Provenance(),
+			}}
+			groups[r.Fingerprint] = g
+			rows = append(rows, g.row)
+		}
+		g.first = seen
+		row := g.row
+		if r.Query != "" {
+			row.Query = r.Query
+		}
+		row.Count++
+		t.Observed++
+		route := r.route()
+		row.Routes[route]++
+		switch route {
+		case RouteResultHit:
+			t.ResultHits++
+		case RoutePlanHit:
+			t.PlanHits++
+		default:
+			t.Misses++
+		}
+		if r.Cancelled {
+			row.Cancels++
+			t.Cancels++
+		} else if r.Error != "" {
+			row.Errors++
+			t.Errors++
+		}
+		us := r.Elapsed.Microseconds()
+		row.TotalUS += us
+		row.MaxUS = max(row.MaxUS, us)
+		for p, v := range r.PhasesUS {
+			if row.PhasesUS == nil {
+				row.PhasesUS = map[string]int64{}
+			}
+			row.PhasesUS[p] += v
+		}
+		row.Rows += r.Rows
+		g.lats = append(g.lats, r.Elapsed)
+	}
+	t.Fingerprints = len(rows)
+	for _, g := range groups {
+		row := g.row
+		row.AvgUS = float64(row.TotalUS) / float64(row.Count)
+		row.P50US, row.P99US, _ = Quantiles(g.lats)
+		row.FirstSeen = g.first.UTC().Format(time.RFC3339Nano)
+		row.LastSeen = g.last.UTC().Format(time.RFC3339Nano)
+	}
+
+	key := func(r *FingerprintStats) int64 { return r.Count }
+	switch sortKey {
+	case SortLatency:
+		key = func(r *FingerprintStats) int64 { return r.TotalUS }
+	case SortRows:
+		key = func(r *FingerprintStats) int64 { return r.Rows }
+	}
+	sort.Slice(rows, func(i, j int) bool {
+		if a, b := key(rows[i]), key(rows[j]); a != b {
+			return a > b
+		}
+		return rows[i].Fingerprint < rows[j].Fingerprint
+	})
+	if n > 0 && len(rows) > n {
+		rows = rows[:n]
+	}
+	out := make([]FingerprintStats, len(rows))
+	for i, r := range rows {
+		out[i] = *r
+	}
+	return t, out
 }

@@ -53,7 +53,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for _, p := range paths {
 		fmt.Fprintf(&sb, "emptyheaded_request_errors_total{endpoint=%q} %d\n", p, st.Endpoints[p].Errors)
 	}
-	gaugeHeader("emptyheaded_request_latency_us", "Request latency over the recent window, in microseconds.")
+	gaugeHeader("emptyheaded_request_latency_us", "Request latency over the retained records, in microseconds.")
 	for _, p := range paths {
 		ep := st.Endpoints[p]
 		fmt.Fprintf(&sb, "emptyheaded_request_latency_us{endpoint=%q,quantile=\"0.5\"} %g\n", p, ep.P50US)
@@ -105,12 +105,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		header(name, "histogram", help)
 		h.Snapshot().WriteProm(&sb, name, "")
 	}
-	histogram("emptyheaded_query_seconds", "End-to-end /query latency (cached serves included).", s.obs.Query)
+	histogram("emptyheaded_query_seconds", "End-to-end /query latency (cached serves included).", s.obs.Kinds["query"].Latency)
 	header("emptyheaded_query_phase_seconds", "histogram", "Per-phase /query latency breakdown.")
 	for _, p := range obs.QueryPhases {
 		s.obs.Phases[p].Snapshot().WriteProm(&sb, "emptyheaded_query_phase_seconds", fmt.Sprintf("phase=%q", p))
 	}
-	histogram("emptyheaded_update_seconds", "End-to-end /update latency.", s.obs.Update)
+	histogram("emptyheaded_update_seconds", "End-to-end /update latency.", s.obs.Kinds["update"].Latency)
 	histogram("emptyheaded_result_cache_age_seconds", "Result-cache entry age at serve time.", s.obs.CacheAge)
 	if d.WAL.Enabled {
 		histogram("emptyheaded_wal_fsync_seconds", "WAL fsync latency.", s.obs.Fsync)
@@ -140,7 +140,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("emptyheaded_degraded_rejected_total", "Writes fast-failed while degraded.", s.res.degradedRejected.Load())
 
 	// Cache effectiveness as ready-made ratios (hits/(hits+misses); 0
-	// before any lookup), plus the workload profiler's route breakdown.
+	// before any lookup), plus the finished queries' route breakdown.
 	ratio := func(cs exec.CacheStats) float64 {
 		if total := cs.Hits + cs.Misses; total > 0 {
 			return float64(cs.Hits) / float64(total)
@@ -150,14 +150,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	gaugeHeader("emptyheaded_cache_hit_ratio", "Cache hit ratio (hits/(hits+misses)) per cache.")
 	fmt.Fprintf(&sb, "emptyheaded_cache_hit_ratio{cache=\"plan\"} %g\n", ratio(st.PlanCache.CacheStats))
 	fmt.Fprintf(&sb, "emptyheaded_cache_hit_ratio{cache=\"result\"} %g\n", ratio(st.ResultCache))
-	wl := st.Workload
-	counterHeader("emptyheaded_query_route_total", "Finished queries per cache route (workload profiler).")
-	fmt.Fprintf(&sb, "emptyheaded_query_route_total{route=\"result_hit\"} %d\n", wl.ResultHits)
-	fmt.Fprintf(&sb, "emptyheaded_query_route_total{route=\"plan_hit\"} %d\n", wl.PlanHits)
-	fmt.Fprintf(&sb, "emptyheaded_query_route_total{route=\"miss\"} %d\n", wl.Misses)
-	gauge("emptyheaded_workload_fingerprints", "Fingerprints retained in the workload registry.", float64(wl.Fingerprints))
-	counter("emptyheaded_workload_observed_total", "Queries merged into the workload registry.", wl.Observed)
-	counter("emptyheaded_workload_evictions_total", "Fingerprints LRU-evicted from the workload registry.", wl.Evictions)
+	counterHeader("emptyheaded_query_route_total", "Finished queries that resolved a fingerprint, per cache route.")
+	for _, rt := range obs.QueryRoutes {
+		fmt.Fprintf(&sb, "emptyheaded_query_route_total{route=%q} %d\n", rt, s.obs.Routes[rt].Load())
+	}
 	ev := st.Events
 	counter("emptyheaded_events_total", "Events written to the unified event log.", ev.Events)
 	counter("emptyheaded_event_log_rotations_total", "Size-triggered event-log rotations.", ev.Rotations)

@@ -42,24 +42,21 @@ type timedReply map[string]any
 
 // pipeline registers h, a plain function from a decoded request to a
 // reply, at path; everything around it is stated here and in run, once.
-// Every request gets one record (its kind is the path without the slash),
-// started before anything can fail and finished exactly once on every way
-// out, panics included; the endpoint's /stats window reads that record's
-// clock and outcome.
+// Every request gets one record (its kind is the path without the slash,
+// registered with the spine here), started before anything can fail and
+// finished exactly once on every way out, panics included; the
+// endpoint's /stats counters are fed from that record's clock and
+// outcome.
 func pipeline[Req any](s *Server, path string, gates gate,
 	h func(context.Context, *Req, *obs.Request) (any, error)) {
-	lw := &latencyWindow{recent: obs.NewWindow(windowSize)}
-	s.endpoints[path] = lw
+	s.obs.Register(path[1:])
 	s.mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
 		rec := s.obs.Start(path[1:], "")
-		defer func() {
-			s.obs.Finish(rec)
-			lw.observe(rec.Elapsed, rec.Error != "")
-		}()
+		defer s.obs.Finish(rec)
 		out, err := run(s, path, gates, h, w, r, rec)
 		if err != nil {
 			// Client disconnects (499) and deadline trips (504) are
-			// cancellations, not failures: the registry counts them apart.
+			// cancellations, not failures: /debug/workload counts them apart.
 			rec.Error = err.Error()
 			code := s.writeErr(w, err, rec.ID)
 			rec.Cancelled = code == statusClientClosedRequest || code == http.StatusGatewayTimeout

@@ -168,18 +168,18 @@ func TestEndpointContract(t *testing.T) {
 					t.Fatalf("status %d with Retry-After %q", w.Code, w.Header().Get("Retry-After"))
 				}
 
-				// The endpoint's window read that record, once.
+				// The endpoint's counters and retained records read that record, once.
 				win := s.StatsSnapshot().Endpoints[ep.path]
 				wantErrs := int64(0)
 				if oc.code != http.StatusOK {
 					wantErrs = 1
 				}
 				if win.Requests-win0.Requests != 1 || win.Errors-win0.Errors != wantErrs {
-					t.Fatalf("window moved by %d requests, %d errors; want 1, %d",
+					t.Fatalf("endpoint stats moved by %d requests, %d errors; want 1, %d",
 						win.Requests-win0.Requests, win.Errors-win0.Errors, wantErrs)
 				}
 				if want := float64(rec.TotalUS); win0.Requests == 0 && win.MaxUS != want {
-					t.Fatalf("window max %gus is not the record's %gus", win.MaxUS, want)
+					t.Fatalf("endpoint max %gus is not the record's %gus", win.MaxUS, want)
 				}
 
 				// Nothing of the request is left behind.

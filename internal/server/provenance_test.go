@@ -101,7 +101,7 @@ func TestProvenanceInlineAndRing(t *testing.T) {
 		t.Fatalf("unknown id: %d %v", code, errBody)
 	}
 
-	// The workload registry links each fingerprint's last record.
+	// /debug/workload links each fingerprint's newest retained record.
 	var wl struct {
 		Fingerprints []struct {
 			Fingerprint string       `json:"fingerprint"`

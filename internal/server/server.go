@@ -127,10 +127,11 @@ type Server struct {
 	adm     *admission
 	start   time.Time
 
-	// obs starts every pipeline and audit request's record and fans the
-	// finished record out to the ring, registry, histograms and event
-	// log (cfg.Events, which also takes the events of no request:
-	// breaker, boot, core's WAL/compaction/snapshot events).
+	// obs starts every pipeline and audit request's record and hands the
+	// finished record to its two stores, the record ring and the
+	// lifetime counters, and to the event log (cfg.Events, which also
+	// takes the events of no request: breaker, boot, core's
+	// WAL/compaction/snapshot events).
 	obs *obs.Spine
 
 	// gen is the database generation: it advances on every /restore.
@@ -151,9 +152,8 @@ type Server struct {
 	// audit holds the result-cache self-auditor's counters.
 	audit auditCounters
 
-	// mux and the per-endpoint /stats windows are filled by routes.
-	mux       *http.ServeMux
-	endpoints map[string]*latencyWindow
+	// mux is filled by routes.
+	mux *http.ServeMux
 }
 
 // New builds a server over eng. When the engine doesn't pin per-query
@@ -169,14 +169,13 @@ func New(eng *core.Engine, cfg Config) *Server {
 		}
 	}
 	s := &Server{
-		eng:       eng,
-		cfg:       cfg,
-		results:   exec.NewLRU[*cachedResult](cfg.ResultCacheSize),
-		adm:       newAdmission(cfg.Workers, cfg.QueueDepth, cfg.QueueWait),
-		start:     time.Now(),
-		obs:       obs.NewSpine(cfg.Events, cfg.SlowQueryThreshold),
-		mux:       http.NewServeMux(),
-		endpoints: map[string]*latencyWindow{},
+		eng:     eng,
+		cfg:     cfg,
+		results: exec.NewLRU[*cachedResult](cfg.ResultCacheSize),
+		adm:     newAdmission(cfg.Workers, cfg.QueueDepth, cfg.QueueWait),
+		start:   time.Now(),
+		obs:     obs.NewSpine(cfg.Events, cfg.SlowQueryThreshold),
+		mux:     http.NewServeMux(),
 	}
 	s.brk = newBreaker(cfg.BreakerThreshold, cfg.BreakerProbe, eng.ProbeDurability)
 	// Breaker transitions land in the event log as paired breaker +
@@ -215,8 +214,8 @@ func (s *Server) Close() { s.brk.close() }
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // routes builds the mux. The work-doing endpoints go through the request
-// pipeline (pipeline.go), which also creates their /stats windows; the
-// rest are read-only views with no record of their own.
+// pipeline (pipeline.go), which also registers their kinds' /stats
+// counters; the rest are read-only views with no record of their own.
 func (s *Server) routes() {
 	pipeline(s, "/query", post, s.query)
 	pipeline(s, "/explain", post|admit, s.explain)
@@ -248,10 +247,8 @@ type Stats struct {
 	Admission   AdmissionStats           `json:"admission"`
 	Durability  core.DurabilityStats     `json:"durability"`
 	Resilience  ResilienceStats          `json:"resilience"`
-	// Workload summarizes the fingerprint registry; Events the unified
-	// event log.
-	Workload obs.WorkloadTotals `json:"workload"`
-	Events   obs.EventLogStats  `json:"events"`
+	// Events summarizes the unified event log.
+	Events obs.EventLogStats `json:"events"`
 	// Provenance summarizes the request-record ring and the result-cache
 	// auditor.
 	Provenance ProvenanceStats `json:"provenance"`
@@ -270,15 +267,11 @@ type ResilienceStats struct {
 // StatsSnapshot returns the same payload /stats serves (used by the load
 // generator to diff cache counters around a run).
 func (s *Server) StatsSnapshot() Stats {
-	eps := make(map[string]EndpointStats, len(s.endpoints))
-	for p, lw := range s.endpoints {
-		eps[p] = lw.snapshot()
-	}
 	return Stats{
 		UptimeS:     time.Since(s.start).Seconds(),
 		Epoch:       s.eng.Version(),
 		Relations:   len(s.eng.DB.Names()),
-		Endpoints:   eps,
+		Endpoints:   s.endpointStats(),
 		PlanCache:   s.eng.Plans().Stats(),
 		ResultCache: s.results.Stats(),
 		Admission:   s.adm.stats(),
@@ -291,7 +284,6 @@ func (s *Server) StatsSnapshot() Stats {
 			Degraded:         !s.brk.allow(),
 			DegradedRejected: s.res.degradedRejected.Load(),
 		},
-		Workload:   s.obs.Workload.Totals(),
 		Events:     s.cfg.Events.Stats(),
 		Provenance: s.provenanceStats(),
 	}

@@ -1,41 +1,15 @@
 package server
 
 import (
-	"sync"
 	"time"
 
 	"emptyheaded/internal/obs"
 )
 
-// latencyWindow aggregates request latencies for one endpoint: exact
-// count/error/sum/max over the process lifetime plus a sliding window
-// of the last windowSize observations for p50/p99.
-type latencyWindow struct {
-	mu     sync.Mutex
-	count  int64
-	errors int64
-	sum    time.Duration
-	max    time.Duration
-	recent obs.Window
-}
-
-const windowSize = 2048
-
-func (l *latencyWindow) observe(d time.Duration, isErr bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.count++
-	if isErr {
-		l.errors++
-	}
-	l.sum += d
-	if d > l.max {
-		l.max = d
-	}
-	l.recent.Add(d)
-}
-
-// EndpointStats is the JSON rendering of one endpoint's counters.
+// EndpointStats is the JSON rendering of one endpoint's counters:
+// requests, errors and the average over the process lifetime, the
+// quantiles and the maximum over the ring's retained records of the
+// endpoint (0 when none is retained).
 type EndpointStats struct {
 	Requests int64   `json:"requests"`
 	Errors   int64   `json:"errors"`
@@ -45,15 +19,22 @@ type EndpointStats struct {
 	MaxUS    float64 `json:"max_us"`
 }
 
-func (l *latencyWindow) snapshot() EndpointStats {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	s := EndpointStats{Requests: l.count, Errors: l.errors}
-	if l.count == 0 {
-		return s
+// endpointStats reads every pipeline kind's lifetime counters and groups
+// the retained records by kind for the quantiles, keyed by path.
+func (s *Server) endpointStats() map[string]EndpointStats {
+	retained := map[string][]time.Duration{}
+	for _, r := range s.obs.Ring.Recent(0) {
+		retained[r.Kind] = append(retained[r.Kind], r.Elapsed)
 	}
-	s.AvgUS = float64(l.sum.Microseconds()) / float64(l.count)
-	s.MaxUS = float64(l.max.Microseconds())
-	s.P50US, s.P99US = l.recent.P50P99US()
-	return s
+	eps := make(map[string]EndpointStats, len(s.obs.Kinds))
+	for kind, c := range s.obs.Kinds {
+		lat := c.Latency.Snapshot()
+		st := EndpointStats{Requests: int64(lat.Count), Errors: c.Errors.Load()}
+		if lat.Count > 0 {
+			st.AvgUS = lat.SumSeconds * 1e6 / float64(lat.Count)
+		}
+		st.P50US, st.P99US, st.MaxUS = obs.Quantiles(retained[kind])
+		eps["/"+kind] = st
+	}
+	return eps
 }

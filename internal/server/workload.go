@@ -22,8 +22,10 @@ func queryN(r *http.Request, def int) (int, error) {
 	return n, nil
 }
 
-// handleDebugWorkload serves the per-fingerprint registry
-// (GET /debug/workload?sort=count|latency|rows&n=20).
+// handleDebugWorkload groups the retained query records by fingerprint
+// (GET /debug/workload?sort=count|latency|rows&n=20). Each row links the
+// lineage of its newest record — one click from "this query is hot" to
+// "this is the lineage it last ran on".
 func (s *Server) handleDebugWorkload(w http.ResponseWriter, r *http.Request) {
 	sortKey := r.URL.Query().Get("sort")
 	switch sortKey {
@@ -39,23 +41,9 @@ func (s *Server) handleDebugWorkload(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, err, 0)
 		return
 	}
-	// Each fingerprint row links the lineage of its last observed request
-	// (when the ring still retains that record) — one click from "this
-	// query is hot" to "this is the lineage it last ran on".
-	type workloadRow struct {
-		obs.FingerprintStats
-		Provenance *obs.Lineage `json:"provenance,omitempty"`
-	}
-	top := s.obs.Workload.TopK(sortKey, n)
-	rows := make([]workloadRow, len(top))
-	for i, fs := range top {
-		rows[i] = workloadRow{FingerprintStats: fs}
-		if rec, ok := s.obs.Ring.Get(fs.LastTraceID); ok {
-			rows[i].Provenance = rec.Provenance()
-		}
-	}
+	totals, rows := obs.Profile(s.obs.Ring.Recent(0), sortKey, n)
 	writeJSON(w, http.StatusOK, map[string]any{
-		"totals":       s.obs.Workload.Totals(),
+		"totals":       totals,
 		"sort":         sortKey,
 		"fingerprints": rows,
 	})

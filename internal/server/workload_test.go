@@ -3,11 +3,16 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"emptyheaded/internal/obs"
 	"emptyheaded/internal/trie"
@@ -193,20 +198,156 @@ func TestMetricsWorkloadFamilies(t *testing.T) {
 		t.Fatalf("route counters sum to %d, want 2 queries", total)
 	}
 
-	for _, want := range []string{
-		"emptyheaded_workload_fingerprints 1",
-		"emptyheaded_workload_observed_total 2",
-		"emptyheaded_events_total",
-	} {
-		if !strings.Contains(text, want) {
-			t.Fatalf("/metrics missing %q in:\n%s", want, text)
-		}
+	if !strings.Contains(text, "emptyheaded_events_total") {
+		t.Fatalf("/metrics missing emptyheaded_events_total in:\n%s", text)
 	}
-	if strings.Contains(text, "emptyheaded_relation_") {
-		t.Fatalf("/metrics still serves per-relation heat families:\n%s", text)
+	for _, gone := range []string{"emptyheaded_relation_", "emptyheaded_workload_"} {
+		if strings.Contains(text, gone) {
+			t.Fatalf("/metrics still serves %s* families:\n%s", gone, text)
+		}
 	}
 
 	if n := strings.Count(text, "\neh_build_info{"); n != 1 {
 		t.Fatalf("eh_build_info appears %d times, want exactly 1", n)
+	}
+}
+
+// TestRingViewsUnderLoad drives more requests than the record ring
+// retains, from concurrent clients while /debug/workload and /stats are
+// read, then — the traffic stopped — checks both read-time views against
+// the ring: /debug/workload counts exactly the retained query records
+// and every row's provenance resolves, and each /stats endpoint's
+// p50/p99/max are nearest rank over the retained records of its kind,
+// computed here, while requests and errors count every request.
+func TestRingViewsUnderLoad(t *testing.T) {
+	s, ts := newTestService(t, Config{})
+	defer s.Close()
+	const clients, perClient = 4, 90
+	texts := []QueryRequest{
+		{Query: triangleQ},
+		{Query: pathQ, Limit: 5},
+		{Query: triangleQ, NoCache: true},
+		{Query: `Q(x,z) :- Edge(x,y),Edge(y,z),Edge(z,x).`, Limit: 5},
+		{Query: `TC(;w:long) :- Edge(x,`}, // parse error: no fingerprint
+	}
+	var sent, queries, queryErrs atomic.Int64 // pipeline requests, /query requests, /query errors
+	post := func(path string, body any) int {
+		b, _ := json.Marshal(body)
+		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(b))
+		if err != nil {
+			t.Error(err)
+			return 0
+		}
+		resp.Body.Close()
+		sent.Add(1)
+		return resp.StatusCode
+	}
+
+	done := make(chan struct{})
+	var readers sync.WaitGroup
+	readers.Add(1)
+	go func() { // reads both views while the ring turns over
+		defer readers.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			for _, path := range []string{"/debug/workload?sort=latency", "/stats"} {
+				resp, err := http.Get(ts.URL + path)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				resp.Body.Close()
+				if path == "/stats" {
+					sent.Add(1)
+				}
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for c := range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range perClient {
+				if i%30 == 29 {
+					post("/update", UpdateRequest{Name: "Edge", Inserts: [][]uint32{{uint32(1000 + c), uint32(2000 + i)}}})
+					continue
+				}
+				queries.Add(1)
+				if post("/query", texts[(c+i)%len(texts)]) != http.StatusOK {
+					queryErrs.Add(1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(done)
+	readers.Wait()
+	// A reply is written before its record is finished: wait for the last.
+	for deadline := time.Now().Add(5 * time.Second); s.obs.Ring.Stats().Total != uint64(sent.Load()); {
+		if time.Now().After(deadline) {
+			t.Fatalf("ring filed %d records, %d requests were sent", s.obs.Ring.Stats().Total, sent.Load())
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	recs := s.obs.Ring.Recent(0)
+	if len(recs) >= int(queries.Load()) {
+		t.Fatalf("ring retains %d records of %d queries: the test must overflow it", len(recs), queries.Load())
+	}
+	byKind := map[string][]int64{}
+	profiled := 0
+	for _, r := range recs {
+		byKind[r.Kind] = append(byKind[r.Kind], r.Elapsed.Microseconds())
+		if r.Kind == "query" && r.Fingerprint != "" {
+			profiled++
+		}
+	}
+
+	var wl workloadReply
+	if code := getJSON(t, ts.URL+"/debug/workload?n=1000", &wl); code != http.StatusOK {
+		t.Fatalf("/debug/workload: status %d", code)
+	}
+	var count int64
+	for _, row := range wl.Fingerprints {
+		count += row.Count
+		if row.Provenance == nil || row.Provenance.TraceID != row.LastTraceID {
+			t.Fatalf("row %s: provenance %+v does not name its last record %d", row.Fingerprint, row.Provenance, row.LastTraceID)
+		}
+		var tr struct {
+			Provenance *obs.Lineage `json:"provenance"`
+		}
+		if code := getJSON(t, fmt.Sprintf("%s/debug/trace/%d", ts.URL, row.LastTraceID), &tr); code != http.StatusOK ||
+			tr.Provenance == nil || tr.Provenance.Fingerprint != row.Provenance.Fingerprint {
+			t.Fatalf("row %s: /debug/trace/%d: status %d, provenance %+v", row.Fingerprint, row.LastTraceID, code, tr.Provenance)
+		}
+	}
+	if wl.Totals.Observed != int64(profiled) || count != int64(profiled) || wl.Totals.Fingerprints != len(wl.Fingerprints) {
+		t.Fatalf("/debug/workload observed %d, rows sum to %d; the ring retains %d query records with a fingerprint",
+			wl.Totals.Observed, count, profiled)
+	}
+
+	// Nearest rank: the ceil(pct·n/100)-th smallest.
+	rank := func(us []int64, pct int) float64 {
+		if len(us) == 0 {
+			return 0
+		}
+		return float64(us[(pct*len(us)+99)/100-1])
+	}
+	st := s.StatsSnapshot()
+	for path, ep := range st.Endpoints {
+		us := byKind[path[1:]]
+		slices.Sort(us)
+		if ep.P50US != rank(us, 50) || ep.P99US != rank(us, 99) || ep.MaxUS != rank(us, 100) {
+			t.Fatalf("%s: p50/p99/max %g/%g/%g, nearest rank over %d retained records %g/%g/%g",
+				path, ep.P50US, ep.P99US, ep.MaxUS, len(us), rank(us, 50), rank(us, 99), rank(us, 100))
+		}
+	}
+	if q := st.Endpoints["/query"]; q.Requests != queries.Load() || q.Errors != queryErrs.Load() {
+		t.Fatalf("/query counters %d requests, %d errors; sent %d, %d failed", q.Requests, q.Errors, queries.Load(), queryErrs.Load())
 	}
 }

@@ -12,7 +12,7 @@ func oracleIntersect(a, b []uint32) []uint32 {
 	return intersectMerge(a, b, nil)
 }
 
-// clusteredSet emits the skewed shape the composite band targets: a few
+// clusteredSet emits the skewed shape the composite layout targets: a few
 // dense runs plus uniform background noise, spread over a wide range.
 func clusteredSet(rng *rand.Rand, runs, runLen, noise, span int) []uint32 {
 	var vals []uint32
@@ -318,19 +318,23 @@ func randomSubset(rng *rand.Rand, vals []uint32, n int) []uint32 {
 	return sortedUnique(out)
 }
 
-// TestChooseLayoutComposite checks the adaptive band: clustered density
-// selects composite, uniform density still selects bitset, and uniform
-// sparsity stays uint.
+// TestChooseLayoutComposite checks that the optimizer never picks the
+// block layout: a globally sparse set of locally dense 256-blocks — what
+// the removed composite band chose — is uint, like the same cardinality
+// spread uniformly. Only a pinned policy builds a composite set.
 func TestChooseLayoutComposite(t *testing.T) {
-	// Two fully dense 256-blocks far apart: globally sparse (range ≫
-	// 256·card is false here — range is 1<<20 ≈ 2048·card), locally dense.
+	// Two fully dense 256-blocks far apart: globally sparse (range is
+	// 1<<20 ≈ 2048·card), locally dense.
 	var clustered []uint32
 	for i := uint32(0); i < BlockBits; i++ {
 		clustered = append(clustered, i, 1<<20+i)
 	}
 	clustered = sortedUnique(clustered)
-	if got := ChooseLayout(clustered); got != Composite {
-		t.Fatalf("clustered → %s, want composite", got)
+	if got := ChooseLayout(clustered); got != Uint {
+		t.Fatalf("clustered → %s, want uint", got)
+	}
+	if got := BuildAuto(clustered); got.Layout() != Uint {
+		t.Fatalf("BuildAuto(clustered) layout = %s", got.Layout())
 	}
 	// The same cardinality spread uniformly: uint.
 	var uniform []uint32
@@ -339,10 +343,6 @@ func TestChooseLayoutComposite(t *testing.T) {
 	}
 	if got := ChooseLayout(uniform); got != Uint {
 		t.Fatalf("uniform sparse → %s, want uint", got)
-	}
-	// BuildAuto materializes the adaptive choice.
-	if got := BuildAuto(clustered); got.Layout() != Composite {
-		t.Fatalf("BuildAuto(clustered) layout = %s", got.Layout())
 	}
 }
 

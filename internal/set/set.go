@@ -9,7 +9,8 @@
 //     the paper's range-sized bitset (block size = range of the set).
 //   - Composite: a sequence of 256-value blocks, each stored sparse or
 //     dense depending on the block's own density (the block-level layout
-//     of §4.3 used in Figure 6).
+//     of §4.3 used in Table 4 and Figure 6). Only a pinned policy builds
+//     it: the set-level optimizer, ChooseLayout, picks uint or bitset.
 //
 // The paper exploits 256-bit AVX registers; Go has no stable SIMD
 // intrinsics, so dense operations here are word-parallel over uint64
@@ -229,17 +230,10 @@ const BitsetCostRatio = BlockBits
 // minBitsetCard avoids pathological tiny bitsets.
 const minBitsetCard = 4
 
-// minCompositeCard is the floor below which the block-hybrid layout
-// cannot pay for its block headers and per-block dispatch.
-const minCompositeCard = 2 * denseBlockThreshold
-
-// ChooseLayout implements the set-level layout optimizer (§4.4),
-// extended with the block-hybrid band: bitset when the whole range is
-// at most BlockBits bits per element; composite when the set is
-// globally sparse but at least half its members cluster into locally
-// dense 256-value blocks (the skewed-degree shape where whole-range
-// bitsets are too wide and uint arrays forgo word-parallel kernels);
-// uint otherwise.
+// ChooseLayout implements the set-level layout optimizer (§4.4):
+// bitset when the whole range is at most BlockBits bits per element,
+// uint otherwise. The composite layout is never chosen here; it is built
+// only when a policy pins it (trie.CompositeLayout).
 func ChooseLayout(vals []uint32) Layout {
 	n := len(vals)
 	if n < minBitsetCard {
@@ -249,31 +243,7 @@ func ChooseLayout(vals []uint32) Layout {
 	if rng <= uint64(n)*BitsetCostRatio {
 		return Bitset
 	}
-	if n >= minCompositeCard && compositeWins(vals) {
-		return Composite
-	}
 	return Uint
-}
-
-// compositeWins reports whether at least half the members fall in
-// blocks that NewComposite would store dense (run length ≥
-// denseBlockThreshold per 256-value block) — the one-pass local-density
-// probe behind the Composite band of ChooseLayout.
-func compositeWins(vals []uint32) bool {
-	dense := 0
-	i := 0
-	for i < len(vals) {
-		id := vals[i] / BlockBits
-		j := i + 1
-		for j < len(vals) && vals[j]/BlockBits == id {
-			j++
-		}
-		if j-i >= denseBlockThreshold {
-			dense += j - i
-		}
-		i = j
-	}
-	return 2*dense >= len(vals)
 }
 
 // BuildAuto builds a set from a strictly increasing slice using the

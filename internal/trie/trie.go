@@ -20,11 +20,11 @@ import (
 // Policy is a trie build's layout policy: which physical layout each
 // set gets. nil is the paper's set-level optimizer (§4.4): uint for small
 // or sparse sets, bitset when the value range is dense enough that the
-// word-parallel kernels win, composite when density is clustered in runs
-// rather than uniform (see set.ChooseLayout for the thresholds). The
-// non-nil policies pin one layout for every set — the relation-level
-// ablations ("-R") and the block-level layout. A policy is a comparable
-// value that names itself, so caches key on it directly.
+// word-parallel kernels win (see set.ChooseLayout for the thresholds).
+// The non-nil policies pin one layout for every set — the relation-level
+// ablations ("-R") and the block-level layout, which only a pin builds.
+// A policy is a comparable value that names itself, so caches key on it
+// directly.
 type Policy struct{ pin set.Layout }
 
 var (
