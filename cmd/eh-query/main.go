@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	eh-query -graph edges.txt [-directed] [-explain] [-analyze] [-algo auto] [-limit 20] 'TC(;w:long) :- Edge(x,y),Edge(y,z),Edge(x,z); w=<<COUNT(*)>>.'
+//	eh-query -graph edges.txt [-directed] [-explain] [-analyze] [-limit 20] 'TC(;w:long) :- Edge(x,y),Edge(y,z),Edge(x,z); w=<<COUNT(*)>>.'
 //	eh-query -serve-url http://localhost:8080 [-limit 20] 'TC(;w:long) :- ...'
 //
 // The graph is registered as the relation Edge (undirected by default:
@@ -11,9 +11,7 @@
 // plan without running; -analyze runs the query with live kernel
 // counters and prints the plan annotated with actuals (EXPLAIN ANALYZE)
 // — including the per-level kernel routes (layout pair + algorithm) the
-// adaptive set layouts dispatched to — before the results. -algo pins
-// the uint∩uint intersection algorithm (auto|merge|shuffle|galloping)
-// of the local engine; it cannot be combined with -serve-url.
+// adaptive set layouts dispatched to — before the results.
 //
 // With -serve-url the query is POSTed to the server's /query endpoint
 // instead of executing locally. Shed responses (503 overload or
@@ -45,7 +43,6 @@ import (
 
 	"emptyheaded"
 	"emptyheaded/internal/core"
-	"emptyheaded/internal/set"
 )
 
 func main() {
@@ -60,17 +57,7 @@ func main() {
 	topSort := flag.String("sort", "count", "workload sort key for -top: count, latency or rows")
 	topN := flag.Int("n", 20, "fingerprints shown by -top")
 	why := flag.String("why", "", `probe why this output tuple (e.g. "T(1,2,3)") is in the result: per-atom contributing rows, base vs overlay, with lineage (requires -graph)`)
-	algoName := flag.String("algo", "", "pin the uint∩uint intersection algorithm: auto|merge|shuffle|galloping (default: the skew-based hybrid rule)")
 	flag.Parse()
-
-	algo, err := set.ParseAlgo(*algoName)
-	if err != nil {
-		fatal(err)
-	}
-	if *algoName != "" && *serveURL != "" {
-		fmt.Fprintln(os.Stderr, "eh-query: -algo pins the local engine's kernels; it cannot be combined with -serve-url")
-		os.Exit(2)
-	}
 
 	if *top {
 		if *serveURL == "" || flag.NArg() != 0 {
@@ -106,7 +93,7 @@ func main() {
 	}
 	defer f.Close()
 
-	eng := emptyheaded.New(emptyheaded.WithKernelAlgo(algo))
+	eng := emptyheaded.New()
 	if err := eng.LoadEdgeList("Edge", f, !*directed); err != nil {
 		fatal(err)
 	}

@@ -77,13 +77,6 @@ func WithoutSIMD() Option {
 	return func(o *exec.Options) { o.Intersect.BitByBit = true }
 }
 
-// WithKernelAlgo pins the uint∩uint intersection algorithm (AlgoAuto
-// keeps the paper's cardinality-skew rule; see set.ParseAlgo for the
-// names accepted on the wire).
-func WithKernelAlgo(a set.Algo) Option {
-	return func(o *exec.Options) { o.Intersect.Algo = a }
-}
-
 // WithSingleBagPlans forces single-bag GHDs (the "-GHD" ablation; the
 // plan shape of engines without GHD optimizers, like LogicBlox).
 func WithSingleBagPlans() Option {

@@ -289,15 +289,17 @@ func fillOnes(op semiring.Op, n int) []float64 {
 func (e *Engine) applyRecordLocked(rec *wal.Record, tr *trace.Trace) (UpdateResult, error) {
 	cur, ok := e.DB.Relation(rec.Rel)
 	if !ok {
-		cur = exec.NewRelation(rec.Rel, trie.NewEmpty(rec.Arity, rec.Annotated(), rec.Op))
+		cur = exec.NewRelation(rec.Rel, trie.NewEmpty(rec.Arity, rec.Annotated(), rec.Op, e.Opts.Layout))
 	} else if cur.Arity != rec.Arity {
 		return UpdateResult{}, fmt.Errorf("core: update %s: record arity %d, relation arity %d", rec.Rel, rec.Arity, cur.Arity)
 	}
+	// The batch extends the relation under the policy that built it.
+	layout := cur.Canonical().Policy
 	ov := cur.Overlay()
 	if ov == nil {
-		ov = delta.NewOverlay(cur.Arity, cur.Annotated, cur.Op)
+		ov = delta.NewOverlay(cur.Arity, cur.Annotated, cur.Op, layout)
 	}
-	insT, delT := miniTries(rec, cur, e.Opts.Layout)
+	insT, delT := miniTries(rec, cur, layout)
 
 	// Maintain the merged cardinality against the pre-batch view:
 	// deletes apply first, so a delete counts iff the tuple was visible,
@@ -323,10 +325,10 @@ func (e *Engine) applyRecordLocked(rec *wal.Record, tr *trace.Trace) (UpdateResu
 	tr.End(sp)
 
 	sp = tr.Begin("overlay_merge")
-	ov = ov.Apply(insT, delT, e.Opts.Layout)
+	ov = ov.Apply(insT, delT)
 	// A journaled record advances the watermark (replay's synthesized
 	// records carry the scan's maximum); it never moves backwards.
-	e.DB.Install(exec.NewOverlayRelation(cur.Base(), ov, card, cur.OverlayGen()+1, max(cur.WALSeq(), rec.Seq), e.Opts.Layout))
+	e.DB.Install(exec.NewOverlayRelation(cur.Base(), ov, card, cur.OverlayGen()+1, max(cur.WALSeq(), rec.Seq)))
 	tr.SpanAttrInt(sp, "overlay_rows", int64(ov.Rows()))
 	tr.End(sp)
 	e.upd.updates.Add(1)
@@ -416,7 +418,7 @@ func (e *Engine) Compact(name string) (bool, error) {
 	t0 := time.Now()
 	var compacted *trie.Trie
 	if err == nil {
-		compacted = delta.Compact(cur.Canonical(), e.Opts.Layout)
+		compacted = delta.Compact(cur.Canonical())
 	}
 
 	e.upd.mu.Lock()
@@ -433,8 +435,8 @@ func (e *Engine) Compact(name string) (bool, error) {
 	// goes through Swap: no epoch bump, and every epoch-keyed cached
 	// result over the relation stays valid — compaction is invisible to
 	// clients. Cardinality, overlay generation and watermark carry over.
-	ov := now.Overlay().TrimAgainst(compacted, e.Opts.Layout)
-	next := exec.NewOverlayRelation(exec.NewRelation(name, compacted), ov, now.Cardinality(), now.OverlayGen(), now.WALSeq(), e.Opts.Layout)
+	ov := now.Overlay().TrimAgainst(compacted)
+	next := exec.NewOverlayRelation(exec.NewRelation(name, compacted), ov, now.Cardinality(), now.OverlayGen(), now.WALSeq())
 	if !e.DB.Swap(now, next) {
 		return false, nil
 	}

@@ -50,11 +50,12 @@ type Overlay struct {
 }
 
 // NewOverlay returns the empty overlay for a relation of the given
-// shape.
-func NewOverlay(arity int, annotated bool, op semiring.Op) *Overlay {
+// shape whose sets are built under layout; every later Apply and
+// TrimAgainst keeps that policy.
+func NewOverlay(arity int, annotated bool, op semiring.Op, layout *trie.Policy) *Overlay {
 	o := &Overlay{
-		Ins: trie.NewEmpty(arity, annotated, op),
-		Del: trie.NewEmpty(arity, false, semiring.None),
+		Ins: trie.NewEmpty(arity, annotated, op, layout),
+		Del: trie.NewEmpty(arity, false, semiring.None, layout),
 	}
 	o.insBytes = o.Ins.MemBytes()
 	o.delBytes = o.Del.MemBytes()
@@ -81,10 +82,11 @@ func (o *Overlay) IsEmpty() bool { return o.rows == 0 }
 //	Del' = (Del ∪ del) \ ins
 //
 // Del' takes two merges: a single (Del \ ins) ∪ del would keep the
-// tombstone of a tuple the same batch re-inserts.
-func (o *Overlay) Apply(ins, del *trie.Trie, layout *trie.Policy) *Overlay {
-	newIns := MergedView(o.Ins, ins, del, layout)
-	newDel := MergedView(MergedView(o.Del, del, nil, layout), nil, ins, layout)
+// tombstone of a tuple the same batch re-inserts. Each side stays under
+// its own Policy.
+func (o *Overlay) Apply(ins, del *trie.Trie) *Overlay {
+	newIns := MergedView(o.Ins, ins, del, o.Ins.Policy)
+	newDel := MergedView(MergedView(o.Del, del, nil, o.Del.Policy), nil, ins, o.Del.Policy)
 	return &Overlay{
 		Ins:      newIns,
 		Del:      newDel,
@@ -102,7 +104,9 @@ func (o *Overlay) Apply(ins, del *trie.Trie, layout *trie.Policy) *Overlay {
 // that prefix — so the cost is proportional to the overlay (plus the
 // width of touched nodes), not the base. ins and del may be nil or
 // empty; when both are, base itself is returned. The result takes its
-// shape (annotatedness, op) from base.
+// shape (annotatedness, op) from base. Rebuilt sets are stored under
+// layout, which the result records as its Policy; shared nodes keep
+// theirs, so layout should be the policy base and ins were built under.
 func MergedView(base, ins, del *trie.Trie, layout *trie.Policy) *trie.Trie {
 	insRoot := overlayRoot(base, ins, "insert")
 	delRoot := overlayRoot(base, del, "tombstone")
@@ -118,7 +122,7 @@ func MergedView(base, ins, del *trie.Trie, layout *trie.Policy) *trie.Trie {
 	if root == nil {
 		root = &trie.Node{}
 	}
-	return &trie.Trie{Arity: base.Arity, Annotated: base.Annotated, Op: base.Op, Root: root}
+	return &trie.Trie{Arity: base.Arity, Annotated: base.Annotated, Op: base.Op, Root: root, Policy: layout}
 }
 
 // overlayRoot returns the root of one overlay side, nil when the side is
@@ -138,10 +142,10 @@ func overlayRoot(base, side *trie.Trie, name string) *trie.Node {
 // the radix sort is skipped and the build is one dedup-free linear
 // pass. The result shares nothing with the view's base or overlay
 // (and in particular drops any aliases into mmap'd snapshot segments
-// or overlay mini-tries).
-func Compact(view *trie.Trie, layout *trie.Policy) *trie.Trie {
+// or overlay mini-tries). It keeps the view's Policy.
+func Compact(view *trie.Trie) *trie.Trie {
 	cols, anns := view.Columns(0)
-	return trie.FromColumns(cols, anns, view.Op, layout)
+	return trie.FromColumns(cols, anns, view.Op, view.Policy)
 }
 
 // TrimAgainst drops overlay entries a base already absorbed: inserts
@@ -150,8 +154,8 @@ func Compact(view *trie.Trie, layout *trie.Policy) *trie.Trie {
 // compaction that raced with updates, the re-based overlay shrinks to
 // exactly the post-capture net-new changes instead of growing without
 // bound under sustained writes. Cost is O(overlay × depth) lookups
-// into base.
-func (o *Overlay) TrimAgainst(base *trie.Trie, layout *trie.Policy) *Overlay {
+// into base. Each side keeps its own Policy.
+func (o *Overlay) TrimAgainst(base *trie.Trie) *Overlay {
 	arity := base.Arity
 	annotated := o.Ins.Annotated
 	op := o.Ins.Op
@@ -181,8 +185,8 @@ func (o *Overlay) TrimAgainst(base *trie.Trie, layout *trie.Policy) *Overlay {
 	if annotated && insAnns == nil {
 		insAnns = []float64{}
 	}
-	ins := trie.FromColumns(insCols, insAnns, op, layout)
-	del := trie.FromColumns(delCols, nil, semiring.None, layout)
+	ins := trie.FromColumns(insCols, insAnns, op, o.Ins.Policy)
+	del := trie.FromColumns(delCols, nil, semiring.None, o.Del.Policy)
 	return &Overlay{
 		Ins: ins, Del: del,
 		rows:     ins.Cardinality() + del.Cardinality(),

@@ -72,7 +72,7 @@ func TestMergedViewEmptyOverlayIsBase(t *testing.T) {
 	if MergedView(base, nil, nil, nil) != base {
 		t.Fatalf("empty overlay should return base unchanged")
 	}
-	ov := NewOverlay(2, false, semiring.None)
+	ov := NewOverlay(2, false, semiring.None, nil)
 	if MergedView(base, ov.Ins, ov.Del, nil) != base {
 		t.Fatalf("empty overlay tries should return base unchanged")
 	}
@@ -93,15 +93,15 @@ func TestMergedViewAnnotationsReplace(t *testing.T) {
 }
 
 func TestOverlayApplyInvariant(t *testing.T) {
-	ov := NewOverlay(2, false, semiring.None)
+	ov := NewOverlay(2, false, semiring.None, nil)
 	ins1 := buildTrie(t, 2, semiring.None, [][]uint32{{1, 1}, {2, 2}}, nil)
-	ov = ov.Apply(ins1, nil, nil)
+	ov = ov.Apply(ins1, nil)
 	if ov.Rows() != 2 {
 		t.Fatalf("rows %d, want 2", ov.Rows())
 	}
 	// Delete one inserted tuple and one unrelated tuple.
 	del := buildTrie(t, 2, semiring.None, [][]uint32{{2, 2}, {7, 7}}, nil)
-	ov = ov.Apply(nil, del, nil)
+	ov = ov.Apply(nil, del)
 	if got := dump(ov.Ins); !reflect.DeepEqual(got, map[string]float64{tupleKey([]uint32{1, 1}): 1}) {
 		t.Fatalf("ins after delete: %v", got)
 	}
@@ -110,7 +110,7 @@ func TestOverlayApplyInvariant(t *testing.T) {
 	}
 	// Re-insert a tombstoned tuple: tombstone must clear.
 	ins2 := buildTrie(t, 2, semiring.None, [][]uint32{{7, 7}}, nil)
-	ov = ov.Apply(ins2, nil, nil)
+	ov = ov.Apply(ins2, nil)
 	if _, dead := dump(ov.Del)[tupleKey([]uint32{7, 7})]; dead {
 		t.Fatalf("tombstone survived re-insert")
 	}
@@ -121,10 +121,10 @@ func TestOverlayApplyInvariant(t *testing.T) {
 
 func TestOverlaySameBatchDeleteThenInsert(t *testing.T) {
 	// A tuple both deleted and inserted in one batch ends present.
-	ov := NewOverlay(2, false, semiring.None)
+	ov := NewOverlay(2, false, semiring.None, nil)
 	ins := buildTrie(t, 2, semiring.None, [][]uint32{{5, 5}}, nil)
 	del := buildTrie(t, 2, semiring.None, [][]uint32{{5, 5}}, nil)
-	ov = ov.Apply(ins, del, nil)
+	ov = ov.Apply(ins, del)
 	if _, alive := dump(ov.Ins)[tupleKey([]uint32{5, 5})]; !alive {
 		t.Fatalf("tuple deleted+inserted in one batch should be present")
 	}
@@ -138,7 +138,7 @@ func TestCompactEqualsView(t *testing.T) {
 	ins := buildTrie(t, 3, semiring.None, [][]uint32{{1, 2, 5}, {9, 9, 9}}, nil)
 	del := buildTrie(t, 3, semiring.None, [][]uint32{{2, 1, 1}, {1, 2, 3}}, nil)
 	view := MergedView(base, ins, del, nil)
-	compacted := Compact(view, nil)
+	compacted := Compact(view)
 	if !reflect.DeepEqual(dump(view), dump(compacted)) {
 		t.Fatalf("compacted trie differs from merged view")
 	}
@@ -186,8 +186,8 @@ func TestTrimAgainst(t *testing.T) {
 			if tc.del != nil {
 				del = buildTrie(t, 2, semiring.None, tc.del, nil)
 			}
-			ov := NewOverlay(2, true, semiring.Sum).Apply(ins, del, nil)
-			trimmed := ov.TrimAgainst(base, nil)
+			ov := NewOverlay(2, true, semiring.Sum, nil).Apply(ins, del)
+			trimmed := ov.TrimAgainst(base)
 			if got := dump(trimmed.Ins); !reflect.DeepEqual(got, tc.wantIns) {
 				t.Fatalf("trimmed inserts %v, want %v", got, tc.wantIns)
 			}
@@ -274,7 +274,7 @@ func TestDifferentialRandom(t *testing.T) {
 				}
 				base := buildTrie(t, arity, op, baseRows, anns)
 
-				ov := NewOverlay(arity, annotated, op)
+				ov := NewOverlay(arity, annotated, op, nil)
 				for batch := 0; batch < 15; batch++ {
 					// Deletes first (half aimed at live tuples), then inserts.
 					var delRows [][]uint32
@@ -323,7 +323,7 @@ func TestDifferentialRandom(t *testing.T) {
 						})
 					}
 
-					ov = ov.Apply(insT, delT, nil)
+					ov = ov.Apply(insT, delT)
 					view := MergedView(base, ov.Ins, ov.Del, nil)
 					got := dump(view)
 					want := model
@@ -337,13 +337,13 @@ func TestDifferentialRandom(t *testing.T) {
 						t.Fatalf("batch %d: view %v, want %v", batch, got, want)
 					}
 					// Compaction must be invisible.
-					if cd := dump(Compact(view, nil)); !reflect.DeepEqual(cd, want) {
+					if cd := dump(Compact(view)); !reflect.DeepEqual(cd, want) {
 						t.Fatalf("batch %d: compacted %v, want %v", batch, cd, want)
 					}
 					// Idempotent re-fold: applying the current overlay onto
 					// an already-folded base is a no-op (the compaction
 					// install race and WAL-replay-after-snapshot property).
-					refold := MergedView(Compact(view, nil), ov.Ins, ov.Del, nil)
+					refold := MergedView(Compact(view), ov.Ins, ov.Del, nil)
 					if rd := dump(refold); !reflect.DeepEqual(rd, want) {
 						t.Fatalf("batch %d: re-folded %v, want %v", batch, rd, want)
 					}
@@ -477,13 +477,13 @@ func TestApplyMixedLayouts(t *testing.T) {
 				tps, anns := split(baseRows)
 				base := buildTrieLayout(t, 2, semiring.Sum, tps, anns, bl)
 				model, modelIns, modelDel := dump(base), map[string]float64{}, map[string]float64{}
-				ov := NewOverlay(2, true, semiring.Sum)
+				ov := NewOverlay(2, true, semiring.Sum, ml)
 				for n, b := range batches {
 					delTps, _ := split(b.del)
 					insTps, insAnns := split(b.ins)
 					ov = ov.Apply(
 						buildTrieLayout(t, 2, semiring.Sum, insTps, insAnns, ol),
-						buildTrieLayout(t, 2, semiring.None, delTps, nil, ol), ml)
+						buildTrieLayout(t, 2, semiring.None, delTps, nil, ol))
 					for _, r := range b.del {
 						k := tupleKey(r.tp)
 						delete(model, k)
@@ -526,21 +526,21 @@ func TestMergeSharesInsertSubtrees(t *testing.T) {
 	ins := buildTrie(t, 2, semiring.Sum, [][]uint32{{4, 1}, {4, 2}, {9, 9}}, []float64{1, 2, 3})
 	del := buildTrie(t, 2, semiring.None, [][]uint32{{1, 2}}, nil)
 
-	empty := NewOverlay(2, true, semiring.Sum)
-	ov := empty.Apply(ins, del, nil)
+	empty := NewOverlay(2, true, semiring.Sum, nil)
+	ov := empty.Apply(ins, del)
 	if ov.Ins.Root != ins.Root || ov.Del.Root.Child(1) != del.Root.Child(1) {
 		t.Fatalf("first batch over an empty overlay was rebuilt instead of shared")
 	}
-	if empty.Apply(nil, del, nil).Del.Root != del.Root {
+	if empty.Apply(nil, del).Del.Root != del.Root {
 		t.Fatalf("delete-only first batch was rebuilt instead of shared")
 	}
 	if !ov.Ins.Annotated || ov.Del.Annotated {
 		t.Fatalf("overlay sides lost their shape: ins annotated %v, del annotated %v", ov.Ins.Annotated, ov.Del.Annotated)
 	}
-	if again := ov.Apply(nil, nil, nil); again.Ins != ov.Ins || again.Del != ov.Del {
+	if again := ov.Apply(nil, nil); again.Ins != ov.Ins || again.Del != ov.Del {
 		t.Fatalf("an empty batch should keep both sides")
 	}
-	if view := MergedView(trie.NewEmpty(2, true, semiring.Sum), ins, nil, nil); view.Root != ins.Root {
+	if view := MergedView(trie.NewEmpty(2, true, semiring.Sum, nil), ins, nil, nil); view.Root != ins.Root {
 		t.Fatalf("insert-only view over an empty base was rebuilt instead of shared")
 	}
 

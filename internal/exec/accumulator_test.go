@@ -258,14 +258,14 @@ func TestUnaryAccumulatorOverOverlay(t *testing.T) {
 		del = append(del, [2]uint32{x, 9})
 	}
 	ins := pairs([2]uint32{3, 40}, [2]uint32{4, 45})
-	ov := delta.NewOverlay(2, false, semiring.None).Apply(ins, pairs(del...), nil)
-	rel := NewOverlayRelation(NewRelation("G", pairs(grid...)), ov, 92, 1, 0, nil)
+	ov := delta.NewOverlay(2, false, semiring.None, nil).Apply(ins, pairs(del...))
+	rel := NewOverlayRelation(NewRelation("G", pairs(grid...)), ov, 92, 1, 0)
 	if cs, ok := rel.colSpan(1); !ok || cs.lo != 0 || cs.hi != 45 {
 		t.Fatalf("colSpan(1) = %+v, want [0..45]", cs)
 	}
 	db, plain := NewDB(), NewDB()
 	db.Install(rel)
-	plain.AddTrie("G", delta.Compact(rel.Canonical(), nil))
+	plain.AddTrie("G", delta.Compact(rel.Canonical()))
 	const q = `Q(y;c:long) :- A(x),G(x,y); c=<<COUNT(*)>>.`
 	for _, d := range []*DB{db, plain} {
 		addUnary(d, "A", upTo(10)...)

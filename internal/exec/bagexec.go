@@ -1223,6 +1223,7 @@ func (ex *bagExec) materializeDense(ws []*worker) *trie.Trie {
 			}
 		}
 	}
-	root := &trie.Node{Set: ex.p.opts.Layout.Build(vals), Ann: anns}
-	return &trie.Trie{Arity: 1, Annotated: acc != nil, Op: ex.op, Root: root}
+	layout := ex.p.opts.Layout
+	root := &trie.Node{Set: layout.Build(vals), Ann: anns}
+	return &trie.Trie{Arity: 1, Annotated: acc != nil, Op: ex.op, Root: root, Policy: layout}
 }

@@ -255,13 +255,15 @@ func newRelation(name string, t *trie.Trie, card int) *Relation {
 // trie is the merged view (base \ ov.Del) ∪ ov.Ins, card its maintained
 // cardinality, gen its overlay generation and walSeq its WAL watermark.
 // base must be plain (see Base). An empty overlay yields a plain
-// relation over base's trie, counted exactly.
-func NewOverlayRelation(base *Relation, ov *delta.Overlay, card int, gen, walSeq uint64, layout *trie.Policy) *Relation {
+// relation over base's trie, counted exactly. The merged view is built
+// under the base trie's own policy.
+func NewOverlayRelation(base *Relation, ov *delta.Overlay, card int, gen, walSeq uint64) *Relation {
 	var r *Relation
 	if ov.IsEmpty() {
 		r = newRelation(base.Name, base.canonical, base.card)
 	} else {
-		r = newRelation(base.Name, delta.MergedView(base.canonical, ov.Ins, ov.Del, layout), card)
+		bt := base.canonical
+		r = newRelation(base.Name, delta.MergedView(bt, ov.Ins, ov.Del, bt.Policy), card)
 		r.base, r.ov = base, ov
 	}
 	r.gen, r.walSeq = gen, walSeq
@@ -308,12 +310,7 @@ func (db *DB) Swap(old, r *Relation) bool {
 // the adjacency fast path; layout selects the storage policy (nil = the
 // set-level optimizer).
 func (db *DB) AddGraph(name string, g *graph.Graph, layout *trie.Policy) *Relation {
-	t := trie.FromAdjacency(g.Adj, layout)
-	r := db.AddTrie(name, t)
-	r.mu.Lock()
-	r.indexes[newIndexKey([]int{0, 1}, layout)] = t
-	r.mu.Unlock()
-	return r
+	return db.AddTrie(name, trie.FromAdjacency(g.Adj, layout))
 }
 
 // ReplaceGraph atomically installs a graph relation together with its
@@ -321,9 +318,7 @@ func (db *DB) AddGraph(name string, g *graph.Graph, layout *trie.Policy) *Relati
 // a concurrent Fork sees either the old (dict, relation) pair or the new
 // one, never a mix of the two.
 func (db *DB) ReplaceGraph(name string, g *graph.Graph, dict *graph.Dictionary, layout *trie.Policy) *Relation {
-	t := trie.FromAdjacency(g.Adj, layout)
-	r := NewRelation(name, t)
-	r.indexes[newIndexKey([]int{0, 1}, layout)] = t
+	r := NewRelation(name, trie.FromAdjacency(g.Adj, layout))
 	db.mu.Lock()
 	db.rels[name] = r
 	db.dict = dict
@@ -421,7 +416,9 @@ func newIndexKey(perm []int, layout *trie.Policy) indexKey {
 }
 
 // Index returns (building and caching if needed) the trie whose level i
-// stores column perm[i], under the given layout policy.
+// stores column perm[i], under the given layout policy. The canonical
+// trie is the identity index of the policy it was built under; every
+// other (permutation, policy) pair is rebuilt once and cached.
 func (r *Relation) Index(perm []int, layout *trie.Policy) *trie.Trie {
 	if len(perm) != r.Arity {
 		panic(fmt.Sprintf("exec: index perm %v for arity-%d relation %s", perm, r.Arity, r.Name))
@@ -442,14 +439,14 @@ func (r *Relation) Index(perm []int, layout *trie.Policy) *trie.Trie {
 	if t, ok := r.indexes[key]; ok {
 		return t
 	}
-	identity := true
+	own := r.canonical.Policy == layout // the canonical trie serves its own policy's identity
 	for i, p := range perm {
 		if p != i {
-			identity = false
+			own = false
 		}
 	}
 	var t *trie.Trie
-	if identity && layout == nil && r.canonical != nil {
+	if own {
 		t = r.canonical
 	} else if r.ov != nil {
 		// Overlay path: permute only the (small) overlay and merge it

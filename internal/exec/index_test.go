@@ -83,14 +83,14 @@ func TestOverlayIndexEveryPermutation(t *testing.T) {
 				model[tp] = 1
 			}
 		}
-		ov := delta.NewOverlay(3, annotated, op).Apply(
-			build(ins, perms[0], annotated, nil), build(del, perms[0], false, nil), nil)
-		rel := NewOverlayRelation(NewRelation("R", base), ov, len(model), 1, 0, nil)
+		ov := delta.NewOverlay(3, annotated, op, nil).Apply(
+			build(ins, perms[0], annotated, nil), build(del, perms[0], false, nil))
+		rel := NewOverlayRelation(NewRelation("R", base), ov, len(model), 1, 0)
 		merged := rel.Canonical()
 
 		db := NewDB()
 		db.Install(rel)
-		plain := db.AddTrie("P", delta.Compact(merged, nil))
+		plain := db.AddTrie("P", delta.Compact(merged))
 		if !rel.HasOverlay() || plain.HasOverlay() {
 			t.Fatalf("fixture: overlay flags %v / %v", rel.HasOverlay(), plain.HasOverlay())
 		}

@@ -183,7 +183,7 @@ func (pr *Prepared) runRecursive(db *DB, g ruleGroup, rp RunParams) (*Result, er
 			if changed = change != nil; changed && change.Arity == 0 {
 				head = []*trie.Trie{change} // a scalar's one tuple is the whole relation
 			} else if changed {
-				head = fold(append(head, change), iters+1, layout)
+				head = fold(append(head, change), iters+1)
 			}
 		} else {
 			changed = !triesEqual(head[0], change)
@@ -191,21 +191,21 @@ func (pr *Prepared) runRecursive(db *DB, g ruleGroup, rp RunParams) (*Result, er
 		}
 		frontier = change
 		if !seminaive {
-			head = fold(head, 0, layout)
+			head = fold(head, 0)
 			frontier = head[0]
 		}
 	}
-	return &Result{Name: name, Attrs: baseRes.Attrs, Trie: fold(head, 0, layout)[0]}, nil
+	return &Result{Name: name, Attrs: baseRes.Attrs, Trie: fold(head, 0)[0]}, nil
 }
 
 // fold merges the newest tries of a head stack into the ones below them,
 // the newer annotation winning: after the k-th push as many times as 2
 // divides k, so each tuple is merged O(log rounds) times and a round
 // costs O(frontier) amortised rather than O(head); k = 0 folds the stack
-// into one trie. Merged sets are stored under layout.
-func fold(head []*trie.Trie, k int, layout *trie.Policy) []*trie.Trie {
+// into one trie. Merged sets are stored under the lower trie's Policy.
+func fold(head []*trie.Trie, k int) []*trie.Trie {
 	for n := len(head); n > 1 && k%2 == 0; n, k = n-1, k/2 {
-		head = append(head[:n-2], delta.MergedView(head[n-2], head[n-1], nil, layout))
+		head = append(head[:n-2], delta.MergedView(head[n-2], head[n-1], nil, head[n-2].Policy))
 	}
 	return head
 }

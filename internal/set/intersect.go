@@ -1,9 +1,6 @@
 package set
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "math/bits"
 
 // Algo selects a uint∩uint intersection algorithm (§4.2).
 type Algo uint8
@@ -35,23 +32,6 @@ func (a Algo) String() string {
 		return "galloping"
 	}
 	return "algo?"
-}
-
-// ParseAlgo maps an algorithm name ("auto", "merge", "shuffle",
-// "galloping"; "" means auto) to its Algo — eh-query -algo resolves
-// through it.
-func ParseAlgo(s string) (Algo, error) {
-	switch s {
-	case "", "auto":
-		return AlgoAuto, nil
-	case "merge":
-		return AlgoMerge, nil
-	case "shuffle":
-		return AlgoShuffle, nil
-	case "galloping", "gallop":
-		return AlgoGalloping, nil
-	}
-	return 0, fmt.Errorf("set: unknown intersection algorithm %q (want auto|merge|shuffle|galloping)", s)
 }
 
 // GallopRatio is the cardinality-skew threshold of the hybrid algorithm:

@@ -2,7 +2,6 @@ package set
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 )
 
@@ -61,16 +60,6 @@ func (r Route) String() string {
 // scalar work.
 func (r Route) WordParallel() bool {
 	return r == RouteBitsetWord || r == RouteBlockBlock
-}
-
-// ParseRoute maps a stable route name back to its Route.
-func ParseRoute(s string) (Route, bool) {
-	for i, n := range routeNames {
-		if n == s {
-			return Route(i), true
-		}
-	}
-	return 0, false
 }
 
 // KernelStats counts kernel invocations by dispatch route. It is filled
@@ -153,22 +142,6 @@ func (st KernelStats) MarshalJSON() ([]byte, error) {
 	}
 	sb.WriteByte('}')
 	return sb.Bytes(), nil
-}
-
-// UnmarshalJSON decodes the object form; unknown route names are
-// ignored so newer encoders stay readable.
-func (st *KernelStats) UnmarshalJSON(b []byte) error {
-	m := map[string]int64{}
-	if err := json.Unmarshal(b, &m); err != nil {
-		return err
-	}
-	*st = KernelStats{}
-	for name, c := range m {
-		if r, ok := ParseRoute(name); ok {
-			st.Counts[r] = c
-		}
-	}
-	return nil
 }
 
 // Kernel is the layout-polymorphic set-operation entry point: one object

@@ -90,6 +90,11 @@ func Open(dir string) (*Database, error) {
 			return fail(corrupt(rm.Segment, "segment shape (arity=%d ann=%v) disagrees with catalog (arity=%d ann=%v)",
 				t.Arity, t.Annotated, rm.Arity, rm.Annotated))
 		}
+		if rm.Policy != "" {
+			if t.Policy, err = trie.ParsePolicy(rm.Policy); err != nil {
+				return fail(corrupt(CatalogFile, "relation %q: %v", rm.Name, err))
+			}
+		}
 		if _, dup := db.Tries[rm.Name]; dup {
 			return fail(corrupt(CatalogFile, "duplicate relation %q", rm.Name))
 		}

@@ -84,6 +84,10 @@ type RelationMeta struct {
 	// content. 0 in pre-provenance catalogs and for relations never
 	// touched by a journaled update (epoch-only lineage).
 	WALSeq uint64 `json:"wal_seq,omitempty"`
+	// Policy names the layout policy the trie's sets were built under
+	// (trie.Policy.String); empty for the set-level optimizer, which is
+	// how catalogs written before the field restore.
+	Policy string `json:"policy,omitempty"`
 	// Bytes is the segment payload length (excluding the 8-byte magic).
 	Bytes int64 `json:"bytes"`
 	// Checksum is the CRC-32C of the segment payload.

@@ -89,6 +89,9 @@ func TestWriteOpenRoundTrip(t *testing.T) {
 				if tupleDump(got) != tupleDump(rel.Trie) {
 					t.Fatalf("relation %s: tuples differ after restore", rel.Name)
 				}
+				if got.Policy != rel.Trie.Policy {
+					t.Fatalf("relation %s: policy %v after restore, built under %v", rel.Name, got.Policy, rel.Trie.Policy)
+				}
 				if db.Epochs[rel.Name] != rel.Epoch {
 					t.Fatalf("relation %s: epoch %d, want %d", rel.Name, db.Epochs[rel.Name], rel.Epoch)
 				}
@@ -300,6 +303,21 @@ func TestCorruptedCatalog(t *testing.T) {
 	os.WriteFile(path, bytes.Replace(orig, []byte(" v1 "), []byte(" v9 "), 1), 0o644)
 	if _, err := ReadCatalog(dir); err == nil {
 		t.Fatal("future-version catalog accepted")
+	}
+
+	// A policy name no build defines.
+	os.WriteFile(path, orig, 0o644)
+	cat, err := ReadCatalog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat.Relations[0].Policy = "varint"
+	if err := writeCatalog(path, cat); err != nil {
+		t.Fatal(err)
+	}
+	var ce *CorruptionError
+	if _, err := Open(dir); !errors.As(err, &ce) {
+		t.Fatalf("unknown policy: Open returned %v, want CorruptionError", err)
 	}
 
 	// Missing catalog.

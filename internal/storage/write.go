@@ -91,12 +91,17 @@ func WriteIncremental(dir string, snap *Snapshot, prev *Catalog) (*Catalog, erro
 			return nil, err
 		}
 		written[seg] = true
+		var policy string
+		if rel.Trie.Policy != nil {
+			policy = rel.Trie.Policy.String()
+		}
 		cat.Relations = append(cat.Relations, RelationMeta{
 			Name:        rel.Name,
 			Segment:     seg,
 			Arity:       rel.Trie.Arity,
 			Annotated:   rel.Trie.Annotated,
 			Op:          rel.Trie.Op.String(),
+			Policy:      policy,
 			Cardinality: rel.Trie.Cardinality(),
 			Epoch:       rel.Epoch,
 			WALSeq:      rel.WALSeq,

@@ -123,7 +123,7 @@ func (b *ColumnarBuilder) Build() *Trie {
 	if b.annotated && len(b.anns) != n {
 		panic("trie: mixed annotated and un-annotated tuples")
 	}
-	t := &Trie{Arity: b.arity, Annotated: b.annotated, Op: b.op}
+	t := &Trie{Arity: b.arity, Annotated: b.annotated, Op: b.op, Policy: b.layout}
 	if b.arity == 0 {
 		t.Scalar = b.op.Zero()
 		for _, a := range b.anns {

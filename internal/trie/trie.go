@@ -36,6 +36,16 @@ var (
 	CompositeLayout = &Policy{set.Composite}
 )
 
+// ParsePolicy returns the policy whose String is name.
+func ParsePolicy(name string) (*Policy, error) {
+	for _, p := range []*Policy{nil, UintLayout, BitsetLayout, CompositeLayout} {
+		if p.String() == name {
+			return p, nil
+		}
+	}
+	return nil, fmt.Errorf("trie: unknown layout policy %q", name)
+}
+
 // Build stores vals (strictly increasing) in the layout p gives them.
 func (p *Policy) Build(vals []uint32) set.Set {
 	if p == nil {
@@ -101,13 +111,18 @@ type Trie struct {
 	// annotation.
 	Root   *Node
 	Scalar float64
+	// Policy is the layout policy the trie's sets were built under. A
+	// relation serves this trie as its identity index for exactly this
+	// policy; any other policy reads a rebuilt copy.
+	Policy *Policy
 }
 
-// NewEmpty builds an empty relation of the given arity — the identity
-// base for delta overlays (an insert-only overlay over NewEmpty is the
-// relation itself) and the tombstone trie of a fresh overlay.
-func NewEmpty(arity int, annotated bool, op semiring.Op) *Trie {
-	return &Trie{Arity: arity, Annotated: annotated, Op: op, Root: &Node{}}
+// NewEmpty builds an empty relation of the given arity under policy p —
+// the identity base for delta overlays (an insert-only overlay over
+// NewEmpty is the relation itself) and the tombstone trie of a fresh
+// overlay.
+func NewEmpty(arity int, annotated bool, op semiring.Op, p *Policy) *Trie {
+	return &Trie{Arity: arity, Annotated: annotated, Op: op, Root: &Node{}, Policy: p}
 }
 
 // NewScalar builds a zero-arity annotated relation (a single semiring value).
@@ -240,7 +255,7 @@ func FromAdjacency(adj [][]uint32, layout *Policy) *Trie {
 		ns := adj[v]
 		root.Children[i] = &Node{Set: layout.Build(ns)}
 	}
-	return &Trie{Arity: 2, Root: root}
+	return &Trie{Arity: 2, Root: root, Policy: layout}
 }
 
 // ForEachTuple enumerates all tuples (with annotation; op.One() when
