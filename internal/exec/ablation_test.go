@@ -79,6 +79,15 @@ var (
 		}
 		return int64(len(bags)) - 1
 	}}
+	// -R on a PageRank round: no set is a bitset, so no atom is read as a
+	// vector, and the fold tail keeps the per-value path instead of the
+	// gather it takes by default.
+	ablNoGather = ablation{"-R", OptNoLayout, func(res *Result) int64 {
+		if res.Plan.Root.tail == kindGather {
+			return 1
+		}
+		return 0
+	}}
 	// NoBagDedup: no bag takes another's result.
 	ablNoBagDedup = ablation{"NoBagDedup", Options{NoBagDedup: true}, func(res *Result) int64 {
 		var n int64
@@ -150,9 +159,23 @@ D(x,z;y:int)* :- D(x,w),Edge(w,z); y=<<MIN(w)>>+1.`},
 // TestAblationsHold: each of the other ablations of Tables 8, 11 and 13
 // switches off what it names and changes no answer — "-RA" leaves only
 // the scalar uint merge, "-GHD" plans one bag per rule, and NoBagDedup
-// runs every bag of a plan whose default reuses one (App. B.2).
+// runs every bag of a plan whose default reuses one (App. B.2). "-R"
+// reads no vector, so PageRank's fold tail, which gathers by default,
+// keeps the per-value path; SSSP's emit level, which reads none, takes
+// the scatter either way.
 func TestAblationsHold(t *testing.T) {
 	er, small := dbWithGraph(testGraph(400, 4000, 19)), dbWithGraph(testGraph(200, 1500, 11))
+	rounds, _ := accumulatorDBs()
+	const ssspRound = `S(x;y:int) :- Edge(w,x),SSSP(w); y=<<MIN(w)>>+1.`
+	for _, opts := range []Options{{}, OptNoLayout} {
+		res, err := prepareQOpts(t, rounds, ssspRound, opts).Run(rounds.Fork())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Plan.Root.tail != kindScatter {
+			t.Fatalf("layout %s: SSSP's x ran as kind %d, not the scatter", opts.Layout, res.Plan.Root.tail)
+		}
+	}
 	const (
 		l31     = `L31(;c:long) :- Edge(x,y),Edge(y,z),Edge(x,z),Edge(x,w); c=<<COUNT(*)>>.`
 		barbell = `B31(;c:long) :- Edge(x,y),Edge(y,z),Edge(x,z),Edge(x,x2),Edge(x2,y2),Edge(y2,z2),Edge(x2,z2); c=<<COUNT(*)>>.`
@@ -164,6 +187,7 @@ func TestAblationsHold(t *testing.T) {
 		{ablNoAlgo, []ablationRow{{"triangle", er, qKernelTriangle}, {"k4", er, qKernel4Clique}}},
 		{ablSingleBag, []ablationRow{{"l31", small, l31}, {"barbell", small, barbell}}},
 		{ablNoBagDedup, []ablationRow{{"barbell", small, barbell}}},
+		{ablNoGather, []ablationRow{{"pagerank_round", rounds, qPageRankRound}}},
 	} {
 		t.Run(c.abl.name, func(t *testing.T) { runAblation(t, c.abl, c.rows) })
 	}

@@ -233,6 +233,10 @@ type bagExec struct {
 	span  *accSpan
 	rels  []*Relation
 	tries []*trie.Trie
+	// fused is a gather level's vectors ⊗-multiplied into one, when it
+	// has several and its incoming annotation is the semiring's One (see
+	// gatherTail).
+	fused vector
 }
 
 // accSpan is the value range [lo, hi] of a bag's one output level that a
@@ -326,9 +330,16 @@ func (ex *bagExec) reach(i int, first *set.Set) int {
 // level is one bag level of the loop nest.
 type level struct {
 	refs []curRef // the atom levels intersected here
+	// binds lists the refs binding a value acts on, those that descend or
+	// annotate: a leaf without annotation needs no rank.
+	binds []curRef
 	// vecs lists the atoms read as dense vectors here, in atom order: they
 	// filter and annotate the candidates refs yields (see vectorAtoms).
 	vecs []*vector
+	// gvec is the one vector a gather level's kernel reads: the level's
+	// only vector or their fused product; nil when the kernel multiplies
+	// vecs per candidate.
+	gvec *vector
 	out  int // position in an output row; -1 when eliminated
 	kind levelKind
 }
@@ -342,6 +353,8 @@ const (
 	kindFold                     // ⊕-fold them into one emit (see foldTail)
 	kindCount                    // emit their count (see countTailOK, countAt)
 	kindExists                   // emit once if one extends to a full binding (see witness)
+	kindGather                   // a fold by one kernel call (see gatherTail)
+	kindScatter                  // an emit into the dense accumulator by one kernel call (see scatterTail)
 )
 
 // curRef is one atom level intersected at a bag level; slot indexes the
@@ -514,8 +527,9 @@ func (p *Plan) execBag(bp *BagPlan) (t *trie.Trie, err error) {
 		rels[i], tries[i] = rel, rel.Index(a.Perm, p.opts.Layout)
 	}
 	ex.rels, ex.tries = rels, tries
-	bp.span, bp.ran = nil, true // runParallel may decide on dense
+	bp.span, bp.ran, bp.tail = nil, true, kindDescend // runParallel may decide on dense
 	isVec := p.vectorAtoms(bp, tries)
+	ex.sizeTables(isVec)
 	selectionMiss := false
 	for i, a := range bp.Atoms {
 		t := tries[i]
@@ -548,6 +562,9 @@ func (p *Plan) execBag(bp *BagPlan) (t *trie.Trie, err error) {
 				ann := leaf && al == t.Arity-1 && t.Annotated && p.multiplies(a)
 				r := curRef{slot: base + al, leaf: leaf, ann: ann}
 				ex.levels[bl].refs = append(ex.levels[bl].refs, r)
+				if !leaf || ann {
+					ex.levels[bl].binds = append(ex.levels[bl].binds, r)
+				}
 			}
 		}
 		// Pre-descend selection constants (App. B.1: selections are
@@ -580,6 +597,7 @@ func (p *Plan) execBag(bp *BagPlan) (t *trie.Trie, err error) {
 			lv.kind = kindFold
 		}
 	}
+	ex.gatherTail()
 	if selectionMiss {
 		// A selection constant is absent: the bag result is empty.
 		if bs != nil {
@@ -603,6 +621,7 @@ func (p *Plan) execBag(bp *BagPlan) (t *trie.Trie, err error) {
 	if err != nil {
 		return nil, err
 	}
+	bp.tail = ex.levels[len(ex.levels)-1].kind
 	if bs != nil {
 		// The pool has drained: fold each worker's counters in once.
 		for _, w := range ws {
@@ -619,6 +638,33 @@ func (p *Plan) execBag(bp *BagPlan) (t *trie.Trie, err error) {
 		p.truncated = true
 	}
 	return ex.materialize(ws), nil
+}
+
+// sizeTables allocates the node stacks and every level's refs and binds
+// at the sizes execBag fills them to, in one allocation each: the levels
+// share one backing array, each level's refs followed by room for its
+// binds. Vector atoms and zero-arity participants take no node or ref.
+func (ex *bagExec) sizeTables(isVec []bool) {
+	bp := ex.bp
+	nodes, refs, nref := 0, 0, make([]int, len(ex.levels))
+	for i, a := range bp.Atoms {
+		if isVec[i] || ex.tries[i].Arity == 0 {
+			continue
+		}
+		nodes += 1 + ex.tries[i].Arity
+		for al := range a.Attrs {
+			if bl := levelOf(bp, a, al); bl >= 0 {
+				nref[bl]++
+				refs++
+			}
+		}
+	}
+	ex.nodes = make([]*trie.Node, 0, nodes)
+	buf := make([]curRef, 2*refs)
+	for lvl, n := range nref {
+		ex.levels[lvl].refs, ex.levels[lvl].binds = buf[:0:n], buf[n:n:2*n]
+		buf = buf[2*n:]
+	}
 }
 
 // limitFor reports the row budget to push into bp, or 0. Pushdown applies
@@ -866,6 +912,7 @@ func (ex *bagExec) runParallel() ([]*worker, error) {
 	if ex.span = ex.accSpanOf(first); ex.span != nil {
 		ex.bp.span = ex.span
 		w0.allocAcc()
+		ex.scatterTail()
 	}
 	if len(ex.levels) == 1 || ex.levels[0].kind == kindExists {
 		// One level, or one existence check from level 0 on: the bag is
@@ -976,6 +1023,12 @@ func (w *worker) levelValues(lvl int, candidates *set.Set, ann float64) {
 	case kindFold:
 		w.foldTail(lvl, candidates, ann)
 		return
+	case kindGather:
+		w.gather(lvl, candidates, ann)
+		return
+	case kindScatter:
+		w.scatter(lvl, candidates, ann)
+		return
 	}
 	var lvlStats *LevelStats
 	if w.lc != nil {
@@ -1019,15 +1072,16 @@ func (w *worker) levelValues(lvl int, candidates *set.Set, ann float64) {
 }
 
 // bind binds candidate v, the i-th of ncand at level lv, in every atom
-// there and returns ann ⊗ the annotations it collects; ok is false when a
-// vector lacks v. Each intersected atom's set holds v, so v's rank in it
-// is i when the set has the candidates' cardinality (it is the candidate
-// set), else a lookup from the slot's hint, which restarts with each pass
-// (i = 0) since values ascend only within one. Above its last level an
-// atom descends to v's child; at it, an annotated atom multiplies in.
+// there that v acts on (lv.binds) and returns ann ⊗ the annotations it
+// collects; ok is false when a vector lacks v. Each intersected atom's set
+// holds v, so v's rank in it is i when the set has the candidates'
+// cardinality (it is the candidate set), else a lookup from the slot's
+// hint, which restarts with each pass (i = 0) since values ascend only
+// within one. Above its last level an atom descends to v's child; at it,
+// an annotated atom multiplies in.
 func (w *worker) bind(lv *level, i, ncand int, v uint32, ann float64) (float64, bool) {
 	op := w.ex.op
-	for _, r := range lv.refs {
+	for _, r := range lv.binds {
 		s := &w.slots[r.slot]
 		n := s.node
 		rank := i

@@ -120,7 +120,11 @@ func (p *Plan) explain(st *ExecStats) string {
 			if lvl == len(bp.Attrs)-1 && !bp.Out[lvl] {
 				verb = "aggregate over"
 			}
-			loop := fmt.Sprintf("%s %s in s%s:", verb, attr, attr)
+			loop := fmt.Sprintf("%s %s in s%s", verb, attr, attr)
+			if k := bp.tail.kernelName(); k != "" && lvl == len(bp.Attrs)-1 {
+				loop += " by " + k
+			}
+			loop += ":"
 			if bs != nil && lvl < len(bs.Levels) {
 				l := bs.Levels[lvl]
 				loop += fmt.Sprintf("  // actual: probes=%d skipped=%d", l.Probes, l.Skipped)

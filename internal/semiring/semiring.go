@@ -91,9 +91,9 @@ func (op Op) One() float64 {
 func (op Op) Add(a, b float64) float64 {
 	switch op {
 	case Min:
-		return math.Min(a, b)
+		return MinOf(a, b)
 	case Max:
-		return math.Max(a, b)
+		return MaxOf(a, b)
 	default:
 		return a + b
 	}
@@ -109,6 +109,38 @@ func (op Op) Mul(a, b float64) float64 {
 	default:
 		return a * b
 	}
+}
+
+// MinOf is MIN's ⊕: math.Min to the bit, special cases included (−∞
+// before NaN, −0 below +0, NaN as math.NaN), but small enough to inline
+// where math.Min on amd64 is always a call into assembly.
+func MinOf(a, b float64) float64 {
+	switch {
+	case a < b:
+		return a
+	case b < a:
+		return b
+	case a == b: // the same bits, or ±0, where −0 wins
+		return math.Float64frombits(math.Float64bits(a) | math.Float64bits(b))
+	case a < -math.MaxFloat64 || b < -math.MaxFloat64:
+		return math.Inf(-1)
+	}
+	return math.NaN()
+}
+
+// MaxOf is MAX's ⊕: math.Max to the bit, as MinOf is math.Min.
+func MaxOf(a, b float64) float64 {
+	switch {
+	case a > b:
+		return a
+	case b > a:
+		return b
+	case a == b: // the same bits, or ±0, where +0 wins
+		return math.Float64frombits(math.Float64bits(a) & math.Float64bits(b))
+	case a > math.MaxFloat64 || b > math.MaxFloat64:
+		return math.Inf(1)
+	}
+	return math.NaN()
 }
 
 // Monotone reports whether the aggregate is monotonically improving

@@ -95,3 +95,28 @@ func TestQuickSemiringLaws(t *testing.T) {
 		}
 	}
 }
+
+// MinOf and MaxOf are math.Min and math.Max to the bit, on every pair of
+// special values (signed zeros, infinities, NaNs with two payloads) and
+// on random finite pairs, equal ones included.
+func TestMinMaxOfMatchMath(t *testing.T) {
+	nan2 := math.Float64frombits(0x7ff8_0000_0000_0f00)
+	specials := []float64{0, math.Copysign(0, -1), 1, -1, 2.5, math.MaxFloat64, -math.MaxFloat64,
+		math.SmallestNonzeroFloat64, math.Inf(1), math.Inf(-1), math.NaN(), nan2}
+	check := func(a, b float64) {
+		if got, want := MinOf(a, b), math.Min(a, b); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("MinOf(%v, %v) = %x, math.Min %x", a, b, math.Float64bits(got), math.Float64bits(want))
+		}
+		if got, want := MaxOf(a, b), math.Max(a, b); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("MaxOf(%v, %v) = %x, math.Max %x", a, b, math.Float64bits(got), math.Float64bits(want))
+		}
+	}
+	for _, a := range specials {
+		for _, b := range specials {
+			check(a, b)
+		}
+	}
+	if err := quick.Check(func(a, b float64) bool { check(a, b); check(a, a); return true }, nil); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"unsafe"
 )
 
@@ -239,13 +240,28 @@ func FromBuffers(b []byte) (Set, int, error) {
 
 // AppendValues appends up to max members of s to dst in increasing order
 // (max <= 0 means all) — the bulk decode used by columnar result
-// rendering. Uint sets copy their backing array directly.
-func (s Set) AppendValues(dst []uint32, max int) []uint32 {
+// rendering and flat loops. Uint sets copy their backing array directly,
+// bitsets decode word by word.
+func (s *Set) AppendValues(dst []uint32, max int) []uint32 {
 	if max <= 0 || max > s.card {
 		max = s.card
 	}
-	if s.layout == Uint {
+	switch s.layout {
+	case Uint:
 		return append(dst, s.data[:max]...)
+	case Bitset:
+		dst = slices.Grow(dst, max)
+		for wi, w := range s.words {
+			vbase := s.base + uint32(wi*64)
+			for ; w != 0; w &= w - 1 {
+				if max == 0 {
+					return dst
+				}
+				dst = append(dst, vbase+uint32(bits.TrailingZeros64(w)))
+				max--
+			}
+		}
+		return dst
 	}
 	n := 0
 	s.ForEachUntil(func(_ int, v uint32) bool {

@@ -80,9 +80,10 @@ func (b *block) card() int {
 // Set is an immutable sorted set of uint32 keys.
 // The zero value is the empty set (Uint layout). The struct is 120 bytes,
 // so the methods the loop nest calls per probe (Card, IsEmpty, Contains,
-// Rank, RankNext, ForEach, ForEachUntil) take pointer receivers: callers
-// hold a *Set into the trie node instead of copying it (docs/KERNELS.md,
-// "Calling convention").
+// Rank, RankNext, ForEach, ForEachUntil) and the decodes (Values,
+// AppendValues, Slice, Words) take pointer receivers: callers hold a *Set
+// into the trie node instead of copying it (docs/KERNELS.md, "Calling
+// convention").
 type Set struct {
 	layout Layout
 	card   int
@@ -511,11 +512,18 @@ func (s *Set) Values(scratch *[]uint32) []uint32 {
 	return *scratch
 }
 
+// Words returns a bitset's base and words for a kernel that loops over
+// them, read-only; words is nil for any other layout.
+func (s *Set) Words() (base uint32, words []uint64) {
+	if s.layout != Bitset {
+		return 0, nil
+	}
+	return s.base, s.words
+}
+
 // Slice decodes the set into a freshly allocated sorted slice.
-func (s Set) Slice() []uint32 {
-	out := make([]uint32, 0, s.card)
-	s.ForEach(func(_ int, v uint32) { out = append(out, v) })
-	return out
+func (s *Set) Slice() []uint32 {
+	return s.AppendValues(make([]uint32, 0, s.card), 0)
 }
 
 // MemBytes estimates the payload memory footprint of the set in bytes.
