@@ -337,8 +337,7 @@ type level struct {
 	// filter and annotate the candidates refs yields (see vectorAtoms).
 	vecs []*vector
 	// gvec is the one vector a gather level's kernel reads: the level's
-	// only vector or their fused product; nil when the kernel multiplies
-	// vecs per candidate.
+	// only vector or their fused product.
 	gvec *vector
 	out  int // position in an output row; -1 when eliminated
 	kind levelKind

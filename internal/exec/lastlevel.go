@@ -32,26 +32,29 @@ func (k levelKind) kernelName() string {
 	return ""
 }
 
-// gatherTail turns a plain fold tail into a gather. One vector is read as
-// it is. Several are ⊗-multiplied, in atom order, into ex.fused when the
-// annotation reaching the level is One by construction (see oneAbove):
-// One ⊗ (v₁ ⊗ v₂) and (One ⊗ v₁) ⊗ v₂ are the same bits under × with 1
-// and under + with +0, so the re-association shows in no answer.
-// Otherwise the kernel multiplies them per candidate, as bind does.
+// gatherTail turns a plain fold tail whose vectors read as one into a
+// gather. One vector is read as it is. Several are ⊗-multiplied, in atom
+// order, into ex.fused when the annotation reaching the level is One by
+// construction (see oneAbove): One ⊗ (v₁ ⊗ v₂) and (One ⊗ v₁) ⊗ v₂ are
+// the same bits under × with 1 and under + with +0, so the
+// re-association shows in no answer. Otherwise the level stays a
+// foldTail, whose bind multiplies them per candidate in atom order.
 func (ex *bagExec) gatherTail() {
 	last := len(ex.levels) - 1
 	if last < 0 || ex.levels[last].kind != kindFold || !ex.levels[last].plain() {
 		return
 	}
 	lv := &ex.levels[last]
-	lv.kind = kindGather
 	switch {
 	case len(lv.vecs) == 1:
 		lv.gvec = lv.vecs[0]
 	case len(lv.vecs) > 1 && ex.oneAbove(last):
 		ex.fused = fuse(ex.op, lv.vecs)
 		lv.gvec = &ex.fused
+	default:
+		return
 	}
+	lv.kind = kindGather
 }
 
 // oneAbove reports whether the annotation reaching level lvl is always
@@ -112,8 +115,8 @@ func fuse(op semiring.Op, vecs []*vector) vector {
 	return f
 }
 
-// gather runs a gather level: it ⊕-folds ann ⊗ the level's vector
-// annotations over the candidates every vector holds and emits the fold
+// gather runs a gather level: it ⊕-folds ann ⊗ the level's one vector's
+// annotation over the candidates the vector holds and emits the fold
 // once, if a candidate was folded. Stop and limit are checked, and the
 // counters added, once per call, as in foldTail.
 func (w *worker) gather(lvl int, candidates *set.Set, ann float64) {
@@ -121,14 +124,7 @@ func (w *worker) gather(lvl int, candidates *set.Set, ann float64) {
 	if ex.lim.stopped() || ex.p.stop != nil && ex.p.stop.Load() {
 		return
 	}
-	lv := &ex.levels[lvl]
-	var acc float64
-	var folded int
-	if lv.gvec != nil {
-		acc, folded = gatherVec(ex.op, candidates, lv.gvec, ann, &w.vals)
-	} else {
-		acc, folded = gatherVecs(ex.op, candidates.Values(&w.vals), lv.vecs, ann)
-	}
+	acc, folded := gatherVec(ex.op, candidates, ex.levels[lvl].gvec, ann, &w.vals)
 	n := candidates.Card()
 	if w.lc != nil {
 		w.lc[lvl].Probes += int64(n)
@@ -200,27 +196,6 @@ func gatherVec(op semiring.Op, c *set.Set, vc *vector, ann float64, scratch *[]u
 				}
 			}
 		}
-	}
-	return acc, n
-}
-
-// gatherVecs is the gather whose vectors do not fuse, or that has none:
-// per candidate, ann ⊗ each vector's annotation in atom order through
-// semiring.Op, exactly as bind multiplies them. No benchmark query takes
-// it.
-func gatherVecs(op semiring.Op, vals []uint32, vecs []*vector, ann float64) (acc float64, n int) {
-	acc = op.Zero()
-next:
-	for _, v := range vals {
-		a := ann
-		for _, vc := range vecs {
-			x, ok := vc.at(v)
-			if !ok {
-				continue next
-			}
-			a = op.Mul(a, x)
-		}
-		acc, n = op.Add(acc, a), n+1
 	}
 	return acc, n
 }
