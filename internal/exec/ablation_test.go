@@ -162,7 +162,10 @@ D(x,z;y:int)* :- D(x,w),Edge(w,z); y=<<MIN(w)>>+1.`},
 // runs every bag of a plan whose default reuses one (App. B.2). "-R"
 // reads no vector, so PageRank's fold tail, which gathers by default,
 // keeps the per-value path; SSSP's emit level, which reads none, takes
-// the scatter either way.
+// the scatter either way. The level above the triangle's and the
+// 4-clique's count tail, which reads no vector, takes the count scan by
+// default, under "-R" and under "-RA", whose rows below hold its kernel
+// calls to the uint merge.
 func TestAblationsHold(t *testing.T) {
 	er, small := dbWithGraph(testGraph(400, 4000, 19)), dbWithGraph(testGraph(200, 1500, 11))
 	rounds, _ := accumulatorDBs()
@@ -174,6 +177,17 @@ func TestAblationsHold(t *testing.T) {
 		}
 		if res.Plan.Root.tail != kindScatter {
 			t.Fatalf("layout %s: SSSP's x ran as kind %d, not the scatter", opts.Layout, res.Plan.Root.tail)
+		}
+	}
+	for _, c := range []struct{ query, attr string }{{qKernelTriangle, "y"}, {qKernel4Clique, "z"}} {
+		for _, opts := range []Options{{}, OptNoLayout, OptNoLayoutNoAlgo} {
+			res, err := prepareQOpts(t, er, c.query, opts).Run(er.Fork())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bp := res.Plan.Root; bp.tail != kindCountScan || bp.Attrs[bp.kernelLevel()] != c.attr {
+				t.Fatalf("%s, layout %s: the kernel level ran as kind %d, want %s by count", c.query, opts.Layout, bp.tail, c.attr)
+			}
 		}
 	}
 	const (

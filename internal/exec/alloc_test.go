@@ -105,7 +105,14 @@ func TestLoopNestAllocationsIndependentOfGraphSize(t *testing.T) {
 				}
 				// Parallelism 2 runs the nest on the worker pool, so a
 				// per-probe or per-block escape inside a pool worker shows too.
-				for _, par := range []int{1, 2} {
+				// A limited listing runs at 1 only: on the pool, the rows a
+				// second worker emits before the limit's latch stops it depend
+				// on the schedule, and each can double a column.
+				pars := []int{1, 2}
+				if q.limit > 0 {
+					pars = pars[:1]
+				}
+				for _, par := range pars {
 					s, lg := allocs(small, par), allocs(large, par)
 					if lg > s+allocSlack {
 						t.Errorf("parallelism %d: allocations per run grow with the graph: %.0f on the graph, %.0f on the padded graph", par, s, lg)

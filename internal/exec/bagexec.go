@@ -237,6 +237,9 @@ type bagExec struct {
 	// has several and its incoming annotation is the semiring's One (see
 	// gatherTail).
 	fused vector
+	// q is Q of a count scan at level 0, intersected once per bag run
+	// before the workers start (see countScan); nil otherwise.
+	q *set.Set
 }
 
 // accSpan is the value range [lo, hi] of a bag's one output level that a
@@ -347,13 +350,14 @@ type level struct {
 type levelKind uint8
 
 const (
-	kindDescend levelKind = iota // bind each, run the next level under it
-	kindEmit                     // bind each, emit a row: the last output level
-	kindFold                     // ⊕-fold them into one emit (see foldTail)
-	kindCount                    // emit their count (see countTailOK, countAt)
-	kindExists                   // emit once if one extends to a full binding (see witness)
-	kindGather                   // a fold by one kernel call (see gatherTail)
-	kindScatter                  // an emit into the dense accumulator by one kernel call (see scatterTail)
+	kindDescend   levelKind = iota // bind each, run the next level under it
+	kindEmit                       // bind each, emit a row: the last output level
+	kindFold                       // ⊕-fold them into one emit (see foldTail)
+	kindCount                      // emit their count (see countTailOK, countAt)
+	kindExists                     // emit once if one extends to a full binding (see witness)
+	kindGather                     // a fold by one kernel call (see gatherTail)
+	kindScatter                    // an emit into the dense accumulator by one kernel call (see scatterTail)
+	kindCountScan                  // the level above a count tail, Q intersected once per call (see countScanTail)
 )
 
 // curRef is one atom level intersected at a bag level; slot indexes the
@@ -597,6 +601,7 @@ func (p *Plan) execBag(bp *BagPlan) (t *trie.Trie, err error) {
 		}
 	}
 	ex.gatherTail()
+	ex.countScanTail()
 	if selectionMiss {
 		// A selection constant is absent: the bag result is empty.
 		if bs != nil {
@@ -621,6 +626,9 @@ func (p *Plan) execBag(bp *BagPlan) (t *trie.Trie, err error) {
 		return nil, err
 	}
 	bp.tail = ex.levels[len(ex.levels)-1].kind
+	if k := len(ex.levels) - 2; k >= 0 && ex.levels[k].kind == kindCountScan {
+		bp.tail = kindCountScan
+	}
 	if bs != nil {
 		// The pool has drained: fold each worker's counters in once.
 		for _, w := range ws {
@@ -753,8 +761,10 @@ type worker struct {
 	has []uint64
 	acc []float64
 	// vals holds a fold tail's candidates when their layout must be
-	// decoded for the flat loop (see foldTail).
+	// decoded for the flat loop (see foldTail), word one bitset word's
+	// candidates of a count scan (see countScan).
 	vals []uint32
+	word [64]uint32
 	// scratch provides two ping-pong intersection buffer pairs per loop
 	// level, so the loop nest runs allocation-free on uint and bitset
 	// results.
@@ -921,6 +931,11 @@ func (ex *bagExec) runParallel() ([]*worker, error) {
 	if nw = min(nw, first.Card()); nw == 0 {
 		return ws, nil
 	}
+	if ex.levels[0].kind == kindCountScan {
+		// Q lies in worker 0's scratch of level 1, which its count scans
+		// never write again: every worker reads it.
+		ex.q = w0.countOperand(1)
+	}
 	var share *blocks
 	if nw > 1 {
 		// vals may alias worker 0's level-0 scratch; no multi-level nest
@@ -1027,6 +1042,9 @@ func (w *worker) levelValues(lvl int, candidates *set.Set, ann float64) {
 		return
 	case kindScatter:
 		w.scatter(lvl, candidates, ann)
+		return
+	case kindCountScan:
+		w.countScan(lvl, candidates, ann)
 		return
 	}
 	var lvlStats *LevelStats

@@ -121,7 +121,7 @@ func (p *Plan) explain(st *ExecStats) string {
 				verb = "aggregate over"
 			}
 			loop := fmt.Sprintf("%s %s in s%s", verb, attr, attr)
-			if k := bp.tail.kernelName(); k != "" && lvl == len(bp.Attrs)-1 {
+			if k := bp.tail.kernelName(); k != "" && lvl == bp.kernelLevel() {
 				loop += " by " + k
 			}
 			loop += ":"

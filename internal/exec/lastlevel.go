@@ -16,7 +16,8 @@ import (
 // gather, an emit into the dense accumulator a scatter. A kernel loops
 // over the candidates' native layout and dispatches the semiring op once
 // per call. Values ascend as they do per value, so every ⊕ and ⊗ takes the
-// same operands in the same order and the answers keep their bytes.
+// same operands in the same order and the answers keep their bytes. The
+// level above a count tail runs as a count scan (see countScanTail).
 
 // plain reports whether binding a value at lv acts on no atom.
 func (lv *level) plain() bool { return len(lv.binds) == 0 }
@@ -28,6 +29,8 @@ func (k levelKind) kernelName() string {
 		return "gather"
 	case kindScatter:
 		return "scatter"
+	case kindCountScan:
+		return "count"
 	}
 	return ""
 }
@@ -295,4 +298,140 @@ func mark(has []uint64, off uint32) bool {
 	first := *word&bit == 0
 	*word |= bit
 	return first
+}
+
+// countScanTail turns the level above a count tail into a count scan when
+// binding a value there moves one atom, down to its child at the count
+// level: the level has one bind, which descends, and reads no vector.
+// Every other atom the count level intersects was then bound above the
+// level, so their intersection Q does not change across its loop. The
+// child moves last among the count level's refs; the others keep atom
+// order and are Q's operands. A count does not depend on operand order,
+// and per candidate the scan emits what the per-value path emits.
+func (ex *bagExec) countScanTail() {
+	lvl := len(ex.levels) - 2
+	if lvl < 0 || ex.levels[lvl+1].kind != kindCount {
+		return
+	}
+	lv, refs := &ex.levels[lvl], ex.levels[lvl+1].refs
+	if lv.kind != kindDescend || len(lv.binds) != 1 || lv.binds[0].leaf || len(lv.vecs) > 0 {
+		return
+	}
+	c := slices.IndexFunc(refs, func(r curRef) bool { return r.slot == lv.binds[0].slot+1 })
+	if c < 0 {
+		return
+	}
+	child := refs[c]
+	copy(refs[c:], refs[c+1:])
+	refs[len(refs)-1] = child
+	lv.kind = kindCountScan
+}
+
+// countOperand intersects count level lvl's refs bound above its count
+// scan, in atom order, into the level's scratch: Q. nil when the child is
+// the level's only ref, whose count is then its cardinality.
+func (w *worker) countOperand(lvl int) *set.Set {
+	refs := w.ex.levels[lvl].refs
+	if len(refs) == 1 {
+		return nil
+	}
+	return w.intersectPrefix(lvl, refs[:len(refs)-1])
+}
+
+// countScan runs a count-scan level: Q is intersected once per call (at
+// level 0 once per bag run, see runParallel), then each candidate v, in
+// ascending order, ranks in the descending atom's set by bind's rule and
+// emits ann ⊗ |Q ∩ child(v)| when that count is not 0, the emit the
+// per-value path makes. A count tail runs under SUM or COUNT only (see
+// countTailOK), whose ⊗ and ⊕ are × and +; a scalar bag's emits add into
+// the running scalar held in a register, in the same order. A bitset's
+// candidates are decoded a word at a time into w.word, other layouts but
+// uint into scratch. Stop and limit are checked once
+// per call; under analyze the count level books one intersection per
+// candidate with the inputs and output the per-value path books.
+func (w *worker) countScan(lvl int, candidates *set.Set, ann float64) {
+	ex := w.ex
+	if ex.lim.stopped() || ex.p.stop != nil && ex.p.stop.Load() {
+		return
+	}
+	lv := &ex.levels[lvl]
+	q := ex.q
+	if lvl > 0 {
+		q = w.countOperand(lvl + 1)
+	}
+	n := w.slots[lv.binds[0].slot].node
+	k := w.kernelAt(lvl + 1)
+	ncand := candidates.Card()
+	byIndex := n.Set.Card() == ncand
+	cbase, cwords := candidates.Words()
+	passes, vals := len(cwords), []uint32(nil)
+	if cwords == nil {
+		passes, vals = 1, candidates.Values(&w.vals)
+	}
+	scalar, sum, emits := len(ex.bp.OutAttrs) == 0, w.scalar, 0
+	i, rank, in, out := 0, 0, 0, 0
+	for j := range passes {
+		if cwords != nil {
+			m := 0
+			for cw := cwords[j]; cw != 0; cw &= cw - 1 {
+				w.word[m] = cbase + uint32(j*64+bits.TrailingZeros64(cw))
+				m++
+			}
+			vals = w.word[:m]
+		}
+		for _, v := range vals {
+			if byIndex {
+				rank = i
+			} else {
+				rank, _ = n.Set.RankNext(v, rank)
+			}
+			i++
+			c := &emptySet
+			if ch := n.Children[rank]; ch != nil {
+				c = &ch.Set
+			}
+			cnt := c.Card()
+			in += cnt
+			if q != nil {
+				cnt = k.CountOf(q, c)
+			}
+			if cnt == 0 {
+				continue
+			}
+			out += cnt
+			if scalar {
+				sum += ann * float64(cnt)
+				emits++
+				continue
+			}
+			if lv.out >= 0 {
+				w.outBuf[lv.out] = v
+			}
+			w.emit(ann * float64(cnt))
+		}
+	}
+	if scalar {
+		w.scalar = sum
+	}
+	if w.lc != nil {
+		refs := ex.levels[lvl+1].refs
+		for _, r := range refs[:len(refs)-1] {
+			in += ncand * w.levelSet(r).Card()
+		}
+		l := &w.lc[lvl+1]
+		l.Intersections += int64(ncand)
+		l.InputCard += int64(in)
+		l.OutputCard += int64(out)
+		w.lc[lvl].Probes += int64(ncand)
+		w.emits += int64(emits)
+	}
+}
+
+// kernelLevel is the level whose kind bp.tail records: the one above the
+// count tail for a count scan, else the last.
+func (bp *BagPlan) kernelLevel() int {
+	if bp.tail == kindCountScan {
+		return len(bp.Attrs) - 2
+	}
+	return len(bp.Attrs) - 1
 }

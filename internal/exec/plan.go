@@ -128,8 +128,9 @@ type BagPlan struct {
 	signature string
 	// result caches the materialized output during execution. ran marks
 	// a bag that has run, span the range its dense accumulator covered
-	// then, nil when it wrote rows (see Plan.outputForm), and tail its last
-	// level's kind, which EXPLAIN names when a kernel ran it.
+	// then, nil when it wrote rows (see Plan.outputForm), and tail the kind
+	// of its kernel level (see kernelLevel), which EXPLAIN names when a
+	// kernel ran it.
 	result *trie.Trie
 	span   *accSpan
 	ran    bool

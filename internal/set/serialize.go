@@ -376,6 +376,3 @@ func AliasFloat64s(b []byte, n int) ([]float64, error) {
 // AliasUint64s is the exported form of aliasUint64s for the trie snapshot
 // decoder (node offset arrays).
 func AliasUint64s(b []byte, n int) ([]uint64, error) { return aliasUint64s(b, n) }
-
-// AliasUint32s is the exported form of aliasUint32s.
-func AliasUint32s(b []byte, n int) ([]uint32, error) { return aliasUint32s(b, n) }

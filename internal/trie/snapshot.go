@@ -9,8 +9,9 @@
 //
 // Because children of level-l nodes appear in order at level l+1, child
 // pointers are implicit: node i's children are the next card(i) nodes of
-// the following level. Decoding links them as subslices of one flat
-// per-level node array — no per-node pointer arrays are allocated.
+// the following level. Decoding links them as subslices of one pointer
+// array per level into one flat node array per level — no per-node
+// arrays are allocated.
 package trie
 
 import (
@@ -172,20 +173,20 @@ func FromBuffers(data []byte) (*Trie, error) {
 	}
 
 	// Link children: node i of level l owns the next card(i) nodes of
-	// level l+1, as a subslice of the flat node array.
+	// level l+1, as a subslice of one pointer array per level.
 	for l := 0; l < arity-1; l++ {
 		next := levels[l+1]
+		ptrs := make([]*Node, len(next))
+		for k := range next {
+			ptrs[k] = &next[k]
+		}
 		childPos := 0
 		for i := range levels[l] {
 			card := levels[l][i].Set.Card()
 			if childPos+card > len(next) {
 				return nil, fmt.Errorf("trie: level %d has %d nodes, level %d needs %d", l+1, len(next), l, childPos+card)
 			}
-			children := make([]*Node, card)
-			for c := 0; c < card; c++ {
-				children[c] = &next[childPos+c]
-			}
-			levels[l][i].Children = children
+			levels[l][i].Children = ptrs[childPos : childPos+card : childPos+card]
 			childPos += card
 		}
 		if childPos != len(next) {
