@@ -21,9 +21,13 @@ func scalarBits(v float64) []string {
 // the bit the answers of references written as plain loops, at
 // Parallelism 1, 2 and 4 under the auto, uint, bitset and composite
 // policies, and EXPLAIN names the level it ran. Counts are integers, so
-// they read the same in any order; the float row is summed per x in the
-// documented order (ascending y, the first emit stored), which a scan
-// that re-associated ⊕ would break.
+// they read the same in any order; the float rows are summed in the
+// documented order (ascending x, then y; the first emit stored), which a
+// scan that re-associated ⊕ would break, and each product Wm[x]·n is
+// rounded before it is added, which a scan whose multiply and add fused
+// into one FMA would break. A float scalar at Parallelism above 1 adds
+// the workers' partial sums in the order they claimed blocks, so there it
+// is checked to a relative 1e-12 only.
 func TestCountKernel(t *testing.T) {
 	g := kernelGraph()
 	a := g.MaxDegreeNode()
@@ -43,10 +47,16 @@ func TestCountKernel(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(11))
 	tx := randomAnnRel(g, 0.8, rng, rng.Float64)
+	// Wm's values take either sign, so the running sum stays near the
+	// size of a product and a product's rounding shows in it: a fused
+	// multiply-add reads other bits.
+	wm := randomAnnRel(g, 0.8, rng, func() float64 { return 2*rng.Float64() - 1 })
 	// pairs is the output-level row: (x, y) and its count, in trie order.
 	// weighted emits Wt[x]·n per y; summed is one emit per x of Wt[x]·Σn.
+	// total adds every rounded Wm[x]·n into one scalar, fused with FMA.
 	var pairs []string
 	weighted, summed := map[uint32]float64{}, map[uint32]float64{}
+	total, fused := 0.0, 0.0
 	for x, ys := range g.Adj {
 		ann, weigh := tx[uint32(x)]
 		sum := 0
@@ -56,10 +66,14 @@ func TestCountKernel(t *testing.T) {
 				continue
 			}
 			pairs = append(pairs, fmt.Sprintf("%v:%x", []uint32{uint32(x), y}, math.Float64bits(float64(n))))
+			if m, ok := wm[uint32(x)]; ok {
+				total += float64(m * float64(n))
+				fused = math.FMA(m, float64(n), fused)
+			}
 			if !weigh {
 				continue
 			}
-			if e := ann * float64(n); sum == 0 {
+			if e := float64(ann * float64(n)); sum == 0 {
 				weighted[uint32(x)] = e
 			} else {
 				weighted[uint32(x)] += e
@@ -73,8 +87,12 @@ func TestCountKernel(t *testing.T) {
 	if anchored == 0 || slices.Equal(bitsOf(weighted, false), bitsOf(summed, false)) {
 		t.Fatal("no triangle at the hub, or one emit per x of Wt[x]·Σn agrees to the bit: a row shows nothing")
 	}
+	if total == fused {
+		t.Fatal("a fused multiply-add agrees to the bit: the float_scalar row shows nothing")
+	}
 	db := dbWithGraph(g)
 	tx.register(db, "Wt", semiring.Sum)
+	wm.register(db, "Wm", semiring.Sum)
 
 	for _, c := range []struct {
 		name, query string
@@ -82,6 +100,8 @@ func TestCountKernel(t *testing.T) {
 		// loop is the EXPLAIN line of the level that runs as a count scan.
 		loop      string
 		singleBag bool
+		// floatScalar marks a float scalar: bitwise at Parallelism 1 only.
+		floatScalar bool
 	}{
 		{name: "triangle", query: `TC(;w:long) :- Edge(x,y),Edge(y,z),Edge(x,z); w=<<COUNT(*)>>.`,
 			want: scalarBits(float64(bruteTriangles(g))), loop: "for y in sy by count:"},
@@ -100,6 +120,8 @@ func TestCountKernel(t *testing.T) {
 			want: scalarBits(float64(anchored)), loop: "\n  for y in sy by count:", singleBag: true},
 		{name: "float_outer", query: `W(x;s:float) :- Wt(x),Edge(x,y),Edge(y,z),Edge(x,z); s=<<SUM(z)>>.`,
 			want: bitsOf(weighted, false), loop: "for y in sy by count:"},
+		{name: "float_scalar", query: `W(;s:float) :- Wm(x),Edge(x,y),Edge(y,z),Edge(x,z); s=<<SUM(z)>>.`,
+			want: scalarBits(total), loop: "for y in sy by count:", floatScalar: true},
 	} {
 		for _, layout := range []*trie.Policy{nil, trie.UintLayout, trie.BitsetLayout, trie.CompositeLayout} {
 			for _, par := range []int{1, 2, 4} {
@@ -109,7 +131,11 @@ func TestCountKernel(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if got := resultBits(res); !slices.Equal(got, c.want) {
+					if c.floatScalar && par > 1 {
+						if got := res.Scalar(); math.Abs(got-total) > 1e-12*math.Abs(total) {
+							t.Fatalf("scalar %v, reference %v", got, total)
+						}
+					} else if got := resultBits(res); !slices.Equal(got, c.want) {
 						t.Fatalf("%d tuples, reference %d; first difference %s", len(got), len(c.want), diffAt(got, c.want))
 					}
 					if plan := res.Plan.Explain(); !strings.Contains(plan, c.loop) {

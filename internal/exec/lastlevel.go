@@ -341,17 +341,18 @@ func (w *worker) countOperand(lvl int) *set.Set {
 // countScan runs a count-scan level: Q is intersected once per call (at
 // level 0 once per bag run, see runParallel), then each candidate v, in
 // ascending order, ranks in the descending atom's set by bind's rule and
-// emits ann ⊗ |Q ∩ child(v)| when that count is not 0, the emit the
-// per-value path makes. A count tail runs under SUM or COUNT only (see
-// countTailOK), whose ⊗ and ⊕ are × and +; a scalar bag's emits add into
-// the running scalar held in a register, in the same order. A bitset's
-// candidates are decoded a word at a time into w.word, other layouts but
-// uint into scratch. Stop and limit are checked once
-// per call; under analyze the count level books one intersection per
-// candidate with the inputs and output the per-value path books.
+// emits ann ⊗ |Q ∩ child(v)| when that count is not 0: the emit the
+// per-value path makes, through the same emit. A bitset's candidates are
+// decoded a word at a time into w.word, other layouts but uint into
+// scratch. Stop is checked once per call, as foldTail and gather check
+// it. A row budget never applies here: a limited listing has no aggregate,
+// so it is a Boolean plan whose eliminated tail is an existence check, not
+// a count (TestLimitIgnoredForAggregates). Under analyze the count level books
+// one intersection per candidate, with the inputs and output the per-value
+// path books.
 func (w *worker) countScan(lvl int, candidates *set.Set, ann float64) {
 	ex := w.ex
-	if ex.lim.stopped() || ex.p.stop != nil && ex.p.stop.Load() {
+	if ex.p.stop != nil && ex.p.stop.Load() {
 		return
 	}
 	lv := &ex.levels[lvl]
@@ -368,7 +369,6 @@ func (w *worker) countScan(lvl int, candidates *set.Set, ann float64) {
 	if cwords == nil {
 		passes, vals = 1, candidates.Values(&w.vals)
 	}
-	scalar, sum, emits := len(ex.bp.OutAttrs) == 0, w.scalar, 0
 	i, rank, in, out := 0, 0, 0, 0
 	for j := range passes {
 		if cwords != nil {
@@ -399,19 +399,11 @@ func (w *worker) countScan(lvl int, candidates *set.Set, ann float64) {
 				continue
 			}
 			out += cnt
-			if scalar {
-				sum += ann * float64(cnt)
-				emits++
-				continue
-			}
 			if lv.out >= 0 {
 				w.outBuf[lv.out] = v
 			}
-			w.emit(ann * float64(cnt))
+			w.emit(ex.op.Mul(ann, float64(cnt)))
 		}
-	}
-	if scalar {
-		w.scalar = sum
 	}
 	if w.lc != nil {
 		refs := ex.levels[lvl+1].refs
@@ -423,7 +415,6 @@ func (w *worker) countScan(lvl int, candidates *set.Set, ann float64) {
 		l.InputCard += int64(in)
 		l.OutputCard += int64(out)
 		w.lc[lvl].Probes += int64(ncand)
-		w.emits += int64(emits)
 	}
 }
 
