@@ -171,7 +171,7 @@ func (e *Engine) Run(query string) (*exec.Result, error) {
 // RunAnalyze executes a query with the EXPLAIN ANALYZE counters enabled
 // and returns the result together with the physical plan annotated with
 // actuals (per-level intersection counts, cardinalities, wall time; see
-// exec.Plan.ExplainAnalyze). The counters describe one plan's bags:
+// exec.Result.ExplainAnalyze). The counters describe one plan's bags:
 // multi-rule and recursive programs return an empty annotation.
 func (e *Engine) RunAnalyze(query string) (*exec.Result, string, error) {
 	res, err := e.run(e.DB, query, exec.RunParams{Collect: true})
@@ -179,8 +179,8 @@ func (e *Engine) RunAnalyze(query string) (*exec.Result, string, error) {
 		return nil, "", err
 	}
 	var text string
-	if res.Plan != nil && res.Stats != nil {
-		text = res.Plan.ExplainAnalyze(res.Stats)
+	if res.Stats != nil {
+		text = res.ExplainAnalyze()
 	}
 	return res, text, nil
 }
@@ -271,5 +271,5 @@ func (e *Engine) Explain(query string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return p.Explain(), nil
+	return p.Explain(e.DB), nil
 }

@@ -19,8 +19,8 @@ import (
 // drops one: a plan looks every relation up at run time, so what it could
 // get wrong is what it bakes in — selection constants as dictionary codes,
 // each atom's arity and annotation, and the options. The first two are
-// checked where a plan is bound to the database (exec.Plan.Clone), the
-// options by the cache. The tests below change exactly those under a
+// checked each time a plan runs on a database (exec.Prepared.bind and
+// the run's encoding of its constants), the options by the cache. The tests below change exactly those under a
 // cached text and hold Run to RunIsolated, which always plans afresh.
 
 // resultKey renders an outcome — rows, scalar or error — for comparison.

@@ -6,7 +6,6 @@ import (
 
 	"emptyheaded/internal/datalog"
 	"emptyheaded/internal/exec"
-	"emptyheaded/internal/graph"
 )
 
 // Why is the per-tuple provenance probe behind `eh-query -why` (fact
@@ -149,7 +148,7 @@ func (e *Engine) Why(query, tuple string) (*WhyReport, error) {
 				continue
 			}
 			fixed[i] = true
-			code, err := encodeWhyConst(dict, t.Const)
+			code, err := exec.EncodeConst(dict, t.Const)
 			if err != nil {
 				match = false
 				break
@@ -288,25 +287,4 @@ func atomString(a *datalog.Atom) string {
 	}
 	sb.WriteString(")")
 	return sb.String()
-}
-
-// encodeWhyConst mirrors the planner's constant encoding (original
-// identifiers through the dictionary, raw codes without one).
-func encodeWhyConst(dict *graph.Dictionary, c *datalog.Const) (uint32, error) {
-	var orig int64
-	if c.IsString {
-		if _, err := fmt.Sscanf(c.Str, "%d", &orig); err != nil {
-			return 0, fmt.Errorf("core: why: non-numeric constant %q", c.Str)
-		}
-	} else {
-		orig = int64(c.Num)
-	}
-	if dict != nil {
-		code, ok := dict.Lookup(orig)
-		if !ok {
-			return 0, fmt.Errorf("core: why: constant %d not in dictionary", orig)
-		}
-		return code, nil
-	}
-	return uint32(orig), nil
 }

@@ -83,7 +83,7 @@ var (
 	// vector, and the fold tail keeps the per-value path instead of the
 	// gather it takes by default.
 	ablNoGather = ablation{"-R", OptNoLayout, func(res *Result) int64 {
-		if res.Plan.Root.tail == kindGather {
+		if res.facts.bag(res.Plan.Root).kind == kindGather {
 			return 1
 		}
 		return 0
@@ -175,8 +175,8 @@ func TestAblationsHold(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Plan.Root.tail != kindScatter {
-			t.Fatalf("layout %s: SSSP's x ran as kind %d, not the scatter", opts.Layout, res.Plan.Root.tail)
+		if kind := res.facts.bag(res.Plan.Root).kind; kind != kindScatter {
+			t.Fatalf("layout %s: SSSP's x ran as kind %d, not the scatter", opts.Layout, kind)
 		}
 	}
 	for _, c := range []struct{ query, attr string }{{qKernelTriangle, "y"}, {qKernel4Clique, "z"}} {
@@ -185,8 +185,9 @@ func TestAblationsHold(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if bp := res.Plan.Root; bp.tail != kindCountScan || bp.Attrs[bp.kernelLevel()] != c.attr {
-				t.Fatalf("%s, layout %s: the kernel level ran as kind %d, want %s by count", c.query, opts.Layout, bp.tail, c.attr)
+			bp := res.Plan.Root
+			if kind := res.facts.bag(bp).kind; kind != kindCountScan || bp.Attrs[bp.kernelLevel(kind)] != c.attr {
+				t.Fatalf("%s, layout %s: the kernel level ran as kind %d, want %s by count", c.query, opts.Layout, kind, c.attr)
 			}
 		}
 	}

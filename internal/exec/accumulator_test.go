@@ -141,7 +141,7 @@ func TestUnaryAccumulator(t *testing.T) {
 			var serial map[string]float64
 			for _, par := range []int{1, 4} {
 				res := runAccumulatorRow(t, on, row, par)
-				if plan := res.Plan.Explain(); !strings.Contains(plan, row.form) {
+				if plan := res.ExplainAnalyze(); !strings.Contains(plan, row.form) {
 					t.Errorf("Parallelism %d: EXPLAIN lacks %q:\n%s", par, row.form, plan)
 				}
 				got := naiveRows(rule, res)
@@ -230,7 +230,7 @@ func TestUnaryAccumulatorHostileRange(t *testing.T) {
 				if got := renderAnswer(t, tc.query, res); got != tc.want {
 					t.Errorf("Parallelism %d: got %s, want %s", par, got, tc.want)
 				}
-				if plan := res.Plan.Explain(); !strings.Contains(plan, tc.form) {
+				if plan := res.ExplainAnalyze(); !strings.Contains(plan, tc.form) {
 					t.Errorf("Parallelism %d: EXPLAIN lacks %q:\n%s", par, tc.form, plan)
 				}
 			}
@@ -275,7 +275,7 @@ func TestUnaryAccumulatorOverOverlay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if plan := res.Plan.Explain(); !strings.Contains(plan, "@bag0(y) → dense y[0..45]") {
+		if plan := res.ExplainAnalyze(); !strings.Contains(plan, "@bag0(y) → dense y[0..45]") {
 			t.Errorf("Parallelism %d: EXPLAIN lacks the dense span:\n%s", par, plan)
 		}
 		want, err := runWith(t, plain.Fork(), q, Options{Parallelism: par}, RunParams{})

@@ -274,11 +274,11 @@ func TestExplainAnalyzeAnnotates(t *testing.T) {
 	if res.Stats == nil {
 		t.Fatal("no stats")
 	}
-	plain := res.Plan.Explain()
+	plain := res.Plan.Explain(db)
 	if strings.Contains(plain, "actual:") {
 		t.Fatal("plain Explain leaked annotations")
 	}
-	ann := res.Plan.ExplainAnalyze(res.Stats)
+	ann := res.ExplainAnalyze()
 	for _, want := range []string{"actual:", "probes=", "emitted=", "∩="} {
 		if !strings.Contains(ann, want) {
 			t.Fatalf("ExplainAnalyze missing %q:\n%s", want, ann)

@@ -39,33 +39,101 @@ func panicError(r any) error {
 	return fmt.Errorf("%w: %v\n%s", ErrExecPanic, r, debug.Stack())
 }
 
-// Run executes the plan and returns the result relation.
-func (p *Plan) Run() (*Result, error) {
-	if p.ctx != nil && p.ctx.Done() != nil {
+// run is one execution of a plan: the database it reads and everything
+// the execution owns, so the plan it runs stays as Compile left it.
+type run struct {
+	p  *Plan
+	db *DB
+	// limit is the listing row budget (see limitFor) and truncated reports
+	// that it stopped the final listing bag early (Result.Truncated).
+	limit     int
+	truncated bool
+	// ctx's end (cancel or deadline) latches stop, which the loop nest
+	// checks per candidate value; stop is nil when ctx cannot end.
+	ctx  context.Context
+	stop *atomic.Bool
+	// Observability; both nil on the default path.
+	stats *ExecStats
+	tr    *trace.Trace
+	// results holds each materialized bag result by bag ID, for the bags
+	// and the assembly that read it.
+	results []*trie.Trie
+	facts   runFacts
+}
+
+// runFacts is what a run took from its database and decided from its
+// data, which EXPLAIN ANALYZE reports: the selection constants' codes
+// under its dictionary, aligned with Plan.consts, and per bag what its
+// loop nest ran (see bagRun). Plan.Explain fills the same facts from a
+// database before any run, with ran false.
+type runFacts struct {
+	ran   bool
+	codes []uint32
+	bags  []bagRun // by BagPlan.ID+1: the assembly, then bag 0, 1, …
+}
+
+// bagRun is what one bag's run decided: which atoms it read as vectors
+// (see vectorAtoms), the range its dense accumulator covered, nil when it
+// wrote rows (see accSpanOf), and the kind of its kernel level (see
+// kernelLevel), which EXPLAIN names when a kernel ran it.
+type bagRun struct {
+	vecs []bool
+	span *accSpan
+	kind levelKind
+}
+
+func (f *runFacts) bag(bp *BagPlan) *bagRun { return &f.bags[bp.ID+1] }
+
+// encode maps the plan's selection constants to their codes under db's
+// dictionary, failing as Compile fails on the first constant outside it.
+func (p *Plan) encode(db *DB) ([]uint32, error) {
+	if len(p.consts) == 0 {
+		return nil, nil
+	}
+	dict, codes := db.Dict(), make([]uint32, len(p.consts))
+	for i, c := range p.consts {
+		code, err := EncodeConst(dict, c)
+		if err != nil {
+			return nil, err
+		}
+		codes[i] = code
+	}
+	return codes, nil
+}
+
+// execute runs the plan against db with rp's budget, context and
+// observability, and returns the result relation.
+func (p *Plan) execute(db *DB, rp RunParams) (*Result, error) {
+	r := &run{p: p, db: db, limit: rp.Limit, ctx: rp.Ctx, tr: rp.Trace,
+		results: make([]*trie.Trie, p.GHD.Bags),
+		facts:   runFacts{ran: true, bags: make([]bagRun, p.GHD.Bags+1)}}
+	if rp.Collect {
+		r.stats = &ExecStats{}
+	}
+	var err error
+	if r.facts.codes, err = p.encode(db); err != nil {
+		return nil, err
+	}
+	if r.ctx != nil && r.ctx.Done() != nil {
 		// The one way a query stops early: the context's end (cancel or
 		// deadline) latches a flag the loop nest checks per candidate value.
 		flag := new(atomic.Bool)
-		p.stop = flag
-		unregister := context.AfterFunc(p.ctx, func() { flag.Store(true) })
+		r.stop = flag
+		unregister := context.AfterFunc(r.ctx, func() { flag.Store(true) })
 		defer unregister()
 	}
-	results := map[int]*trie.Trie{}
-	if err := p.runBag(p.Root, results); err != nil {
+	if err := r.runBag(p.Root); err != nil {
 		return nil, err
 	}
-	out := results[p.Root.ID]
+	out := r.results[p.Root.ID]
 	final := p.Root
 	if p.Assembly != nil {
-		// Bind every materialized bag into the assembly join.
-		for _, a := range p.Assembly.Atoms {
-			a.child.result = results[a.child.resolveID()]
-		}
 		var sp trace.SpanID = -1
-		if p.tr != nil {
-			sp = p.tr.Begin("assembly")
+		if r.tr != nil {
+			sp = r.tr.Begin("assembly")
 		}
-		t, err := p.execBag(p.Assembly)
-		p.tr.End(sp)
+		t, err := r.execBag(p.Assembly)
+		r.tr.End(sp)
 		if err != nil {
 			return nil, err
 		}
@@ -84,8 +152,9 @@ func (p *Plan) Run() (*Result, error) {
 		Attrs:     attrs,
 		Trie:      out,
 		Plan:      p,
-		Truncated: p.truncated,
-		Stats:     p.stats,
+		Truncated: r.truncated,
+		Stats:     r.stats,
+		facts:     r.facts,
 	}
 	return res, nil
 }
@@ -147,10 +216,13 @@ func leafHolds(n *trie.Node, depth int, x float64) bool {
 	return slices.ContainsFunc(n.Children, func(c *trie.Node) bool { return leafHolds(c, depth-1, x) })
 }
 
+// stopped reports that the run's stop flag has latched.
+func (r *run) stopped() bool { return r.stop != nil && r.stop.Load() }
+
 // stopErr attributes a latched stop flag to its cause: a cancelled
 // context or a spent context deadline.
-func (p *Plan) stopErr() error {
-	if p.ctx.Err() == context.Canceled {
+func (r *run) stopErr() error {
+	if r.ctx.Err() == context.Canceled {
 		return ErrCanceled
 	}
 	return fmt.Errorf("%w: request deadline exceeded", ErrTimeout)
@@ -167,39 +239,34 @@ func (bp *BagPlan) resolveID() int {
 // runBag executes the bag tree bottom-up (the first Yannakakis pass,
 // §3.3.2 "Across Nodes"), sharing results between equivalent bags
 // (App. B.2).
-func (p *Plan) runBag(bp *BagPlan, results map[int]*trie.Trie) error {
+func (r *run) runBag(bp *BagPlan) error {
 	for _, c := range bp.Children {
-		if err := p.runBag(c, results); err != nil {
+		if err := r.runBag(c); err != nil {
 			return err
 		}
 	}
 	if bp.DedupOf >= 0 {
-		if _, ok := results[bp.DedupOf]; !ok {
+		if r.results[bp.DedupOf] == nil {
 			return fmt.Errorf("exec: dedup target bag %d not yet computed", bp.DedupOf)
 		}
-		if p.stats != nil {
-			p.stats.Bags = append(p.stats.Bags, &BagStats{
+		if r.stats != nil {
+			r.stats.Bags = append(r.stats.Bags, &BagStats{
 				BagID: bp.ID, Attrs: bp.Attrs, OutAttrs: bp.OutAttrs,
 				Reused: true, ReusedFrom: bp.DedupOf,
 			})
 		}
 		return nil
 	}
-	for _, a := range bp.Atoms {
-		if a.child != nil {
-			a.child.result = results[a.child.resolveID()]
-		}
-	}
 	var sp trace.SpanID = -1
-	if p.tr != nil {
-		sp = p.tr.Begin(fmt.Sprintf("bag %d", bp.ID))
+	if r.tr != nil {
+		sp = r.tr.Begin(fmt.Sprintf("bag %d", bp.ID))
 	}
-	t, err := p.execBag(bp)
-	p.tr.End(sp)
+	t, err := r.execBag(bp)
+	r.tr.End(sp)
 	if err != nil {
 		return err
 	}
-	results[bp.ID] = t
+	r.results[bp.ID] = t
 	return nil
 }
 
@@ -207,6 +274,7 @@ func (p *Plan) runBag(bp *BagPlan, results map[int]*trie.Trie) error {
 // starts, and every worker then shares it read-only.
 type bagExec struct {
 	p  *Plan
+	r  *run
 	bp *BagPlan
 	// levels is the loop nest's table, one entry per bag level: every plan
 	// fact a worker needs, decided once here instead of per call or value.
@@ -224,7 +292,7 @@ type bagExec struct {
 	// of the Barbell-selection plan).
 	scalarFactor float64
 	// lim is non-nil when this bag is the final listing bag of a limited
-	// query (see Plan.limitFor); every worker books rows against it.
+	// query (see run.limitFor); every worker books rows against it.
 	lim *limitState
 	// span is non-nil when the bag folds its one output attribute into
 	// per-worker dense accumulators instead of emitting rows. runParallel
@@ -251,21 +319,21 @@ func (s *accSpan) size() int { return int(s.hi-s.lo) + 1 }
 // mayAccumulate reports whether bp may fold its result into dense
 // accumulators: it has one output attribute and is not a limited
 // listing. Whether it does is decided at run (see accSpanOf).
-func (p *Plan) mayAccumulate(bp *BagPlan) bool {
-	return len(bp.OutAttrs) == 1 && p.limitFor(bp) == 0
+func (r *run) mayAccumulate(bp *BagPlan) bool {
+	return len(bp.OutAttrs) == 1 && r.limitFor(bp) == 0
 }
 
 // outputForm names how bp's result is written, as EXPLAIN shows it:
 // "dense x[lo..hi]" for accumulators over x's span, "rows" for emitted
 // rows, "" for a scalar. Before a run, a bag that may accumulate says
 // so: its span comes from the data, and a plan depends on none.
-func (p *Plan) outputForm(bp *BagPlan) string {
-	switch {
+func outputForm(bp *BagPlan, f *runFacts) string {
+	switch span := f.bag(bp).span; {
 	case len(bp.OutAttrs) == 0:
 		return ""
-	case bp.span != nil:
-		return fmt.Sprintf("dense %s[%d..%d]", bp.OutAttrs[0], bp.span.lo, bp.span.hi)
-	case !bp.ran && p.mayAccumulate(bp):
+	case span != nil:
+		return fmt.Sprintf("dense %s[%d..%d]", bp.OutAttrs[0], span.lo, span.hi)
+	case !f.ran && len(bp.OutAttrs) == 1:
 		return "dense " + bp.OutAttrs[0] + " or rows, by its span at run"
 	}
 	return "rows"
@@ -288,7 +356,7 @@ const denseFactor = 8
 // bind keeps rows. nil means rows.
 func (ex *bagExec) accSpanOf(first *set.Set) *accSpan {
 	bp := ex.bp
-	if !ex.p.mayAccumulate(bp) || first.IsEmpty() {
+	if !ex.r.mayAccumulate(bp) || first.IsEmpty() {
 		return nil
 	}
 	s, n := accSpan{first.Min(), first.Max()}, first.Card()
@@ -496,42 +564,44 @@ func (ls *limitState) noteRow(row []uint32) {
 // execBag runs the generic worst-case optimal join (Algorithm 1) for one
 // bag and materializes its output trie. A panic while setting up the
 // loop nest is recovered into ErrExecPanic here, a worker's in its run.
-func (p *Plan) execBag(bp *BagPlan) (t *trie.Trie, err error) {
+func (r *run) execBag(bp *BagPlan) (t *trie.Trie, err error) {
 	defer func() {
-		if r := recover(); r != nil {
-			t, err = nil, panicError(r)
+		if v := recover(); v != nil {
+			t, err = nil, panicError(v)
 		}
 	}()
+	p := r.p
 	op := p.aggOp()
-	ex := &bagExec{p: p, bp: bp, op: op, kern: set.NewKernel(p.opts.Intersect)}
+	ex := &bagExec{p: p, r: r, bp: bp, op: op, kern: set.NewKernel(p.opts.Intersect)}
 	ex.levels = make([]level, len(bp.Attrs))
 	ex.scalarFactor = op.One()
 	var bs *BagStats
-	if p.stats != nil {
+	if r.stats != nil {
 		bs = &BagStats{BagID: bp.ID, Attrs: bp.Attrs, OutAttrs: bp.OutAttrs,
 			Levels: make([]LevelStats, len(bp.Attrs))}
 		for i, a := range bp.Attrs {
 			bs.Levels[i].Attr = a
 		}
-		p.stats.Bags = append(p.stats.Bags, bs)
+		r.stats.Bags = append(r.stats.Bags, bs)
 		t0 := time.Now()
 		defer func() { bs.WallUS = time.Since(t0).Microseconds() }()
 	}
 	rels, tries := make([]*Relation, len(bp.Atoms)), make([]*trie.Trie, len(bp.Atoms))
 	for i, a := range bp.Atoms {
 		if a.child != nil {
-			tries[i] = a.child.result
+			tries[i] = r.results[a.child.resolveID()]
 			continue
 		}
-		rel, ok := p.db.Relation(a.Rel)
+		rel, ok := r.db.Relation(a.Rel)
 		if !ok {
 			return nil, fmt.Errorf("exec: relation %s vanished", a.Rel)
 		}
 		rels[i], tries[i] = rel, rel.Index(a.Perm, p.opts.Layout)
 	}
 	ex.rels, ex.tries = rels, tries
-	bp.span, bp.ran, bp.tail = nil, true, kindDescend // runParallel may decide on dense
+	fact := r.facts.bag(bp)
 	isVec := p.vectorAtoms(bp, tries)
+	fact.vecs = isVec
 	ex.sizeTables(isVec)
 	selectionMiss := false
 	for i, a := range bp.Atoms {
@@ -613,7 +683,7 @@ func (p *Plan) execBag(bp *BagPlan) (t *trie.Trie, err error) {
 		// All-constant bag: the result is the scalar factor.
 		return trie.NewScalar(ex.scalarFactor, op), nil
 	}
-	if n := p.limitFor(bp); n > 0 {
+	if n := r.limitFor(bp); n > 0 {
 		ex.lim = &limitState{limit: int64(n)}
 		if len(bp.OutAttrs) < len(bp.Attrs) {
 			// Projected listing: count distinct output tuples, so the
@@ -625,9 +695,9 @@ func (p *Plan) execBag(bp *BagPlan) (t *trie.Trie, err error) {
 	if err != nil {
 		return nil, err
 	}
-	bp.tail = ex.levels[len(ex.levels)-1].kind
+	fact.span, fact.kind = ex.span, ex.levels[len(ex.levels)-1].kind
 	if k := len(ex.levels) - 2; k >= 0 && ex.levels[k].kind == kindCountScan {
-		bp.tail = kindCountScan
+		fact.kind = kindCountScan
 	}
 	if bs != nil {
 		// The pool has drained: fold each worker's counters in once.
@@ -638,11 +708,11 @@ func (p *Plan) execBag(bp *BagPlan) (t *trie.Trie, err error) {
 			bs.Emitted += w.emits
 		}
 	}
-	if p.stop != nil && p.stop.Load() {
-		return nil, p.stopErr()
+	if r.stopped() {
+		return nil, r.stopErr()
 	}
 	if ex.lim.stopped() {
-		p.truncated = true
+		r.truncated = true
 	}
 	return ex.materialize(ws), nil
 }
@@ -683,18 +753,18 @@ func (ex *bagExec) sizeTables(isVec []bool) {
 // projected-away variables the limitState tracks distinct tuples
 // explicitly, so a limit:N request yields N distinct tuples whenever the
 // full result has that many.
-func (p *Plan) limitFor(bp *BagPlan) int {
-	if p.limit <= 0 || p.Agg.Present {
+func (r *run) limitFor(bp *BagPlan) int {
+	if r.limit <= 0 || r.p.Agg.Present {
 		return 0
 	}
-	final := p.Root
-	if p.Assembly != nil {
-		final = p.Assembly
+	final := r.p.Root
+	if r.p.Assembly != nil {
+		final = r.p.Assembly
 	}
 	if bp != final || len(bp.OutAttrs) == 0 {
 		return 0
 	}
-	return p.limit
+	return r.limit
 }
 
 func (p *Plan) aggOp() semiring.Op {
@@ -707,12 +777,12 @@ func (p *Plan) aggOp() semiring.Op {
 // preDescend walks an atom's leading constant levels down its node
 // stack at base.
 func (ex *bagExec) preDescend(a *AtomRef, base int) bool {
-	for al, k := range a.consts {
+	for al, code := range ex.r.facts.codes[a.constAt : a.constAt+len(a.consts)] {
 		n := ex.nodes[base+al]
-		if n == nil || !n.Set.Contains(k.code) {
+		if n == nil || !n.Set.Contains(code) {
 			return false
 		}
-		ex.nodes[base+al+1] = n.Child(k.code)
+		ex.nodes[base+al+1] = n.Child(code)
 	}
 	return true
 }
@@ -814,7 +884,7 @@ func (ex *bagExec) newWorker() *worker {
 	if ex.span != nil {
 		w.allocAcc()
 	}
-	if ex.p.stats != nil {
+	if ex.r.stats != nil {
 		w.lc = cachePadded[LevelStats](len(ex.bp.Attrs))
 		w.kerns = make([]*set.Kernel, len(w.lc))
 		for i := range w.kerns {
@@ -919,7 +989,6 @@ func (ex *bagExec) runParallel() ([]*worker, error) {
 	ws := []*worker{w0}
 	first := w0.intersectionAt(0)
 	if ex.span = ex.accSpanOf(first); ex.span != nil {
-		ex.bp.span = ex.span
 		w0.allocAcc()
 		ex.scatterTail()
 	}
@@ -981,12 +1050,12 @@ func (w *worker) run(first *set.Set, share *blocks) {
 	defer func() {
 		if r := recover(); r != nil {
 			w.err = panicError(r)
-			if ex.p.stop != nil {
-				ex.p.stop.Store(true)
+			if ex.r.stop != nil {
+				ex.r.stop.Store(true)
 			}
 		}
 	}()
-	for !ex.lim.stopped() && (ex.p.stop == nil || !ex.p.stop.Load()) {
+	for !ex.lim.stopped() && !ex.r.stopped() {
 		// Chaos hook: PanicKind exercises the recover, Latency stretches a
 		// worker mid-bag.
 		_ = fault.Hit("exec.worker")
@@ -1056,7 +1125,7 @@ func (w *worker) levelValues(lvl int, candidates *set.Set, ann float64) {
 		if lvlStats != nil {
 			lvlStats.Probes++
 		}
-		if ex.lim.stopped() || ex.p.stop != nil && ex.p.stop.Load() {
+		if ex.lim.stopped() || ex.r.stopped() {
 			// Limit pushdown or cooperative cancellation, checked once per
 			// value: the budget is spent or the query stopped; unwind.
 			return false
@@ -1132,7 +1201,7 @@ func (w *worker) bind(lv *level, i, ncand int, v uint32, ann float64) (float64, 
 // limit are checked once per call, counters added once.
 func (w *worker) foldTail(lvl int, candidates *set.Set, ann float64) {
 	ex := w.ex
-	if ex.lim.stopped() || ex.p.stop != nil && ex.p.stop.Load() {
+	if ex.lim.stopped() || ex.r.stopped() {
 		return
 	}
 	lv := &ex.levels[lvl]

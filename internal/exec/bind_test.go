@@ -17,11 +17,12 @@ import (
 // A plan is a function of the rule, the options and the schema of the
 // relations the rule reads. The tests here hold the code to that: the
 // rendered plan does not move with the data, a prepared program derives
-// each rule's plan once, and the bind step — Plan.Clone — is the only
-// place a kept plan is checked against the database it runs on.
+// each rule's plan once, the bind step — Prepared.bind — is the only
+// place a kept plan is checked against the database it runs on, and a
+// run writes nothing into the plan it shares with every other run.
 
-// derivations snapshots each rule's GHD, an object every Compile creates and
-// every clone shares: the identity of a plan derivation.
+// derivations snapshots each rule's GHD, an object every Compile creates:
+// the identity of a plan derivation.
 func derivations(pr *Prepared) []*ghd.GHD {
 	out := make([]*ghd.GHD, len(pr.plans))
 	for i := range pr.plans {
@@ -91,7 +92,7 @@ func TestPlanInvariantUnderCardinality(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s on sizing %d: %v", name, i, err)
 			}
-			if got := p.Explain(); i == 0 {
+			if got := p.Explain(db); i == 0 {
 				want = got
 			} else if got != want {
 				t.Errorf("%s: the plan moved with the relation sizes %v\n got %s\nwant %s", name, sizings[i], got, want)

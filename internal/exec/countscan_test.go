@@ -138,7 +138,7 @@ func TestCountKernel(t *testing.T) {
 					} else if got := resultBits(res); !slices.Equal(got, c.want) {
 						t.Fatalf("%d tuples, reference %d; first difference %s", len(got), len(c.want), diffAt(got, c.want))
 					}
-					if plan := res.Plan.Explain(); !strings.Contains(plan, c.loop) {
+					if plan := res.ExplainAnalyze(); !strings.Contains(plan, c.loop) {
 						t.Fatalf("EXPLAIN lacks %q:\n%s", c.loop, plan)
 					}
 				})
@@ -187,7 +187,7 @@ func TestCountKernelCounters(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			out := res.Plan.ExplainAnalyze(res.Stats)
+			out := res.ExplainAnalyze()
 			for _, l := range c.lines {
 				if !strings.Contains(out, l) {
 					t.Errorf("%s par=%d: EXPLAIN ANALYZE lacks %q:\n%s", c.layout, par, l, out)

@@ -160,7 +160,8 @@ func (db *DB) DictEpoch() uint64 {
 // numbering is NOT comparable across an install — the snapshot may come
 // from another process — so holders of epoch-keyed caches must flush
 // them when they trigger a restore. Compiled plans need no flush: each
-// execution binds its plan to the database it runs on (Plan.Clone).
+// execution checks its plan against the database it runs on
+// (Prepared.bind) and encodes the plan's constants under its dictionary.
 // Restored relations start with no overlay and overlay generation 0.
 func (db *DB) InstallSnapshot(tries map[string]*trie.Trie, epochs, walSeqs map[string]uint64, dict *graph.Dictionary, dictEpoch uint64) {
 	rels := make(map[string]*Relation, len(tries))

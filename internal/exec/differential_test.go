@@ -447,8 +447,8 @@ func TestDifferentialBagDedup(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := strings.Contains(p.Explain(), "result reused"); got != tc.reused {
-				t.Fatalf("a bag result reused: %v, want %v\n%s", got, tc.reused, p.Explain())
+			if got := strings.Contains(p.Explain(db), "result reused"); got != tc.reused {
+				t.Fatalf("a bag result reused: %v, want %v\n%s", got, tc.reused, p.Explain(db))
 			}
 		})
 	}

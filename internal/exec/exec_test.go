@@ -3,6 +3,7 @@ package exec
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"emptyheaded/internal/datalog"
@@ -230,9 +231,9 @@ func TestBarbellDedupDetected(t *testing.T) {
 	}
 	visit(p.Root)
 	if !found {
-		t.Fatalf("no deduplicated bag found:\n%s", p.Explain())
+		t.Fatalf("no deduplicated bag found:\n%s", p.Explain(db))
 	}
-	res, err := p.Run()
+	res, err := p.execute(db, RunParams{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,6 +290,62 @@ func TestSelectionQueries(t *testing.T) {
 		if got := int64(res.Scalar()); got != wantSel {
 			t.Fatalf("%s: SK4=%d want %d", name, got, wantSel)
 		}
+	}
+}
+
+// TestNoPushdownSelections: without pushdown every selection is grafted
+// above the shallowest bag covering it, and the decomposition must still
+// be valid when two selections land on one bag or on bags at two depths.
+// The answer is the default plan's, bit for bit, also where the grafted
+// bag repeats an annotated edge of the bag below it.
+func TestNoPushdownSelections(t *testing.T) {
+	g := testGraph(400, 4000, 19)
+	db := dbWithGraph(g)
+	wb := trie.NewColumnarBuilder(2, semiring.Sum, nil)
+	for u, ns := range g.Adj {
+		for _, v := range ns {
+			wb.AddAnn(float64((u+int(v))%4+1), uint32(u), v)
+		}
+	}
+	db.AddTrie("W", wb.Build())
+	repeated := false
+	for _, q := range []string{
+		`A(;c:long) :- Edge("5",y),Edge(y,z),Edge("5",z); c=<<COUNT(*)>>.`,
+		`S(;c:long) :- Edge("5",x),Edge(x,y),Edge(y,z),Edge(x,z),Edge(x,x2),Edge(x2,y2),Edge(y2,z2),Edge(x2,z2),Edge("7",x2); c=<<COUNT(*)>>.`,
+		`S(;c:float) :- Edge("5",x),W(x,y),W(y,z),W(x,z),W(x,x2),W(x2,y2),W(y2,z2),W(x2,z2),Edge("7",y2); c=<<COUNT(*)>>.`,
+	} {
+		want := resultBits(mustRun(t, db, q, OptDefault))
+		rule, err := datalog.ParseRule(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := Compile(db, rule, Options{NoPushdown: true})
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if err := p.GHD.Validate(); err != nil {
+			t.Fatalf("%s: %v\n%s", q, err, p.GHD)
+		}
+		var visit func(bp *BagPlan)
+		visit = func(bp *BagPlan) {
+			for _, a := range bp.Atoms {
+				repeated = repeated || a.child == nil && a.SemijoinOnly && a.Annotated
+			}
+			for _, c := range bp.Children {
+				visit(c)
+			}
+		}
+		visit(p.Root)
+		res, err := p.execute(db, RunParams{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := resultBits(res); !slices.Equal(got, want) {
+			t.Fatalf("%s without pushdown: %v, default plan %v", q, got, want)
+		}
+	}
+	if !repeated {
+		t.Fatal("no grafted bag repeated an annotated edge: the multiply-once rule went untested")
 	}
 }
 
@@ -563,7 +620,7 @@ func TestExplainRendersLoopNest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := p.Explain()
+	s := p.Explain(db)
 	for _, frag := range []string{"attribute order", "∩", "for", "aggregate over"} {
 		if !contains(s, frag) {
 			t.Fatalf("Explain missing %q:\n%s", frag, s)

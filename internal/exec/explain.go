@@ -12,20 +12,44 @@ import (
 // Explain renders the physical plan as the loop nest the paper's code
 // generator would emit (Figure 1 "Generated Code"): per bag, one loop per
 // attribute with the participating set intersections, plus the Yannakakis
-// passes across bags.
-func (p *Plan) Explain() string {
-	return p.explain(nil)
+// passes across bags. db is a database the plan runs on: its indexes
+// decide which atoms a run reads as vectors, and its dictionary the
+// selection constants' codes ("?" for a constant outside it).
+func (p *Plan) Explain(db *DB) string {
+	f := runFacts{bags: make([]bagRun, p.GHD.Bags+1)}
+	f.codes, _ = p.encode(db)
+	var visit func(bp *BagPlan)
+	visit = func(bp *BagPlan) {
+		tries := make([]*trie.Trie, len(bp.Atoms))
+		for i, a := range bp.Atoms {
+			if rel, ok := db.Relation(a.Rel); ok && a.child == nil && len(a.Attrs) == 1 {
+				tries[i] = rel.Index(a.Perm, p.opts.Layout)
+			}
+		}
+		f.bag(bp).vecs = p.vectorAtoms(bp, tries)
+		for _, c := range bp.Children {
+			visit(c)
+		}
+	}
+	visit(p.Root)
+	return p.explain(&f, nil)
 }
 
-// ExplainAnalyze renders the same loop nest annotated with the measured
-// counters of one run (EXPLAIN ANALYZE): per level the intersection count,
-// summed input/output set cardinalities, and probe/skip counts; per bag
-// the emitted-row count and wall time.
-func (p *Plan) ExplainAnalyze(st *ExecStats) string {
-	return p.explain(st)
+// ExplainAnalyze renders the loop nest this run executed (EXPLAIN
+// ANALYZE): Explain's rendering with each bag's vectors, output form and
+// kernel as the run decided them from its data, annotated, when the run
+// collected them (RunParams.Collect), with its measured counters: per
+// level the intersection count, summed input/output set cardinalities,
+// and probe/skip counts; per bag the emitted-row count and wall time. ""
+// when the result carries no plan.
+func (r *Result) ExplainAnalyze() string {
+	if r.Plan == nil {
+		return ""
+	}
+	return r.Plan.explain(&r.facts, r.Stats)
 }
 
-func (p *Plan) explain(st *ExecStats) string {
+func (p *Plan) explain(f *runFacts, st *ExecStats) string {
 	byBag := map[int]*BagStats{}
 	if st != nil {
 		for _, b := range st.Bags {
@@ -55,7 +79,7 @@ func (p *Plan) explain(st *ExecStats) string {
 			fmt.Fprintf(&sb, "  // identical to bag %d, result reused (App. B.2)\n", bp.DedupOf)
 			return
 		}
-		if form := p.outputForm(bp); form != "" {
+		if form := outputForm(bp, f); form != "" {
 			fmt.Fprintf(&sb, " → %s", form)
 		}
 		sb.WriteString(":")
@@ -69,18 +93,15 @@ func (p *Plan) explain(st *ExecStats) string {
 		indent := "  "
 		// Selection pre-descent.
 		for _, a := range bp.Atoms {
-			for _, k := range a.consts {
-				fmt.Fprintf(&sb, "%s%s := %s[%d]  // selection\n", indent, a.Rel, a.Rel, k.code)
+			for i := range a.consts {
+				code := "?" // not in db's dictionary
+				if f.codes != nil {
+					code = fmt.Sprint(f.codes[a.constAt+i])
+				}
+				fmt.Fprintf(&sb, "%s%s := %s[%s]  // selection\n", indent, a.Rel, a.Rel, code)
 			}
 		}
-		// Unary base atoms' indexes tell which atoms execBag reads as vectors.
-		tries := make([]*trie.Trie, len(bp.Atoms))
-		for i, a := range bp.Atoms {
-			if rel, ok := p.db.Relation(a.Rel); ok && a.child == nil && len(a.Attrs) == 1 {
-				tries[i] = rel.Index(a.Perm, p.opts.Layout)
-			}
-		}
-		isVec := p.vectorAtoms(bp, tries)
+		run := f.bag(bp)
 		for lvl, attr := range bp.Attrs {
 			var parts []string
 			vecs := ""
@@ -89,7 +110,7 @@ func (p *Plan) explain(st *ExecStats) string {
 					if v != attr {
 						continue
 					}
-					if isVec[ai] {
+					if run.vecs[ai] {
 						vecs += fmt.Sprintf(" · %s[%s]", a.Rel, attr)
 						continue
 					}
@@ -121,7 +142,7 @@ func (p *Plan) explain(st *ExecStats) string {
 				verb = "aggregate over"
 			}
 			loop := fmt.Sprintf("%s %s in s%s", verb, attr, attr)
-			if k := bp.tail.kernelName(); k != "" && lvl == bp.kernelLevel() {
+			if k := run.kind.kernelName(); k != "" && lvl == bp.kernelLevel(run.kind) {
 				loop += " by " + k
 			}
 			loop += ":"
@@ -133,7 +154,7 @@ func (p *Plan) explain(st *ExecStats) string {
 			indent += "  "
 		}
 		switch {
-		case bp.span != nil:
+		case run.span != nil:
 			fmt.Fprintf(&sb, "%sacc[%s] ⊕= annotation\n", indent, bp.OutAttrs[0])
 		case len(bp.OutAttrs) > 0:
 			fmt.Fprintf(&sb, "%semit (%s) with ⊕-combined annotation\n", indent, strings.Join(bp.OutAttrs, ","))
@@ -150,8 +171,8 @@ func (p *Plan) explain(st *ExecStats) string {
 		}
 		fmt.Fprintf(&sb, "join %s -> %s(%s)", strings.Join(rels, " ⋈ "),
 			p.Rule.Head.Name, strings.Join(p.Assembly.OutAttrs, ","))
-		if f := p.outputForm(p.Assembly); p.Assembly.ran && f != "" {
-			fmt.Fprintf(&sb, " → %s", f)
+		if form := outputForm(p.Assembly, f); f.ran && form != "" {
+			fmt.Fprintf(&sb, " → %s", form)
 		}
 		if bs := byBag[-1]; bs != nil {
 			fmt.Fprintf(&sb, "  // actual: emitted=%d wall=%dµs", bs.Emitted, bs.WallUS)

@@ -124,7 +124,7 @@ func fuse(op semiring.Op, vecs []*vector) vector {
 // counters added, once per call, as in foldTail.
 func (w *worker) gather(lvl int, candidates *set.Set, ann float64) {
 	ex := w.ex
-	if ex.lim.stopped() || ex.p.stop != nil && ex.p.stop.Load() {
+	if ex.lim.stopped() || ex.r.stopped() {
 		return
 	}
 	acc, folded := gatherVec(ex.op, candidates, ex.levels[lvl].gvec, ann, &w.vals)
@@ -211,7 +211,7 @@ func gatherVec(op semiring.Op, c *set.Set, vc *vector, ann float64, scratch *[]u
 // counters added, once per call.
 func (w *worker) scatter(lvl int, candidates *set.Set, ann float64) {
 	ex := w.ex
-	if ex.lim.stopped() || ex.p.stop != nil && ex.p.stop.Load() {
+	if ex.lim.stopped() || ex.r.stopped() {
 		return
 	}
 	if w.lc != nil {
@@ -352,7 +352,7 @@ func (w *worker) countOperand(lvl int) *set.Set {
 // path books.
 func (w *worker) countScan(lvl int, candidates *set.Set, ann float64) {
 	ex := w.ex
-	if ex.p.stop != nil && ex.p.stop.Load() {
+	if ex.r.stopped() {
 		return
 	}
 	lv := &ex.levels[lvl]
@@ -418,10 +418,10 @@ func (w *worker) countScan(lvl int, candidates *set.Set, ann float64) {
 	}
 }
 
-// kernelLevel is the level whose kind bp.tail records: the one above the
-// count tail for a count scan, else the last.
-func (bp *BagPlan) kernelLevel() int {
-	if bp.tail == kindCountScan {
+// kernelLevel is the level of bp whose kind a bag run records (see
+// bagRun): the one above the count tail for a count scan, else the last.
+func (bp *BagPlan) kernelLevel(kind levelKind) int {
+	if kind == kindCountScan {
 		return len(bp.Attrs) - 2
 	}
 	return len(bp.Attrs) - 1

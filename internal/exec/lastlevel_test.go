@@ -287,7 +287,7 @@ R(x)*[i=3] :- Edge(w,x),R(w).`, want: refReach(g, src, 3), boolean: true},
 					if layout == trie.UintLayout {
 						tail = c.uintTail
 					}
-					if got := res.Plan.Root.tail; got != tail {
+					if got := res.facts.bag(res.Plan.Root).kind; got != tail {
 						t.Fatalf("last level ran as kind %d, want %d", got, tail)
 					}
 					var skipped int64
@@ -345,7 +345,7 @@ func TestLastLevelKernelCounters(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			out := res.Plan.ExplainAnalyze(res.Stats)
+			out := res.ExplainAnalyze()
 			for _, l := range c.lines {
 				if !strings.Contains(out, l) {
 					t.Errorf("par=%d: EXPLAIN ANALYZE lacks %q:\n%s", par, l, out)

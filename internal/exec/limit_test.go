@@ -130,7 +130,7 @@ func TestLimitIgnoredForAggregates(t *testing.T) {
 		if got := resultBits(res); res.Truncated || !slices.Equal(got, want) {
 			t.Fatalf("%s under limit: %d tuples (truncated=%v), want %d", q, len(got), res.Truncated, len(want))
 		}
-		if plan := res.Plan.Explain(); !strings.Contains(plan, " by count:") {
+		if plan := res.ExplainAnalyze(); !strings.Contains(plan, " by count:") {
 			t.Fatalf("%s: no count scan:\n%s", q, plan)
 		}
 	}

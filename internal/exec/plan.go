@@ -1,29 +1,25 @@
 package exec
 
 import (
-	"context"
 	"fmt"
 	"slices"
 	"sort"
 	"strings"
-	"sync/atomic"
 
 	"emptyheaded/internal/datalog"
 	"emptyheaded/internal/ghd"
 	"emptyheaded/internal/graph"
 	"emptyheaded/internal/hypergraph"
 	"emptyheaded/internal/semiring"
-	"emptyheaded/internal/trace"
-	"emptyheaded/internal/trie"
 )
 
 // Plan is a compiled physical plan for one rule. It is a function of the
 // rule, the options and the schema (arity, annotation, semiring) of the
 // relations the body reads — never of their contents: the optimizer
 // minimises fractional hypertree width, a property of the query
-// hypergraph alone (§3.2). What a plan takes from a particular database
-// is checked, and its selection constants re-encoded, where the plan is
-// bound to one (Plan.Clone).
+// hypergraph alone (§3.2). A plan is immutable once Compile returns: a
+// run keeps what it takes from its database and what it decides from the
+// data in a run of its own, so any number of executions share one plan.
 type Plan struct {
 	Rule *datalog.Rule
 	GHD  *ghd.GHD
@@ -44,20 +40,10 @@ type Plan struct {
 	// top-down Yannakakis pass.
 	Assembly *BagPlan
 	opts     Options
-	db       *DB
-
-	// Per-run state, set from RunParams by Prepared.runRule on the bound
-	// clone that executes: the listing row budget, the context whose end
-	// latches stop (Run arms it), and truncated, which reports that limit
-	// pushdown stopped the final listing bag early (Result.Truncated).
-	limit     int
-	ctx       context.Context
-	stop      *atomic.Bool
-	truncated bool
-
-	// Per-run observability; both nil on the default path.
-	stats *ExecStats
-	tr    *trace.Trace
+	// consts lists every atom's selection constants as the query wrote
+	// them, in plan order; a run encodes them under its dictionary (see
+	// AtomRef.constAt).
+	consts []*datalog.Const
 }
 
 // AggInfo captures the semiring aggregation of a rule: Op is its
@@ -71,7 +57,10 @@ type AggInfo struct {
 type AtomRef struct {
 	// SemijoinOnly suppresses annotation collection: in spanning plans
 	// child results restrict their parent bag but their semiring values
-	// are multiplied exactly once, in the assembly join.
+	// are multiplied exactly once, in the assembly join; and a body atom
+	// an earlier bag already joins (a selection bag grafted without
+	// pushdown repeats its target's atom) restricts this bag but
+	// multiplies in there.
 	SemijoinOnly bool
 	// Rel is the relation name ("@bag<i>" for child results).
 	Rel string
@@ -82,8 +71,10 @@ type AtomRef struct {
 	Perm []int
 	// consts are the selection constants (§B.1) bound at the atom's
 	// leading trie levels — constant columns sort before variable ones, so
-	// level i < len(consts) is bound to consts[i].
-	consts []selConst
+	// level i < len(consts) is bound to consts[i]. A run's codes for them
+	// start at constAt (see Plan.consts).
+	consts  []*datalog.Const
+	constAt int
 	// Annotated relations contribute their annotation (⊗) when fully
 	// bound, unless the plan is Boolean (see Plan.multiplies).
 	Annotated bool
@@ -93,13 +84,6 @@ type AtomRef struct {
 	LastLevel int
 
 	child *BagPlan // non-nil for "@bag" atoms
-}
-
-// selConst is one selection constant: the constant as the query wrote it
-// and its code under the dictionary of the database the plan is bound to.
-type selConst struct {
-	src  *datalog.Const
-	code uint32
 }
 
 // BagPlan is the physical plan of one GHD bag: a Generic-Join loop nest.
@@ -126,15 +110,6 @@ type BagPlan struct {
 	DedupOf int
 
 	signature string
-	// result caches the materialized output during execution. ran marks
-	// a bag that has run, span the range its dense accumulator covered
-	// then, nil when it wrote rows (see Plan.outputForm), and tail the kind
-	// of its kernel level (see kernelLevel), which EXPLAIN names when a
-	// kernel ran it.
-	result *trie.Trie
-	span   *accSpan
-	ran    bool
-	tail   levelKind
 }
 
 // Compile builds the physical plan for a parsed rule.
@@ -195,7 +170,7 @@ func Compile(db *DB, rule *datalog.Rule, opts Options) (*Plan, error) {
 	// selection-bound variables first within each bag (App. B.1).
 	order := g.AttributeOrder(selectedVars)
 
-	p := &Plan{Rule: rule, GHD: g, AttrOrder: order, opts: opts, db: db}
+	p := &Plan{Rule: rule, GHD: g, AttrOrder: order, opts: opts}
 
 	// 4. The plan's semiring (docs/LANGUAGE.md). A rule without an
 	// aggregate, or with a constant expression (y=1), computes a set.
@@ -235,6 +210,7 @@ func Compile(db *DB, rule *datalog.Rule, opts Options) (*Plan, error) {
 	spanning := slices.ContainsFunc(head, func(v string) bool { return !slices.Contains(g.Root.Vars, v) })
 	nextID := 0
 	sigs := map[string]int{}
+	joined := make([]bool, len(rule.Atoms))
 	var build func(b *ghd.Bag, parent *ghd.Bag) (*BagPlan, error)
 	build = func(b *ghd.Bag, parent *ghd.Bag) (*BagPlan, error) {
 		bp := &BagPlan{ID: nextID, DedupOf: -1}
@@ -269,10 +245,12 @@ func Compile(db *DB, rule *datalog.Rule, opts Options) (*Plan, error) {
 		}
 		// Atoms.
 		for _, ei := range b.Edges {
-			ar, err := p.atomRef(rule.Atoms[ei], bp.Attrs)
+			ar, err := p.atomRef(db, rule.Atoms[ei], bp.Attrs)
 			if err != nil {
 				return nil, err
 			}
+			ar.SemijoinOnly = joined[ei]
+			joined[ei] = true
 			bp.Atoms = append(bp.Atoms, ar)
 		}
 		// Children first; their results join as "@bag" atoms.
@@ -330,7 +308,7 @@ func (bp *BagPlan) sign() string {
 		fmt.Fprintf(&sb, " %s%v%t", rel, a.Perm, a.SemijoinOnly)
 		for i, v := range a.Attrs {
 			if v == "" {
-				fmt.Fprintf(&sb, " %+v", *a.consts[i].src) // constants lead: level i holds consts[i]
+				fmt.Fprintf(&sb, " %+v", *a.consts[i]) // constants lead: level i holds consts[i]
 			} else {
 				fmt.Fprintf(&sb, " %d", slices.Index(bp.Attrs, v))
 			}
@@ -352,9 +330,10 @@ func sortByOrder(vars []string, order []string) []string {
 // atomRef builds the index binding for one body atom under the bag's
 // attribute order: constant columns first (pre-descended, App. B.1
 // "pushing down selections within a node"), then variable columns in
-// loop-nest order.
-func (p *Plan) atomRef(atom *datalog.Atom, bagAttrs []string) (*AtomRef, error) {
-	rel, _ := p.db.Relation(atom.Pred)
+// loop-nest order. Each constant is encoded under db's dictionary once,
+// so a constant outside it fails here.
+func (p *Plan) atomRef(db *DB, atom *datalog.Atom, bagAttrs []string) (*AtomRef, error) {
+	rel, _ := db.Relation(atom.Pred)
 	pos := map[string]int{}
 	for i, v := range bagAttrs {
 		pos[v] = i
@@ -386,29 +365,31 @@ func (p *Plan) atomRef(atom *datalog.Atom, bagAttrs []string) (*AtomRef, error) 
 		Annotated: rel.Annotated,
 		Op:        rel.Op,
 		LastLevel: -1,
+		constAt:   len(p.consts),
 	}
-	dict := p.db.Dict()
+	dict := db.Dict()
 	for lvl, cl := range cols {
 		ar.Perm = append(ar.Perm, cl.orig)
 		if cl.c != nil {
-			code, err := encodeConst(dict, cl.c)
-			if err != nil {
+			if _, err := EncodeConst(dict, cl.c); err != nil {
 				return nil, err
 			}
 			ar.Attrs = append(ar.Attrs, "")
-			ar.consts = append(ar.consts, selConst{src: cl.c, code: code})
+			ar.consts = append(ar.consts, cl.c)
 		} else {
 			ar.Attrs = append(ar.Attrs, cl.v)
 			ar.LastLevel = lvl
 		}
 	}
+	p.consts = append(p.consts, ar.consts...)
 	return ar, nil
 }
 
-// encodeConst maps a query constant to its dictionary code. String
+// EncodeConst maps a query constant to its dictionary code, the one
+// encoding of constants: the planner's, a run's and Why's. String
 // constants name original vertex identifiers; numbers are used directly
 // when no dictionary is attached (dict nil).
-func encodeConst(dict *graph.Dictionary, c *datalog.Const) (uint32, error) {
+func EncodeConst(dict *graph.Dictionary, c *datalog.Const) (uint32, error) {
 	var orig int64
 	if c.IsString {
 		var v int64

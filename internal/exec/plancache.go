@@ -122,8 +122,8 @@ const planCacheSize = 256
 // of exact query texts: a repeated text finds its plan without parsing,
 // and an alpha-renamed or reformatted spelling parses once and reuses the
 // plan kept under its fingerprint. No load, update or restore touches an
-// entry: what a plan takes from a database is checked each time it is
-// bound to one (Plan.Clone). It is safe for concurrent use.
+// entry: what a plan takes from a database is checked each time it runs
+// on one (Prepared.bind). It is safe for concurrent use.
 type PlanCache struct {
 	aliases *LRU[*PlanAlias]
 	plans   *LRU[*CachedPlan]

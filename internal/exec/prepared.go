@@ -18,10 +18,11 @@ import (
 // group's plain rule at Prepare — and kept: no load, update, restore or
 // fixpoint iteration
 // invalidates it. The one staleness rule is the bind step every
-// execution takes (Plan.Clone): a plan that no longer fits the database it
-// is about to run on is derived again, for that rule alone.
+// execution takes (Prepared.bind): a plan whose schema no longer fits the
+// database it is about to run on is derived again, for that rule alone.
 //
-// A Prepared is safe for concurrent Run calls: each run executes clones.
+// A Prepared is safe for concurrent Run calls: they share its plans, which
+// nothing writes after Compile, and each keeps its own state (see run).
 type Prepared struct {
 	Prog   *datalog.Program
 	opts   Options
@@ -167,11 +168,7 @@ func (pr *Prepared) runRule(db *DB, i int, rp RunParams) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.limit, p.ctx, p.tr = rp.Limit, rp.Ctx, rp.Trace
-	if rp.Collect {
-		p.stats = &ExecStats{}
-	}
-	res, err := p.Run()
+	res, err := p.execute(db, rp)
 	if err != nil {
 		return nil, err
 	}
@@ -183,118 +180,42 @@ func (pr *Prepared) runRule(db *DB, i int, rp RunParams) (*Result, error) {
 	return res, nil
 }
 
-// bind returns a runnable plan for rule i bound to db: a clone of the
-// kept plan, or a newly derived one when the slot is empty or its plan
-// does not fit db. Deriving again is also what reports why it does not: an
-// unknown relation, an arity mismatch and a constant outside the
-// dictionary are Compile's errors, whether met at Prepare or here.
+// bind returns the plan rule i runs on db: the kept plan when db's schema
+// is the one it was derived for, else a newly derived one, which the slot
+// keeps from then on. Deriving again is also what reports why a plan does
+// not fit: an unknown relation and an arity mismatch are Compile's
+// errors, whether met at Prepare or here. A constant outside db's
+// dictionary fails the run with the same error, from the same encoder.
 func (pr *Prepared) bind(db *DB, i int) (*Plan, error) {
 	slot := &pr.plans[i]
-	if kept := slot.Load(); kept != nil {
-		if p, ok := kept.Clone(db); ok {
-			return p, nil
-		}
+	if kept := slot.Load(); kept != nil && kept.Root.fits(db) {
+		return kept, nil
 	}
-	// What Compile returns is bound to db as Compile saw it and runs as it
-	// is — there is no second check for a concurrent load to fail. The slot
-	// keeps an unbound copy: a kept plan is never executed (execution
-	// materializes bag results into the tree) and outlives db, often a
-	// per-request fork, whose relations it must not pin.
-	derived, err := Compile(db, pr.Prog.Rules[i], pr.opts)
+	p, err := Compile(db, pr.Prog.Rules[i], pr.opts)
 	if err != nil {
 		return nil, err
 	}
-	kept, _ := derived.Clone(nil)
-	slot.Store(kept)
-	return derived, nil
+	slot.Store(p)
+	return p, nil
 }
 
-// Clone binds a compiled plan to db and returns an independently runnable
-// copy: the bag tree is deep-copied (execution materializes bag results
-// into the tree), the rule/GHD/attribute metadata is shared, the per-run
-// state is fresh, and every selection constant is re-encoded under db's
-// dictionary. It reports false when the plan does not fit db — a body
-// relation is absent or has another arity, annotation or semiring than
-// the plan was derived for, or a constant is not in the dictionary. A nil
-// db gives an unbound copy, to keep rather than run.
-func (p *Plan) Clone(db *DB) (*Plan, bool) {
-	np := *p
-	np.db = db
-	np.limit = 0
-	np.ctx = nil
-	np.stop = nil
-	np.truncated = false
-	np.stats = nil
-	np.tr = nil
-	b := binder{db: db, bags: map[*BagPlan]*BagPlan{}, fits: true}
-	np.Root = b.bag(p.Root)
-	np.Assembly = b.bag(p.Assembly)
-	return &np, b.fits
-}
-
-// binder carries one Clone: bags keeps sharing intact (assembly atoms
-// reference bags of the main tree, dedup'd bags reference earlier ones).
-type binder struct {
-	db   *DB
-	bags map[*BagPlan]*BagPlan
-	fits bool
-}
-
-// bag deep-copies a bag plan, binding its relation atoms to b.db.
-func (b *binder) bag(bp *BagPlan) *BagPlan {
-	if bp == nil {
-		return nil
-	}
-	if c, ok := b.bags[bp]; ok {
-		return c
-	}
-	c := *bp
-	c.result, c.span, c.ran = nil, nil, false
-	b.bags[bp] = &c
-	if bp.Children != nil {
-		c.Children = make([]*BagPlan, len(bp.Children))
-		for i, ch := range bp.Children {
-			c.Children[i] = b.bag(ch)
+// fits reports whether db holds every relation the bag tree below bp
+// reads with the arity, annotation and semiring its plan was derived for.
+// It reads the plan and writes nothing.
+func (bp *BagPlan) fits(db *DB) bool {
+	for _, a := range bp.Atoms {
+		if a.child != nil {
+			continue // a child bag: its own atoms are checked below
+		}
+		rel, ok := db.Relation(a.Rel)
+		if !ok || rel.Arity != len(a.Perm) || rel.Annotated != a.Annotated || rel.Op != a.Op {
+			return false
 		}
 	}
-	if bp.Atoms != nil {
-		c.Atoms = make([]*AtomRef, len(bp.Atoms))
-		for i, a := range bp.Atoms {
-			na := *a
-			if a.child != nil {
-				na.child = b.bag(a.child)
-			} else {
-				b.atom(&na)
-			}
-			c.Atoms[i] = &na
+	for _, c := range bp.Children {
+		if !c.fits(db) {
+			return false
 		}
 	}
-	return &c
-}
-
-// atom checks a copied relation atom against b.db's schema and gives it
-// its own constants, encoded under b.db's dictionary.
-func (b *binder) atom(a *AtomRef) {
-	if b.db == nil {
-		return
-	}
-	rel, ok := b.db.Relation(a.Rel)
-	if !ok || rel.Arity != len(a.Perm) || rel.Annotated != a.Annotated || rel.Op != a.Op {
-		b.fits = false
-		return
-	}
-	if len(a.consts) == 0 {
-		return
-	}
-	dict := b.db.Dict()
-	consts := make([]selConst, len(a.consts))
-	for i, k := range a.consts {
-		code, err := encodeConst(dict, k.src)
-		if err != nil {
-			b.fits = false
-			return
-		}
-		consts[i] = selConst{src: k.src, code: code}
-	}
-	a.consts = consts
+	return true
 }

@@ -107,6 +107,63 @@ func TestPreparedConcurrentFirstRuns(t *testing.T) {
 	wg.Wait()
 }
 
+// TestPreparedSharesOnePlan: concurrent runs of one Prepared execute the
+// plan it keeps, not copies, and leave it as Compile made it. The queries
+// write every kind of run state: selection codes, count-scan and dense
+// accumulator decisions, an assembly join, counters and a row budget.
+// Run under -race.
+func TestPreparedSharesOnePlan(t *testing.T) {
+	db := dbWithGraph(testGraph(300, 2000, 1))
+	for _, q := range []string{
+		`A(;c:long) :- Edge("5",y),Edge(y,z),Edge("5",z); c=<<COUNT(*)>>.`,
+		qTriangleCount,
+		`P(x) :- Edge(x,y),Edge(y,z).`,
+		`P2(x,z) :- Edge(x,y),Edge(y,z).`,
+	} {
+		pr, err := Prepare(db, mustParse(t, q), Options{Parallelism: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept := pr.plans[0].Load()
+		before := kept.Explain(db)
+		want, err := pr.Run(db.Fork())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for i := range 8 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rp := RunParams{Collect: i%2 == 0}
+				if i%4 == 1 {
+					rp.Limit = 10
+				}
+				res, err := pr.RunWith(db.Fork(), rp)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if res.Plan != kept {
+					t.Errorf("%s: run %d executed another plan than the kept one", q, i)
+				}
+				if limited := rp.Limit > 0 && !kept.Agg.Present; limited != res.Truncated {
+					t.Errorf("%s: run %d truncated=%v under limit %d", q, i, res.Truncated, rp.Limit)
+				} else if !res.Truncated && !triesEqual(res.Trie, want.Trie) {
+					t.Errorf("%s: run %d diverges from a sequential run", q, i)
+				}
+			}()
+		}
+		wg.Wait()
+		if pr.plans[0].Load() != kept {
+			t.Fatalf("%s: the kept plan was replaced", q)
+		}
+		if after := kept.Explain(db); after != before {
+			t.Fatalf("%s: the runs changed the plan\nbefore:\n%s\nafter:\n%s", q, before, after)
+		}
+	}
+}
+
 func TestForkIsolation(t *testing.T) {
 	db := k4DB()
 	f := db.Fork()

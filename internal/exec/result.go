@@ -24,6 +24,8 @@ type Result struct {
 	// Stats holds the EXPLAIN ANALYZE counters when the run collected
 	// them (RunParams.Collect); nil otherwise.
 	Stats *ExecStats
+	// facts is what the run decided from its data (see ExplainAnalyze).
+	facts runFacts
 }
 
 // Scalar returns the annotation of a zero-arity result.

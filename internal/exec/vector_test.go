@@ -124,7 +124,7 @@ func TestVectorParticipantsMatchTrie(t *testing.T) {
 					} else if got != want {
 						t.Fatalf("layout %s, parallelism %d: result differs from auto at one worker", opts.Layout, par)
 					}
-					plan := res.Plan.Explain()
+					plan := res.ExplainAnalyze()
 					vectorized := opts.Layout == nil && row.vectors != nil
 					for _, v := range row.vectors {
 						if strings.Contains(plan, v) != vectorized {
@@ -176,8 +176,7 @@ func TestWorkersWriteApart(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			p.stats = &ExecStats{}
-			ex := &bagExec{p: p, bp: p.Root, op: semiring.Sum, nodes: make([]*trie.Node, 9), span: tc.span}
+			ex := &bagExec{p: p, r: &run{p: p, stats: &ExecStats{}}, bp: p.Root, op: semiring.Sum, nodes: make([]*trie.Node, 9), span: tc.span}
 			type region struct{ lo, hi uintptr }
 			span := func(p unsafe.Pointer, n uintptr) region {
 				return region{uintptr(p), uintptr(p) + n}

@@ -20,6 +20,7 @@ package ghd
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -93,8 +94,12 @@ func Decompose(h *hypergraph.Hypergraph, opts Options) *GHD {
 	d := &decomposer{h: h, memo: map[string]*scored{}}
 	best := d.decompose(nonSel, nil)
 	root := best.bag
-	for _, se := range sel {
-		root = attachSelection(h, root, se, !opts.NoPushdown)
+	if opts.NoPushdown {
+		root = graftSelections(h, root, sel)
+	} else {
+		for _, se := range sel {
+			pushSelection(h, root, se)
+		}
 	}
 	return finish(h, root)
 }
@@ -115,84 +120,106 @@ func finish(h *hypergraph.Hypergraph, root *Bag) *GHD {
 	return g
 }
 
-// attachSelection grafts a selection edge into the tree. With pushdown it
-// becomes a child of the deepest bag covering its variables (executed
-// first bottom-up); without, it becomes the parent of the shallowest bag
-// covering its variables (executed last).
-func attachSelection(h *hypergraph.Hypergraph, root *Bag, edge int, pushdown bool) *Bag {
+// covers reports whether b's χ holds every variable of vars.
+func covers(b *Bag, vars []string) bool {
+	for _, v := range vars {
+		if !slices.Contains(b.Vars, v) {
+			return false
+		}
+	}
+	return true
+}
+
+// pushSelection makes a selection edge a child of the deepest bag covering
+// its variables, the root if none does, so it executes first bottom-up.
+func pushSelection(h *hypergraph.Hypergraph, root *Bag, edge int) {
 	vars := h.Edges[edge].Vars
-	covers := func(b *Bag) bool {
-		chi := map[string]bool{}
-		for _, v := range b.Vars {
-			chi[v] = true
+	best, bestDepth := root, -1
+	var walk func(b *Bag, d int)
+	walk = func(b *Bag, d int) {
+		if covers(b, vars) && d > bestDepth {
+			best, bestDepth = b, d
 		}
-		for _, v := range vars {
-			if !chi[v] {
-				return false
-			}
+		for _, c := range b.Children {
+			walk(c, d+1)
 		}
-		return true
 	}
-	selBag := func() *Bag {
-		return &Bag{Edges: []int{edge}, Vars: append([]string(nil), vars...),
-			Width: h.Width(vars, []int{edge})}
-	}
-	if pushdown {
-		// Deepest covering bag gets the selection as a child.
-		var best *Bag
-		bestDepth := -1
+	walk(root, 0)
+	best.Children = append(best.Children, &Bag{Edges: []int{edge}, Vars: slices.Clone(vars),
+		Width: h.Width(vars, []int{edge})})
+}
+
+// graftSelections places selection edges without pushdown: each joins a
+// bag grafted above the shallowest bag of the base decomposition covering
+// its variables (the root if none does), so the unrestricted subquery
+// below executes before the selection applies. Selections with one target
+// share its grafted bag. A bag grafted between a target and its parent
+// also carries the variables the two share, with a target's edge holding
+// each, so running intersection holds across it; the plan multiplies a
+// repeated edge's annotation once (see exec's AtomRef.SemijoinOnly).
+func graftSelections(h *hypergraph.Hypergraph, root *Bag, sel []int) *Bag {
+	var targets []*Bag
+	groups := map[*Bag][]int{}
+	for _, se := range sel {
+		target, depth := root, math.MaxInt
 		var walk func(b *Bag, d int)
 		walk = func(b *Bag, d int) {
-			if covers(b) && d > bestDepth {
-				best, bestDepth = b, d
+			if covers(b, h.Edges[se].Vars) && d < depth {
+				target, depth = b, d
 			}
 			for _, c := range b.Children {
 				walk(c, d+1)
 			}
 		}
 		walk(root, 0)
-		if best == nil {
-			best = root
+		if groups[target] == nil {
+			targets = append(targets, target)
 		}
-		best.Children = append(best.Children, selBag())
-		return root
+		groups[target] = append(groups[target], se)
 	}
-	// No pushdown: parent of the shallowest covering bag.
-	var target *Bag
-	var walk func(b *Bag, d int) int
-	found := math.MaxInt32
-	walk = func(b *Bag, d int) int {
-		if covers(b) && d < found {
-			target = b
-			found = d
-		}
-		for _, c := range b.Children {
-			walk(c, d+1)
-		}
-		return found
-	}
-	walk(root, 0)
-	if target == nil {
-		target = root
-	}
-	nb := selBag()
-	if target == root {
-		nb.Children = []*Bag{root}
-		return nb
-	}
-	var replace func(b *Bag)
-	replace = func(b *Bag) {
-		for i, c := range b.Children {
-			if c == target {
-				nb.Children = []*Bag{target}
-				b.Children[i] = nb
-				return
+	for _, target := range targets {
+		nb := &Bag{Children: []*Bag{target}}
+		add := func(e int) {
+			nb.Edges = append(nb.Edges, e)
+			for _, v := range h.Edges[e].Vars {
+				if !slices.Contains(nb.Vars, v) {
+					nb.Vars = append(nb.Vars, v)
+				}
 			}
-			replace(c)
+		}
+		for _, se := range groups[target] {
+			add(se)
+		}
+		parent := parentOf(root, target)
+		for _, v := range target.Vars {
+			if parent == nil || !slices.Contains(parent.Vars, v) || slices.Contains(nb.Vars, v) {
+				continue
+			}
+			add(target.Edges[slices.IndexFunc(target.Edges, func(e int) bool {
+				return slices.Contains(h.Edges[e].Vars, v)
+			})])
+		}
+		nb.Width = h.Width(nb.Vars, nb.Edges)
+		if parent == nil {
+			root = nb
+		} else {
+			parent.Children[slices.Index(parent.Children, target)] = nb
 		}
 	}
-	replace(root)
 	return root
+}
+
+// parentOf returns the bag whose child b is, nil for the root.
+func parentOf(root, b *Bag) *Bag {
+	for _, c := range root.Children {
+		if c == b {
+			return root
+		}
+		if p := parentOf(c, b); p != nil {
+			return p
+		}
+	}
+	return nil
 }
 
 // scored is a candidate subtree with its ranking metrics.
@@ -345,30 +372,6 @@ func newBag(h *hypergraph.Hypergraph, lambda []int, boundary []string) *Bag {
 		}
 	}
 	return &Bag{Edges: lambda, Vars: vars, Width: h.Width(vars, lambda)}
-}
-
-// SelectionDepth is the sum over selection bags of their depths; larger
-// means selections execute earlier in the bottom-up pass (App. B.1.1).
-func (g *GHD) SelectionDepth(selectionEdges []int) int {
-	isSel := map[int]bool{}
-	for _, e := range selectionEdges {
-		isSel[e] = true
-	}
-	total := 0
-	var visit func(b *Bag, d int)
-	visit = func(b *Bag, d int) {
-		for _, ei := range b.Edges {
-			if isSel[ei] {
-				total += d
-				break
-			}
-		}
-		for _, c := range b.Children {
-			visit(c, d+1)
-		}
-	}
-	visit(g.Root, 0)
-	return total
 }
 
 // AttributeOrder computes the global attribute order by a pre-order

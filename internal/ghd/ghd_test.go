@@ -227,9 +227,9 @@ func TestSelectionPushdown(t *testing.T) {
 	if gNo.Root.Edges[0] != 6 || len(gNo.Root.Children) != 1 {
 		t.Fatalf("no-pushdown shape wrong:\n%s", gNo)
 	}
-	if g.SelectionDepth(selEdges) <= gNo.SelectionDepth(selEdges) {
+	if selectionDepth(g, selEdges) <= selectionDepth(gNo, selEdges) {
 		t.Fatalf("pushdown depth %d should exceed no-pushdown %d",
-			g.SelectionDepth(selEdges), gNo.SelectionDepth(selEdges))
+			selectionDepth(g, selEdges), selectionDepth(gNo, selEdges))
 	}
 	// Attribute order puts the selected variable first.
 	order := g.AttributeOrder(map[string]bool{"x": true})
@@ -266,9 +266,9 @@ func TestBarbellSelectionPushdown(t *testing.T) {
 	if err := gNo.Validate(); err != nil {
 		t.Fatalf("%v\n%s", err, gNo)
 	}
-	if g.SelectionDepth(selEdges) <= gNo.SelectionDepth(selEdges) {
+	if selectionDepth(g, selEdges) <= selectionDepth(gNo, selEdges) {
 		t.Fatalf("pushdown depth %d should exceed no-pushdown %d\n%s\n%s",
-			g.SelectionDepth(selEdges), gNo.SelectionDepth(selEdges), g, gNo)
+			selectionDepth(g, selEdges), selectionDepth(gNo, selEdges), g, gNo)
 	}
 }
 
@@ -319,4 +319,28 @@ func TestGHDStringRendersBags(t *testing.T) {
 	if !strings.Contains(s, "λ:") || !strings.Contains(s, "χ:") {
 		t.Fatalf("String() = %q", s)
 	}
+}
+
+// selectionDepth is the sum over selection bags of their depths; larger
+// means selections execute earlier in the bottom-up pass (App. B.1.1).
+func selectionDepth(g *GHD, selectionEdges []int) int {
+	isSel := map[int]bool{}
+	for _, e := range selectionEdges {
+		isSel[e] = true
+	}
+	total := 0
+	var visit func(b *Bag, d int)
+	visit = func(b *Bag, d int) {
+		for _, ei := range b.Edges {
+			if isSel[ei] {
+				total += d
+				break
+			}
+		}
+		for _, c := range b.Children {
+			visit(c, d+1)
+		}
+	}
+	visit(g.Root, 0)
+	return total
 }

@@ -261,24 +261,6 @@ func (g *Graph) Relabel(perm []uint32) *Graph {
 	return &Graph{N: g.N, Adj: adj}
 }
 
-// Undirect returns the symmetric closure of g.
-func (g *Graph) Undirect() *Graph {
-	adj := make([][]uint32, g.N)
-	for u, ns := range g.Adj {
-		for _, v := range ns {
-			if uint32(u) == v {
-				continue
-			}
-			adj[u] = append(adj[u], v)
-			adj[v] = append(adj[v], uint32(u))
-		}
-	}
-	for v := range adj {
-		adj[v] = sortDedup(adj[v])
-	}
-	return &Graph{N: g.N, Adj: adj}
-}
-
 // Prune keeps only edges with src > dst, the standard symmetric-query
 // preprocessing of §5.2.1 ("each undirected edge is pruned such that
 // srcid > dstid"); it assumes ids were already assigned by the desired

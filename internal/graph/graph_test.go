@@ -97,17 +97,6 @@ func TestPrune(t *testing.T) {
 	}
 }
 
-func TestUndirect(t *testing.T) {
-	g := FromEdges(3, [][2]uint32{{0, 1}, {1, 2}}, false)
-	u := g.Undirect()
-	if u.Edges() != 4 {
-		t.Fatalf("edges=%d want 4", u.Edges())
-	}
-	if len(u.Adj[1]) != 2 {
-		t.Fatalf("adj[1]=%v", u.Adj[1])
-	}
-}
-
 func TestRelabelPreservesStructure(t *testing.T) {
 	g := square()
 	perm := []uint32{3, 2, 1, 0}

@@ -56,17 +56,6 @@ func (o Ordering) String() string {
 	return fmt.Sprintf("Ordering(%d)", uint8(o))
 }
 
-// ParseOrdering maps an ordering name to its constant.
-func ParseOrdering(s string) (Ordering, error) {
-	for _, o := range []Ordering{OrderNone, OrderRandom, OrderBFS, OrderDegree,
-		OrderRevDegree, OrderStrongRun, OrderShingle, OrderHybrid} {
-		if o.String() == s {
-			return o, nil
-		}
-	}
-	return OrderNone, fmt.Errorf("graph: unknown ordering %q", s)
-}
-
 // Orderings lists every scheme benchmarked in Table 9 and Figure 7.
 var Orderings = []Ordering{
 	OrderRandom, OrderBFS, OrderDegree, OrderRevDegree,

@@ -26,7 +26,7 @@ type AnalyzeInfo struct {
 	// encoding and socket writes excepted).
 	PhasesUS map[string]int64 `json:"phases_us"`
 	// Plan is the physical plan annotated with actuals
-	// (exec.Plan.ExplainAnalyze).
+	// (exec.Result.ExplainAnalyze).
 	Plan string `json:"plan,omitempty"`
 	// Bags holds the raw per-bag, per-level execution counters; the
 	// kernel routes taken are in Bags[].Levels[].Kernel and on the

@@ -359,9 +359,7 @@ func (s *Server) execute(ctx context.Context, req *QueryRequest, limit int, rec 
 		resp.Analyze = &AnalyzeInfo{}
 		if res.Stats != nil {
 			resp.Analyze.Bags = res.Stats.Bags
-			if res.Plan != nil {
-				resp.Analyze.Plan = res.Plan.ExplainAnalyze(res.Stats)
-			}
+			resp.Analyze.Plan = res.ExplainAnalyze()
 		}
 	}
 	return resp, nil

@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sort"
 )
 
 // Layout identifies the physical representation of a Set.
@@ -113,23 +112,6 @@ func FromSorted(vals []uint32) Set {
 		return Set{}
 	}
 	return Set{layout: Uint, card: len(vals), data: vals}
-}
-
-// FromUnsorted copies, sorts and deduplicates vals into a Uint-layout set.
-func FromUnsorted(vals []uint32) Set {
-	if len(vals) == 0 {
-		return Set{}
-	}
-	cp := make([]uint32, len(vals))
-	copy(cp, vals)
-	sort.Slice(cp, func(i, j int) bool { return cp[i] < cp[j] })
-	out := cp[:1]
-	for _, v := range cp[1:] {
-		if v != out[len(out)-1] {
-			out = append(out, v)
-		}
-	}
-	return FromSorted(out)
 }
 
 // NewBitset builds a Bitset-layout set from a strictly increasing slice.

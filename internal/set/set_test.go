@@ -54,20 +54,6 @@ func TestEmptySet(t *testing.T) {
 	}
 }
 
-func TestFromUnsortedDedups(t *testing.T) {
-	s := FromUnsorted([]uint32{5, 1, 5, 3, 1, 9})
-	want := []uint32{1, 3, 5, 9}
-	got := s.Slice()
-	if len(got) != len(want) {
-		t.Fatalf("got %v want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v want %v", got, want)
-		}
-	}
-}
-
 func TestLayoutsAgreeOnBasics(t *testing.T) {
 	vals := []uint32{0, 1, 7, 63, 64, 65, 255, 256, 300, 1000, 4095, 4096, 70000}
 	for _, s := range allLayouts(vals) {
