@@ -8,7 +8,6 @@
 package datasets
 
 import (
-	"sort"
 	"sync"
 
 	"emptyheaded/internal/gen"
@@ -137,24 +136,4 @@ func BitsetFraction(g *graph.Graph) float64 {
 		return 0
 	}
 	return float64(dense) / float64(total)
-}
-
-// DensityOrdering returns preset names sorted by measured bitset fraction,
-// descending; tests use it to verify the synthetic graphs preserve the
-// Table 3 / §5.2.1 density ordering (Google+ densest).
-func DensityOrdering(names []string) []string {
-	type ns struct {
-		name string
-		frac float64
-	}
-	var xs []ns
-	for _, n := range names {
-		xs = append(xs, ns{n, BitsetFraction(Load(n))})
-	}
-	sort.Slice(xs, func(i, j int) bool { return xs[i].frac > xs[j].frac })
-	out := make([]string, len(xs))
-	for i, x := range xs {
-		out[i] = x.name
-	}
-	return out
 }

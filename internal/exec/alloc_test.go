@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"slices"
 	"testing"
 
 	"emptyheaded/internal/gen"
@@ -30,19 +29,6 @@ func padded(g *graph.Graph) *graph.Graph {
 		}
 	}
 	return graph.FromEdges(int(off+n), edges, true)
-}
-
-// memoVectors lists the vectors memoized on a PageRank round's inputs.
-func memoVectors(db *DB) []*vector {
-	var out []*vector
-	for _, name := range []string{"PageRank", "InvDeg"} {
-		if r, ok := db.Relation(name); ok {
-			for _, vc := range r.vectors {
-				out = append(out, vc)
-			}
-		}
-	}
-	return out
 }
 
 // The loop nest allocates per run and per output row, never per probe or
@@ -92,16 +78,8 @@ func TestLoopNestAllocationsIndependentOfGraphSize(t *testing.T) {
 							t.Fatal(err)
 						}
 					}
-					run() // builds the layout's indexes and vectors
-					vecs := memoVectors(db)
-					if q.name == "pagerank_round" && l.name == "bitset" && len(vecs) != 2 {
-						t.Errorf("a PageRank round over bitsets memoized %d vectors, want 2", len(vecs))
-					}
-					n := testing.AllocsPerRun(5, run)
-					if !slices.Equal(vecs, memoVectors(db)) {
-						t.Error("a second run over the same relations rebuilt its vectors")
-					}
-					return n
+					run() // builds the layout's indexes
+					return testing.AllocsPerRun(5, run)
 				}
 				// Parallelism 2 runs the nest on the worker pool, so a
 				// per-probe or per-block escape inside a pool worker shows too.

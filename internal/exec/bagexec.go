@@ -301,10 +301,8 @@ type bagExec struct {
 	span  *accSpan
 	rels  []*Relation
 	tries []*trie.Trie
-	// fused is a gather level's vectors ⊗-multiplied into one, when it
-	// has several and its incoming annotation is the semiring's One (see
-	// gatherTail).
-	fused vector
+	// vec is the one vector a gather level reads (see gatherTail).
+	vec vector
 	// q is Q of a count scan at level 0, intersected once per bag run
 	// before the workers start (see countScan); nil otherwise.
 	q *set.Set
@@ -404,14 +402,8 @@ type level struct {
 	// binds lists the refs binding a value acts on, those that descend or
 	// annotate: a leaf without annotation needs no rank.
 	binds []curRef
-	// vecs lists the atoms read as dense vectors here, in atom order: they
-	// filter and annotate the candidates refs yields (see vectorAtoms).
-	vecs []*vector
-	// gvec is the one vector a gather level's kernel reads: the level's
-	// only vector or their fused product.
-	gvec *vector
-	out  int // position in an output row; -1 when eliminated
-	kind levelKind
+	out   int // position in an output row; -1 when eliminated
+	kind  levelKind
 }
 
 // levelKind says what a level does with its candidates.
@@ -423,7 +415,7 @@ const (
 	kindFold                       // ⊕-fold them into one emit (see foldTail)
 	kindCount                      // emit their count (see countTailOK, countAt)
 	kindExists                     // emit once if one extends to a full binding (see witness)
-	kindGather                     // a fold by one kernel call (see gatherTail)
+	kindGather                     // a fold over vectors by one kernel call (see gatherTail)
 	kindScatter                    // an emit into the dense accumulator by one kernel call (see scatterTail)
 	kindCountScan                  // the level above a count tail, Q intersected once per call (see countScanTail)
 )
@@ -437,68 +429,54 @@ type curRef struct {
 	leaf, ann bool
 }
 
-// vector is the dense form of a unary annotated relation whose root set
-// is a bitset: its support words and ann[v-base], member v's annotation.
+// vector is the dense form a gather reads (see fuse): its support words
+// and ann[v-base], member v's annotation.
 type vector struct {
 	base  uint32
 	words []uint64
 	ann   []float64
 }
 
-func newVector(root *trie.Node) *vector {
-	s := &root.Set
-	vc := &vector{base: s.Min() &^ 63}
-	span := s.Max() - vc.base + 1
-	vc.words = make([]uint64, (span+63)/64)
-	vc.ann = make([]float64, span)
-	s.ForEach(func(i int, v uint32) {
-		off := v - vc.base
-		vc.words[off/64] |= 1 << (off % 64)
-		vc.ann[off] = root.Ann[i]
-	})
-	return vc
-}
-
-// at returns member v's annotation; ok is false when v is absent (a value
-// below base wraps past the words).
-func (vc *vector) at(v uint32) (ann float64, ok bool) {
-	off := v - vc.base
-	if w := off / 64; w >= uint32(len(vc.words)) || vc.words[w]&(1<<(off%64)) == 0 {
-		return 0, false
-	}
-	return vc.ann[off], true
-}
-
 // vectorAtoms marks the atoms of bp read as vectors, not intersected;
-// tries[i] is atom i's index (nil if unknown). That takes a unary base
-// atom, without selection constant, whose annotation counts, at a level
-// where another atom's set depends on outer bindings (so a vector never
-// drives iteration: SSSP's level-0 Edge ∩ SSSP stays an intersection),
-// with a bitset root (the layout optimizer's density decision); never in
-// a Boolean plan, whose existence tails take no annotation. Vectors
-// multiply in after the intersected atoms, so one that an annotating
-// intersected atom follows at its level stays intersected: ⊗ keeps atom
-// order.
-func (p *Plan) vectorAtoms(bp *BagPlan, tries []*trie.Trie) []bool {
-	dependent := make([]bool, len(bp.Attrs))
-	for _, a := range bp.Atoms {
-		for al := 1; al < len(a.Attrs); al++ {
-			if lvl := levelOf(bp, a, al); lvl >= 0 {
-				dependent[lvl] = true
-			}
-		}
-	}
+// tries[i] is atom i's index (nil if unknown) and scalar the bag's scalar
+// factor (NaN if unknown). Vectors exist only where a gather reads them:
+// at the bag's last level, eliminated, where every other atom is a leaf
+// that does not annotate, so binding a value there acts on none. A vector
+// is a unary base atom (so without selection constant) whose annotation
+// counts, with a bitset root (the layout optimizer's density decision), at
+// a level where another atom's set depends on outer bindings (so a vector
+// never drives iteration: SSSP's level-0 Edge ∩ SSSP stays an
+// intersection); never in a Boolean plan, whose existence tails take no
+// annotation. The gather multiplies the annotation reaching the level by
+// the vectors' product, so several qualify only when that annotation is
+// One by construction: the scalar factor is One and no atom annotates
+// above the level. One ⊗ (v₁ ⊗ v₂) and (One ⊗ v₁) ⊗ v₂ are the same bits
+// under × with 1 and under + with +0, so the re-association shows in no
+// answer. Otherwise every atom is intersected, in atom order, and each ⊗
+// keeps its operands and its order.
+func (p *Plan) vectorAtoms(bp *BagPlan, tries []*trie.Trie, scalar float64) []bool {
 	vec := make([]bool, len(bp.Atoms))
+	last := len(bp.Attrs) - 1
+	if last < 0 || bp.Out[last] {
+		return vec
+	}
+	n, plain, dependent, above := 0, true, false, false
 	for i, a := range bp.Atoms {
-		t := tries[i]
-		vec[i] = a.child == nil && t != nil && t.Arity == 1 && len(a.consts) == 0 &&
-			p.multiplies(a) && t.Root.Ann != nil &&
-			t.Root.Set.Layout() == set.Bitset && dependent[levelOf(bp, a, 0)]
-		if !vec[i] && p.multiplies(a) && a.LastLevel >= 0 {
-			for j := range i {
-				vec[j] = vec[j] && levelOf(bp, bp.Atoms[j], 0) != levelOf(bp, a, a.LastLevel)
-			}
+		al, t := slices.Index(a.Attrs, bp.Attrs[last]), tries[i]
+		switch {
+		case al == 0 && a.child == nil && t != nil && t.Arity == 1 && p.multiplies(a) &&
+			t.Root.Ann != nil && t.Root.Set.Layout() == set.Bitset:
+			vec[i], n = true, n+1
+		case al >= 0:
+			plain = plain && al == a.LastLevel && !p.multiplies(a)
+		case a.LastLevel >= 0:
+			above = above || p.multiplies(a)
 		}
+		dependent = dependent || al > 0
+	}
+	one := math.Float64bits(scalar) == math.Float64bits(p.aggOp().One())
+	if !plain || !dependent || n > 1 && (above || !one) {
+		clear(vec)
 	}
 	return vec
 }
@@ -599,29 +577,36 @@ func (r *run) execBag(bp *BagPlan) (t *trie.Trie, err error) {
 		rels[i], tries[i] = rel, rel.Index(a.Perm, p.opts.Layout)
 	}
 	ex.rels, ex.tries = rels, tries
+	empty := false
+	for i, t := range tries {
+		if t.Arity != 0 {
+			continue
+		}
+		// An empty zero-arity participant (a scalar child bag of a
+		// disconnected component) empties the bag.
+		empty = empty || t.Scalar == op.Zero()
+		if !bp.Atoms[i].SemijoinOnly {
+			// Semijoin-only scalar children contribute in the assembly
+			// instead (spanning plans).
+			ex.scalarFactor = op.Mul(ex.scalarFactor, t.Scalar)
+		}
+	}
 	fact := r.facts.bag(bp)
-	isVec := p.vectorAtoms(bp, tries)
+	isVec := p.vectorAtoms(bp, tries, ex.scalarFactor)
 	fact.vecs = isVec
+	if empty {
+		return ex.emptyResult(), nil
+	}
 	ex.sizeTables(isVec)
 	selectionMiss := false
+	var roots []*trie.Node // the vectors' roots, in atom order
 	for i, a := range bp.Atoms {
 		t := tries[i]
 		if isVec[i] {
-			lv := &ex.levels[levelOf(bp, a, 0)]
-			lv.vecs = append(lv.vecs, rels[i].vector(t, p.opts.Layout))
+			roots = append(roots, t.Root)
 			continue
 		}
 		if t.Arity == 0 {
-			if t.Scalar == op.Zero() {
-				// An empty zero-arity participant (a scalar child bag of a
-				// disconnected component) empties the bag.
-				return ex.emptyResult(), nil
-			}
-			if !a.SemijoinOnly {
-				// Semijoin-only scalar children contribute in the
-				// assembly instead (spanning plans).
-				ex.scalarFactor = op.Mul(ex.scalarFactor, t.Scalar)
-			}
 			continue
 		}
 		base := len(ex.nodes)
@@ -670,7 +655,6 @@ func (r *run) execBag(bp *BagPlan) (t *trie.Trie, err error) {
 			lv.kind = kindFold
 		}
 	}
-	ex.gatherTail()
 	ex.countScanTail()
 	if selectionMiss {
 		// A selection constant is absent: the bag result is empty.
@@ -683,6 +667,7 @@ func (r *run) execBag(bp *BagPlan) (t *trie.Trie, err error) {
 		// All-constant bag: the result is the scalar factor.
 		return trie.NewScalar(ex.scalarFactor, op), nil
 	}
+	ex.gatherTail(roots)
 	if n := r.limitFor(bp); n > 0 {
 		ex.lim = &limitState{limit: int64(n)}
 		if len(bp.OutAttrs) < len(bp.Attrs) {
@@ -1130,13 +1115,7 @@ func (w *worker) levelValues(lvl int, candidates *set.Set, ann float64) {
 			// value: the budget is spent or the query stopped; unwind.
 			return false
 		}
-		a, ok := w.bind(lv, i, ncand, v, ann)
-		if !ok {
-			if lvlStats != nil {
-				lvlStats.Skipped++
-			}
-			return true
-		}
+		a := w.bind(lv, i, ncand, v, ann)
 		if lv.out >= 0 {
 			w.outBuf[lv.out] = v
 		}
@@ -1159,13 +1138,12 @@ func (w *worker) levelValues(lvl int, candidates *set.Set, ann float64) {
 
 // bind binds candidate v, the i-th of ncand at level lv, in every atom
 // there that v acts on (lv.binds) and returns ann ⊗ the annotations it
-// collects; ok is false when a vector lacks v. Each intersected atom's set
-// holds v, so v's rank in it is i when the set has the candidates'
-// cardinality (it is the candidate set), else a lookup from the slot's
-// hint, which restarts with each pass (i = 0) since values ascend only
-// within one. Above its last level an atom descends to v's child; at it,
-// an annotated atom multiplies in.
-func (w *worker) bind(lv *level, i, ncand int, v uint32, ann float64) (float64, bool) {
+// collects. Each atom's set holds v, so v's rank in it is i when the set
+// has the candidates' cardinality (it is the candidate set), else a lookup
+// from the slot's hint, which restarts with each pass (i = 0) since values
+// ascend only within one. Above its last level an atom descends to v's
+// child; at it, an annotated atom multiplies in.
+func (w *worker) bind(lv *level, i, ncand int, v uint32, ann float64) float64 {
 	op := w.ex.op
 	for _, r := range lv.binds {
 		s := &w.slots[r.slot]
@@ -1184,15 +1162,7 @@ func (w *worker) bind(lv *level, i, ncand int, v uint32, ann float64) (float64, 
 			ann = op.Mul(ann, n.Ann[rank])
 		}
 	}
-	// Then every vector: a bit test (a miss skips v) and one ⊗.
-	for _, vc := range lv.vecs {
-		x, ok := vc.at(v)
-		if !ok {
-			return ann, false
-		}
-		ann = op.Mul(ann, x)
-	}
-	return ann, true
+	return ann
 }
 
 // foldTail folds a last, eliminated level in place: one ⊕-accumulator
@@ -1206,21 +1176,14 @@ func (w *worker) foldTail(lvl int, candidates *set.Set, ann float64) {
 	}
 	lv := &ex.levels[lvl]
 	vals := candidates.Values(&w.vals)
-	acc, folded, skipped := ex.op.Zero(), false, 0
+	acc := ex.op.Zero()
 	for i, v := range vals {
-		a, ok := w.bind(lv, i, len(vals), v, ann)
-		if !ok {
-			skipped++
-			continue
-		}
-		acc = ex.op.Add(acc, a)
-		folded = true
+		acc = ex.op.Add(acc, w.bind(lv, i, len(vals), v, ann))
 	}
 	if w.lc != nil {
 		w.lc[lvl].Probes += int64(len(vals))
-		w.lc[lvl].Skipped += int64(skipped)
 	}
-	if folded {
+	if len(vals) > 0 {
 		w.emit(acc)
 	}
 }

@@ -205,13 +205,10 @@ type Relation struct {
 
 	canonical *trie.Trie
 	// mu guards the lazily built index cache: concurrent queries share
-	// relations, so every access to indexes/vectors/spans goes through
-	// it. Memo hits take the read lock only.
+	// relations, so every access to indexes/spans goes through it. Memo
+	// hits take the read lock only.
 	mu      sync.RWMutex
 	indexes map[indexKey]*trie.Trie
-	// vectors memoizes the dense vector of a unary index (see vector),
-	// keyed by layout policy like the index it reads.
-	vectors map[*trie.Policy]*vector
 	// spans memoizes each column's value range (see colSpan).
 	spans map[int]colSpan
 
@@ -465,30 +462,6 @@ func (r *Relation) Index(perm []int, layout *trie.Policy) *trie.Trie {
 	}
 	r.indexes[key] = t
 	return t
-}
-
-// vector returns the dense vector of t, this relation's unary index under
-// layout, built on first use and memoized beside the index. A hit takes
-// the read lock only, so concurrent queries reading one relation proceed
-// in parallel.
-func (r *Relation) vector(t *trie.Trie, layout *trie.Policy) *vector {
-	r.mu.RLock()
-	vc, ok := r.vectors[layout]
-	r.mu.RUnlock()
-	if ok {
-		return vc
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if vc, ok := r.vectors[layout]; ok {
-		return vc
-	}
-	if r.vectors == nil {
-		r.vectors = map[*trie.Policy]*vector{}
-	}
-	vc = newVector(t.Root)
-	r.vectors[layout] = vc
-	return vc
 }
 
 // colSpan is the range [lo, hi] of one column's values; ok is false when

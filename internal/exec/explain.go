@@ -3,6 +3,7 @@ package exec
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 
@@ -21,12 +22,16 @@ func (p *Plan) Explain(db *DB) string {
 	var visit func(bp *BagPlan)
 	visit = func(bp *BagPlan) {
 		tries := make([]*trie.Trie, len(bp.Atoms))
+		scalar := p.aggOp().One()
 		for i, a := range bp.Atoms {
 			if rel, ok := db.Relation(a.Rel); ok && a.child == nil && len(a.Attrs) == 1 {
 				tries[i] = rel.Index(a.Perm, p.opts.Layout)
 			}
+			if len(a.Attrs) == 0 && !a.SemijoinOnly {
+				scalar = math.NaN() // a scalar child bag's value is known at run
+			}
 		}
-		f.bag(bp).vecs = p.vectorAtoms(bp, tries)
+		f.bag(bp).vecs = p.vectorAtoms(bp, tries, scalar)
 		for _, c := range bp.Children {
 			visit(c)
 		}

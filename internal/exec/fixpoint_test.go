@@ -165,25 +165,25 @@ func TestNonConvergingFixpointIsAnError(t *testing.T) {
 // power-law graph at one worker and two: PageRank (five SUM rounds that
 // read two unary annotated relations) and SSSP from vertex 0 (seminaive
 // MIN rounds).
-func BenchmarkRecursion(b *testing.B) {
-	benchmarkPrograms(b, []struct{ name, text string }{
-		{"pagerank", qPageRank},
-		{"sssp", `SSSP(x;y:int) :- Edge("0",x); y=1.
+func BenchmarkRecursion(b *testing.B) { benchmarkPrograms(b, recursionPrograms) }
+
+var recursionPrograms = []struct{ name, text string }{
+	{"pagerank", qPageRank},
+	{"sssp", `SSSP(x;y:int) :- Edge("0",x); y=1.
 SSSP(x;y:int)* :- Edge(w,x),SSSP(w); y=<<MIN(w)>>+1.`},
-	})
 }
 
 // BenchmarkPatterns times four loop-nest shapes on the same graph: the
 // triangle count and the 4-clique count (count tails under a count scan),
 // L31 (a fold over a child bag) and a distinct count whose child bag ends
 // in an existence tail.
-func BenchmarkPatterns(b *testing.B) {
-	benchmarkPrograms(b, []struct{ name, text string }{
-		{"triangle", `TC(;w:long) :- Edge(x,y),Edge(y,z),Edge(x,z); w=<<COUNT(*)>>.`},
-		{"k4", `K4(;w:long) :- Edge(x,y),Edge(y,z),Edge(x,z),Edge(x,w),Edge(y,w),Edge(z,w); w=<<COUNT(*)>>.`},
-		{"l31", `L31(;c:long) :- Edge(x,y),Edge(y,z),Edge(x,z),Edge(x,w); c=<<COUNT(*)>>.`},
-		{"distinct_exists", `D(;w:long) :- Edge(x,y),Edge(y,z); w=<<COUNT(x)>>.`},
-	})
+func BenchmarkPatterns(b *testing.B) { benchmarkPrograms(b, patternPrograms) }
+
+var patternPrograms = []struct{ name, text string }{
+	{"triangle", `TC(;w:long) :- Edge(x,y),Edge(y,z),Edge(x,z); w=<<COUNT(*)>>.`},
+	{"k4", `K4(;w:long) :- Edge(x,y),Edge(y,z),Edge(x,z),Edge(x,w),Edge(y,w),Edge(z,w); w=<<COUNT(*)>>.`},
+	{"l31", `L31(;c:long) :- Edge(x,y),Edge(y,z),Edge(x,z),Edge(x,w); c=<<COUNT(*)>>.`},
+	{"distinct_exists", `D(;w:long) :- Edge(x,y),Edge(y,z); w=<<COUNT(x)>>.`},
 }
 
 // benchmarkPrograms runs each program at Parallelism 1 and 2 on

@@ -19,9 +19,10 @@ var (
 	docTuple     = regexp.MustCompile(`\(([0-9,]+)\)`)
 )
 
-// TestLanguageDoc runs every worked example of docs/LANGUAGE.md on the
-// relations the document defines and checks the answer it states.
-func TestLanguageDoc(t *testing.T) {
+// languageDoc reads docs/LANGUAGE.md: a database of the relations it
+// defines, and its worked examples, each the rule text and its stated
+// answer at indexes 1 and 2.
+func languageDoc(t *testing.T) (*DB, [][]string) {
 	doc, err := os.ReadFile("../../docs/LANGUAGE.md")
 	if err != nil {
 		t.Fatal(err)
@@ -55,6 +56,13 @@ func TestLanguageDoc(t *testing.T) {
 	if n := strings.Count(text, "```datalog"); n != len(examples) || n == 0 {
 		t.Fatalf("%d datalog blocks, %d with an Answer line right after", n, len(examples))
 	}
+	return db, examples
+}
+
+// TestLanguageDoc runs every worked example of docs/LANGUAGE.md on the
+// relations the document defines and checks the answer it states.
+func TestLanguageDoc(t *testing.T) {
+	db, examples := languageDoc(t)
 	for _, ex := range examples {
 		res, err := runWith(t, db.Fork(), ex[1], OptDefault, RunParams{})
 		if err != nil {

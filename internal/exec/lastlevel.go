@@ -7,15 +7,16 @@ import (
 
 	"emptyheaded/internal/semiring"
 	"emptyheaded/internal/set"
+	"emptyheaded/internal/trie"
 )
 
 // Last-level kernels (docs/KERNELS.md, "Last-level kernels"). A bag's last
 // level whose intersected atoms only filter — every one a leaf without
 // annotation, so binding a value acts on none of them — runs as one kernel
-// call per candidate set instead of a bind per value: a fold tail is a
-// gather, an emit into the dense accumulator a scatter. A kernel loops
-// over the candidates' native layout and dispatches the semiring op once
-// per call. Values ascend as they do per value, so every ⊕ and ⊗ takes the
+// call per candidate set instead of a bind per value: a fold tail over
+// vectors is a gather, an emit into the dense accumulator a scatter. A
+// kernel loops over the candidates' native layout and dispatches the
+// semiring op once per call. Values ascend as they do per value, so every ⊕ and ⊗ takes the
 // same operands in the same order and the answers keep their bytes. The
 // level above a count tail runs as a count scan (see countScanTail).
 
@@ -35,63 +36,37 @@ func (k levelKind) kernelName() string {
 	return ""
 }
 
-// gatherTail turns a plain fold tail whose vectors read as one into a
-// gather. One vector is read as it is. Several are ⊗-multiplied, in atom
-// order, into ex.fused when the annotation reaching the level is One by
-// construction (see oneAbove): One ⊗ (v₁ ⊗ v₂) and (One ⊗ v₁) ⊗ v₂ are
-// the same bits under × with 1 and under + with +0, so the
-// re-association shows in no answer. Otherwise the level stays a
-// foldTail, whose bind multiplies them per candidate in atom order.
-func (ex *bagExec) gatherTail() {
-	last := len(ex.levels) - 1
-	if last < 0 || ex.levels[last].kind != kindFold || !ex.levels[last].plain() {
-		return
+// gatherTail turns the last level into a gather when the bag reads
+// vectors, given by their roots in atom order: vectorAtoms admits them
+// only at a plain fold tail, and fuse builds the one vector the gather
+// reads.
+func (ex *bagExec) gatherTail(roots []*trie.Node) {
+	if len(roots) > 0 {
+		ex.vec = fuse(ex.op, roots)
+		ex.levels[len(ex.levels)-1].kind = kindGather
 	}
-	lv := &ex.levels[last]
-	switch {
-	case len(lv.vecs) == 1:
-		lv.gvec = lv.vecs[0]
-	case len(lv.vecs) > 1 && ex.oneAbove(last):
-		ex.fused = fuse(ex.op, lv.vecs)
-		lv.gvec = &ex.fused
-	default:
-		return
-	}
-	lv.kind = kindGather
-}
-
-// oneAbove reports whether the annotation reaching level lvl is always
-// the semiring's One: the scalar factor is One, and no level above it
-// reads a vector or intersects an annotating atom.
-func (ex *bagExec) oneAbove(lvl int) bool {
-	if math.Float64bits(ex.scalarFactor) != math.Float64bits(ex.op.One()) {
-		return false
-	}
-	for _, lv := range ex.levels[:lvl] {
-		if len(lv.vecs) > 0 || slices.ContainsFunc(lv.refs, func(r curRef) bool { return r.ann }) {
-			return false
-		}
-	}
-	return true
 }
 
 // scatterTail turns the last level into a scatter once runParallel has
 // given the bag a dense accumulator: an emit level, so the bag's one
-// output attribute, that is plain and reads no vector.
+// output attribute, that is plain.
 func (ex *bagExec) scatterTail() {
 	lv := &ex.levels[len(ex.levels)-1]
-	if lv.kind == kindEmit && lv.plain() && len(lv.vecs) == 0 {
+	if lv.kind == kindEmit && lv.plain() {
 		lv.kind = kindScatter
 	}
 }
 
-// fuse returns the ⊗-product of vecs as one vector: its support is the
-// AND of theirs, and a member's annotation is v₁ ⊗ v₂ ⊗ … from the left.
-func fuse(op semiring.Op, vecs []*vector) vector {
-	// lo and hi bound, in words of 64 values, the range every vector spans.
+// fuse builds a gather's one vector from the roots of its vector atoms,
+// bitsets all, in atom order: its support is the AND of theirs, and a
+// member's annotation is its annotation in each root, found by its rank
+// there, ⊗-multiplied from the left.
+func fuse(op semiring.Op, roots []*trie.Node) vector {
+	// lo and hi bound, in words of 64 values, the range every root spans.
 	lo, hi := uint32(0), uint32(math.MaxUint32)
-	for _, vc := range vecs {
-		lo, hi = max(lo, vc.base/64), min(hi, vc.base/64+uint32(len(vc.words)))
+	for _, r := range roots {
+		base, words := r.Set.Words()
+		lo, hi = max(lo, base/64), min(hi, base/64+uint32(len(words)))
 	}
 	f := vector{base: lo * 64}
 	if hi <= lo {
@@ -101,16 +76,19 @@ func fuse(op semiring.Op, vecs []*vector) vector {
 	f.ann = make([]float64, 64*len(f.words))
 	for i := range f.words {
 		m := ^uint64(0)
-		for _, vc := range vecs {
-			m &= vc.words[int(lo-vc.base/64)+i]
+		for _, r := range roots {
+			base, words := r.Set.Words()
+			m &= words[int(lo-base/64)+i]
 		}
 		f.words[i] = m
 		for ; m != 0; m &= m - 1 {
 			off := i*64 + bits.TrailingZeros64(m)
 			v := f.base + uint32(off)
-			x := vecs[0].ann[v-vecs[0].base]
-			for _, vc := range vecs[1:] {
-				x = op.Mul(x, vc.ann[v-vc.base])
+			rank, _ := roots[0].Set.Rank(v)
+			x := roots[0].Ann[rank]
+			for _, r := range roots[1:] {
+				rank, _ = r.Set.Rank(v)
+				x = op.Mul(x, r.Ann[rank])
 			}
 			f.ann[off] = x
 		}
@@ -118,16 +96,17 @@ func fuse(op semiring.Op, vecs []*vector) vector {
 	return f
 }
 
-// gather runs a gather level: it ⊕-folds ann ⊗ the level's one vector's
+// gather runs a gather level: it ⊕-folds ann ⊗ the bag's vector's
 // annotation over the candidates the vector holds and emits the fold
-// once, if a candidate was folded. Stop and limit are checked, and the
-// counters added, once per call, as in foldTail.
+// once, if a candidate was folded; a candidate it lacks is a skip. Stop
+// and limit are checked, and the counters added, once per call, as in
+// foldTail.
 func (w *worker) gather(lvl int, candidates *set.Set, ann float64) {
 	ex := w.ex
 	if ex.lim.stopped() || ex.r.stopped() {
 		return
 	}
-	acc, folded := gatherVec(ex.op, candidates, ex.levels[lvl].gvec, ann, &w.vals)
+	acc, folded := gatherVec(ex.op, candidates, &ex.vec, ann, &w.vals)
 	n := candidates.Card()
 	if w.lc != nil {
 		w.lc[lvl].Probes += int64(n)
@@ -140,7 +119,8 @@ func (w *worker) gather(lvl int, candidates *set.Set, ann float64) {
 
 // gatherVec is the gather over one vector: the ⊕ of ann ⊗ vc[v] over the
 // candidates v that vc holds, and their number. Uint candidates take a
-// range loop with a bit test per value. A bitset's words line up with the
+// range loop with a bit test per value (a value below base wraps past the
+// words). A bitset's words line up with the
 // vector's, both bases being multiples of 64, so one AND per word leaves
 // exactly the values to fold. Other layouts are decoded into scratch.
 func gatherVec(op semiring.Op, c *set.Set, vc *vector, ann float64, scratch *[]uint32) (acc float64, n int) {
@@ -151,19 +131,22 @@ func gatherVec(op semiring.Op, c *set.Set, vc *vector, ann float64, scratch *[]u
 		switch op {
 		case semiring.Min:
 			for _, v := range vals {
-				if x, ok := vc.at(v); ok {
+				if off := v - vc.base; off/64 < uint32(len(vc.words)) && vc.words[off/64]&(1<<(off%64)) != 0 {
+					x := vc.ann[off]
 					acc, n = semiring.MinOf(acc, ann+x), n+1
 				}
 			}
 		case semiring.Max:
 			for _, v := range vals {
-				if x, ok := vc.at(v); ok {
+				if off := v - vc.base; off/64 < uint32(len(vc.words)) && vc.words[off/64]&(1<<(off%64)) != 0 {
+					x := vc.ann[off]
 					acc, n = semiring.MaxOf(acc, ann+x), n+1
 				}
 			}
 		default:
 			for _, v := range vals {
-				if x, ok := vc.at(v); ok {
+				if off := v - vc.base; off/64 < uint32(len(vc.words)) && vc.words[off/64]&(1<<(off%64)) != 0 {
+					x := vc.ann[off]
 					acc, n = acc+ann*x, n+1
 				}
 			}
@@ -302,7 +285,7 @@ func mark(has []uint64, off uint32) bool {
 
 // countScanTail turns the level above a count tail into a count scan when
 // binding a value there moves one atom, down to its child at the count
-// level: the level has one bind, which descends, and reads no vector.
+// level: the level has one bind, which descends.
 // Every other atom the count level intersects was then bound above the
 // level, so their intersection Q does not change across its loop. The
 // child moves last among the count level's refs; the others keep atom
@@ -314,7 +297,7 @@ func (ex *bagExec) countScanTail() {
 		return
 	}
 	lv, refs := &ex.levels[lvl], ex.levels[lvl+1].refs
-	if lv.kind != kindDescend || len(lv.binds) != 1 || lv.binds[0].leaf || len(lv.vecs) > 0 {
+	if lv.kind != kindDescend || len(lv.binds) != 1 || lv.binds[0].leaf {
 		return
 	}
 	c := slices.IndexFunc(refs, func(r curRef) bool { return r.slot == lv.binds[0].slot+1 })

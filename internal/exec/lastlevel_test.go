@@ -206,7 +206,7 @@ func TestLastLevelKernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	float := func() float64 { return rng.Float64() }
 	// Holes: each misses about a third of the vertices. T annotates x, so
-	// the annotation reaching z is not One and the vectors must not fuse.
+	// the annotation reaching z is not One and R and Q are intersected.
 	r, q, tx := randomAnnRel(g, 0.7, rng, float), randomAnnRel(g, 0.6, rng, float), randomAnnRel(g, 0.8, rng, float)
 	specials := []float64{math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0, -2.5, 1, 7}
 	special := func() float64 { return specials[rng.Intn(len(specials))] }
@@ -257,7 +257,7 @@ R(x)*[i=3] :- Edge(w,x),R(w).`, want: refReach(g, src, 3), boolean: true},
 		{name: "fold_holes", query: `W(x;s:float) :- Edge(x,z),R(z),Q(z); s=<<SUM(z)>>.`,
 			want: refFold(g, semiring.Sum, nil, r, q), tail: kindGather, uintTail: kindFold, skips: true},
 		{name: "fold_not_one", query: `W(x;s:float) :- T(x),Edge(x,z),R(z),Q(z); s=<<SUM(z)>>.`,
-			want: notOne, tail: kindFold, uintTail: kindFold, skips: true},
+			want: notOne, tail: kindFold, uintTail: kindFold},
 		{name: "scatter_min", query: `M(x;m:float) :- Dmin(w),Edge(w,x); m=<<MIN(w)>>.`,
 			want: refScatter(g, semiring.Min, dmin), tail: kindScatter, uintTail: kindScatter},
 		{name: "scatter_max", query: `M(x;m:float) :- Dmax(w),Edge(w,x); m=<<MAX(w)>>.`,
@@ -364,12 +364,12 @@ func BenchmarkGather(b *testing.B) {
 	g := gen.PowerLaw(6000, 40000, 2.3, 1)
 	db := dbWithGraph(g)
 	addPageRankInputs(db, g)
-	var vecs []*vector
+	var roots []*trie.Node
 	for _, name := range []string{"PageRank", "InvDeg"} {
 		rel, _ := db.Relation(name)
-		vecs = append(vecs, rel.vector(rel.Index([]int{0}, nil), nil))
+		roots = append(roots, rel.Index([]int{0}, nil).Root)
 	}
-	fused := fuse(semiring.Sum, vecs)
+	fused := fuse(semiring.Sum, roots)
 	edge, _ := db.Relation("Edge")
 	for _, layout := range []*trie.Policy{nil, trie.UintLayout} {
 		root := edge.Index([]int{0, 1}, layout).Root

@@ -11,9 +11,9 @@ import "emptyheaded/internal/set"
 // Counters are plain ints per worker (no atomics; a fold tail adds its
 // own once per call), folded into the bag's BagStats once the pool
 // drains. A level's candidates lie in every set it intersects, so a rank
-// lookup cannot miss: only vector participants (see vectorAtoms) skip.
-// They join no intersection, add no input cardinality, and a value one
-// lacks is a skip. An existence tail books no probes, and its first
+// lookup cannot miss: only a gather skips, a candidate its vector lacks
+// (see vectorAtoms). Vectors join no intersection and add no input
+// cardinality. An existence tail books no probes, and its first
 // level's intersection once, where its caller makes it.
 
 // LevelStats aggregates the set-kernel activity of one loop-nest level.
@@ -30,7 +30,7 @@ type LevelStats struct {
 	InputCard  int64 `json:"input_card"`
 	OutputCard int64 `json:"output_card"`
 	// Probes counts candidate values iterated at this level; Skipped
-	// counts probes rejected because a vector lacked the value (its
+	// counts the probes of a gather whose vector lacks the value (its
 	// support bit test): intersected atoms hold every candidate.
 	Probes  int64 `json:"probes"`
 	Skipped int64 `json:"skipped"`

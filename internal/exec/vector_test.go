@@ -6,9 +6,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 	"unsafe"
 
+	"emptyheaded/internal/datalog"
 	"emptyheaded/internal/graph"
 	"emptyheaded/internal/semiring"
 	"emptyheaded/internal/trie"
@@ -91,6 +91,7 @@ func TestVectorParticipantsMatchTrie(t *testing.T) {
 	addAnnotated(db, "T", semiring.Sum, upTo(206), float)
 	addAnnotated(db, "F", semiring.Sum, upTo(206), float)
 	addAnnotated(db, "S", semiring.Sum, []uint32{1, 2, 3}, float)
+	addAnnotated(db, "InDeg", semiring.Count, upTo(206), func(v uint32) float64 { return float64(len(g.Adj[v])) })
 
 	rows := []struct {
 		name, text string
@@ -99,7 +100,13 @@ func TestVectorParticipantsMatchTrie(t *testing.T) {
 		{"pagerank_round", qPageRankRound, []string{"· PageRank[z] · InvDeg[z]"}},
 		{"support_misses", `W(x;s:float) :- Edge(x,z),R(z); s=<<SUM(z)>>.`, []string{"· R[z]"}},
 		{"min_unset_slots", `M(x;m:int) :- Edge(x,z),D(z); m=<<MIN(z)>>+1.`, []string{"· D[z]"}},
-		{"non_tail_level", `C(x;w:long) :- Edge(x,z),R(z),Edge(z,y),Edge(x,y); w=<<COUNT(*)>>.`, []string{"· R[z]"}},
+		// z binds values for y, so R is intersected there: only a gather
+		// reads a vector.
+		{"non_tail_level", `C(x;w:long) :- Edge(x,z),R(z),Edge(z,y),Edge(x,y); w=<<COUNT(*)>>.`, nil},
+		// docs/LANGUAGE.md's MAX over 2-walks: InDeg[z] is a gather's
+		// vector, and InDeg[y], where another atom annotates, is
+		// intersected.
+		{"binding_and_tail", `M(x;m:long) :- Edge(x,y),Edge(y,z),InDeg(y),InDeg(z); m=<<MAX(z)>>.`, []string{"· InDeg[z]"}},
 		// The planner never puts an annotated atom in an existence tail,
 		// so this tail's unary atom is a plain one.
 		{"existence_tail", `E(;w:long) :- Edge(x,z),A(z); w=<<COUNT(x)>>.`, nil},
@@ -126,13 +133,17 @@ func TestVectorParticipantsMatchTrie(t *testing.T) {
 					}
 					plan := res.ExplainAnalyze()
 					vectorized := opts.Layout == nil && row.vectors != nil
+					want := 0
 					for _, v := range row.vectors {
 						if strings.Contains(plan, v) != vectorized {
 							t.Errorf("layout %s: want %q in EXPLAIN %v:\n%s", opts.Layout, v, vectorized, plan)
 						}
+						if vectorized {
+							want += strings.Count(v, "·")
+						}
 					}
-					if !vectorized && strings.Contains(plan, "·") {
-						t.Errorf("layout %s: unexpected vector in EXPLAIN:\n%s", opts.Layout, plan)
+					if n := strings.Count(plan, "·"); n != want {
+						t.Errorf("layout %s: %d vectors in EXPLAIN, want %d:\n%s", opts.Layout, n, want, plan)
 					}
 				}
 			}
@@ -212,44 +223,88 @@ func TestWorkersWriteApart(t *testing.T) {
 	}
 }
 
-// TestVectorMemoHitTakesReadLock: a memoized vector is served under the
-// relation's read lock, so queries reading one unary relation do not
-// serialize on it. Concurrent first uses fill the memo once. Then a hit
-// runs while the test holds the read lock; a hit that took the write
-// lock would wait for the test, which gives up after two seconds
-// instead of hanging.
-func TestVectorMemoHitTakesReadLock(t *testing.T) {
-	db := NewDB()
-	addAnnotated(db, "PageRank", semiring.Sum, upTo(100), func(uint32) float64 { return 1 })
-	rel, _ := db.Relation("PageRank")
-	idx := rel.Index([]int{0}, nil)
-	vecs := make([]*vector, 8)
+// A vector is only what a gather reads: run rule by rule, each rule one
+// round, every benchmark program and every docs/LANGUAGE.md example shows
+// a vector ("· Rel[v]") in EXPLAIN ANALYZE only on a level that runs by
+// gather. The programs run on a random graph, the examples on the
+// document's relations.
+func TestVectorsOnlyAtGathers(t *testing.T) {
+	graphDB := dbWithGraph(testGraph(200, 1200, 7))
+	docDB, examples := languageDoc(t)
+	type program struct {
+		db   *DB
+		text string
+	}
+	var programs []program
+	for _, q := range slices.Concat(recursionPrograms, patternPrograms) {
+		programs = append(programs, program{graphDB, q.text})
+	}
+	for _, ex := range examples {
+		programs = append(programs, program{docDB, ex[1]})
+	}
+	gathers := 0
+	for _, pg := range programs {
+		db := pg.db.Fork()
+		for _, rule := range mustParse(t, pg.text).Rules {
+			round := *rule
+			round.Head.Recursive, round.Head.Iterations = false, 0
+			pr, err := Prepare(db, &datalog.Program{Rules: []*datalog.Rule{&round}}, Options{})
+			if err != nil {
+				t.Fatalf("%s: %v", rule, err)
+			}
+			res, err := pr.RunWith(db, RunParams{Collect: true})
+			if err != nil {
+				t.Fatalf("%s: %v", rule, err)
+			}
+			plan := res.ExplainAnalyze()
+			lines := strings.Split(plan, "\n")
+			for i, l := range lines {
+				if !strings.Contains(l, "·") {
+					continue
+				}
+				gathers++
+				if i+1 == len(lines) || !strings.Contains(lines[i+1], " by gather:") {
+					t.Errorf("%s: a vector on a level that does not gather:\n%s", rule, plan)
+				}
+			}
+		}
+	}
+	if gathers == 0 {
+		t.Fatal("no rule read a vector: the check shows nothing")
+	}
+}
+
+// One Prepared PageRank round run from eight goroutines at once, each on
+// its own fork and each building its own vector, returns the bits of a
+// run alone.
+func TestPreparedVectorRoundsAgree(t *testing.T) {
+	db, _ := accumulatorDBs()
+	pr := prepareQOpts(t, db, qPageRankRound, Options{Parallelism: 2})
+	alone, err := pr.Run(db.Fork())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := resultBits(alone)
+	got := make([][]string, 8)
+	errs := make([]error, len(got))
 	var wg sync.WaitGroup
-	for i := range vecs {
+	for i := range got {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			vecs[i] = rel.vector(idx, nil)
+			res, err := pr.Run(db.Fork())
+			if errs[i] = err; err == nil {
+				got[i] = resultBits(res)
+			}
 		}()
 	}
 	wg.Wait()
-	want := vecs[0]
-	for _, vc := range vecs {
-		if vc != want {
-			t.Fatal("concurrent first uses built two vectors")
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
 		}
-	}
-
-	rel.mu.RLock()
-	defer rel.mu.RUnlock()
-	done := make(chan *vector, 1)
-	go func() { done <- rel.vector(idx, nil) }()
-	select {
-	case got := <-done:
-		if got != want {
-			t.Fatal("memo hit returned a different vector")
+		if !slices.Equal(got[i], want) {
+			t.Fatalf("goroutine %d: %d tuples, alone %d; first difference %s", i, len(got[i]), len(want), diffAt(got[i], want))
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("memo hit blocked behind a held read lock")
 	}
 }
